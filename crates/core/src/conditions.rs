@@ -379,7 +379,7 @@ mod tests {
             .check(&bid, &m.ledger)
             .expect("valid bid");
         // And the imperative validator agrees.
-        validate::validate_bid(&bid, &m.ledger).expect("validator agrees");
+        validate::validate_bid(&bid, &m.ledger, None).expect("validator agrees");
     }
 
     type Mutation = (&'static str, Box<dyn Fn(&Market) -> Transaction>);
@@ -433,7 +433,7 @@ mod tests {
             let declarative = condition_set_for(Operation::Bid)
                 .check(&tx, &m.ledger)
                 .is_ok();
-            let imperative = validate::validate_bid(&tx, &m.ledger).is_ok();
+            let imperative = validate::validate_bid(&tx, &m.ledger, None).is_ok();
             assert_eq!(declarative, imperative, "verdicts diverge on {name:?}");
         }
     }

@@ -46,7 +46,8 @@ use crate::ledger::{ApplyOutcome, LedgerState, UtxoEffects};
 use crate::model::Transaction;
 use crate::par::parallel_map;
 use crate::pipeline::{
-    record_commit, BatchOutcome, ConflictKey, PipelineOptions, StageClock, WaveSchedule,
+    forget_rejected, record_commit, BatchOutcome, ConflictKey, PipelineOptions, StageClock,
+    WaveSchedule,
 };
 use crate::speculation::{fold_overlay_digest, SpeculativeView, WaveOverlay};
 use crate::validate::validate_transaction;
@@ -494,6 +495,7 @@ impl CrossBlockPipeline {
         accepted.sort_unstable();
         outcome.committed = accepted.iter().map(|&i| batch[i].id.clone()).collect();
         outcome.rejected.sort_unstable_by_key(|(i, _)| *i);
+        forget_rejected(base, batch, &outcome);
 
         // The exact post-apply digest: base (post previous block) plus
         // each actual overlay's folded deltas — O(block footprint).

@@ -20,9 +20,11 @@
 //!   re-deriving spentness from the UTXO set per call.
 
 use crate::model::{Operation, Transaction};
+use crate::verified::{VerifiedSet, VerifiedSigners, VerifiedStats};
 use crate::view::LedgerView;
 use scdb_json::Value;
 use scdb_store::{DurableStore, OutputRef, RecoveredState, SpendError, Utxo, UtxoSet};
+use scdb_telemetry::Telemetry;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -144,6 +146,11 @@ pub struct LedgerState {
     /// blocks at their own commit points. `None` (the default) is the
     /// in-memory oracle.
     durable: Option<Arc<DurableStore>>,
+    /// Ids whose stateless checks (schema, id digest, signatures) an
+    /// earlier stage already ran against this ledger — see
+    /// [`crate::verified`]. Empty on a fresh ledger, where every
+    /// validation is the full check.
+    verified: VerifiedSet,
 }
 
 impl LedgerState {
@@ -182,6 +189,25 @@ impl LedgerState {
     /// The attached durable store, when the ledger runs durable.
     pub fn durable_store(&self) -> Option<&Arc<DurableStore>> {
         self.durable.as_ref()
+    }
+
+    /// Reports the verified set's activity under `verified.*` in
+    /// `telemetry`'s registry. Ledgers sharing a registry (cluster
+    /// replicas) share the counters.
+    pub fn set_telemetry(&mut self, telemetry: &Telemetry) {
+        self.verified.set_telemetry(telemetry);
+    }
+
+    /// Verified-set activity: this ledger's own with telemetry off,
+    /// the registry's totals with it on.
+    pub fn verified_stats(&self) -> VerifiedStats {
+        self.verified.stats()
+    }
+
+    /// Drops `id` from the verified set after a commit-time rejection,
+    /// so a resubmission is verified afresh.
+    pub(crate) fn forget_verified(&self, id: &str) {
+        self.verified.forget(id);
     }
 
     /// Rebuilds a ledger from a durable store's recovery: replays the
@@ -417,6 +443,9 @@ impl LedgerState {
 
         self.txs.insert(tx.id.clone(), Arc::clone(tx));
         self.committed_in_order.push(tx.id.clone());
+        // Committed: any later sight of this id is a duplicate before
+        // its signatures matter.
+        self.verified.forget(&tx.id);
     }
 
     /// Rewrites the commit-order tail starting at position `from` to
@@ -484,6 +513,14 @@ impl LedgerView for LedgerState {
 
     fn settlement_for_bid(&self, bid_id: &str) -> Option<&str> {
         self.settled_bids.get(bid_id).map(String::as_str)
+    }
+
+    fn verified(&self, tx: &Transaction) -> Option<VerifiedSigners> {
+        self.verified.lookup(tx)
+    }
+
+    fn record_verified(&self, id: &str, signers: VerifiedSigners) {
+        self.verified.record(id, signers);
     }
 }
 

@@ -44,6 +44,7 @@ pub use par::parallel_map;
 pub mod pipeline;
 pub mod speculation;
 pub mod validate;
+pub mod verified;
 mod view;
 pub mod workflow;
 
@@ -61,6 +62,7 @@ pub use pipeline::{
     ScheduleError, ScheduleSource, TxLookup, WaveSchedule,
 };
 pub use speculation::{predict_post_state_digest, SpeculativeView};
+pub use verified::{VerifiedSigners, VerifiedStats};
 pub use view::LedgerView;
 // Telemetry rides the options through every layer; re-export the handle
 // so downstream crates don't each need the scdb-telemetry dependency

@@ -1173,6 +1173,7 @@ pub fn commit_batch_planned(
         }
     }
     outcome.rejected.sort_unstable_by_key(|(i, _)| *i);
+    forget_rejected(ledger, batch, &outcome);
     if let Some(block_clock) = block_clock {
         record_commit(
             &options.telemetry,
@@ -1184,6 +1185,19 @@ pub fn commit_batch_planned(
         );
     }
     outcome
+}
+
+/// Drops a block's rejected members from the ledger's verified set: a
+/// verdict consumed the entry, and a resubmission is verified afresh.
+/// (Committed members left the set when they applied.)
+pub(crate) fn forget_rejected(
+    ledger: &LedgerState,
+    batch: &[Arc<Transaction>],
+    outcome: &BatchOutcome,
+) {
+    for (index, _) in &outcome.rejected {
+        ledger.forget_verified(&batch[*index].id);
+    }
 }
 
 /// The wave-barrier execution: validate wave `k`, apply wave `k`, only

@@ -29,6 +29,7 @@
 use crate::ledger::{index_delta, utxo_effects_for, IndexDelta, LedgerState, UtxoEffects};
 use crate::model::Transaction;
 use crate::par::parallel_map;
+use crate::verified::VerifiedSigners;
 use crate::view::LedgerView;
 use scdb_store::{entry_hash, OutputRef, StateDigest, Utxo};
 use std::collections::HashMap;
@@ -310,6 +311,16 @@ impl LedgerView for SpeculativeView<'_> {
             }
         }
         self.base.settlement_for_bid(bid_id)
+    }
+
+    // Verification is a property of a transaction's bytes, not of any
+    // state an overlay predicts: the base ledger's set answers.
+    fn verified(&self, tx: &Transaction) -> Option<VerifiedSigners> {
+        self.base.verified(tx)
+    }
+
+    fn record_verified(&self, id: &str, signers: VerifiedSigners) {
+        self.base.record_verified(id, signers);
     }
 }
 

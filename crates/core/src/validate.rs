@@ -8,25 +8,41 @@
 
 use crate::errors::ValidationError;
 use crate::model::{AssetRef, Operation, Transaction};
+use crate::verified::VerifiedSigners;
 use crate::view::LedgerView;
-use scdb_crypto::MultiSignature;
+use scdb_crypto::{MultiSignature, PublicKey, Signature};
 use scdb_store::OutputRef;
 
 /// Full validation pipeline for one transaction against a ledger.
+///
+/// The stateless part — schema, id digest, signatures — runs once per
+/// ledger: when an earlier stage (mempool admission, the drain-time
+/// ACCEPT_BID check, CheckTx) already ran it and recorded the id in the
+/// ledger's verified set, and the object in hand still hashes to that
+/// id, only the duplicate check and the stateful per-type rules remain.
+/// Ids are digests of the whole body, fulfillments included, so the
+/// skipped checks would pass again on the same bytes: a hit and a miss
+/// always return the same verdict. On a miss the order is the oracle's:
+/// schema → id → duplicate → per-type rules.
 pub fn validate_transaction(
     tx: &Transaction,
     ledger: &impl LedgerView,
 ) -> Result<(), ValidationError> {
-    // Algorithm 1: structural adherence to the type's YAML schema.
-    scdb_schema::validate_transaction_schema(&tx.to_value()).map_err(ValidationError::Schema)?;
-
-    // Tamper check: the id must be the digest of the content.
-    if !tx.id_is_consistent() {
-        return Err(ValidationError::IdMismatch {
-            declared: tx.id.clone(),
-            computed: tx.compute_id(),
-        });
+    let verified = ledger.verified(tx);
+    if verified.is_none() {
+        // One serialization walk feeds both stateless checks.
+        let (value, computed, _) = tx.admission_views(false);
+        // Algorithm 1: structural adherence to the type's YAML schema.
+        scdb_schema::validate_transaction_schema(&value).map_err(ValidationError::Schema)?;
+        // Tamper check: the id must be the digest of the content.
+        if computed != tx.id {
+            return Err(ValidationError::IdMismatch {
+                declared: tx.id.clone(),
+                computed,
+            });
+        }
     }
+    let verified = verified.as_ref();
 
     // Re-submission of a committed transaction is a duplicate.
     if ledger.is_committed(&tx.id) {
@@ -34,12 +50,51 @@ pub fn validate_transaction(
     }
 
     match tx.operation {
-        Operation::Create => validate_create(tx, ledger),
-        Operation::Transfer => validate_transfer(tx, ledger),
-        Operation::Request => validate_request(tx, ledger),
-        Operation::Bid => validate_bid(tx, ledger),
-        Operation::Return => validate_return(tx, ledger),
-        Operation::AcceptBid => validate_accept_bid(tx, ledger),
+        Operation::Create => validate_create(tx, ledger, verified),
+        Operation::Transfer => validate_transfer(tx, ledger, verified),
+        Operation::Request => validate_request(tx, ledger, verified),
+        Operation::Bid => validate_bid(tx, ledger, verified),
+        Operation::Return => validate_return(tx, ledger, verified),
+        Operation::AcceptBid => validate_accept_bid(tx, ledger, verified),
+    }
+}
+
+/// Records a transaction that just passed [`validate_transaction`]
+/// against `ledger` in that ledger's verified set, so the next
+/// validation there (CheckTx → DeliverTx on one replica) skips the
+/// stateless checks. An ACCEPT_BID is recorded against the requester
+/// its REQUEST resolves to.
+pub fn record_validated(tx: &Transaction, ledger: &impl LedgerView) {
+    let signers = if tx.operation == Operation::AcceptBid {
+        match tx.references.first().and_then(|id| ledger.get(id)) {
+            Some(request) => VerifiedSigners::Explicit(requester_keys(request)),
+            None => return,
+        }
+    } else {
+        VerifiedSigners::InputOwners
+    };
+    ledger.record_verified(&tx.id, signers);
+}
+
+/// The account set that must sign an ACCEPT_BID for `request`: the
+/// REQUEST's own signers (Alg. 3 lines 6-7).
+pub fn requester_keys(request: &Transaction) -> Vec<String> {
+    request
+        .inputs
+        .iter()
+        .flat_map(|i| i.owners_before.iter().cloned())
+        .collect()
+}
+
+/// The per-type validators' signature step over the inputs' own
+/// owners: already done when the verified set vouches for exactly that.
+fn check_input_signatures(
+    tx: &Transaction,
+    verified: Option<&VerifiedSigners>,
+) -> Result<(), ValidationError> {
+    match verified {
+        Some(VerifiedSigners::InputOwners) => Ok(()),
+        _ => verify_input_signatures(tx),
     }
 }
 
@@ -76,89 +131,165 @@ pub fn verify_input_signatures(tx: &Transaction) -> Result<(), ValidationError> 
 pub fn batch_verify_input_signatures(
     items: &[(&Transaction, &str)],
 ) -> Vec<Result<(), ValidationError>> {
-    // Per-input outcome of the structural pass. `Pending` inputs have
-    // their signatures enqueued in the pooled batch at `sigs`.
+    let members: Vec<BatchMember<'_>> = items
+        .iter()
+        .map(|&(tx, payload)| BatchMember {
+            tx,
+            payload,
+            signers: None,
+        })
+        .collect();
+    batch_verify(&members)
+}
+
+/// Batched form of [`verify_signed_by`]: each item pairs a transaction
+/// with the explicit signer set every one of its inputs must carry.
+/// Verdicts and error strings are the serial check's; the ed25519
+/// checks of the whole batch pool into one
+/// [`scdb_crypto::verify_batch`] call.
+pub fn batch_verify_signed_by(
+    items: &[(&Transaction, &[String])],
+) -> Vec<Result<(), ValidationError>> {
+    let payloads: Vec<String> = items.iter().map(|(tx, _)| tx.signing_payload()).collect();
+    let members: Vec<BatchMember<'_>> = items
+        .iter()
+        .zip(&payloads)
+        .map(|(&(tx, signers), payload)| BatchMember {
+            tx,
+            payload,
+            signers: Some(signers),
+        })
+        .collect();
+    batch_verify(&members)
+}
+
+/// Verifies every input's fulfillment against an explicit signer set
+/// (used for ACCEPT_BID, which the *requester* signs while the inputs
+/// name the escrow account as owner — see DESIGN.md §4). An
+/// ACCEPT_BID's inputs all carry the same fulfillment; each distinct
+/// (key, message, signature) triple is verified once.
+pub fn verify_signed_by(tx: &Transaction, signers: &[String]) -> Result<(), ValidationError> {
+    batch_verify_signed_by(&[(tx, signers)])
+        .pop()
+        .expect("one verdict per item")
+}
+
+/// One transaction of a pooled signature batch.
+struct BatchMember<'a> {
+    tx: &'a Transaction,
+    /// The transaction's signing payload.
+    payload: &'a str,
+    /// `None`: each input must be signed by its own `owners_before`.
+    /// `Some`: every input must be signed by exactly this key set.
+    signers: Option<&'a [String]>,
+}
+
+/// The pooled signature check behind both batch entry points.
+fn batch_verify(members: &[BatchMember<'_>]) -> Vec<Result<(), ValidationError>> {
+    // Per-input outcome of the structural pass. `Pending` inputs wait
+    // on the pooled signatures `refs[range]` points at.
     enum InputCheck {
         Failed(ValidationError),
-        Pending {
-            ms: usize,
-            sigs: std::ops::Range<usize>,
-        },
+        Pending(std::ops::Range<usize>),
+    }
+    fn uncovered(i: usize, explicit: bool) -> ValidationError {
+        ValidationError::InvalidSignature(if explicit {
+            format!("input {i}: not signed by the required account set")
+        } else {
+            format!("input {i}: fulfillment does not cover owners_before")
+        })
     }
 
-    // Structural pass, mirroring the serial loop's order: decode the
-    // fulfillment, decode the owner keys, check exact cover. The serial
-    // loop returns at the first failing input, so each transaction
-    // stops decoding there too.
-    let mut multisigs: Vec<MultiSignature> = Vec::new();
-    let mut sig_count = 0usize;
-    let mut per_tx: Vec<Vec<InputCheck>> = Vec::with_capacity(items.len());
-    for (tx, _) in items {
-        let mut checks = Vec::with_capacity(tx.inputs.len());
-        for (i, input) in tx.inputs.iter().enumerate() {
+    // Structural pass, mirroring the serial loops' order: decode the
+    // explicit signers (if any), then per input the fulfillment, the
+    // owner keys, the exact cover. The serial loops return at the
+    // first failing input, so each transaction stops decoding there
+    // too. A (key, signature) pair a member already enqueued — an
+    // ACCEPT_BID repeats one fulfillment on every input — reuses its
+    // slot: same message, same triple, same verdict.
+    let mut pooled: Vec<(usize, PublicKey, Signature)> = Vec::new();
+    let mut refs: Vec<usize> = Vec::new();
+    let mut per_tx: Vec<Vec<InputCheck>> = Vec::with_capacity(members.len());
+    for (m, member) in members.iter().enumerate() {
+        let mut checks = Vec::with_capacity(member.tx.inputs.len());
+        let explicit = match member.signers.map(decode_keys).transpose() {
+            Ok(keys) => keys,
+            Err(k) => {
+                checks.push(InputCheck::Failed(ValidationError::InvalidSignature(
+                    format!("bad signer key {k}"),
+                )));
+                per_tx.push(checks);
+                continue;
+            }
+        };
+        let first_slot = pooled.len();
+        for (i, input) in member.tx.inputs.iter().enumerate() {
             let Some(ms) = MultiSignature::from_wire(&input.fulfillment) else {
                 checks.push(InputCheck::Failed(ValidationError::InvalidSignature(
                     format!("input {i}: malformed fulfillment"),
                 )));
                 break;
             };
-            let required = match decode_keys(&input.owners_before) {
-                Ok(keys) => keys,
-                Err(k) => {
-                    checks.push(InputCheck::Failed(ValidationError::InvalidSignature(
-                        format!("input {i}: bad owner key {k}"),
-                    )));
-                    break;
-                }
+            let owners;
+            let required = match &explicit {
+                Some(keys) => keys,
+                None => match decode_keys(&input.owners_before) {
+                    Ok(keys) => {
+                        owners = keys;
+                        &owners
+                    }
+                    Err(k) => {
+                        checks.push(InputCheck::Failed(ValidationError::InvalidSignature(
+                            format!("input {i}: bad owner key {k}"),
+                        )));
+                        break;
+                    }
+                },
             };
-            if !ms.covers_exactly(&required) {
-                checks.push(InputCheck::Failed(ValidationError::InvalidSignature(
-                    format!("input {i}: fulfillment does not cover owners_before"),
-                )));
+            if !ms.covers_exactly(required) {
+                checks.push(InputCheck::Failed(uncovered(i, explicit.is_some())));
                 break;
             }
-            let sigs = sig_count..sig_count + ms.len();
-            sig_count = sigs.end;
-            multisigs.push(ms);
-            checks.push(InputCheck::Pending {
-                ms: multisigs.len() - 1,
-                sigs,
-            });
+            let first_ref = refs.len();
+            for (pb, sig) in ms.entries() {
+                let slot = pooled[first_slot..]
+                    .iter()
+                    .position(|(_, p, s)| p == pb && s == sig)
+                    .map(|pos| first_slot + pos)
+                    .unwrap_or_else(|| {
+                        pooled.push((m, *pb, *sig));
+                        pooled.len() - 1
+                    });
+                refs.push(slot);
+            }
+            checks.push(InputCheck::Pending(first_ref..refs.len()));
         }
         per_tx.push(checks);
     }
 
-    // Pooled crypto pass: one RLC batch over every pending entry, in
-    // the same order the ranges were assigned above.
-    let mut batch = Vec::with_capacity(sig_count);
-    for ((_, payload), checks) in items.iter().zip(&per_tx) {
-        for check in checks {
-            if let InputCheck::Pending { ms, .. } = check {
-                for (pb, sig) in multisigs[*ms].entries() {
-                    batch.push(scdb_crypto::BatchItem {
-                        signature: sig,
-                        public: pb,
-                        message: payload.as_bytes(),
-                    });
-                }
-            }
-        }
-    }
+    // Pooled crypto pass: one RLC batch over every distinct triple.
+    let batch: Vec<scdb_crypto::BatchItem<'_>> = pooled
+        .iter()
+        .map(|(m, public, signature)| scdb_crypto::BatchItem {
+            signature,
+            public,
+            message: members[*m].payload.as_bytes(),
+        })
+        .collect();
     let verdicts = scdb_crypto::verify_batch(&batch);
 
     // Replay in input order: the first structural failure or failed
-    // signature decides, exactly as the serial loop would.
+    // signature decides, exactly as the serial loops would.
     per_tx
         .into_iter()
-        .map(|checks| {
+        .zip(members)
+        .map(|(checks, member)| {
             for (i, check) in checks.into_iter().enumerate() {
                 match check {
                     InputCheck::Failed(e) => return Err(e),
-                    InputCheck::Pending { sigs, .. } => {
-                        if verdicts[sigs].iter().any(|v| v.is_err()) {
-                            return Err(ValidationError::InvalidSignature(format!(
-                                "input {i}: fulfillment does not cover owners_before"
-                            )));
+                    InputCheck::Pending(range) => {
+                        if refs[range].iter().any(|&slot| verdicts[slot].is_err()) {
+                            return Err(uncovered(i, member.signers.is_some()));
                         }
                     }
                 }
@@ -166,26 +297,6 @@ pub fn batch_verify_input_signatures(
             Ok(())
         })
         .collect()
-}
-
-/// Verifies every input's fulfillment against an explicit signer set
-/// (used for ACCEPT_BID, which the *requester* signs while the inputs
-/// name the escrow account as owner — see DESIGN.md §4).
-pub fn verify_signed_by(tx: &Transaction, signers: &[String]) -> Result<(), ValidationError> {
-    let message = tx.signing_payload();
-    let required = decode_keys(signers)
-        .map_err(|k| ValidationError::InvalidSignature(format!("bad signer key {k}")))?;
-    for (i, input) in tx.inputs.iter().enumerate() {
-        let ms = MultiSignature::from_wire(&input.fulfillment).ok_or_else(|| {
-            ValidationError::InvalidSignature(format!("input {i}: malformed fulfillment"))
-        })?;
-        if !ms.verify(&required, message.as_bytes()) {
-            return Err(ValidationError::InvalidSignature(format!(
-                "input {i}: not signed by the required account set"
-            )));
-        }
-    }
-    Ok(())
 }
 
 fn decode_keys(hex_keys: &[String]) -> Result<Vec<scdb_crypto::PublicKey>, String> {
@@ -242,19 +353,27 @@ pub fn validate_spend_inputs(
 
 /// C_CREATE: a mint. Inputs are self-signed (no spends), outputs define
 /// the initial share distribution.
-pub fn validate_create(tx: &Transaction, _ledger: &impl LedgerView) -> Result<(), ValidationError> {
+pub fn validate_create(
+    tx: &Transaction,
+    _ledger: &impl LedgerView,
+    verified: Option<&VerifiedSigners>,
+) -> Result<(), ValidationError> {
     if tx.inputs.iter().any(|i| i.fulfills.is_some()) {
         return Err(ValidationError::Semantic(
             "CREATE inputs must not spend outputs".to_owned(),
         ));
     }
-    verify_input_signatures(tx)
+    check_input_signatures(tx, verified)
 }
 
 /// C_REQUEST: a CREATE-shaped mint whose asset data must declare the
 /// requested capabilities (the "digital manufacturing capabilities being
 /// requested", §5.2.1).
-pub fn validate_request(tx: &Transaction, ledger: &impl LedgerView) -> Result<(), ValidationError> {
+pub fn validate_request(
+    tx: &Transaction,
+    ledger: &impl LedgerView,
+    verified: Option<&VerifiedSigners>,
+) -> Result<(), ValidationError> {
     if tx.inputs.iter().any(|i| i.fulfills.is_some()) {
         return Err(ValidationError::Semantic(
             "REQUEST inputs must not spend outputs".to_owned(),
@@ -265,7 +384,7 @@ pub fn validate_request(tx: &Transaction, ledger: &impl LedgerView) -> Result<()
             "REQUEST asset data must declare a non-empty capabilities list".to_owned(),
         ));
     }
-    verify_input_signatures(tx)
+    check_input_signatures(tx, verified)
 }
 
 /// C_TRANSFER: spends must balance outputs, stay within one asset, and
@@ -273,8 +392,9 @@ pub fn validate_request(tx: &Transaction, ledger: &impl LedgerView) -> Result<()
 pub fn validate_transfer(
     tx: &Transaction,
     ledger: &impl LedgerView,
+    verified: Option<&VerifiedSigners>,
 ) -> Result<(), ValidationError> {
-    verify_input_signatures(tx)?;
+    check_input_signatures(tx, verified)?;
     let input_amount = validate_spend_inputs(tx, ledger)?;
     let output_amount = tx.output_amount();
     if input_amount != output_amount {
@@ -312,7 +432,11 @@ pub fn validate_transfer(
 
 /// Algorithm 2 — `validateT_BID` with the condition set C_BID (§3.2,
 /// Definition 3).
-pub fn validate_bid(tx: &Transaction, ledger: &impl LedgerView) -> Result<(), ValidationError> {
+pub fn validate_bid(
+    tx: &Transaction,
+    ledger: &impl LedgerView,
+    verified: Option<&VerifiedSigners>,
+) -> Result<(), ValidationError> {
     // C_BID 1: at least one input.
     if tx.inputs.is_empty() {
         return Err(ValidationError::Semantic(
@@ -365,7 +489,7 @@ pub fn validate_bid(tx: &Transaction, ledger: &impl LedgerView) -> Result<(), Va
     }
 
     // C_BID 5: input signatures verify.
-    verify_input_signatures(tx)?;
+    check_input_signatures(tx, verified)?;
 
     // C_BID 6 (Alg. 2 lines 5-7): every output must be held by a
     // reserved escrow account.
@@ -411,6 +535,7 @@ pub fn validate_bid(tx: &Transaction, ledger: &impl LedgerView) -> Result<(), Va
 pub fn validate_accept_bid(
     tx: &Transaction,
     ledger: &impl LedgerView,
+    verified: Option<&VerifiedSigners>,
 ) -> Result<(), ValidationError> {
     // C 2-3: exactly one reference, a committed REQUEST.
     if tx.references.len() != 1 {
@@ -444,12 +569,12 @@ pub fn validate_accept_bid(
     }
 
     // Alg. 3 lines 6-7: signer(ACCEPT_BID) must equal signer(REQUEST).
-    let requester: Vec<String> = request
-        .inputs
-        .iter()
-        .flat_map(|i| i.owners_before.iter().cloned())
-        .collect();
-    verify_signed_by(tx, &requester)?;
+    // A verified-set entry vouches only for the requester it was
+    // checked against.
+    let requester = requester_keys(request);
+    if !matches!(verified, Some(VerifiedSigners::Explicit(keys)) if *keys == requester) {
+        verify_signed_by(tx, &requester)?;
+    }
 
     // Alg. 3 lines 8-10: duplicate ACCEPT_BID rejection.
     if let Some(existing) = ledger.accept_for_request(request_id) {
@@ -543,7 +668,11 @@ pub fn validate_accept_bid(
 
 /// C_RETURN: settles one unaccepted bid from escrow back to its original
 /// bidder, after an ACCEPT_BID for the request is committed.
-pub fn validate_return(tx: &Transaction, ledger: &impl LedgerView) -> Result<(), ValidationError> {
+pub fn validate_return(
+    tx: &Transaction,
+    ledger: &impl LedgerView,
+    verified: Option<&VerifiedSigners>,
+) -> Result<(), ValidationError> {
     if tx.references.len() != 1 {
         return Err(ValidationError::Semantic(
             "RETURN must reference exactly one BID".to_owned(),
@@ -572,7 +701,7 @@ pub fn validate_return(tx: &Transaction, ledger: &impl LedgerView) -> Result<(),
         ));
     }
 
-    verify_input_signatures(tx)?;
+    check_input_signatures(tx, verified)?;
     let input_amount = validate_spend_inputs(tx, ledger)?;
 
     // All inputs must spend this bid's escrow outputs, and the proceeds
@@ -702,6 +831,62 @@ mod batch_sig_tests {
         // The mix must include both verdicts to mean anything.
         assert!(batch.iter().filter(|r| r.is_ok()).count() >= 3);
         assert!(batch.iter().filter(|r| r.is_err()).count() >= 4);
+    }
+
+    /// The explicit-signer check (ACCEPT_BID's): one fulfillment
+    /// repeated on every input verifies, and every failure mode keeps
+    /// its serial error string, the first failing input naming it.
+    #[test]
+    fn signed_by_verdicts_and_first_failing_input() {
+        let ks = keys(3);
+        let requester = vec![ks[0].public_hex()];
+        let mut tx = TxBuilder::create(obj! { "kind" => "accept-like" })
+            .output(ks[0].public_hex(), 1)
+            .sign(&[&ks[0]]);
+        // Three inputs sharing the one requester fulfillment.
+        let shared = tx.inputs[0].clone();
+        tx.inputs.push(shared.clone());
+        tx.inputs.push(shared);
+        // (The extra inputs change the signing payload: re-sign.)
+        let genuine = MultiSignature::create(&[&ks[0]], tx.signing_payload().as_bytes()).to_wire();
+        for input in &mut tx.inputs {
+            input.fulfillment = genuine.clone();
+        }
+        assert!(verify_signed_by(&tx, &requester).is_ok());
+
+        let err = |tx: &Transaction, signers: &[String]| {
+            verify_signed_by(tx, signers).unwrap_err().to_string()
+        };
+        assert!(err(&tx, &["zz".to_owned()]).contains("bad signer key zz"));
+        assert!(err(&tx, &[ks[1].public_hex()])
+            .contains("input 0: not signed by the required account set"));
+
+        // Input 1 signed by someone else, input 2 malformed: input 1
+        // names the error; input 0's verdict is unaffected.
+        let mut mixed = tx.clone();
+        mixed.inputs[1].fulfillment =
+            MultiSignature::create(&[&ks[2]], tx.signing_payload().as_bytes()).to_wire();
+        mixed.inputs[2].fulfillment = "garbage".to_owned();
+        assert!(err(&mixed, &requester).contains("input 1: not signed by the required account set"));
+        // Right key, signature over other bytes: caught by the pooled
+        // crypto pass, same string.
+        let mut stale = tx.clone();
+        stale.inputs[2].fulfillment = MultiSignature::create(&[&ks[0]], b"other").to_wire();
+        assert!(err(&stale, &requester).contains("input 2: not signed by the required account set"));
+
+        // The batch form agrees member by member.
+        let items: Vec<(&Transaction, &[String])> = vec![
+            (&tx, &requester),
+            (&mixed, &requester),
+            (&stale, &requester),
+        ];
+        let batch = batch_verify_signed_by(&items);
+        for ((member, signers), verdict) in items.iter().zip(&batch) {
+            assert_eq!(
+                format!("{verdict:?}"),
+                format!("{:?}", verify_signed_by(member, signers))
+            );
+        }
     }
 
     /// Serial precedence: with several bad inputs, the first failing

@@ -1,0 +1,141 @@
+//! The per-ledger verified set: "this id passed schema, id-digest and
+//! signature checks against this signer set".
+//!
+//! Fig. 4 validates a transaction at the receiver, at CheckTx and at
+//! DeliverTx. The stateless part of that — template shape, id digest,
+//! ed25519 signatures — depends on the transaction's bytes alone, and
+//! ids are content digests *including fulfillments*
+//! ([`Transaction::compute_id`]): an id-consistent transaction whose id
+//! was verified is byte-for-byte the verified one. So the stage that
+//! first runs those checks (mempool admission, the drain-time
+//! ACCEPT_BID check, a replica's CheckTx) records the id here, and
+//! [`crate::validate::validate_transaction`] skips them on a hit,
+//! keeping only the id recompute that binds the object in hand to the
+//! verified content plus every stateful rule.
+//!
+//! The set is a cache, never an authority: a lost entry costs one
+//! re-verification and cannot change a verdict. Entries leave when the
+//! transaction applies or is rejected at commit; everything else
+//! (evicted, expired, abandoned proposals) is bounded by two
+//! generations swapped at a fixed size. One set per [`LedgerState`] —
+//! per node, per cluster replica — so replicated work stays replicated.
+//!
+//! [`LedgerState`]: crate::LedgerState
+
+use crate::model::Transaction;
+use scdb_telemetry::{Counter, Telemetry};
+use std::collections::HashMap;
+use std::sync::{Arc, RwLock};
+
+/// The signer set a verified-set entry vouches for.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum VerifiedSigners {
+    /// Every input's fulfillment verified against that input's own
+    /// `owners_before` — part of the content, hence bound by the id.
+    InputOwners,
+    /// Every input's fulfillment verified against this key set (hex).
+    /// ACCEPT_BID is signed by the *requester*, who is named by the
+    /// referenced REQUEST rather than by the transaction itself, so the
+    /// entry hits only when commit resolves the same keys.
+    Explicit(Vec<String>),
+}
+
+/// The young generation swaps to old when it reaches this many entries
+/// (the default `MempoolConfig::max_pending`, so a full pool of
+/// admitted transactions always fits in the live generations).
+const GENERATION_CAP: usize = 65_536;
+
+/// Verified-set activity since the ledger was built.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct VerifiedStats {
+    /// Lookups that let validation skip the stateless checks.
+    pub hits: u64,
+    /// Lookups that fell through to the full check.
+    pub misses: u64,
+    /// Entries recorded (re-recording a live id does not count).
+    pub recorded: u64,
+    /// Entries dropped by a generation swap.
+    pub evicted: u64,
+}
+
+#[derive(Default)]
+struct Generations {
+    young: HashMap<String, VerifiedSigners>,
+    old: HashMap<String, VerifiedSigners>,
+}
+
+/// The set itself; see the module docs. Interior-mutable so admission
+/// and parallel validation, which hold the ledger by `&`, can fill and
+/// consult it.
+#[derive(Default)]
+pub(crate) struct VerifiedSet {
+    generations: RwLock<Generations>,
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    recorded: Arc<Counter>,
+    evicted: Arc<Counter>,
+}
+
+impl VerifiedSet {
+    /// Re-points the counters at `telemetry`'s registry (`verified.*`);
+    /// with telemetry off they stay standalone.
+    pub(crate) fn set_telemetry(&mut self, telemetry: &Telemetry) {
+        if let Some(registry) = telemetry.registry() {
+            self.hits = registry.counter("verified.hits");
+            self.misses = registry.counter("verified.misses");
+            self.recorded = registry.counter("verified.recorded");
+            self.evicted = registry.counter("verified.evicted");
+        }
+    }
+
+    /// The signer set `tx` was verified against, if its id is in the
+    /// set **and** the object in hand still hashes to that id — a
+    /// different body under an admitted id is a miss, and the full
+    /// check then names the mismatch.
+    pub(crate) fn lookup(&self, tx: &Transaction) -> Option<VerifiedSigners> {
+        let entry = {
+            let generations = self.generations.read().expect("verified set lock");
+            generations
+                .young
+                .get(&tx.id)
+                .or_else(|| generations.old.get(&tx.id))
+                .cloned()
+        };
+        let hit = entry.filter(|_| tx.id_is_consistent());
+        match hit {
+            Some(_) => self.hits.incr(),
+            None => self.misses.incr(),
+        }
+        hit
+    }
+
+    pub(crate) fn record(&self, id: &str, signers: VerifiedSigners) {
+        let mut generations = self.generations.write().expect("verified set lock");
+        if generations.young.insert(id.to_owned(), signers).is_none() {
+            self.recorded.incr();
+        }
+        if generations.young.len() >= GENERATION_CAP {
+            let young = std::mem::take(&mut generations.young);
+            let dropped = std::mem::replace(&mut generations.old, young);
+            self.evicted.add(dropped.len() as u64);
+        }
+    }
+
+    /// Drops `id`: it applied (a resubmission is a duplicate before any
+    /// signature matters) or was rejected at commit (a resubmission is
+    /// re-verified).
+    pub(crate) fn forget(&self, id: &str) {
+        let mut generations = self.generations.write().expect("verified set lock");
+        generations.young.remove(id);
+        generations.old.remove(id);
+    }
+
+    pub(crate) fn stats(&self) -> VerifiedStats {
+        VerifiedStats {
+            hits: self.hits.value(),
+            misses: self.misses.value(),
+            recorded: self.recorded.value(),
+            evicted: self.evicted.value(),
+        }
+    }
+}

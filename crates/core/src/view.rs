@@ -10,6 +10,7 @@
 //! any number of concurrent validators.
 
 use crate::model::{AssetRef, Operation, Transaction};
+use crate::verified::VerifiedSigners;
 use scdb_json::Value;
 use scdb_store::{OutputRef, Utxo};
 
@@ -94,6 +95,20 @@ pub trait LedgerView: Sync {
     fn is_unspent_output(&self, output: &OutputRef) -> bool {
         self.utxo(output).is_some_and(|u| u.spent_by.is_none())
     }
+
+    /// Verified-set lookup ([`crate::verified`]): the signer set `tx`
+    /// already passed schema, id-digest and signature checks against,
+    /// if this view's ledger recorded its id and the object in hand
+    /// still hashes to it. The default — a view with no set — always
+    /// misses, which is the full check.
+    fn verified(&self, _tx: &Transaction) -> Option<VerifiedSigners> {
+        None
+    }
+
+    /// Records that the transaction with this id passed schema,
+    /// id-digest and signature checks against `signers`. Call only
+    /// after all three passed. The default discards the record.
+    fn record_verified(&self, _id: &str, _signers: VerifiedSigners) {}
 }
 
 /// Reads `capabilities` (a string array) out of an asset-data object.

@@ -111,6 +111,20 @@ fn screen(
     }
 }
 
+/// Splits `items` into at most `workers` contiguous chunks and maps
+/// them concurrently; returns the per-chunk results in order. This is
+/// how the pooled signature batches fan out: one RLC equation per
+/// chunk, and per-item verdicts, so the chunking never shows through.
+pub(crate) fn map_chunks<T: Sync, R: Send>(
+    items: &[T],
+    workers: usize,
+    f: impl Fn(&[T]) -> R + Sync,
+) -> Vec<R> {
+    let chunk = items.len().div_ceil(workers.max(1)).max(1);
+    let chunks: Vec<&[T]> = items.chunks(chunk).collect();
+    parallel_map(chunks.len(), workers, |c| f(chunks[c]))
+}
+
 /// A stage-3 admission whose conflict set, flag, and receipt await the
 /// shard-parallel index apply.
 struct Deferred {
@@ -206,15 +220,9 @@ impl Mempool {
                     (&*txs[i], payload.as_str())
                 })
                 .collect();
-            let chunk = items.len().div_ceil(workers);
-            let chunks = items.len().div_ceil(chunk);
-            let verdicts = parallel_map(chunks, workers, |c| {
-                let lo = c * chunk;
-                let hi = (lo + chunk).min(items.len());
-                batch_verify_input_signatures(&items[lo..hi])
-            });
+            let verdicts = map_chunks(&items, workers, batch_verify_input_signatures);
             if telemetry.is_enabled() {
-                telemetry.add("mempool.sig_batches", chunks as u64);
+                telemetry.add("mempool.sig_batches", verdicts.len() as u64);
                 // A chunk carrying any per-member failure means its
                 // pooled RLC equation failed and the bisect fallback
                 // ran to isolate the culprits.
@@ -414,7 +422,9 @@ impl Mempool {
             unresolved,
             priority: priority.unwrap_or(0),
             admitted_tick: self.clock,
+            accept_sig_checked: false,
         });
+        self.record_admitted(tx, ledger);
         self.stats.admitted += 1;
         self.config.telemetry.incr("mempool.admitted");
         deferred.push(Deferred {

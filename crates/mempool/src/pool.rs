@@ -1,12 +1,13 @@
 //! The standing pool: footprint-indexed admission and draining.
 
+use crate::admission::map_chunks;
 use crate::index::FootprintIndex;
 use crate::pack::pack_batch_prioritized;
 use scdb_core::pipeline::{
     footprint, unresolved_links, ConflictKey, Footprint, TxLookup, WaveSchedule,
 };
-use scdb_core::validate::{verify_input_signatures, verify_signed_by};
-use scdb_core::{LedgerView, Operation, Telemetry, Transaction};
+use scdb_core::validate::{batch_verify_signed_by, requester_keys, verify_input_signatures};
+use scdb_core::{LedgerView, Operation, Telemetry, Transaction, VerifiedSigners};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
@@ -179,6 +180,10 @@ pub(crate) struct PendingTx {
     /// Tick at which the transaction (re-)entered the pool, for the
     /// eviction policy.
     pub(crate) admitted_tick: u64,
+    /// True once the drain-time ACCEPT_BID check verified this member's
+    /// fulfillment against its resolved requester, so later drains skip
+    /// it. Never set for other operations (admission checked those).
+    pub(crate) accept_sig_checked: bool,
 }
 
 /// A drained, ready-to-commit batch: the transactions in commit order
@@ -461,6 +466,7 @@ impl Mempool {
 
         let seq = self.next_seq;
         self.next_seq += 1;
+        self.record_admitted(&tx, ledger);
         self.insert_pending(PendingTx {
             seq,
             tx,
@@ -470,6 +476,7 @@ impl Mempool {
             unresolved,
             priority: priority.unwrap_or(0),
             admitted_tick: self.clock,
+            accept_sig_checked: false,
         });
         self.on_arrival(seq, ledger);
 
@@ -537,6 +544,17 @@ impl Mempool {
         batch
     }
 
+    /// Tells the committing ledger's verified set that admission's
+    /// stateless checks — schema, id digest, input signatures — passed
+    /// for `tx`, so commit-time validation does not repeat them.
+    /// Nothing is recorded with signature checks off, nor for
+    /// ACCEPT_BID, whose signatures only the drain-time check verifies.
+    pub(crate) fn record_admitted(&self, tx: &Transaction, ledger: &impl LedgerView) {
+        if self.config.verify_signatures && tx.operation != Operation::AcceptBid {
+            ledger.record_verified(&tx.id, VerifiedSigners::InputOwners);
+        }
+    }
+
     /// The drain-time half of the ACCEPT_BID signature check. Admission
     /// exempts ACCEPT_BID from signature verification because its
     /// required signer set is the *requester's*, not the input owners'
@@ -547,13 +565,19 @@ impl Mempool {
     /// Accepts whose REQUEST is still unresolvable stay in the batch:
     /// semantic validation at commit remains the backstop, exactly as
     /// before this check existed.
+    ///
+    /// Every not-yet-checked accept joins one pooled signature batch,
+    /// fanned over the admission workers. A member that passes is
+    /// checked once: it is marked so later drains skip it, and recorded
+    /// in the ledger's verified set against the requester it resolved
+    /// to, so commit skips it too.
     fn reject_unsigned_accepts(&mut self, ledger: &impl LedgerView) -> Vec<EvictedTx> {
         if !self.config.verify_signatures {
             return Vec::new();
         }
-        let mut failed: Vec<u64> = Vec::new();
+        let mut unchecked: Vec<(u64, Vec<String>)> = Vec::new();
         for entry in self.pending.values() {
-            if entry.tx.operation != Operation::AcceptBid {
+            if entry.tx.operation != Operation::AcceptBid || entry.accept_sig_checked {
                 continue;
             }
             // Malformed shapes (no reference, non-REQUEST reference)
@@ -562,47 +586,56 @@ impl Mempool {
             let Some(request_id) = entry.tx.references.first() else {
                 continue;
             };
-            let requester: Vec<String> = if let Some(seq) = self.by_id.get(request_id) {
-                let request = &self.pending[seq].tx;
-                if request.operation != Operation::Request {
-                    continue;
-                }
-                request
-                    .inputs
-                    .iter()
-                    .flat_map(|i| i.owners_before.iter().cloned())
-                    .collect()
-            } else if let Some(request) = ledger.get(request_id) {
-                if request.operation != Operation::Request {
-                    continue;
-                }
-                request
-                    .inputs
-                    .iter()
-                    .flat_map(|i| i.owners_before.iter().cloned())
-                    .collect()
-            } else {
-                continue;
+            let request = match self.by_id.get(request_id) {
+                Some(seq) => &*self.pending[seq].tx,
+                None => match ledger.get(request_id) {
+                    Some(request) => request,
+                    None => continue,
+                },
             };
-            if verify_signed_by(&entry.tx, &requester).is_err() {
-                failed.push(entry.seq);
+            if request.operation == Operation::Request {
+                unchecked.push((entry.seq, requester_keys(request)));
             }
         }
+        if unchecked.is_empty() {
+            return Vec::new();
+        }
+        let verdicts = {
+            let items: Vec<(&Transaction, &[String])> = unchecked
+                .iter()
+                .map(|(seq, requester)| (&*self.pending[seq].tx, requester.as_slice()))
+                .collect();
+            map_chunks(
+                &items,
+                self.config.admission_workers,
+                batch_verify_signed_by,
+            )
+        };
+        self.config
+            .telemetry
+            .add("mempool.accept_sig_checks", unchecked.len() as u64);
+
         let now = self.clock;
-        failed
-            .into_iter()
-            .map(|seq| {
-                let entry = self.remove_pending(seq).expect("failed seq is pending");
-                // A verdict, not a capacity decision: counted as a
-                // rejection even though it rides the EvictedTx shape.
-                self.stats.rejected += 1;
-                EvictedTx {
-                    age: now.saturating_sub(entry.admitted_tick),
-                    tx: entry.tx,
-                    seq,
-                }
-            })
-            .collect()
+        let mut expelled = Vec::new();
+        for ((seq, requester), verdict) in unchecked.into_iter().zip(verdicts.into_iter().flatten())
+        {
+            if verdict.is_ok() {
+                let entry = self.pending.get_mut(&seq).expect("checked seq is pending");
+                entry.accept_sig_checked = true;
+                ledger.record_verified(&entry.tx.id, VerifiedSigners::Explicit(requester));
+                continue;
+            }
+            let entry = self.remove_pending(seq).expect("failed seq is pending");
+            // A verdict, not a capacity decision: counted as a
+            // rejection even though it rides the EvictedTx shape.
+            self.stats.rejected += 1;
+            expelled.push(EvictedTx {
+                age: now.saturating_sub(entry.admitted_tick),
+                tx: entry.tx,
+                seq,
+            });
+        }
+        expelled
     }
 
     /// Reinstates a formed batch the proposer abandoned (its block
@@ -645,6 +678,7 @@ impl Mempool {
                 // in the pool, not a continuation of the first one (the
                 // proposal window already consumed part of its life).
                 admitted_tick: self.clock,
+                accept_sig_checked: false,
             });
             self.on_arrival(seq, ledger);
             // The stamp above may be arbitrarily stale — the clock

@@ -17,8 +17,10 @@ use scdb_core::pipeline::{
 };
 use scdb_core::speculation::predict_post_state_digest;
 use scdb_core::{
-    determine_children, validate::validate_transaction, AssetRef, CrossBlockPipeline, LedgerState,
-    LedgerView, NestedTracker, Operation, SpeculativeView, Transaction,
+    determine_children,
+    validate::{record_validated, validate_transaction},
+    AssetRef, CrossBlockPipeline, LedgerState, LedgerView, NestedTracker, Operation,
+    SpeculativeView, Transaction,
 };
 use scdb_crypto::KeyPair;
 use scdb_json::Value;
@@ -250,6 +252,7 @@ impl SmartchainCluster {
             .map(|i| {
                 let mut ledger = LedgerState::with_utxo_shards(pipeline.utxo_shards);
                 ledger.add_reserved_account(escrow.public_hex());
+                ledger.set_telemetry(&pipeline.telemetry);
                 if let Some(root) = &durable_root {
                     let (mut store, _) = DurableStore::open(
                         root.0.join(format!("replica-{i}")),
@@ -516,6 +519,7 @@ impl SmartchainCluster {
             [self.escrow.public_hex()],
         )?;
         ledger.attach_durable(Arc::new(store));
+        ledger.set_telemetry(&self.pipeline.telemetry);
 
         // Nested settlement state, replayed from the commit order:
         // parents re-register their children, committed children check
@@ -678,7 +682,13 @@ impl App for SmartchainCluster {
         // Validate through the pending-aware view so CheckTx accepts
         // spends of outputs created by a block whose apply is still
         // deferred in the cross-block pipeline.
-        validate_transaction(&t, &self.replicas[node].view()).map_err(|e| e.to_string())?;
+        let view = self.replicas[node].view();
+        validate_transaction(&t, &view).map_err(|e| e.to_string())?;
+        // This replica has now checked the schema, id and signatures:
+        // its own delivery of the same bytes re-runs only the stateful
+        // rules. Other replicas' sets are untouched — each verifies
+        // once for itself.
+        record_validated(&t, &view);
         // Derive the footprint while we hold the parsed transaction:
         // CheckTx runs on every replica anyway (Fig. 4's second check
         // set), so delivery can verify a gossiped schedule against

@@ -152,6 +152,7 @@ impl Node {
     ) -> Node {
         let mut ledger = LedgerState::with_utxo_shards(pipeline.utxo_shards);
         ledger.add_reserved_account(escrow.public_hex());
+        ledger.set_telemetry(&pipeline.telemetry);
         // Durable mode without an explicit directory: attach an
         // ephemeral per-node store so every commit still runs the full
         // WAL protocol, and clean it up when the node drops.
@@ -223,6 +224,7 @@ impl Node {
         let mut ledger =
             LedgerState::restore(&recovered, pipeline.utxo_shards, [escrow.public_hex()])?;
         ledger.attach_durable(Arc::new(store));
+        ledger.set_telemetry(&pipeline.telemetry);
         let mempool = Mempool::new(MempoolConfig {
             shard_hint: pipeline.utxo_shards,
             telemetry: pipeline.telemetry.clone(),
@@ -736,15 +738,51 @@ impl Node {
         Ok(())
     }
 
-    /// Drains up to `max` queued children through the normal commit
-    /// path (the simulation-side worker pump). Returns how many settled.
+    /// Settles up to `max` queued children as **one block** (the
+    /// simulation-side worker pump). Each child write-ahead logs its
+    /// own wave as it applies; one seal then covers the whole drain,
+    /// naming the children whose apply failed as aborted so replay
+    /// skips their logged effects. Post-commit effects run per
+    /// committed child after the seal. A child that failed goes back
+    /// on the queue; a failed seal fails closed — the store latched —
+    /// and every child of the drain goes back. Returns how many
+    /// settled.
     pub fn pump_returns(&mut self, max: usize) -> usize {
         let jobs = self.queue.drain(max);
+        if jobs.is_empty() {
+            return 0;
+        }
+        // The scalar apply mutates the ledger directly; a deferred
+        // cross-block commit must land first.
+        self.sync();
+        let applied: Vec<bool> = jobs
+            .iter()
+            .map(|job| self.ledger.apply_shared(&job.child).is_ok())
+            .collect();
+        if let Some(store) = self.ledger.durable_store() {
+            let mut docs = Vec::with_capacity(jobs.len());
+            let mut aborted = Vec::new();
+            for (job, ok) in jobs.iter().zip(&applied) {
+                if *ok {
+                    docs.push(job.child.to_value());
+                } else {
+                    aborted.push(job.child.id.clone());
+                }
+            }
+            let sealed = store.seal_block(&docs, &aborted, &self.ledger.state_digest());
+            if sealed.is_err() {
+                for job in jobs {
+                    self.queue.retry(job);
+                }
+                return 0;
+            }
+        }
         let mut settled = 0;
-        for job in jobs {
-            match self.commit(&job.child.clone()) {
-                Ok(()) => settled += 1,
-                Err(_) => self.queue.retry(job),
+        for (job, ok) in jobs.into_iter().zip(applied) {
+            if ok && self.post_commit(&job.child).is_ok() {
+                settled += 1;
+            } else {
+                self.queue.retry(job);
             }
         }
         settled

@@ -21,8 +21,9 @@ use std::sync::Arc;
 pub struct ReturnJob {
     /// The parent ACCEPT_BID id.
     pub parent_id: String,
-    /// The signed child transaction.
-    pub child: Transaction,
+    /// The signed child transaction, shared: settlement hands the same
+    /// allocation to the ledger instead of deep-cloning it.
+    pub child: Arc<Transaction>,
     /// Submission attempts so far (retries are the driver's timeout
     /// behaviour from §4.2.1).
     pub attempts: u32,
@@ -42,10 +43,10 @@ impl ReturnQueue {
     }
 
     /// Enqueues a child for asynchronous settlement.
-    pub fn enqueue(&self, parent_id: &str, child: Transaction) {
+    pub fn enqueue(&self, parent_id: &str, child: impl Into<Arc<Transaction>>) {
         self.jobs.push(ReturnJob {
             parent_id: parent_id.to_owned(),
-            child,
+            child: child.into(),
             attempts: 0,
         });
         self.enqueued.fetch_add(1, Ordering::Relaxed);

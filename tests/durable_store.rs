@@ -16,7 +16,7 @@ use smartchaindb::core::pipeline::PipelineOptions;
 use smartchaindb::core::{Transaction, ValidationError};
 use smartchaindb::store::{DurableStore, FsyncLevel, OutputRef, StateDigest, Utxo};
 use smartchaindb::workload::{scdb_plan, ScenarioConfig};
-use smartchaindb::{KeyPair, Node, SmartchainCluster, TxBuilder};
+use smartchaindb::{KeyPair, LedgerView, Node, SmartchainCluster, TxBuilder};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -373,6 +373,167 @@ fn scalar_auction_with_settlements_survives_crash_at_any_write() {
     }
 }
 
+/// A durable node that ran the auction script up to and including the
+/// ACCEPT_BID: both children sit on the return queue, nothing pumped.
+fn node_with_queued_children(dir: &std::path::Path, level: FsyncLevel) -> Node {
+    let escrow = KeyPair::from_seed([0xE5; 32]);
+    let opts = PipelineOptions::with_workers(2)
+        .utxo_shards(4)
+        .cross(false)
+        .fsync(level);
+    let mut node = Node::with_durable_dir(escrow.clone(), opts, dir).expect("store opens");
+    for op in &auction_ops(&escrow.public_hex()) {
+        if let Op::Payload(_) = op {
+            run_op(&mut node, op);
+        }
+    }
+    assert_eq!(node.queue().len(), 2, "winner transfer + return queued");
+    node.flush_durable().expect("the pre-pump state is on disk");
+    node
+}
+
+/// Batched settlement under fire: one `pump_returns` settles both
+/// children as ONE block — a wave record per child, one shared seal.
+/// A crash after any child's wave record and before the seal lands
+/// whole must recover to the pre-pump state with every child back on
+/// the return queue, and pumping the rebuilt queue must land
+/// digest-equal to the uncrashed run.
+#[test]
+fn crash_inside_a_multi_child_pump_recovers_to_the_pre_pump_state() {
+    let scratch = Scratch::new("pump-crash");
+    for level in [FsyncLevel::None, FsyncLevel::Group(2)] {
+        let _ = std::fs::remove_dir_all(&scratch.0);
+        let mut uncrashed = node_with_queued_children(&scratch.0, level);
+        let pre_pump = ref_state(&uncrashed);
+        let pre_height = uncrashed.ledger().durable_store().unwrap().next_height();
+        assert_eq!(uncrashed.pump_returns(usize::MAX), 2);
+        assert_eq!(
+            uncrashed.ledger().durable_store().unwrap().next_height(),
+            pre_height + 1,
+            "one pump, one sealed block"
+        );
+        let settled = ref_state(&uncrashed);
+        drop(uncrashed);
+
+        let mut k = 0u64;
+        let mut survived = false;
+        while !survived && k < 1_000 {
+            let _ = std::fs::remove_dir_all(&scratch.0);
+            let mut node = node_with_queued_children(&scratch.0, level);
+            let store = node.ledger().durable_store().unwrap().clone();
+            store.inject_crash_after(k);
+            node.pump_returns(usize::MAX);
+            node.flush_durable().expect("group flush at shutdown");
+            survived = !store.crash_tripped();
+            drop(node);
+
+            let escrow = KeyPair::from_seed([0xE5; 32]);
+            let opts = PipelineOptions::with_workers(2)
+                .utxo_shards(4)
+                .cross(false)
+                .fsync(level);
+            let mut recovered = Node::with_durable_dir(escrow, opts, &scratch.0)
+                .expect("recovery after a torn pump is clean");
+            if survived {
+                assert_eq!(recovered.state_digest(), settled.digest);
+                assert!(recovered.queue().is_empty(), "nothing left to settle");
+            } else {
+                // The seal is the pump's last write: a tripped run never
+                // landed it whole, so no child's wave is covered.
+                assert_eq!(
+                    recovered.state_digest(),
+                    pre_pump.digest,
+                    "pre-pump digest at k={k} level={level:?}"
+                );
+                assert_eq!(
+                    recovered.ledger().committed_ids(),
+                    pre_pump.committed.as_slice(),
+                    "pre-pump commit order at k={k} level={level:?}"
+                );
+                assert_eq!(recovered.queue().len(), 2, "every child is back at k={k}");
+                assert_eq!(recovered.pump_returns(usize::MAX), 2);
+            }
+            assert_eq!(
+                recovered.state_digest(),
+                settled.digest,
+                "second pump converges at k={k} level={level:?}"
+            );
+            assert_eq!(
+                recovered.ledger().utxos().snapshot(),
+                settled.snapshot,
+                "converged snapshot at k={k} level={level:?}"
+            );
+            assert_eq!(
+                recovered.ledger().committed_ids(),
+                settled.committed.as_slice(),
+                "converged commit order at k={k} level={level:?}"
+            );
+            k += 1;
+        }
+        assert!(survived, "the sweep reaches an untripped pump ({level:?})");
+        assert!(k > 2, "the pump wrote a wave per child plus the seal");
+    }
+}
+
+/// A child whose apply fails inside a batched pump is named aborted in
+/// the shared seal — replay skips its write-ahead-logged effects — and
+/// its siblings commit in the same block. The failed child goes back on
+/// the queue, exactly as on the scalar path.
+#[test]
+fn failed_child_is_aborted_in_the_seal_and_its_siblings_commit() {
+    let scratch = Scratch::new("pump-abort");
+    let mut node = node_with_queued_children(&scratch.0, FsyncLevel::None);
+    // Settle one child behind the queue's back, then queue both again:
+    // the pump's apply of the settled one is a double spend.
+    let jobs = node.queue().drain(usize::MAX);
+    node.commit(&jobs[0].child).expect("scalar settlement");
+    for job in &jobs {
+        node.queue().enqueue(&job.parent_id, Arc::clone(&job.child));
+    }
+    let height = node.ledger().durable_store().unwrap().next_height();
+    assert_eq!(node.pump_returns(usize::MAX), 1, "the sibling settles");
+    assert_eq!(
+        node.ledger().durable_store().unwrap().next_height(),
+        height + 1,
+        "one block for the failed child and its sibling"
+    );
+    assert_eq!(node.queue().len(), 1, "the failed child is retried");
+    assert!(node.ledger().is_committed(&jobs[1].child.id));
+    let expect = ref_state(&node);
+    node.flush_durable().expect("flush");
+    drop(node);
+
+    // Replay must skip the aborted child's logged spend (it would be a
+    // double spend) and land on the sealed digest.
+    let recovered = Node::with_durable_dir(
+        KeyPair::from_seed([0xE5; 32]),
+        PipelineOptions::with_workers(2).utxo_shards(4).cross(false),
+        &scratch.0,
+    )
+    .expect("the aborted child's effects are skipped at replay");
+    assert_eq!(recovered.state_digest(), expect.digest);
+    assert_eq!(recovered.ledger().utxos().snapshot(), expect.snapshot);
+    assert_eq!(
+        recovered.ledger().committed_ids(),
+        expect.committed.as_slice()
+    );
+}
+
+/// `pump_returns(max)` settles `min(max, queued)` children — the counts
+/// the per-child path returned — and an empty queue seals nothing.
+#[test]
+fn pump_returns_counts_are_independent_of_the_batching() {
+    let scratch = Scratch::new("pump-counts");
+    let mut node = node_with_queued_children(&scratch.0, FsyncLevel::None);
+    let height = |n: &Node| n.ledger().durable_store().unwrap().next_height();
+    let start = height(&node);
+    assert_eq!(node.pump_returns(1), 1, "fewer than queued: max settle");
+    assert_eq!(node.pump_returns(5), 1, "more than queued: the rest settle");
+    assert_eq!(height(&node), start + 2);
+    assert_eq!(node.pump_returns(5), 0, "empty queue");
+    assert_eq!(height(&node), start + 2, "an empty pump seals no block");
+}
+
 /// Cluster durability under cross-block pipelining: replicas commit
 /// through the deferred-apply executor, one crash-restarts mid-stream
 /// (its pending apply is thrown away and recovered from its own WAL —
@@ -611,6 +772,9 @@ fn wal_write_failure_fails_the_commit_closed() {
     let mut node =
         Node::with_durable_dir(escrow.clone(), opts(), &scratch.0).expect("fresh store opens");
     node.submit_batch_parsed(&blocks[0]);
+    // At a group-commit level (`SCDB_FSYNC=group:N`) block 0's seal is
+    // only buffered: put the sealed prefix on disk before the failure.
+    node.flush_durable().expect("the sealed prefix is flushed");
     let before = ref_state(&node);
 
     let store = node.ledger().durable_store().unwrap().clone();
