@@ -105,6 +105,20 @@ pub trait App {
     /// Admission validation before a transaction enters `node`'s mempool.
     fn check_tx(&mut self, node: NodeId, tx: TxId, payload: &str) -> AppResult;
 
+    /// CheckTx for a whole proposed block on `node` (Fig. 4's second
+    /// validation set): one verdict per transaction, aligned with
+    /// `txs`, each what [`App::check_tx`] would return for that member
+    /// in block order. The engine re-checks every proposal through this
+    /// method; the default is that loop. Applications whose stateless
+    /// checks amortize over a block (the SmartchainDB cluster pools a
+    /// block's signature verification across its workers) override it —
+    /// the verdicts must not depend on the strategy.
+    fn check_block(&mut self, node: NodeId, txs: &[(TxId, &str)]) -> Vec<AppResult> {
+        txs.iter()
+            .map(|(tx, payload)| self.check_tx(node, *tx, payload))
+            .collect()
+    }
+
     /// Execution during block commit on `node`; mutates node-local state.
     fn deliver_tx(&mut self, node: NodeId, tx: TxId, payload: &str) -> AppResult;
 

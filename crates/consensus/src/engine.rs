@@ -512,16 +512,14 @@ impl<A: App> Harness<A> {
                     return;
                 }
                 // CheckTx re-validation at the validator (second set of
-                // checks, Fig. 4): accumulate the simulated cost.
-                let mut cost = SimTime::ZERO;
+                // checks, Fig. 4), the block in one call: accumulate
+                // the simulated cost of the members that pass.
                 let tx_ids = self.blocks[block].txs.clone();
-                for tx in &tx_ids {
-                    let payload = std::mem::take(&mut self.txs[*tx as usize].payload);
-                    if let Ok(c) = self.app.check_tx(to, *tx, &payload) {
-                        cost += c;
-                    }
-                    self.txs[*tx as usize].payload = payload;
-                }
+                let cost = self
+                    .with_payloads(&tx_ids, |app, txs| app.check_block(to, txs))
+                    .into_iter()
+                    .flatten()
+                    .fold(SimTime::ZERO, |sum, c| sum + c);
                 // The proposal carries the proposer's implicit prevote;
                 // without crediting it here, two live validators plus
                 // the proposer stall one short of quorum when a fourth
@@ -589,6 +587,30 @@ impl<A: App> Harness<A> {
         }
     }
 
+    /// Lends the application the payloads of `ids`: they are taken out
+    /// of the transaction table for the call, so `&mut app` does not
+    /// alias it, and put back afterwards.
+    fn with_payloads<R>(
+        &mut self,
+        ids: &[TxId],
+        call: impl FnOnce(&mut A, &[(TxId, &str)]) -> R,
+    ) -> R {
+        let payloads: Vec<String> = ids
+            .iter()
+            .map(|tx| std::mem::take(&mut self.txs[*tx as usize].payload))
+            .collect();
+        let txs: Vec<(TxId, &str)> = ids
+            .iter()
+            .copied()
+            .zip(payloads.iter().map(String::as_str))
+            .collect();
+        let out = call(&mut self.app, &txs);
+        for (tx, payload) in ids.iter().zip(payloads) {
+            self.txs[*tx as usize].payload = payload;
+        }
+        out
+    }
+
     fn enqueue(&mut self, node: NodeId, tx: TxId) {
         let state = &mut self.nodes[node];
         if state.seen.insert(tx) {
@@ -641,21 +663,8 @@ impl<A: App> Harness<A> {
         }
         let mut annotations = BlockAnnotations::default();
         if !candidates.is_empty() && capacity > 0 {
-            // Take the payloads out so the app call does not alias the
-            // transaction table (the execute_block idiom).
-            let payloads: Vec<String> = candidates
-                .iter()
-                .map(|tx| std::mem::take(&mut self.txs[*tx as usize].payload))
-                .collect();
-            let refs: Vec<(TxId, &str)> = candidates
-                .iter()
-                .copied()
-                .zip(payloads.iter().map(String::as_str))
-                .collect();
-            let formed = self.app.form_block(node, &refs, capacity);
-            for (tx, payload) in candidates.iter().zip(payloads) {
-                self.txs[*tx as usize].payload = payload;
-            }
+            let formed =
+                self.with_payloads(&candidates, |app, txs| app.form_block(node, txs, capacity));
             // Sanitize the application's picks: in-range, unique,
             // capped at capacity.
             let mut chosen: HashSet<usize> = HashSet::new();
@@ -770,34 +779,25 @@ impl<A: App> Harness<A> {
         self.nodes[node].executing.insert(height);
         let tx_ids = self.blocks[block].txs.clone();
         let annotations = self.blocks[block].annotations.clone();
-        // Hand the app the block's still-live transactions in order,
-        // taking the payloads out to decouple the borrow from &mut app.
-        let mut live: Vec<(TxId, String)> = Vec::with_capacity(tx_ids.len());
-        for tx in &tx_ids {
-            if !matches!(self.txs[*tx as usize].status, TxStatus::Rejected(_)) {
-                live.push((*tx, std::mem::take(&mut self.txs[*tx as usize].payload)));
-            }
-        }
-        let borrowed: Vec<(TxId, &str)> = live
-            .iter()
-            .map(|(tx, payload)| (*tx, payload.as_str()))
+        // Hand the app the block's still-live transactions in order.
+        let live: Vec<TxId> = tx_ids
+            .into_iter()
+            .filter(|tx| !matches!(self.txs[*tx as usize].status, TxStatus::Rejected(_)))
             .collect();
-        let verdicts = self.app.deliver_block(
-            node,
-            BlockView {
-                txs: &borrowed,
-                annotations: &annotations,
-            },
-        );
-        debug_assert_eq!(
-            verdicts.len(),
-            borrowed.len(),
-            "one verdict per delivered tx"
-        );
+        let verdicts = self.with_payloads(&live, |app, txs| {
+            app.deliver_block(
+                node,
+                BlockView {
+                    txs,
+                    annotations: &annotations,
+                },
+            )
+        });
+        debug_assert_eq!(verdicts.len(), live.len(), "one verdict per delivered tx");
 
         let mut cost = SimTime::ZERO;
         let mut committed = Vec::new();
-        for ((tx, payload), verdict) in live.into_iter().zip(verdicts) {
+        for (tx, verdict) in live.into_iter().zip(verdicts) {
             match verdict {
                 Ok(c) => {
                     cost += c;
@@ -810,7 +810,6 @@ impl<A: App> Harness<A> {
                     }
                 }
             }
-            self.txs[tx as usize].payload = payload;
         }
         cost += self.app.on_commit(node, height, &committed, self.sim.now());
         self.schedule(

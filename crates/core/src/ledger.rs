@@ -519,6 +519,10 @@ impl LedgerView for LedgerState {
         self.verified.lookup(tx)
     }
 
+    fn is_verified_id(&self, id: &str) -> bool {
+        self.verified.contains(id)
+    }
+
     fn record_verified(&self, id: &str, signers: VerifiedSigners) {
         self.verified.record(id, signers);
     }

@@ -40,7 +40,7 @@ mod ledger;
 mod model;
 pub mod nested;
 mod par;
-pub use par::parallel_map;
+pub use par::{map_chunks, parallel_map};
 pub mod pipeline;
 pub mod speculation;
 pub mod validate;

@@ -44,6 +44,20 @@ where
         .collect()
 }
 
+/// Splits `items` into at most `workers` contiguous chunks and maps
+/// them concurrently; returns the per-chunk results in order. This is
+/// how the pooled signature batches fan out: one RLC equation per
+/// chunk, and per-item verdicts, so the chunking never shows through.
+pub fn map_chunks<T: Sync, R: Send>(
+    items: &[T],
+    workers: usize,
+    f: impl Fn(&[T]) -> R + Sync,
+) -> Vec<R> {
+    let chunk = items.len().div_ceil(workers.max(1)).max(1);
+    let chunks: Vec<&[T]> = items.chunks(chunk).collect();
+    parallel_map(chunks.len(), workers, |c| f(chunks[c]))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -60,5 +74,16 @@ mod tests {
     fn empty_and_oversubscribed_inputs_are_fine() {
         assert!(parallel_map(0, 8, |i| i).is_empty());
         assert_eq!(parallel_map(1, 64, |i| i + 1), vec![1]);
+    }
+
+    #[test]
+    fn chunks_are_contiguous_and_cover_the_input_once() {
+        let items: Vec<usize> = (0..7).collect();
+        for workers in [0, 1, 2, 3, 7, 20] {
+            let chunks = map_chunks(&items, workers, <[usize]>::to_vec);
+            assert!(chunks.len() <= workers.max(1), "workers={workers}");
+            assert_eq!(chunks.concat(), items, "workers={workers}");
+        }
+        assert!(map_chunks(&[] as &[usize], 4, <[usize]>::to_vec).is_empty());
     }
 }

@@ -319,6 +319,10 @@ impl LedgerView for SpeculativeView<'_> {
         self.base.verified(tx)
     }
 
+    fn is_verified_id(&self, id: &str) -> bool {
+        self.base.is_verified_id(id)
+    }
+
     fn record_verified(&self, id: &str, signers: VerifiedSigners) {
         self.base.record_verified(id, signers);
     }

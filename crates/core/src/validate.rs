@@ -8,10 +8,12 @@
 
 use crate::errors::ValidationError;
 use crate::model::{AssetRef, Operation, Transaction};
+use crate::par::map_chunks;
 use crate::verified::VerifiedSigners;
 use crate::view::LedgerView;
 use scdb_crypto::{MultiSignature, PublicKey, Signature};
 use scdb_store::OutputRef;
+use std::sync::Arc;
 
 /// Full validation pipeline for one transaction against a ledger.
 ///
@@ -65,15 +67,112 @@ pub fn validate_transaction(
 /// stateless checks. An ACCEPT_BID is recorded against the requester
 /// its REQUEST resolves to.
 pub fn record_validated(tx: &Transaction, ledger: &impl LedgerView) {
-    let signers = if tx.operation == Operation::AcceptBid {
-        match tx.references.first().and_then(|id| ledger.get(id)) {
-            Some(request) => VerifiedSigners::Explicit(requester_keys(request)),
-            None => return,
+    if let Some(signers) = signers_to_vouch_for(tx, ledger) {
+        ledger.record_verified(&tx.id, signers);
+    }
+}
+
+/// The signer set a verified-set entry for `tx` vouches for: the
+/// inputs' own owners, or for an ACCEPT_BID the requester keys its
+/// REQUEST resolves to in `ledger` — `None` while that REQUEST does not
+/// resolve, which leaves the signature to the serial check.
+fn signers_to_vouch_for(tx: &Transaction, ledger: &impl LedgerView) -> Option<VerifiedSigners> {
+    if tx.operation != Operation::AcceptBid {
+        return Some(VerifiedSigners::InputOwners);
+    }
+    let request = tx.references.first().and_then(|id| ledger.get(id))?;
+    Some(VerifiedSigners::Explicit(requester_keys(request)))
+}
+
+/// What [`record_validated_batch`] did with a block's members.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PooledVerification {
+    /// Members that passed schema, id and signatures in the pool and
+    /// were recorded.
+    pub pooled: usize,
+    /// Members whose id the verified set already held: left to
+    /// [`validate_transaction`]'s own lookup.
+    pub already_verified: usize,
+    /// Members left unrecorded — a schema, id or signature failure, or
+    /// an ACCEPT_BID whose REQUEST does not resolve — for the full
+    /// serial check to name.
+    pub failed_stateless: usize,
+}
+
+/// The stateless checks of a whole block, as a pool: every member
+/// whose id `ledger`'s verified set does not hold yet goes through
+/// schema + id digest (one serialization walk) and has its signatures
+/// pooled into one batch equation per worker chunk; members that pass
+/// all three are recorded, exactly as [`record_validated`] would after
+/// a full [`validate_transaction`]. Nothing is decided here: a member
+/// that fails is left unrecorded, so the validation that follows takes
+/// the unchanged miss path and names the error with its usual string
+/// and precedence. Candidates are selected by membership alone
+/// ([`LedgerView::is_verified_id`]) — a present id pays its id digest
+/// once, in [`validate_transaction`]'s lookup.
+pub fn record_validated_batch(
+    txs: &[Arc<Transaction>],
+    ledger: &impl LedgerView,
+    workers: usize,
+) -> PooledVerification {
+    let candidates: Vec<&Transaction> = txs
+        .iter()
+        .map(Arc::as_ref)
+        .filter(|tx| !ledger.is_verified_id(&tx.id))
+        .collect();
+    let vouched = map_chunks(&candidates, workers, |chunk| verify_chunk(chunk, ledger));
+    let mut pooled = 0;
+    for (tx, signers) in candidates.iter().zip(vouched.into_iter().flatten()) {
+        if let Some(signers) = signers {
+            ledger.record_verified(&tx.id, signers);
+            pooled += 1;
         }
-    } else {
-        VerifiedSigners::InputOwners
-    };
-    ledger.record_verified(&tx.id, signers);
+    }
+    PooledVerification {
+        pooled,
+        already_verified: txs.len() - candidates.len(),
+        failed_stateless: candidates.len() - pooled,
+    }
+}
+
+/// One worker's share of [`record_validated_batch`]: both stages on the
+/// same thread, so a block costs one fan-out. `Some(signers)` per
+/// member that passed schema, id and signatures against `signers`.
+fn verify_chunk(chunk: &[&Transaction], ledger: &impl LedgerView) -> Vec<Option<VerifiedSigners>> {
+    // Stage 1: shape, id digest and signing payload from one walk; the
+    // signer set the entry will vouch for.
+    let clean: Vec<(usize, String, VerifiedSigners)> = chunk
+        .iter()
+        .enumerate()
+        .filter_map(|(slot, tx)| {
+            let (value, computed, payload) = tx.admission_views(true);
+            if computed != tx.id || scdb_schema::validate_transaction_schema(&value).is_err() {
+                return None;
+            }
+            let signers = signers_to_vouch_for(tx, ledger)?;
+            Some((slot, payload.expect("requested above"), signers))
+        })
+        .collect();
+    // Stage 2: every clean member's signatures in one pooled equation.
+    let members: Vec<BatchMember<'_>> = clean
+        .iter()
+        .map(|(slot, payload, signers)| BatchMember {
+            tx: chunk[*slot],
+            payload,
+            signers: match signers {
+                VerifiedSigners::InputOwners => None,
+                VerifiedSigners::Explicit(keys) => Some(keys),
+            },
+        })
+        .collect();
+    let verdicts = batch_verify(&members);
+    let mut vouched = vec![None; chunk.len()];
+    for ((slot, _, signers), verdict) in clean.into_iter().zip(verdicts) {
+        if verdict.is_ok() {
+            vouched[slot] = Some(signers);
+        }
+    }
+    vouched
 }
 
 /// The account set that must sign an ACCEPT_BID for `request`: the
@@ -913,5 +1012,185 @@ mod batch_sig_tests {
         assert_eq!(format!("{:?}", batch[0]), format!("{serial:?}"));
         let msg = format!("{:?}", batch[0]);
         assert!(msg.contains("input 0"), "first failure wins: {msg}");
+    }
+}
+
+#[cfg(test)]
+mod pooled_record_tests {
+    use super::*;
+    use crate::builder::TxBuilder;
+    use crate::LedgerState;
+    use scdb_crypto::KeyPair;
+    use scdb_json::{arr, obj};
+
+    fn key(tag: u8) -> KeyPair {
+        KeyPair::from_seed([tag; 32])
+    }
+
+    fn create(owner: &KeyPair, nonce: u64) -> Transaction {
+        TxBuilder::create(obj! { "capabilities" => arr!["cnc"] })
+            .output(owner.public_hex(), 1)
+            .nonce(nonce)
+            .sign(&[owner])
+    }
+
+    /// An ACCEPT_BID-shaped transaction for `request_id`: only its
+    /// stateless side matters here.
+    fn accept(request_id: &str, signer: &KeyPair, escrow: &KeyPair) -> Transaction {
+        let bid_id = "b".repeat(64);
+        TxBuilder::accept_bid(bid_id.clone(), request_id)
+            .input(bid_id, 0, vec![escrow.public_hex()])
+            .output_with_prev(signer.public_hex(), 1, vec![escrow.public_hex()])
+            .sign(&[signer])
+    }
+
+    /// A ledger holding one committed REQUEST, and a block mixing every
+    /// way a member can pass or fail the stateless checks.
+    fn fixture() -> (LedgerState, Vec<Arc<Transaction>>) {
+        let (alice, mallory, requester, escrow) = (key(0xA1), key(0x66), key(0x50), key(0xE5));
+        let mut ledger = LedgerState::new();
+        ledger.add_reserved_account(escrow.public_hex());
+        let request = TxBuilder::request(obj! { "capabilities" => arr!["cnc"] })
+            .output(requester.public_hex(), 1)
+            .sign(&[&requester]);
+        ledger.apply(&request).expect("request commits");
+
+        let mut block = vec![create(&alice, 1)];
+        // Stateless-clean, statefully doomed: spends an output that
+        // does not exist. The pool vouches for the bytes, not the spend.
+        block.push(
+            TxBuilder::transfer("c".repeat(64))
+                .input("c".repeat(64), 0, vec![alice.public_hex()])
+                .output_with_prev(mallory.public_hex(), 1, vec![alice.public_hex()])
+                .sign(&[&alice]),
+        );
+        // Re-sealed forgery: id consistent, signature stale.
+        let mut forged = create(&alice, 2);
+        forged.outputs[0].amount = 1_000_000;
+        forged.seal();
+        block.push(forged);
+        // Id tampered in transit.
+        let mut mismatched = create(&alice, 3);
+        mismatched.id = "0".repeat(64);
+        block.push(mismatched);
+        // A shape the template rejects.
+        let mut hollow = create(&alice, 4);
+        hollow.outputs.clear();
+        hollow.seal();
+        block.push(hollow);
+        // ACCEPT_BIDs: requester-signed, forged, and one whose REQUEST
+        // this ledger cannot resolve.
+        block.push(accept(&request.id, &requester, &escrow));
+        block.push(accept(&request.id, &mallory, &escrow));
+        block.push(accept(&"d".repeat(64), &requester, &escrow));
+        (ledger, block.into_iter().map(Arc::new).collect())
+    }
+
+    /// The stateless verdict computed the long way round, one check at
+    /// a time, against the signer set the serial path would use.
+    fn passes_statelessly(tx: &Transaction, ledger: &LedgerState) -> bool {
+        let signatures = if tx.operation == Operation::AcceptBid {
+            match ledger.get(&tx.references[0]) {
+                Some(request) => verify_signed_by(tx, &requester_keys(request)),
+                None => return false,
+            }
+        } else {
+            verify_input_signatures(tx)
+        };
+        scdb_schema::validate_transaction_schema(&tx.to_value()).is_ok()
+            && tx.id_is_consistent()
+            && signatures.is_ok()
+    }
+
+    #[test]
+    fn pool_records_exactly_the_members_that_pass_statelessly() {
+        let (ledger, block) = fixture();
+        let expected: Vec<bool> = block
+            .iter()
+            .map(|tx| passes_statelessly(tx, &ledger))
+            .collect();
+        assert_eq!(
+            expected,
+            [true, true, false, false, false, true, false, false]
+        );
+
+        let report = record_validated_batch(&block, &ledger, 2);
+        assert_eq!(
+            report,
+            PooledVerification {
+                pooled: 3,
+                already_verified: 0,
+                failed_stateless: 5,
+            }
+        );
+        for (tx, expected) in block.iter().zip(expected) {
+            assert_eq!(ledger.is_verified_id(&tx.id), expected, "{}", tx.id);
+        }
+        // Entries vouch for the signer set the serial record would.
+        assert_eq!(
+            ledger.verified(&block[0]),
+            Some(VerifiedSigners::InputOwners)
+        );
+        assert_eq!(
+            ledger.verified(&block[5]),
+            Some(VerifiedSigners::Explicit(vec![key(0x50).public_hex()]))
+        );
+        // The pool decided nothing: validation names every failure with
+        // its own string, and the recorded members hit.
+        let fresh = fixture().0;
+        let hits_before = ledger.verified_stats().hits;
+        for tx in &block {
+            assert_eq!(
+                format!("{:?}", validate_transaction(tx, &ledger)),
+                format!("{:?}", validate_transaction(tx, &fresh)),
+            );
+        }
+        assert_eq!(ledger.verified_stats().hits - hits_before, 3);
+        assert_eq!(fresh.verified_stats().hits, 0);
+    }
+
+    #[test]
+    fn pool_records_nothing_for_failing_members() {
+        let (ledger, block) = fixture();
+        let failing: Vec<Arc<Transaction>> = block
+            .iter()
+            .filter(|tx| !passes_statelessly(tx, &ledger))
+            .cloned()
+            .collect();
+        assert_eq!(failing.len(), 5);
+        let report = record_validated_batch(&failing, &ledger, 2);
+        assert_eq!((report.pooled, report.failed_stateless), (0, 5));
+        assert_eq!(ledger.verified_stats().recorded, 0);
+    }
+
+    #[test]
+    fn pool_is_idempotent() {
+        let (ledger, block) = fixture();
+        let first = record_validated_batch(&block, &ledger, 2);
+        let second = record_validated_batch(&block, &ledger, 2);
+        assert_eq!(second.pooled, 0);
+        assert_eq!(second.already_verified, first.pooled);
+        assert_eq!(second.failed_stateless, first.failed_stateless);
+        let stats = ledger.verified_stats();
+        // Membership selects the candidates: no lookup, no hit or miss.
+        assert_eq!((stats.recorded, stats.hits, stats.misses), (3, 0, 0));
+        assert_eq!(
+            record_validated_batch(&[], &ledger, 2),
+            PooledVerification::default()
+        );
+    }
+
+    #[test]
+    fn one_worker_records_what_four_do() {
+        let (serial, block) = fixture();
+        let (fanned, _) = fixture();
+        assert_eq!(
+            record_validated_batch(&block, &serial, 1),
+            record_validated_batch(&block, &fanned, 4)
+        );
+        for tx in &block {
+            assert_eq!(serial.is_verified_id(&tx.id), fanned.is_verified_id(&tx.id));
+            assert_eq!(serial.verified(tx), fanned.verified(tx));
+        }
     }
 }

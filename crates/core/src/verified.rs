@@ -109,6 +109,15 @@ impl VerifiedSet {
         hit
     }
 
+    /// Whether `id` is in the set at all — a map probe, with no id
+    /// recompute and no hit/miss accounting. The block pre-pass selects
+    /// its candidates with this and leaves every present id to
+    /// [`VerifiedSet::lookup`], so a hit pays the digest once.
+    pub(crate) fn contains(&self, id: &str) -> bool {
+        let generations = self.generations.read().expect("verified set lock");
+        generations.young.contains_key(id) || generations.old.contains_key(id)
+    }
+
     pub(crate) fn record(&self, id: &str, signers: VerifiedSigners) {
         let mut generations = self.generations.write().expect("verified set lock");
         if generations.young.insert(id.to_owned(), signers).is_none() {

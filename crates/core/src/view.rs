@@ -105,6 +105,14 @@ pub trait LedgerView: Sync {
         None
     }
 
+    /// Whether the verified set holds an entry for `id` — membership
+    /// only: no id recompute, no hit/miss accounting, and no promise
+    /// that [`LedgerView::verified`] will hit (it still binds the
+    /// object in hand to the id). The default has no set.
+    fn is_verified_id(&self, _id: &str) -> bool {
+        false
+    }
+
     /// Records that the transaction with this id passed schema,
     /// id-digest and signature checks against `signers`. Call only
     /// after all three passed. The default discards the record.

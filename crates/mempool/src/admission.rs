@@ -35,9 +35,9 @@
 //! slot in stages 1–2. See `DESIGN-mempool.md` § Admission pipeline.
 
 use crate::pool::{sender_key, AdmitError, AdmitReceipt, Mempool, PendingTx, PoolLookup};
-use scdb_core::parallel_map;
 use scdb_core::pipeline::{footprint, unresolved_links};
 use scdb_core::validate::batch_verify_input_signatures;
+use scdb_core::{map_chunks, parallel_map};
 use scdb_core::{LedgerView, Operation, Transaction, ValidationError};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -109,20 +109,6 @@ fn screen(
         ledger_spent,
         sender: sender_key(tx),
     }
-}
-
-/// Splits `items` into at most `workers` contiguous chunks and maps
-/// them concurrently; returns the per-chunk results in order. This is
-/// how the pooled signature batches fan out: one RLC equation per
-/// chunk, and per-item verdicts, so the chunking never shows through.
-pub(crate) fn map_chunks<T: Sync, R: Send>(
-    items: &[T],
-    workers: usize,
-    f: impl Fn(&[T]) -> R + Sync,
-) -> Vec<R> {
-    let chunk = items.len().div_ceil(workers.max(1)).max(1);
-    let chunks: Vec<&[T]> = items.chunks(chunk).collect();
-    parallel_map(chunks.len(), workers, |c| f(chunks[c]))
 }
 
 /// A stage-3 admission whose conflict set, flag, and receipt await the

@@ -1,13 +1,12 @@
 //! The standing pool: footprint-indexed admission and draining.
 
-use crate::admission::map_chunks;
 use crate::index::FootprintIndex;
 use crate::pack::pack_batch_prioritized;
 use scdb_core::pipeline::{
     footprint, unresolved_links, ConflictKey, Footprint, TxLookup, WaveSchedule,
 };
 use scdb_core::validate::{batch_verify_signed_by, requester_keys, verify_input_signatures};
-use scdb_core::{LedgerView, Operation, Telemetry, Transaction, VerifiedSigners};
+use scdb_core::{map_chunks, LedgerView, Operation, Telemetry, Transaction, VerifiedSigners};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;

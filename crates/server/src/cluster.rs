@@ -18,7 +18,7 @@ use scdb_core::pipeline::{
 use scdb_core::speculation::predict_post_state_digest;
 use scdb_core::{
     determine_children,
-    validate::{record_validated, validate_transaction},
+    validate::{record_validated, record_validated_batch, validate_transaction},
     AssetRef, CrossBlockPipeline, LedgerState, LedgerView, NestedTracker, Operation,
     SpeculativeView, Transaction,
 };
@@ -32,6 +32,20 @@ use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+
+/// Counter names of the pooled stateless verification at its two call
+/// sites: recorded by the pool / id already in the replica's verified
+/// set / left to the per-member check.
+const CHECK_BLOCK_POOL: [&str; 3] = [
+    "cluster.check_block.pooled",
+    "cluster.check_block.already_verified",
+    "cluster.check_block.failed_stateless",
+];
+const DELIVER_BLOCK_POOL: [&str; 3] = [
+    "cluster.deliver_block.pooled",
+    "cluster.deliver_block.already_verified",
+    "cluster.deliver_block.failed_stateless",
+];
 
 /// One validator's replicated state.
 struct Replica {
@@ -186,6 +200,10 @@ pub struct SmartchainCluster {
     /// Batch-validation options for block delivery (worker count).
     pipeline: PipelineOptions,
     /// Parsed-payload cache (payloads are immutable once submitted).
+    /// Bounded by in-flight work like `footprints`: an entry retires
+    /// when a CheckTx or delivery rejects it, or once the last
+    /// replica's commit hook has read it; [`SmartchainCluster::parse`]
+    /// re-parses on a miss.
     parsed: HashMap<TxId, Arc<Transaction>>,
     /// Footprint cache, populated at CheckTx (every replica runs the
     /// check per Fig. 4, so the derivation happens off the block
@@ -194,17 +212,18 @@ pub struct SmartchainCluster {
     /// for per-replica ones — staleness is re-checked against the
     /// *delivering* replica's ledger on every use.
     footprints: HashMap<TxId, CachedFootprint>,
-    /// How many replicas have delivered each transaction — once every
-    /// replica has, its footprint cache entry can never be consulted
-    /// again (a transaction is delivered once per replica) and is
-    /// dropped, so the cache stays bounded by in-flight work instead
-    /// of growing with chain history.
+    /// How many replicas have delivered (and run the commit hook for)
+    /// each transaction — once every replica has, its cache entries can
+    /// never be consulted again (a transaction is delivered once per
+    /// replica) and are dropped, so the caches stay bounded by
+    /// in-flight work instead of growing with chain history.
     deliveries: HashMap<TxId, usize>,
     /// Self-describing-block counters.
     gossip: GossipStats,
     /// Child payloads awaiting submission into consensus.
     outbox: Vec<String>,
-    /// Parents whose children have been pushed to the outbox.
+    /// Parents whose children have been pushed to the outbox and whose
+    /// commit hook has not yet run on every replica.
     dispatched: HashSet<String>,
     /// Node 0 keeps the full document mirror for queries. Replicas are
     /// identical by construction, so materializing one mirror is a
@@ -350,6 +369,11 @@ impl SmartchainCluster {
     /// delivered transactions are retired).
     pub fn footprint_cache_len(&self) -> usize {
         self.footprints.len()
+    }
+
+    /// Live parsed-payload entries (bounded the same way).
+    pub fn parsed_cache_len(&self) -> usize {
+        self.parsed.len()
     }
 
     /// A node's post-block UTXO state digest — the O(shards) replica
@@ -632,6 +656,61 @@ impl SmartchainCluster {
         Ok(t)
     }
 
+    /// Drops every cache entry of a transaction no replica will look
+    /// at again, handing back its parsed form.
+    fn retire(&mut self, tx: TxId) -> Option<Arc<Transaction>> {
+        self.deliveries.remove(&tx);
+        self.footprints.remove(&tx);
+        self.parsed.remove(&tx)
+    }
+
+    /// Verifies the stateless part of a block `node` was handed — a
+    /// proposal to re-check or a block to deliver — as a pool, into
+    /// that replica's own verified set (DESIGN-pipeline.md § "Blocks
+    /// are verified as a pool"). `counters` names the stage's
+    /// `pooled` / `already_verified` / `failed_stateless` counters.
+    fn verify_block_pool(&self, node: NodeId, batch: &[Arc<Transaction>], counters: [&str; 3]) {
+        let report =
+            record_validated_batch(batch, &self.replicas[node].view(), self.pipeline.workers);
+        let telemetry = &self.pipeline.telemetry;
+        telemetry.add(counters[0], report.pooled as u64);
+        telemetry.add(counters[1], report.already_verified as u64);
+        telemetry.add(counters[2], report.failed_stateless as u64);
+    }
+
+    /// CheckTx of one parsed transaction on `node`: the full validation
+    /// against the replica's state, then the verified-set record, the
+    /// footprint cache and the simulated cost.
+    fn check_parsed(
+        &mut self,
+        node: NodeId,
+        tx: TxId,
+        payload: &str,
+        t: &Transaction,
+    ) -> AppResult {
+        // Validate through the pending-aware view so CheckTx accepts
+        // spends of outputs created by a block whose apply is still
+        // deferred in the cross-block pipeline.
+        let view = self.replicas[node].view();
+        if let Err(e) = validate_transaction(t, &view) {
+            self.parsed.remove(&tx);
+            return Err(e.to_string());
+        }
+        // This replica has now checked the schema, id and signatures:
+        // its own delivery of the same bytes re-runs only the stateful
+        // rules. Other replicas' sets are untouched — each verifies
+        // once for itself.
+        record_validated(t, &view);
+        // Derive the footprint while we hold the parsed transaction:
+        // CheckTx runs on every replica anyway (Fig. 4's second check
+        // set), so delivery can verify a gossiped schedule against
+        // cached footprints instead of re-deriving the whole block's.
+        self.cache_footprint(node, tx, t);
+        let sigs = t.inputs.len();
+        let caps = self.capability_work(node, t);
+        Ok(self.cost.check_cost(payload.len(), sigs, caps))
+    }
+
     /// Post-delivery bookkeeping shared by the block and single-tx
     /// paths: the node-0 query mirror and nested-settlement tracking.
     fn after_deliver(&mut self, node: NodeId, t: &Transaction) {
@@ -679,24 +758,27 @@ impl SmartchainCluster {
 impl App for SmartchainCluster {
     fn check_tx(&mut self, node: NodeId, tx: TxId, payload: &str) -> AppResult {
         let t = self.parse(tx, payload)?;
-        // Validate through the pending-aware view so CheckTx accepts
-        // spends of outputs created by a block whose apply is still
-        // deferred in the cross-block pipeline.
-        let view = self.replicas[node].view();
-        validate_transaction(&t, &view).map_err(|e| e.to_string())?;
-        // This replica has now checked the schema, id and signatures:
-        // its own delivery of the same bytes re-runs only the stateful
-        // rules. Other replicas' sets are untouched — each verifies
-        // once for itself.
-        record_validated(&t, &view);
-        // Derive the footprint while we hold the parsed transaction:
-        // CheckTx runs on every replica anyway (Fig. 4's second check
-        // set), so delivery can verify a gossiped schedule against
-        // cached footprints instead of re-deriving the whole block's.
-        self.cache_footprint(node, tx, &t);
-        let sigs = t.inputs.len();
-        let caps = self.capability_work(node, &t);
-        Ok(self.cost.check_cost(payload.len(), sigs, caps))
+        self.check_parsed(node, tx, payload, &t)
+    }
+
+    /// CheckTx for a proposed block: the members `node` has not
+    /// verified yet get their schema, id and signature checks as one
+    /// pool over the workers, then every member goes through exactly
+    /// [`App::check_tx`]'s body in block order — where the pooled
+    /// members now hit the verified set, and a member the pool could
+    /// not vouch for takes the full check and is named by it.
+    fn check_block(&mut self, node: NodeId, txs: &[(TxId, &str)]) -> Vec<AppResult> {
+        let _span = self.pipeline.telemetry.span("cluster.check_block_ns");
+        let parsed: Vec<Result<Arc<Transaction>, String>> = txs
+            .iter()
+            .map(|(tx, payload)| self.parse(*tx, payload))
+            .collect();
+        let batch: Vec<Arc<Transaction>> = parsed.iter().flatten().cloned().collect();
+        self.verify_block_pool(node, &batch, CHECK_BLOCK_POOL);
+        txs.iter()
+            .zip(parsed)
+            .map(|((tx, payload), t)| self.check_parsed(node, *tx, payload, t?.as_ref()))
+            .collect()
     }
 
     fn deliver_tx(&mut self, node: NodeId, tx: TxId, payload: &str) -> AppResult {
@@ -860,6 +942,10 @@ impl App for SmartchainCluster {
             .filter_map(|(i, t)| t.as_ref().map(|_| i))
             .collect();
 
+        // The members this replica never CheckTx'd (it proposed the
+        // block, or caught up on it) are verified as one pool, so the
+        // commit below re-runs only the stateful rules.
+        self.verify_block_pool(node, &batch, DELIVER_BLOCK_POOL);
         let footprints = self.block_footprints(node, &batch_ids, &batch);
         let (outcome, source) = if self.pipeline.cross_block {
             // Cross-block pipeline: resolve this block's verdicts while
@@ -936,26 +1022,14 @@ impl App for SmartchainCluster {
             }
         }
 
-        // Footprint-cache retirement. Committed transactions are
-        // delivered by every replica (including crashed ones, via
-        // catch-up), so the delivery count gates their removal. A
-        // transaction *rejected* here never reaches the other
-        // replicas' deliveries at all — the engine filters rejected
-        // txs out of later executions — so waiting for a full count
-        // would leak its entry forever; retire it the moment the first
-        // replica rejects it.
-        let replicas = self.replicas.len();
+        // A transaction *rejected* here never reaches the other
+        // replicas' deliveries, nor any commit hook — the engine
+        // filters rejected txs out of later executions — so waiting for
+        // a full delivery count would leak its cache entries forever;
+        // retire them the moment the first replica rejects it.
         for (slot, tx) in batch_slots.iter().zip(&batch_ids) {
             if verdicts[*slot].is_err() {
-                self.deliveries.remove(tx);
-                self.footprints.remove(tx);
-                continue;
-            }
-            let count = self.deliveries.entry(*tx).or_default();
-            *count += 1;
-            if *count >= replicas {
-                self.deliveries.remove(tx);
-                self.footprints.remove(tx);
+                self.retire(*tx);
             }
         }
         verdicts
@@ -1000,6 +1074,23 @@ impl App for SmartchainCluster {
             if self.dispatched.insert(accept.id.clone()) {
                 for child in children {
                     self.outbox.push(child.to_payload());
+                }
+            }
+        }
+        // Cache retirement. Committed transactions are delivered by
+        // every replica (including crashed ones, via catch-up), and the
+        // commit hook above is each delivery's last reader of the
+        // parsed payload, so the count of hooks run gates the removal.
+        let replicas = self.replicas.len();
+        for tx in committed {
+            let count = self.deliveries.entry(*tx).or_default();
+            *count += 1;
+            if *count >= replicas {
+                if let Some(t) = self.retire(*tx) {
+                    // Every replica has dispatched or skipped this
+                    // parent's children: the first-dispatcher mark is
+                    // spent.
+                    self.dispatched.remove(&t.id);
                 }
             }
         }
@@ -1228,6 +1319,10 @@ mod tests {
                 "node {node}: bob got his bid back"
             );
         }
+        // Quiescent: every commit hook ran on every replica, so both
+        // caches are empty — bounded by in-flight work, not history.
+        assert_eq!(app.parsed_cache_len(), 0);
+        assert_eq!(app.footprint_cache_len(), 0);
     }
 
     #[test]

@@ -566,11 +566,14 @@ fn check_tx_on_one_replica_does_not_hit_on_another() {
     assert_eq!(stats(&cluster, 0), (0, 1, 1));
     assert_eq!(stats(&cluster, 1), (0, 0, 0));
 
+    // Replica 1 never CheckTx'd these bytes: its delivery verifies them
+    // for itself (the block pool records, the commit then hits) —
+    // replica 0's entry did nothing for it.
     cluster.deliver_tx(1, 1, &payload).expect("delivers");
     cluster.sync_all();
     assert_eq!(
         stats(&cluster, 1),
-        (0, 1, 0),
+        (1, 0, 1),
         "replica 1 verified for itself"
     );
     cluster.deliver_tx(0, 1, &payload).expect("delivers");
