@@ -151,9 +151,8 @@ pub trait App {
     /// Applications with a batch execution path (the SmartchainDB
     /// cluster's conflict-aware validation pipeline) override it to
     /// validate — and, over the hash-sharded UTXO set, apply —
-    /// non-conflicting transactions concurrently, optionally
-    /// speculating across dependent waves through read-uncommitted
-    /// overlays, while keeping replica-identical results: the contract
+    /// non-conflicting transactions concurrently, while keeping
+    /// replica-identical results: the contract
     /// is that a block's verdicts and post-state depend only on the
     /// block's content and the pre-block state, never on the delivery
     /// strategy a replica chose — in particular, never on the

@@ -40,15 +40,15 @@ pub(crate) struct UtxoEffects {
 /// spends and the entries it registers — against *any* ledger view.
 ///
 /// This is the single effects computation shared by the scalar apply,
-/// the parallel wave apply, and the speculative overlay prediction
-/// ([`crate::speculation::WaveOverlay`]): the speculative pipeline
-/// predicts a wave's effects with exactly the routine the apply later
-/// executes, so a correct prediction is bit-identical to the real
-/// mutation. ACCEPT_BID's plan is empty — its inputs and outputs are
-/// the settlement plan its children realize (non-locking commit).
+/// the parallel wave apply, and the overlay prediction behind the
+/// proposer's gossiped digest ([`crate::speculation::WaveOverlay`]):
+/// the prediction uses exactly the routine the apply later executes,
+/// so a correct prediction is bit-identical to the real mutation.
+/// ACCEPT_BID's plan is empty — its inputs and outputs are the
+/// settlement plan its children realize (non-locking commit).
 /// The marketplace-index delta one transaction makes on commit — the
 /// single decision table shared by [`LedgerState::record_indexes`]
-/// (apply) and `WaveOverlay::predict` (speculation), so the overlay's
+/// (apply) and `WaveOverlay::predict` (prediction), so the overlay's
 /// predicted indexes can never drift from the applied ones.
 pub(crate) enum IndexDelta<'a> {
     /// No marketplace index changes.
@@ -117,10 +117,6 @@ pub(crate) fn utxo_effects_for(tx: &Transaction, view: &impl LedgerView) -> Utxo
     UtxoEffects { spends, adds }
 }
 
-/// Outcome of one wave member's UTXO apply: the spent refs (kept for
-/// the serial index bookkeeping) and the apply verdict.
-pub(crate) type ApplyOutcome = (Vec<OutputRef>, Result<(), SpendError>);
-
 /// Node-local committed state.
 #[derive(Default)]
 pub struct LedgerState {
@@ -140,11 +136,10 @@ pub struct LedgerState {
     committed_in_order: Vec<String>,
     /// The write-ahead log backing this ledger, when the durable mode
     /// ([`crate::pipeline::PipelineOptions::durable`]) is on. The
-    /// scalar apply write-ahead logs through it; the batch and
-    /// cross-block pipelines fetch it via
-    /// [`LedgerState::durable_store`] to log whole waves and seal
-    /// blocks at their own commit points. `None` (the default) is the
-    /// in-memory oracle.
+    /// scalar apply write-ahead logs through it; the batch pipeline
+    /// fetches it via [`LedgerState::durable_store`] to log whole
+    /// waves and seal blocks at its own commit points. `None` (the
+    /// default) is the in-memory oracle.
     durable: Option<Arc<DurableStore>>,
     /// Ids whose stateless checks (schema, id digest, signatures) an
     /// earlier stage already ran against this ledger — see
@@ -268,7 +263,7 @@ impl LedgerState {
     /// The concrete UTXO set (spend tracking, snapshots, balances).
     ///
     /// Inherent rather than part of [`LedgerView`]: layered views (the
-    /// speculative overlay) answer per-output lookups without holding a
+    /// predicted overlay) answer per-output lookups without holding a
     /// materialized set, so the trait only exposes
     /// [`LedgerView::utxo`].
     pub fn utxos(&self) -> &UtxoSet {
@@ -344,17 +339,34 @@ impl LedgerState {
     /// byte-identical to applying the wave serially.
     ///
     /// `effects` optionally carries precomputed UTXO plans (aligned
-    /// with `wave`): a `Some` slot is executed as-is — the speculative
-    /// pipeline hands over the plans its overlay already derived, so
-    /// prediction and apply share one computation — while a `None`
-    /// slot is derived here.
+    /// with `wave`): a `Some` slot is executed as-is — the durable path
+    /// hands over the plans it already derived for the WAL — while a
+    /// `None` slot is derived here.
     pub(crate) fn apply_wave(
         &mut self,
         wave: &[&Arc<Transaction>],
         effects: Vec<Option<UtxoEffects>>,
         workers: usize,
     ) -> Vec<Result<(), SpendError>> {
-        let outcomes = self.apply_wave_utxos(wave, effects, workers);
+        debug_assert_eq!(wave.len(), effects.len());
+        // Each slot resolves to (spent refs, verdict): the adds move
+        // into the UTXO set, the spends stay for the index bookkeeping.
+        // Workers derive missing plans themselves — utxo_effects reads
+        // only the committed-tx map, which nothing mutates until the
+        // serial phase — so the clone-heavy plan construction
+        // parallelizes along with the shard mutations.
+        let plans: Vec<std::sync::Mutex<Option<UtxoEffects>>> =
+            effects.into_iter().map(std::sync::Mutex::new).collect();
+        let outcomes = crate::par::parallel_map(wave.len(), workers, |slot| {
+            let tx = wave[slot];
+            let UtxoEffects { spends, adds } = plans[slot]
+                .lock()
+                .expect("plan slot")
+                .take()
+                .unwrap_or_else(|| self.utxo_effects(tx));
+            let verdict = self.utxos.apply_tx(&spends, adds, &tx.id).map(|_| ());
+            (spends, verdict)
+        });
         let mut verdicts = Vec::with_capacity(wave.len());
         for (tx, (spends, verdict)) in wave.iter().zip(outcomes) {
             if verdict.is_ok() {
@@ -365,47 +377,10 @@ impl LedgerState {
         verdicts
     }
 
-    /// The parallel half of [`LedgerState::apply_wave`]: executes the
-    /// wave's UTXO plans against the sharded set through `&self` —
-    /// mutation happens under the per-shard locks only — and returns
-    /// each member's spent refs + verdict for a later serial
-    /// [`LedgerState::record_indexes`] pass. Split out so the
-    /// cross-block pipeline ([`crate::cross_block`]) can run this phase
-    /// on a background thread while the next block validates against a
-    /// speculative view of the same ledger: every entry this touches is
-    /// shadowed by the pending block's overlays, so concurrent readers
-    /// never observe the base mid-flip.
-    pub(crate) fn apply_wave_utxos(
-        &self,
-        wave: &[&Arc<Transaction>],
-        effects: Vec<Option<UtxoEffects>>,
-        workers: usize,
-    ) -> Vec<ApplyOutcome> {
-        debug_assert_eq!(wave.len(), effects.len());
-        // Each slot resolves to (spent refs, verdict): the adds move
-        // into the UTXO set, the spends stay for the index bookkeeping.
-        // Workers derive missing plans themselves — utxo_effects reads
-        // only the committed-tx map, which nothing mutates until the
-        // serial phase — so the clone-heavy plan construction
-        // parallelizes along with the shard mutations.
-        let plans: Vec<std::sync::Mutex<Option<UtxoEffects>>> =
-            effects.into_iter().map(std::sync::Mutex::new).collect();
-        crate::par::parallel_map(wave.len(), workers, |slot| {
-            let tx = wave[slot];
-            let UtxoEffects { spends, adds } = plans[slot]
-                .lock()
-                .expect("plan slot")
-                .take()
-                .unwrap_or_else(|| self.utxo_effects(tx));
-            let verdict = self.utxos.apply_tx(&spends, adds, &tx.id).map(|_| ());
-            (spends, verdict)
-        })
-    }
-
     /// Everything a commit mutates besides the UTXO set: the locked-bid
     /// escrow counts, the per-type marketplace indexes, the committed
     /// map and the commit order.
-    pub(crate) fn record_indexes(&mut self, tx: &Arc<Transaction>, spent: &[OutputRef]) {
+    fn record_indexes(&mut self, tx: &Arc<Transaction>, spent: &[OutputRef]) {
         // Spending a BID's escrow output unlocks that share of the
         // bid: keep the locked-bid index in step.
         for spent_ref in spent {
@@ -417,7 +392,7 @@ impl LedgerState {
             }
         }
 
-        // The escrow lock count is ledger-only state: the speculative
+        // The escrow lock count is ledger-only state: the predicted
         // overlay derives lock status from output spentness instead of
         // mirroring this index.
         if tx.operation == Operation::Bid && !tx.outputs.is_empty() {

@@ -34,7 +34,6 @@
 
 mod builder;
 pub mod conditions;
-pub mod cross_block;
 mod errors;
 mod ledger;
 mod model;
@@ -50,7 +49,6 @@ pub mod workflow;
 
 pub use builder::{sign_transaction, TxBuilder};
 pub use conditions::{condition_set_for, Condition, ConditionViolation};
-pub use cross_block::CrossBlockPipeline;
 pub use errors::{ValidationError, WireError};
 pub use ledger::LedgerState;
 pub use model::{AssetRef, Input, InputRef, Operation, Output, Transaction, VERSION};

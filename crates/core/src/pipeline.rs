@@ -30,28 +30,20 @@
 //!    block through the pipeline reaches the byte-identical state the
 //!    sequential path produces (see DESIGN-pipeline.md for the
 //!    argument).
-//! 5. **Speculation** — with [`PipelineOptions::speculation`] on,
-//!    validation crosses wave boundaries: wave `k+1` validates against
-//!    the pre-wave snapshot plus a tentative overlay of wave `k`'s
-//!    predicted effects ([`crate::speculation`]), so no validation
-//!    barrier separates waves. Members whose footprints intersect the
-//!    writes of a wave-`k` member that diverged from its speculated
-//!    outcome (rejected, or failed mid-apply) are cheaply re-validated
-//!    against the committed state; everyone else keeps their
-//!    speculative verdict. The wave-barrier path stays available as
-//!    the oracle — DESIGN-speculation.md carries the equivalence
-//!    argument, and the differential proptests pin it.
+//!
+//! This wave-barrier loop is the only commit executor; the sequential
+//! `validate_transaction` + `LedgerState::apply` replay is the oracle
+//! the differential tests pin it against.
 
 use crate::errors::ValidationError;
 use crate::ledger::{utxo_effects_for, LedgerState, UtxoEffects};
 use crate::model::{AssetRef, Operation, Transaction};
 use crate::par::parallel_map;
-use crate::speculation::{SpeculativeView, WaveOverlay};
 use crate::validate::validate_transaction;
 use crate::view::LedgerView;
 use scdb_json::Value;
 use scdb_store::{FsyncLevel, OutputRef, Utxo};
-use scdb_telemetry::{CommitTrace, Stopwatch, Telemetry};
+use scdb_telemetry::{env_flag, CommitTrace, Stopwatch, Telemetry};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
@@ -260,22 +252,11 @@ pub struct PipelineOptions {
     /// apply-side lock granularity only; committed state is identical
     /// across counts.
     pub utxo_shards: usize,
-    /// Speculative cross-wave validation: every wave validates
-    /// concurrently in one worker pool, wave `k+1` against a tentative
-    /// overlay of wave `k`'s predicted effects, with footprint-targeted
-    /// re-validation on mis-speculation. `false` keeps the wave-barrier
-    /// path (the oracle). Committed state is identical either way.
-    ///
-    /// The default honours the `SCDB_SPECULATION` environment variable
-    /// (`1`/`true`/`on`/`yes` — CI runs the whole suite with it set so
-    /// both paths stay green), falling back to off.
-    pub speculation: bool,
     /// Failure-injection harness: ids whose UTXO apply is forced to
     /// abort mid-batch (atomically, touching no shard) even though
     /// validation passed — simulating a transaction failing mid-apply.
     /// The member is rejected exactly as a late spend conflict would
-    /// be, so the speculative and barrier paths stay comparable under
-    /// identical injections. Test-only; empty in production.
+    /// be. Test-only; empty in production.
     pub fail_apply: BTreeSet<String>,
     /// Block-level schedule gossip: when a delivered block carries the
     /// proposer's serialized [`WaveSchedule`], verify it cheaply
@@ -284,27 +265,10 @@ pub struct PipelineOptions {
     /// falling back to full re-derivation on any mismatch, so an
     /// adversarial proposer can waste work but never corrupt state.
     /// `false` ignores gossiped schedules entirely (the no-gossip
-    /// oracle path).
-    ///
-    /// The default honours the `SCDB_SCHEDULE_GOSSIP` environment
-    /// variable (`0`/`false`/`off`/`no` disables — CI runs the whole
-    /// suite both ways), falling back to on: gossip is a pure
-    /// optimization whose rejection path is always safe.
+    /// reference the gossip tests compare against). On by default:
+    /// gossip is a pure optimization whose rejection path is always
+    /// safe.
     pub schedule_gossip: bool,
-    /// Cross-block pipelining: consecutive blocks overlap through
-    /// [`crate::cross_block::CrossBlockPipeline`] — while block `k`'s
-    /// waves apply their UTXO plans on a background thread, block
-    /// `k+1` validates against base + block `k`'s predicted
-    /// [`crate::speculation::WaveOverlay`] chain, with
-    /// footprint-targeted re-validation of exactly the members whose
-    /// read∪write set intersects block `k`'s diverged writes. `false`
-    /// keeps today's block-at-a-time execution (the oracle); committed
-    /// state, verdicts and digests are identical either way.
-    ///
-    /// The default honours the `SCDB_CROSS_BLOCK` environment variable
-    /// (`1`/`true`/`on`/`yes` — CI runs the whole suite with it set,
-    /// crossed with `SCDB_SPECULATION`), falling back to off.
-    pub cross_block: bool,
     /// Durable sharded store: every commit path write-ahead logs wave
     /// effects to per-shard WALs and seals each block in a manifest
     /// before the in-memory state is the block's only copy
@@ -314,8 +278,8 @@ pub struct PipelineOptions {
     /// only adds the recovery path.
     ///
     /// The default honours the `SCDB_DURABLE` environment variable
-    /// (`1`/`true`/`on`/`yes` — CI runs the whole suite with it set,
-    /// crossed with `SCDB_CROSS_BLOCK`), falling back to off.
+    /// ([`scdb_telemetry::env_flag`] — CI runs the whole suite with it
+    /// set), falling back to off.
     pub durable: bool,
     /// Durability level for the attached store's group-commit path
     /// ([`scdb_store::FsyncLevel`]): `None` keeps the legacy
@@ -325,8 +289,8 @@ pub struct PipelineOptions {
     /// consulted when [`PipelineOptions::durable`] attaches a store.
     ///
     /// The default honours the `SCDB_FSYNC` environment variable
-    /// (`none`/`block`/`group:N` — CI's durability matrix crosses it
-    /// with `SCDB_CROSS_BLOCK`), falling back to `None`.
+    /// (`none`/`block`/`group:N` — one cell of CI's durable matrix
+    /// sets it), falling back to `None`.
     pub fsync: FsyncLevel,
     /// Runtime telemetry handle ([`scdb_telemetry::Telemetry`]):
     /// stage-level commit tracing, lock-free counters/histograms, and
@@ -339,7 +303,7 @@ pub struct PipelineOptions {
     /// the same registry.
     ///
     /// The default honours the `SCDB_TELEMETRY` environment variable
-    /// (`1`/`true`/`on`/`yes`), falling back to off.
+    /// ([`scdb_telemetry::env_flag`]), falling back to off.
     pub telemetry: Telemetry,
 }
 
@@ -351,67 +315,13 @@ impl Default for PipelineOptions {
         PipelineOptions {
             workers: cores.min(8),
             utxo_shards: scdb_store::DEFAULT_UTXO_SHARDS,
-            speculation: speculation_env_default(),
             fail_apply: BTreeSet::new(),
-            schedule_gossip: schedule_gossip_env_default(),
-            cross_block: cross_block_env_default(),
-            durable: durable_env_default(),
+            schedule_gossip: true,
+            durable: env_flag("SCDB_DURABLE").unwrap_or(false),
             fsync: FsyncLevel::from_env(),
             telemetry: Telemetry::from_env(),
         }
     }
-}
-
-/// The `SCDB_SPECULATION` environment override for
-/// [`PipelineOptions::speculation`]'s default.
-fn speculation_env_default() -> bool {
-    std::env::var("SCDB_SPECULATION")
-        .map(|v| {
-            matches!(
-                v.trim().to_ascii_lowercase().as_str(),
-                "1" | "true" | "on" | "yes"
-            )
-        })
-        .unwrap_or(false)
-}
-
-/// The `SCDB_CROSS_BLOCK` environment override for
-/// [`PipelineOptions::cross_block`]'s default.
-fn cross_block_env_default() -> bool {
-    std::env::var("SCDB_CROSS_BLOCK")
-        .map(|v| {
-            matches!(
-                v.trim().to_ascii_lowercase().as_str(),
-                "1" | "true" | "on" | "yes"
-            )
-        })
-        .unwrap_or(false)
-}
-
-/// The `SCDB_DURABLE` environment override for
-/// [`PipelineOptions::durable`]'s default.
-fn durable_env_default() -> bool {
-    std::env::var("SCDB_DURABLE")
-        .map(|v| {
-            matches!(
-                v.trim().to_ascii_lowercase().as_str(),
-                "1" | "true" | "on" | "yes"
-            )
-        })
-        .unwrap_or(false)
-}
-
-/// The `SCDB_SCHEDULE_GOSSIP` environment override for
-/// [`PipelineOptions::schedule_gossip`]'s default (on unless disabled).
-fn schedule_gossip_env_default() -> bool {
-    std::env::var("SCDB_SCHEDULE_GOSSIP")
-        .map(|v| {
-            !matches!(
-                v.trim().to_ascii_lowercase().as_str(),
-                "0" | "false" | "off" | "no"
-            )
-        })
-        .unwrap_or(true)
 }
 
 impl PipelineOptions {
@@ -428,12 +338,6 @@ impl PipelineOptions {
         self
     }
 
-    /// Turns speculative cross-wave validation on or off.
-    pub fn speculative(mut self, on: bool) -> PipelineOptions {
-        self.speculation = on;
-        self
-    }
-
     /// Registers a transaction id whose apply is forced to fail
     /// (failure-injection test harness; see
     /// [`PipelineOptions::fail_apply`]).
@@ -445,12 +349,6 @@ impl PipelineOptions {
     /// Turns block-level schedule gossip on or off.
     pub fn gossip(mut self, on: bool) -> PipelineOptions {
         self.schedule_gossip = on;
-        self
-    }
-
-    /// Turns cross-block pipelining on or off.
-    pub fn cross(mut self, on: bool) -> PipelineOptions {
-        self.cross_block = on;
         self
     }
 
@@ -486,14 +384,9 @@ pub struct BatchOutcome {
     pub waves: usize,
     /// Size of the largest wave (the parallelism actually available).
     pub widest_wave: usize,
-    /// True when the speculative cross-wave pipeline executed this
-    /// batch (false on the wave-barrier path, including single-wave
-    /// batches where speculation has nothing to overlap).
-    pub speculative: bool,
-    /// Number of speculative verdicts that were discarded and
-    /// re-checked against committed state because the member's
-    /// footprint intersected a diverged wave's writes. Zero when every
-    /// prediction held.
+    /// Always 0 since ISSUE 17 (the re-validating executors are gone);
+    /// removed together with `core.re_validated_txs` by the next
+    /// `benchmark` PR.
     pub re_validated: usize,
     /// Set when the durable store refused a write-ahead log or seal —
     /// the batch (or the affected waves) failed closed: members are
@@ -512,10 +405,8 @@ impl BatchOutcome {
 
 /// A planned batch: the wave partition plus every member's footprint.
 ///
-/// Layering has to derive all footprints anyway; carrying them here —
-/// instead of re-deriving per stage, which the apply path used to do —
-/// lets the speculative intersection test, the divergence bookkeeping
-/// and the apply all share that one computation.
+/// Layering has to derive all footprints anyway; carrying them here
+/// lets schedule verification and gossip reuse that one computation.
 #[derive(Debug, Clone, Default)]
 pub struct WaveSchedule {
     /// The wave partition as batch indices, wave-major — the exact
@@ -553,15 +444,9 @@ pub fn build_schedule(footprints: Vec<Footprint>) -> WaveSchedule {
 }
 
 /// The full planning stage: footprints + wave layering, as one call
-/// (the pipeline benchmark and the tests model/inspect the same plan
-/// through this function).
+/// (the tests inspect the same plan through this function).
 pub fn plan_schedule(batch: &[Arc<Transaction>], ledger: &impl LedgerView) -> WaveSchedule {
     build_schedule(derive_footprints(batch, ledger))
-}
-
-/// [`plan_schedule`]'s wave partition alone.
-pub fn plan_waves(batch: &[Arc<Transaction>], ledger: &impl LedgerView) -> Vec<Vec<usize>> {
-    plan_schedule(batch, ledger).waves
 }
 
 impl ConflictKey {
@@ -712,8 +597,7 @@ pub enum ScheduleError {
     /// plan produces holds at least one member, so wave count ≤ n);
     /// accepting them would let an adversarial proposer pad a schedule
     /// with millions of no-op waves that each cost the replica a
-    /// validation round and, speculatively, an overlay — an
-    /// amplification with no honest use.
+    /// validation round — an amplification with no honest use.
     EmptyWave { wave: usize },
     /// Two conflicting members are not ordered into strictly increasing
     /// waves (`earlier` must apply in a strictly earlier wave than
@@ -887,9 +771,7 @@ pub fn commit_batch_with_gossip(
 
 /// The schedule-selection half of [`commit_batch_with_gossip`]:
 /// verify-and-adopt the gossiped wave partition, or fall back to local
-/// re-layering — without committing anything. Split out so delivery
-/// paths that commit through a different executor (the cross-block
-/// pipeline) share the exact selection logic.
+/// re-layering — without committing anything.
 pub fn choose_schedule(
     n: usize,
     footprints: Vec<Footprint>,
@@ -958,11 +840,10 @@ pub fn unresolved_links(
 /// Equivalent to validating and applying each transaction in order
 /// (same accepted set, same rejection reasons, same final state — the
 /// differential property tests in `proptests.rs` pin this), but wave
-/// members validate — and apply their UTXO effects — concurrently, and
-/// with [`PipelineOptions::speculation`] on, validation also crosses
-/// wave boundaries through tentative overlays. `options.workers`
-/// drives every stage; `options.utxo_shards` has no effect here (the
-/// ledger's shard count was fixed when the ledger was constructed).
+/// members validate — and apply their UTXO effects — concurrently.
+/// `options.workers` drives every stage; `options.utxo_shards` has no
+/// effect here (the ledger's shard count was fixed when the ledger was
+/// constructed).
 pub fn commit_batch(
     ledger: &mut LedgerState,
     batch: &[Arc<Transaction>],
@@ -977,66 +858,43 @@ pub fn commit_batch(
 
 /// Per-commit stage accumulator. Disabled it never reads a clock;
 /// enabled it folds each stage's wall time into one ordered entry per
-/// stage name (a stage timed once per wave accumulates across waves),
-/// plus the event counts that explain the block's shape. Shared with
-/// the cross-block executor.
-pub(crate) struct StageClock {
+/// stage name (a stage timed once per wave accumulates across waves).
+struct StageClock {
     enabled: bool,
     stages: Vec<(&'static str, u64)>,
-    counts: Vec<(&'static str, u64)>,
 }
 
 impl StageClock {
-    pub(crate) fn new(enabled: bool) -> StageClock {
+    fn new(enabled: bool) -> StageClock {
         StageClock {
             enabled,
             stages: Vec::new(),
-            counts: Vec::new(),
         }
     }
 
     /// Runs `f`, charging its wall time to `stage` (just runs `f` when
     /// disabled).
     #[inline]
-    pub(crate) fn time<T>(&mut self, stage: &'static str, f: impl FnOnce() -> T) -> T {
+    fn time<T>(&mut self, stage: &'static str, f: impl FnOnce() -> T) -> T {
         if !self.enabled {
             return f();
         }
         let clock = Stopwatch::new();
         let out = f();
-        self.charge(stage, clock.elapsed_ns());
-        out
-    }
-
-    /// Adds `ns` to `stage`'s accumulated time.
-    pub(crate) fn charge(&mut self, stage: &'static str, ns: u64) {
-        if !self.enabled {
-            return;
-        }
+        let ns = clock.elapsed_ns();
         match self.stages.iter_mut().find(|(s, _)| *s == stage) {
             Some((_, total)) => *total += ns,
             None => self.stages.push((stage, ns)),
         }
-    }
-
-    /// Accumulates an event count for the block's trace.
-    pub(crate) fn count(&mut self, name: &'static str, n: u64) {
-        if !self.enabled {
-            return;
-        }
-        match self.counts.iter_mut().find(|(s, _)| *s == name) {
-            Some((_, total)) => *total += n,
-            None => self.counts.push((name, n)),
-        }
+        out
     }
 }
 
 /// Folds one finished commit into the registry: per-stage histograms,
-/// the executor's block/tx counters, and the block's [`CommitTrace`].
-/// No-op when telemetry is disabled.
-pub(crate) fn record_commit(
+/// the block/tx counters, and the block's [`CommitTrace`]. No-op when
+/// telemetry is disabled.
+fn record_commit(
     telemetry: &Telemetry,
-    executor: &'static str,
     clock: StageClock,
     total_ns: u64,
     txs: usize,
@@ -1046,33 +904,29 @@ pub(crate) fn record_commit(
         return;
     };
     registry
-        .histogram(&format!("{executor}.commit_total_ns"))
+        .histogram("pipeline.commit_total_ns")
         .record(total_ns);
     for (stage, ns) in &clock.stages {
         registry
-            .histogram(&format!("{executor}.stage.{stage}_ns"))
+            .histogram(&format!("pipeline.stage.{stage}_ns"))
             .record(*ns);
     }
-    registry.counter(&format!("{executor}.blocks")).incr();
+    registry.counter("pipeline.blocks").incr();
     registry
-        .counter(&format!("{executor}.txs_committed"))
+        .counter("pipeline.txs_committed")
         .add(outcome.committed.len() as u64);
     registry
-        .counter(&format!("{executor}.txs_rejected"))
+        .counter("pipeline.txs_rejected")
         .add(outcome.rejected.len() as u64);
-    registry
-        .counter(&format!("{executor}.re_validated"))
-        .add(outcome.re_validated as u64);
     telemetry.record_trace(CommitTrace {
         block: 0, // assigned by the ring
-        executor,
+        executor: "pipeline",
         txs,
         committed: outcome.committed.len(),
         rejected: outcome.rejected.len(),
         waves: outcome.waves,
         total_ns,
         stages: clock.stages,
-        counts: clock.counts,
     });
 }
 
@@ -1117,24 +971,27 @@ pub fn commit_batch_planned(
 
     let commit_start = ledger.committed_ids().len();
     let mut accepted: Vec<usize> = Vec::with_capacity(batch.len());
-    // A single wave has no cross-wave edge to speculate over — the
-    // barrier path is the speculative path there.
-    if options.speculation && schedule.waves.len() > 1 {
-        outcome.speculative = true;
-        commit_speculative(
+    // The wave barrier: validate wave `k`, apply wave `k`, only then
+    // look at wave `k+1`.
+    for wave in &schedule.waves {
+        // Parallel validation of this wave against the current state —
+        // immutable for the duration of the wave.
+        let verdicts = clock.time("validate", || {
+            parallel_map(wave.len(), options.workers, |slot| {
+                validate_transaction(&batch[wave[slot]], &*ledger)
+            })
+        });
+        let mut survivors: Vec<usize> = Vec::with_capacity(wave.len());
+        for (&index, verdict) in wave.iter().zip(verdicts) {
+            match verdict {
+                Ok(()) => survivors.push(index),
+                Err(e) => outcome.rejected.push((index, e)),
+            }
+        }
+        apply_survivors(
             ledger,
             batch,
-            schedule,
-            options,
-            &mut outcome,
-            &mut accepted,
-            &mut clock,
-        );
-    } else {
-        commit_barrier(
-            ledger,
-            batch,
-            schedule,
+            &survivors,
             options,
             &mut outcome,
             &mut accepted,
@@ -1177,7 +1034,6 @@ pub fn commit_batch_planned(
     if let Some(block_clock) = block_clock {
         record_commit(
             &options.telemetry,
-            "pipeline",
             clock,
             block_clock.elapsed_ns(),
             batch.len(),
@@ -1190,201 +1046,31 @@ pub fn commit_batch_planned(
 /// Drops a block's rejected members from the ledger's verified set: a
 /// verdict consumed the entry, and a resubmission is verified afresh.
 /// (Committed members left the set when they applied.)
-pub(crate) fn forget_rejected(
-    ledger: &LedgerState,
-    batch: &[Arc<Transaction>],
-    outcome: &BatchOutcome,
-) {
+fn forget_rejected(ledger: &LedgerState, batch: &[Arc<Transaction>], outcome: &BatchOutcome) {
     for (index, _) in &outcome.rejected {
         ledger.forget_verified(&batch[*index].id);
     }
 }
 
-/// The wave-barrier execution: validate wave `k`, apply wave `k`, only
-/// then look at wave `k+1` — the oracle the speculative path must
-/// match byte-for-byte.
-fn commit_barrier(
-    ledger: &mut LedgerState,
-    batch: &[Arc<Transaction>],
-    schedule: &WaveSchedule,
-    options: &PipelineOptions,
-    outcome: &mut BatchOutcome,
-    accepted: &mut Vec<usize>,
-    clock: &mut StageClock,
-) {
-    for wave in &schedule.waves {
-        // Parallel validation of this wave against the current state —
-        // immutable for the duration of the wave.
-        let verdicts = clock.time("validate", || {
-            validate_wave(&*ledger, batch, wave, options.workers)
-        });
-        let mut survivors: Vec<usize> = Vec::with_capacity(wave.len());
-        for (&index, verdict) in wave.iter().zip(verdicts) {
-            match verdict {
-                Ok(()) => survivors.push(index),
-                Err(e) => outcome.rejected.push((index, e)),
-            }
-        }
-        let effects = survivors.iter().map(|_| None).collect();
-        apply_survivors(
-            ledger, batch, &survivors, effects, options, outcome, accepted, clock,
-        );
-    }
-}
-
-/// The speculative cross-wave execution. Three phases:
-///
-/// 1. **Predict** — chain one [`WaveOverlay`] per wave over the
-///    committed base, each derived against the view of all earlier
-///    overlays (serial, footprint-cheap: no signature work).
-/// 2. **Speculate** — one worker pool validates *every* member of
-///    *every* wave concurrently, wave `k` against
-///    `base + overlays[..k]`. No validation barrier between waves:
-///    stragglers of wave `k` and all of wave `k+1` share workers.
-/// 3. **Resolve** — waves commit in order. A member keeps its
-///    speculative verdict unless its footprint intersects the write
-///    set of an earlier member that diverged (was rejected, failed
-///    mid-apply, or itself got re-validated — its overlay contribution
-///    is then suspect); intersecting members are re-validated against
-///    the committed state, exactly as the barrier path would have
-///    validated them. Survivors apply with the predicted UTXO plans.
-fn commit_speculative(
-    ledger: &mut LedgerState,
-    batch: &[Arc<Transaction>],
-    schedule: &WaveSchedule,
-    options: &PipelineOptions,
-    outcome: &mut BatchOutcome,
-    accepted: &mut Vec<usize>,
-    clock: &mut StageClock,
-) {
-    let waves = &schedule.waves;
-
-    // Phase 1 — predict.
-    let mut overlays: Vec<WaveOverlay> = Vec::with_capacity(waves.len());
-    clock.time("predict", || {
-        for wave in waves {
-            let members: Vec<&Arc<Transaction>> = wave.iter().map(|&i| &batch[i]).collect();
-            let overlay = WaveOverlay::predict(
-                &members,
-                &SpeculativeView::new(ledger, &overlays),
-                options.workers,
-            );
-            overlays.push(overlay);
-        }
-    });
-
-    // Phase 2 — speculate.
-    let mut spec_verdicts = clock.time("speculate", || {
-        validate_speculative(ledger, batch, waves, &overlays, options.workers)
-    });
-
-    // Phase 3 — resolve.
-    let mut diverged_writes: HashSet<&ConflictKey> = HashSet::new();
-    for (k, wave) in waves.iter().enumerate() {
-        let mut effects = overlays[k].take_effects();
-
-        // Tainted members: footprint intersects a diverged write. The
-        // intersection covers reads *and* writes — spentness reads are
-        // modelled as write keys (see [`footprint`]).
-        let dirty: Vec<bool> = wave
-            .iter()
-            .map(|&index| {
-                let fp = &schedule.footprints[index];
-                fp.reads
-                    .iter()
-                    .chain(fp.writes.iter())
-                    .any(|key| diverged_writes.contains(key))
-            })
-            .collect();
-        let dirty_members: Vec<usize> = wave
-            .iter()
-            .zip(&dirty)
-            .filter(|(_, d)| **d)
-            .map(|(&index, _)| index)
-            .collect();
-        outcome.re_validated += dirty_members.len();
-        let mut fresh = clock
-            .time("revalidate", || {
-                validate_wave(&*ledger, batch, &dirty_members, options.workers)
-            })
-            .into_iter();
-
-        let mut survivors: Vec<usize> = Vec::with_capacity(wave.len());
-        let mut survivor_effects: Vec<Option<UtxoEffects>> = Vec::with_capacity(wave.len());
-        for (j, &index) in wave.iter().enumerate() {
-            let verdict = if dirty[j] {
-                fresh.next().expect("one fresh verdict per dirty member")
-            } else {
-                spec_verdicts[index]
-                    .take()
-                    .expect("speculated exactly once")
-            };
-            match verdict {
-                Ok(()) => {
-                    survivors.push(index);
-                    // A tainted member's predicted plan may be stale
-                    // (it was derived pre-divergence) — let the apply
-                    // re-derive it from committed state.
-                    survivor_effects.push(if dirty[j] { None } else { effects[j].take() });
-                }
-                Err(e) => outcome.rejected.push((index, e)),
-            }
-        }
-        let committed = apply_survivors(
-            ledger,
-            batch,
-            &survivors,
-            survivor_effects,
-            options,
-            outcome,
-            accepted,
-            clock,
-        );
-
-        // Divergence bookkeeping: whoever did not end up committing —
-        // and, conservatively, every re-validated member — invalidates
-        // the overlay entries later waves speculated against.
-        let committed_set: HashSet<usize> = survivors
-            .iter()
-            .zip(&committed)
-            .filter(|(_, ok)| **ok)
-            .map(|(&index, _)| index)
-            .collect();
-        for (j, &index) in wave.iter().enumerate() {
-            if dirty[j] || !committed_set.contains(&index) {
-                diverged_writes.extend(schedule.footprints[index].writes.iter());
-            }
-        }
-    }
-    clock.count("re_validated", outcome.re_validated as u64);
-    clock.count("diverged_keys", diverged_writes.len() as u64);
-}
-
-/// Applies one wave's surviving members — optionally with predicted
-/// UTXO plans aligned with `survivors` — honouring the
-/// failure-injection set. Returns one committed flag per survivor.
+/// Applies one wave's surviving members, honouring the
+/// failure-injection set.
 ///
 /// Validation passed against the pre-wave state and wave members are
 /// pairwise conflict-free, so apply cannot fail outside injection; the
-/// double-spend arm is belt-and-braces (and the speculative path's
-/// divergence trigger).
-#[allow(clippy::too_many_arguments)]
+/// double-spend arm is belt-and-braces.
 fn apply_survivors(
     ledger: &mut LedgerState,
     batch: &[Arc<Transaction>],
     survivors: &[usize],
-    mut effects: Vec<Option<UtxoEffects>>,
     options: &PipelineOptions,
     outcome: &mut BatchOutcome,
     accepted: &mut Vec<usize>,
     clock: &mut StageClock,
-) -> Vec<bool> {
-    debug_assert_eq!(survivors.len(), effects.len());
-    let mut committed = vec![false; survivors.len()];
+) {
     // Peel off injected failures: their apply aborts atomically,
     // touching no shard, exactly like a late spend conflict.
     let mut live: Vec<usize> = Vec::with_capacity(survivors.len());
-    for (pos, &index) in survivors.iter().enumerate() {
+    for &index in survivors {
         if options.fail_apply.contains(batch[index].id.as_str()) {
             outcome.rejected.push((
                 index,
@@ -1394,23 +1080,22 @@ fn apply_survivors(
                 )),
             ));
         } else {
-            live.push(pos);
+            live.push(index);
         }
     }
 
-    let wave_txs: Vec<&Arc<Transaction>> = live.iter().map(|&pos| &batch[survivors[pos]]).collect();
-    let mut live_effects: Vec<Option<UtxoEffects>> =
-        live.iter().map(|&pos| effects[pos].take()).collect();
+    let wave_txs: Vec<&Arc<Transaction>> = live.iter().map(|&index| &batch[index]).collect();
+    let mut effects: Vec<Option<UtxoEffects>> = live.iter().map(|_| None).collect();
     // Durable mode: the wave's effects hit the WAL before any shard
-    // mutates (write-ahead). Plans the barrier path left for the apply
-    // workers to derive are derived here instead and handed onward, so
-    // logging never doubles the derivation work.
+    // mutates (write-ahead). The plans the apply workers would derive
+    // are derived here instead and handed onward, so logging never
+    // doubles the derivation work.
     if let Some(store) = ledger.durable_store().cloned() {
         let logged = clock.time("wal", || {
             let mut spends: Vec<(OutputRef, String)> = Vec::new();
             let mut adds: Vec<(OutputRef, Utxo)> = Vec::new();
-            for (tx, slot) in wave_txs.iter().zip(live_effects.iter_mut()) {
-                let plan = slot.get_or_insert_with(|| utxo_effects_for(tx, &*ledger));
+            for (tx, slot) in wave_txs.iter().zip(effects.iter_mut()) {
+                let plan = slot.insert(utxo_effects_for(tx, &*ledger));
                 spends.extend(plan.spends.iter().map(|o| (o.clone(), tx.id.clone())));
                 adds.extend(plan.adds.iter().cloned());
             }
@@ -1424,71 +1109,25 @@ fn apply_survivors(
             // latched and refuses further writes until reopened.
             let why = e.to_string();
             outcome.wal_error = Some(why.clone());
-            for &pos in &live {
+            for &index in &live {
                 outcome
                     .rejected
-                    .push((survivors[pos], ValidationError::Storage(why.clone())));
+                    .push((index, ValidationError::Storage(why.clone())));
             }
-            return committed;
+            return;
         }
     }
     let applied = clock.time("apply", || {
-        ledger.apply_wave(&wave_txs, live_effects, options.workers)
+        ledger.apply_wave(&wave_txs, effects, options.workers)
     });
-    for (&pos, verdict) in live.iter().zip(applied) {
-        let index = survivors[pos];
+    for (&index, verdict) in live.iter().zip(applied) {
         match verdict {
-            Ok(()) => {
-                accepted.push(index);
-                committed[pos] = true;
-            }
+            Ok(()) => accepted.push(index),
             Err(spend) => outcome
                 .rejected
                 .push((index, ValidationError::DoubleSpend(spend.to_string()))),
         }
     }
-    committed
-}
-
-/// Phase 2 of the speculative path: validates every batch member in
-/// one worker pool, wave `k` members against `base + overlays[..k]`.
-/// Returns verdicts by batch index.
-fn validate_speculative(
-    base: &LedgerState,
-    batch: &[Arc<Transaction>],
-    waves: &[Vec<usize>],
-    overlays: &[WaveOverlay],
-    workers: usize,
-) -> Vec<Option<Result<(), ValidationError>>> {
-    let tasks: Vec<(usize, usize)> = waves
-        .iter()
-        .enumerate()
-        .flat_map(|(k, wave)| wave.iter().map(move |&index| (index, k)))
-        .collect();
-    let results = parallel_map(tasks.len(), workers, |slot| {
-        let (index, k) = tasks[slot];
-        let view = SpeculativeView::new(base, &overlays[..k]);
-        validate_transaction(&batch[index], &view)
-    });
-    let mut verdicts: Vec<Option<Result<(), ValidationError>>> =
-        batch.iter().map(|_| None).collect();
-    for (slot, verdict) in results.into_iter().enumerate() {
-        verdicts[tasks[slot].0] = Some(verdict);
-    }
-    verdicts
-}
-
-/// Validates `wave`'s members concurrently; returns verdicts aligned
-/// with `wave`'s order.
-fn validate_wave(
-    snapshot: &LedgerState,
-    batch: &[Arc<Transaction>],
-    wave: &[usize],
-    workers: usize,
-) -> Vec<Result<(), ValidationError>> {
-    parallel_map(wave.len(), workers, |slot| {
-        validate_transaction(&batch[wave[slot]], snapshot)
-    })
 }
 
 #[cfg(test)]
@@ -1616,7 +1255,7 @@ mod tests {
             }
             m.ledger.apply(&request).unwrap();
         }
-        let planned = plan_waves(&batch, &m.ledger);
+        let planned = plan_schedule(&batch, &m.ledger).waves;
         let mut wave_of = vec![0usize; batch.len()];
         for (wave, members) in planned.iter().enumerate() {
             for &index in members {
@@ -1920,170 +1559,43 @@ mod tests {
         assert_ne!(m.ledger.state_digest(), predicted);
     }
 
-    #[test]
-    fn speculative_commit_matches_barrier_across_dependent_waves() {
-        let mut barrier = market();
-        let batch = dependent_wave_batch(&mut barrier);
-        let mut speculative = market();
-        dependent_wave_batch(&mut speculative);
-
-        let base = PipelineOptions::with_workers(4);
-        let b = commit_batch(
-            &mut barrier.ledger,
-            &batch,
-            &base.clone().speculative(false),
-        );
-        let s = commit_batch(
-            &mut speculative.ledger,
-            &batch,
-            &base.clone().speculative(true),
-        );
-
-        assert!(!b.speculative);
-        assert!(s.speculative, "multi-wave batch must run speculatively");
-        assert_eq!(s.waves, 3, "bid | bid | accept");
-        assert_eq!(
-            s.re_validated, 0,
-            "clean batch: every speculation must hold"
-        );
-        assert_eq!(s.committed, b.committed);
-        assert_eq!(rejected_strings(&s), rejected_strings(&b));
-        assert_eq!(
-            speculative.ledger.utxos().snapshot(),
-            barrier.ledger.utxos().snapshot()
-        );
-        assert_eq!(
-            speculative.ledger.committed_ids(),
-            barrier.ledger.committed_ids()
-        );
-    }
-
-    #[test]
-    fn single_wave_batches_stay_on_the_barrier_path() {
-        let mut m = market();
-        let batch: Vec<Arc<Transaction>> = (0..3u8)
-            .map(|i| {
-                arc(TxBuilder::create(obj! {})
-                    .output(keys(i + 1).public_hex(), 1)
-                    .nonce(i as u64)
-                    .sign(&[&keys(i + 1)]))
-            })
-            .collect();
-        let outcome = commit_batch(
-            &mut m.ledger,
-            &batch,
-            &PipelineOptions::with_workers(4).speculative(true),
-        );
-        assert!(outcome.fully_committed());
-        assert!(
-            !outcome.speculative,
-            "one wave has no cross-wave edge to speculate over"
-        );
-    }
-
-    #[test]
-    fn speculative_double_spend_verdicts_match_barrier() {
-        let setup = |m: &mut Market| {
-            let alice = keys(0xA1);
-            let create = TxBuilder::create(obj! {})
-                .output(alice.public_hex(), 1)
-                .sign(&[&alice]);
-            m.ledger.apply(&create).unwrap();
-            let spend = |to: u8, n: u64| {
-                arc(TxBuilder::transfer(create.id.clone())
-                    .input(create.id.clone(), 0, vec![alice.public_hex()])
-                    .output_with_prev(keys(to).public_hex(), 1, vec![alice.public_hex()])
-                    .metadata(obj! { "n" => n })
-                    .sign(&[&alice]))
-            };
-            vec![spend(0xB0, 1), spend(0xB1, 2)]
-        };
-        let mut barrier = market();
-        let batch = setup(&mut barrier);
-        let mut speculative = market();
-        setup(&mut speculative);
-
-        let base = PipelineOptions::with_workers(4);
-        let b = commit_batch(
-            &mut barrier.ledger,
-            &batch,
-            &base.clone().speculative(false),
-        );
-        let s = commit_batch(
-            &mut speculative.ledger,
-            &batch,
-            &base.clone().speculative(true),
-        );
-        assert!(s.speculative);
-        // The loser was speculatively rejected against the overlay —
-        // with the byte-identical double-spend error the barrier path
-        // derives from committed state — and the winner's prediction
-        // held, so nothing needed re-checking.
-        assert_eq!(s.re_validated, 0);
-        assert_eq!(s.committed, b.committed);
-        assert_eq!(rejected_strings(&s), rejected_strings(&b));
-        assert_eq!(
-            speculative.ledger.utxos().snapshot(),
-            barrier.ledger.utxos().snapshot()
-        );
-    }
-
+    // Keeps its pre-ISSUE-17 name (the test floor tracks it by name);
+    // "re-validation" is now simply wave 1's validation.
     #[test]
     fn injected_apply_failure_cascades_through_re_validation() {
         // A cross-wave spend chain: t1 spends a committed output, t2
-        // spends t1's output. Forcing t1 to fail mid-apply must drag
-        // t2 — whose speculation assumed t1's outputs exist — through
-        // re-validation to the same rejection the barrier path finds.
-        let setup = |m: &mut Market| {
-            let alice = keys(0xA1);
-            let bob = keys(0xB0);
-            let create = TxBuilder::create(obj! {})
-                .output(alice.public_hex(), 1)
-                .sign(&[&alice]);
-            m.ledger.apply(&create).unwrap();
-            let t1 = arc(TxBuilder::transfer(create.id.clone())
-                .input(create.id.clone(), 0, vec![alice.public_hex()])
-                .output_with_prev(bob.public_hex(), 1, vec![alice.public_hex()])
-                .sign(&[&alice]));
-            let t2 = arc(TxBuilder::transfer(create.id.clone())
-                .input(t1.id.clone(), 0, vec![bob.public_hex()])
-                .output_with_prev(keys(0xC0).public_hex(), 1, vec![bob.public_hex()])
-                .sign(&[&bob]));
-            vec![t1, t2]
-        };
-        let mut barrier = market();
-        let batch = setup(&mut barrier);
-        let mut speculative = market();
-        setup(&mut speculative);
-        let before = speculative.ledger.utxos().snapshot();
+        // spends t1's output. Forcing t1 to fail mid-apply must reject
+        // t2 — wave 1 validates against a state without t1's outputs —
+        // and leave every shard as it was.
+        let mut m = market();
+        let alice = keys(0xA1);
+        let bob = keys(0xB0);
+        let create = TxBuilder::create(obj! {})
+            .output(alice.public_hex(), 1)
+            .sign(&[&alice]);
+        m.ledger.apply(&create).unwrap();
+        let t1 = arc(TxBuilder::transfer(create.id.clone())
+            .input(create.id.clone(), 0, vec![alice.public_hex()])
+            .output_with_prev(bob.public_hex(), 1, vec![alice.public_hex()])
+            .sign(&[&alice]));
+        let t2 = arc(TxBuilder::transfer(create.id.clone())
+            .input(t1.id.clone(), 0, vec![bob.public_hex()])
+            .output_with_prev(keys(0xC0).public_hex(), 1, vec![bob.public_hex()])
+            .sign(&[&bob]));
+        let batch = vec![t1, t2];
+        let before = m.ledger.utxos().snapshot();
 
         let inject = PipelineOptions::with_workers(4).inject_apply_failure(batch[0].id.clone());
-        let b = commit_batch(
-            &mut barrier.ledger,
-            &batch,
-            &inject.clone().speculative(false),
-        );
-        let s = commit_batch(
-            &mut speculative.ledger,
-            &batch,
-            &inject.clone().speculative(true),
-        );
+        let outcome = commit_batch(&mut m.ledger, &batch, &inject);
 
-        assert!(s.speculative);
-        assert!(s.committed.is_empty(), "{s:?}");
-        assert_eq!(s.rejected.len(), 2, "{s:?}");
-        assert_eq!(
-            s.re_validated, 1,
-            "t2's speculation depended on t1 and must be re-checked"
-        );
-        assert_eq!(s.committed, b.committed);
-        assert_eq!(rejected_strings(&s), rejected_strings(&b));
-        // No torn overlay state: the failed apply left every shard as
-        // it was.
-        assert_eq!(speculative.ledger.utxos().snapshot(), before);
-        assert_eq!(
-            speculative.ledger.utxos().snapshot(),
-            barrier.ledger.utxos().snapshot()
-        );
+        assert_eq!(outcome.waves, 2);
+        assert!(outcome.committed.is_empty(), "{outcome:?}");
+        let rejected = rejected_strings(&outcome);
+        assert_eq!(rejected.len(), 2, "{outcome:?}");
+        assert!(rejected[0].1.contains("injected apply failure"));
+        // The sequential replay rejects t2 the same way once t1 is gone.
+        let sequential = validate_transaction(&batch[1], &m.ledger).unwrap_err();
+        assert_eq!(rejected[1], (1, sequential.to_string()));
+        assert_eq!(m.ledger.utxos().snapshot(), before);
     }
 }

@@ -117,7 +117,7 @@ proptest! {
 /// through [`crate::pipeline::commit_batch`] must leave the ledger in
 /// the byte-identical state sequential validate-then-apply produces —
 /// same committed ids in the same order, same rejections, same UTXO
-/// set, same marketplace indexes.
+/// set and digest, same marketplace indexes.
 mod pipeline_differential {
     use super::*;
 
@@ -235,20 +235,12 @@ mod pipeline_differential {
     }
 
     /// The sequential reference: validate each transaction at its turn
-    /// and apply survivors.
-    pub fn sequential_commit(
-        ledger: &mut LedgerState,
-        batch: &[Arc<Transaction>],
-    ) -> (Vec<String>, Vec<(usize, String)>) {
-        sequential_commit_with_injection(ledger, batch, None)
-    }
-
-    /// The sequential reference, honouring the pipeline's
-    /// failure-injection harness: an injected id whose validation
-    /// passed rejects at its turn with the same verdict
+    /// and apply survivors. Honours the pipeline's failure-injection
+    /// harness: an injected id whose validation passed rejects at its
+    /// turn with the same verdict
     /// [`crate::pipeline::PipelineOptions::fail_apply`] produces, and
     /// is not applied.
-    pub fn sequential_commit_with_injection(
+    pub fn sequential_commit(
         ledger: &mut LedgerState,
         batch: &[Arc<Transaction>],
         inject: Option<&str>,
@@ -286,6 +278,7 @@ mod pipeline_differential {
             b.utxos().snapshot(),
             "UTXO set diverged"
         );
+        assert_eq!(a.state_digest(), b.state_digest(), "state digest diverged");
         for request in &gen.request_ids {
             let locked_a: Vec<&str> = a
                 .locked_bids_for_request(request)
@@ -321,8 +314,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The tentpole equivalence property: for random reverse-auction
-    /// batches — including injected conflicting spends and arbitrary
-    /// submission-order scrambling — the parallel pipeline commits the
+    /// traffic — injected conflicting spends, arbitrary submission-order
+    /// scrambling, the stream cut into consecutive blocks so dependency
+    /// chains and double-spend races straddle block boundaries, and
+    /// optionally one mid-apply failure injected into a random
+    /// transaction — the parallel pipeline commits, block for block, the
     /// byte-identical ledger state the sequential path commits, with
     /// identical per-transaction verdicts.
     #[test]
@@ -334,35 +330,60 @@ proptest! {
             0..12,
         ),
         workers in 2usize..5,
+        cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..5),
+        inject_on in any::<bool>(),
+        inject_at in any::<prop::sample::Index>(),
     ) {
         let generated = pipeline_differential::generate(&bidders, with_conflict);
-        let mut batch: Vec<std::sync::Arc<Transaction>> =
+        let mut txs: Vec<std::sync::Arc<Transaction>> =
             generated.txs.iter().cloned().map(std::sync::Arc::new).collect();
         // Scramble submission order: equivalence must hold for invalid
         // orders too (both paths reject the same stragglers).
         for (i, j) in &swaps {
-            let (i, j) = (i.index(batch.len()), j.index(batch.len()));
-            batch.swap(i, j);
+            let (i, j) = (i.index(txs.len()), j.index(txs.len()));
+            txs.swap(i, j);
+        }
+
+        // Cut the stream into consecutive blocks (empty blocks pruned;
+        // no cut is the single-batch case).
+        let mut bounds: Vec<usize> = cuts.iter().map(|c| c.index(txs.len())).collect();
+        bounds.push(txs.len());
+        bounds.sort_unstable();
+        bounds.dedup();
+        let mut blocks: Vec<&[std::sync::Arc<Transaction>]> = Vec::new();
+        let mut start = 0;
+        for end in bounds {
+            if end > start {
+                blocks.push(&txs[start..end]);
+                start = end;
+            }
+        }
+
+        // Optionally force one random transaction to abort mid-apply.
+        let inject_id = inject_on.then(|| txs[inject_at.index(txs.len())].id.clone());
+        let mut options = crate::pipeline::PipelineOptions::with_workers(workers);
+        if let Some(id) = &inject_id {
+            options = options.inject_apply_failure(id.clone());
         }
 
         let mut sequential = LedgerState::new();
         sequential.add_reserved_account(generated.escrow.public_hex());
-        let (seq_committed, seq_rejected) =
-            pipeline_differential::sequential_commit(&mut sequential, &batch);
-
         let mut parallel = LedgerState::new();
         parallel.add_reserved_account(generated.escrow.public_hex());
-        let outcome = crate::pipeline::commit_batch(
-            &mut parallel,
-            &batch,
-            &crate::pipeline::PipelineOptions::with_workers(workers),
-        );
+        for block in blocks {
+            let (seq_committed, seq_rejected) = pipeline_differential::sequential_commit(
+                &mut sequential,
+                block,
+                inject_id.as_deref(),
+            );
+            let outcome = crate::pipeline::commit_batch(&mut parallel, block, &options);
 
-        prop_assert_eq!(&outcome.committed, &seq_committed, "committed ids diverged");
-        let pipe_rejected: Vec<(usize, String)> =
-            outcome.rejected.iter().map(|(i, e)| (*i, e.to_string())).collect();
-        prop_assert_eq!(&pipe_rejected, &seq_rejected, "rejection verdicts diverged");
-        pipeline_differential::assert_states_identical(&parallel, &sequential, &generated);
+            prop_assert_eq!(&outcome.committed, &seq_committed, "committed ids diverged");
+            let pipe_rejected: Vec<(usize, String)> =
+                outcome.rejected.iter().map(|(i, e)| (*i, e.to_string())).collect();
+            prop_assert_eq!(&pipe_rejected, &seq_rejected, "rejection verdicts diverged");
+            pipeline_differential::assert_states_identical(&parallel, &sequential, &generated);
+        }
     }
 
     /// The sharding equivalence property: committing the same batch —
@@ -414,186 +435,6 @@ proptest! {
         };
         prop_assert_eq!(verdicts(&outcome), verdicts(&ref_outcome), "verdicts diverged");
         pipeline_differential::assert_states_identical(&sharded, &unsharded, &generated);
-    }
-
-    /// The speculation equivalence property: for random reverse-auction
-    /// batches — injected double spends, cross-wave read/write chains
-    /// (bid→accept→settlement on the same request, all in one batch)
-    /// and arbitrary submission-order scrambling included — the
-    /// speculative cross-wave pipeline commits identical ids in
-    /// identical order, rejects with identical verdicts, and leaves a
-    /// byte-identical UTXO snapshot and identical marketplace indexes
-    /// compared to BOTH the wave-barrier pipeline and the sequential
-    /// validate-then-apply reference.
-    #[test]
-    fn speculative_commit_equals_sequential_commit(
-        bidders in prop::collection::vec(1usize..4, 1..4),
-        with_conflict in any::<bool>(),
-        swaps in prop::collection::vec(
-            (any::<prop::sample::Index>(), any::<prop::sample::Index>()),
-            0..12,
-        ),
-        workers in 2usize..6,
-    ) {
-        let generated = pipeline_differential::generate(&bidders, with_conflict);
-        let mut batch: Vec<std::sync::Arc<Transaction>> =
-            generated.txs.iter().cloned().map(std::sync::Arc::new).collect();
-        for (i, j) in &swaps {
-            let (i, j) = (i.index(batch.len()), j.index(batch.len()));
-            batch.swap(i, j);
-        }
-
-        let mut sequential = LedgerState::new();
-        sequential.add_reserved_account(generated.escrow.public_hex());
-        let (seq_committed, seq_rejected) =
-            pipeline_differential::sequential_commit(&mut sequential, &batch);
-
-        let commit = |speculation: bool, workers: usize| {
-            let mut ledger = LedgerState::new();
-            ledger.add_reserved_account(generated.escrow.public_hex());
-            let outcome = crate::pipeline::commit_batch(
-                &mut ledger,
-                &batch,
-                &crate::pipeline::PipelineOptions::with_workers(workers)
-                    .speculative(speculation),
-            );
-            (ledger, outcome)
-        };
-        let (barrier, barrier_outcome) = commit(false, 1);
-        let (speculative, outcome) = commit(true, workers);
-
-        prop_assert!(!barrier_outcome.speculative);
-        prop_assert_eq!(outcome.speculative, outcome.waves > 1,
-            "speculation must engage exactly on multi-wave batches");
-        prop_assert_eq!(&outcome.committed, &seq_committed, "committed ids diverged");
-        let verdicts = |rejected: &[(usize, crate::ValidationError)]| -> Vec<(usize, String)> {
-            rejected.iter().map(|(i, e)| (*i, e.to_string())).collect()
-        };
-        prop_assert_eq!(
-            verdicts(&outcome.rejected), seq_rejected,
-            "rejection verdicts diverged from the sequential reference"
-        );
-        prop_assert_eq!(
-            verdicts(&outcome.rejected), verdicts(&barrier_outcome.rejected),
-            "rejection verdicts diverged from the barrier pipeline"
-        );
-        pipeline_differential::assert_states_identical(&speculative, &sequential, &generated);
-        pipeline_differential::assert_states_identical(&speculative, &barrier, &generated);
-    }
-
-    /// The cross-block equivalence property: for random multi-block
-    /// streams cut from reverse-auction traffic — cross-block
-    /// dependency chains (creates in block `k`, bids and accepts in
-    /// later blocks), injected double spends racing across block
-    /// boundaries, arbitrary submission-order scrambling, and
-    /// optionally one mid-apply failure injected into a random
-    /// transaction — the cross-block pipelined executor (block `k+1`
-    /// resolving against block `k`'s predicted overlay chain while
-    /// `k`'s apply runs in the background) produces, block for block,
-    /// identical committed ids and identical rejection verdicts to
-    /// BOTH the block-at-a-time oracle and the sequential reference,
-    /// and lands the byte-identical UTXO snapshot, marketplace indexes
-    /// and state digest.
-    #[test]
-    fn cross_block_commit_equals_block_at_a_time(
-        bidders in prop::collection::vec(1usize..4, 1..4),
-        with_conflict in any::<bool>(),
-        swaps in prop::collection::vec(
-            (any::<prop::sample::Index>(), any::<prop::sample::Index>()),
-            0..12,
-        ),
-        workers in 2usize..5,
-        cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..5),
-        inject_on in any::<bool>(),
-        inject_at in any::<prop::sample::Index>(),
-    ) {
-        use crate::cross_block::CrossBlockPipeline;
-        use crate::speculation::SpeculativeView;
-        use std::sync::Arc;
-
-        let generated = pipeline_differential::generate(&bidders, with_conflict);
-        let mut txs: Vec<Arc<Transaction>> =
-            generated.txs.iter().cloned().map(Arc::new).collect();
-        for (i, j) in &swaps {
-            let (i, j) = (i.index(txs.len()), j.index(txs.len()));
-            txs.swap(i, j);
-        }
-
-        // Cut the stream into consecutive blocks (empty blocks pruned);
-        // dependency chains now straddle the boundaries.
-        let mut bounds: Vec<usize> = cuts.iter().map(|c| c.index(txs.len())).collect();
-        bounds.sort_unstable();
-        bounds.dedup();
-        bounds.push(txs.len());
-        let mut blocks: Vec<Vec<Arc<Transaction>>> = Vec::new();
-        let mut start = 0;
-        for end in bounds {
-            if end > start {
-                blocks.push(txs[start..end].to_vec());
-                start = end;
-            }
-        }
-
-        // Optionally force one random transaction to abort mid-apply.
-        let inject_id = inject_on.then(|| txs[inject_at.index(txs.len())].id.clone());
-        let mut options = crate::pipeline::PipelineOptions::with_workers(workers);
-        if let Some(id) = &inject_id {
-            options = options.inject_apply_failure(id.clone());
-        }
-        let verdicts = |rejected: &[(usize, crate::ValidationError)]| -> Vec<(usize, String)> {
-            rejected.iter().map(|(i, e)| (*i, e.to_string())).collect()
-        };
-
-        // Block-at-a-time oracle: each block fully applied before the
-        // next one validates.
-        let mut oracle = LedgerState::new();
-        oracle.add_reserved_account(generated.escrow.public_hex());
-        let mut oracle_blocks = Vec::new();
-        for block in &blocks {
-            let outcome = crate::pipeline::commit_batch(&mut oracle, block, &options);
-            oracle_blocks.push((outcome.committed.clone(), verdicts(&outcome.rejected)));
-        }
-
-        // Cross-block pipelined run: block k+1 plans and resolves
-        // against the pending-aware view while block k's apply is
-        // still deferred.
-        let cross_options = options.clone().cross(true);
-        let mut pipelined = LedgerState::new();
-        pipelined.add_reserved_account(generated.escrow.public_hex());
-        let mut cross = CrossBlockPipeline::new();
-        let mut cross_blocks = Vec::new();
-        for block in &blocks {
-            let schedule = {
-                let view = SpeculativeView::new(&pipelined, cross.pending_overlays());
-                crate::pipeline::plan_schedule(block, &view)
-            };
-            let outcome = cross.commit(&mut pipelined, block, &schedule, &cross_options);
-            cross_blocks.push((outcome.committed.clone(), verdicts(&outcome.rejected)));
-        }
-        let pending_digest = cross.pending_digest();
-        cross.flush(&mut pipelined, workers);
-
-        // Sequential reference, honouring the same injection.
-        let mut sequential = LedgerState::new();
-        sequential.add_reserved_account(generated.escrow.public_hex());
-        let mut seq_blocks = Vec::new();
-        for block in &blocks {
-            seq_blocks.push(pipeline_differential::sequential_commit_with_injection(
-                &mut sequential,
-                block,
-                inject_id.as_deref(),
-            ));
-        }
-
-        prop_assert_eq!(&cross_blocks, &oracle_blocks, "per-block verdicts diverged from oracle");
-        prop_assert_eq!(&cross_blocks, &seq_blocks, "per-block verdicts diverged from sequential");
-        if let Some(digest) = pending_digest {
-            prop_assert_eq!(digest, pipelined.state_digest(),
-                "incremental pending digest diverged from the flushed ledger");
-        }
-        prop_assert_eq!(pipelined.state_digest(), oracle.state_digest(), "state digest diverged");
-        pipeline_differential::assert_states_identical(&pipelined, &oracle, &generated);
-        pipeline_differential::assert_states_identical(&pipelined, &sequential, &generated);
     }
 
     /// A clean phase-ordered batch commits completely, and with real

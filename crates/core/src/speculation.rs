@@ -1,32 +1,27 @@
-//! Speculative (read-uncommitted) ledger views for cross-wave
-//! validation.
+//! Predicted post-block state for the proposer's gossiped digest.
 //!
-//! The wave-barrier pipeline of [`crate::pipeline`] validates wave
-//! `k+1` only after wave `k` has applied. But the declarative model
-//! exposes every transaction's footprint statically, so the state wave
-//! `k` *will* produce is predictable before it commits: each
-//! transaction's UTXO plan and marketplace index deltas follow from its
-//! typed content alone. This module captures that prediction:
+//! The declarative model exposes every transaction's footprint
+//! statically, so the state a wave *will* produce is predictable before
+//! it commits: each transaction's UTXO plan and marketplace index
+//! deltas follow from its typed content alone. A proposer uses that to
+//! gossip the digest its block should leave behind
+//! ([`predict_post_state_digest`], DESIGN-blocks.md) without executing
+//! the block:
 //!
 //! * [`WaveOverlay`] — the predicted effects of one wave (new
 //!   transactions, spends, created outputs, bid/accept/settlement index
 //!   deltas), derived with the *same* effects routine the apply later
 //!   executes ([`crate::ledger`]'s shared plan derivation);
 //! * [`SpeculativeView`] — a [`LedgerView`] layering a chain of
-//!   overlays over the committed [`LedgerState`]: wave `k+1` validates
-//!   against `base + overlay(0..=k)` exactly as if the earlier waves
-//!   had committed — Dickerson-style read-uncommitted speculation
-//!   (see PAPERS.md).
+//!   overlays over the committed [`LedgerState`], so wave `k+1`'s
+//!   effects are predicted against `base + overlay(0..=k)` exactly as
+//!   if the earlier waves had committed.
 //!
-//! Mis-speculation is handled by the pipeline, not here: if a wave-`k`
-//! member diverges from its predicted outcome (rejected, failed
-//! mid-apply, or re-validated), every later member whose footprint
-//! intersects the diverged write set is re-validated against the
-//! committed state. The overlay itself is immutable once predicted —
-//! there is no partial-rollback state to tear. DESIGN-speculation.md
-//! carries the serializability argument.
+//! Nothing here decides a verdict: the commit pipeline validates every
+//! wave against committed state, and replicas treat the predicted
+//! digest as a diagnostic. An overlay is immutable once predicted.
 
-use crate::ledger::{index_delta, utxo_effects_for, IndexDelta, LedgerState, UtxoEffects};
+use crate::ledger::{index_delta, utxo_effects_for, IndexDelta, LedgerState};
 use crate::model::Transaction;
 use crate::par::parallel_map;
 use crate::verified::VerifiedSigners;
@@ -54,10 +49,6 @@ pub struct WaveOverlay {
     accept_by_request: HashMap<String, String>,
     /// BID id -> settlement (RETURN / winner TRANSFER) id.
     settled_bids: HashMap<String, String>,
-    /// Each member's predicted UTXO plan, aligned with the wave's
-    /// member order — handed to the apply so prediction and execution
-    /// share one computation ([`WaveOverlay::take_effects`]).
-    effects: Vec<Option<UtxoEffects>>,
 }
 
 impl WaveOverlay {
@@ -77,13 +68,10 @@ impl WaveOverlay {
         });
         let mut overlay = WaveOverlay::default();
         for (tx, plan) in members.iter().zip(plans) {
-            for spend in &plan.spends {
-                overlay.spent.insert(spend.clone(), tx.id.clone());
+            for spend in plan.spends {
+                overlay.spent.insert(spend, tx.id.clone());
             }
-            for (out_ref, utxo) in &plan.adds {
-                overlay.added.insert(out_ref.clone(), utxo.clone());
-            }
-            overlay.effects.push(Some(plan));
+            overlay.added.extend(plan.adds);
 
             // The same decision table `record_indexes` applies — the
             // prediction cannot drift from the commit.
@@ -109,19 +97,12 @@ impl WaveOverlay {
         }
         overlay
     }
-
-    /// Hands the predicted UTXO plans (aligned with the wave's member
-    /// order) over to the apply stage, leaving `None`s behind.
-    pub(crate) fn take_effects(&mut self) -> Vec<Option<UtxoEffects>> {
-        let len = self.effects.len();
-        std::mem::replace(&mut self.effects, (0..len).map(|_| None).collect())
-    }
 }
 
 /// Predicts the [`StateDigest`] of `base`'s UTXO set after `batch`
 /// commits under `waves`, without mutating anything: the per-wave
-/// overlays are chained exactly as the speculative pipeline chains
-/// them, and each predicted spend/add folds its entry-hash delta into
+/// overlays are chained in wave order, and each predicted spend/add
+/// folds its entry-hash delta into
 /// the digest — O(block footprint), not O(state). This is the digest a
 /// proposer gossips inside its self-describing block: assuming every
 /// member commits (the proposer packed the block from transactions it
@@ -154,15 +135,7 @@ pub fn predict_post_state_digest(
 /// A spend of a nonexistent output is skipped rather than guessed: the
 /// overlay then carries an invalid member and any digest built from it
 /// will mismatch anyway.
-///
-/// Shared by [`predict_post_state_digest`] (the proposer's gossiped
-/// prediction) and the cross-block pipeline's pending-state digest
-/// ([`crate::cross_block`]), so the two can never drift.
-pub(crate) fn fold_overlay_digest(
-    digest: &mut StateDigest,
-    overlay: &WaveOverlay,
-    below: &impl LedgerView,
-) {
+fn fold_overlay_digest(digest: &mut StateDigest, overlay: &WaveOverlay, below: &impl LedgerView) {
     for (output, spender) in &overlay.spent {
         let Some(old) = below.utxo(output) else {
             continue;
@@ -178,22 +151,14 @@ pub(crate) fn fold_overlay_digest(
 }
 
 /// A read-only ledger view of "committed state as of `base`, plus the
-/// predicted effects of the waves in `prior ++ overlays`, in order".
+/// predicted effects of the waves in `overlays`, in order".
 ///
 /// Later overlays shadow earlier ones, which shadow the base — though
 /// by construction shadowing is rare: conflicting writes land in
 /// different waves, and a wave never both creates and spends the same
 /// output (that pair conflicts too).
-///
-/// The two overlay segments exist for the cross-block pipeline
-/// ([`crate::cross_block`]): `prior` carries the *previous block's*
-/// predicted waves (fixed for the whole of the next block's
-/// validation), `overlays` the current block's own chain. Within one
-/// block the segments behave as one concatenated chain; [`SpeculativeView::new`]
-/// is the single-block case with an empty `prior`.
 pub struct SpeculativeView<'a> {
     base: &'a LedgerState,
-    prior: &'a [WaveOverlay],
     overlays: &'a [WaveOverlay],
 }
 
@@ -201,33 +166,7 @@ impl<'a> SpeculativeView<'a> {
     /// A view of `base` as the waves described by `overlays` would
     /// leave it. With an empty overlay slice this is exactly `base`.
     pub fn new(base: &'a LedgerState, overlays: &'a [WaveOverlay]) -> SpeculativeView<'a> {
-        SpeculativeView {
-            base,
-            prior: &[],
-            overlays,
-        }
-    }
-
-    /// A view of `base` as the previous block's waves (`prior`) *and*
-    /// the current block's waves (`overlays`) would leave it — the
-    /// cross-block chain: block `k+1` validates against
-    /// `base + prior(block k) + overlays(own waves so far)`.
-    pub fn chained(
-        base: &'a LedgerState,
-        prior: &'a [WaveOverlay],
-        overlays: &'a [WaveOverlay],
-    ) -> SpeculativeView<'a> {
-        SpeculativeView {
-            base,
-            prior,
-            overlays,
-        }
-    }
-
-    /// All overlays in application order: the previous block's chain
-    /// first, then the current block's.
-    fn chain(&self) -> impl DoubleEndedIterator<Item = &WaveOverlay> {
-        self.prior.iter().chain(self.overlays.iter())
+        SpeculativeView { base, overlays }
     }
 
     /// True when the bid still holds at least one unspent escrow output
@@ -241,7 +180,7 @@ impl<'a> SpeculativeView<'a> {
 
 impl LedgerView for SpeculativeView<'_> {
     fn get(&self, id: &str) -> Option<&Transaction> {
-        for overlay in self.chain().rev() {
+        for overlay in self.overlays.iter().rev() {
             if let Some(tx) = overlay.txs.get(id) {
                 return Some(tx);
             }
@@ -253,11 +192,12 @@ impl LedgerView for SpeculativeView<'_> {
         // The youngest overlay that created the output wins; otherwise
         // the committed entry. Any overlay spend then marks it.
         let mut utxo = self
-            .chain()
+            .overlays
+            .iter()
             .rev()
             .find_map(|o| o.added.get(output).cloned())
             .or_else(|| self.base.utxo(output))?;
-        for overlay in self.chain() {
+        for overlay in self.overlays {
             if let Some(spender) = overlay.spent.get(output) {
                 utxo.spent_by = Some(spender.clone());
             }
@@ -282,7 +222,7 @@ impl LedgerView for SpeculativeView<'_> {
         // the same order `record_indexes` produces after the waves
         // really apply.
         let mut bids = self.base.bids_for_request(request_id);
-        for overlay in self.chain() {
+        for overlay in self.overlays {
             bids.extend(
                 overlay
                     .bids_by_request
@@ -296,7 +236,7 @@ impl LedgerView for SpeculativeView<'_> {
     }
 
     fn accept_for_request(&self, request_id: &str) -> Option<&Transaction> {
-        for overlay in self.chain().rev() {
+        for overlay in self.overlays.iter().rev() {
             if let Some(id) = overlay.accept_by_request.get(request_id) {
                 return overlay.txs.get(id).map(Arc::as_ref);
             }
@@ -305,7 +245,7 @@ impl LedgerView for SpeculativeView<'_> {
     }
 
     fn settlement_for_bid(&self, bid_id: &str) -> Option<&str> {
-        for overlay in self.chain().rev() {
+        for overlay in self.overlays.iter().rev() {
             if let Some(id) = overlay.settled_bids.get(bid_id) {
                 return Some(id);
             }

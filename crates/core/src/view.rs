@@ -24,7 +24,7 @@ use scdb_store::{OutputRef, Utxo};
 ///
 /// The UTXO read surface is the *per-output* lookup [`LedgerView::utxo`]
 /// rather than a reference to a concrete `UtxoSet`: that keeps the
-/// trait implementable by layered views — the speculative overlay of
+/// trait implementable by layered views — the predicted overlay of
 /// [`crate::speculation`] answers output lookups from a predicted
 /// wave's effects before falling through to the committed set, which a
 /// `&UtxoSet` accessor could not express.

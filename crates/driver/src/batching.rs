@@ -558,9 +558,6 @@ mod tests {
             "retry coalesced: two flushes total, no solo re-submission"
         );
         assert!(outcomes.borrow().contains(&first_id));
-        // Cross-block mode defers the apply across flushes; land it
-        // before reading the concrete ledger.
-        driver.endpoint_mut().inner_mut().sync();
         assert!(driver.endpoint().inner().ledger().is_committed(&first_id));
     }
 
@@ -760,7 +757,6 @@ mod tests {
         let fresh_id = fresh.id.clone();
         driver.submit(fresh, |_, outcome| assert!(outcome.is_ok()));
         assert_eq!(driver.tick(SimTime::from_millis(230)), 1);
-        driver.endpoint_mut().sync();
         assert!(driver.endpoint().ledger().is_committed(&fresh_id));
         driver.submit((*Arc::new(stale)).clone(), |_, outcome| {
             assert!(outcome.is_ok(), "evictee re-submits cleanly")
@@ -811,13 +807,11 @@ mod tests {
         // drain commits the occupant, the job re-buffers.
         assert_eq!(driver.tick(SimTime::from_millis(60)), 0, "pool full");
         assert_eq!(driver.pending(), 1, "transient push-back re-buffered");
-        driver.endpoint_mut().sync();
         assert!(driver.endpoint().ledger().is_committed(&occupant.id));
 
         // Flush 2: the pool is clear; the retry coalesces and commits.
         assert_eq!(driver.tick(SimTime::from_millis(120)), 1);
         assert_eq!(&*outcomes.borrow(), std::slice::from_ref(&wanted_id));
-        driver.endpoint_mut().sync();
         assert!(driver.endpoint().ledger().is_committed(&wanted_id));
     }
 
@@ -861,7 +855,6 @@ mod tests {
             });
         }
         assert_eq!(driver.flush(), 6);
-        driver.endpoint_mut().sync();
         let node = driver.endpoint();
         assert_eq!(node.ledger().committed_ids().len(), 6);
         assert_eq!(driver.flushes(), 1);

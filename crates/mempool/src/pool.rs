@@ -66,8 +66,8 @@ impl Default for MempoolConfig {
     }
 }
 
-/// The `SCDB_ADMISSION_WORKERS` environment override (same idiom as
-/// `SCDB_SPECULATION`), else every core the host offers.
+/// The `SCDB_ADMISSION_WORKERS` environment override, else every core
+/// the host offers.
 fn default_admission_workers() -> usize {
     std::env::var("SCDB_ADMISSION_WORKERS")
         .ok()

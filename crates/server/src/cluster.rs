@@ -12,15 +12,14 @@ use crate::cost::CostModel;
 use crate::node::{EphemeralDir, EPHEMERAL_SEQ};
 use scdb_consensus::{App, AppResult, BlockAnnotations, BlockView, FormedBlock, TxId, TxStatus};
 use scdb_core::pipeline::{
-    choose_schedule, commit_batch_with_gossip, footprint, unresolved_links, Footprint,
-    PipelineOptions, ScheduleSource, WaveSchedule,
+    commit_batch_with_gossip, footprint, unresolved_links, Footprint, PipelineOptions,
+    ScheduleSource, WaveSchedule,
 };
 use scdb_core::speculation::predict_post_state_digest;
 use scdb_core::{
     determine_children,
     validate::{record_validated, record_validated_batch, validate_transaction},
-    AssetRef, CrossBlockPipeline, LedgerState, LedgerView, NestedTracker, Operation,
-    SpeculativeView, Transaction,
+    AssetRef, LedgerState, LedgerView, NestedTracker, Operation, Transaction,
 };
 use scdb_crypto::KeyPair;
 use scdb_json::Value;
@@ -51,31 +50,6 @@ const DELIVER_BLOCK_POOL: [&str; 3] = [
 struct Replica {
     ledger: LedgerState,
     tracker: NestedTracker,
-    /// The replica's continuous commit pipeline
-    /// ([`PipelineOptions::cross_block`]): each delivered block's apply
-    /// is deferred so it overlaps the next delivery's validation.
-    cross: CrossBlockPipeline,
-}
-
-impl Replica {
-    /// Lands any deferred cross-block apply on this replica's ledger.
-    fn sync(&mut self, workers: usize) {
-        self.cross.flush(&mut self.ledger, workers);
-    }
-
-    /// The replica's logical committed state: ledger + any pending
-    /// overlays. Everything that reads between deliveries (CheckTx,
-    /// footprint derivation, staleness guards) looks through this.
-    fn view(&self) -> SpeculativeView<'_> {
-        SpeculativeView::new(&self.ledger, self.cross.pending_overlays())
-    }
-
-    /// The replica's post-block digest, pending-aware.
-    fn digest(&self) -> StateDigest {
-        self.cross
-            .pending_digest()
-            .unwrap_or_else(|| self.ledger.state_digest())
-    }
 }
 
 /// A footprint derived once (at CheckTx, or a previous delivery) and
@@ -285,7 +259,6 @@ impl SmartchainCluster {
                 Replica {
                     ledger,
                     tracker: NestedTracker::new(),
-                    cross: CrossBlockPipeline::new(),
                 }
             })
             .collect();
@@ -318,26 +291,14 @@ impl SmartchainCluster {
     }
 
     /// The batch-pipeline configuration every replica delivers blocks
-    /// with (workers, UTXO shards, speculative cross-wave validation).
+    /// with (workers, UTXO shards, gossip, durability, telemetry).
     pub fn pipeline_options(&self) -> &PipelineOptions {
         &self.pipeline
     }
 
-    /// A node's committed ledger (for assertions and queries). With
-    /// cross-block pipelining on, a just-delivered block may still be
-    /// pending — call [`SmartchainCluster::sync_all`] first for the
-    /// fully applied state (the harness does at the end of every run).
+    /// A node's committed ledger (for assertions and queries).
     pub fn ledger(&self, node: NodeId) -> &LedgerState {
         &self.replicas[node].ledger
-    }
-
-    /// Lands every replica's deferred cross-block apply (a no-op in
-    /// block-at-a-time mode).
-    pub fn sync_all(&mut self) {
-        let workers = self.pipeline.workers;
-        for replica in &mut self.replicas {
-            replica.sync(workers);
-        }
     }
 
     /// Count of nested transactions that reached their eventual commit
@@ -355,9 +316,8 @@ impl SmartchainCluster {
     /// The telemetry registry as deterministic JSON (sorted metric
     /// names, traces in block order), or `None` with telemetry off.
     /// Covers every instrumented layer the cluster drives: delivery
-    /// commits (`pipeline.*` / `cross_block.*`), the per-replica
-    /// durable stores (`durable.*`), and the gossip counters
-    /// (`cluster.*`).
+    /// commits (`pipeline.*`), the per-replica durable stores
+    /// (`durable.*`), and the gossip counters (`cluster.*`).
     pub fn telemetry_snapshot(&self) -> Option<Value> {
         self.pipeline
             .telemetry
@@ -377,11 +337,9 @@ impl SmartchainCluster {
     }
 
     /// A node's post-block UTXO state digest — the O(shards) replica
-    /// equality comparator. Pending-aware: with a cross-block commit
-    /// still deferred, this is the digest the replica will hold after
-    /// its flush, so replicas stay comparable mid-pipeline.
+    /// equality comparator.
     pub fn state_digest(&self, node: NodeId) -> StateDigest {
-        self.replicas[node].digest()
+        self.replicas[node].ledger.state_digest()
     }
 
     /// The directory backing a replica's durable store, when the
@@ -397,8 +355,6 @@ impl SmartchainCluster {
     /// boundary (snapshot + WAL truncation). Returns `false` when the
     /// cluster runs without durability.
     pub fn checkpoint_replica(&mut self, node: NodeId) -> Result<bool, String> {
-        let workers = self.pipeline.workers;
-        self.replicas[node].sync(workers);
         let replica = &self.replicas[node];
         let Some(store) = replica.ledger.durable_store().cloned() else {
             return Ok(false);
@@ -431,8 +387,6 @@ impl SmartchainCluster {
         &mut self,
         node: NodeId,
     ) -> Result<Option<CheckpointHandle>, String> {
-        let workers = self.pipeline.workers;
-        self.replicas[node].sync(workers);
         let replica = &self.replicas[node];
         let Some(store) = replica.ledger.durable_store().cloned() else {
             return Ok(None);
@@ -455,22 +409,18 @@ impl SmartchainCluster {
         Ok(Some(handle))
     }
 
-    /// Orderly-restarts a replica: any still-deferred cross-block
-    /// apply is landed (which logs and seals the pending block — the
-    /// async seal runs synchronously on flush), buffered group-commit
-    /// seals are fsync'd, and the replica is then rebuilt from its own
-    /// durable store (newest checkpoint + sealed WAL tail). The
-    /// recovered replica lands exactly on its last delivered block and
-    /// stays digest-equal with the survivors once they flush. Loss at
-    /// arbitrary *crash* points (no orderly shutdown) is the kill-point
-    /// sweep's territory: recovery then lands on the last fsync'd seal
-    /// for the configured durability level.
+    /// Orderly-restarts a replica: buffered group-commit seals are
+    /// fsync'd, and the replica is then rebuilt from its own durable
+    /// store (newest checkpoint + sealed WAL tail). The recovered
+    /// replica lands exactly on its last delivered block and stays
+    /// digest-equal with the survivors. Loss at arbitrary *crash*
+    /// points (no orderly shutdown) is the kill-point sweep's
+    /// territory: recovery then lands on the last fsync'd seal for the
+    /// configured durability level.
     pub fn restart_replica(&mut self, node: NodeId) -> Result<(), String> {
         let dir = self
             .durable_dir(node)
             .ok_or_else(|| "replica runs without durability".to_string())?;
-        let workers = self.pipeline.workers;
-        self.replicas[node].sync(workers);
         if let Some(store) = self.replicas[node].ledger.durable_store().cloned() {
             store
                 .flush_group()
@@ -492,11 +442,6 @@ impl SmartchainCluster {
         if node == from {
             return Err("a replica cannot catch up from itself".into());
         }
-        // Land the source's deferred block first — its WAL records ride
-        // the async seal, so until the flush the newest delivered block
-        // exists only in memory and an export would miss it.
-        let workers = self.pipeline.workers;
-        self.replicas[from].sync(workers);
         let src = self.replicas[from]
             .ledger
             .durable_store()
@@ -511,7 +456,6 @@ impl SmartchainCluster {
         self.replicas[node] = Replica {
             ledger: LedgerState::with_utxo_shards(self.pipeline.utxo_shards),
             tracker: NestedTracker::new(),
-            cross: CrossBlockPipeline::new(),
         };
         let stats = src
             .export_to(&dst)
@@ -531,7 +475,6 @@ impl SmartchainCluster {
         self.replicas[node] = Replica {
             ledger: LedgerState::with_utxo_shards(self.pipeline.utxo_shards),
             tracker: NestedTracker::new(),
-            cross: CrossBlockPipeline::new(),
         };
         let (mut store, recovered) = DurableStore::open(dir, self.pipeline.utxo_shards)
             .map_err(|e| format!("durable recovery failed: {e}"))?;
@@ -568,20 +511,16 @@ impl SmartchainCluster {
                 _ => {}
             }
         }
-        self.replicas[node] = Replica {
-            ledger,
-            tracker,
-            cross: CrossBlockPipeline::new(),
-        };
+        self.replicas[node] = Replica { ledger, tracker };
         Ok(())
     }
 
     /// Derives and caches `tx`'s footprint against `node`'s committed
     /// state (no batch context — CheckTx sees transactions alone).
     fn cache_footprint(&mut self, node: NodeId, tx: TxId, t: &Transaction) {
-        let view = self.replicas[node].view();
-        let fp = footprint(t, &(), &view);
-        let unresolved = unresolved_links(t, &(), &view);
+        let ledger = &self.replicas[node].ledger;
+        let fp = footprint(t, &(), ledger);
+        let unresolved = unresolved_links(t, &(), ledger);
         self.footprints.insert(
             tx,
             CachedFootprint {
@@ -604,17 +543,14 @@ impl SmartchainCluster {
         debug_assert_eq!(ids.len(), batch.len());
         let by_id: HashMap<&str, &Transaction> =
             batch.iter().map(|t| (t.id.as_str(), t.as_ref())).collect();
-        // The pending-aware view: a link committed by a still-deferred
-        // block counts as committed for the staleness guard and
-        // resolves during derivation, exactly as a flushed ledger would.
-        let view = self.replicas[node].view();
+        let ledger = &self.replicas[node].ledger;
         let mut out = Vec::with_capacity(batch.len());
         for (tx, t) in ids.iter().zip(batch) {
             let cached = self.footprints.get(tx).and_then(|entry| {
                 let still_unresolvable = entry
                     .unresolved
                     .iter()
-                    .all(|id| !by_id.contains_key(id.as_str()) && !view.is_committed(id));
+                    .all(|id| !by_id.contains_key(id.as_str()) && !ledger.is_committed(id));
                 still_unresolvable.then(|| entry.footprint.clone())
             });
             match cached {
@@ -624,10 +560,10 @@ impl SmartchainCluster {
                 }
                 None => {
                     self.gossip.footprints_derived.incr();
-                    let fp = footprint(t.as_ref(), &by_id, &view);
+                    let fp = footprint(t.as_ref(), &by_id, ledger);
                     // Refresh the cache: the new entry resolved against
                     // strictly more knowledge (batch + later ledger).
-                    let unresolved = unresolved_links(t.as_ref(), &by_id, &view);
+                    let unresolved = unresolved_links(t.as_ref(), &by_id, ledger);
                     out.push(fp.clone());
                     self.footprints.insert(
                         *tx,
@@ -671,7 +607,7 @@ impl SmartchainCluster {
     /// `pooled` / `already_verified` / `failed_stateless` counters.
     fn verify_block_pool(&self, node: NodeId, batch: &[Arc<Transaction>], counters: [&str; 3]) {
         let report =
-            record_validated_batch(batch, &self.replicas[node].view(), self.pipeline.workers);
+            record_validated_batch(batch, &self.replicas[node].ledger, self.pipeline.workers);
         let telemetry = &self.pipeline.telemetry;
         telemetry.add(counters[0], report.pooled as u64);
         telemetry.add(counters[1], report.already_verified as u64);
@@ -688,11 +624,8 @@ impl SmartchainCluster {
         payload: &str,
         t: &Transaction,
     ) -> AppResult {
-        // Validate through the pending-aware view so CheckTx accepts
-        // spends of outputs created by a block whose apply is still
-        // deferred in the cross-block pipeline.
-        let view = self.replicas[node].view();
-        if let Err(e) = validate_transaction(t, &view) {
+        let ledger = &self.replicas[node].ledger;
+        if let Err(e) = validate_transaction(t, ledger) {
             self.parsed.remove(&tx);
             return Err(e.to_string());
         }
@@ -700,7 +633,7 @@ impl SmartchainCluster {
         // its own delivery of the same bytes re-runs only the stateful
         // rules. Other replicas' sets are untouched — each verifies
         // once for itself.
-        record_validated(t, &view);
+        record_validated(t, ledger);
         // Derive the footprint while we hold the parsed transaction:
         // CheckTx runs on every replica anyway (Fig. 4's second check
         // set), so delivery can verify a gossiped schedule against
@@ -812,13 +745,6 @@ impl App for SmartchainCluster {
                 Err(_) => unparseable.push(i),
             }
         }
-        // Cross-block mode: the proposer predicts the post-block digest
-        // against concrete state (`predict_post_state_digest` folds over
-        // a flushed ledger), so land any still-deferred block first.
-        if self.pipeline.cross_block {
-            let workers = self.pipeline.workers;
-            self.replicas[node].sync(workers);
-        }
         let ledger = &self.replicas[node].ledger;
         let by_id: HashMap<&str, &Transaction> = parsed
             .iter()
@@ -904,18 +830,16 @@ impl App for SmartchainCluster {
     /// DeliverTx for a whole block: the third validation set (Fig. 4)
     /// runs through the conflict-aware pipeline — non-conflicting
     /// transactions validate concurrently against the replica's
-    /// snapshot (and, with speculation on, dependent waves validate
-    /// concurrently too, against tentative overlays), and state
-    /// mutates in block order. Self-describing blocks short-circuit the
-    /// planning stage: footprints come from the CheckTx-time cache
-    /// (re-derived only where staleness could under-approximate) and
-    /// the proposer's gossiped wave schedule executes after a cheap
-    /// verification — with full local re-derivation as the fallback for
-    /// anything tampered, so the gossip can shape parallelism but never
-    /// outcomes. Both pipeline modes and both schedule sources are
-    /// deterministic, so every replica derives the identical
-    /// committed/rejected split and identical post-state regardless of
-    /// its local knob settings.
+    /// snapshot, and state mutates in block order. Self-describing
+    /// blocks short-circuit the planning stage: footprints come from
+    /// the CheckTx-time cache (re-derived only where staleness could
+    /// under-approximate) and the proposer's gossiped wave schedule
+    /// executes after a cheap verification — with full local
+    /// re-derivation as the fallback for anything tampered, so the
+    /// gossip can shape parallelism but never outcomes. Both schedule
+    /// sources are deterministic, so every replica derives the
+    /// identical committed/rejected split and identical post-state
+    /// regardless of its local gossip setting.
     fn deliver_block(&mut self, node: NodeId, block: BlockView<'_>) -> Vec<AppResult> {
         // Parse (or fetch from cache); parse failures reject outright.
         let txs = block.txs;
@@ -947,32 +871,13 @@ impl App for SmartchainCluster {
         // commit below re-runs only the stateful rules.
         self.verify_block_pool(node, &batch, DELIVER_BLOCK_POOL);
         let footprints = self.block_footprints(node, &batch_ids, &batch);
-        let (outcome, source) = if self.pipeline.cross_block {
-            // Cross-block pipeline: resolve this block's verdicts while
-            // the previous block's UTXO apply still runs in the
-            // background. Schedule selection (gossip vs re-derive) is
-            // identical to the block-at-a-time path.
-            let (schedule, source) = choose_schedule(
-                batch.len(),
-                footprints,
-                block.annotations.schedule.as_deref(),
-                &self.pipeline,
-            );
-            let replica = &mut self.replicas[node];
-            let outcome =
-                replica
-                    .cross
-                    .commit(&mut replica.ledger, &batch, &schedule, &self.pipeline);
-            (outcome, source)
-        } else {
-            commit_batch_with_gossip(
-                &mut self.replicas[node].ledger,
-                &batch,
-                footprints,
-                block.annotations.schedule.as_deref(),
-                &self.pipeline,
-            )
-        };
+        let (outcome, source) = commit_batch_with_gossip(
+            &mut self.replicas[node].ledger,
+            &batch,
+            footprints,
+            block.annotations.schedule.as_deref(),
+            &self.pipeline,
+        );
         match source {
             ScheduleSource::Gossip => self.gossip.gossip_used.incr(),
             ScheduleSource::Rederived(Some(_)) => self.gossip.gossip_rejected.incr(),
@@ -990,7 +895,7 @@ impl App for SmartchainCluster {
             .as_deref()
             .and_then(StateDigest::from_hex)
         {
-            if self.replicas[node].digest() == predicted {
+            if self.replicas[node].ledger.state_digest() == predicted {
                 self.gossip.digest_matches.incr();
             } else {
                 self.gossip.digest_mismatches.incr();
@@ -1052,12 +957,6 @@ impl App for SmartchainCluster {
                     .is_some_and(|t| t.operation == Operation::AcceptBid)
             })
             .collect();
-        // Child determination reads escrowed bids out of the concrete
-        // ledger, so land any still-deferred block before walking it.
-        if !accept_ids.is_empty() {
-            let workers = self.pipeline.workers;
-            self.replicas[node].sync(workers);
-        }
         for id in accept_ids {
             let accept = self.parsed.get(&id).expect("filtered above").clone();
             let Ok(children) =
@@ -1184,10 +1083,6 @@ impl SmartchainHarness {
                 continue;
             }
             if !self.retry_rejected_children() {
-                // Quiescent: land any block still deferred in a
-                // replica's cross-block pipeline so post-run observers
-                // read fully applied state.
-                self.inner.app_mut().sync_all();
                 break;
             }
         }
@@ -1242,8 +1137,7 @@ mod tests {
         run_cluster_auction_with(nodes, PipelineOptions::default())
     }
 
-    /// [`run_cluster_auction`] with explicit pipeline options (the
-    /// gossip tests pin the knob regardless of the env default).
+    /// [`run_cluster_auction`] with explicit pipeline options.
     fn run_cluster_auction_with(
         nodes: usize,
         pipeline: PipelineOptions,

@@ -11,8 +11,8 @@
 use crate::return_queue::ReturnQueue;
 use scdb_core::pipeline::{commit_batch, commit_batch_planned, BatchOutcome, PipelineOptions};
 use scdb_core::{
-    determine_children, validate::validate_transaction, CrossBlockPipeline, LedgerState,
-    LedgerView, NestedTracker, Operation, SpeculativeView, Transaction, ValidationError,
+    determine_children, validate::validate_transaction, LedgerState, LedgerView, NestedTracker,
+    Operation, Transaction, ValidationError,
 };
 use scdb_crypto::KeyPair;
 use scdb_json::{obj, Value};
@@ -108,12 +108,6 @@ pub struct Node {
     escrow: KeyPair,
     pipeline: PipelineOptions,
     mempool: Mempool,
-    /// The continuous commit pipeline ([`PipelineOptions::cross_block`]):
-    /// when on, [`Node::commit_proposal`] defers each block's apply so
-    /// it overlaps the next block's validation. Admission and drain
-    /// read through its pending overlays; [`Node::sync`] forces the
-    /// deferred apply.
-    cross: CrossBlockPipeline,
     /// Keeps the ephemeral durable directory alive (and cleans it up)
     /// when [`PipelineOptions::durable`] attached a store without an
     /// explicit directory.
@@ -186,7 +180,6 @@ impl Node {
             escrow,
             pipeline,
             mempool,
-            cross: CrossBlockPipeline::new(),
             _durable_tmp: durable_tmp,
         }
     }
@@ -239,7 +232,6 @@ impl Node {
             escrow,
             pipeline,
             mempool,
-            cross: CrossBlockPipeline::new(),
             _durable_tmp: None,
         };
         node.rebuild_auxiliary(&recovered.committed)?;
@@ -268,20 +260,13 @@ impl Node {
         Ok(())
     }
 
-    /// Forces the deferred apply of a pending cross-block commit (a
-    /// no-op in block-at-a-time mode or when nothing is pending). After
-    /// this, [`Node::ledger`] reflects every decided block.
-    pub fn sync(&mut self) {
-        self.cross.flush(&mut self.ledger, self.pipeline.workers);
-    }
-
     /// The escrow account's public key (hex).
     pub fn escrow_public_hex(&self) -> String {
         self.escrow.public_hex()
     }
 
     /// The batch-pipeline configuration this node validates with
-    /// (workers, UTXO shards, speculative cross-wave validation).
+    /// (workers, UTXO shards, durability, telemetry).
     pub fn pipeline_options(&self) -> &PipelineOptions {
         &self.pipeline
     }
@@ -289,9 +274,8 @@ impl Node {
     /// The telemetry registry as deterministic JSON (sorted metric
     /// names, traces in block order), or `None` with telemetry off.
     /// One handle spans the whole node — mempool admission
-    /// (`mempool.*`), commit pipelines (`pipeline.*` /
-    /// `cross_block.*`), and the durable store (`durable.*`) all
-    /// report here.
+    /// (`mempool.*`), the commit pipeline (`pipeline.*`), and the
+    /// durable store (`durable.*`) all report here.
     pub fn telemetry_snapshot(&self) -> Option<Value> {
         self.pipeline
             .telemetry
@@ -305,14 +289,9 @@ impl Node {
     }
 
     /// The node's UTXO state digest — the O(shards) replica-equality
-    /// comparator (see `scdb_store::StateDigest`). Pending-aware: with
-    /// a cross-block commit still deferred, this answers the digest the
-    /// ledger will hold after the flush, so replicas stay comparable
-    /// mid-pipeline.
+    /// comparator (see `scdb_store::StateDigest`).
     pub fn state_digest(&self) -> scdb_store::StateDigest {
-        self.cross
-            .pending_digest()
-            .unwrap_or_else(|| self.ledger.state_digest())
+        self.ledger.state_digest()
     }
 
     /// The document store (queryability surface).
@@ -340,10 +319,7 @@ impl Node {
     pub fn validate_payload(&self, payload: &str) -> Result<Transaction, ValidationError> {
         let tx = Transaction::from_payload(payload)
             .map_err(|e| ValidationError::Semantic(e.to_string()))?;
-        // Validate against the pending-aware view: a transaction
-        // spending an output a still-deferred block created is valid.
-        let view = SpeculativeView::new(&self.ledger, self.cross.pending_overlays());
-        validate_transaction(&tx, &view)?;
+        validate_transaction(&tx, &self.ledger)?;
         Ok(tx)
     }
 
@@ -360,19 +336,14 @@ impl Node {
     /// transactions through the conflict-aware parallel pipeline
     /// (`scdb_core::pipeline`): the batch is partitioned into
     /// conflict-free waves, validated concurrently by the node's
-    /// configured workers — speculatively across wave boundaries when
-    /// the node's [`PipelineOptions::speculation`] is on — and applied
-    /// in submission order. Post-commit effects (store mirror,
-    /// recovery log, nested-child determination) run exactly as on the
-    /// single-transaction path.
+    /// configured workers, and applied in submission order.
+    /// Post-commit effects (store mirror, recovery log, nested-child
+    /// determination) run exactly as on the single-transaction path.
     ///
     /// This is the ingest core: callers that hold parsed transactions
     /// (the mempool, the batching driver, block delivery) hand them
     /// over as `Arc`s and nothing downstream re-parses a payload.
     pub fn submit_batch_parsed(&mut self, batch: &[Arc<Transaction>]) -> BatchSubmitReport {
-        // This path commits block-at-a-time regardless of the mode, so
-        // any deferred cross-block commit lands first.
-        self.sync();
         let outcome = commit_batch(&mut self.ledger, batch, &self.pipeline);
         let post_commit_failures = self.run_post_commit(batch, &outcome);
         BatchSubmitReport {
@@ -447,15 +418,13 @@ impl Node {
     /// stateless checks plus footprint indexing, no semantic
     /// validation (that happens at [`Node::drain_block`] commit time).
     pub fn ingest(&mut self, tx: Arc<Transaction>) -> Result<AdmitReceipt, AdmitError> {
-        let view = SpeculativeView::new(&self.ledger, self.cross.pending_overlays());
-        self.mempool.admit(tx, &view)
+        self.mempool.admit(tx, &self.ledger)
     }
 
     /// [`Node::ingest`] over a serialized payload (the RPC surface);
     /// parses exactly once.
     pub fn ingest_payload(&mut self, payload: &str) -> Result<AdmitReceipt, AdmitError> {
-        let view = SpeculativeView::new(&self.ledger, self.cross.pending_overlays());
-        self.mempool.admit_payload(payload, &view)
+        self.mempool.admit_payload(payload, &self.ledger)
     }
 
     /// Admits a whole arrival batch through the mempool's staged
@@ -468,8 +437,7 @@ impl Node {
         &mut self,
         txs: &[Arc<Transaction>],
     ) -> Vec<Result<AdmitReceipt, AdmitError>> {
-        let view = SpeculativeView::new(&self.ledger, self.cross.pending_overlays());
-        self.mempool.admit_batch(txs, &view)
+        self.mempool.admit_batch(txs, &self.ledger)
     }
 
     /// [`Node::ingest_batch`] over serialized payloads: the parse
@@ -478,8 +446,7 @@ impl Node {
         &mut self,
         payloads: &[String],
     ) -> Vec<Result<AdmitReceipt, AdmitError>> {
-        let view = SpeculativeView::new(&self.ledger, self.cross.pending_overlays());
-        self.mempool.admit_payload_batch(payloads, &view)
+        self.mempool.admit_payload_batch(payloads, &self.ledger)
     }
 
     /// Advances the mempool's tick clock and expires pending
@@ -510,43 +477,18 @@ impl Node {
     /// returns to the pool via [`Node::requeue_proposal`] (the
     /// proposal was abandoned).
     pub fn form_proposal(&mut self, max_n: usize) -> scdb_mempool::FormedBatch {
-        let view = SpeculativeView::new(&self.ledger, self.cross.pending_overlays());
-        self.mempool.drain_batch(max_n, &view)
+        self.mempool.drain_batch(max_n, &self.ledger)
     }
 
     /// Commits a formed proposal through the pipeline with its
-    /// precomputed schedule, running post-commit effects. In
-    /// cross-block mode ([`PipelineOptions::cross_block`]) the block's
-    /// verdicts are decided here but its apply is deferred into the
-    /// pipelined executor, where it overlaps the *next* proposal's
-    /// validation; [`Node::sync`] (or any non-pipelined entry point)
-    /// forces it.
+    /// precomputed schedule, running post-commit effects.
     pub fn commit_proposal(&mut self, formed: scdb_mempool::FormedBatch) -> DrainReport {
-        let outcome = if self.pipeline.cross_block {
-            let outcome = self.cross.commit(
-                &mut self.ledger,
-                &formed.txs,
-                &formed.schedule,
-                &self.pipeline,
-            );
-            // Nested settlement (ACCEPT_BID child determination) reads
-            // the committed ledger: land the deferred apply before
-            // post-commit when this block settled an auction.
-            let settled_accept = formed.txs.iter().any(|tx| {
-                tx.operation == Operation::AcceptBid && outcome.committed.contains(&tx.id)
-            });
-            if settled_accept {
-                self.sync();
-            }
-            outcome
-        } else {
-            commit_batch_planned(
-                &mut self.ledger,
-                &formed.txs,
-                &formed.schedule,
-                &self.pipeline,
-            )
-        };
+        let outcome = commit_batch_planned(
+            &mut self.ledger,
+            &formed.txs,
+            &formed.schedule,
+            &self.pipeline,
+        );
         let post_commit_failures = self.run_post_commit(&formed.txs, &outcome);
         DrainReport {
             batch: formed.txs,
@@ -560,15 +502,11 @@ impl Node {
     /// original arrival positions (members committed meanwhile are
     /// skipped). Returns how many were reinstated.
     pub fn requeue_proposal(&mut self, formed: scdb_mempool::FormedBatch) -> usize {
-        let view = SpeculativeView::new(&self.ledger, self.cross.pending_overlays());
-        self.mempool.requeue(formed, &view)
+        self.mempool.requeue(formed, &self.ledger)
     }
 
     /// Commits an already-validated transaction.
     pub fn commit(&mut self, tx: &Transaction) -> Result<(), ValidationError> {
-        // The scalar path mutates the ledger directly; a deferred
-        // cross-block commit must land first.
-        self.sync();
         let applied = self.ledger.apply(tx);
         // Durable mode: every apply attempt seals a (one-transaction)
         // block. A failed apply already wrote its wave record
@@ -605,7 +543,6 @@ impl Node {
     /// `false` when the node runs without durability). Recovery after
     /// this point loads the snapshot and replays only the tail.
     pub fn checkpoint_durable(&mut self) -> Result<bool, WalError> {
-        self.sync();
         let Some(store) = self.ledger.durable_store().cloned() else {
             return Ok(false);
         };
@@ -632,7 +569,6 @@ impl Node {
     /// Returns `Ok(None)` when the node runs without durability; wait
     /// on the handle to observe writer errors.
     pub fn checkpoint_durable_background(&mut self) -> Result<Option<CheckpointHandle>, WalError> {
-        self.sync();
         let Some(store) = self.ledger.durable_store().cloned() else {
             return Ok(None);
         };
@@ -657,7 +593,6 @@ impl Node {
     /// to recovery, exactly as if the host had crashed. A no-op
     /// returning `false` without durability.
     pub fn flush_durable(&mut self) -> Result<bool, WalError> {
-        self.sync();
         let Some(store) = self.ledger.durable_store().cloned() else {
             return Ok(false);
         };
@@ -752,9 +687,6 @@ impl Node {
         if jobs.is_empty() {
             return 0;
         }
-        // The scalar apply mutates the ledger directly; a deferred
-        // cross-block commit must land first.
-        self.sync();
         let applied: Vec<bool> = jobs
             .iter()
             .map(|job| self.ledger.apply_shared(&job.child).is_ok())
@@ -793,7 +725,6 @@ impl Node {
     /// log when the receiver node comes up online". Children already
     /// committed are skipped. Returns how many were re-enqueued.
     pub fn recover(&mut self) -> usize {
-        self.sync();
         let mut re_enqueued = 0;
         for entry in self.log.replay_kind("enqueue_returns") {
             let parent_id = entry

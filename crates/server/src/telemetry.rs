@@ -59,18 +59,12 @@ fn trace_to_json(t: &CommitTrace) -> Value {
         stages.insert(*stage, *ns);
     }
     doc.insert("stages", stages);
-    let mut counts = Value::object();
-    for (name, n) in &t.counts {
-        counts.insert(*name, *n);
-    }
-    doc.insert("counts", counts);
     doc
 }
 
 /// The full deterministic export: sorted metric maps, traces in block
 /// order. This is what `Node::telemetry_snapshot` and
-/// `SmartchainCluster::telemetry_snapshot` hand out, and what the
-/// bench bins embed in `BENCH_*.json`.
+/// `SmartchainCluster::telemetry_snapshot` hand out.
 pub fn snapshot_to_json(snap: &TelemetrySnapshot) -> Value {
     let mut counters = Value::object();
     for (name, v) in &snap.counters {
@@ -112,7 +106,6 @@ mod tests {
             waves: 2,
             total_ns: 5_000,
             stages: vec![("validate", 3_000), ("apply", 1_500)],
-            counts: vec![("re_validated", 1)],
             ..CommitTrace::default()
         });
         let a = snapshot_to_json(&t.snapshot().unwrap()).to_compact_string();

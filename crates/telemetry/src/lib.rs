@@ -2,7 +2,7 @@
 //! SmartchainDB reproduction.
 //!
 //! One [`Telemetry`] handle threads through every layer (admission,
-//! speculation, cross-block apply, the WAL, cluster deliver). Disabled
+//! the commit pipeline, the WAL, cluster deliver). Disabled
 //! — the default — it is a `None` and every operation is a single
 //! branch; enabled (`SCDB_TELEMETRY=1` or
 //! `PipelineOptions::with_telemetry`) it shares one [`Registry`] of
@@ -27,10 +27,27 @@ pub use span::{best_of, Span, Stopwatch};
 
 use std::sync::Arc;
 
-/// The environment variable that switches telemetry on:
-/// `1`/`true`/`on`/`yes` (the same idiom as `SCDB_SPECULATION`,
-/// `SCDB_CROSS_BLOCK`, `SCDB_DURABLE`).
+/// The environment variable that switches telemetry on (an
+/// [`env_flag`], like `SCDB_DURABLE`).
 pub const TELEMETRY_ENV: &str = "SCDB_TELEMETRY";
+
+/// Reads the boolean environment variable `name`: `1`/`true`/`on`/`yes`
+/// is `Some(true)`, `0`/`false`/`off`/`no` is `Some(false)` — trimmed,
+/// case-insensitive — and anything else, or unset, is `None` so the
+/// caller's default applies. The one parser behind every boolean
+/// `SCDB_*` variable.
+pub fn env_flag(name: &str) -> Option<bool> {
+    match std::env::var(name)
+        .ok()?
+        .trim()
+        .to_ascii_lowercase()
+        .as_str()
+    {
+        "1" | "true" | "on" | "yes" => Some(true),
+        "0" | "false" | "off" | "no" => Some(false),
+        _ => None,
+    }
+}
 
 /// The shared telemetry handle: `Clone`-cheap, `None` when disabled.
 ///
@@ -58,8 +75,8 @@ impl Telemetry {
 
     /// Enabled iff [`TELEMETRY_ENV`] is set truthy.
     pub fn from_env() -> Telemetry {
-        match std::env::var(TELEMETRY_ENV) {
-            Ok(v) if matches!(v.as_str(), "1" | "true" | "on" | "yes") => Telemetry::enabled(),
+        match env_flag(TELEMETRY_ENV) {
+            Some(true) => Telemetry::enabled(),
             _ => Telemetry::disabled(),
         }
     }
@@ -144,6 +161,36 @@ impl std::fmt::Debug for Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn env_flag_parses_one_idiom() {
+        // A variable no other test touches: tests share the process
+        // environment.
+        const VAR: &str = "ENV_FLAG_UNIT_TEST_VAR";
+        assert_eq!(env_flag(VAR), None, "unset");
+        let cases = [
+            ("1", Some(true)),
+            ("true", Some(true)),
+            ("on", Some(true)),
+            ("yes", Some(true)),
+            ("0", Some(false)),
+            ("false", Some(false)),
+            ("off", Some(false)),
+            ("no", Some(false)),
+            (" 1", Some(true)),
+            ("off\n", Some(false)),
+            ("TRUE", Some(true)),
+            ("oFf", Some(false)),
+            ("", None),
+            ("2", None),
+            ("enabled", None),
+        ];
+        for (value, expected) in cases {
+            std::env::set_var(VAR, value);
+            assert_eq!(env_flag(VAR), expected, "{value:?}");
+        }
+        std::env::remove_var(VAR);
+    }
 
     #[test]
     fn disabled_handle_is_inert() {

@@ -20,18 +20,16 @@ use std::sync::{Arc, Mutex, RwLock};
 pub const TRACE_RING_CAPACITY: usize = 256;
 
 /// One block's structured stage breakdown: where its commit latency
-/// went, stage by stage, plus the counts that explain the shape
-/// (re-validations, diverged keys, waves). Recorded by the commit
-/// paths (`commit_batch_planned`, the cross-block pipeline) when
-/// telemetry is on; exported sorted and stable through
-/// `Node::telemetry_snapshot`. DESIGN-telemetry.md documents the
-/// schema.
+/// went, stage by stage. Recorded by the commit pipeline
+/// (`commit_batch_planned`) when telemetry is on; exported sorted and
+/// stable through `Node::telemetry_snapshot`. DESIGN-telemetry.md
+/// documents the schema.
 #[derive(Debug, Clone, Default)]
 pub struct CommitTrace {
     /// Monotone per-registry block sequence (assigned at record time).
     pub block: u64,
-    /// Which executor committed it ("pipeline", "cross_block",
-    /// "cross_block.flush").
+    /// Which executor committed it (always "pipeline": the
+    /// wave-barrier loop is the only one).
     pub executor: &'static str,
     /// Batch size.
     pub txs: usize,
@@ -46,9 +44,6 @@ pub struct CommitTrace {
     /// Ordered `(stage, ns)` pairs — the per-block latency breakdown.
     /// Stage names are stable keys (see DESIGN-telemetry.md).
     pub stages: Vec<(&'static str, u64)>,
-    /// Ordered `(name, value)` event counts for this block
-    /// (re-validations, diverged keys, WAL bytes, …).
-    pub counts: Vec<(&'static str, u64)>,
 }
 
 impl CommitTrace {

@@ -236,7 +236,6 @@ impl<A: Probe> Run<A> {
                 }
             }
             if !resubmitted {
-                h.app_mut().probe().cluster.sync_all();
                 break;
             }
         }
@@ -574,8 +573,6 @@ impl Twins {
                 app.on_commit(node, 1, &committed, SimTime::ZERO);
             }
         }
-        self.pooled.cluster.sync_all();
-        self.looped.0.cluster.sync_all();
         for node in 0..NODES {
             let digest = self.oracle.state_digest();
             assert_eq!(self.pooled.cluster.state_digest(node), digest);

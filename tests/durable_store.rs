@@ -107,8 +107,6 @@ fn crash_at_any_write_recovers_a_sealed_prefix_matching_the_reference() {
         escrow.clone(),
         PipelineOptions::with_workers(1)
             .utxo_shards(1)
-            .speculative(false)
-            .cross(false)
             .durable(false),
     );
     let mut ref_states = vec![ref_state(&reference)];
@@ -124,13 +122,7 @@ fn crash_at_any_write_recovers_a_sealed_prefix_matching_the_reference() {
     // flushes) and the coalesced manifest-chunk boundary.
     let scratch = Scratch::new("batch-crash");
     for level in [FsyncLevel::None, FsyncLevel::Block, FsyncLevel::Group(3)] {
-        let opts = move || {
-            PipelineOptions::with_workers(4)
-                .utxo_shards(8)
-                .speculative(true)
-                .cross(false)
-                .fsync(level)
-        };
+        let opts = move || PipelineOptions::with_workers(4).utxo_shards(8).fsync(level);
         let mut k = 0u64;
         let mut survived = false;
         // Backstop far above any real write count for this stream.
@@ -297,8 +289,7 @@ fn scalar_auction_with_settlements_survives_crash_at_any_write() {
         escrow.clone(),
         PipelineOptions::with_workers(1)
             .utxo_shards(1)
-            .durable(false)
-            .cross(false),
+            .durable(false),
     );
     let mut ref_states = vec![ref_state(&reference)];
     for op in &ops {
@@ -308,12 +299,7 @@ fn scalar_auction_with_settlements_survives_crash_at_any_write() {
 
     let scratch = Scratch::new("scalar-crash");
     for level in [FsyncLevel::None, FsyncLevel::Group(2)] {
-        let opts = move || {
-            PipelineOptions::with_workers(2)
-                .utxo_shards(4)
-                .cross(false)
-                .fsync(level)
-        };
+        let opts = move || PipelineOptions::with_workers(2).utxo_shards(4).fsync(level);
         let mut k = 0u64;
         let mut survived = false;
         while !survived && k < 10_000 {
@@ -377,10 +363,7 @@ fn scalar_auction_with_settlements_survives_crash_at_any_write() {
 /// ACCEPT_BID: both children sit on the return queue, nothing pumped.
 fn node_with_queued_children(dir: &std::path::Path, level: FsyncLevel) -> Node {
     let escrow = KeyPair::from_seed([0xE5; 32]);
-    let opts = PipelineOptions::with_workers(2)
-        .utxo_shards(4)
-        .cross(false)
-        .fsync(level);
+    let opts = PipelineOptions::with_workers(2).utxo_shards(4).fsync(level);
     let mut node = Node::with_durable_dir(escrow.clone(), opts, dir).expect("store opens");
     for op in &auction_ops(&escrow.public_hex()) {
         if let Op::Payload(_) = op {
@@ -428,10 +411,7 @@ fn crash_inside_a_multi_child_pump_recovers_to_the_pre_pump_state() {
             drop(node);
 
             let escrow = KeyPair::from_seed([0xE5; 32]);
-            let opts = PipelineOptions::with_workers(2)
-                .utxo_shards(4)
-                .cross(false)
-                .fsync(level);
+            let opts = PipelineOptions::with_workers(2).utxo_shards(4).fsync(level);
             let mut recovered = Node::with_durable_dir(escrow, opts, &scratch.0)
                 .expect("recovery after a torn pump is clean");
             if survived {
@@ -507,7 +487,7 @@ fn failed_child_is_aborted_in_the_seal_and_its_siblings_commit() {
     // double spend) and land on the sealed digest.
     let recovered = Node::with_durable_dir(
         KeyPair::from_seed([0xE5; 32]),
-        PipelineOptions::with_workers(2).utxo_shards(4).cross(false),
+        PipelineOptions::with_workers(2).utxo_shards(4),
         &scratch.0,
     )
     .expect("the aborted child's effects are skipped at replay");
@@ -534,12 +514,9 @@ fn pump_returns_counts_are_independent_of_the_batching() {
     assert_eq!(height(&node), start + 2, "an empty pump seals no block");
 }
 
-/// Cluster durability under cross-block pipelining: replicas commit
-/// through the deferred-apply executor, one crash-restarts mid-stream
-/// (its pending apply is thrown away and recovered from its own WAL —
-/// sealed *before* the deferred apply by construction), another is
-/// wiped and catches up wholesale from a peer's store. Everyone must
-/// stay digest-equal throughout.
+/// Cluster durability: one replica restarts mid-stream and recovers
+/// from its own WAL, another is wiped and catches up wholesale from a
+/// peer's store. Everyone must stay digest-equal throughout.
 #[test]
 fn cluster_restart_and_catch_up_stay_digest_equal() {
     let blocks = contended_blocks(0xCAFE, 4);
@@ -552,8 +529,6 @@ fn cluster_restart_and_catch_up_stay_digest_equal() {
         nodes,
         PipelineOptions::with_workers(4)
             .utxo_shards(8)
-            .speculative(true)
-            .cross(true)
             .durable(true),
     );
     let mut next_tx: TxId = 0;
@@ -578,11 +553,9 @@ fn cluster_restart_and_catch_up_stay_digest_equal() {
         .checkpoint_replica(0)
         .expect("replica 0 checkpoints at a block boundary");
 
-    // Replica 1 crashes with a block still pending in its cross-block
-    // pipeline; recovery from its own store must reach the sealed
-    // state every surviving replica converges to.
+    // Replica 1 restarts; recovery from its own store must reach the
+    // sealed state every surviving replica holds.
     cluster.restart_replica(1).expect("replica 1 recovers");
-    cluster.sync_all();
     let d0 = cluster.state_digest(0);
     assert_eq!(d0, cluster.state_digest(1), "restarted replica diverged");
     assert_eq!(d0, cluster.state_digest(2));
@@ -592,7 +565,6 @@ fn cluster_restart_and_catch_up_stay_digest_equal() {
     for block in &payloads[half..] {
         deliver(&mut cluster, block);
     }
-    cluster.sync_all();
     let d0 = cluster.state_digest(0);
     assert_eq!(d0, cluster.state_digest(1));
     assert_eq!(d0, cluster.state_digest(2));
@@ -615,7 +587,6 @@ fn cluster_restart_and_catch_up_stay_digest_equal() {
 
     // And it keeps working: one more delivered block stays replicated.
     deliver(&mut cluster, &payloads[0]);
-    cluster.sync_all();
     let d0 = cluster.state_digest(0);
     assert_eq!(d0, cluster.state_digest(1));
     assert_eq!(d0, cluster.state_digest(2));
@@ -637,8 +608,6 @@ fn incremental_catch_up_reuses_matching_checkpoint_shards() {
         3,
         PipelineOptions::with_workers(4)
             .utxo_shards(shards)
-            .speculative(true)
-            .cross(true)
             .durable(true),
     );
     let mut next_tx: TxId = 0;
@@ -677,7 +646,6 @@ fn incremental_catch_up_reuses_matching_checkpoint_shards() {
     assert_eq!(stats.shards_reused, shards, "every shard file is reused");
     assert_eq!(stats.shards_shipped, 0, "only the WAL suffix moves");
 
-    cluster.sync_all();
     let d0 = cluster.state_digest(0);
     assert_eq!(d0, cluster.state_digest(2), "caught-up replica diverged");
     assert_eq!(
@@ -688,7 +656,6 @@ fn incremental_catch_up_reuses_matching_checkpoint_shards() {
 
     // And it keeps replicating.
     deliver(&mut cluster, &payloads[0], &[0, 1, 2]);
-    cluster.sync_all();
     let d0 = cluster.state_digest(0);
     assert_eq!(d0, cluster.state_digest(1));
     assert_eq!(d0, cluster.state_digest(2));
@@ -704,13 +671,7 @@ fn background_checkpoint_overlaps_commits_and_recovers() {
     let escrow = KeyPair::from_seed([0xE5; 32]);
     let blocks = contended_blocks(0xBAC6, 4);
     for level in [FsyncLevel::None, FsyncLevel::Group(2)] {
-        let opts = move || {
-            PipelineOptions::with_workers(4)
-                .utxo_shards(8)
-                .speculative(true)
-                .cross(false)
-                .fsync(level)
-        };
+        let opts = move || PipelineOptions::with_workers(4).utxo_shards(8).fsync(level);
         let scratch = Scratch::new(&format!("bg-ckpt-{level:?}"));
         let mut node =
             Node::with_durable_dir(escrow.clone(), opts(), &scratch.0).expect("fresh store opens");
@@ -768,7 +729,7 @@ fn wal_write_failure_fails_the_commit_closed() {
     let escrow = KeyPair::from_seed([0xE5; 32]);
     let blocks = contended_blocks(0xFA11, 5);
     let scratch = Scratch::new("wal-fail");
-    let opts = || PipelineOptions::with_workers(2).utxo_shards(4).cross(false);
+    let opts = || PipelineOptions::with_workers(2).utxo_shards(4);
     let mut node =
         Node::with_durable_dir(escrow.clone(), opts(), &scratch.0).expect("fresh store opens");
     node.submit_batch_parsed(&blocks[0]);
@@ -827,7 +788,7 @@ fn exported_store_recovers_independently() {
     let blocks = contended_blocks(0xE49, 6);
     let scratch = Scratch::new("export-src");
     let target = Scratch::new("export-dst");
-    let opts = || PipelineOptions::with_workers(2).utxo_shards(4).cross(false);
+    let opts = || PipelineOptions::with_workers(2).utxo_shards(4);
     let mut node =
         Node::with_durable_dir(escrow.clone(), opts(), &scratch.0).expect("fresh store opens");
     for (i, block) in blocks.iter().enumerate() {

@@ -1,7 +1,7 @@
 //! Integration: the §4.2.1 failure taxonomy under consensus — crashes
 //! during parent processing, during child enqueueing, and during child
-//! settlement — plus driver-level retry and mis-speculation injection
-//! for the speculative cross-wave pipeline.
+//! settlement — plus driver-level retry and mid-apply failure injection
+//! for the commit pipeline.
 
 use smartchaindb::consensus::TxStatus;
 use smartchaindb::core::pipeline::commit_batch;
@@ -310,7 +310,7 @@ fn failed_apply_is_atomic_across_shards() {
 /// Two complete reverse-auction rounds (creates, request, bids, accept
 /// and — when `with_children` — the settlement children) as one
 /// phase-ordered batch. Returns the batch, the first auction's
-/// winning-bid id (the mis-speculation victim) and the second
+/// winning-bid id (the injection victim) and the second
 /// auction's ids (the control group that must stay clean).
 fn two_auction_batch(
     escrow: &KeyPair,
@@ -417,6 +417,12 @@ fn sequential_with_injection(
     (committed, rejected)
 }
 
+fn verdict_strings(rejected: &[(usize, smartchaindb::ValidationError)]) -> Vec<(usize, String)> {
+    rejected.iter().map(|(i, e)| (*i, e.to_string())).collect()
+}
+
+// Keeps its pre-ISSUE-17 name (the test floor tracks it by name): every
+// dependent is validated after the abort, none speculatively.
 #[test]
 fn injected_mid_apply_failure_cascades_through_every_dependent_speculation() {
     let escrow = KeyPair::from_seed([0xE5; 32]);
@@ -430,65 +436,37 @@ fn injected_mid_apply_failure_cascades_through_every_dependent_speculation() {
     let mut seq_ledger = fresh();
     let (seq_committed, seq_rejected) = sequential_with_injection(&mut seq_ledger, &batch, &victim);
 
-    let options = |speculation: bool| {
-        PipelineOptions::with_workers(4)
-            .inject_apply_failure(victim.clone())
-            .speculative(speculation)
-    };
-    let mut barrier_ledger = fresh();
-    let barrier = commit_batch(&mut barrier_ledger, &batch, &options(false));
-    let mut spec_ledger = fresh();
-    let spec = commit_batch(&mut spec_ledger, &batch, &options(true));
-
-    assert!(spec.speculative && !barrier.speculative);
-    // Every speculation that read through the victim's predicted writes
-    // was detected and re-validated: the sibling bid (same request's
-    // bid set), the accept, and both settlement children. The clean
-    // second auction re-checks nothing.
-    assert_eq!(
-        spec.re_validated, 4,
-        "sibling bid + accept + 2 settlement children: {spec:?}"
+    let mut ledger = fresh();
+    let outcome = commit_batch(
+        &mut ledger,
+        &batch,
+        &PipelineOptions::with_workers(4).inject_apply_failure(victim.clone()),
     );
-    // The victim and the three transactions that needed its state are
-    // rejected; the sibling bid re-validates successfully.
-    assert_eq!(spec.rejected.len(), 4, "{spec:?}");
+
+    // The victim and the three transactions that needed its state (the
+    // accept and both settlement children) are rejected; the sibling
+    // bid, validated a wave later, commits.
+    assert_eq!(outcome.rejected.len(), 4, "{outcome:?}");
 
     // Byte-identical to the sequential run under the same injection —
-    // ids, order, verdicts, UTXO state. No torn overlay state.
-    assert_eq!(spec.committed, seq_committed);
-    let verdicts = |rejected: &[(usize, smartchaindb::ValidationError)]| -> Vec<(usize, String)> {
-        rejected.iter().map(|(i, e)| (*i, e.to_string())).collect()
-    };
-    assert_eq!(verdicts(&spec.rejected), seq_rejected);
-    assert_eq!(verdicts(&spec.rejected), verdicts(&barrier.rejected));
-    assert_eq!(spec_ledger.committed_ids(), seq_ledger.committed_ids());
-    assert_eq!(
-        spec_ledger.utxos().snapshot(),
-        seq_ledger.utxos().snapshot()
-    );
-    assert_eq!(
-        spec_ledger.utxos().snapshot(),
-        barrier_ledger.utxos().snapshot()
-    );
+    // ids, order, verdicts, UTXO state.
+    assert_eq!(outcome.committed, seq_committed);
+    assert_eq!(verdict_strings(&outcome.rejected), seq_rejected);
+    assert_eq!(ledger.committed_ids(), seq_ledger.committed_ids());
+    assert_eq!(ledger.utxos().snapshot(), seq_ledger.utxos().snapshot());
 
     // The untainted auction settled end to end despite its neighbour's
-    // mis-speculation.
+    // abort.
     for id in &control {
-        assert!(spec_ledger.is_committed(id), "control tx {id} lost");
+        assert!(ledger.is_committed(id), "control tx {id} lost");
     }
 }
 
 #[test]
 fn cross_block_injected_failure_cascades_into_the_next_blocks_dependents() {
-    // The cross-block boundary case: the victim bid aborts mid-apply in
-    // block k, but block k+1 (the accept and both settlement children)
-    // already validated against block k's *predicted* overlay chain —
-    // which still contained the victim's effects. The pipelined
-    // executor must detect the divergence and re-validate exactly the
-    // dependents whose footprints cross the victim's writes, landing
-    // the same verdicts block-at-a-time execution lands.
-    use smartchaindb::core::{plan_schedule, CrossBlockPipeline, SpeculativeView};
-
+    // The block-boundary case: the victim bid aborts mid-apply in block
+    // k; block k+1 (the accept and both settlement children) depends on
+    // it and must be rejected exactly as the sequential run rejects it.
     let escrow = KeyPair::from_seed([0xE5; 32]);
     let (batch, victim, control) = two_auction_batch(&escrow, true);
     // Blocks: auction 0's creates+request+bids (the victim commits
@@ -507,30 +485,17 @@ fn cross_block_injected_failure_cascades_into_the_next_blocks_dependents() {
         .map(|block| sequential_with_injection(&mut seq_ledger, block, &victim))
         .collect();
 
-    let options = PipelineOptions::with_workers(4)
-        .inject_apply_failure(victim.clone())
-        .cross(true);
+    let options = PipelineOptions::with_workers(4).inject_apply_failure(victim.clone());
     let mut ledger = fresh();
-    let mut cross = CrossBlockPipeline::new();
-    let mut outcomes = Vec::new();
-    for block in &blocks {
-        let schedule = {
-            let view = SpeculativeView::new(&ledger, cross.pending_overlays());
-            plan_schedule(block, &view)
-        };
-        outcomes.push(cross.commit(&mut ledger, block, &schedule, &options));
-    }
-    cross.flush(&mut ledger, 4);
+    let outcomes: Vec<_> = blocks
+        .iter()
+        .map(|block| commit_batch(&mut ledger, block, &options))
+        .collect();
 
-    // Block k rejects exactly the victim; block k+1's dependents were
-    // re-validated across the boundary and rejected cleanly.
+    // Block k rejects exactly the victim; block k+1's dependents are
+    // rejected cleanly.
     assert_eq!(outcomes[0].rejected.len(), 1, "{:?}", outcomes[0]);
     assert_eq!(batch[outcomes[0].rejected[0].0].id, victim);
-    assert!(
-        outcomes[1].re_validated >= 1,
-        "the mis-predicted boundary must trigger re-validation: {:?}",
-        outcomes[1]
-    );
     assert_eq!(
         outcomes[1].rejected.len(),
         3,
@@ -540,12 +505,9 @@ fn cross_block_injected_failure_cascades_into_the_next_blocks_dependents() {
     assert!(outcomes[2].rejected.is_empty(), "{:?}", outcomes[2]);
 
     // Byte-identical to the sequential run under the same injection.
-    let verdicts = |rejected: &[(usize, smartchaindb::ValidationError)]| -> Vec<(usize, String)> {
-        rejected.iter().map(|(i, e)| (*i, e.to_string())).collect()
-    };
     for (outcome, (seq_committed, seq_rejected)) in outcomes.iter().zip(&seq_blocks) {
         assert_eq!(&outcome.committed, seq_committed);
-        assert_eq!(&verdicts(&outcome.rejected), seq_rejected);
+        assert_eq!(&verdict_strings(&outcome.rejected), seq_rejected);
     }
     assert_eq!(ledger.committed_ids(), seq_ledger.committed_ids());
     assert_eq!(ledger.utxos().snapshot(), seq_ledger.utxos().snapshot());
@@ -558,7 +520,7 @@ fn cross_block_injected_failure_cascades_into_the_next_blocks_dependents() {
 fn injected_failure_in_every_wave_still_converges_to_sequential() {
     // Harder cascade: fail the first auction's REQUEST itself (wave 0),
     // so everything downstream of it — bids, accept, children — is a
-    // dependent speculation that must be caught.
+    // dependent that must be rejected.
     let escrow = KeyPair::from_seed([0xE5; 32]);
     let (batch, _, control) = two_auction_batch(&escrow, true);
     let request_id = batch
@@ -576,39 +538,28 @@ fn injected_failure_in_every_wave_still_converges_to_sequential() {
     let (seq_committed, seq_rejected) =
         sequential_with_injection(&mut seq_ledger, &batch, &request_id);
 
-    let mut spec_ledger = fresh();
-    let spec = commit_batch(
-        &mut spec_ledger,
+    let mut ledger = fresh();
+    let outcome = commit_batch(
+        &mut ledger,
         &batch,
-        &PipelineOptions::with_workers(4)
-            .inject_apply_failure(request_id.clone())
-            .speculative(true),
+        &PipelineOptions::with_workers(4).inject_apply_failure(request_id.clone()),
     );
 
-    assert!(spec.speculative);
     assert!(
-        spec.re_validated >= 5,
-        "bids, accept and children all depended on the failed request: {spec:?}"
+        outcome.rejected.len() >= 6,
+        "the request plus its bids, accept and children: {outcome:?}"
     );
-    assert_eq!(spec.committed, seq_committed);
-    let verdicts: Vec<(usize, String)> = spec
-        .rejected
-        .iter()
-        .map(|(i, e)| (*i, e.to_string()))
-        .collect();
-    assert_eq!(verdicts, seq_rejected);
-    assert_eq!(
-        spec_ledger.utxos().snapshot(),
-        seq_ledger.utxos().snapshot()
-    );
+    assert_eq!(outcome.committed, seq_committed);
+    assert_eq!(verdict_strings(&outcome.rejected), seq_rejected);
+    assert_eq!(ledger.utxos().snapshot(), seq_ledger.utxos().snapshot());
     for id in &control {
-        assert!(spec_ledger.is_committed(id), "control tx {id} lost");
+        assert!(ledger.is_committed(id), "control tx {id} lost");
     }
 }
 
 #[test]
 fn node_level_injection_keeps_auxiliary_stores_consistent() {
-    // The same mis-speculation through the full server stack (batch
+    // The same injected abort through the full server stack (batch
     // without pre-built children, so the commit hook determines them):
     // the rejected accept must enqueue nothing, while the clean
     // auction's accept settles its children through the normal queue,
@@ -619,19 +570,14 @@ fn node_level_injection_keeps_auxiliary_stores_consistent() {
 
     let mut node = Node::with_options(
         escrow.clone(),
-        PipelineOptions::with_workers(4)
-            .inject_apply_failure(victim.clone())
-            .speculative(true),
+        PipelineOptions::with_workers(4).inject_apply_failure(victim.clone()),
     );
-    assert!(node.pipeline_options().speculation, "knob did not thread");
     assert!(node.pipeline_options().fail_apply.contains(&victim));
     let report = node.submit_batch(&payloads);
     assert!(report.parse_failures.is_empty());
     assert!(report.post_commit_failures.is_empty());
-    // Victim bid (injected) + its accept (re-validated and rejected);
-    // the sibling bid re-validates clean and commits.
+    // Victim bid (injected) + its accept; the sibling bid commits.
     assert_eq!(report.outcome.rejected.len(), 2, "{report:?}");
-    assert!(report.outcome.re_validated >= 2, "{report:?}");
 
     // Only the clean auction's accept enqueued children.
     assert_eq!(node.queue().len(), 2, "winner transfer + return");

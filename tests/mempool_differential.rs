@@ -3,8 +3,7 @@
 //! driver (buffer → mempool admission → wave-packed drain → pipeline
 //! commit with the admission-derived schedule) must commit the same
 //! ledger — ids, verdicts, UTXO snapshot, marketplace indexes — as
-//! pushing the sequence directly through `Node::submit_batch`, with
-//! speculative cross-wave validation both off and on.
+//! pushing the sequence directly through `Node::submit_batch`.
 
 use smartchaindb::core::pipeline::PipelineOptions;
 use smartchaindb::driver::{BatchingConfig, BatchingDriver, DriverError};
@@ -144,20 +143,14 @@ fn drive_through_submit_batch(
     (node, verdicts)
 }
 
-fn assert_paths_agree(speculation: bool) {
+#[test]
+fn mempool_path_equals_direct_batch_path_barrier() {
     let (_, plan) = contended_plan();
     let (stream, rogue_id) = contended_stream_with_conflict(&plan);
-    let options = PipelineOptions::with_workers(4)
-        .utxo_shards(16)
-        .speculative(speculation);
+    let options = PipelineOptions::with_workers(4).utxo_shards(16);
 
     let (mempool_node, mempool_verdicts) = drive_through_mempool(options.clone(), &stream);
     let (direct_node, direct_verdicts) = drive_through_submit_batch(options, &stream);
-    assert_eq!(
-        mempool_node.pipeline_options().speculation,
-        speculation,
-        "speculation knob must thread through"
-    );
 
     // Per-transaction verdicts: same accept/reject decision for every
     // submission (reasons may differ in phrasing between the admission
@@ -228,16 +221,6 @@ fn assert_paths_agree(speculation: bool) {
             );
         }
     }
-}
-
-#[test]
-fn mempool_path_equals_direct_batch_path_barrier() {
-    assert_paths_agree(false);
-}
-
-#[test]
-fn mempool_path_equals_direct_batch_path_speculative() {
-    assert_paths_agree(true);
 }
 
 #[test]

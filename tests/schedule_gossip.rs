@@ -2,8 +2,7 @@
 //! a batch with the proposer's gossiped `WaveSchedule` must decide and
 //! produce exactly what re-deriving the schedule locally — and what the
 //! sequential validate-then-apply loop — decides and produces, for
-//! honest *and* adversarial gossip, with speculative cross-wave
-//! validation both off and on. Tampered, overlapping and incomplete
+//! honest *and* adversarial gossip. Tampered, overlapping and incomplete
 //! schedules must be rejected by `verify_schedule` and fall back to
 //! re-derivation; the gossiped *footprints* must never influence
 //! outcomes at all (replicas verify against their own).
@@ -64,12 +63,9 @@ fn sequential_reference(batch: &[Arc<Transaction>]) -> (LedgerState, BTreeMap<St
 fn deliver(
     batch: &[Arc<Transaction>],
     wire: Option<&str>,
-    speculation: bool,
 ) -> (LedgerState, BTreeMap<String, bool>, ScheduleSource) {
     let mut ledger = fresh_ledger();
-    let options = PipelineOptions::with_workers(4)
-        .speculative(speculation)
-        .gossip(true);
+    let options = PipelineOptions::with_workers(4).gossip(true);
     let footprints = derive_footprints(batch, &ledger);
     let (outcome, source) =
         commit_batch_with_gossip(&mut ledger, batch, footprints, wire, &options);
@@ -167,7 +163,7 @@ proptest! {
 
     /// Gossiped-schedule delivery ≡ re-derived delivery ≡ sequential:
     /// verdicts, committed ids, marketplace indexes, `state_digest()`
-    /// and the full snapshot — both speculation modes.
+    /// and the full snapshot.
     #[test]
     fn gossiped_equals_rederived_equals_sequential(
         requests in 1usize..3,
@@ -178,35 +174,30 @@ proptest! {
         let wire = plan_schedule(&batch, &fresh_ledger()).to_wire();
         let (seq_ledger, seq_verdicts) = sequential_reference(&batch);
 
-        for speculation in [false, true] {
-            let (gossip_ledger, gossip_verdicts, source) =
-                deliver(&batch, Some(&wire), speculation);
-            prop_assert!(source.used_gossip(), "honest wire must verify: {source:?}");
-            let (plain_ledger, plain_verdicts, plain_source) =
-                deliver(&batch, None, speculation);
-            prop_assert_eq!(&plain_source, &ScheduleSource::Rederived(None));
+        let (gossip_ledger, gossip_verdicts, source) = deliver(&batch, Some(&wire));
+        prop_assert!(source.used_gossip(), "honest wire must verify: {source:?}");
+        let (plain_ledger, plain_verdicts, plain_source) = deliver(&batch, None);
+        prop_assert_eq!(&plain_source, &ScheduleSource::Rederived(None));
 
-            prop_assert_eq!(&gossip_verdicts, &plain_verdicts);
-            prop_assert_eq!(&gossip_verdicts, &seq_verdicts);
-            prop_assert_eq!(gossip_ledger.state_digest(), plain_ledger.state_digest());
-            prop_assert_eq!(gossip_ledger.state_digest(), seq_ledger.state_digest());
-            prop_assert_eq!(
-                gossip_ledger.utxos().snapshot(),
-                seq_ledger.utxos().snapshot()
-            );
-            prop_assert_eq!(gossip_ledger.committed_ids(), seq_ledger.committed_ids());
-            prop_assert_eq!(
-                index_fingerprint(&gossip_ledger, &batch),
-                index_fingerprint(&seq_ledger, &batch)
-            );
-        }
+        prop_assert_eq!(&gossip_verdicts, &plain_verdicts);
+        prop_assert_eq!(&gossip_verdicts, &seq_verdicts);
+        prop_assert_eq!(gossip_ledger.state_digest(), plain_ledger.state_digest());
+        prop_assert_eq!(gossip_ledger.state_digest(), seq_ledger.state_digest());
+        prop_assert_eq!(
+            gossip_ledger.utxos().snapshot(),
+            seq_ledger.utxos().snapshot()
+        );
+        prop_assert_eq!(gossip_ledger.committed_ids(), seq_ledger.committed_ids());
+        prop_assert_eq!(
+            index_fingerprint(&gossip_ledger, &batch),
+            index_fingerprint(&seq_ledger, &batch)
+        );
     }
 
     /// Adversarial gossip: tampered / overlapping / incomplete /
     /// reordered / garbage schedules are rejected and fall back to
     /// re-derivation; lying footprints are inert; in every case the
-    /// final state is byte-identical to the no-gossip path — both
-    /// speculation modes.
+    /// final state is byte-identical to the no-gossip path.
     #[test]
     fn tampered_gossip_is_rejected_and_never_corrupts_state(
         requests in 1usize..3,
@@ -219,30 +210,28 @@ proptest! {
         let (wire, must_reject) = tampered_wire(&schedule, tamper);
         let (seq_ledger, seq_verdicts) = sequential_reference(&batch);
 
-        for speculation in [false, true] {
-            let (ledger, verdicts, source) = deliver(&batch, Some(&wire), speculation);
-            if must_reject {
-                prop_assert!(
-                    matches!(source, ScheduleSource::Rederived(Some(_))),
-                    "tamper {tamper} must be caught: {source:?}"
-                );
-            } else {
-                prop_assert!(
-                    source.used_gossip(),
-                    "tamper {tamper} is semantically harmless: {source:?}"
-                );
-            }
-            // Corruption-freedom is unconditional: whatever the
-            // schedule source, outcomes equal the sequential oracle.
-            prop_assert_eq!(&verdicts, &seq_verdicts);
-            prop_assert_eq!(ledger.state_digest(), seq_ledger.state_digest());
-            prop_assert_eq!(ledger.utxos().snapshot(), seq_ledger.utxos().snapshot());
-            prop_assert_eq!(ledger.committed_ids(), seq_ledger.committed_ids());
-            prop_assert_eq!(
-                index_fingerprint(&ledger, &batch),
-                index_fingerprint(&seq_ledger, &batch)
+        let (ledger, verdicts, source) = deliver(&batch, Some(&wire));
+        if must_reject {
+            prop_assert!(
+                matches!(source, ScheduleSource::Rederived(Some(_))),
+                "tamper {tamper} must be caught: {source:?}"
+            );
+        } else {
+            prop_assert!(
+                source.used_gossip(),
+                "tamper {tamper} is semantically harmless: {source:?}"
             );
         }
+        // Corruption-freedom is unconditional: whatever the
+        // schedule source, outcomes equal the sequential oracle.
+        prop_assert_eq!(&verdicts, &seq_verdicts);
+        prop_assert_eq!(ledger.state_digest(), seq_ledger.state_digest());
+        prop_assert_eq!(ledger.utxos().snapshot(), seq_ledger.utxos().snapshot());
+        prop_assert_eq!(ledger.committed_ids(), seq_ledger.committed_ids());
+        prop_assert_eq!(
+            index_fingerprint(&ledger, &batch),
+            index_fingerprint(&seq_ledger, &batch)
+        );
     }
 }
 
@@ -280,28 +269,24 @@ fn gossiped_block_with_rejections_matches_oracle() {
         ledger
     };
     let wire = plan_schedule(&batch, &mk_ledger()).to_wire();
-    for speculation in [false, true] {
-        let mut gossip_ledger = mk_ledger();
-        let options = PipelineOptions::with_workers(2)
-            .speculative(speculation)
-            .gossip(true);
-        let footprints = derive_footprints(&batch, &gossip_ledger);
-        let (outcome, source) = commit_batch_with_gossip(
-            &mut gossip_ledger,
-            &batch,
-            footprints,
-            Some(&wire),
-            &options,
-        );
-        assert!(source.used_gossip());
-        assert_eq!(outcome.committed, vec![batch[0].id.clone()]);
-        assert_eq!(outcome.rejected.len(), 1);
+    let mut gossip_ledger = mk_ledger();
+    let options = PipelineOptions::with_workers(2).gossip(true);
+    let footprints = derive_footprints(&batch, &gossip_ledger);
+    let (outcome, source) = commit_batch_with_gossip(
+        &mut gossip_ledger,
+        &batch,
+        footprints,
+        Some(&wire),
+        &options,
+    );
+    assert!(source.used_gossip());
+    assert_eq!(outcome.committed, vec![batch[0].id.clone()]);
+    assert_eq!(outcome.rejected.len(), 1);
 
-        let mut plain_ledger = mk_ledger();
-        let footprints = derive_footprints(&batch, &plain_ledger);
-        let (plain, _) =
-            commit_batch_with_gossip(&mut plain_ledger, &batch, footprints, None, &options);
-        assert_eq!(outcome.committed, plain.committed);
-        assert_eq!(gossip_ledger.state_digest(), plain_ledger.state_digest());
-    }
+    let mut plain_ledger = mk_ledger();
+    let footprints = derive_footprints(&batch, &plain_ledger);
+    let (plain, _) =
+        commit_batch_with_gossip(&mut plain_ledger, &batch, footprints, None, &options);
+    assert_eq!(outcome.committed, plain.committed);
+    assert_eq!(gossip_ledger.state_digest(), plain_ledger.state_digest());
 }

@@ -7,7 +7,7 @@
 //! `commit_batch_planned` on a fresh ledger (whose empty set always
 //! misses — the full check) and through the sequential validate+apply
 //! oracle. Verdicts, error strings, commit order and digests must be
-//! identical in barrier, speculative and cross-block mode.
+//! identical.
 //!
 //! **Adversarially**: one named test per way a cached verification
 //! could be abused or go stale.
@@ -150,18 +150,6 @@ fn settle_children(ledger: &mut LedgerState, block: &[Arc<Transaction>], committ
     }
 }
 
-/// One executor mode of the node under test.
-fn mode_options(mode: usize) -> PipelineOptions {
-    let base = PipelineOptions::with_workers(2)
-        .utxo_shards(4)
-        .durable(false);
-    match mode {
-        0 => base.speculative(false).cross(false),
-        1 => base.speculative(true).cross(false),
-        _ => base.speculative(true).cross(true),
-    }
-}
-
 /// Drives `payloads` through a node (admission in `chunk`-sized
 /// batches, blocks of at most `max_n`) and replays every formed block
 /// on a fresh always-missing ledger and on the sequential oracle.
@@ -169,15 +157,11 @@ fn assert_node_equals_fresh_and_sequential(
     payloads: &[String],
     chunk: usize,
     max_n: usize,
-    mode: usize,
 ) -> Result<(), TestCaseError> {
-    let mut node = Node::with_options(escrow(), mode_options(mode));
+    let fresh_options = PipelineOptions::with_workers(2).durable(false);
+    let mut node = Node::with_options(escrow(), fresh_options.clone().utxo_shards(4));
     let mut fresh = fresh_ledger();
     let mut sequential = fresh_ledger();
-    let fresh_options = PipelineOptions::with_workers(2)
-        .speculative(false)
-        .cross(false)
-        .durable(false);
 
     for group in payloads.chunks(chunk) {
         node.ingest_payload_batch(group);
@@ -219,7 +203,6 @@ fn assert_node_equals_fresh_and_sequential(
             prop_assert_eq!(node.state_digest(), sequential.state_digest());
         }
     }
-    node.sync();
     prop_assert_eq!(node.ledger().committed_ids(), fresh.committed_ids());
     prop_assert_eq!(node.ledger().committed_ids(), sequential.committed_ids());
 
@@ -315,9 +298,7 @@ proptest! {
                 _ => unreachable!(),
             }
         }
-        for mode in 0..3 {
-            assert_node_equals_fresh_and_sequential(&payloads, chunk, max_n, mode)?;
-        }
+        assert_node_equals_fresh_and_sequential(&payloads, chunk, max_n)?;
     }
 }
 
@@ -570,14 +551,12 @@ fn check_tx_on_one_replica_does_not_hit_on_another() {
     // for itself (the block pool records, the commit then hits) —
     // replica 0's entry did nothing for it.
     cluster.deliver_tx(1, 1, &payload).expect("delivers");
-    cluster.sync_all();
     assert_eq!(
         stats(&cluster, 1),
         (1, 0, 1),
         "replica 1 verified for itself"
     );
     cluster.deliver_tx(0, 1, &payload).expect("delivers");
-    cluster.sync_all();
     assert_eq!(stats(&cluster, 0), (1, 1, 1), "replica 0 verified once");
     assert_eq!(cluster.state_digest(0), cluster.state_digest(1));
 }
