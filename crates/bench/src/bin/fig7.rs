@@ -14,7 +14,8 @@
 
 use scdb_bench::{arg_parse, arg_value, eth_round, render_series, scdb_round};
 use scdb_sim::SimTime;
-use scdb_workload::{ScenarioConfig, Series};
+use scdb_telemetry::Series;
+use scdb_workload::ScenarioConfig;
 
 /// Capability-byte settings sweeping the paper's 0.39–1.74 KB axis.
 const SIZE_SWEEP: [usize; 5] = [64, 400, 760, 1100, 1440];

@@ -15,7 +15,8 @@
 
 use scdb_bench::{arg_parse, arg_value, eth_round, render_series, scdb_round};
 use scdb_sim::SimTime;
-use scdb_workload::{ScenarioConfig, Series};
+use scdb_telemetry::Series;
+use scdb_workload::ScenarioConfig;
 
 /// Validator counts the paper sweeps.
 const CLUSTER_SWEEP: [usize; 4] = [4, 8, 16, 32];

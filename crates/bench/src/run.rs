@@ -10,7 +10,8 @@ use scdb_consensus::{TxId, TxStatus};
 use scdb_evm::EthScHarness;
 use scdb_server::SmartchainHarness;
 use scdb_sim::SimTime;
-use scdb_workload::{eth_plan, scdb_plan, LatencyStats, ScenarioConfig};
+use scdb_telemetry::LatencyStats;
+use scdb_workload::{eth_plan, scdb_plan, ScenarioConfig};
 
 /// Phase names, aligned with plan phase indices.
 pub const PHASES: [&str; 4] = ["CREATE", "REQUEST", "BID", "ACCEPT_BID"];

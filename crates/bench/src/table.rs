@@ -1,7 +1,7 @@
 //! Plain-text rendering of experiment outputs: aligned tables and
 //! series blocks matching the rows/series the paper's figures report.
 
-use scdb_workload::Series;
+use scdb_telemetry::Series;
 use std::fmt::Write as _;
 
 /// A simple aligned text table.

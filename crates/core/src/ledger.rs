@@ -23,7 +23,7 @@ use crate::model::{Operation, Transaction};
 use crate::verified::{VerifiedSet, VerifiedSigners, VerifiedStats};
 use crate::view::LedgerView;
 use scdb_json::Value;
-use scdb_store::{DurableStore, OutputRef, RecoveredState, SpendError, Utxo, UtxoSet};
+use scdb_store::{DurableStore, OutputRef, SpendError, Utxo, UtxoSet};
 use scdb_telemetry::Telemetry;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -206,16 +206,18 @@ impl LedgerState {
     }
 
     /// Rebuilds a ledger from a durable store's recovery: replays the
-    /// recovered committed transactions in commit order through the
+    /// recovered committed transactions (parsed by the caller, which
+    /// shares them with its own rebuilds) in commit order through the
     /// scalar apply (the same effects derivation every pipeline path
-    /// funnels through), then asserts the rebuilt digest equals the
-    /// digest the recovery verified against the manifest's last seal.
-    /// Sequential replay of the commit order is exact: waves are
-    /// conflict-free, so flattening them in commit order reproduces
+    /// funnels through), then asserts the rebuilt digest equals
+    /// `digest` — the one the recovery verified against the manifest's
+    /// last seal. Sequential replay of the commit order is exact: waves
+    /// are conflict-free, so flattening them in commit order reproduces
     /// every index and UTXO byte-identically. Fail-closed: any replay
     /// error or digest mismatch refuses the restore.
     pub fn restore(
-        recovered: &RecoveredState,
+        committed: &[Arc<Transaction>],
+        digest: &scdb_store::StateDigest,
         utxo_shards: usize,
         reserved: impl IntoIterator<Item = String>,
     ) -> Result<LedgerState, String> {
@@ -223,19 +225,16 @@ impl LedgerState {
         for account in reserved {
             ledger.add_reserved_account(account);
         }
-        for doc in &recovered.committed {
-            let tx = Transaction::from_value(doc)
-                .map_err(|e| format!("restore: unreadable committed transaction: {e}"))?;
-            let id = tx.id.clone();
+        for tx in committed {
             ledger
-                .apply_shared(&Arc::new(tx))
-                .map_err(|e| format!("restore: replay of {id} failed: {e}"))?;
+                .apply_shared(tx)
+                .map_err(|e| format!("restore: replay of {} failed: {e}", tx.id))?;
         }
-        if ledger.state_digest() != recovered.digest {
+        if ledger.state_digest() != *digest {
             return Err(format!(
                 "restore: replayed digest {} != recovered digest {}",
                 ledger.state_digest().to_hex(),
-                recovered.digest.to_hex()
+                digest.to_hex()
             ));
         }
         Ok(ledger)
@@ -304,7 +303,7 @@ impl LedgerState {
         if let Some(store) = &self.durable {
             // Write-ahead: the effects hit the WAL before the UTXO set
             // mutates. A failed apply below leaves the logged wave
-            // unsealed; the sealing caller (`Node::commit`) neutralizes
+            // unsealed; the sealing caller (`Node::pump_returns`) neutralizes
             // it by naming the transaction aborted in the block's seal.
             // A failed *write* refuses the whole apply: state must
             // never run ahead of what the log can prove, and the store

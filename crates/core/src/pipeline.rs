@@ -258,17 +258,6 @@ pub struct PipelineOptions {
     /// The member is rejected exactly as a late spend conflict would
     /// be. Test-only; empty in production.
     pub fail_apply: BTreeSet<String>,
-    /// Block-level schedule gossip: when a delivered block carries the
-    /// proposer's serialized [`WaveSchedule`], verify it cheaply
-    /// ([`verify_schedule`]) against locally known footprints and feed
-    /// [`commit_batch_planned`] directly instead of re-layering waves —
-    /// falling back to full re-derivation on any mismatch, so an
-    /// adversarial proposer can waste work but never corrupt state.
-    /// `false` ignores gossiped schedules entirely (the no-gossip
-    /// reference the gossip tests compare against). On by default:
-    /// gossip is a pure optimization whose rejection path is always
-    /// safe.
-    pub schedule_gossip: bool,
     /// Durable sharded store: every commit path write-ahead logs wave
     /// effects to per-shard WALs and seals each block in a manifest
     /// before the in-memory state is the block's only copy
@@ -316,7 +305,6 @@ impl Default for PipelineOptions {
             workers: cores.min(8),
             utxo_shards: scdb_store::DEFAULT_UTXO_SHARDS,
             fail_apply: BTreeSet::new(),
-            schedule_gossip: true,
             durable: env_flag("SCDB_DURABLE").unwrap_or(false),
             fsync: FsyncLevel::from_env(),
             telemetry: Telemetry::from_env(),
@@ -343,12 +331,6 @@ impl PipelineOptions {
     /// [`PipelineOptions::fail_apply`]).
     pub fn inject_apply_failure(mut self, id: impl Into<String>) -> PipelineOptions {
         self.fail_apply.insert(id.into());
-        self
-    }
-
-    /// Turns block-level schedule gossip on or off.
-    pub fn gossip(mut self, on: bool) -> PipelineOptions {
-        self.schedule_gossip = on;
         self
     }
 
@@ -449,85 +431,31 @@ pub fn plan_schedule(batch: &[Arc<Transaction>], ledger: &impl LedgerView) -> Wa
     build_schedule(derive_footprints(batch, ledger))
 }
 
-impl ConflictKey {
-    /// Compact wire form for schedule gossip: a one-letter tag plus the
-    /// key's id components. Transaction ids are hex, so `:` is an
-    /// unambiguous separator.
-    fn to_wire(&self) -> String {
-        match self {
-            ConflictKey::Output(tx_id, index) => format!("O:{tx_id}:{index}"),
-            ConflictKey::Id(id) => format!("I:{id}"),
-            ConflictKey::Bids(id) => format!("B:{id}"),
-            ConflictKey::Accept(id) => format!("A:{id}"),
-        }
-    }
-
-    /// Parses [`ConflictKey::to_wire`] output; `None` on malformed
-    /// input (wire keys cross a trust boundary).
-    fn from_wire(wire: &str) -> Option<ConflictKey> {
-        let (tag, rest) = wire.split_once(':')?;
-        match tag {
-            "O" => {
-                let (tx_id, index) = rest.rsplit_once(':')?;
-                Some(ConflictKey::Output(tx_id.to_owned(), index.parse().ok()?))
-            }
-            "I" => Some(ConflictKey::Id(rest.to_owned())),
-            "B" => Some(ConflictKey::Bids(rest.to_owned())),
-            "A" => Some(ConflictKey::Accept(rest.to_owned())),
-            _ => None,
-        }
-    }
-}
-
 impl WaveSchedule {
-    /// Serializes the schedule for block-level gossip: two JSON
-    /// documents separated by one newline — the wave partition first,
-    /// the per-member footprints second. The split is deliberate:
-    /// replicas execute off the *waves* (verified against their own
-    /// footprints), so the delivery hot path
-    /// ([`WaveSchedule::waves_from_wire`]) parses only the first line;
-    /// the proposer's footprints stay in the payload for diagnostics
-    /// and cross-implementation audits without taxing every delivery
-    /// with their parse. Deserialized in full via
-    /// [`WaveSchedule::from_wire`]; always *verified* — the wire
-    /// crosses a trust boundary.
+    /// Serializes the wave partition for block-level gossip: one JSON
+    /// document. Replicas execute off the *waves*, verified against
+    /// their own footprints ([`verify_schedule`]) — the proposer's
+    /// footprints are untrusted and never travel.
     pub fn to_wire(&self) -> String {
         let waves: Vec<Value> = self
             .waves
             .iter()
             .map(|wave| Value::Array(wave.iter().map(|&i| Value::from(i as u64)).collect()))
             .collect();
-        let head = scdb_json::obj! {
+        scdb_json::obj! {
             "v" => 1u64,
             "waves" => Value::Array(waves),
-        };
-        let keys = |keys: &[ConflictKey]| -> Value {
-            Value::Array(keys.iter().map(|k| Value::from(k.to_wire())).collect())
-        };
-        let footprints: Vec<Value> = self
-            .footprints
-            .iter()
-            .map(|fp| {
-                scdb_json::obj! {
-                    "r" => keys(&fp.reads),
-                    "w" => keys(&fp.writes),
-                }
-            })
-            .collect();
-        let tail = scdb_json::obj! { "footprints" => Value::Array(footprints) };
-        format!("{head}\n{tail}")
+        }
+        .to_string()
     }
 
-    /// Parses only the wave partition — the delivery hot path: the
-    /// footprint document on the wire's second line is skipped
-    /// entirely (replicas verify against their own footprints, never
-    /// the proposer's). Purely syntactic — index ranges,
-    /// conflict-freedom and coverage are [`verify_schedule`]'s job —
-    /// and every malformation is an error, never a panic: the bytes
-    /// come from an untrusted proposer.
+    /// Parses a gossiped wave partition. Purely syntactic — index
+    /// ranges, conflict-freedom and coverage are [`verify_schedule`]'s
+    /// job — and every malformation, trailing bytes after the document
+    /// included, is an error, never a panic: the bytes come from an
+    /// untrusted proposer.
     pub fn waves_from_wire(wire: &str) -> Result<Vec<Vec<usize>>, String> {
-        let head = wire.split_once('\n').map_or(wire, |(head, _)| head);
-        let doc = scdb_json::parse(head).map_err(|e| format!("schedule wire: {e}"))?;
+        let doc = scdb_json::parse(wire).map_err(|e| format!("schedule wire: {e}"))?;
         if doc.get("v").and_then(Value::as_u64) != Some(1) {
             return Err("schedule wire: unsupported version".to_owned());
         }
@@ -547,41 +475,6 @@ impl WaveSchedule {
                     .collect::<Result<Vec<usize>, String>>()
             })
             .collect()
-    }
-
-    /// Parses a full gossiped schedule: waves plus the proposer's
-    /// footprints (the diagnostic half).
-    pub fn from_wire(wire: &str) -> Result<WaveSchedule, String> {
-        let waves = WaveSchedule::waves_from_wire(wire)?;
-        let (_, tail) = wire
-            .split_once('\n')
-            .ok_or("schedule wire: missing footprint document")?;
-        let doc = scdb_json::parse(tail).map_err(|e| format!("schedule wire: {e}"))?;
-        let parse_keys = |value: Option<&Value>| -> Result<Vec<ConflictKey>, String> {
-            value
-                .and_then(Value::as_array)
-                .ok_or("schedule wire: footprint keys missing")?
-                .iter()
-                .map(|k| {
-                    k.as_str()
-                        .and_then(ConflictKey::from_wire)
-                        .ok_or_else(|| "schedule wire: malformed conflict key".to_owned())
-                })
-                .collect()
-        };
-        let footprints = doc
-            .get("footprints")
-            .and_then(Value::as_array)
-            .ok_or("schedule wire: missing footprints")?
-            .iter()
-            .map(|fp| {
-                Ok(Footprint {
-                    reads: parse_keys(fp.get("r"))?,
-                    writes: parse_keys(fp.get("w"))?,
-                })
-            })
-            .collect::<Result<Vec<Footprint>, String>>()?;
-        Ok(WaveSchedule { waves, footprints })
     }
 }
 
@@ -748,7 +641,7 @@ impl ScheduleSource {
 /// `footprints` are the caller's own sound footprints for the batch
 /// (freshly derived via [`derive_footprints`], or admission-time cached
 /// entries whose staleness the caller guarded — see DESIGN-blocks.md
-/// for the cache-safety argument). When gossip is enabled and `wire`
+/// for the cache-safety argument). When `wire`
 /// carries a schedule that parses and [`verify_schedule`]s against
 /// those footprints, the gossiped wave partition executes directly;
 /// otherwise the waves are re-layered locally. Either way the verdicts
@@ -776,20 +669,14 @@ pub fn choose_schedule(
     n: usize,
     footprints: Vec<Footprint>,
     wire: Option<&str>,
-    options: &PipelineOptions,
+    _options: &PipelineOptions,
 ) -> (WaveSchedule, ScheduleSource) {
     debug_assert_eq!(footprints.len(), n);
-    let gossiped = if options.schedule_gossip {
-        wire.map(|wire| {
-            // Hot path: only the wave document is parsed — the
-            // proposer's footprints are untrusted and unused here.
-            let waves = WaveSchedule::waves_from_wire(wire).map_err(ScheduleError::Wire)?;
-            verify_schedule(n, &waves, &footprints)?;
-            Ok::<Vec<Vec<usize>>, ScheduleError>(waves)
-        })
-    } else {
-        None
-    };
+    let gossiped = wire.map(|wire| {
+        let waves = WaveSchedule::waves_from_wire(wire).map_err(ScheduleError::Wire)?;
+        verify_schedule(n, &waves, &footprints)?;
+        Ok::<Vec<Vec<usize>>, ScheduleError>(waves)
+    });
     match gossiped {
         Some(Ok(waves)) => (WaveSchedule { waves, footprints }, ScheduleSource::Gossip),
         Some(Err(e)) => (
@@ -1374,17 +1261,14 @@ mod tests {
         let mut m = market();
         let batch = dependent_wave_batch(&mut m);
         let schedule = plan_schedule(&batch, &m.ledger);
-        let back = WaveSchedule::from_wire(&schedule.to_wire()).expect("round trip");
-        assert_eq!(back.waves, schedule.waves);
-        assert_eq!(back.footprints.len(), schedule.footprints.len());
-        for (a, b) in back.footprints.iter().zip(&schedule.footprints) {
-            assert_eq!(a.reads, b.reads);
-            assert_eq!(a.writes, b.writes);
-        }
-        // Garbage and truncated wires fail cleanly.
-        assert!(WaveSchedule::from_wire("not json").is_err());
-        assert!(WaveSchedule::from_wire("{\"v\":1}").is_err());
-        assert!(WaveSchedule::from_wire("{\"v\":9,\"waves\":[],\"footprints\":[]}").is_err());
+        let wire = schedule.to_wire();
+        let back = WaveSchedule::waves_from_wire(&wire).expect("round trip");
+        assert_eq!(back, schedule.waves);
+        // Garbage, truncated and padded wires fail cleanly.
+        assert!(WaveSchedule::waves_from_wire("not json").is_err());
+        assert!(WaveSchedule::waves_from_wire("{\"v\":1}").is_err());
+        assert!(WaveSchedule::waves_from_wire("{\"v\":9,\"waves\":[]}").is_err());
+        assert!(WaveSchedule::waves_from_wire(&format!("{wire}\n{{}}")).is_err());
     }
 
     #[test]
@@ -1457,7 +1341,7 @@ mod tests {
         dependent_wave_batch(&mut plain);
 
         let wire = plan_schedule(&batch, &gossip.ledger).to_wire();
-        let options = PipelineOptions::with_workers(2).gossip(true);
+        let options = PipelineOptions::with_workers(2);
         let (g, source) = commit_batch_with_gossip(
             &mut gossip.ledger,
             &batch,
@@ -1490,7 +1374,7 @@ mod tests {
         schedule.waves = vec![merged];
         let wire = schedule.to_wire();
 
-        let options = PipelineOptions::with_workers(2).gossip(true);
+        let options = PipelineOptions::with_workers(2);
         let (g, source) = commit_batch_with_gossip(
             &mut gossip.ledger,
             &batch,
@@ -1507,17 +1391,31 @@ mod tests {
         assert_eq!(gossip.ledger.state_digest(), plain.ledger.state_digest());
     }
 
+    /// The no-gossip reference: no wire offered means the waves are
+    /// re-layered locally, and the state equals the gossiped run's.
     #[test]
     fn gossip_disabled_ignores_the_wire() {
-        let mut m = market();
-        let batch = dependent_wave_batch(&mut m);
-        let wire = plan_schedule(&batch, &m.ledger).to_wire();
-        let options = PipelineOptions::with_workers(2).gossip(false);
-        let footprints = derive_footprints(&batch, &m.ledger);
-        let (outcome, source) =
-            commit_batch_with_gossip(&mut m.ledger, &batch, footprints, Some(&wire), &options);
+        let mut gossip = market();
+        let batch = dependent_wave_batch(&mut gossip);
+        let mut plain = market();
+        dependent_wave_batch(&mut plain);
+        let wire = plan_schedule(&batch, &gossip.ledger).to_wire();
+        let options = PipelineOptions::with_workers(2);
+        let footprints = derive_footprints(&batch, &plain.ledger);
+        let (g, source) = commit_batch_with_gossip(
+            &mut gossip.ledger,
+            &batch,
+            footprints.clone(),
+            Some(&wire),
+            &options,
+        );
+        assert!(source.used_gossip(), "{source:?}");
+        let (p, source) =
+            commit_batch_with_gossip(&mut plain.ledger, &batch, footprints, None, &options);
         assert_eq!(source, ScheduleSource::Rederived(None));
-        assert!(outcome.fully_committed());
+        assert!(p.fully_committed());
+        assert_eq!(g.committed, p.committed);
+        assert_eq!(gossip.ledger.state_digest(), plain.ledger.state_digest());
     }
 
     #[test]

@@ -32,17 +32,7 @@ pub fn validate_transaction(
 ) -> Result<(), ValidationError> {
     let verified = ledger.verified(tx);
     if verified.is_none() {
-        // One serialization walk feeds both stateless checks.
-        let (value, computed, _) = tx.admission_views(false);
-        // Algorithm 1: structural adherence to the type's YAML schema.
-        scdb_schema::validate_transaction_schema(&value).map_err(ValidationError::Schema)?;
-        // Tamper check: the id must be the digest of the content.
-        if computed != tx.id {
-            return Err(ValidationError::IdMismatch {
-                declared: tx.id.clone(),
-                computed,
-            });
-        }
+        stateless_screen(tx, false)?;
     }
     let verified = verified.as_ref();
 
@@ -59,6 +49,27 @@ pub fn validate_transaction(
         Operation::Return => validate_return(tx, ledger, verified),
         Operation::AcceptBid => validate_accept_bid(tx, ledger, verified),
     }
+}
+
+/// The stateless screen every entry point shares — this function, pooled
+/// block verification and mempool admission: one serialization walk
+/// feeds Algorithm 1 (structural adherence to the type's YAML schema)
+/// and the tamper check (the id must be the digest of the content), in
+/// that precedence. `Ok` carries the signing payload when
+/// `with_payload` asks for it, from the same walk.
+pub fn stateless_screen(
+    tx: &Transaction,
+    with_payload: bool,
+) -> Result<Option<String>, ValidationError> {
+    let (value, computed, payload) = tx.admission_views(with_payload);
+    scdb_schema::validate_transaction_schema(&value).map_err(ValidationError::Schema)?;
+    if computed != tx.id {
+        return Err(ValidationError::IdMismatch {
+            declared: tx.id.clone(),
+            computed,
+        });
+    }
+    Ok(payload)
 }
 
 /// Records a transaction that just passed [`validate_transaction`]
@@ -145,12 +156,9 @@ fn verify_chunk(chunk: &[&Transaction], ledger: &impl LedgerView) -> Vec<Option<
         .iter()
         .enumerate()
         .filter_map(|(slot, tx)| {
-            let (value, computed, payload) = tx.admission_views(true);
-            if computed != tx.id || scdb_schema::validate_transaction_schema(&value).is_err() {
-                return None;
-            }
+            let payload = stateless_screen(tx, true).ok()?.expect("requested above");
             let signers = signers_to_vouch_for(tx, ledger)?;
-            Some((slot, payload.expect("requested above"), signers))
+            Some((slot, payload, signers))
         })
         .collect();
     // Stage 2: every clean member's signatures in one pooled equation.
@@ -202,7 +210,15 @@ fn check_input_signatures(
 /// transactions. (ACCEPT_BID uses [`verify_signed_by`] instead; see
 /// below.)
 pub fn verify_input_signatures(tx: &Transaction) -> Result<(), ValidationError> {
-    let message = tx.signing_payload();
+    verify_input_signatures_over(tx, &tx.signing_payload())
+}
+
+/// [`verify_input_signatures`] over a signing payload the caller
+/// already holds (the [`stateless_screen`] walk produces it).
+pub fn verify_input_signatures_over(
+    tx: &Transaction,
+    message: &str,
+) -> Result<(), ValidationError> {
     for (i, input) in tx.inputs.iter().enumerate() {
         let ms = MultiSignature::from_wire(&input.fulfillment).ok_or_else(|| {
             ValidationError::InvalidSignature(format!("input {i}: malformed fulfillment"))
@@ -1100,6 +1116,57 @@ mod pooled_record_tests {
         scdb_schema::validate_transaction_schema(&tx.to_value()).is_ok()
             && tx.id_is_consistent()
             && signatures.is_ok()
+    }
+
+    /// The shared screen is the three separate derivations, from one
+    /// walk: the schema verdict over `to_value`, `compute_id` against
+    /// the declared id, and `signing_payload` — for every member of
+    /// the fixture, clean or not.
+    #[test]
+    fn stateless_screen_equals_the_separate_derivations() {
+        let (_, block) = fixture();
+        for tx in &block {
+            let separate = scdb_schema::validate_transaction_schema(&tx.to_value())
+                .map_err(ValidationError::Schema)
+                .and_then(|()| match tx.compute_id() {
+                    computed if computed == tx.id => Ok(()),
+                    computed => Err(ValidationError::IdMismatch {
+                        declared: tx.id.clone(),
+                        computed,
+                    }),
+                });
+            assert_eq!(
+                stateless_screen(tx, true),
+                separate.clone().map(|()| Some(tx.signing_payload())),
+                "{}",
+                tx.id
+            );
+            assert_eq!(stateless_screen(tx, false), separate.map(|()| None));
+        }
+    }
+
+    /// A transaction that violates the schema *and* carries a wrong id
+    /// reports the schema first — the oracle's precedence.
+    #[test]
+    fn stateless_screen_reports_schema_before_id() {
+        let mut tx = create(&key(0xA1), 9);
+        tx.outputs.clear();
+        tx.id = "0".repeat(64);
+        assert!(matches!(
+            stateless_screen(&tx, true),
+            Err(ValidationError::Schema(_))
+        ));
+        tx.seal();
+        assert!(matches!(
+            stateless_screen(&tx, true),
+            Err(ValidationError::Schema(_))
+        ));
+        let mut tx = create(&key(0xA1), 9);
+        tx.id = "0".repeat(64);
+        assert!(matches!(
+            stateless_screen(&tx, true),
+            Err(ValidationError::IdMismatch { .. })
+        ));
     }
 
     #[test]

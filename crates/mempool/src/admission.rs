@@ -34,9 +34,11 @@
 //! intra-batch duplicate) may still have burned a screen/signature
 //! slot in stages 1–2. See `DESIGN-mempool.md` § Admission pipeline.
 
-use crate::pool::{sender_key, AdmitError, AdmitReceipt, Mempool, PendingTx, PoolLookup};
+use crate::pool::{
+    screen_error, sender_key, AdmitError, AdmitReceipt, Mempool, PendingTx, PoolLookup,
+};
 use scdb_core::pipeline::{footprint, unresolved_links};
-use scdb_core::validate::batch_verify_input_signatures;
+use scdb_core::validate::{batch_verify_input_signatures, stateless_screen};
 use scdb_core::{map_chunks, parallel_map};
 use scdb_core::{LedgerView, Operation, Transaction, ValidationError};
 use std::collections::HashMap;
@@ -50,15 +52,12 @@ enum Screened {
     /// re-reads them live for the exact serial error.
     Duplicate,
     Checked {
-        /// Template violations joined exactly as the serial path does.
-        schema_err: Option<String>,
-        /// The recomputed content digest (the id tamper check).
-        computed_id: String,
-        /// The signing payload — `Some` iff this member is eligible
-        /// for stage 2 (signatures on, not ACCEPT_BID, shape and id
+        /// The shared stateless screen's verdict: the schema or id
+        /// rejection, else the signing payload — `Some` iff this member
+        /// is eligible for stage 2 (not ACCEPT_BID, shape and id
         /// clean), which is exactly when the serial cascade would
         /// reach its signature step.
-        payload: Option<String>,
+        stateless: Result<Option<String>, ValidationError>,
         /// The ledger half of the double-spend flag: some spent input
         /// is already marked spent on the committed UTXO set. Output
         /// write keys are derived from `inputs[*].fulfills` alone, so
@@ -69,31 +68,11 @@ enum Screened {
     },
 }
 
-fn screen(
-    tx: &Transaction,
-    by_id: &HashMap<String, u64>,
-    verify_sigs: bool,
-    ledger: &impl LedgerView,
-) -> Screened {
+fn screen(tx: &Transaction, by_id: &HashMap<String, u64>, ledger: &impl LedgerView) -> Screened {
     if by_id.contains_key(&tx.id) || ledger.is_committed(&tx.id) {
         return Screened::Duplicate;
     }
-    let want_payload = verify_sigs && tx.operation != Operation::AcceptBid;
-    let (value, computed_id, payload) = tx.admission_views(want_payload);
-    let schema_err = scdb_schema::validate_transaction_schema(&value)
-        .err()
-        .map(|violations| {
-            violations
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join("; ")
-        });
-    let payload = if schema_err.is_none() && computed_id == tx.id {
-        payload
-    } else {
-        None
-    };
+    let stateless = stateless_screen(tx, tx.operation != Operation::AcceptBid);
     let ledger_spent = tx
         .inputs
         .iter()
@@ -103,9 +82,7 @@ fn screen(
             ledger.utxo(&out).is_some_and(|u| u.spent_by.is_some())
         });
     Screened::Checked {
-        schema_err,
-        computed_id,
-        payload,
+        stateless,
         ledger_spent,
         sender: sender_key(tx),
     }
@@ -166,10 +143,7 @@ impl Mempool {
         let screened: Vec<Screened> = {
             let _span = telemetry.span("mempool.stage1_screen_ns");
             let by_id = &self.by_id;
-            let verify_sigs = self.config.verify_signatures;
-            parallel_map(txs.len(), workers, |i| {
-                screen(&txs[i], by_id, verify_sigs, ledger)
-            })
+            parallel_map(txs.len(), workers, |i| screen(&txs[i], by_id, ledger))
         };
 
         // Stage 2: pooled signature verification for every eligible
@@ -184,7 +158,7 @@ impl Mempool {
                 matches!(
                     s,
                     Screened::Checked {
-                        payload: Some(_),
+                        stateless: Ok(Some(_)),
                         ..
                     }
                 )
@@ -197,7 +171,7 @@ impl Mempool {
                 .iter()
                 .map(|&i| {
                     let Screened::Checked {
-                        payload: Some(payload),
+                        stateless: Ok(Some(payload)),
                         ..
                     } = &screened[i]
                     else {
@@ -246,17 +220,14 @@ impl Mempool {
                     Some(err)
                 }
                 Screened::Checked {
-                    schema_err,
-                    computed_id,
-                    payload: _,
+                    stateless,
                     ledger_spent,
                     sender,
                 } => {
                     match self.decide_screened(
                         tx,
                         i,
-                        schema_err,
-                        computed_id,
+                        stateless,
                         ledger_spent,
                         sender,
                         priorities.map(|p| p[i]),
@@ -339,8 +310,7 @@ impl Mempool {
         &mut self,
         tx: &Arc<Transaction>,
         pos: usize,
-        schema_err: Option<String>,
-        computed_id: String,
+        stateless: Result<Option<String>, ValidationError>,
         ledger_spent: bool,
         sender: String,
         priority: Option<u64>,
@@ -361,16 +331,7 @@ impl Mempool {
                 cap: self.config.max_pending,
             });
         }
-        if let Some(e) = schema_err {
-            return Err(AdmitError::Schema(e));
-        }
-        if computed_id != tx.id {
-            return Err(AdmitError::IdMismatch {
-                declared: tx.id.clone(),
-                computed: computed_id,
-            });
-        }
-        if self.config.verify_signatures && tx.operation != Operation::AcceptBid {
+        if stateless.map_err(screen_error)?.is_some() {
             // Shape and id were clean in stage 1 and are stateless, so
             // this member was stage-2 eligible and has a verdict.
             let verdict = sig_verdict.take().expect("eligible member has a verdict");

@@ -5,8 +5,12 @@ use crate::pack::pack_batch_prioritized;
 use scdb_core::pipeline::{
     footprint, unresolved_links, ConflictKey, Footprint, TxLookup, WaveSchedule,
 };
-use scdb_core::validate::{batch_verify_signed_by, requester_keys, verify_input_signatures};
-use scdb_core::{map_chunks, LedgerView, Operation, Telemetry, Transaction, VerifiedSigners};
+use scdb_core::validate::{
+    batch_verify_signed_by, requester_keys, stateless_screen, verify_input_signatures_over,
+};
+use scdb_core::{
+    map_chunks, LedgerView, Operation, Telemetry, Transaction, ValidationError, VerifiedSigners,
+};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
@@ -23,10 +27,6 @@ pub struct MempoolConfig {
     /// Should match the committing ledger's UTXO shard count; any
     /// value ≥ 1 is correct (it only tunes apply-lock spread).
     pub shard_hint: usize,
-    /// Verify input signatures at admission (stateless, per Fig. 4's
-    /// receiver-node first checks). ACCEPT_BID is exempt — its signer
-    /// set is the *requester's*, which only stateful validation knows.
-    pub verify_signatures: bool,
     /// Eviction policy: a pending transaction older than this many
     /// ticks (as observed through [`Mempool::observe_tick`] — the
     /// batching driver pumps the simulated clock through) is expired by
@@ -58,7 +58,6 @@ impl Default for MempoolConfig {
             max_pending: 65_536,
             max_per_sender: 1_024,
             shard_hint: scdb_store::DEFAULT_UTXO_SHARDS,
-            verify_signatures: true,
             max_tick_age: None,
             admission_workers: default_admission_workers(),
             telemetry: Telemetry::from_env(),
@@ -141,6 +140,24 @@ impl fmt::Display for AdmitError {
 }
 
 impl std::error::Error for AdmitError {}
+
+/// A [`stateless_screen`] rejection as the admission error of the
+/// cascade's schema and id steps.
+pub(crate) fn screen_error(e: ValidationError) -> AdmitError {
+    match e {
+        ValidationError::Schema(violations) => AdmitError::Schema(
+            violations
+                .iter()
+                .map(ToString::to_string)
+                .collect::<Vec<_>>()
+                .join("; "),
+        ),
+        ValidationError::IdMismatch { declared, computed } => {
+            AdmitError::IdMismatch { declared, computed }
+        }
+        other => unreachable!("the stateless screen names schema and id only: {other}"),
+    }
+}
 
 /// What admission hands back for an accepted transaction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -420,23 +437,14 @@ impl Mempool {
             }));
         }
 
-        // Template shape (Algorithm 1) and the id tamper check.
-        scdb_schema::validate_transaction_schema(&tx.to_value()).map_err(|violations| {
-            let joined = violations
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join("; ");
-            self.count_reject(AdmitError::Schema(joined))
-        })?;
-        if !tx.id_is_consistent() {
-            return Err(self.count_reject(AdmitError::IdMismatch {
-                declared: tx.id.clone(),
-                computed: tx.compute_id(),
-            }));
-        }
-        if self.config.verify_signatures && tx.operation != Operation::AcceptBid {
-            verify_input_signatures(&tx)
+        // Template shape (Algorithm 1), the id tamper check and the
+        // signing payload, from one walk. ACCEPT_BID's signers are the
+        // requester's — stateful knowledge; the drain-time check
+        // verifies it.
+        let payload = stateless_screen(&tx, tx.operation != Operation::AcceptBid)
+            .map_err(|e| self.count_reject(screen_error(e)))?;
+        if let Some(payload) = payload {
+            verify_input_signatures_over(&tx, &payload)
                 .map_err(|e| self.count_reject(AdmitError::InvalidSignature(e.to_string())))?;
         }
 
@@ -546,10 +554,10 @@ impl Mempool {
     /// Tells the committing ledger's verified set that admission's
     /// stateless checks — schema, id digest, input signatures — passed
     /// for `tx`, so commit-time validation does not repeat them.
-    /// Nothing is recorded with signature checks off, nor for
-    /// ACCEPT_BID, whose signatures only the drain-time check verifies.
+    /// Nothing is recorded for ACCEPT_BID, whose signatures only the
+    /// drain-time check verifies.
     pub(crate) fn record_admitted(&self, tx: &Transaction, ledger: &impl LedgerView) {
-        if self.config.verify_signatures && tx.operation != Operation::AcceptBid {
+        if tx.operation != Operation::AcceptBid {
             ledger.record_verified(&tx.id, VerifiedSigners::InputOwners);
         }
     }
@@ -571,9 +579,6 @@ impl Mempool {
     /// in the ledger's verified set against the requester it resolved
     /// to, so commit skips it too.
     fn reject_unsigned_accepts(&mut self, ledger: &impl LedgerView) -> Vec<EvictedTx> {
-        if !self.config.verify_signatures {
-            return Vec::new();
-        }
         let mut unchecked: Vec<(u64, Vec<String>)> = Vec::new();
         for entry in self.pending.values() {
             if entry.tx.operation != Operation::AcceptBid || entry.accept_sig_checked {

@@ -1,5 +1,5 @@
 //! The replicated SmartchainDB application driven by the consensus
-//! engine: one ledger replica per validator node, plus the nested-
+//! engine: one [`Replica`] core per validator node, plus the nested-
 //! transaction settlement pipeline.
 //!
 //! This is the `App` the Tendermint-profile harness runs (Fig. 4): the
@@ -7,29 +7,36 @@
 //! DeliverTx (execution), and the commit hook determines ACCEPT_BID
 //! children and hands them to the outbox for asynchronous submission —
 //! the simulation-side realization of the ReturnQueue workers.
+//!
+//! Every replica opens, commits, settles, recovers and checkpoints
+//! through the same core a standalone [`crate::Node`] embeds. What this
+//! shell adds is what consensus needs around it: the shared parsed and
+//! footprint caches, schedule gossip (forming annotated blocks,
+//! counting how deliveries used them), CheckTx with the simulated cost
+//! model, the node-0 query mirror, and the outbox that routes children
+//! back through consensus instead of a local queue.
 
 use crate::cost::CostModel;
-use crate::node::{EphemeralDir, EPHEMERAL_SEQ};
+use crate::replica::{EphemeralDir, Plan, Replica, Settled};
 use scdb_consensus::{App, AppResult, BlockAnnotations, BlockView, FormedBlock, TxId, TxStatus};
 use scdb_core::pipeline::{
-    commit_batch_with_gossip, footprint, unresolved_links, Footprint, PipelineOptions,
-    ScheduleSource, WaveSchedule,
+    footprint, unresolved_links, Footprint, PipelineOptions, ScheduleSource, TxLookup, WaveSchedule,
 };
 use scdb_core::speculation::predict_post_state_digest;
 use scdb_core::{
-    determine_children,
-    validate::{record_validated, record_validated_batch, validate_transaction},
-    AssetRef, LedgerState, LedgerView, NestedTracker, Operation, Transaction,
+    validate::{
+        record_validated, record_validated_batch, validate_transaction, PooledVerification,
+    },
+    AssetRef, LedgerState, LedgerView, NestedStatus, Operation, Transaction,
 };
 use scdb_crypto::KeyPair;
 use scdb_json::Value;
 use scdb_mempool::pack_batch;
 use scdb_sim::{NodeId, SimTime};
-use scdb_store::{collections, CheckpointHandle, Db, DurableStore, ExportStats, StateDigest};
+use scdb_store::{collections, CheckpointHandle, Db, ExportStats, StateDigest};
 use scdb_telemetry::{Counter, Telemetry};
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Counter names of the pooled stateless verification at its two call
@@ -45,12 +52,6 @@ const DELIVER_BLOCK_POOL: [&str; 3] = [
     "cluster.deliver_block.already_verified",
     "cluster.deliver_block.failed_stateless",
 ];
-
-/// One validator's replicated state.
-struct Replica {
-    ledger: LedgerState,
-    tracker: NestedTracker,
-}
 
 /// A footprint derived once (at CheckTx, or a previous delivery) and
 /// reused at block delivery instead of re-deriving per block — the
@@ -134,8 +135,7 @@ impl GossipStats {
         self.gossip_rejected.value()
     }
 
-    /// Deliveries with no usable gossip offered (no annotation, or
-    /// gossip disabled).
+    /// Deliveries with no gossip offered (no annotation).
     pub fn gossip_absent(&self) -> u64 {
         self.gossip_absent.value()
     }
@@ -232,34 +232,13 @@ impl SmartchainCluster {
         // Durable mode: every replica gets its own write-ahead store
         // under one self-cleaning root — each survives (and recovers
         // from) an independent crash.
-        let durable_root = pipeline.durable.then(|| {
-            let root = std::env::temp_dir().join(format!(
-                "scdb-cluster-{}-{}",
-                std::process::id(),
-                EPHEMERAL_SEQ.fetch_add(1, Ordering::Relaxed)
-            ));
-            let _ = std::fs::remove_dir_all(&root);
-            EphemeralDir(root)
-        });
+        let durable_root = pipeline.durable.then(|| EphemeralDir::new("scdb-cluster"));
         let replicas = (0..nodes)
             .map(|i| {
-                let mut ledger = LedgerState::with_utxo_shards(pipeline.utxo_shards);
-                ledger.add_reserved_account(escrow.public_hex());
-                ledger.set_telemetry(&pipeline.telemetry);
-                if let Some(root) = &durable_root {
-                    let (mut store, _) = DurableStore::open(
-                        root.0.join(format!("replica-{i}")),
-                        pipeline.utxo_shards,
-                    )
-                    .expect("fresh replica durable store opens");
-                    store.set_telemetry(pipeline.telemetry.clone());
-                    store.set_fsync(pipeline.fsync);
-                    ledger.attach_durable(Arc::new(store));
-                }
-                Replica {
-                    ledger,
-                    tracker: NestedTracker::new(),
-                }
+                let dir = durable_root
+                    .as_ref()
+                    .map(|root| root.0.join(format!("replica-{i}")));
+                Replica::open(&pipeline, &escrow, dir.as_deref())
             })
             .collect();
         let gossip = GossipStats::with_telemetry(&pipeline.telemetry);
@@ -291,7 +270,7 @@ impl SmartchainCluster {
     }
 
     /// The batch-pipeline configuration every replica delivers blocks
-    /// with (workers, UTXO shards, gossip, durability, telemetry).
+    /// with (workers, UTXO shards, durability, telemetry).
     pub fn pipeline_options(&self) -> &PipelineOptions {
         &self.pipeline
     }
@@ -305,6 +284,12 @@ impl SmartchainCluster {
     /// (all children settled) on replica 0.
     pub fn nested_completed(&self) -> u64 {
         self.nested_completed
+    }
+
+    /// A replica's settlement status for a nested parent (`None` for an
+    /// id it never registered).
+    pub fn nested_status(&self, node: NodeId, parent_id: &str) -> Option<NestedStatus> {
+        self.replicas[node].tracker.status(parent_id)
     }
 
     /// Self-describing-block counters: gossip accept/reject/absent,
@@ -345,36 +330,16 @@ impl SmartchainCluster {
     /// The directory backing a replica's durable store, when the
     /// cluster runs with durability.
     pub fn durable_dir(&self, node: NodeId) -> Option<PathBuf> {
-        self.replicas[node]
-            .ledger
-            .durable_store()
-            .map(|s| s.dir().to_path_buf())
+        self.replicas[node].durable_dir()
     }
 
     /// Checkpoints one replica's durable store at its current block
     /// boundary (snapshot + WAL truncation). Returns `false` when the
     /// cluster runs without durability.
     pub fn checkpoint_replica(&mut self, node: NodeId) -> Result<bool, String> {
-        let replica = &self.replicas[node];
-        let Some(store) = replica.ledger.durable_store().cloned() else {
-            return Ok(false);
-        };
-        let docs: Vec<Value> = replica
-            .ledger
-            .committed_ids()
-            .iter()
-            .map(|id| {
-                replica
-                    .ledger
-                    .get(id)
-                    .expect("committed id resolves to a transaction")
-                    .to_value()
-            })
-            .collect();
-        store
-            .checkpoint(replica.ledger.utxos(), &docs)
-            .map_err(|e| format!("checkpoint failed: {e}"))?;
-        Ok(true)
+        self.replicas[node]
+            .checkpoint()
+            .map_err(|e| format!("checkpoint failed: {e}"))
     }
 
     /// Like [`SmartchainCluster::checkpoint_replica`], but the file
@@ -387,26 +352,9 @@ impl SmartchainCluster {
         &mut self,
         node: NodeId,
     ) -> Result<Option<CheckpointHandle>, String> {
-        let replica = &self.replicas[node];
-        let Some(store) = replica.ledger.durable_store().cloned() else {
-            return Ok(None);
-        };
-        let docs: Vec<Value> = replica
-            .ledger
-            .committed_ids()
-            .iter()
-            .map(|id| {
-                replica
-                    .ledger
-                    .get(id)
-                    .expect("committed id resolves to a transaction")
-                    .to_value()
-            })
-            .collect();
-        let handle = store
-            .checkpoint_async(replica.ledger.utxos(), &docs)
-            .map_err(|e| format!("background checkpoint failed: {e}"))?;
-        Ok(Some(handle))
+        self.replicas[node]
+            .checkpoint_background()
+            .map_err(|e| format!("background checkpoint failed: {e}"))
     }
 
     /// Orderly-restarts a replica: buffered group-commit seals are
@@ -421,11 +369,12 @@ impl SmartchainCluster {
         let dir = self
             .durable_dir(node)
             .ok_or_else(|| "replica runs without durability".to_string())?;
-        if let Some(store) = self.replicas[node].ledger.durable_store().cloned() {
-            store
-                .flush_group()
-                .map_err(|e| format!("restart flush failed: {e}"))?;
-        }
+        self.replicas[node]
+            .flush()
+            .map_err(|e| format!("restart flush failed: {e}"))?;
+        // Detach first: the old store's WAL handles must drop before
+        // recovery rewrites the log files in place.
+        self.replicas[node] = Replica::open(&self.pipeline, &self.escrow, None);
         self.reopen_replica(node, dir)
     }
 
@@ -453,10 +402,7 @@ impl SmartchainCluster {
         // Detach the lagging replica before writing into its store
         // directory, so its stale WAL handles drop first and cannot
         // append over the shipped files.
-        self.replicas[node] = Replica {
-            ledger: LedgerState::with_utxo_shards(self.pipeline.utxo_shards),
-            tracker: NestedTracker::new(),
-        };
+        self.replicas[node] = Replica::open(&self.pipeline, &self.escrow, None);
         let stats = src
             .export_to(&dst)
             .map_err(|e| format!("catch-up fetch failed: {e}"))?;
@@ -464,76 +410,50 @@ impl SmartchainCluster {
         Ok(stats)
     }
 
-    /// Rebuilds one replica from the durable store at `dir`: fail-closed
-    /// recovery of the UTXO state and commit order, sequential
-    /// re-execution into a fresh ledger, digest cross-check, and
-    /// reconstruction of the nested-settlement tracker from the
-    /// recovered commit order.
+    /// Rebuilds one replica from the durable store at `dir`
+    /// ([`Replica::recover`]). The caller has already detached the old
+    /// replica, so its store (and WAL handles) dropped before recovery
+    /// rewrites the log files in place. A parent whose children cannot
+    /// be determined from the recovered state stays untracked and is
+    /// counted.
     fn reopen_replica(&mut self, node: NodeId, dir: PathBuf) -> Result<(), String> {
-        // Detach the old replica first so its store (and WAL handles)
-        // drop before recovery rewrites the log files in place.
-        self.replicas[node] = Replica {
-            ledger: LedgerState::with_utxo_shards(self.pipeline.utxo_shards),
-            tracker: NestedTracker::new(),
-        };
-        let (mut store, recovered) = DurableStore::open(dir, self.pipeline.utxo_shards)
-            .map_err(|e| format!("durable recovery failed: {e}"))?;
-        store.set_telemetry(self.pipeline.telemetry.clone());
-        store.set_fsync(self.pipeline.fsync);
-        let mut ledger = LedgerState::restore(
-            &recovered,
-            self.pipeline.utxo_shards,
-            [self.escrow.public_hex()],
-        )?;
-        ledger.attach_durable(Arc::new(store));
-        ledger.set_telemetry(&self.pipeline.telemetry);
-
-        // Nested settlement state, replayed from the commit order:
-        // parents re-register their children, committed children check
-        // themselves off. Determination reads the recovered ledger, so
-        // a parent whose auction state cannot be reconstructed is
-        // skipped exactly as in log-based recovery.
-        let mut tracker = NestedTracker::new();
-        for doc in &recovered.committed {
-            let tx = Transaction::from_value(doc)
-                .map_err(|e| format!("recovery: unreadable committed transaction: {e}"))?;
-            match tx.operation {
-                Operation::AcceptBid => {
-                    if let Ok(children) = determine_children(&ledger, &tx, &self.escrow) {
-                        tracker.register(&tx.id, children.iter().map(|c| c.id.clone()));
-                    }
-                }
-                Operation::Return | Operation::Transfer
-                    if tx.metadata.get("parent").and_then(Value::as_str).is_some() =>
-                {
-                    let _ = tracker.child_committed(&tx.id);
-                }
-                _ => {}
-            }
-        }
-        self.replicas[node] = Replica { ledger, tracker };
+        let (replica, replay) = Replica::recover(&self.pipeline, &self.escrow, &dir)?;
+        let failures = replay
+            .iter()
+            .filter(|(_, settled)| settled.is_err())
+            .count();
+        self.pipeline
+            .telemetry
+            .add("cluster.settle_failures", failures as u64);
+        self.replicas[node] = replica;
         Ok(())
     }
 
-    /// Derives and caches `tx`'s footprint against `node`'s committed
-    /// state (no batch context — CheckTx sees transactions alone).
-    fn cache_footprint(&mut self, node: NodeId, tx: TxId, t: &Transaction) {
+    /// Derives `t`'s footprint against `node`'s committed state plus
+    /// `pool` (the block or candidate set in hand; `()` at CheckTx,
+    /// which sees transactions alone) and caches it with the links the
+    /// derivation could not resolve.
+    fn derive_footprint(
+        &mut self,
+        node: NodeId,
+        tx: TxId,
+        t: &Transaction,
+        pool: &impl TxLookup,
+    ) -> &Footprint {
         let ledger = &self.replicas[node].ledger;
-        let fp = footprint(t, &(), ledger);
-        let unresolved = unresolved_links(t, &(), ledger);
-        self.footprints.insert(
-            tx,
-            CachedFootprint {
-                footprint: fp,
-                unresolved,
-            },
-        );
+        let cached = CachedFootprint {
+            footprint: footprint(t, pool, ledger),
+            unresolved: unresolved_links(t, pool, ledger),
+        };
+        self.footprints.insert(tx, cached);
+        &self.footprints[&tx].footprint
     }
 
     /// The block's footprints for delivery on `node`: cache hits where
     /// the cached entry provably cannot under-approximate (none of its
     /// unresolved links became resolvable), fresh derivations — with
-    /// intra-block link resolution — everywhere else.
+    /// intra-block link resolution, refreshing the cache: they resolved
+    /// against strictly more knowledge — everywhere else.
     fn block_footprints(
         &mut self,
         node: NodeId,
@@ -543,9 +463,9 @@ impl SmartchainCluster {
         debug_assert_eq!(ids.len(), batch.len());
         let by_id: HashMap<&str, &Transaction> =
             batch.iter().map(|t| (t.id.as_str(), t.as_ref())).collect();
-        let ledger = &self.replicas[node].ledger;
         let mut out = Vec::with_capacity(batch.len());
         for (tx, t) in ids.iter().zip(batch) {
+            let ledger = &self.replicas[node].ledger;
             let cached = self.footprints.get(tx).and_then(|entry| {
                 let still_unresolvable = entry
                     .unresolved
@@ -553,27 +473,16 @@ impl SmartchainCluster {
                     .all(|id| !by_id.contains_key(id.as_str()) && !ledger.is_committed(id));
                 still_unresolvable.then(|| entry.footprint.clone())
             });
-            match cached {
+            out.push(match cached {
                 Some(fp) => {
                     self.gossip.footprints_cached.incr();
-                    out.push(fp);
+                    fp
                 }
                 None => {
                     self.gossip.footprints_derived.incr();
-                    let fp = footprint(t.as_ref(), &by_id, ledger);
-                    // Refresh the cache: the new entry resolved against
-                    // strictly more knowledge (batch + later ledger).
-                    let unresolved = unresolved_links(t.as_ref(), &by_id, ledger);
-                    out.push(fp.clone());
-                    self.footprints.insert(
-                        *tx,
-                        CachedFootprint {
-                            footprint: fp,
-                            unresolved,
-                        },
-                    );
+                    self.derive_footprint(node, *tx, t, &by_id).clone()
                 }
-            }
+            });
         }
         out
     }
@@ -600,14 +509,12 @@ impl SmartchainCluster {
         self.parsed.remove(&tx)
     }
 
-    /// Verifies the stateless part of a block `node` was handed — a
-    /// proposal to re-check or a block to deliver — as a pool, into
-    /// that replica's own verified set (DESIGN-pipeline.md § "Blocks
-    /// are verified as a pool"). `counters` names the stage's
-    /// `pooled` / `already_verified` / `failed_stateless` counters.
-    fn verify_block_pool(&self, node: NodeId, batch: &[Arc<Transaction>], counters: [&str; 3]) {
-        let report =
-            record_validated_batch(batch, &self.replicas[node].ledger, self.pipeline.workers);
+    /// Counts what the pooled stateless verification did with a block
+    /// `node` was handed — a proposal to re-check or a block to deliver
+    /// (DESIGN-pipeline.md § "Blocks are verified as a pool").
+    /// `counters` names the stage's `pooled` / `already_verified` /
+    /// `failed_stateless` counters.
+    fn count_pool(&self, report: PooledVerification, counters: [&str; 3]) {
         let telemetry = &self.pipeline.telemetry;
         telemetry.add(counters[0], report.pooled as u64);
         telemetry.add(counters[1], report.already_verified as u64);
@@ -638,7 +545,7 @@ impl SmartchainCluster {
         // CheckTx runs on every replica anyway (Fig. 4's second check
         // set), so delivery can verify a gossiped schedule against
         // cached footprints instead of re-deriving the whole block's.
-        self.cache_footprint(node, tx, t);
+        self.derive_footprint(node, tx, t, &());
         let sigs = t.inputs.len();
         let caps = self.capability_work(node, t);
         Ok(self.cost.check_cost(payload.len(), sigs, caps))
@@ -656,12 +563,18 @@ impl SmartchainCluster {
                 .insert(doc);
         }
 
-        // Track child settlements for the eventual commit of parents.
-        if matches!(t.operation, Operation::Return | Operation::Transfer)
-            && t.metadata.get("parent").and_then(Value::as_str).is_some()
-        {
-            let completed = self.replicas[node].tracker.child_committed(&t.id);
-            if node == 0 && completed.is_some() {
+        // Track child settlements for the eventual commit of parents
+        // (an ACCEPT_BID settles in the commit hook, where its cost is
+        // charged).
+        if t.operation != Operation::AcceptBid {
+            let settled = self.replicas[node].settle(t, &self.escrow);
+            let completed = matches!(
+                settled,
+                Ok(Settled::Child {
+                    completed_parent: Some(_)
+                })
+            );
+            if node == 0 && completed {
                 self.nested_completed += 1;
             }
         }
@@ -707,7 +620,10 @@ impl App for SmartchainCluster {
             .map(|(tx, payload)| self.parse(*tx, payload))
             .collect();
         let batch: Vec<Arc<Transaction>> = parsed.iter().flatten().cloned().collect();
-        self.verify_block_pool(node, &batch, CHECK_BLOCK_POOL);
+        // Verified as a pool into this replica's own verified set.
+        let pooled =
+            record_validated_batch(&batch, &self.replicas[node].ledger, self.pipeline.workers);
+        self.count_pool(pooled, CHECK_BLOCK_POOL);
         txs.iter()
             .zip(parsed)
             .map(|((tx, payload), t)| self.check_parsed(node, *tx, payload, t?.as_ref()))
@@ -737,19 +653,19 @@ impl App for SmartchainCluster {
         if candidates.len() <= 1 {
             return FormedBlock::from_picks((0..candidates.len().min(max)).collect());
         }
-        let mut parsed: Vec<(usize, Arc<Transaction>)> = Vec::with_capacity(candidates.len());
+        // The parseable candidates (position, id, transaction) and the rest.
+        let (mut slots, mut ids, mut txs) = (Vec::new(), Vec::new(), Vec::new());
         let mut unparseable: Vec<usize> = Vec::new();
         for (i, (tx, payload)) in candidates.iter().enumerate() {
             match self.parse(*tx, payload) {
-                Ok(t) => parsed.push((i, t)),
+                Ok(t) => {
+                    slots.push(i);
+                    ids.push(*tx);
+                    txs.push(t);
+                }
                 Err(_) => unparseable.push(i),
             }
         }
-        let ledger = &self.replicas[node].ledger;
-        let by_id: HashMap<&str, &Transaction> = parsed
-            .iter()
-            .map(|(_, t)| (t.id.as_str(), t.as_ref()))
-            .collect();
         // Footprints for packing: CheckTx-time cache hits wherever the
         // cached entry provably cannot under-approximate (the same
         // unresolved-link guard as delivery), fresh candidate-local
@@ -757,67 +673,31 @@ impl App for SmartchainCluster {
         // over-approximate — it only serializes more, and delivery
         // verifies the gossiped schedule against its *own* footprints,
         // so extra separation can never fail verification.
-        let mut footprints: Vec<Footprint> = Vec::with_capacity(parsed.len());
-        for (i, t) in &parsed {
-            let tx = candidates[*i].0;
-            let cached = self.footprints.get(&tx).and_then(|entry| {
-                let still_unresolvable = entry
-                    .unresolved
-                    .iter()
-                    .all(|id| !by_id.contains_key(id.as_str()) && !ledger.is_committed(id));
-                still_unresolvable.then(|| entry.footprint.clone())
-            });
-            match cached {
-                Some(fp) => {
-                    self.gossip.footprints_cached.incr();
-                    footprints.push(fp);
-                }
-                None => {
-                    self.gossip.footprints_derived.incr();
-                    let fp = footprint(t.as_ref(), &by_id, ledger);
-                    // Refresh: the new entry resolved against strictly
-                    // more knowledge (candidates + later ledger).
-                    let unresolved = unresolved_links(t.as_ref(), &by_id, ledger);
-                    footprints.push(fp.clone());
-                    self.footprints.insert(
-                        tx,
-                        CachedFootprint {
-                            footprint: fp,
-                            unresolved,
-                        },
-                    );
-                }
-            }
-        }
+        let footprints = self.block_footprints(node, &ids, &txs);
         let packed = pack_batch(&footprints, max, self.pipeline.utxo_shards);
 
         // Annotate only a fully parseable selection: the schedule's
         // indices must mean "position in the block body".
         let mut annotations = BlockAnnotations::default();
-        if self.pipeline.schedule_gossip && unparseable.is_empty() {
-            let block_txs: Vec<Arc<Transaction>> = packed
-                .order
-                .iter()
-                .map(|&p| Arc::clone(&parsed[p].1))
-                .collect();
-            let block_footprints: Vec<Footprint> = packed
-                .order
-                .iter()
-                .map(|&p| footprints[p].clone())
-                .collect();
+        if unparseable.is_empty() {
+            let block_txs: Vec<Arc<Transaction>> =
+                packed.order.iter().map(|&p| Arc::clone(&txs[p])).collect();
             let waves = packed.waves();
+            let ledger = &self.replicas[node].ledger;
             annotations.state_digest =
                 Some(predict_post_state_digest(ledger, &block_txs, &waves).to_hex());
+            // Only the waves travel: replicas verify them against their
+            // own footprints.
             annotations.schedule = Some(
                 WaveSchedule {
                     waves,
-                    footprints: block_footprints,
+                    ..WaveSchedule::default()
                 }
                 .to_wire(),
             );
         }
 
-        let mut picks: Vec<usize> = packed.order.iter().map(|&p| parsed[p].0).collect();
+        let mut picks: Vec<usize> = packed.order.iter().map(|&p| slots[p]).collect();
         for i in unparseable {
             if picks.len() >= max {
                 break;
@@ -838,46 +718,35 @@ impl App for SmartchainCluster {
     /// re-derivation as the fallback for anything tampered, so the
     /// gossip can shape parallelism but never outcomes. Both schedule
     /// sources are deterministic, so every replica derives the
-    /// identical committed/rejected split and identical post-state
-    /// regardless of its local gossip setting.
+    /// identical committed/rejected split and identical post-state.
     fn deliver_block(&mut self, node: NodeId, block: BlockView<'_>) -> Vec<AppResult> {
-        // Parse (or fetch from cache); parse failures reject outright.
+        // Parse (or fetch from cache); parse failures reject outright,
+        // everyone else starts from the delivery cost.
         let txs = block.txs;
-        let mut parsed: Vec<Option<Arc<Transaction>>> = Vec::with_capacity(txs.len());
-        let mut parse_errors: HashMap<usize, String> = HashMap::new();
-        for (i, (tx, payload)) in txs.iter().enumerate() {
+        let mut verdicts: Vec<AppResult> = Vec::with_capacity(txs.len());
+        let (mut batch, mut batch_ids, mut batch_slots) = (Vec::new(), Vec::new(), Vec::new());
+        for (slot, (tx, payload)) in txs.iter().enumerate() {
             match self.parse(*tx, payload) {
-                Ok(t) => parsed.push(Some(t)),
-                Err(e) => {
-                    parse_errors.insert(i, e);
-                    parsed.push(None);
+                Ok(t) => {
+                    verdicts.push(Ok(self.cost.deliver_cost(payload.len(), t.inputs.len())));
+                    batch.push(t);
+                    batch_ids.push(*tx);
+                    batch_slots.push(slot);
                 }
+                Err(e) => verdicts.push(Err(e)),
             }
         }
-        let batch: Vec<Arc<Transaction>> = parsed.iter().flatten().map(Arc::clone).collect();
-        let batch_ids: Vec<TxId> = parsed
-            .iter()
-            .zip(txs)
-            .filter_map(|(t, (id, _))| t.as_ref().map(|_| *id))
-            .collect();
-        let batch_slots: Vec<usize> = parsed
-            .iter()
-            .enumerate()
-            .filter_map(|(i, t)| t.as_ref().map(|_| i))
-            .collect();
 
         // The members this replica never CheckTx'd (it proposed the
-        // block, or caught up on it) are verified as one pool, so the
-        // commit below re-runs only the stateful rules.
-        self.verify_block_pool(node, &batch, DELIVER_BLOCK_POOL);
+        // block, or caught up on it) are verified as one pool inside
+        // the commit, so the pipeline re-runs only the stateful rules.
         let footprints = self.block_footprints(node, &batch_ids, &batch);
-        let (outcome, source) = commit_batch_with_gossip(
-            &mut self.replicas[node].ledger,
+        let (outcome, source, pooled) = self.replicas[node].commit_block(
             &batch,
-            footprints,
-            block.annotations.schedule.as_deref(),
+            Plan::Footprints(footprints, block.annotations.schedule.as_deref()),
             &self.pipeline,
         );
+        self.count_pool(pooled, DELIVER_BLOCK_POOL);
         match source {
             ScheduleSource::Gossip => self.gossip.gossip_used.incr(),
             ScheduleSource::Rederived(Some(_)) => self.gossip.gossip_rejected.incr(),
@@ -902,39 +771,20 @@ impl App for SmartchainCluster {
             }
         }
 
-        // Assemble per-tx verdicts aligned with the block.
-        let mut verdicts: Vec<AppResult> = (0..txs.len())
-            .map(|i| match parse_errors.remove(&i) {
-                Some(e) => Err(e),
-                None => Ok(SimTime::ZERO),
-            })
-            .collect();
         for (batch_index, error) in &outcome.rejected {
             verdicts[batch_slots[*batch_index]] = Err(error.to_string());
         }
-        for (batch_index, tx) in batch.iter().enumerate() {
-            let slot = batch_slots[batch_index];
-            if let Ok(cost) = &mut verdicts[slot] {
-                *cost = self.cost.deliver_cost(txs[slot].1.len(), tx.inputs.len());
-            }
-        }
-
-        // Post-delivery bookkeeping, in block order, for survivors.
-        for (batch_index, tx) in batch.iter().enumerate() {
-            if verdicts[batch_slots[batch_index]].is_ok() {
-                let tx = Arc::clone(tx);
-                self.after_deliver(node, &tx);
-            }
-        }
-
-        // A transaction *rejected* here never reaches the other
-        // replicas' deliveries, nor any commit hook — the engine
-        // filters rejected txs out of later executions — so waiting for
-        // a full delivery count would leak its cache entries forever;
-        // retire them the moment the first replica rejects it.
-        for (slot, tx) in batch_slots.iter().zip(&batch_ids) {
-            if verdicts[*slot].is_err() {
-                self.retire(*tx);
+        // Post-delivery bookkeeping, in block order. A transaction
+        // *rejected* here never reaches the other replicas' deliveries,
+        // nor any commit hook — the engine filters rejected txs out of
+        // later executions — so waiting for a full delivery count would
+        // leak its cache entries forever; retire them the moment the
+        // first replica rejects it.
+        for ((slot, id), tx) in batch_slots.iter().zip(batch_ids).zip(&batch) {
+            if verdicts[*slot].is_ok() {
+                self.after_deliver(node, tx);
+            } else {
+                self.retire(id);
             }
         }
         verdicts
@@ -948,25 +798,20 @@ impl App for SmartchainCluster {
         _now: SimTime,
     ) -> SimTime {
         let mut extra = SimTime::ZERO;
-        let accept_ids: Vec<TxId> = committed
+        let accepts: Vec<Arc<Transaction>> = committed
             .iter()
-            .copied()
-            .filter(|id| {
-                self.parsed
-                    .get(id)
-                    .is_some_and(|t| t.operation == Operation::AcceptBid)
-            })
+            .filter_map(|id| self.parsed.get(id))
+            .filter(|t| t.operation == Operation::AcceptBid)
+            .cloned()
             .collect();
-        for id in accept_ids {
-            let accept = self.parsed.get(&id).expect("filtered above").clone();
-            let Ok(children) =
-                determine_children(&self.replicas[node].ledger, &accept, &self.escrow)
+        for accept in accepts {
+            let Ok(Settled::Parent(children)) = self.replicas[node].settle(&accept, &self.escrow)
             else {
+                // The accept is committed but its children are not
+                // tracked on this replica: an alarm, not a verdict.
+                self.pipeline.telemetry.incr("cluster.settle_failures");
                 continue;
             };
-            self.replicas[node]
-                .tracker
-                .register(&accept.id, children.iter().map(|c| c.id.clone()));
             extra += self.cost.commit_hook_cost(children.len());
             // The first replica to commit plays the receiver-node role:
             // it enqueues the children for asynchronous submission.
@@ -1134,18 +979,7 @@ mod tests {
 
     /// Drives a complete two-supplier reverse auction through consensus.
     fn run_cluster_auction(nodes: usize) -> (SmartchainHarness, People, String) {
-        run_cluster_auction_with(nodes, PipelineOptions::default())
-    }
-
-    /// [`run_cluster_auction`] with explicit pipeline options.
-    fn run_cluster_auction_with(
-        nodes: usize,
-        pipeline: PipelineOptions,
-    ) -> (SmartchainHarness, People, String) {
-        let mut h = SmartchainHarness::with_pipeline(
-            scdb_consensus::BftConfig::tendermint(nodes),
-            pipeline,
-        );
+        let mut h = SmartchainHarness::new(nodes);
         let p = people();
         let escrow_pk = h.escrow_public_hex();
         let t = SimTime::from_millis(1);
@@ -1243,7 +1077,7 @@ mod tests {
 
     #[test]
     fn blocks_gossip_schedules_and_digests_end_to_end() {
-        let (h, _, _) = run_cluster_auction_with(4, PipelineOptions::default().gossip(true));
+        let (h, _, _) = run_cluster_auction(4);
         let stats = h.consensus().app().gossip_stats();
         // Multi-candidate proposals ship a schedule and a digest;
         // every replica verifies rather than falls back (an honest
@@ -1268,52 +1102,6 @@ mod tests {
         // cache retired every entry — it is bounded by in-flight work,
         // not chain history.
         assert_eq!(h.consensus().app().footprint_cache_len(), 0);
-    }
-
-    #[test]
-    fn gossip_disabled_cluster_reaches_identical_state() {
-        let run = |gossip: bool| {
-            let mut h = SmartchainHarness::with_pipeline(
-                scdb_consensus::BftConfig::tendermint(4),
-                PipelineOptions::default().gossip(gossip),
-            );
-            let p = people();
-            let escrow_pk = h.escrow_public_hex();
-            let t = SimTime::from_millis(1);
-            let asset = TxBuilder::create(obj! { "capabilities" => arr!["cnc"] })
-                .output(p.alice.public_hex(), 1)
-                .nonce(1)
-                .sign(&[&p.alice]);
-            let request = TxBuilder::request(obj! { "capabilities" => arr!["cnc"] })
-                .output(p.sally.public_hex(), 1)
-                .nonce(2)
-                .sign(&[&p.sally]);
-            h.submit_at(t, asset.to_payload());
-            h.submit_at(t, request.to_payload());
-            h.run();
-            let bid = TxBuilder::bid(asset.id.clone(), request.id.clone())
-                .input(asset.id.clone(), 0, vec![p.alice.public_hex()])
-                .output_with_prev(escrow_pk.clone(), 1, vec![p.alice.public_hex()])
-                .sign(&[&p.alice]);
-            let now = h.consensus().now();
-            h.submit_at(now, bid.to_payload());
-            h.run();
-            (
-                h.consensus().app().state_digest(0),
-                h.consensus().app().ledger(0).committed_ids().to_vec(),
-                h.consensus().app().gossip_stats().clone(),
-            )
-        };
-        let (digest_on, ids_on, stats_on) = run(true);
-        let (digest_off, ids_off, stats_off) = run(false);
-        assert_eq!(digest_on, digest_off, "gossip must not change state");
-        assert_eq!(ids_on, ids_off);
-        assert!(stats_on.gossip_used() > 0);
-        assert_eq!(
-            stats_off.gossip_used(),
-            0,
-            "disabled replicas ignore gossip"
-        );
     }
 
     #[test]

@@ -13,6 +13,7 @@
 mod cluster;
 mod cost;
 mod node;
+mod replica;
 mod return_queue;
 mod telemetry;
 

@@ -1,45 +1,31 @@
 //! A standalone SmartchainDB node: the full server stack on one
-//! machine — ledger, document store, nested-transaction tracking,
-//! recovery log, and the return queue.
+//! machine — the replica core plus the shell a server needs around it:
+//! document store, recovery log, the return queue and the mempool.
 //!
-//! This is the unit the driver talks to in sync mode and the replica
-//! the consensus cluster replicates. It owns the whole §4 life cycle
-//! minus distributed consensus: schema validation → semantic validation
-//! → commit to storage → (for nested types) child determination and
-//! asynchronous settlement.
+//! This is the unit the driver talks to in sync mode. It owns the whole
+//! §4 life cycle minus distributed consensus: schema validation →
+//! semantic validation → commit to storage → (for nested types) child
+//! determination and asynchronous settlement. Opening, recovering,
+//! committing, settling and checkpointing are the [`Replica`] core's —
+//! the same code every cluster replica runs; this module adds the
+//! queryable document mirror, the `CommitLog`, the `ReturnQueue` whose
+//! pump settles children locally, and the standing `Mempool`. Every
+//! submission entry point reaches the pipeline through
+//! [`Replica::commit_block`].
 
+use crate::replica::{EphemeralDir, Plan, Replica, Settled};
 use crate::return_queue::ReturnQueue;
-use scdb_core::pipeline::{commit_batch, commit_batch_planned, BatchOutcome, PipelineOptions};
+use scdb_core::pipeline::{derive_footprints, BatchOutcome, PipelineOptions};
 use scdb_core::{
-    determine_children, validate::validate_transaction, LedgerState, LedgerView, NestedTracker,
-    Operation, Transaction, ValidationError,
+    determine_children, LedgerState, LedgerView, NestedTracker, Transaction, ValidationError,
 };
 use scdb_crypto::KeyPair;
 use scdb_json::{obj, Value};
 use scdb_mempool::{AdmitError, AdmitReceipt, Mempool, MempoolConfig};
-use scdb_store::{
-    collections, CheckpointHandle, CommitLog, Db, DurableStore, Filter, SpendError, WalError,
-};
-use scdb_telemetry::Stopwatch;
+use scdb_store::{collections, CheckpointHandle, CommitLog, Db, Filter, WalError};
+use std::collections::HashSet;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Monotonic suffix for ephemeral durable directories, so nodes built
-/// in one process never collide.
-pub(crate) static EPHEMERAL_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// A self-cleaning directory backing the env-gated ephemeral durable
-/// store (`SCDB_DURABLE=1` without an explicit directory): the WAL
-/// exists for the node's lifetime — crash-consistency machinery is
-/// exercised end to end — and is removed when the node drops.
-pub(crate) struct EphemeralDir(pub(crate) PathBuf);
-
-impl Drop for EphemeralDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 /// Result of [`Node::submit_batch`].
 #[derive(Debug)]
@@ -100,9 +86,8 @@ impl DrainReport {
 
 /// One SmartchainDB server node.
 pub struct Node {
-    ledger: LedgerState,
+    replica: Replica,
     db: Db,
-    tracker: NestedTracker,
     log: CommitLog,
     queue: Arc<ReturnQueue>,
     escrow: KeyPair,
@@ -144,37 +129,35 @@ impl Node {
         pipeline: PipelineOptions,
         mempool: MempoolConfig,
     ) -> Node {
-        let mut ledger = LedgerState::with_utxo_shards(pipeline.utxo_shards);
-        ledger.add_reserved_account(escrow.public_hex());
-        ledger.set_telemetry(&pipeline.telemetry);
-        // Durable mode without an explicit directory: attach an
-        // ephemeral per-node store so every commit still runs the full
-        // WAL protocol, and clean it up when the node drops.
-        let mut durable_tmp = None;
-        if pipeline.durable {
-            let dir = std::env::temp_dir().join(format!(
-                "scdb-durable-{}-{}",
-                std::process::id(),
-                EPHEMERAL_SEQ.fetch_add(1, Ordering::Relaxed)
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
-            let (mut store, _) = DurableStore::open(&dir, pipeline.utxo_shards)
-                .expect("ephemeral durable store opens on a fresh directory");
-            store.set_telemetry(pipeline.telemetry.clone());
-            store.set_fsync(pipeline.fsync);
-            ledger.attach_durable(Arc::new(store));
-            durable_tmp = Some(EphemeralDir(dir));
-        }
-        // Admission shares the node's telemetry handle so mempool
-        // counters land in the same registry as commit traces.
+        // Durable mode without an explicit directory: an ephemeral
+        // per-node store, so every commit still runs the full WAL
+        // protocol, cleaned up when the node drops.
+        let durable_tmp = pipeline.durable.then(|| EphemeralDir::new("scdb-durable"));
+        let replica = Replica::open(
+            &pipeline,
+            &escrow,
+            durable_tmp.as_ref().map(|d| d.0.as_path()),
+        );
+        Node::assemble(replica, escrow, pipeline, mempool, durable_tmp)
+    }
+
+    /// The shell around a replica core. Admission shares the node's
+    /// telemetry handle so mempool counters land in the same registry
+    /// as commit traces.
+    fn assemble(
+        replica: Replica,
+        escrow: KeyPair,
+        pipeline: PipelineOptions,
+        mempool: MempoolConfig,
+        durable_tmp: Option<EphemeralDir>,
+    ) -> Node {
         let mempool = Mempool::new(MempoolConfig {
             telemetry: pipeline.telemetry.clone(),
             ..mempool
         });
         Node {
-            ledger,
+            replica,
             db: Db::smartchaindb(),
-            tracker: NestedTracker::new(),
             log: CommitLog::new(),
             queue: Arc::new(ReturnQueue::new()),
             escrow,
@@ -185,12 +168,12 @@ impl Node {
     }
 
     /// Opens (or re-opens) a node whose durable store lives at `dir`:
-    /// the write-ahead log and checkpoints are recovered fail-closed —
-    /// newest valid checkpoint, sealed WAL tail replayed over it, torn
-    /// tail discarded — the ledger is rebuilt by re-executing the
-    /// recovered commit order, and every auxiliary store (document
-    /// mirror, recovery log, nested-settlement tracker, return queue)
-    /// is reconstructed from it. A digest mismatch anywhere refuses to
+    /// the replica core recovers fail-closed ([`Replica::recover`]) and
+    /// the node's own stores — document mirror, recovery log, return
+    /// queue — are rebuilt by replaying the recovered commit order, with
+    /// each member's settlement as the core derived it, through the
+    /// post-commit path (children that settled before the crash stay off
+    /// the rebuilt return queue). A digest mismatch anywhere refuses to
     /// start rather than serving corrupt state.
     pub fn with_durable_dir(
         escrow: KeyPair,
@@ -198,66 +181,17 @@ impl Node {
         dir: impl Into<PathBuf>,
     ) -> Result<Node, String> {
         pipeline.durable = true;
-        let recovery_clock = pipeline.telemetry.is_enabled().then(Stopwatch::new);
-        let (mut store, recovered) = DurableStore::open(dir.into(), pipeline.utxo_shards)
-            .map_err(|e| format!("durable store open failed: {e}"))?;
-        if let Some(clock) = recovery_clock {
-            pipeline
-                .telemetry
-                .observe_ns("durable.recovery_ns", clock.elapsed_ns());
-            pipeline
-                .telemetry
-                .add("durable.recovery_tail_discards", recovered.tail_discards);
-            pipeline
-                .telemetry
-                .gauge_set("durable.recovered_height", recovered.height as i64);
-        }
-        store.set_telemetry(pipeline.telemetry.clone());
-        store.set_fsync(pipeline.fsync);
-        let mut ledger =
-            LedgerState::restore(&recovered, pipeline.utxo_shards, [escrow.public_hex()])?;
-        ledger.attach_durable(Arc::new(store));
-        ledger.set_telemetry(&pipeline.telemetry);
-        let mempool = Mempool::new(MempoolConfig {
+        let (replica, replay) = Replica::recover(&pipeline, &escrow, &dir.into())?;
+        let mempool = MempoolConfig {
             shard_hint: pipeline.utxo_shards,
-            telemetry: pipeline.telemetry.clone(),
             ..MempoolConfig::default()
-        });
-        let mut node = Node {
-            ledger,
-            db: Db::smartchaindb(),
-            tracker: NestedTracker::new(),
-            log: CommitLog::new(),
-            queue: Arc::new(ReturnQueue::new()),
-            escrow,
-            pipeline,
-            mempool,
-            _durable_tmp: None,
         };
-        node.rebuild_auxiliary(&recovered.committed)?;
+        let mut node = Node::assemble(replica, escrow, pipeline, mempool, None);
+        for (tx, settled) in replay {
+            node.record_commit(&tx, settled)
+                .map_err(|e| format!("recovery: post-commit replay of {} failed: {e}", tx.id))?;
+        }
         Ok(node)
-    }
-
-    /// Replays the recovered commit order through the post-commit path,
-    /// rebuilding the document mirror, the recovery log, and nested
-    /// settlement state; children that already settled before the crash
-    /// are dropped from the rebuilt return queue.
-    fn rebuild_auxiliary(&mut self, committed: &[Value]) -> Result<(), String> {
-        for doc in committed {
-            let tx = Transaction::from_value(doc)
-                .map_err(|e| format!("recovery: unreadable committed transaction: {e}"))?;
-            let id = tx.id.clone();
-            self.post_commit(&tx)
-                .map_err(|e| format!("recovery: post-commit replay of {id} failed: {e}"))?;
-        }
-        // `post_commit` re-enqueued every ACCEPT_BID child; keep only
-        // the ones the crash left unsettled.
-        for job in self.queue.drain(usize::MAX) {
-            if !self.ledger.is_committed(&job.child.id) {
-                self.queue.enqueue(&job.parent_id, job.child);
-            }
-        }
-        Ok(())
     }
 
     /// The escrow account's public key (hex).
@@ -285,13 +219,13 @@ impl Node {
 
     /// The committed ledger view.
     pub fn ledger(&self) -> &LedgerState {
-        &self.ledger
+        &self.replica.ledger
     }
 
     /// The node's UTXO state digest — the O(shards) replica-equality
     /// comparator (see `scdb_store::StateDigest`).
     pub fn state_digest(&self) -> scdb_store::StateDigest {
-        self.ledger.state_digest()
+        self.replica.ledger.state_digest()
     }
 
     /// The document store (queryability surface).
@@ -311,25 +245,34 @@ impl Node {
 
     /// Nested-transaction settlement tracker.
     pub fn tracker(&self) -> &NestedTracker {
-        &self.tracker
+        &self.replica.tracker
     }
 
-    /// Validates a payload without committing (the receiver node's
-    /// first validation set).
-    pub fn validate_payload(&self, payload: &str) -> Result<Transaction, ValidationError> {
+    /// Full single-node life cycle for one payload: a batch of one
+    /// through [`Node::submit_batch_parsed`] — validate, commit to
+    /// ledger and store, and, for ACCEPT_BID, determine children and
+    /// enqueue them (Algorithm 3's commit phase) — folded into the one
+    /// verdict. Returns the committed transaction.
+    pub fn process_transaction(&mut self, payload: &str) -> Result<Transaction, ValidationError> {
         let tx = Transaction::from_payload(payload)
             .map_err(|e| ValidationError::Semantic(e.to_string()))?;
-        validate_transaction(&tx, &self.ledger)?;
-        Ok(tx)
-    }
-
-    /// Full single-node life cycle: validate, commit to ledger and
-    /// store, and — for ACCEPT_BID — determine children and enqueue them
-    /// (Algorithm 3's commit phase). Returns the committed transaction.
-    pub fn process_transaction(&mut self, payload: &str) -> Result<Transaction, ValidationError> {
-        let tx = self.validate_payload(payload)?;
-        self.commit(&tx)?;
-        Ok(tx)
+        let tx = Arc::new(tx);
+        let mut report = self.submit_batch_parsed(std::slice::from_ref(&tx));
+        if let Some((_, e)) = report.outcome.rejected.pop() {
+            return Err(e);
+        }
+        if let Some(e) = report.outcome.wal_error {
+            // Fail closed: the seal is the durability commit point. The
+            // store latched and refuses further writes; reopen to
+            // recover up to the last good seal.
+            return Err(ValidationError::Storage(format!(
+                "durable seal failed: {e}"
+            )));
+        }
+        if let Some((_, e)) = report.post_commit_failures.pop() {
+            return Err(e);
+        }
+        Ok(Arc::unwrap_or_clone(tx))
     }
 
     /// Validates and commits a whole batch of *already parsed*
@@ -344,7 +287,9 @@ impl Node {
     /// (the mempool, the batching driver, block delivery) hand them
     /// over as `Arc`s and nothing downstream re-parses a payload.
     pub fn submit_batch_parsed(&mut self, batch: &[Arc<Transaction>]) -> BatchSubmitReport {
-        let outcome = commit_batch(&mut self.ledger, batch, &self.pipeline);
+        let footprints = derive_footprints(batch, &self.replica.ledger);
+        let plan = Plan::Footprints(footprints, None);
+        let (outcome, _, _) = self.replica.commit_block(batch, plan, &self.pipeline);
         let post_commit_failures = self.run_post_commit(batch, &outcome);
         BatchSubmitReport {
             outcome,
@@ -384,29 +329,26 @@ impl Node {
         report
     }
 
-    /// Post-commit effects for every committed member of a batch.
+    /// Post-commit effects for every committed member of a batch — the
+    /// members the outcome does not reject — in commit order. A failure
+    /// means the transaction is on the ledger but the node's stores
+    /// lag it: reported, so the caller can run recovery rather than
+    /// trust the mirror.
     fn run_post_commit(
         &mut self,
         batch: &[Arc<Transaction>],
         outcome: &BatchOutcome,
     ) -> Vec<(String, ValidationError)> {
-        let by_id: std::collections::HashMap<&str, &Arc<Transaction>> =
-            batch.iter().map(|tx| (tx.id.as_str(), tx)).collect();
-        let mut post_commit_failures = Vec::new();
-        for id in outcome.committed.clone() {
-            let tx = Arc::clone(
-                by_id
-                    .get(id.as_str())
-                    .expect("committed tx came from the batch"),
-            );
-            if let Err(e) = self.post_commit(&tx) {
-                // The transaction is on the ledger but its auxiliary
-                // stores were not updated — report it so the caller
-                // can run recovery rather than trust the mirror.
-                post_commit_failures.push((id, e));
+        let rejected: HashSet<usize> = outcome.rejected.iter().map(|(i, _)| *i).collect();
+        let mut failures = Vec::new();
+        for (index, tx) in batch.iter().enumerate() {
+            if !rejected.contains(&index) {
+                if let Err(e) = self.post_commit(tx) {
+                    failures.push((tx.id.clone(), e));
+                }
             }
         }
-        post_commit_failures
+        failures
     }
 
     /// The standing ingest pool.
@@ -418,13 +360,13 @@ impl Node {
     /// stateless checks plus footprint indexing, no semantic
     /// validation (that happens at [`Node::drain_block`] commit time).
     pub fn ingest(&mut self, tx: Arc<Transaction>) -> Result<AdmitReceipt, AdmitError> {
-        self.mempool.admit(tx, &self.ledger)
+        self.mempool.admit(tx, &self.replica.ledger)
     }
 
     /// [`Node::ingest`] over a serialized payload (the RPC surface);
     /// parses exactly once.
     pub fn ingest_payload(&mut self, payload: &str) -> Result<AdmitReceipt, AdmitError> {
-        self.mempool.admit_payload(payload, &self.ledger)
+        self.mempool.admit_payload(payload, &self.replica.ledger)
     }
 
     /// Admits a whole arrival batch through the mempool's staged
@@ -437,7 +379,7 @@ impl Node {
         &mut self,
         txs: &[Arc<Transaction>],
     ) -> Vec<Result<AdmitReceipt, AdmitError>> {
-        self.mempool.admit_batch(txs, &self.ledger)
+        self.mempool.admit_batch(txs, &self.replica.ledger)
     }
 
     /// [`Node::ingest_batch`] over serialized payloads: the parse
@@ -446,7 +388,8 @@ impl Node {
         &mut self,
         payloads: &[String],
     ) -> Vec<Result<AdmitReceipt, AdmitError>> {
-        self.mempool.admit_payload_batch(payloads, &self.ledger)
+        self.mempool
+            .admit_payload_batch(payloads, &self.replica.ledger)
     }
 
     /// Advances the mempool's tick clock and expires pending
@@ -477,18 +420,15 @@ impl Node {
     /// returns to the pool via [`Node::requeue_proposal`] (the
     /// proposal was abandoned).
     pub fn form_proposal(&mut self, max_n: usize) -> scdb_mempool::FormedBatch {
-        self.mempool.drain_batch(max_n, &self.ledger)
+        self.mempool.drain_batch(max_n, &self.replica.ledger)
     }
 
     /// Commits a formed proposal through the pipeline with its
     /// precomputed schedule, running post-commit effects.
     pub fn commit_proposal(&mut self, formed: scdb_mempool::FormedBatch) -> DrainReport {
-        let outcome = commit_batch_planned(
-            &mut self.ledger,
-            &formed.txs,
-            &formed.schedule,
-            &self.pipeline,
-        );
+        let (outcome, _, _) =
+            self.replica
+                .commit_block(&formed.txs, Plan::Formed(&formed.schedule), &self.pipeline);
         let post_commit_failures = self.run_post_commit(&formed.txs, &outcome);
         DrainReport {
             batch: formed.txs,
@@ -502,40 +442,7 @@ impl Node {
     /// original arrival positions (members committed meanwhile are
     /// skipped). Returns how many were reinstated.
     pub fn requeue_proposal(&mut self, formed: scdb_mempool::FormedBatch) -> usize {
-        self.mempool.requeue(formed, &self.ledger)
-    }
-
-    /// Commits an already-validated transaction.
-    pub fn commit(&mut self, tx: &Transaction) -> Result<(), ValidationError> {
-        let applied = self.ledger.apply(tx);
-        // Durable mode: every apply attempt seals a (one-transaction)
-        // block. A failed apply already wrote its wave record
-        // (write-ahead), so the seal must name the transaction aborted
-        // — replay then skips the dangling effects instead of
-        // resurrecting a rejected spend.
-        if let Some(store) = self.ledger.durable_store() {
-            let sealed = match &applied {
-                Ok(()) => store.seal_block(&[tx.to_value()], &[], &self.ledger.state_digest()),
-                Err(_) => store.seal_block(
-                    &[],
-                    std::slice::from_ref(&tx.id),
-                    &self.ledger.state_digest(),
-                ),
-            };
-            if let Err(e) = sealed {
-                // Fail closed: the seal is the durability commit point.
-                // The store latched and refuses further writes; reopen
-                // to recover up to the last good seal.
-                return Err(ValidationError::Storage(format!(
-                    "durable seal failed: {e}"
-                )));
-            }
-        }
-        applied.map_err(|e| match e {
-            SpendError::Store(why) => ValidationError::Storage(why),
-            other => ValidationError::DoubleSpend(other.to_string()),
-        })?;
-        self.post_commit(tx)
+        self.mempool.requeue(formed, &self.replica.ledger)
     }
 
     /// Snapshots the durable store at the current block boundary and
@@ -543,22 +450,7 @@ impl Node {
     /// `false` when the node runs without durability). Recovery after
     /// this point loads the snapshot and replays only the tail.
     pub fn checkpoint_durable(&mut self) -> Result<bool, WalError> {
-        let Some(store) = self.ledger.durable_store().cloned() else {
-            return Ok(false);
-        };
-        let docs: Vec<Value> = self
-            .ledger
-            .committed_ids()
-            .iter()
-            .map(|id| {
-                self.ledger
-                    .get(id)
-                    .expect("committed id resolves to a transaction")
-                    .to_value()
-            })
-            .collect();
-        store.checkpoint(self.ledger.utxos(), &docs)?;
-        Ok(true)
+        self.replica.checkpoint()
     }
 
     /// Like [`Node::checkpoint_durable`], but the file writes and WAL
@@ -569,22 +461,7 @@ impl Node {
     /// Returns `Ok(None)` when the node runs without durability; wait
     /// on the handle to observe writer errors.
     pub fn checkpoint_durable_background(&mut self) -> Result<Option<CheckpointHandle>, WalError> {
-        let Some(store) = self.ledger.durable_store().cloned() else {
-            return Ok(None);
-        };
-        let docs: Vec<Value> = self
-            .ledger
-            .committed_ids()
-            .iter()
-            .map(|id| {
-                self.ledger
-                    .get(id)
-                    .expect("committed id resolves to a transaction")
-                    .to_value()
-            })
-            .collect();
-        let handle = store.checkpoint_async(self.ledger.utxos(), &docs)?;
-        Ok(Some(handle))
+        self.replica.checkpoint_background()
     }
 
     /// Flushes any group-buffered seal records to the manifest and
@@ -593,22 +470,30 @@ impl Node {
     /// to recovery, exactly as if the host had crashed. A no-op
     /// returning `false` without durability.
     pub fn flush_durable(&mut self) -> Result<bool, WalError> {
-        let Some(store) = self.ledger.durable_store().cloned() else {
-            return Ok(false);
-        };
-        store.flush_group()?;
-        Ok(true)
+        self.replica.flush()
     }
 
     /// The directory backing this node's durable store, when one is
     /// attached.
     pub fn durable_dir(&self) -> Option<PathBuf> {
-        self.ledger.durable_store().map(|s| s.dir().to_path_buf())
+        self.replica.durable_dir()
     }
 
-    /// Everything that follows a successful ledger apply: the document
-    /// mirror, the recovery log, and nested-transaction bookkeeping.
+    /// Everything that follows a successful ledger apply: the core's
+    /// nested-transaction bookkeeping, then the node's own stores.
     fn post_commit(&mut self, tx: &Transaction) -> Result<(), ValidationError> {
+        let settled = self.replica.settle(tx, &self.escrow);
+        self.record_commit(tx, settled)
+    }
+
+    /// The shell's half of a commit: the document mirror, the recovery
+    /// log, and what `settled` means for the recovery collection and
+    /// the return queue (Algorithm 3, commit phase).
+    fn record_commit(
+        &mut self,
+        tx: &Transaction,
+        settled: Result<Settled, ValidationError>,
+    ) -> Result<(), ValidationError> {
         // Mirror into the document store for queryability.
         let mut doc = tx.to_value();
         doc.insert("_id", tx.id.clone());
@@ -622,53 +507,46 @@ impl Node {
             obj! { "tx" => tx.id.clone(), "op" => tx.operation.as_str() },
         );
 
-        if tx.operation == Operation::AcceptBid {
-            self.settle_nested(tx)?;
-        }
-        if matches!(tx.operation, Operation::Return | Operation::Transfer) {
-            if let Some(parent) = tx.metadata.get("parent").and_then(Value::as_str) {
-                let parent = parent.to_owned();
-                if let Some(done) = self.tracker.child_committed(&tx.id) {
-                    debug_assert_eq!(done, parent);
-                    self.log
-                        .append("nested_complete", obj! { "parent" => parent.clone() });
-                    self.db.collection(collections::ACCEPT_TX_RECOVERY).update(
-                        &Filter::eq("parent", parent),
-                        "status",
-                        Value::from("complete"),
-                    );
+        match settled? {
+            Settled::Parent(children) => {
+                // "logAcceptBidTxUpdForRecovery(tx, status: commit)" +
+                // the accept_tx_recovery collection of §4.2.
+                let child_ids: Vec<Value> = children
+                    .iter()
+                    .map(|c| Value::from(c.id.as_str()))
+                    .collect();
+                self.db
+                    .collection(collections::ACCEPT_TX_RECOVERY)
+                    .insert(obj! {
+                        "parent" => tx.id.clone(),
+                        "children" => Value::Array(child_ids.clone()),
+                        "status" => "commit",
+                    })
+                    .map_err(|e| ValidationError::Semantic(e.to_string()))?;
+                self.log.append(
+                    "enqueue_returns",
+                    obj! { "parent" => tx.id.clone(), "children" => Value::Array(child_ids) },
+                );
+                for child in children {
+                    // On a recovery replay the child may have settled
+                    // before the crash: only unsettled ones queue.
+                    if !self.replica.ledger.is_committed(&child.id) {
+                        self.queue.enqueue(&tx.id, child);
+                    }
                 }
             }
-        }
-        Ok(())
-    }
-
-    /// Algorithm 3, commit phase: determine the children, register them
-    /// for eventual commit, persist recovery state, and enqueue.
-    fn settle_nested(&mut self, accept: &Transaction) -> Result<(), ValidationError> {
-        let children = determine_children(&self.ledger, accept, &self.escrow)?;
-        self.tracker
-            .register(&accept.id, children.iter().map(|c| c.id.clone()));
-        // "logAcceptBidTxUpdForRecovery(tx, status: commit)" + the
-        // accept_tx_recovery collection of §4.2.
-        let child_ids: Vec<Value> = children
-            .iter()
-            .map(|c| Value::from(c.id.as_str()))
-            .collect();
-        self.db
-            .collection(collections::ACCEPT_TX_RECOVERY)
-            .insert(obj! {
-                "parent" => accept.id.clone(),
-                "children" => Value::Array(child_ids.clone()),
-                "status" => "commit",
-            })
-            .map_err(|e| ValidationError::Semantic(e.to_string()))?;
-        self.log.append(
-            "enqueue_returns",
-            obj! { "parent" => accept.id.clone(), "children" => Value::Array(child_ids) },
-        );
-        for child in children {
-            self.queue.enqueue(&accept.id, child);
+            Settled::Child {
+                completed_parent: Some(parent),
+            } => {
+                self.log
+                    .append("nested_complete", obj! { "parent" => parent.clone() });
+                self.db.collection(collections::ACCEPT_TX_RECOVERY).update(
+                    &Filter::eq("parent", parent),
+                    "status",
+                    Value::from("complete"),
+                );
+            }
+            Settled::Child { .. } | Settled::Plain => {}
         }
         Ok(())
     }
@@ -689,9 +567,9 @@ impl Node {
         }
         let applied: Vec<bool> = jobs
             .iter()
-            .map(|job| self.ledger.apply_shared(&job.child).is_ok())
+            .map(|job| self.replica.ledger.apply_shared(&job.child).is_ok())
             .collect();
-        if let Some(store) = self.ledger.durable_store() {
+        if let Some(store) = self.replica.ledger.durable_store() {
             let mut docs = Vec::with_capacity(jobs.len());
             let mut aborted = Vec::new();
             for (job, ok) in jobs.iter().zip(&applied) {
@@ -701,7 +579,7 @@ impl Node {
                     aborted.push(job.child.id.clone());
                 }
             }
-            let sealed = store.seal_block(&docs, &aborted, &self.ledger.state_digest());
+            let sealed = store.seal_block(&docs, &aborted, &self.replica.ledger.state_digest());
             if sealed.is_err() {
                 for job in jobs {
                     self.queue.retry(job);
@@ -733,18 +611,19 @@ impl Node {
                 .and_then(Value::as_str)
                 .unwrap_or_default()
                 .to_owned();
-            let Some(parent) = self.ledger.get(&parent_id).cloned() else {
+            let Some(parent) = self.replica.ledger.get(&parent_id).cloned() else {
                 continue;
             };
-            let outstanding = self.tracker.outstanding_children(&parent_id);
+            let outstanding = self.replica.tracker.outstanding_children(&parent_id);
             if outstanding.is_empty() {
                 continue;
             }
-            let Ok(children) = determine_children(&self.ledger, &parent, &self.escrow) else {
+            let Ok(children) = determine_children(&self.replica.ledger, &parent, &self.escrow)
+            else {
                 continue;
             };
             for child in children {
-                if outstanding.contains(&child.id) && !self.ledger.is_committed(&child.id) {
+                if outstanding.contains(&child.id) && !self.replica.ledger.is_committed(&child.id) {
                     self.queue.enqueue(&parent_id, child);
                     re_enqueued += 1;
                 }

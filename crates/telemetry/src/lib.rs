@@ -23,7 +23,7 @@ pub use counter::{Counter, Gauge};
 pub use hist::{HistSnapshot, Histogram, BUCKETS};
 pub use registry::{CommitTrace, Registry, TelemetrySnapshot, TRACE_RING_CAPACITY};
 pub use sample::{percentile, throughput_tps, LatencyStats, Series};
-pub use span::{best_of, Span, Stopwatch};
+pub use span::{Span, Stopwatch};
 
 use std::sync::Arc;
 
@@ -224,5 +224,26 @@ mod tests {
         let snap = t.snapshot().unwrap();
         assert_eq!(snap.histograms["stage"].count, 1);
         assert_eq!(snap.histograms["stage"].sum, ns);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Latency stats are internally consistent on any sample.
+        #[test]
+        fn stats_are_ordered(latencies in prop::collection::vec(0.0f64..1000.0, 1..200)) {
+            let stats = LatencyStats::from_latencies(&latencies).unwrap();
+            prop_assert!(stats.min <= stats.p50);
+            prop_assert!(stats.p50 <= stats.p95);
+            prop_assert!(stats.p95 <= stats.max);
+            prop_assert!(stats.min <= stats.mean && stats.mean <= stats.max);
+            prop_assert_eq!(stats.count, latencies.len());
+        }
     }
 }

@@ -81,20 +81,6 @@ impl Stopwatch {
     }
 }
 
-/// Best-of-`iters` wall-clock seconds for one measured closure — the
-/// bench bins' shared `measure` helper, returning the closure's final
-/// result alongside. `iters` is clamped to ≥ 1.
-pub fn best_of<T>(iters: usize, mut run: impl FnMut() -> T) -> (f64, T) {
-    let mut best = f64::INFINITY;
-    let mut last = None;
-    for _ in 0..iters.max(1) {
-        let clock = Stopwatch::new();
-        last = Some(run());
-        best = best.min(clock.elapsed_secs());
-    }
-    (best, last.expect("at least one iteration"))
-}
-
 fn saturating_ns(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
@@ -123,12 +109,5 @@ mod tests {
     #[test]
     fn disabled_span_is_inert() {
         assert_eq!(Span::disabled().stop(), 0);
-    }
-
-    #[test]
-    fn best_of_returns_min_and_result() {
-        let (secs, value) = best_of(3, || 42);
-        assert!(secs >= 0.0);
-        assert_eq!(value, 42);
     }
 }

@@ -1,4 +1,4 @@
-//! # scdb-workload — synthetic workloads and evaluation metrics
+//! # scdb-workload — synthetic workloads
 //!
 //! The workload side of the paper's evaluation (§5.1.3–§5.1.4):
 //!
@@ -9,16 +9,15 @@
 //!   transactions and as ETH-SC contract calls, so both systems see the
 //!   identical workload;
 //! * [`TxMix`] — the 110 000-transaction mix (CREATE 50k, BID 50k,
-//!   REQUEST 5k, ACCEPT_BID 5k) with ratio-preserving scaling;
-//! * [`LatencyStats`] / [`throughput_tps`] — the §5.1.4 metric
-//!   definitions.
+//!   REQUEST 5k, ACCEPT_BID 5k) with ratio-preserving scaling.
+//!
+//! The §5.1.4 metric definitions (`LatencyStats`, `throughput_tps`)
+//! live in `scdb-telemetry`.
 
-mod metrics;
 mod mix;
 mod payload;
 mod scenario;
 
-pub use metrics::{percentile, throughput_tps, LatencyStats, Series};
 pub use mix::TxMix;
 pub use payload::PayloadGen;
 pub use scenario::{eth_plan, scdb_plan, EthCall, EthPlan, ScdbAuction, ScdbPlan, ScenarioConfig};
@@ -39,17 +38,6 @@ mod proptests {
             prop_assert_eq!(mix.requests, mix.accepts);
             prop_assert_eq!(mix.creates, mix.requests * 10);
             prop_assert!(mix.requests >= 1);
-        }
-
-        /// Latency stats are internally consistent on any sample.
-        #[test]
-        fn stats_are_ordered(latencies in prop::collection::vec(0.0f64..1000.0, 1..200)) {
-            let stats = LatencyStats::from_latencies(&latencies).unwrap();
-            prop_assert!(stats.min <= stats.p50);
-            prop_assert!(stats.p50 <= stats.p95);
-            prop_assert!(stats.p95 <= stats.max);
-            prop_assert!(stats.min <= stats.mean && stats.mean <= stats.max);
-            prop_assert_eq!(stats.count, latencies.len());
         }
 
         /// Capability lists always deliver within 10% + one string of

@@ -10,7 +10,8 @@
 
 use smartchaindb::evm::EthScHarness;
 use smartchaindb::sim::SimTime;
-use smartchaindb::workload::{eth_plan, scdb_plan, LatencyStats, ScenarioConfig};
+use smartchaindb::telemetry::LatencyStats;
+use smartchaindb::workload::{eth_plan, scdb_plan, ScenarioConfig};
 use smartchaindb::SmartchainHarness;
 
 fn main() {

@@ -22,7 +22,7 @@
 //! | [`crypto`] | `scdb-crypto` | SHA3-256 / Keccak-256 / SHA-512 / Ed25519, keypairs, multi-signatures |
 //! | [`sim`] | `scdb-sim` | the discrete-event kernel standing in for the paper's VM testbed |
 //! | [`evm`] | `scdb-evm` | the ETH-SC baseline: gas-metered contract runtime + reverse-auction contract |
-//! | [`workload`] | `scdb-workload` | synthetic workload generation and evaluation metrics |
+//! | [`workload`] | `scdb-workload` | synthetic workload generation |
 //!
 //! ## Quickstart
 //!
@@ -98,7 +98,7 @@ pub mod evm {
     pub use scdb_evm::*;
 }
 
-/// Workload generation and metrics (`scdb-workload`).
+/// Workload generation (`scdb-workload`).
 pub mod workload {
     pub use scdb_workload::*;
 }

@@ -12,7 +12,6 @@ fn default_options_under_a_scrubbed_environment() {
     }
     let options = PipelineOptions::default();
     assert!(!options.durable);
-    assert!(options.schedule_gossip);
     assert_eq!(options.fsync, FsyncLevel::None);
     assert!(!options.telemetry.is_enabled());
     assert!(options.fail_apply.is_empty());

@@ -13,7 +13,8 @@
 
 use smartchaindb::consensus::{App, BlockView, TxId};
 use smartchaindb::core::pipeline::PipelineOptions;
-use smartchaindb::core::{Transaction, ValidationError};
+use smartchaindb::core::{NestedStatus, Transaction, ValidationError};
+use smartchaindb::sim::SimTime;
 use smartchaindb::store::{DurableStore, FsyncLevel, OutputRef, StateDigest, Utxo};
 use smartchaindb::workload::{scdb_plan, ScenarioConfig};
 use smartchaindb::{KeyPair, LedgerView, Node, SmartchainCluster, TxBuilder};
@@ -466,7 +467,9 @@ fn failed_child_is_aborted_in_the_seal_and_its_siblings_commit() {
     // Settle one child behind the queue's back, then queue both again:
     // the pump's apply of the settled one is a double spend.
     let jobs = node.queue().drain(usize::MAX);
-    node.commit(&jobs[0].child).expect("scalar settlement");
+    assert!(node
+        .submit_batch_parsed(std::slice::from_ref(&jobs[0].child))
+        .fully_committed());
     for job in &jobs {
         node.queue().enqueue(&job.parent_id, Arc::clone(&job.child));
     }
@@ -590,6 +593,101 @@ fn cluster_restart_and_catch_up_stay_digest_equal() {
     let d0 = cluster.state_digest(0);
     assert_eq!(d0, cluster.state_digest(1));
     assert_eq!(d0, cluster.state_digest(2));
+}
+
+/// Node ≡ replica recovery: the same committed auction stream — one
+/// accept with its children settled, one with them outstanding —
+/// recovered by `Node::with_durable_dir` and by
+/// `SmartchainCluster::restart_replica` lands on the same digest and
+/// the same tracker status per accept; the node, which alone keeps a
+/// return queue, gets back exactly the outstanding children.
+#[test]
+fn node_and_replica_recover_the_same_nested_state() {
+    let escrow = KeyPair::from_seed([0xE5; 32]);
+    let plan = scdb_plan(
+        &ScenarioConfig {
+            requests: 2,
+            bidders_per_request: 2,
+            capability_count: 2,
+            capability_bytes: 16,
+            seed: 0x9A21,
+        },
+        &escrow.public_hex(),
+    );
+    let payloads = plan.contended_payloads();
+    let accepts: Vec<&str> = plan.auctions.iter().map(|a| a.accept.id.as_str()).collect();
+    let opts = || PipelineOptions::with_workers(2).utxo_shards(4);
+
+    // The node: commit the stream, settle the first accept's children.
+    let scratch = Scratch::new("recovery-parity");
+    let mut node =
+        Node::with_durable_dir(escrow.clone(), opts(), &scratch.0).expect("fresh store opens");
+    assert!(node.submit_batch(&payloads).fully_committed());
+    assert_eq!(node.pump_returns(2), 2, "one accept's children settle");
+    let before: Vec<_> = accepts.iter().map(|a| node.tracker().status(a)).collect();
+    assert_eq!(
+        before,
+        [
+            Some(NestedStatus::Complete),
+            Some(NestedStatus::PendingChildren { outstanding: 2 })
+        ]
+    );
+    let outstanding = node.tracker().outstanding_children(accepts[1]);
+    node.flush_durable().expect("flush");
+    drop(node);
+    let recovered = Node::with_durable_dir(escrow, opts(), &scratch.0).expect("node recovers");
+
+    // The cluster: the same stream as one block, then the settled
+    // accept's children as a second, on every replica.
+    let mut cluster = SmartchainCluster::with_options(2, opts().durable(true));
+    let mut next_tx: TxId = 0;
+    let mut commit = |cluster: &mut SmartchainCluster, block: &[String]| {
+        let pairs: Vec<(TxId, &str)> = block
+            .iter()
+            .map(|p| {
+                next_tx += 1;
+                (next_tx, p.as_str())
+            })
+            .collect();
+        let ids: Vec<TxId> = pairs.iter().map(|(id, _)| *id).collect();
+        for node in 0..2 {
+            let verdicts = cluster.deliver_block(node, BlockView::bare(&pairs));
+            assert!(verdicts.iter().all(Result::is_ok), "{verdicts:?}");
+            cluster.on_commit(node, 0, &ids, SimTime::ZERO);
+        }
+    };
+    commit(&mut cluster, &payloads);
+    let settled_children: Vec<String> = cluster
+        .drain_outbox()
+        .into_iter()
+        .filter(|p| {
+            let child = Transaction::from_payload(p).expect("child payload parses");
+            child.metadata.get("parent").and_then(|v| v.as_str()) == Some(accepts[0])
+        })
+        .collect();
+    assert_eq!(settled_children.len(), 2);
+    commit(&mut cluster, &settled_children);
+    cluster.restart_replica(1).expect("replica 1 recovers");
+
+    assert_eq!(recovered.state_digest(), cluster.state_digest(1));
+    assert_eq!(cluster.state_digest(0), cluster.state_digest(1));
+    for (accept, status) in accepts.iter().zip(before) {
+        assert_eq!(recovered.tracker().status(accept), status, "node {accept}");
+        assert_eq!(cluster.nested_status(1, accept), status, "replica {accept}");
+    }
+    let mut queued: Vec<String> = recovered
+        .queue()
+        .drain(usize::MAX)
+        .into_iter()
+        .map(|job| {
+            assert_eq!(job.parent_id, accepts[1]);
+            job.child.id.clone()
+        })
+        .collect();
+    queued.sort_unstable();
+    let mut outstanding = outstanding;
+    outstanding.sort_unstable();
+    assert_eq!(queued, outstanding, "exactly the outstanding children");
 }
 
 /// Incremental catch-up: a lagging replica that already holds a

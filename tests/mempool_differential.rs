@@ -3,9 +3,13 @@
 //! driver (buffer → mempool admission → wave-packed drain → pipeline
 //! commit with the admission-derived schedule) must commit the same
 //! ledger — ids, verdicts, UTXO snapshot, marketplace indexes — as
-//! pushing the sequence directly through `Node::submit_batch`.
+//! pushing the sequence directly through `Node::submit_batch`, and as
+//! pushing it one payload at a time through `Node::process_transaction`;
+//! the two batch entry points equal the sequential oracle exactly.
 
 use smartchaindb::core::pipeline::PipelineOptions;
+use smartchaindb::core::validate::validate_transaction;
+use smartchaindb::core::{determine_children, LedgerState, Operation};
 use smartchaindb::driver::{BatchingConfig, BatchingDriver, DriverError};
 use smartchaindb::json::obj;
 use smartchaindb::sim::SimTime;
@@ -143,14 +147,105 @@ fn drive_through_submit_batch(
     (node, verdicts)
 }
 
+/// The scalar entry point: the same sequence one payload at a time
+/// through `Node::process_transaction` — a batch of one per call.
+fn drive_through_process_transaction(
+    options: PipelineOptions,
+    stream: &[Arc<Transaction>],
+) -> (Node, BTreeMap<String, Result<(), String>>) {
+    let mut node = Node::with_options(KeyPair::from_seed([0xE5; 32]), options);
+    let verdicts = stream
+        .iter()
+        .map(|tx| {
+            let verdict = node.process_transaction(&tx.to_payload());
+            (tx.id.clone(), verdict.map(drop).map_err(|e| e.to_string()))
+        })
+        .collect();
+    while node.pump_returns(64) > 0 {}
+    (node, verdicts)
+}
+
+/// The sequential oracle: validate and apply in stream order, then
+/// settle every committed ACCEPT_BID's children in commit order.
+fn sequential_oracle(
+    stream: &[Arc<Transaction>],
+) -> (LedgerState, BTreeMap<String, Result<(), String>>) {
+    let escrow = KeyPair::from_seed([0xE5; 32]);
+    let mut ledger = LedgerState::new();
+    ledger.add_reserved_account(escrow.public_hex());
+    let mut verdicts = BTreeMap::new();
+    for tx in stream {
+        let verdict = validate_transaction(tx, &ledger).map_err(|e| e.to_string());
+        if verdict.is_ok() {
+            ledger.apply_shared(tx).expect("validated spend applies");
+        }
+        verdicts.insert(tx.id.clone(), verdict);
+    }
+    let accepts: Vec<Arc<Transaction>> = stream
+        .iter()
+        .filter(|tx| tx.operation == Operation::AcceptBid && ledger.is_committed(&tx.id))
+        .cloned()
+        .collect();
+    let children: Vec<Transaction> = accepts
+        .iter()
+        .flat_map(|accept| determine_children(&ledger, accept, &escrow).expect("children"))
+        .collect();
+    for child in &children {
+        ledger.apply(child).expect("child settles");
+    }
+    (ledger, verdicts)
+}
+
 #[test]
 fn mempool_path_equals_direct_batch_path_barrier() {
+    for durable in [false, true] {
+        entry_points_agree(durable);
+    }
+}
+
+/// Mempool path ≡ direct batch path ≡ one-at-a-time scalar path, the
+/// last two pinned to the sequential oracle verbatim.
+fn entry_points_agree(durable: bool) {
     let (_, plan) = contended_plan();
     let (stream, rogue_id) = contended_stream_with_conflict(&plan);
-    let options = PipelineOptions::with_workers(4).utxo_shards(16);
+    let options = PipelineOptions::with_workers(4)
+        .utxo_shards(16)
+        .durable(durable);
 
     let (mempool_node, mempool_verdicts) = drive_through_mempool(options.clone(), &stream);
-    let (direct_node, direct_verdicts) = drive_through_submit_batch(options, &stream);
+    let (direct_node, direct_verdicts) = drive_through_submit_batch(options.clone(), &stream);
+    let (scalar_node, scalar_verdicts) = drive_through_process_transaction(options, &stream);
+    let (oracle, oracle_verdicts) = sequential_oracle(&stream);
+
+    // The two entry points that commit in submission order equal the
+    // oracle verbatim: rejection strings, commit order, digest.
+    for (name, node, verdicts) in [
+        ("direct", &direct_node, &direct_verdicts),
+        ("scalar", &scalar_node, &scalar_verdicts),
+    ] {
+        assert_eq!(
+            verdicts, &oracle_verdicts,
+            "{name} verdicts (durable={durable})"
+        );
+        assert_eq!(
+            node.ledger().committed_ids(),
+            oracle.committed_ids(),
+            "{name} commit order (durable={durable})"
+        );
+        assert_eq!(
+            node.state_digest(),
+            oracle.state_digest(),
+            "{name} digest (durable={durable})"
+        );
+    }
+    assert_eq!(mempool_node.state_digest(), oracle.state_digest());
+    if durable {
+        // One sealed block per call (a rejected call seals its abort
+        // list), plus the one pump that settled every child.
+        let height = |n: &Node| n.ledger().durable_store().expect("durable").next_height();
+        assert_eq!(height(&scalar_node), stream.len() as u64 + 1);
+        assert_eq!(height(&direct_node), 2);
+    }
 
     // Per-transaction verdicts: same accept/reject decision for every
     // submission (reasons may differ in phrasing between the admission

@@ -12,7 +12,7 @@ use smartchaindb::core::pipeline::{
     commit_batch_with_gossip, derive_footprints, PipelineOptions, ScheduleSource,
 };
 use smartchaindb::core::validate::validate_transaction;
-use smartchaindb::core::{plan_schedule, Footprint, WaveSchedule};
+use smartchaindb::core::{plan_schedule, WaveSchedule};
 use smartchaindb::workload::{scdb_plan, ScenarioConfig};
 use smartchaindb::{KeyPair, LedgerState, LedgerView, Transaction};
 use std::collections::BTreeMap;
@@ -65,7 +65,7 @@ fn deliver(
     wire: Option<&str>,
 ) -> (LedgerState, BTreeMap<String, bool>, ScheduleSource) {
     let mut ledger = fresh_ledger();
-    let options = PipelineOptions::with_workers(4).gossip(true);
+    let options = PipelineOptions::with_workers(4);
     let footprints = derive_footprints(batch, &ledger);
     let (outcome, source) =
         commit_batch_with_gossip(&mut ledger, batch, footprints, wire, &options);
@@ -146,15 +146,10 @@ fn tampered_wire(schedule: &WaveSchedule, tamper: usize) -> (String, bool) {
         }
         // Not a schedule at all.
         5 => ("ceci n'est pas un schedule".to_owned(), true),
-        // Lying footprints, honest waves: MUST still verify and be
-        // used — replicas verify against their own footprints, so the
-        // gossiped ones are inert bytes.
-        _ => {
-            s.footprints = (0..s.footprints.len())
-                .map(|_| Footprint::default())
-                .collect();
-            (s.to_wire(), false)
-        }
+        // Honest waves with trailing bytes (the retired footprints
+        // document, say): the wire is one document, anything after it
+        // is refused.
+        _ => (format!("{}\n{{\"footprints\":[]}}", s.to_wire()), true),
     }
 }
 
@@ -195,9 +190,9 @@ proptest! {
     }
 
     /// Adversarial gossip: tampered / overlapping / incomplete /
-    /// reordered / garbage schedules are rejected and fall back to
-    /// re-derivation; lying footprints are inert; in every case the
-    /// final state is byte-identical to the no-gossip path.
+    /// reordered / garbage / padded schedules are rejected and fall
+    /// back to re-derivation; in every case the final state is
+    /// byte-identical to the no-gossip path.
     #[test]
     fn tampered_gossip_is_rejected_and_never_corrupts_state(
         requests in 1usize..3,
@@ -270,7 +265,7 @@ fn gossiped_block_with_rejections_matches_oracle() {
     };
     let wire = plan_schedule(&batch, &mk_ledger()).to_wire();
     let mut gossip_ledger = mk_ledger();
-    let options = PipelineOptions::with_workers(2).gossip(true);
+    let options = PipelineOptions::with_workers(2);
     let footprints = derive_footprints(&batch, &gossip_ledger);
     let (outcome, source) = commit_batch_with_gossip(
         &mut gossip_ledger,

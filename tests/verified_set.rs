@@ -399,36 +399,6 @@ fn accept_bid_verified_against_another_requester_is_re_verified() {
     assert_eq!(ledger.verified_stats().hits, 1);
 }
 
-/// (d) With admission's signature checks off nothing was verified, so
-/// nothing is recorded — neither at admission nor at drain.
-#[test]
-fn admission_without_signature_checks_never_records() {
-    let honest = auction(0, 2, None);
-    let mut ledger = fresh_ledger();
-    commit_up_to_accept(&mut ledger, &honest);
-    let mut pool = Mempool::new(MempoolConfig {
-        verify_signatures: false,
-        ..MempoolConfig::default()
-    });
-    pool.admit(Arc::new(create(&seed_key(0xA1, 0), 1)), &ledger)
-        .unwrap();
-    pool.admit(Arc::new(honest.accept.clone()), &ledger)
-        .unwrap();
-    let batch = pool.drain_batch(usize::MAX, &ledger);
-    assert_eq!(batch.len(), 2);
-    let before = ledger.verified_stats();
-    assert_eq!(before.recorded, 0);
-    let outcome = commit_batch_planned(
-        &mut ledger,
-        &batch.txs,
-        &batch.schedule,
-        &PipelineOptions::with_workers(1).durable(false),
-    );
-    assert_eq!(outcome.committed.len(), 2);
-    let after = ledger.verified_stats();
-    assert_eq!((after.hits, after.misses), (0, before.misses + 2));
-}
-
 /// (e) The set is bounded by two generations; overflowing them evicts
 /// the oldest entries and changes no verdict — the evicted transaction
 /// is simply verified again.
