@@ -21,16 +21,19 @@ pub type AppResult = Result<SimTime, String>;
 /// bare transaction list. The engine carries these bytes untouched from
 /// `form_block` to every replica's `deliver_block`; their meaning
 /// belongs entirely to the application (the SmartchainDB cluster ships
-/// its serialized conflict-wave schedule and a predicted post-block
-/// state digest). Replicas MUST treat the contents as untrusted input:
-/// an adversarial proposer controls them.
+/// its serialized conflict-wave schedule and the committed state digest
+/// it formed the block against). Replicas MUST treat the contents as
+/// untrusted input: an adversarial proposer controls them.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BlockAnnotations {
     /// The proposer's serialized execution schedule over the block's
     /// transactions (the SmartchainDB wave plan), if it attached one.
     pub schedule: Option<String>,
-    /// The proposer's predicted post-block state digest (wire form),
-    /// if it attached one.
+    /// The proposer's committed state digest when it formed the block
+    /// (wire form), if it attached one: the digest of the state the
+    /// block executes from, so a replica compares it with its own
+    /// *before* executing and a difference means the two disagree on
+    /// the chain up to this block, whatever this block's verdicts.
     pub state_digest: Option<String>,
 }
 

@@ -36,87 +36,6 @@ pub(crate) struct UtxoEffects {
     pub(crate) adds: Vec<(OutputRef, Utxo)>,
 }
 
-/// Derives the UTXO-side plan of one transaction — the `OutputRef`s it
-/// spends and the entries it registers — against *any* ledger view.
-///
-/// This is the single effects computation shared by the scalar apply,
-/// the parallel wave apply, and the overlay prediction behind the
-/// proposer's gossiped digest ([`crate::speculation::WaveOverlay`]):
-/// the prediction uses exactly the routine the apply later executes,
-/// so a correct prediction is bit-identical to the real mutation.
-/// ACCEPT_BID's plan is empty — its inputs and outputs are the
-/// settlement plan its children realize (non-locking commit).
-/// The marketplace-index delta one transaction makes on commit — the
-/// single decision table shared by [`LedgerState::record_indexes`]
-/// (apply) and `WaveOverlay::predict` (prediction), so the overlay's
-/// predicted indexes can never drift from the applied ones.
-pub(crate) enum IndexDelta<'a> {
-    /// No marketplace index changes.
-    None,
-    /// A BID appends itself to its REQUEST's bid set.
-    BidAppend { request: &'a str },
-    /// An ACCEPT_BID claims its REQUEST's acceptance slot.
-    Accept { request: &'a str },
-    /// A RETURN or winner TRANSFER settles a BID.
-    Settle { bid: &'a str },
-}
-
-pub(crate) fn index_delta(tx: &Transaction) -> IndexDelta<'_> {
-    match tx.operation {
-        Operation::Bid => match tx.references.first() {
-            Some(request) => IndexDelta::BidAppend { request },
-            None => IndexDelta::None,
-        },
-        Operation::AcceptBid => match tx.references.first() {
-            Some(request) => IndexDelta::Accept { request },
-            None => IndexDelta::None,
-        },
-        Operation::Return => match tx.references.first() {
-            Some(bid) => IndexDelta::Settle { bid },
-            None => IndexDelta::None,
-        },
-        Operation::Transfer => {
-            // Winner transfers record their bid linkage in metadata.
-            match tx.metadata.get("settles_bid").and_then(Value::as_str) {
-                Some(bid) => IndexDelta::Settle { bid },
-                None => IndexDelta::None,
-            }
-        }
-        _ => IndexDelta::None,
-    }
-}
-
-pub(crate) fn utxo_effects_for(tx: &Transaction, view: &impl LedgerView) -> UtxoEffects {
-    if matches!(tx.operation, Operation::AcceptBid) {
-        return UtxoEffects::default();
-    }
-    let spends: Vec<OutputRef> = tx
-        .inputs
-        .iter()
-        .filter_map(|i| i.fulfills.as_ref())
-        .map(|f| OutputRef::new(f.tx_id.clone(), f.output_index))
-        .collect();
-    let asset_id = view.asset_id_of(tx).unwrap_or_else(|| tx.id.clone());
-    let adds = tx
-        .outputs
-        .iter()
-        .enumerate()
-        .map(|(i, out)| {
-            (
-                OutputRef::new(tx.id.clone(), i as u32),
-                Utxo {
-                    owners: out.public_keys.clone(),
-                    previous_owners: out.previous_owners.clone(),
-                    amount: out.amount,
-                    asset_id: asset_id.clone(),
-                    spent_by: None,
-                },
-            )
-        })
-        .collect();
-    UtxoEffects { spends, adds }
-}
-
 /// Node-local committed state.
 #[derive(Default)]
 pub struct LedgerState {
@@ -260,10 +179,7 @@ impl LedgerState {
     }
 
     /// The concrete UTXO set (spend tracking, snapshots, balances).
-    ///
-    /// Inherent rather than part of [`LedgerView`]: layered views (the
-    /// predicted overlay) answer per-output lookups without holding a
-    /// materialized set, so the trait only exposes
+    /// Inherent: validation reads outputs one at a time through
     /// [`LedgerView::utxo`].
     pub fn utxos(&self) -> &UtxoSet {
         &self.utxos
@@ -272,7 +188,7 @@ impl LedgerState {
     /// The O(shards) [`scdb_store::StateDigest`] of the UTXO set — the
     /// replica-equality comparator (two ledgers that applied the same
     /// blocks hold equal digests, whatever their shard counts) and the
-    /// digest self-describing blocks gossip.
+    /// digest a proposer gossips with the block it formed on this state.
     pub fn state_digest(&self) -> scdb_store::StateDigest {
         self.utxos.state_digest()
     }
@@ -320,12 +236,45 @@ impl LedgerState {
         Ok(())
     }
 
-    /// The UTXO-side plan of one transaction against committed state —
-    /// [`utxo_effects_for`] anchored at this ledger. Derived read-only,
-    /// so wave workers can compute and execute plans for
-    /// non-conflicting transactions concurrently.
-    fn utxo_effects(&self, tx: &Transaction) -> UtxoEffects {
-        utxo_effects_for(tx, self)
+    /// Derives the UTXO-side plan of one transaction — the `OutputRef`s
+    /// it spends and the entries it registers — against committed state.
+    ///
+    /// This is the single effects computation shared by the scalar
+    /// apply, the parallel wave apply and the durable path's
+    /// write-ahead plans, so what the WAL logs is exactly what the
+    /// apply executes. Derived read-only, so wave workers can compute
+    /// and execute plans for non-conflicting transactions concurrently.
+    /// ACCEPT_BID's plan is empty — its inputs and outputs are the
+    /// settlement plan its children realize (non-locking commit).
+    pub(crate) fn utxo_effects(&self, tx: &Transaction) -> UtxoEffects {
+        if matches!(tx.operation, Operation::AcceptBid) {
+            return UtxoEffects::default();
+        }
+        let spends: Vec<OutputRef> = tx
+            .inputs
+            .iter()
+            .filter_map(|i| i.fulfills.as_ref())
+            .map(|f| OutputRef::new(f.tx_id.clone(), f.output_index))
+            .collect();
+        let asset_id = self.asset_id_of(tx).unwrap_or_else(|| tx.id.clone());
+        let adds = tx
+            .outputs
+            .iter()
+            .enumerate()
+            .map(|(i, out)| {
+                (
+                    OutputRef::new(tx.id.clone(), i as u32),
+                    Utxo {
+                        owners: out.public_keys.clone(),
+                        previous_owners: out.previous_owners.clone(),
+                        amount: out.amount,
+                        asset_id: asset_id.clone(),
+                        spent_by: None,
+                    },
+                )
+            })
+            .collect();
+        UtxoEffects { spends, adds }
     }
 
     /// Applies one conflict-free wave of an already-validated batch: the
@@ -391,28 +340,39 @@ impl LedgerState {
             }
         }
 
-        // The escrow lock count is ledger-only state: the predicted
-        // overlay derives lock status from output spentness instead of
-        // mirroring this index.
-        if tx.operation == Operation::Bid && !tx.outputs.is_empty() {
-            self.unspent_escrow
-                .insert(tx.id.clone(), tx.outputs.len() as u32);
-        }
-        match index_delta(tx) {
-            IndexDelta::BidAppend { request } => {
-                self.bids_by_request
-                    .entry(request.to_owned())
-                    .or_default()
-                    .push(tx.id.clone());
+        // The per-type marketplace indexes, keyed by the first reference.
+        let reference = tx.references.first();
+        match tx.operation {
+            Operation::Bid => {
+                if !tx.outputs.is_empty() {
+                    self.unspent_escrow
+                        .insert(tx.id.clone(), tx.outputs.len() as u32);
+                }
+                if let Some(request) = reference {
+                    self.bids_by_request
+                        .entry(request.clone())
+                        .or_default()
+                        .push(tx.id.clone());
+                }
             }
-            IndexDelta::Accept { request } => {
-                self.accept_by_request
-                    .insert(request.to_owned(), tx.id.clone());
+            Operation::AcceptBid => {
+                if let Some(request) = reference {
+                    self.accept_by_request
+                        .insert(request.clone(), tx.id.clone());
+                }
             }
-            IndexDelta::Settle { bid } => {
-                self.settled_bids.insert(bid.to_owned(), tx.id.clone());
+            Operation::Return => {
+                if let Some(bid) = reference {
+                    self.settled_bids.insert(bid.clone(), tx.id.clone());
+                }
             }
-            IndexDelta::None => {}
+            Operation::Transfer => {
+                // Winner transfers record their bid linkage in metadata.
+                if let Some(bid) = tx.metadata.get("settles_bid").and_then(Value::as_str) {
+                    self.settled_bids.insert(bid.to_owned(), tx.id.clone());
+                }
+            }
+            _ => {}
         }
 
         self.txs.insert(tx.id.clone(), Arc::clone(tx));

@@ -41,7 +41,6 @@ pub mod nested;
 mod par;
 pub use par::{map_chunks, parallel_map};
 pub mod pipeline;
-pub mod speculation;
 pub mod validate;
 pub mod verified;
 mod view;
@@ -59,7 +58,6 @@ pub use pipeline::{
     unresolved_links, verify_schedule, BatchOutcome, ConflictKey, Footprint, PipelineOptions,
     ScheduleError, ScheduleSource, TxLookup, WaveSchedule,
 };
-pub use speculation::{predict_post_state_digest, SpeculativeView};
 pub use verified::{VerifiedSigners, VerifiedStats};
 pub use view::LedgerView;
 // Telemetry rides the options through every layer; re-export the handle

@@ -9,8 +9,8 @@ use std::sync::Mutex;
 ///
 /// Workers pull indices off a shared atomic counter, so uneven task
 /// costs self-balance. This is the single audited pool implementation
-/// behind wave validation, overlay prediction, the sharded parallel
-/// apply, and mempool admission — keep it that way.
+/// behind wave validation, the sharded parallel apply, and mempool
+/// admission — keep it that way.
 pub fn parallel_map<T, F>(len: usize, workers: usize, f: F) -> Vec<T>
 where
     T: Send,

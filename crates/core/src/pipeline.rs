@@ -36,7 +36,7 @@
 //! the differential tests pin it against.
 
 use crate::errors::ValidationError;
-use crate::ledger::{utxo_effects_for, LedgerState, UtxoEffects};
+use crate::ledger::{LedgerState, UtxoEffects};
 use crate::model::{AssetRef, Operation, Transaction};
 use crate::par::parallel_map;
 use crate::validate::validate_transaction;
@@ -982,7 +982,7 @@ fn apply_survivors(
             let mut spends: Vec<(OutputRef, String)> = Vec::new();
             let mut adds: Vec<(OutputRef, Utxo)> = Vec::new();
             for (tx, slot) in wave_txs.iter().zip(effects.iter_mut()) {
-                let plan = slot.insert(utxo_effects_for(tx, &*ledger));
+                let plan = slot.insert(ledger.utxo_effects(tx));
                 spends.extend(plan.spends.iter().map(|o| (o.clone(), tx.id.clone())));
                 adds.extend(plan.adds.iter().cloned());
             }
@@ -1416,45 +1416,6 @@ mod tests {
         assert!(p.fully_committed());
         assert_eq!(g.committed, p.committed);
         assert_eq!(gossip.ledger.state_digest(), plain.ledger.state_digest());
-    }
-
-    #[test]
-    fn predicted_digest_matches_committed_digest_for_clean_blocks() {
-        let mut m = market();
-        let batch = dependent_wave_batch(&mut m);
-        let schedule = plan_schedule(&batch, &m.ledger);
-        let predicted =
-            crate::speculation::predict_post_state_digest(&m.ledger, &batch, &schedule.waves);
-        let outcome = commit_batch(&mut m.ledger, &batch, &PipelineOptions::with_workers(2));
-        assert!(outcome.fully_committed());
-        assert_eq!(m.ledger.state_digest(), predicted);
-    }
-
-    #[test]
-    fn predicted_digest_diverges_for_rejected_members() {
-        // A double spend: the loser rejects, so the proposer's all-
-        // commit prediction must differ from the real post-state — and
-        // real post-state must equal a no-gossip replica's.
-        let mut m = market();
-        let alice = keys(0xA1);
-        let create = TxBuilder::create(obj! {})
-            .output(alice.public_hex(), 1)
-            .sign(&[&alice]);
-        m.ledger.apply(&create).unwrap();
-        let spend = |to: &KeyPair, n: u64| {
-            arc(TxBuilder::transfer(create.id.clone())
-                .input(create.id.clone(), 0, vec![alice.public_hex()])
-                .output_with_prev(to.public_hex(), 1, vec![alice.public_hex()])
-                .metadata(obj! { "n" => n })
-                .sign(&[&alice]))
-        };
-        let batch = vec![spend(&keys(0xB0), 1), spend(&keys(0xB1), 2)];
-        let schedule = plan_schedule(&batch, &m.ledger);
-        let predicted =
-            crate::speculation::predict_post_state_digest(&m.ledger, &batch, &schedule.waves);
-        let outcome = commit_batch(&mut m.ledger, &batch, &PipelineOptions::with_workers(2));
-        assert_eq!(outcome.rejected.len(), 1);
-        assert_ne!(m.ledger.state_digest(), predicted);
     }
 
     // Keeps its pre-ISSUE-17 name (the test floor tracks it by name);

@@ -23,11 +23,10 @@ use scdb_store::{OutputRef, Utxo};
 /// implementor.
 ///
 /// The UTXO read surface is the *per-output* lookup [`LedgerView::utxo`]
-/// rather than a reference to a concrete `UtxoSet`: that keeps the
-/// trait implementable by layered views — the predicted overlay of
-/// [`crate::speculation`] answers output lookups from a predicted
-/// wave's effects before falling through to the committed set, which a
-/// `&UtxoSet` accessor could not express.
+/// rather than a reference to a concrete `UtxoSet`: validation needs
+/// one output at a time, and the sharded set answers that under a
+/// single shard lock. [`LedgerState`](crate::LedgerState) is the only
+/// implementor.
 pub trait LedgerView: Sync {
     /// `getTxFromDB`: a committed transaction by id.
     fn get(&self, id: &str) -> Option<&Transaction>;

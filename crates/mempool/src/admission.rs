@@ -109,31 +109,13 @@ impl Mempool {
         txs: &[Arc<Transaction>],
         ledger: &impl LedgerView,
     ) -> Vec<Result<AdmitReceipt, AdmitError>> {
-        self.admit_batch_prioritized(txs, None, ledger)
-    }
-
-    /// [`Mempool::admit_batch`] with per-member drain priorities
-    /// (`None` = all zero, plain FIFO), mirroring
-    /// [`Mempool::admit_prioritized`].
-    pub fn admit_batch_prioritized(
-        &mut self,
-        txs: &[Arc<Transaction>],
-        priorities: Option<&[u64]>,
-        ledger: &impl LedgerView,
-    ) -> Vec<Result<AdmitReceipt, AdmitError>> {
-        if let Some(p) = priorities {
-            assert_eq!(p.len(), txs.len(), "one priority per batch member");
-        }
         let workers = self.config.admission_workers;
         if workers <= 1 || txs.len() <= 1 {
             // The serial pin: workers = 1 means the member-by-member
             // loop, not a one-worker pipeline.
             return txs
                 .iter()
-                .enumerate()
-                .map(|(i, tx)| {
-                    self.admit_prioritized(Arc::clone(tx), priorities.map(|p| p[i]), ledger)
-                })
+                .map(|tx| self.admit(Arc::clone(tx), ledger))
                 .collect();
         }
 
@@ -230,7 +212,6 @@ impl Mempool {
                         stateless,
                         ledger_spent,
                         sender,
-                        priorities.map(|p| p[i]),
                         &mut sig_verdicts[i],
                         &mut deferred,
                         ledger,
@@ -302,7 +283,7 @@ impl Mempool {
     }
 
     /// The stage-3 cascade for one screened-in member: exactly the
-    /// serial `admit_prioritized` check order, with the conflict scan
+    /// serial [`Mempool::admit`] check order, with the conflict scan
     /// and index insert deferred. `Ok(true)` means the admitted id has
     /// waiters and the caller must flush + `on_arrival` immediately.
     #[allow(clippy::too_many_arguments)]
@@ -313,7 +294,6 @@ impl Mempool {
         stateless: Result<Option<String>, ValidationError>,
         ledger_spent: bool,
         sender: String,
-        priority: Option<u64>,
         sig_verdict: &mut Option<Result<(), ValidationError>>,
         deferred: &mut Vec<Deferred>,
         ledger: &impl LedgerView,
@@ -367,7 +347,6 @@ impl Mempool {
             flagged: false, // settled at flush, before any receipt
             sender,
             unresolved,
-            priority: priority.unwrap_or(0),
             admitted_tick: self.clock,
             accept_sig_checked: false,
         });

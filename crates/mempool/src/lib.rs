@@ -41,7 +41,7 @@ mod pool;
 #[cfg(test)]
 mod proptests;
 
-pub use pack::{pack_batch, pack_batch_prioritized, primary_shard, PackedBatch};
+pub use pack::{pack_batch, primary_shard, PackedBatch};
 pub use pool::{
     AdmitError, AdmitReceipt, EvictedTx, FormedBatch, Mempool, MempoolConfig, MempoolStats,
 };
@@ -640,43 +640,6 @@ mod tests {
         pool.observe_tick(u64::MAX);
         assert!(pool.evict_stale().is_empty(), "no age cap, no eviction");
         assert_eq!(pool.len(), 1);
-    }
-
-    #[test]
-    fn prioritized_admission_reorders_conflicting_drains() {
-        // Two spends of one output: FIFO would put the first arrival in
-        // wave 0; a higher priority on the second flips the race.
-        // Priorities survive a requeue.
-        let (mut ledger, _) = market();
-        let alice = keys(0xA1);
-        let asset = TxBuilder::create(obj! {})
-            .output(alice.public_hex(), 1)
-            .sign(&[&alice]);
-        ledger.apply(&asset).unwrap();
-        let spend = |n: u64| {
-            Arc::new(
-                TxBuilder::transfer(asset.id.clone())
-                    .input(asset.id.clone(), 0, vec![alice.public_hex()])
-                    .output_with_prev(keys(n as u8).public_hex(), 1, vec![alice.public_hex()])
-                    .metadata(obj! { "n" => n })
-                    .sign(&[&alice]),
-            )
-        };
-        let first = spend(1);
-        let second = spend(2);
-        let mut pool = Mempool::default();
-        pool.admit(Arc::clone(&first), &ledger).unwrap();
-        pool.admit_prioritized(Arc::clone(&second), Some(100), &ledger)
-            .unwrap();
-        let formed = pool.drain_batch(usize::MAX, &ledger);
-        assert_eq!(formed.txs[0].id, second.id, "priority outranks arrival");
-        assert_eq!(formed.txs[1].id, first.id);
-        assert_eq!(formed.waves(), 2);
-
-        // Requeue and re-drain: same priority order, not arrival order.
-        assert_eq!(pool.requeue(formed, &ledger), 2);
-        let again = pool.drain_batch(usize::MAX, &ledger);
-        assert_eq!(again.txs[0].id, second.id, "priority survives requeue");
     }
 
     #[test]

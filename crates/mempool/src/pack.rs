@@ -125,87 +125,15 @@ pub fn pack_batch<F: Borrow<Footprint>>(
     max_n: usize,
     shard_count: usize,
 ) -> PackedBatch {
-    pack_batch_prioritized(footprints, None, max_n, shard_count)
-}
-
-/// [`pack_batch`] with an admission-time priority per candidate — the
-/// fee/priority-ordering hook. Candidates are visited in descending
-/// *effective* priority, ties broken by arrival position, instead of
-/// pure arrival order — so when two candidates race (conflict without
-/// depending on each other), the higher-priority one takes the earlier
-/// wave and wins the race the validator will adjudicate.
-///
-/// A dependency is not a race: a candidate that *reads the id* of an
-/// earlier-arrived candidate (spending its output, referencing it)
-/// cannot usefully outrank it — scheduled first it would simply fail
-/// validation against state where its parent does not exist. Effective
-/// priorities are therefore clamped along intra-pool dependency edges
-/// (a dependent never exceeds its providers; a high-priority child
-/// instead pulls nothing, while a high-priority *parent* lifts its
-/// whole chain), computed in one arrival-order pass.
-///
-/// `None` (or all-equal priorities — the default is 0 for everyone)
-/// degenerates to exactly the FIFO arrival-order packing, pinned by
-/// the `default_priority_is_exactly_fifo` test, so priority is purely
-/// opt-in.
-pub fn pack_batch_prioritized<F: Borrow<Footprint>>(
-    footprints: &[F],
-    priorities: Option<&[u64]>,
-    max_n: usize,
-    shard_count: usize,
-) -> PackedBatch {
     if footprints.is_empty() || max_n == 0 {
         return PackedBatch::default();
     }
-    if let Some(priorities) = priorities {
-        debug_assert_eq!(priorities.len(), footprints.len());
-    }
-    // Visit order: (effective priority desc, arrival asc). With no
-    // priorities this is 0..n and the permutation machinery collapses
-    // to the identity.
-    let mut visit: Vec<usize> = (0..footprints.len()).collect();
-    if let Some(priorities) = priorities {
-        // Id-write owner per candidate (every footprint writes its own
-        // transaction id), for dependency-edge discovery.
-        let mut id_writer: std::collections::HashMap<&ConflictKey, usize> =
-            std::collections::HashMap::new();
-        for (position, fp) in footprints.iter().enumerate() {
-            for key in &fp.borrow().writes {
-                if matches!(key, ConflictKey::Id(_)) {
-                    id_writer.entry(key).or_insert(position);
-                }
-            }
-        }
-        // Clamp dependents in arrival order: by the time a candidate is
-        // visited, every earlier-arrived provider's effective priority
-        // is final (chains propagate transitively).
-        let mut effective: Vec<u64> = (0..footprints.len())
-            .map(|p| priorities.get(p).copied().unwrap_or(0))
-            .collect();
-        for position in 0..footprints.len() {
-            for key in &footprints[position].borrow().reads {
-                if !matches!(key, ConflictKey::Id(_)) {
-                    continue;
-                }
-                if let Some(&provider) = id_writer.get(key) {
-                    if provider < position {
-                        effective[position] = effective[position].min(effective[provider]);
-                    }
-                }
-            }
-        }
-        visit.sort_by_key(|&p| (std::cmp::Reverse(effective[p]), p));
-    }
-    let visited_footprints: Vec<&Footprint> =
-        visit.iter().map(|&p| footprints[p].borrow()).collect();
-    let wave_of = schedule_waves(&visited_footprints);
+    let wave_of = schedule_waves(footprints);
     let wave_count = wave_of.iter().copied().max().unwrap_or(0) + 1;
     let mut waves: Vec<Vec<usize>> = vec![Vec::new(); wave_count];
-    for (visit_slot, wave) in wave_of.iter().enumerate() {
-        // Map back to original candidate positions; within a wave the
-        // members keep visit order, so equal-priority members stay in
-        // arrival order.
-        waves[*wave].push(visit[visit_slot]);
+    for (position, wave) in wave_of.iter().enumerate() {
+        // Within a wave the members keep arrival order.
+        waves[*wave].push(position);
     }
 
     let mut packed = PackedBatch::default();
@@ -346,83 +274,5 @@ mod tests {
         assert!(pack_batch::<Footprint>(&[], 10, 16).is_empty());
         let footprints = vec![writes(&[id("a")])];
         assert!(pack_batch(&footprints, 0, 16).is_empty());
-    }
-
-    #[test]
-    fn default_priority_is_exactly_fifo() {
-        // Pins the satellite contract: no priorities (or arrival-seq
-        // priorities, which is what the mempool defaults to) produce
-        // byte-identical packing to the pre-priority FIFO packer — on a
-        // mixed pool of conflicts and independents.
-        let footprints: Vec<Footprint> = (0..12)
-            .map(|i| {
-                writes(&[
-                    id(&format!("t{i}")),
-                    spend(&format!("src{}", i % 4), 0), // 4 conflict groups of 3
-                ])
-            })
-            .collect();
-        let fifo = pack_batch(&footprints, usize::MAX, 8);
-        let zeros = pack_batch_prioritized(&footprints, Some(&[0u64; 12]), usize::MAX, 8);
-        let flat = pack_batch_prioritized(&footprints, Some(&[7u64; 12]), usize::MAX, 8);
-        assert_eq!(fifo.order, zeros.order);
-        assert_eq!(fifo.wave_sizes, zeros.wave_sizes);
-        assert_eq!(fifo.order, flat.order, "ties break by arrival");
-        assert_eq!(fifo.wave_sizes, flat.wave_sizes);
-    }
-
-    fn reads(r: &[ConflictKey], w: &[ConflictKey]) -> Footprint {
-        Footprint {
-            reads: r.to_vec(),
-            writes: w.to_vec(),
-        }
-    }
-
-    #[test]
-    fn priority_cannot_invert_a_dependency_chain() {
-        // parent (arrival 0) <- child spends parent's output (arrival
-        // 1, sky-high priority). Boosting the child must NOT schedule
-        // it before its provider — it gets clamped to the parent's
-        // priority and stays in the later wave, exactly where
-        // validation can succeed.
-        let parent = writes(&[id("p"), spend("committed", 0)]);
-        let child = reads(&[id("p")], &[id("c"), spend("p", 0)]);
-        let footprints = vec![parent, child];
-        let packed = pack_batch_prioritized(&footprints, Some(&[0, 100]), usize::MAX, 16);
-        assert_eq!(packed.order, vec![0, 1], "dependency order preserved");
-        assert_eq!(packed.wave_sizes, vec![1, 1]);
-
-        // A high-priority *parent* lifts its chain: it precedes an
-        // unrelated mid-priority candidate inside their shared wave,
-        // and the clamped child keeps its dependent slot in wave 1.
-        let parent = writes(&[id("p"), spend("committed", 0)]);
-        let child = reads(&[id("p")], &[id("c"), spend("p", 0)]);
-        let unrelated = writes(&[id("u"), spend("other", 0)]);
-        let footprints = vec![unrelated, parent, child];
-        let packed = pack_batch_prioritized(&footprints, Some(&[50, 100, 100]), usize::MAX, 16);
-        assert_eq!(packed.wave_sizes, vec![2, 1]);
-        assert_eq!(
-            packed.order,
-            vec![1, 0, 2],
-            "boosted parent leads its wave; dependent child stays behind it"
-        );
-    }
-
-    #[test]
-    fn priority_flips_the_race_winner() {
-        // Two conflicting candidates; the later arrival carries the
-        // higher priority and must take wave 0 — the slot whose member
-        // survives validation when both spend one output.
-        let footprints = vec![
-            writes(&[id("a"), spend("src", 0)]),
-            writes(&[id("b"), spend("src", 0)]),
-        ];
-        let packed = pack_batch_prioritized(&footprints, Some(&[1, 10]), usize::MAX, 16);
-        assert_eq!(packed.order, vec![1, 0], "priority outranks arrival");
-        assert_eq!(packed.wave_sizes, vec![1, 1]);
-        // Independent members are unaffected by priority beyond order.
-        let independent = vec![writes(&[id("x")]), writes(&[id("y")])];
-        let packed = pack_batch_prioritized(&independent, Some(&[1, 10]), usize::MAX, 16);
-        assert_eq!(packed.wave_sizes, vec![2], "no conflict, one wave");
     }
 }

@@ -1,7 +1,7 @@
 //! The standing pool: footprint-indexed admission and draining.
 
 use crate::index::FootprintIndex;
-use crate::pack::pack_batch_prioritized;
+use crate::pack::pack_batch;
 use scdb_core::pipeline::{
     footprint, unresolved_links, ConflictKey, Footprint, TxLookup, WaveSchedule,
 };
@@ -189,10 +189,6 @@ pub(crate) struct PendingTx {
     /// where "computed once at admission" must bend, because a missing
     /// link can under-approximate the footprint.
     pub(crate) unresolved: Vec<String>,
-    /// Drain-ordering priority (larger drains earlier, ties break by
-    /// arrival seq); defaults to 0, so the unprioritized pool is
-    /// exactly FIFO — the ordering key is effectively the arrival seq.
-    pub(crate) priority: u64,
     /// Tick at which the transaction (re-)entered the pool, for the
     /// eviction policy.
     pub(crate) admitted_tick: u64,
@@ -218,9 +214,6 @@ pub struct FormedBatch {
     /// [`Mempool::requeue`] uses to reinstate an abandoned proposal at
     /// its original arrival position.
     pub seqs: Vec<u64>,
-    /// Admission-time priorities, aligned with `txs`, so a requeued
-    /// proposal keeps its drain ordering.
-    pub priorities: Vec<u64>,
     /// ACCEPT_BID members expelled at drain time because their
     /// fulfillment does not verify against the (pool- or
     /// ledger-resolved) requester's key set. Unlike eviction this IS a
@@ -402,27 +395,11 @@ impl Mempool {
     /// never for full semantic validation; that stays the pipeline's
     /// job at commit time, against the then-current state.
     ///
-    /// The transaction drains at the default priority (0, like every
-    /// other unprioritized admission, so ties break by arrival seq —
-    /// plain FIFO). [`Mempool::admit_prioritized`] is the
-    /// fee/priority-ordering hook.
+    /// The pool drains in arrival order: a conflicting pair's pack
+    /// order follows the arrival seq.
     pub fn admit(
         &mut self,
         tx: Arc<Transaction>,
-        ledger: &impl LedgerView,
-    ) -> Result<AdmitReceipt, AdmitError> {
-        self.admit_prioritized(tx, None, ledger)
-    }
-
-    /// [`Mempool::admit`] with an explicit drain priority (larger
-    /// drains earlier; ties break by arrival seq, so a conflicting
-    /// pair's pack order follows `(priority desc, seq asc)` and a fee
-    /// market plugs in without touching the packer). `None` means
-    /// priority 0 — the default under which the pool is exactly FIFO.
-    pub fn admit_prioritized(
-        &mut self,
-        tx: Arc<Transaction>,
-        priority: Option<u64>,
         ledger: &impl LedgerView,
     ) -> Result<AdmitReceipt, AdmitError> {
         if self.by_id.contains_key(&tx.id) {
@@ -481,7 +458,6 @@ impl Mempool {
             flagged,
             sender,
             unresolved,
-            priority: priority.unwrap_or(0),
             admitted_tick: self.clock,
             accept_sig_checked: false,
         });
@@ -513,19 +489,10 @@ impl Mempool {
         // Pack over borrowed footprints: no per-drain clone of the
         // whole pool's key sets (the coloring itself is O(pool), which
         // is the price of a globally optimal wave-prefix selection).
-        // Priorities ride along; with the default (0 for everyone,
-        // ties broken by arrival) the packer's visit order is exactly
-        // arrival order.
         let packed = {
             let footprints: Vec<&Footprint> =
                 seqs.iter().map(|s| &self.pending[s].footprint).collect();
-            let priorities: Vec<u64> = seqs.iter().map(|s| self.pending[s].priority).collect();
-            pack_batch_prioritized(
-                &footprints,
-                Some(&priorities),
-                max_n,
-                self.config.shard_hint,
-            )
+            pack_batch(&footprints, max_n, self.config.shard_hint)
         };
 
         let mut batch = FormedBatch::default();
@@ -537,7 +504,6 @@ impl Mempool {
             batch.schedule.footprints.push(entry.footprint);
             batch.flagged.push(entry.flagged);
             batch.seqs.push(entry.seq);
-            batch.priorities.push(entry.priority);
         }
         batch.schedule.waves = packed.waves();
         batch.expelled = expelled;
@@ -650,9 +616,7 @@ impl Mempool {
     /// skipped.
     pub fn requeue(&mut self, batch: FormedBatch, ledger: &impl LedgerView) -> usize {
         let mut restored = 0;
-        let mut priorities = batch.priorities.into_iter();
         for (tx, seq) in batch.txs.into_iter().zip(batch.seqs) {
-            let priority = priorities.next().unwrap_or(0);
             if self.by_id.contains_key(&tx.id) || ledger.is_committed(&tx.id) {
                 continue;
             }
@@ -677,7 +641,6 @@ impl Mempool {
                 flagged,
                 sender,
                 unresolved,
-                priority,
                 // The pending clock restarts: a requeue is a fresh stay
                 // in the pool, not a continuation of the first one (the
                 // proposal window already consumed part of its life).

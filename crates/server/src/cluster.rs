@@ -22,7 +22,6 @@ use scdb_consensus::{App, AppResult, BlockAnnotations, BlockView, FormedBlock, T
 use scdb_core::pipeline::{
     footprint, unresolved_links, Footprint, PipelineOptions, ScheduleSource, TxLookup, WaveSchedule,
 };
-use scdb_core::speculation::predict_post_state_digest;
 use scdb_core::{
     validate::{
         record_validated, record_validated_batch, validate_transaction, PooledVerification,
@@ -152,15 +151,20 @@ impl GossipStats {
         self.footprints_derived.value()
     }
 
-    /// Deliveries whose post-block digest matched the proposer's
-    /// gossiped prediction.
+    /// Deliveries that started from the state the proposer formed the
+    /// block against: the gossiped digest equalled this replica's own
+    /// committed digest, read before the block executed.
     pub fn digest_matches(&self) -> u64 {
         self.digest_matches.value()
     }
 
-    /// Deliveries whose post-block digest differed from the gossiped
-    /// prediction (a block with rejections, or an adversarial
-    /// proposer) — diagnostic only; replica state is already decided.
+    /// Deliveries whose pre-block digest differed from the gossiped one,
+    /// or whose gossiped digest did not parse: this replica and the
+    /// proposer disagree on the chain up to this block (divergence, a
+    /// proposer that lied, or one that formed before applying its
+    /// previous block) — an alarm, whatever this block's own verdicts.
+    /// It never decides anything: the replica's state comes from its
+    /// own execution.
     pub fn digest_mismatches(&self) -> u64 {
         self.digest_mismatches.value()
     }
@@ -643,9 +647,10 @@ impl App for SmartchainCluster {
     /// resolution), greedy wave coloring, shard interleaving — so the
     /// proposed block order is already the wide, shallow schedule
     /// `deliver_block`'s pipeline wants. The packed wave schedule and
-    /// the predicted post-block state digest are gossiped *with* the
+    /// the proposer's committed state digest are gossiped *with* the
     /// block (the self-describing payload), so replicas verify the
-    /// plan instead of re-deriving it. Unparseable candidates ride at
+    /// plan instead of re-deriving it and cross-check the state they
+    /// execute it from. Unparseable candidates ride at
     /// the tail (DeliverTx rejects them; no annotations then — they
     /// would not cover the tail); unselected candidates stay pooled,
     /// courtesy of the engine's re-queue contract.
@@ -680,17 +685,13 @@ impl App for SmartchainCluster {
         // indices must mean "position in the block body".
         let mut annotations = BlockAnnotations::default();
         if unparseable.is_empty() {
-            let block_txs: Vec<Arc<Transaction>> =
-                packed.order.iter().map(|&p| Arc::clone(&txs[p])).collect();
-            let waves = packed.waves();
-            let ledger = &self.replicas[node].ledger;
-            annotations.state_digest =
-                Some(predict_post_state_digest(ledger, &block_txs, &waves).to_hex());
+            // The state this block was formed against, as committed.
+            annotations.state_digest = Some(self.replicas[node].ledger.state_digest().to_hex());
             // Only the waves travel: replicas verify them against their
             // own footprints.
             annotations.schedule = Some(
                 WaveSchedule {
-                    waves,
+                    waves: packed.waves(),
                     ..WaveSchedule::default()
                 }
                 .to_wire(),
@@ -737,6 +738,21 @@ impl App for SmartchainCluster {
             }
         }
 
+        // The digest the proposer formed this block against, when
+        // gossiped, must equal this replica's own before the block
+        // executes — whatever the block's verdicts turn out to be. A
+        // digest that does not parse is a proposer fault and counts as
+        // a mismatch. Diagnostic only: state comes from the execution
+        // below.
+        if let Some(gossiped) = block.annotations.state_digest.as_deref() {
+            let own = self.replicas[node].ledger.state_digest();
+            if StateDigest::from_hex(gossiped) == Some(own) {
+                self.gossip.digest_matches.incr();
+            } else {
+                self.gossip.digest_mismatches.incr();
+            }
+        }
+
         // The members this replica never CheckTx'd (it proposed the
         // block, or caught up on it) are verified as one pool inside
         // the commit, so the pipeline re-runs only the stateful rules.
@@ -751,24 +767,6 @@ impl App for SmartchainCluster {
             ScheduleSource::Gossip => self.gossip.gossip_used.incr(),
             ScheduleSource::Rederived(Some(_)) => self.gossip.gossip_rejected.incr(),
             ScheduleSource::Rederived(None) => self.gossip.gossip_absent.incr(),
-        }
-
-        // The proposer's predicted post-block digest, when gossiped, is
-        // a free divergence probe: equal for every fully committed
-        // block, unequal when the block carried rejections (or the
-        // proposer lied). Diagnostic only — the replica's state is
-        // already decided by its own execution.
-        if let Some(predicted) = block
-            .annotations
-            .state_digest
-            .as_deref()
-            .and_then(StateDigest::from_hex)
-        {
-            if self.replicas[node].ledger.state_digest() == predicted {
-                self.gossip.digest_matches.incr();
-            } else {
-                self.gossip.digest_mismatches.incr();
-            }
         }
 
         for (batch_index, error) in &outcome.rejected {
@@ -1094,8 +1092,8 @@ mod tests {
             stats.footprints_cached() > stats.footprints_derived(),
             "cache must carry the hot path: {stats:?}"
         );
-        // Fully committed blocks: predicted digests matched wherever a
-        // prediction was gossiped.
+        // Every annotated block was delivered from the state its
+        // proposer formed it against.
         assert!(stats.digest_matches() > 0, "{stats:?}");
         assert_eq!(stats.digest_mismatches(), 0, "{stats:?}");
         // Everything committed on all four replicas, so the footprint
@@ -1171,6 +1169,75 @@ mod tests {
             .filter(|s| matches!(s, TxStatus::Committed(_)))
             .count();
         assert_eq!(committed, 1, "exactly one spend may win: {s1:?} vs {s2:?}");
+
+        // A rejected member is not divergence: the gossiped digest is
+        // the state the block was formed against, so the losing spend
+        // raises no alarm and the replicas end digest-equal.
+        let app = h.consensus().app();
+        let stats = app.gossip_stats();
+        assert_eq!(stats.digest_mismatches(), 0, "{stats:?}");
+        assert!(stats.digest_matches() > 0, "{stats:?}");
+        for node in 1..4 {
+            assert_eq!(app.state_digest(node), app.state_digest(0), "node {node}");
+        }
+    }
+
+    #[test]
+    fn a_wrong_or_malformed_digest_is_a_mismatch() {
+        let p = people();
+        let create = TxBuilder::create(obj! {})
+            .output(p.alice.public_hex(), 1)
+            .sign(&[&p.alice]);
+        let spend = |to: &KeyPair| {
+            TxBuilder::transfer(create.id.clone())
+                .input(create.id.clone(), 0, vec![p.alice.public_hex()])
+                .output_with_prev(to.public_hex(), 1, vec![p.alice.public_hex()])
+                .sign(&[&p.alice])
+                .to_payload()
+        };
+        // One winner and one rejected double spend per delivery.
+        let payloads = [spend(&p.bob), spend(&p.sally)];
+        let block: Vec<(TxId, &str)> = vec![(1, &payloads[0]), (2, &payloads[1])];
+
+        // A fresh one-replica cluster holding the CREATE.
+        let fresh = || {
+            let mut app = SmartchainCluster::new(1);
+            app.deliver_tx(0, 0, &create.to_payload()).expect("create");
+            app
+        };
+        // Delivers the block under `state_digest`; returns verdicts,
+        // post-block digest and the (matches, mismatches) counted.
+        let deliver = |state_digest: Option<&str>| {
+            let mut app = fresh();
+            let annotations = BlockAnnotations {
+                schedule: None,
+                state_digest: state_digest.map(str::to_owned),
+            };
+            let verdicts = app.deliver_block(
+                0,
+                BlockView {
+                    txs: &block,
+                    annotations: &annotations,
+                },
+            );
+            let stats = app.gossip_stats();
+            let counted = (stats.digest_matches(), stats.digest_mismatches());
+            (verdicts, app.state_digest(0), counted)
+        };
+
+        let bare = deliver(None);
+        assert!(bare.0[0].is_ok() && bare.0[1].is_err(), "{:?}", bare.0);
+        assert_eq!(bare.2, (0, 0), "an absent digest is not counted");
+        let own = fresh().state_digest(0).to_hex();
+        let other_state = LedgerState::new().state_digest().to_hex();
+        for (digest, counted) in [(&*own, (1, 0)), (&*other_state, (0, 1)), ("zz", (0, 1))] {
+            // The annotation never decides anything.
+            assert_eq!(
+                deliver(Some(digest)),
+                (bare.0.clone(), bare.1, counted),
+                "{digest}"
+            );
+        }
     }
 
     #[test]

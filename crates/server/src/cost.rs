@@ -30,7 +30,7 @@ pub struct CostModel {
     pub store_base: SimTime,
     /// Additional write cost per KiB.
     pub store_per_kib: SimTime,
-    /// Commit-hook cost per determined child (enqueue + recovery log).
+    /// Commit-hook cost per determined child (enqueue + recovery record).
     pub per_child: SimTime,
 }
 

@@ -1,6 +1,6 @@
 //! A standalone SmartchainDB node: the full server stack on one
 //! machine — the replica core plus the shell a server needs around it:
-//! document store, recovery log, the return queue and the mempool.
+//! document store, the return queue and the mempool.
 //!
 //! This is the unit the driver talks to in sync mode. It owns the whole
 //! §4 life cycle minus distributed consensus: schema validation →
@@ -8,7 +8,7 @@
 //! determination and asynchronous settlement. Opening, recovering,
 //! committing, settling and checkpointing are the [`Replica`] core's —
 //! the same code every cluster replica runs; this module adds the
-//! queryable document mirror, the `CommitLog`, the `ReturnQueue` whose
+//! queryable document mirror, the `ReturnQueue` whose
 //! pump settles children locally, and the standing `Mempool`. Every
 //! submission entry point reaches the pipeline through
 //! [`Replica::commit_block`].
@@ -22,7 +22,7 @@ use scdb_core::{
 use scdb_crypto::KeyPair;
 use scdb_json::{obj, Value};
 use scdb_mempool::{AdmitError, AdmitReceipt, Mempool, MempoolConfig};
-use scdb_store::{collections, CheckpointHandle, CommitLog, Db, Filter, WalError};
+use scdb_store::{collections, CheckpointHandle, Db, Filter, WalError};
 use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -37,10 +37,9 @@ pub struct BatchSubmitReport {
     /// parse, as `(payload index, error)`.
     pub parse_failures: Vec<(usize, ValidationError)>,
     /// Transactions that committed to the ledger but whose post-commit
-    /// effects (document mirror, recovery log, nested-child
-    /// determination) failed, as `(transaction id, error)`. Non-empty
-    /// means the node's auxiliary stores lag the ledger and recovery
-    /// should be run.
+    /// effects (document mirror, nested-child determination) failed, as
+    /// `(transaction id, error)`. Non-empty means the node's auxiliary
+    /// stores lag the ledger and recovery should be run.
     pub post_commit_failures: Vec<(String, ValidationError)>,
 }
 
@@ -88,7 +87,6 @@ impl DrainReport {
 pub struct Node {
     replica: Replica,
     db: Db,
-    log: CommitLog,
     queue: Arc<ReturnQueue>,
     escrow: KeyPair,
     pipeline: PipelineOptions,
@@ -158,7 +156,6 @@ impl Node {
         Node {
             replica,
             db: Db::smartchaindb(),
-            log: CommitLog::new(),
             queue: Arc::new(ReturnQueue::new()),
             escrow,
             pipeline,
@@ -169,11 +166,11 @@ impl Node {
 
     /// Opens (or re-opens) a node whose durable store lives at `dir`:
     /// the replica core recovers fail-closed ([`Replica::recover`]) and
-    /// the node's own stores — document mirror, recovery log, return
-    /// queue — are rebuilt by replaying the recovered commit order, with
-    /// each member's settlement as the core derived it, through the
-    /// post-commit path (children that settled before the crash stay off
-    /// the rebuilt return queue). A digest mismatch anywhere refuses to
+    /// the node's own stores — document mirror, recovery collection,
+    /// return queue — are rebuilt by replaying the recovered commit
+    /// order, with each member's settlement as the core derived it,
+    /// through the post-commit path (children that settled before the
+    /// crash stay off the rebuilt return queue). A digest mismatch anywhere refuses to
     /// start rather than serving corrupt state.
     pub fn with_durable_dir(
         escrow: KeyPair,
@@ -233,11 +230,6 @@ impl Node {
         &self.db
     }
 
-    /// The recovery log.
-    pub fn log(&self) -> &CommitLog {
-        &self.log
-    }
-
     /// The return queue.
     pub fn queue(&self) -> &Arc<ReturnQueue> {
         &self.queue
@@ -280,8 +272,8 @@ impl Node {
     /// (`scdb_core::pipeline`): the batch is partitioned into
     /// conflict-free waves, validated concurrently by the node's
     /// configured workers, and applied in submission order.
-    /// Post-commit effects (store mirror, recovery log, nested-child
-    /// determination) run exactly as on the single-transaction path.
+    /// Post-commit effects (store mirror, nested-child determination)
+    /// run exactly as on the single-transaction path.
     ///
     /// This is the ingest core: callers that hold parsed transactions
     /// (the mempool, the batching driver, block delivery) hand them
@@ -486,9 +478,9 @@ impl Node {
         self.record_commit(tx, settled)
     }
 
-    /// The shell's half of a commit: the document mirror, the recovery
-    /// log, and what `settled` means for the recovery collection and
-    /// the return queue (Algorithm 3, commit phase).
+    /// The shell's half of a commit: the document mirror, and what
+    /// `settled` means for the recovery collection and the return queue
+    /// (Algorithm 3, commit phase).
     fn record_commit(
         &mut self,
         tx: &Transaction,
@@ -502,11 +494,6 @@ impl Node {
             .insert(doc)
             .map_err(|e| ValidationError::Semantic(e.to_string()))?;
 
-        self.log.append(
-            "commit",
-            obj! { "tx" => tx.id.clone(), "op" => tx.operation.as_str() },
-        );
-
         match settled? {
             Settled::Parent(children) => {
                 // "logAcceptBidTxUpdForRecovery(tx, status: commit)" +
@@ -519,14 +506,10 @@ impl Node {
                     .collection(collections::ACCEPT_TX_RECOVERY)
                     .insert(obj! {
                         "parent" => tx.id.clone(),
-                        "children" => Value::Array(child_ids.clone()),
+                        "children" => Value::Array(child_ids),
                         "status" => "commit",
                     })
                     .map_err(|e| ValidationError::Semantic(e.to_string()))?;
-                self.log.append(
-                    "enqueue_returns",
-                    obj! { "parent" => tx.id.clone(), "children" => Value::Array(child_ids) },
-                );
                 for child in children {
                     // On a recovery replay the child may have settled
                     // before the crash: only unsettled ones queue.
@@ -538,8 +521,6 @@ impl Node {
             Settled::Child {
                 completed_parent: Some(parent),
             } => {
-                self.log
-                    .append("nested_complete", obj! { "parent" => parent.clone() });
                 self.db.collection(collections::ACCEPT_TX_RECOVERY).update(
                     &Filter::eq("parent", parent),
                     "status",
@@ -598,33 +579,36 @@ impl Node {
         settled
     }
 
-    /// Crash-recovery (§4.2.1 case 2): rebuilds the return queue from
-    /// the recovery log — "enqueue all the RETURNs using the recovery
-    /// log when the receiver node comes up online". Children already
-    /// committed are skipped. Returns how many were re-enqueued.
+    /// Crash-recovery (§4.2.1 case 2): rebuilds the return queue —
+    /// "enqueue all the RETURNs … when the receiver node comes up
+    /// online" — from the nested tracker (itself rebuilt from the WAL
+    /// by [`Replica::recover`]): every parent with outstanding
+    /// children, in ledger commit order, has them re-determined and
+    /// re-enqueued. Children already committed are skipped. Returns
+    /// how many were re-enqueued.
     pub fn recover(&mut self) -> usize {
+        let incomplete: HashSet<String> = self
+            .replica
+            .tracker
+            .incomplete_parents()
+            .into_iter()
+            .collect();
+        let ledger = &self.replica.ledger;
         let mut re_enqueued = 0;
-        for entry in self.log.replay_kind("enqueue_returns") {
-            let parent_id = entry
-                .payload
-                .get("parent")
-                .and_then(Value::as_str)
-                .unwrap_or_default()
-                .to_owned();
-            let Some(parent) = self.replica.ledger.get(&parent_id).cloned() else {
-                continue;
-            };
-            let outstanding = self.replica.tracker.outstanding_children(&parent_id);
-            if outstanding.is_empty() {
+        for parent_id in ledger.committed_ids() {
+            if !incomplete.contains(parent_id) {
                 continue;
             }
-            let Ok(children) = determine_children(&self.replica.ledger, &parent, &self.escrow)
-            else {
+            let Some(parent) = ledger.get(parent_id) else {
+                continue;
+            };
+            let outstanding = self.replica.tracker.outstanding_children(parent_id);
+            let Ok(children) = determine_children(ledger, parent, &self.escrow) else {
                 continue;
             };
             for child in children {
-                if outstanding.contains(&child.id) && !self.replica.ledger.is_committed(&child.id) {
-                    self.queue.enqueue(&parent_id, child);
+                if outstanding.contains(&child.id) && !ledger.is_committed(&child.id) {
+                    self.queue.enqueue(parent_id, child);
                     re_enqueued += 1;
                 }
             }
@@ -747,7 +731,7 @@ mod tests {
         assert_eq!(lost.len(), 2);
         assert!(f.node.queue().is_empty());
 
-        // On restart, the recovery log rebuilds the queue.
+        // On restart, recovery rebuilds the queue from the tracker.
         let re_enqueued = f.node.recover();
         assert_eq!(re_enqueued, 2);
         assert_eq!(f.node.pump_returns(16), 2);

@@ -5,9 +5,8 @@
 //! enqueued into a task queue during the commit phase by the receiver
 //! node. Multiple parallel workers execute the queued jobs
 //! asynchronously." The queue is a lock-free MPMC structure; children
-//! survive in it across crashes (they are re-enqueued from the recovery
-//! log) and can be drained either by real worker threads
-//! ([`ReturnQueue::run_workers`]) or by the simulation pump
+//! survive it across crashes (`Node::recover` re-enqueues them from
+//! the nested tracker) and are drained by the settlement pump
 //! ([`ReturnQueue::drain`]).
 
 use crossbeam::queue::SegQueue;
@@ -89,32 +88,6 @@ impl ReturnQueue {
             self.processed.load(Ordering::Relaxed),
         )
     }
-
-    /// Spawns `n` OS worker threads that drain the queue concurrently,
-    /// calling `handler` per job until the queue is empty. Returns when
-    /// all workers finish. This is the paper's "multiple parallel
-    /// workers" realized with real threads (used by the standalone node
-    /// and its tests; the consensus simulation uses [`drain`] instead).
-    pub fn run_workers<F>(self: &Arc<Self>, n: usize, handler: F)
-    where
-        F: Fn(ReturnJob) + Send + Sync + 'static,
-    {
-        let handler = Arc::new(handler);
-        let mut threads = Vec::new();
-        for _ in 0..n.max(1) {
-            let queue = Arc::clone(self);
-            let handler = Arc::clone(&handler);
-            threads.push(std::thread::spawn(move || {
-                while let Some(job) = queue.jobs.pop() {
-                    queue.processed.fetch_add(1, Ordering::Relaxed);
-                    handler(job);
-                }
-            }));
-        }
-        for t in threads {
-            t.join().expect("worker thread panicked");
-        }
-    }
 }
 
 #[cfg(test)]
@@ -122,8 +95,6 @@ mod tests {
     use super::*;
     use scdb_core::TxBuilder;
     use scdb_crypto::KeyPair;
-    use std::collections::HashSet;
-    use std::sync::Mutex;
 
     fn child(n: u64) -> Transaction {
         let kp = KeyPair::from_seed([7u8; 32]);
@@ -157,32 +128,6 @@ mod tests {
         q.retry(job);
         let job = q.drain(1).remove(0);
         assert_eq!(job.attempts, 1);
-    }
-
-    #[test]
-    fn parallel_workers_process_every_job_exactly_once() {
-        let q = Arc::new(ReturnQueue::new());
-        let n_jobs = 200;
-        for i in 0..n_jobs {
-            q.enqueue("p", child(i));
-        }
-        let seen = Arc::new(Mutex::new(HashSet::new()));
-        let seen2 = Arc::clone(&seen);
-        q.run_workers(4, move |job| {
-            let nonce = job
-                .child
-                .metadata
-                .get("nonce")
-                .and_then(scdb_json::Value::as_u64)
-                .unwrap();
-            assert!(
-                seen2.lock().unwrap().insert(nonce),
-                "job {nonce} processed twice"
-            );
-        });
-        assert_eq!(seen.lock().unwrap().len(), n_jobs as usize);
-        assert!(q.is_empty());
-        assert_eq!(q.stats(), (n_jobs, n_jobs));
     }
 
     #[test]

@@ -13,20 +13,18 @@
 //!   the `accept_tx_recovery` collection of §4.2;
 //! * [`UtxoSet`] — hash-sharded spend tracking with native double-spend
 //!   rejection and deadlock-free multi-shard atomic apply;
-//! * [`CommitLog`] — the append-only recovery log replayed after
-//!   crashes.
+//! * [`DurableStore`] — the per-shard write-ahead log, checkpoints and
+//!   crash recovery behind the UTXO set.
 
 mod collection;
 mod db;
 mod filter;
-mod log;
 mod utxo;
 mod wal;
 
 pub use collection::{Collection, StoreError, ID_FIELD};
 pub use db::{collections, Db};
 pub use filter::Filter;
-pub use log::{CommitLog, LogEntry};
 pub use utxo::{
     entry_hash, OutputRef, SpendError, StateDigest, Utxo, UtxoSet, DEFAULT_UTXO_SHARDS,
 };

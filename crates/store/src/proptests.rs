@@ -1,6 +1,6 @@
 //! Property tests: index/scan agreement, UTXO conservation, log replay.
 
-use crate::{Collection, CommitLog, Filter, OutputRef, Utxo, UtxoSet};
+use crate::{Collection, Filter, OutputRef, Utxo, UtxoSet};
 use proptest::prelude::*;
 use scdb_json::{obj, Value};
 
@@ -165,21 +165,6 @@ proptest! {
                 fresh.fold_add(crate::entry_hash(&output, &utxo));
             }
             prop_assert_eq!(fresh, set.state_digest());
-        }
-    }
-
-    /// Log snapshots round-trip arbitrary record sequences.
-    #[test]
-    fn log_replay_round_trip(kinds in prop::collection::vec(0u8..3, 0..20)) {
-        let log = CommitLog::new();
-        let names = ["commit", "enqueue_return", "recover"];
-        for (i, k) in kinds.iter().enumerate() {
-            log.append(names[*k as usize], obj! { "i" => i });
-        }
-        let restored = CommitLog::from_jsonl(&log.to_jsonl()).expect("snapshot parses");
-        prop_assert_eq!(restored.replay_from(0), log.replay_from(0));
-        for name in names {
-            prop_assert_eq!(restored.replay_kind(name).len(), log.replay_kind(name).len());
         }
     }
 

@@ -3,7 +3,7 @@
 //! Three scenarios:
 //!  1. Receiver node offline at submission: the driver re-triggers
 //!     after its timeout interval (crash case 1).
-//!  2. Receiver crash after enqueueing RETURNs: the recovery log
+//!  2. Receiver crash after enqueueing RETURNs: the nested tracker
 //!     rebuilds the return queue on restart (crash case 2).
 //!  3. More than 1/3 of voting power offline: the chain stalls safely
 //!     and resumes "as soon as sufficient voting power is attained".
@@ -46,10 +46,10 @@ fn scenario_1_driver_retry() {
 }
 
 /// Crash case 2: ACCEPT_BID committed, RETURNs enqueued, then the
-/// receiver dies before the workers settle them. On restart, the
-/// recovery log re-enqueues exactly the outstanding children.
+/// receiver dies before the workers settle them. On restart, recovery
+/// re-enqueues exactly the outstanding children.
 fn scenario_2_return_queue_recovery() {
-    println!("--- scenario 2: return-queue recovery from the commit log");
+    println!("--- scenario 2: return-queue recovery from the nested tracker");
     let escrow = KeyPair::from_seed([0xE5; 32]);
     let mut node = Node::new(escrow.clone());
     let sally = KeyPair::from_seed([0x5A; 32]);
@@ -96,9 +96,9 @@ fn scenario_2_return_queue_recovery() {
     println!("    crash wiped {} queued child settlements", lost.len());
     assert_eq!(lost.len(), 2);
 
-    // Restart: replay the recovery log.
+    // Restart: re-enqueue what the tracker still has outstanding.
     let re_enqueued = node.recover();
-    println!("    recovery log re-enqueued {re_enqueued} children");
+    println!("    recovery re-enqueued {re_enqueued} children");
     let settled = node.pump_returns(usize::MAX);
     println!("    workers settled {settled} children");
     assert_eq!(

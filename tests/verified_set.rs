@@ -475,15 +475,16 @@ fn standing_accept_bid_is_signature_checked_once_across_drains() {
     });
     let sig_checks =
         || telemetry.snapshot().expect("telemetry is on").counters["mempool.accept_sig_checks"];
-    pool.admit(Arc::new(honest.accept.clone()), &ledger)
-        .unwrap();
+    // Three earlier arrivals keep the accept standing for three drains.
     for filler in 0..3u8 {
         let tx = Arc::new(create(&seed_key(0xF1, filler), filler as u64));
-        pool.admit_prioritized(tx, Some(10), &ledger).unwrap();
+        pool.admit(tx, &ledger).unwrap();
     }
+    pool.admit(Arc::new(honest.accept.clone()), &ledger)
+        .unwrap();
     for _ in 0..3 {
         let batch = pool.drain_batch(1, &ledger);
-        assert_ne!(batch.txs[0].id, honest.accept.id, "fillers outrank it");
+        assert_ne!(batch.txs[0].id, honest.accept.id, "fillers arrived first");
         assert_eq!(sig_checks(), 1);
     }
     let batch = pool.drain_batch(1, &ledger);
