@@ -4,7 +4,8 @@
 
 use crate::validate::validate_transaction;
 use crate::{
-    determine_children, nested, LedgerState, LedgerView, Operation, Transaction, TxBuilder,
+    determine_children, determine_outstanding_children, nested, Child, LedgerState, LedgerView,
+    Operation, Transaction, TxBuilder,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -169,6 +170,56 @@ fn full_reverse_auction_settles() {
         Operation::Transfer,
     ];
     assert!(crate::workflow::is_valid_workflow(&ops));
+}
+
+/// The recovery view of an accept's children: the same ids in input
+/// order as `determine_children`, a committed child read from the
+/// bid output's `spent_by` instead of derived — and never from another
+/// transaction's metadata.
+#[test]
+fn outstanding_children_follow_the_ledger_not_metadata() {
+    let mut a = Auction::new();
+    let alice_asset = a.mint_asset(&{ a.alice.clone() }, &["3d-print", "cnc"], 1);
+    let bob_asset = a.mint_asset(&{ a.bob.clone() }, &["3d-print", "cnc"], 2);
+    let request = a.post_request(&["3d-print"]);
+    let alice_bid = a.place_bid(&{ a.alice.clone() }, &alice_asset, &request);
+    let bob_bid = a.place_bid(&{ a.bob.clone() }, &bob_asset, &request);
+    let accept = a.build_accept(&request, &alice_bid);
+    a.commit(&accept);
+
+    // A user-signed TRANSFER of an unrelated asset claiming to be both
+    // children, committed before any real child.
+    let sally_asset = a.mint_asset(&{ a.sally.clone() }, &["cnc"], 3);
+    let forged = TxBuilder::transfer(sally_asset.id.clone())
+        .input(sally_asset.id.clone(), 0, vec![a.sally.public_hex()])
+        .output_with_prev(a.bob.public_hex(), 1, vec![a.sally.public_hex()])
+        .metadata(obj! { "parent" => accept.id.clone(), "settles_bid" => bob_bid.id.clone() })
+        .sign(&[&a.sally.clone()]);
+    a.commit(&forged);
+
+    let children = determine_children(&a.ledger, &accept, &a.escrow).expect("determined");
+    let unsettled: Vec<Child> = children.iter().cloned().map(Child::Outstanding).collect();
+    assert_eq!(
+        determine_outstanding_children(&a.ledger, &accept, &a.escrow),
+        Ok(unsettled.clone()),
+        "nothing settled: every child is derived, the forgery counts for none"
+    );
+
+    a.commit(&children[0]);
+    assert_eq!(
+        determine_outstanding_children(&a.ledger, &accept, &a.escrow),
+        Ok(vec![
+            Child::Settled(children[0].id.clone()),
+            unsettled[1].clone()
+        ]),
+        "one settled: its id comes off the UTXO set, its sibling is derived"
+    );
+
+    a.commit(&children[1]);
+    let settled = determine_outstanding_children(&a.ledger, &accept, &a.escrow).expect("read");
+    let ids: Vec<&str> = settled.iter().map(Child::id).collect();
+    assert_eq!(ids, [children[0].id.as_str(), children[1].id.as_str()]);
+    assert!(settled.iter().all(|c| matches!(c, Child::Settled(_))));
 }
 
 #[test]

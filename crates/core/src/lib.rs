@@ -51,7 +51,9 @@ pub use conditions::{condition_set_for, Condition, ConditionViolation};
 pub use errors::{ValidationError, WireError};
 pub use ledger::LedgerState;
 pub use model::{AssetRef, Input, InputRef, Operation, Output, Transaction, VERSION};
-pub use nested::{determine_children, NestedStatus, NestedTracker};
+pub use nested::{
+    determine_children, determine_outstanding_children, Child, NestedStatus, NestedTracker,
+};
 pub use pipeline::{
     choose_schedule, commit_batch, commit_batch_planned, commit_batch_with_gossip,
     derive_footprints, footprint, footprints_conflict, plan_schedule, schedule_waves,

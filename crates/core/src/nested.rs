@@ -16,7 +16,7 @@ use crate::model::{AssetRef, Input, InputRef, Operation, Output, Transaction};
 use crate::view::LedgerView;
 use scdb_crypto::KeyPair;
 use scdb_json::Value;
-use scdb_store::OutputRef;
+use scdb_store::{OutputRef, Utxo};
 use std::collections::{HashMap, HashSet};
 
 /// Algorithm 3, commit phase (`deterRtrnTxs` + the winner transfer):
@@ -25,34 +25,150 @@ use std::collections::{HashMap, HashSet};
 /// The children are system transactions signed by the escrow account:
 /// one TRANSFER of the winning bid's escrow shares to the requester, and
 /// one RETURN per unaccepted bid back to its original bidder.
+///
+/// A pure function of `ledger` and `escrow`: it reads committed
+/// transactions and UTXO entries, writes nothing, and ed25519 signing is
+/// deterministic — so any number of accepts may be determined
+/// concurrently against one ledger, and every replica derives the same
+/// bytes.
 pub fn determine_children(
     ledger: &impl LedgerView,
     accept: &Transaction,
     escrow: &KeyPair,
 ) -> Result<Vec<Transaction>, ValidationError> {
-    let AssetRef::WinBid(win_bid_id) = &accept.asset else {
-        return Err(ValidationError::Semantic(
-            "ACCEPT_BID asset must name the winning bid".to_owned(),
-        ));
-    };
-    let request_id = accept.references.first().ok_or_else(|| {
-        ValidationError::Semantic("ACCEPT_BID missing its REQUEST reference".to_owned())
-    })?;
-    let request = ledger
-        .get(request_id)
-        .ok_or_else(|| ValidationError::InputDoesNotExist(request_id.clone()))?;
-    let requester = request.inputs[0].owners_before.clone();
+    let plan = SettlementPlan::of(ledger, accept)?;
+    accept
+        .inputs
+        .iter()
+        .map(|input| {
+            let (bid_output, utxo) = bid_output(ledger, input)?;
+            plan.child(ledger, bid_output, utxo, escrow)
+        })
+        .collect()
+}
 
-    let mut children = Vec::new();
-    for input in &accept.inputs {
-        let fulfills = input.fulfills.as_ref().ok_or_else(|| {
-            ValidationError::Semantic("ACCEPT_BID input without a bid output".to_owned())
+/// One ACCEPT_BID input's child, as a ledger that may already hold it
+/// sees it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Child {
+    /// The bid's escrow output is spent by this committed child: its id
+    /// is on the ledger, nothing is derived or signed.
+    Settled(String),
+    /// The bid's escrow output is still locked: the child is determined
+    /// and escrow-signed, to be committed.
+    Outstanding(Transaction),
+}
+
+impl Child {
+    /// The child's transaction id.
+    pub fn id(&self) -> &str {
+        match self {
+            Child::Settled(id) => id,
+            Child::Outstanding(child) => &child.id,
+        }
+    }
+}
+
+/// [`determine_children`] against a ledger some of the children may
+/// already be committed to — recovery's view, and commit time's, where
+/// none is. One [`Child`] per input, in input order, with the same ids
+/// [`determine_children`] yields.
+///
+/// A settled child is read off the UTXO set: a bid's escrow output is
+/// spent at most once, only an escrow-signed transaction can spend it,
+/// and [`scdb_store::Utxo::spent_by`] names the one that did. Metadata
+/// on an unrelated transaction cannot forge that — a user-signed
+/// TRANSFER claiming `parent` / `settles_bid` spends none of the bid's
+/// outputs. The spender is still cross-checked (a committed
+/// RETURN/TRANSFER whose `metadata.parent` is this accept); anything
+/// else is treated as unsettled and derived, which is what a ledger
+/// without `spent_by` would do.
+pub fn determine_outstanding_children(
+    ledger: &impl LedgerView,
+    accept: &Transaction,
+    escrow: &KeyPair,
+) -> Result<Vec<Child>, ValidationError> {
+    let plan = SettlementPlan::of(ledger, accept)?;
+    accept
+        .inputs
+        .iter()
+        .map(|input| {
+            let (bid_output, utxo) = bid_output(ledger, input)?;
+            match plan.settled_child(ledger, &utxo) {
+                Some(id) => Ok(Child::Settled(id)),
+                None => plan
+                    .child(ledger, bid_output, utxo, escrow)
+                    .map(Child::Outstanding),
+            }
+        })
+        .collect()
+}
+
+/// The bid escrow output an ACCEPT_BID input names, with its UTXO entry.
+fn bid_output<'a>(
+    ledger: &impl LedgerView,
+    input: &'a Input,
+) -> Result<(&'a InputRef, Utxo), ValidationError> {
+    let fulfills = input.fulfills.as_ref().ok_or_else(|| {
+        ValidationError::Semantic("ACCEPT_BID input without a bid output".to_owned())
+    })?;
+    let out_ref = OutputRef::new(fulfills.tx_id.clone(), fulfills.output_index);
+    let utxo = ledger
+        .utxo(&out_ref)
+        .ok_or_else(|| ValidationError::InputDoesNotExist(out_ref.to_string()))?;
+    Ok((fulfills, utxo))
+}
+
+/// What every child of one ACCEPT_BID shares.
+struct SettlementPlan<'a> {
+    accept: &'a Transaction,
+    win_bid_id: &'a str,
+    requester: Vec<String>,
+}
+
+impl<'a> SettlementPlan<'a> {
+    fn of(
+        ledger: &impl LedgerView,
+        accept: &'a Transaction,
+    ) -> Result<SettlementPlan<'a>, ValidationError> {
+        let AssetRef::WinBid(win_bid_id) = &accept.asset else {
+            return Err(ValidationError::Semantic(
+                "ACCEPT_BID asset must name the winning bid".to_owned(),
+            ));
+        };
+        let request_id = accept.references.first().ok_or_else(|| {
+            ValidationError::Semantic("ACCEPT_BID missing its REQUEST reference".to_owned())
         })?;
+        let request = ledger
+            .get(request_id)
+            .ok_or_else(|| ValidationError::InputDoesNotExist(request_id.clone()))?;
+        Ok(SettlementPlan {
+            accept,
+            win_bid_id,
+            requester: request.inputs[0].owners_before.clone(),
+        })
+    }
+
+    /// The committed child that spent the bid output `utxo`, if one did.
+    fn settled_child(&self, ledger: &impl LedgerView, utxo: &Utxo) -> Option<String> {
+        let spender = utxo.spent_by.as_ref()?;
+        let child = ledger.get(spender)?;
+        let names_parent =
+            child.metadata.get("parent").and_then(Value::as_str) == Some(self.accept.id.as_str());
+        (matches!(child.operation, Operation::Return | Operation::Transfer) && names_parent)
+            .then(|| spender.clone())
+    }
+
+    /// Determines and signs the child settling the bid whose escrow
+    /// output is `fulfills`, with UTXO entry `utxo`.
+    fn child(
+        &self,
+        ledger: &impl LedgerView,
+        fulfills: &InputRef,
+        utxo: Utxo,
+        escrow: &KeyPair,
+    ) -> Result<Transaction, ValidationError> {
         let bid_id = &fulfills.tx_id;
-        let out_ref = OutputRef::new(bid_id.clone(), fulfills.output_index);
-        let utxo = ledger
-            .utxo(&out_ref)
-            .ok_or_else(|| ValidationError::InputDoesNotExist(out_ref.to_string()))?;
         let bid = ledger
             .get(bid_id)
             .ok_or_else(|| ValidationError::InputDoesNotExist(bid_id.clone()))?;
@@ -61,60 +177,41 @@ pub fn determine_children(
             .ok_or_else(|| ValidationError::Semantic(format!("bid {bid_id} has no asset")))?;
 
         let mut metadata = Value::object();
-        metadata.insert("parent", accept.id.clone());
+        metadata.insert("parent", self.accept.id.clone());
         metadata.insert("settles_bid", bid_id.clone());
 
-        let mut child = if bid_id == win_bid_id {
-            // Winner: TRANSFER escrow -> requester.
-            Transaction {
-                id: String::new(),
-                operation: Operation::Transfer,
-                asset: AssetRef::Id(asset_id),
-                inputs: vec![Input {
-                    owners_before: utxo.owners.clone(),
-                    fulfills: Some(InputRef {
-                        tx_id: bid_id.clone(),
-                        output_index: fulfills.output_index,
-                    }),
-                    fulfillment: String::new(),
-                }],
-                outputs: vec![Output {
-                    public_keys: requester.clone(),
-                    amount: utxo.amount,
-                    previous_owners: utxo.owners.clone(),
-                }],
-                metadata,
-                children: vec![],
-                references: vec![],
-            }
-        } else {
-            // Unaccepted bid: RETURN escrow -> original bidder.
-            Transaction {
-                id: String::new(),
-                operation: Operation::Return,
-                asset: AssetRef::Id(asset_id),
-                inputs: vec![Input {
-                    owners_before: utxo.owners.clone(),
-                    fulfills: Some(InputRef {
-                        tx_id: bid_id.clone(),
-                        output_index: fulfills.output_index,
-                    }),
-                    fulfillment: String::new(),
-                }],
-                outputs: vec![Output {
-                    public_keys: utxo.previous_owners.clone(),
-                    amount: utxo.amount,
-                    previous_owners: utxo.owners.clone(),
-                }],
-                metadata,
-                children: vec![],
-                references: vec![bid_id.clone()],
-            }
+        // Winner: TRANSFER escrow -> requester. Unaccepted bid: RETURN
+        // escrow -> original bidder, referencing the bid.
+        let winner = bid_id == self.win_bid_id;
+        let mut child = Transaction {
+            id: String::new(),
+            operation: if winner {
+                Operation::Transfer
+            } else {
+                Operation::Return
+            },
+            asset: AssetRef::Id(asset_id),
+            inputs: vec![Input {
+                owners_before: utxo.owners.clone(),
+                fulfills: Some(fulfills.clone()),
+                fulfillment: String::new(),
+            }],
+            outputs: vec![Output {
+                public_keys: if winner {
+                    self.requester.clone()
+                } else {
+                    utxo.previous_owners
+                },
+                amount: utxo.amount,
+                previous_owners: utxo.owners,
+            }],
+            metadata,
+            children: vec![],
+            references: if winner { vec![] } else { vec![bid_id.clone()] },
         };
         sign_transaction(&mut child, &[escrow]);
-        children.push(child);
+        Ok(child)
     }
-    Ok(children)
 }
 
 /// Definition 2's third condition, as written: ∃ child containing every

@@ -52,58 +52,79 @@ impl fmt::Display for SignatureError {
 
 impl std::error::Error for SignatureError {}
 
-/// Expands a seed into the clamped scalar `s` and the PRF prefix.
-fn expand_seed(seed: &SecretKey) -> (Scalar, [u8; 32]) {
-    let h = sha512(seed);
-    let mut s_bytes = [0u8; 32];
-    s_bytes.copy_from_slice(&h[..32]);
-    s_bytes[0] &= 248;
-    s_bytes[31] &= 63;
-    s_bytes[31] |= 64;
-    let mut prefix = [0u8; 32];
-    prefix.copy_from_slice(&h[32..]);
-    // The clamped value is < 2^255 and we use it directly as a scalar for
-    // point multiplication; it is NOT reduced mod L before multiplying,
-    // matching the RFC's "s·B" where s may exceed L.
-    (Scalar(s_bytes), prefix)
+/// A seed expanded once (RFC 8032 §5.1.5): the clamped scalar `s` and
+/// the PRF prefix every signature derives its nonce from. As secret as
+/// the seed itself — no `Debug`, and it never leaves the crate.
+#[derive(Clone)]
+pub(crate) struct ExpandedSecret {
+    /// Clamped, < 2^255, used directly for point multiplication; it is
+    /// NOT reduced mod L before multiplying, matching the RFC's "s·B"
+    /// where s may exceed L.
+    s: Scalar,
+    prefix: [u8; 32],
+}
+
+impl ExpandedSecret {
+    pub(crate) fn from_seed(seed: &SecretKey) -> ExpandedSecret {
+        let h = sha512(seed);
+        let mut s_bytes = [0u8; 32];
+        s_bytes.copy_from_slice(&h[..32]);
+        s_bytes[0] &= 248;
+        s_bytes[31] &= 63;
+        s_bytes[31] |= 64;
+        let mut prefix = [0u8; 32];
+        prefix.copy_from_slice(&h[32..]);
+        ExpandedSecret {
+            s: Scalar(s_bytes),
+            prefix,
+        }
+    }
+
+    /// The public key A = s·B.
+    pub(crate) fn public_key(&self) -> PublicKey {
+        EdwardsPoint::mul_base(&self.s.0).compress()
+    }
+
+    /// Signs `message`, RFC 8032 §5.1.6, with one base-point
+    /// multiplication. `public` MUST be [`ExpandedSecret::public_key`]
+    /// of this secret: two signatures over one message under different
+    /// claimed keys share the nonce `r` and differ in `k`, which solves
+    /// for `s` — so only [`crate::KeyPair`], which derived the key
+    /// itself, and [`sign`] call this.
+    pub(crate) fn sign(&self, public: &PublicKey, message: &[u8]) -> Signature {
+        // r = SHA-512(prefix || M) mod L
+        let mut buf = Vec::with_capacity(32 + message.len());
+        buf.extend_from_slice(&self.prefix);
+        buf.extend_from_slice(message);
+        let r = Scalar::from_bytes_wide(&sha512(&buf));
+
+        let r_point = EdwardsPoint::mul_base(&r.0).compress();
+        let k = challenge_scalar(&r_point, public, message);
+
+        // S = (r + k·s) mod L. The clamped s exceeds L, so reduce it
+        // first — this preserves the group action because s·B depends
+        // only on s mod L (B has order L).
+        let s_reduced = Scalar::from_bytes(&self.s.0);
+        let big_s = Scalar::mul_add(k, s_reduced, r);
+
+        let mut sig = [0u8; 64];
+        sig[..32].copy_from_slice(&r_point);
+        sig[32..].copy_from_slice(&big_s.to_bytes());
+        sig
+    }
 }
 
 /// Derives the public key A = s·B from a seed.
 pub fn derive_public_key(seed: &SecretKey) -> PublicKey {
-    let (s, _) = expand_seed(seed);
-    EdwardsPoint::mul_base(&s.0).compress()
+    ExpandedSecret::from_seed(seed).public_key()
 }
 
-/// Signs `message` with the secret seed, RFC 8032 §5.1.6.
+/// Signs `message` with the secret seed: expand, derive the public key,
+/// then the one signing body ([`ExpandedSecret::sign`]). Callers that
+/// sign repeatedly hold a [`crate::KeyPair`], which expands once.
 pub fn sign(seed: &SecretKey, message: &[u8]) -> Signature {
-    let (s, prefix) = expand_seed(seed);
-    let public = EdwardsPoint::mul_base(&s.0).compress();
-
-    // r = SHA-512(prefix || M) mod L
-    let mut buf = Vec::with_capacity(32 + message.len());
-    buf.extend_from_slice(&prefix);
-    buf.extend_from_slice(message);
-    let r = Scalar::from_bytes_wide(&sha512(&buf));
-
-    let r_point = EdwardsPoint::mul_base(&r.0).compress();
-
-    // k = SHA-512(R || A || M) mod L
-    let mut buf = Vec::with_capacity(64 + message.len());
-    buf.extend_from_slice(&r_point);
-    buf.extend_from_slice(&public);
-    buf.extend_from_slice(message);
-    let k = Scalar::from_bytes_wide(&sha512(&buf));
-
-    // S = (r + k·s) mod L. The clamped s exceeds L, so reduce it first —
-    // this preserves the group action because s·B depends only on s mod L
-    // (B has order L).
-    let s_reduced = Scalar::from_bytes(&s.0);
-    let big_s = Scalar::mul_add(k, s_reduced, r);
-
-    let mut sig = [0u8; 64];
-    sig[..32].copy_from_slice(&r_point);
-    sig[32..].copy_from_slice(&big_s.to_bytes());
-    sig
+    let secret = ExpandedSecret::from_seed(seed);
+    secret.sign(&secret.public_key(), message)
 }
 
 /// A decompressed public key with its precomputed window table. Senders
@@ -446,79 +467,68 @@ mod tests {
         hex::decode_array(hex_str).expect("32-byte seed")
     }
 
+    /// One RFC 8032 §7.1 vector: the derived key and the signature
+    /// match the RFC's bytes, through the seed entry [`sign`] and
+    /// through a [`crate::KeyPair`] (which expands once and signs from
+    /// its own stored key) alike.
+    fn check_vector(seed_hex: &str, public_hex: &str, msg: &[u8], sig_hex: &str) {
+        let sk = seed(seed_hex);
+        let pk = derive_public_key(&sk);
+        assert_eq!(hex::encode(&pk), public_hex);
+        let sig = sign(&sk, msg);
+        assert_eq!(hex::encode(&sig), sig_hex);
+        assert!(verify(&sig, &pk, msg).is_ok());
+        let pair = crate::KeyPair::from_seed(sk);
+        assert_eq!(pair.public(), &pk);
+        assert_eq!(pair.sign(msg), sig);
+    }
+
     // RFC 8032 §7.1 TEST 1 (empty message).
     #[test]
     fn rfc8032_test_1() {
-        let sk = seed("9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60");
-        let pk = derive_public_key(&sk);
-        assert_eq!(
-            hex::encode(&pk),
-            "d75a980182b10ab7d54bfed3c964073a0ee172f3daa62325af021a68f707511a"
-        );
-        let sig = sign(&sk, b"");
-        assert_eq!(
-            hex::encode(&sig),
+        check_vector(
+            "9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60",
+            "d75a980182b10ab7d54bfed3c964073a0ee172f3daa62325af021a68f707511a",
+            b"",
             "e5564300c360ac729086e2cc806e828a84877f1eb8e5d974d873e06522490155\
-             5fb8821590a33bacc61e39701cf9b46bd25bf5f0595bbe24655141438e7a100b"
+             5fb8821590a33bacc61e39701cf9b46bd25bf5f0595bbe24655141438e7a100b",
         );
-        assert!(verify(&sig, &pk, b"").is_ok());
     }
 
     // RFC 8032 §7.1 TEST 2 (one-byte message).
     #[test]
     fn rfc8032_test_2() {
-        let sk = seed("4ccd089b28ff96da9db6c346ec114e0f5b8a319f35aba624da8cf6ed4fb8a6fb");
-        let pk = derive_public_key(&sk);
-        assert_eq!(
-            hex::encode(&pk),
-            "3d4017c3e843895a92b70aa74d1b7ebc9c982ccf2ec4968cc0cd55f12af4660c"
-        );
-        let msg = [0x72u8];
-        let sig = sign(&sk, &msg);
-        assert_eq!(
-            hex::encode(&sig),
+        check_vector(
+            "4ccd089b28ff96da9db6c346ec114e0f5b8a319f35aba624da8cf6ed4fb8a6fb",
+            "3d4017c3e843895a92b70aa74d1b7ebc9c982ccf2ec4968cc0cd55f12af4660c",
+            &[0x72],
             "92a009a9f0d4cab8720e820b5f642540a2b27b5416503f8fb3762223ebdb69da\
-             085ac1e43e15996e458f3613d0f11d8c387b2eaeb4302aeeb00d291612bb0c00"
+             085ac1e43e15996e458f3613d0f11d8c387b2eaeb4302aeeb00d291612bb0c00",
         );
-        assert!(verify(&sig, &pk, &msg).is_ok());
     }
 
     // RFC 8032 §7.1 TEST 3 (two-byte message).
     #[test]
     fn rfc8032_test_3() {
-        let sk = seed("c5aa8df43f9f837bedb7442f31dcb7b166d38535076f094b85ce3a2e0b4458f7");
-        let pk = derive_public_key(&sk);
-        assert_eq!(
-            hex::encode(&pk),
-            "fc51cd8e6218a1a38da47ed00230f0580816ed13ba3303ac5deb911548908025"
-        );
-        let msg = [0xaf, 0x82];
-        let sig = sign(&sk, &msg);
-        assert_eq!(
-            hex::encode(&sig),
+        check_vector(
+            "c5aa8df43f9f837bedb7442f31dcb7b166d38535076f094b85ce3a2e0b4458f7",
+            "fc51cd8e6218a1a38da47ed00230f0580816ed13ba3303ac5deb911548908025",
+            &[0xaf, 0x82],
             "6291d657deec24024827e69c3abe01a30ce548a284743a445e3680d7db5ac3ac\
-             18ff9b538d16f290ae67f760984dc6594a7c15e9716ed28dc027beceea1ec40a"
+             18ff9b538d16f290ae67f760984dc6594a7c15e9716ed28dc027beceea1ec40a",
         );
-        assert!(verify(&sig, &pk, &msg).is_ok());
     }
 
     // RFC 8032 §7.1 TEST SHA(abc): message is the SHA-512 digest of "abc".
     #[test]
     fn rfc8032_test_sha_abc() {
-        let sk = seed("833fe62409237b9d62ec77587520911e9a759cec1d19755b7da901b96dca3d42");
-        let pk = derive_public_key(&sk);
-        assert_eq!(
-            hex::encode(&pk),
-            "ec172b93ad5e563bf4932c70e1245034c35467ef2efd4d64ebf819683467e2bf"
-        );
-        let msg = crate::sha512(b"abc");
-        let sig = sign(&sk, &msg);
-        assert_eq!(
-            hex::encode(&sig),
+        check_vector(
+            "833fe62409237b9d62ec77587520911e9a759cec1d19755b7da901b96dca3d42",
+            "ec172b93ad5e563bf4932c70e1245034c35467ef2efd4d64ebf819683467e2bf",
+            &crate::sha512(b"abc"),
             "dc2a4459e7369633a52b1bf277839a00201009a3efbf3ecb69bea2186c26b589\
-             09351fc9ac90b3ecfdfbc7c66431e0303dca179c138ac17ad9bef1177331a704"
+             09351fc9ac90b3ecfdfbc7c66431e0303dca179c138ac17ad9bef1177331a704",
         );
-        assert!(verify(&sig, &pk, &msg).is_ok());
     }
 
     #[test]

@@ -6,15 +6,31 @@
 //! where an asset is controlled by a group of entities who must sign
 //! transactions on the asset".
 
-use crate::ed25519::{derive_public_key, sign, verify, PublicKey, SecretKey, Signature};
+use crate::ed25519::{verify, ExpandedSecret, PublicKey, SecretKey, Signature};
 use crate::hex;
 use rand::RngCore;
+use std::fmt;
 
-/// An account: the model's `pbpk_i` pair.
-#[derive(Debug, Clone)]
+/// An account: the model's `pbpk_i` pair. The seed is expanded once,
+/// here, so a signature costs one base-point multiplication instead of
+/// re-deriving the public key per call.
+#[derive(Clone)]
 pub struct KeyPair {
-    secret: SecretKey,
+    secret: ExpandedSecret,
+    /// Always `secret.public_key()` — the invariant
+    /// [`ExpandedSecret::sign`] relies on; private, set only in
+    /// [`KeyPair::from_seed`].
     public: PublicKey,
+}
+
+/// The public half only: a key pair in a log line or a failed
+/// assertion must not print what signs for the account.
+impl fmt::Debug for KeyPair {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("KeyPair")
+            .field("public", &self.public_hex())
+            .finish_non_exhaustive()
+    }
 }
 
 impl KeyPair {
@@ -28,11 +44,9 @@ impl KeyPair {
     /// Deterministic key pair from a 32-byte seed (used heavily by tests
     /// and the workload generator for reproducibility).
     pub fn from_seed(seed: SecretKey) -> KeyPair {
-        let public = derive_public_key(&seed);
-        KeyPair {
-            secret: seed,
-            public,
-        }
+        let secret = ExpandedSecret::from_seed(&seed);
+        let public = secret.public_key();
+        KeyPair { secret, public }
     }
 
     /// The public key (the account identity placed in transaction
@@ -48,7 +62,7 @@ impl KeyPair {
 
     /// Signs a message with this account's private key.
     pub fn sign(&self, message: &[u8]) -> Signature {
-        sign(&self.secret, message)
+        self.secret.sign(&self.public, message)
     }
 
     /// Verifies a signature against this account's public key.
@@ -189,6 +203,15 @@ mod tests {
         let b = KeyPair::from_seed([42u8; 32]);
         assert_eq!(a.public(), b.public());
         assert_eq!(a.public_hex().len(), 64);
+    }
+
+    #[test]
+    fn debug_prints_the_public_key_only() {
+        let kp = KeyPair::from_seed([42u8; 32]);
+        assert_eq!(
+            format!("{kp:?}"),
+            format!("KeyPair {{ public: {:?}, .. }}", kp.public_hex())
+        );
     }
 
     #[test]

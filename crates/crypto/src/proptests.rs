@@ -1,6 +1,6 @@
 //! Property tests for the cryptography substrate.
 
-use crate::ed25519::{derive_public_key, sign, verify};
+use crate::ed25519::{derive_public_key, sign, verify, verify_batch, BatchItem};
 use crate::keys::{KeyPair, MultiSignature};
 use crate::{hex, sha3_256, sha512};
 use proptest::prelude::*;
@@ -15,6 +15,29 @@ proptest! {
         let pk = derive_public_key(&seed);
         let sig = sign(&seed, &msg);
         prop_assert!(verify(&sig, &pk, &msg).is_ok());
+    }
+
+    /// A key pair signs from the secret it expanded once: byte-equal to
+    /// the seed entry for every (seed, message), and what it signs
+    /// verifies alone and in a pool.
+    #[test]
+    fn keypair_sign_equals_seed_sign(
+        seeds in prop::collection::vec(any::<[u8; 32]>(), 1..4),
+        msg in prop::collection::vec(any::<u8>(), 0..128),
+    ) {
+        let pairs: Vec<KeyPair> = seeds.iter().copied().map(KeyPair::from_seed).collect();
+        let sigs: Vec<_> = pairs.iter().map(|pair| pair.sign(&msg)).collect();
+        for ((seed, pair), sig) in seeds.iter().zip(&pairs).zip(&sigs) {
+            prop_assert_eq!(pair.public(), &derive_public_key(seed));
+            prop_assert_eq!(sig, &sign(seed, &msg));
+            prop_assert!(pair.verify(sig, &msg));
+        }
+        let items: Vec<BatchItem<'_>> = pairs
+            .iter()
+            .zip(&sigs)
+            .map(|(pair, signature)| BatchItem { signature, public: pair.public(), message: &msg })
+            .collect();
+        prop_assert!(verify_batch(&items).iter().all(Result::is_ok));
     }
 
     /// Flipping any message bit breaks the signature.

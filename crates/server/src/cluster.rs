@@ -26,7 +26,7 @@ use scdb_core::{
     validate::{
         record_validated, record_validated_batch, validate_transaction, PooledVerification,
     },
-    AssetRef, LedgerState, LedgerView, NestedStatus, Operation, Transaction,
+    AssetRef, LedgerState, LedgerView, NestedTracker, Operation, Transaction,
 };
 use scdb_crypto::KeyPair;
 use scdb_json::Value;
@@ -290,10 +290,9 @@ impl SmartchainCluster {
         self.nested_completed
     }
 
-    /// A replica's settlement status for a nested parent (`None` for an
-    /// id it never registered).
-    pub fn nested_status(&self, node: NodeId, parent_id: &str) -> Option<NestedStatus> {
-        self.replicas[node].tracker.status(parent_id)
+    /// A replica's nested-transaction settlement tracker.
+    pub fn tracker(&self, node: NodeId) -> &NestedTracker {
+        &self.replicas[node].tracker
     }
 
     /// Self-describing-block counters: gossip accept/reject/absent,
@@ -555,35 +554,6 @@ impl SmartchainCluster {
         Ok(self.cost.check_cost(payload.len(), sigs, caps))
     }
 
-    /// Post-delivery bookkeeping shared by the block and single-tx
-    /// paths: the node-0 query mirror and nested-settlement tracking.
-    fn after_deliver(&mut self, node: NodeId, t: &Transaction) {
-        if node == 0 {
-            let mut doc = t.to_value();
-            doc.insert("_id", t.id.clone());
-            let _ = self
-                .query_db
-                .collection(collections::TRANSACTIONS)
-                .insert(doc);
-        }
-
-        // Track child settlements for the eventual commit of parents
-        // (an ACCEPT_BID settles in the commit hook, where its cost is
-        // charged).
-        if t.operation != Operation::AcceptBid {
-            let settled = self.replicas[node].settle(t, &self.escrow);
-            let completed = matches!(
-                settled,
-                Ok(Settled::Child {
-                    completed_parent: Some(_)
-                })
-            );
-            if node == 0 && completed {
-                self.nested_completed += 1;
-            }
-        }
-    }
-
     /// Capability-work estimate for the cost model: requested + offered
     /// strings touched by the subset check.
     fn capability_work(&self, node: NodeId, tx: &Transaction) -> usize {
@@ -772,18 +742,47 @@ impl App for SmartchainCluster {
         for (batch_index, error) in &outcome.rejected {
             verdicts[batch_slots[*batch_index]] = Err(error.to_string());
         }
-        // Post-delivery bookkeeping, in block order. A transaction
-        // *rejected* here never reaches the other replicas' deliveries,
-        // nor any commit hook — the engine filters rejected txs out of
-        // later executions — so waiting for a full delivery count would
-        // leak its cache entries forever; retire them the moment the
-        // first replica rejects it.
+        // Post-delivery bookkeeping, in block order: the node-0 query
+        // mirror, then settlement of the delivered members — children
+        // check themselves off their parents here; an ACCEPT_BID
+        // settles in the commit hook, where its cost is charged. A
+        // transaction *rejected* here never reaches the other replicas'
+        // deliveries, nor any commit hook — the engine filters rejected
+        // txs out of later executions — so waiting for a full delivery
+        // count would leak its cache entries forever; retire them the
+        // moment the first replica rejects it.
+        let mut delivered: Vec<&Transaction> = Vec::new();
         for ((slot, id), tx) in batch_slots.iter().zip(batch_ids).zip(&batch) {
-            if verdicts[*slot].is_ok() {
-                self.after_deliver(node, tx);
-            } else {
+            if verdicts[*slot].is_err() {
                 self.retire(id);
+                continue;
             }
+            if node == 0 {
+                let mut doc = tx.to_value();
+                doc.insert("_id", tx.id.clone());
+                let _ = self
+                    .query_db
+                    .collection(collections::TRANSACTIONS)
+                    .insert(doc);
+            }
+            if tx.operation != Operation::AcceptBid {
+                delivered.push(tx);
+            }
+        }
+        let completed = self.replicas[node]
+            .settle_block(&delivered, &self.escrow, &self.pipeline)
+            .iter()
+            .filter(|settled| {
+                matches!(
+                    settled,
+                    Ok(Settled::Child {
+                        completed_parent: Some(_)
+                    })
+                )
+            })
+            .count();
+        if node == 0 {
+            self.nested_completed += completed as u64;
         }
         verdicts
     }
@@ -796,25 +795,32 @@ impl App for SmartchainCluster {
         _now: SimTime,
     ) -> SimTime {
         let mut extra = SimTime::ZERO;
+        // The block's ACCEPT_BIDs settle here, once per replica: their
+        // children are derived as one stage over the wave workers.
         let accepts: Vec<Arc<Transaction>> = committed
             .iter()
             .filter_map(|id| self.parsed.get(id))
             .filter(|t| t.operation == Operation::AcceptBid)
             .cloned()
             .collect();
-        for accept in accepts {
-            let Ok(Settled::Parent(children)) = self.replicas[node].settle(&accept, &self.escrow)
+        let members: Vec<&Transaction> = accepts.iter().map(Arc::as_ref).collect();
+        let settled = self.replicas[node].settle_block(&members, &self.escrow, &self.pipeline);
+        for (accept, settled) in accepts.iter().zip(settled) {
+            let Ok(Settled::Parent {
+                child_ids,
+                outstanding,
+            }) = settled
             else {
                 // The accept is committed but its children are not
                 // tracked on this replica: an alarm, not a verdict.
                 self.pipeline.telemetry.incr("cluster.settle_failures");
                 continue;
             };
-            extra += self.cost.commit_hook_cost(children.len());
+            extra += self.cost.commit_hook_cost(child_ids.len());
             // The first replica to commit plays the receiver-node role:
             // it enqueues the children for asynchronous submission.
             if self.dispatched.insert(accept.id.clone()) {
-                for child in children {
+                for child in outstanding {
                     self.outbox.push(child.to_payload());
                 }
             }

@@ -16,9 +16,7 @@
 use crate::replica::{EphemeralDir, Plan, Replica, Settled};
 use crate::return_queue::ReturnQueue;
 use scdb_core::pipeline::{derive_footprints, BatchOutcome, PipelineOptions};
-use scdb_core::{
-    determine_children, LedgerState, LedgerView, NestedTracker, Transaction, ValidationError,
-};
+use scdb_core::{LedgerState, NestedTracker, Transaction, ValidationError};
 use scdb_crypto::KeyPair;
 use scdb_json::{obj, Value};
 use scdb_mempool::{AdmitError, AdmitReceipt, Mempool, MempoolConfig};
@@ -332,12 +330,27 @@ impl Node {
         outcome: &BatchOutcome,
     ) -> Vec<(String, ValidationError)> {
         let rejected: HashSet<usize> = outcome.rejected.iter().map(|(i, _)| *i).collect();
+        let committed: Vec<&Transaction> = batch
+            .iter()
+            .enumerate()
+            .filter(|(index, _)| !rejected.contains(index))
+            .map(|(_, tx)| tx.as_ref())
+            .collect();
+        self.post_commit(&committed)
+    }
+
+    /// Everything that follows a block's ledger apply: the core's
+    /// settlement stage over its committed members, then the node's own
+    /// stores member by member. Returns the members whose effects
+    /// failed, as `(id, error)`.
+    fn post_commit(&mut self, committed: &[&Transaction]) -> Vec<(String, ValidationError)> {
+        let settled = self
+            .replica
+            .settle_block(committed, &self.escrow, &self.pipeline);
         let mut failures = Vec::new();
-        for (index, tx) in batch.iter().enumerate() {
-            if !rejected.contains(&index) {
-                if let Err(e) = self.post_commit(tx) {
-                    failures.push((tx.id.clone(), e));
-                }
+        for (tx, settled) in committed.iter().zip(settled) {
+            if let Err(e) = self.record_commit(tx, settled) {
+                failures.push((tx.id.clone(), e));
             }
         }
         failures
@@ -471,13 +484,6 @@ impl Node {
         self.replica.durable_dir()
     }
 
-    /// Everything that follows a successful ledger apply: the core's
-    /// nested-transaction bookkeeping, then the node's own stores.
-    fn post_commit(&mut self, tx: &Transaction) -> Result<(), ValidationError> {
-        let settled = self.replica.settle(tx, &self.escrow);
-        self.record_commit(tx, settled)
-    }
-
     /// The shell's half of a commit: the document mirror, and what
     /// `settled` means for the recovery collection and the return queue
     /// (Algorithm 3, commit phase).
@@ -495,13 +501,13 @@ impl Node {
             .map_err(|e| ValidationError::Semantic(e.to_string()))?;
 
         match settled? {
-            Settled::Parent(children) => {
+            Settled::Parent {
+                child_ids,
+                outstanding,
+            } => {
                 // "logAcceptBidTxUpdForRecovery(tx, status: commit)" +
                 // the accept_tx_recovery collection of §4.2.
-                let child_ids: Vec<Value> = children
-                    .iter()
-                    .map(|c| Value::from(c.id.as_str()))
-                    .collect();
+                let child_ids: Vec<Value> = child_ids.into_iter().map(Value::from).collect();
                 self.db
                     .collection(collections::ACCEPT_TX_RECOVERY)
                     .insert(obj! {
@@ -510,12 +516,8 @@ impl Node {
                         "status" => "commit",
                     })
                     .map_err(|e| ValidationError::Semantic(e.to_string()))?;
-                for child in children {
-                    // On a recovery replay the child may have settled
-                    // before the crash: only unsettled ones queue.
-                    if !self.replica.ledger.is_committed(&child.id) {
-                        self.queue.enqueue(&tx.id, child);
-                    }
+                for child in outstanding {
+                    self.queue.enqueue(&tx.id, child);
                 }
             }
             Settled::Child {
@@ -536,11 +538,11 @@ impl Node {
     /// simulation-side worker pump). Each child write-ahead logs its
     /// own wave as it applies; one seal then covers the whole drain,
     /// naming the children whose apply failed as aborted so replay
-    /// skips their logged effects. Post-commit effects run per
-    /// committed child after the seal. A child that failed goes back
-    /// on the queue; a failed seal fails closed — the store latched —
-    /// and every child of the drain goes back. Returns how many
-    /// settled.
+    /// skips their logged effects. Post-commit effects run over the
+    /// block's committed children after the seal. A child that failed
+    /// goes back on the queue; a failed seal fails closed — the store
+    /// latched — and every child of the drain goes back. Returns how
+    /// many settled.
     pub fn pump_returns(&mut self, max: usize) -> usize {
         let jobs = self.queue.drain(max);
         if jobs.is_empty() {
@@ -568,9 +570,16 @@ impl Node {
                 return 0;
             }
         }
+        let committed: Vec<&Transaction> = jobs
+            .iter()
+            .zip(&applied)
+            .filter(|(_, ok)| **ok)
+            .map(|(job, _)| job.child.as_ref())
+            .collect();
+        let failed = self.post_commit(&committed);
         let mut settled = 0;
         for (job, ok) in jobs.into_iter().zip(applied) {
-            if ok && self.post_commit(&job.child).is_ok() {
+            if ok && !failed.iter().any(|(id, _)| *id == job.child.id) {
                 settled += 1;
             } else {
                 self.queue.retry(job);
@@ -593,24 +602,14 @@ impl Node {
             .incomplete_parents()
             .into_iter()
             .collect();
-        let ledger = &self.replica.ledger;
         let mut re_enqueued = 0;
-        for parent_id in ledger.committed_ids() {
+        for parent_id in self.replica.ledger.committed_ids() {
             if !incomplete.contains(parent_id) {
                 continue;
             }
-            let Some(parent) = ledger.get(parent_id) else {
-                continue;
-            };
-            let outstanding = self.replica.tracker.outstanding_children(parent_id);
-            let Ok(children) = determine_children(ledger, parent, &self.escrow) else {
-                continue;
-            };
-            for child in children {
-                if outstanding.contains(&child.id) && !ledger.is_committed(&child.id) {
-                    self.queue.enqueue(parent_id, child);
-                    re_enqueued += 1;
-                }
+            for child in self.replica.outstanding_children(parent_id, &self.escrow) {
+                self.queue.enqueue(parent_id, child);
+                re_enqueued += 1;
             }
         }
         re_enqueued
@@ -622,7 +621,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use scdb_core::TxBuilder;
+    use scdb_core::{LedgerView, TxBuilder};
     use scdb_json::arr;
 
     struct Fixture {
@@ -744,14 +743,18 @@ mod tests {
     #[test]
     fn recovery_skips_settled_children() {
         let mut f = fixture();
-        run_auction(&mut f);
+        let (_, _, accept) = run_auction(&mut f);
         f.node.pump_returns(1); // settle one child only
         let lost = f.node.queue().drain(16);
         assert_eq!(lost.len(), 1);
         let re_enqueued = f.node.recover();
         assert_eq!(re_enqueued, 1, "only the unsettled child returns");
-        f.node.pump_returns(16);
-        let (_, _) = (re_enqueued, ());
+        assert_eq!(f.node.pump_returns(16), 1);
+        assert!(f.node.queue().is_empty());
+        assert_eq!(
+            f.node.tracker().status(&accept.id),
+            Some(scdb_core::NestedStatus::Complete)
+        );
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //!
 //! This is the only place in the crate that opens or recovers a ledger
 //! over a durable store, commits a block (pooled stateless verification
-//! → schedule → pipeline), does the post-commit nested-transaction
-//! bookkeeping, or checkpoints / flushes the store. The shells add
-//! their own stores and caches on top and never repeat these steps.
+//! → schedule → pipeline), settles it (the nested-transaction stage:
+//! children derived in parallel, registered in commit order — at commit
+//! time and on replay alike), or checkpoints / flushes the store. The
+//! shells add their own stores and caches on top and never repeat these
+//! steps.
 
 use scdb_core::pipeline::{
     choose_schedule, commit_batch_planned, BatchOutcome, Footprint, PipelineOptions,
@@ -15,8 +17,8 @@ use scdb_core::pipeline::{
 };
 use scdb_core::validate::{record_validated_batch, PooledVerification};
 use scdb_core::{
-    determine_children, LedgerState, LedgerView, NestedTracker, Operation, Transaction,
-    ValidationError,
+    determine_outstanding_children, map_chunks, parallel_map, Child, LedgerState, LedgerView,
+    NestedTracker, Operation, Transaction, ValidationError,
 };
 use scdb_crypto::KeyPair;
 use scdb_json::Value;
@@ -68,9 +70,15 @@ pub(crate) enum Plan<'a> {
 pub(crate) enum Settled {
     /// Not part of a nested transaction.
     Plain,
-    /// An ACCEPT_BID: its determined children, now registered for
-    /// eventual commit.
-    Parent(Vec<Transaction>),
+    /// An ACCEPT_BID, now registered for eventual commit.
+    Parent {
+        /// Every child's id, in `accept.inputs` order.
+        child_ids: Vec<String>,
+        /// The children still to commit, for the shell to submit: all
+        /// of them at commit time, on replay only those a crash left
+        /// unsettled.
+        outstanding: Vec<Transaction>,
+    },
     /// A settlement child; `completed_parent` names the parent whose
     /// last outstanding child this was.
     Child { completed_parent: Option<String> },
@@ -129,12 +137,20 @@ impl Replica {
         }
         store.set_telemetry(telemetry.clone());
         store.set_fsync(options.fsync);
-        let committed = recovered
-            .committed
-            .iter()
-            .map(|doc| Transaction::from_value(doc).map(Arc::new))
+        // The pure per-member work of replay fans out over the workers:
+        // parsing here, child derivation inside `settle_block`.
+        let committed: Vec<Arc<Transaction>> =
+            map_chunks(&recovered.committed, options.workers, |docs| {
+                docs.iter()
+                    .map(|doc| Transaction::from_value(doc).map(Arc::new))
+                    .collect::<Result<Vec<_>, _>>()
+            })
+            .into_iter()
             .collect::<Result<Vec<_>, _>>()
-            .map_err(|e| format!("recovery: unreadable committed transaction: {e}"))?;
+            .map_err(|e| format!("recovery: unreadable committed transaction: {e}"))?
+            .into_iter()
+            .flatten()
+            .collect();
         let mut ledger = LedgerState::restore(
             &committed,
             &recovered.digest,
@@ -147,14 +163,13 @@ impl Replica {
             ledger,
             tracker: NestedTracker::new(),
         };
-        let replay = committed
-            .into_iter()
-            .map(|tx| {
-                let settled = replica.settle(&tx, escrow);
-                (tx, settled)
-            })
-            .collect();
-        Ok((replica, replay))
+        // The whole history settles as one block against the restored
+        // state: a child that committed before the crash is read off
+        // the UTXO set, so only a parent the crash caught between its
+        // commit and its settlement derives (and signs) anything.
+        let members: Vec<&Transaction> = committed.iter().map(Arc::as_ref).collect();
+        let settled = replica.settle_block(&members, escrow, options);
+        Ok((replica, committed.into_iter().zip(settled).collect()))
     }
 
     /// Commits one block: the members this replica's verified set does
@@ -184,33 +199,112 @@ impl Replica {
         (outcome, source, pooled)
     }
 
-    /// Algorithm 3's commit phase for one committed transaction: an
-    /// ACCEPT_BID has its children determined (against this replica's
-    /// state, signed by the escrow account) and registered for eventual
-    /// commit; a settlement child checks itself off its parent. A
+    /// Algorithm 3's commit phase for the committed members of one
+    /// block, in commit order — the settlement stage, shaped like every
+    /// other: a pure parallel derive, then a serial record.
+    ///
+    /// *Derive*: the children of every ACCEPT_BID among `members` are
+    /// determined against this replica's state — already past the whole
+    /// block, and untouched until this returns — on `options.workers`
+    /// threads (inline for a block with at most one accept). A child
+    /// already on the ledger is read from it, not re-derived
+    /// ([`determine_outstanding_children`]): none is at commit time, all
+    /// but a crash's leftovers are on replay.
+    ///
+    /// *Record*: in commit order an accept registers its children for
+    /// eventual commit and a settlement child checks itself off its
+    /// parent — what settling member by member as each commits would
+    /// do, since no derivation reads what a registration writes. A
     /// failed determination leaves the accept untracked and is the
-    /// caller's to report.
-    pub(crate) fn settle(
+    /// caller's to report. One result per member.
+    pub(crate) fn settle_block(
         &mut self,
-        tx: &Transaction,
+        members: &[&Transaction],
         escrow: &KeyPair,
-    ) -> Result<Settled, ValidationError> {
-        match tx.operation {
-            Operation::AcceptBid => {
-                let children = determine_children(&self.ledger, tx, escrow)?;
-                self.tracker
-                    .register(&tx.id, children.iter().map(|c| c.id.clone()));
-                Ok(Settled::Parent(children))
-            }
-            Operation::Return | Operation::Transfer
-                if tx.metadata.get("parent").and_then(Value::as_str).is_some() =>
-            {
-                Ok(Settled::Child {
-                    completed_parent: self.tracker.child_committed(&tx.id),
-                })
-            }
-            _ => Ok(Settled::Plain),
-        }
+        options: &PipelineOptions,
+    ) -> Vec<Result<Settled, ValidationError>> {
+        let telemetry = &options.telemetry;
+        let accepts: Vec<&Transaction> = members
+            .iter()
+            .copied()
+            .filter(|tx| tx.operation == Operation::AcceptBid)
+            .collect();
+        let derived = if accepts.is_empty() {
+            Vec::new()
+        } else {
+            let _span = telemetry.span("nested.derive_ns");
+            let ledger = &self.ledger;
+            parallel_map(accepts.len(), options.workers, |a| {
+                determine_outstanding_children(ledger, accepts[a], escrow)
+            })
+        };
+        let mut derived = derived.into_iter();
+        members
+            .iter()
+            .map(|tx| match tx.operation {
+                Operation::AcceptBid => {
+                    let children = derived.next().expect("one derivation per accept")?;
+                    // Commit time (the node's post-commit, the
+                    // cluster's commit hook) and replay each settle an
+                    // accept once; both firing would re-list children
+                    // already checked off.
+                    assert!(
+                        self.tracker.status(&tx.id).is_none(),
+                        "ACCEPT_BID {} settled twice",
+                        tx.id
+                    );
+                    let child_ids: Vec<String> =
+                        children.iter().map(|c| c.id().to_owned()).collect();
+                    self.tracker.register(&tx.id, child_ids.iter().cloned());
+                    let outstanding: Vec<Transaction> = children
+                        .into_iter()
+                        .filter_map(|child| match child {
+                            Child::Outstanding(child) => Some(child),
+                            Child::Settled(_) => None,
+                        })
+                        .collect();
+                    telemetry.add("nested.children_derived", outstanding.len() as u64);
+                    telemetry.add(
+                        "nested.children_recovered",
+                        (child_ids.len() - outstanding.len()) as u64,
+                    );
+                    Ok(Settled::Parent {
+                        child_ids,
+                        outstanding,
+                    })
+                }
+                Operation::Return | Operation::Transfer
+                    if tx.metadata.get("parent").and_then(Value::as_str).is_some() =>
+                {
+                    Ok(Settled::Child {
+                        completed_parent: self.tracker.child_committed(&tx.id),
+                    })
+                }
+                _ => Ok(Settled::Plain),
+            })
+            .collect()
+    }
+
+    /// The still-unsettled children of a registered parent, re-derived
+    /// for a shell whose queue lost them (§4.2.1 case 2). Empty for an
+    /// unknown, complete or undeterminable parent.
+    pub(crate) fn outstanding_children(
+        &self,
+        parent_id: &str,
+        escrow: &KeyPair,
+    ) -> Vec<Transaction> {
+        let outstanding = self.tracker.outstanding_children(parent_id);
+        let Some(parent) = self.ledger.get(parent_id) else {
+            return Vec::new();
+        };
+        determine_outstanding_children(&self.ledger, parent, escrow)
+            .unwrap_or_default()
+            .into_iter()
+            .filter_map(|child| match child {
+                Child::Outstanding(child) if outstanding.contains(&child.id) => Some(child),
+                _ => None,
+            })
+            .collect()
     }
 
     /// The committed history as checkpoint documents, in commit order.

@@ -43,6 +43,41 @@ struct Inner {
     next_auto_id: u64,
 }
 
+impl Inner {
+    /// Visits the documents matching `filter`, with their ids — the one
+    /// target selection behind `find`, `update` and `delete`: the
+    /// posting list of a secondary index when the filter contains an
+    /// equality on an indexed path (re-checked against the whole
+    /// filter), a full scan in id order otherwise.
+    fn select<'a>(&'a self, filter: &Filter, mut visit: impl FnMut(&'a String, &'a Arc<Value>)) {
+        if let Some((path, value)) = filter.index_candidate() {
+            if let Some(index) = self.indexes.get(path) {
+                for id in index.get(&index_key(value)).into_iter().flatten() {
+                    if let Some((id, doc)) = self.docs.get_key_value(id) {
+                        if filter.matches(doc) {
+                            visit(id, doc);
+                        }
+                    }
+                }
+                return;
+            }
+        }
+        for (id, doc) in &self.docs {
+            if filter.matches(doc) {
+                visit(id, doc);
+            }
+        }
+    }
+
+    /// [`Inner::select`]'s ids, owned: `update` and `delete` mutate the
+    /// maps the selection borrows.
+    fn select_ids(&self, filter: &Filter) -> Vec<String> {
+        let mut ids = Vec::new();
+        self.select(filter, |id, _| ids.push(id.clone()));
+        ids
+    }
+}
+
 /// A named collection of JSON documents, safe for concurrent use.
 pub struct Collection {
     name: String,
@@ -116,25 +151,9 @@ impl Collection {
     /// validation latency flat (paper §5.2.1).
     pub fn find(&self, filter: &Filter) -> Vec<Arc<Value>> {
         let inner = self.inner.read();
-        if let Some((path, value)) = filter.index_candidate() {
-            if let Some(index) = inner.indexes.get(path) {
-                let Some(ids) = index.get(&index_key(value)) else {
-                    return Vec::new();
-                };
-                return ids
-                    .iter()
-                    .filter_map(|id| inner.docs.get(id))
-                    .filter(|doc| filter.matches(doc))
-                    .cloned()
-                    .collect();
-            }
-        }
-        inner
-            .docs
-            .values()
-            .filter(|doc| filter.matches(doc))
-            .cloned()
-            .collect()
+        let mut found = Vec::new();
+        inner.select(filter, |_, doc| found.push(doc.clone()));
+        found
     }
 
     /// First match, if any.
@@ -160,12 +179,7 @@ impl Collection {
     /// were updated.
     pub fn update(&self, filter: &Filter, path: &str, value: Value) -> usize {
         let mut inner = self.inner.write();
-        let targets: Vec<String> = inner
-            .docs
-            .iter()
-            .filter(|(_, d)| filter.matches(d))
-            .map(|(id, _)| id.clone())
-            .collect();
+        let targets = inner.select_ids(filter);
         for id in &targets {
             let old = inner.docs.get(id).expect("listed above").clone();
             index_doc(&mut inner, id, &old, false);
@@ -181,12 +195,7 @@ impl Collection {
     /// Deletes matching documents; returns how many were removed.
     pub fn delete(&self, filter: &Filter) -> usize {
         let mut inner = self.inner.write();
-        let targets: Vec<String> = inner
-            .docs
-            .iter()
-            .filter(|(_, d)| filter.matches(d))
-            .map(|(id, _)| id.clone())
-            .collect();
+        let targets = inner.select_ids(filter);
         for id in &targets {
             let old = inner.docs.remove(id).expect("listed above");
             index_doc(&mut inner, id, &old, false);
@@ -352,6 +361,81 @@ mod tests {
         assert_eq!(c.delete(&Filter::eq("_id", "t1")), 1);
         assert_eq!(c.count(&Filter::eq("operation", "BID")), 1);
         assert_eq!(c.len(), 1);
+    }
+
+    /// `update` and `delete` pick their targets the way `find` does:
+    /// with or without an index on the filter's equality path they
+    /// touch the same documents and leave every index consistent.
+    #[test]
+    fn indexed_and_unindexed_update_delete_agree() {
+        let build = |indexed: bool| {
+            let c = coll();
+            if indexed {
+                c.create_index("operation");
+                c.create_index("status");
+            }
+            for i in 0..30 {
+                let op = ["CREATE", "BID", "REQUEST"][i % 3];
+                c.insert(tx(&format!("t{i:02}"), op, i as i64)).unwrap();
+            }
+            if !indexed {
+                // Unindexed on the selection path only: `status` keeps
+                // an index so reindexing is checked on both sides.
+                c.create_index("status");
+            }
+            c
+        };
+        let (indexed, scanned) = (build(true), build(false));
+        let bids_over_ten = Filter::and([
+            Filter::Gte("asset.data.quantity".into(), Value::from(10i64)),
+            Filter::eq("operation", "BID"),
+        ]);
+        let ids = |c: &Collection, f: &Filter| {
+            let mut ids: Vec<String> = c
+                .find(f)
+                .iter()
+                .map(|d| d.get("_id").and_then(Value::as_str).unwrap().to_owned())
+                .collect();
+            ids.sort();
+            ids
+        };
+        for c in [&indexed, &scanned] {
+            assert_eq!(c.update(&bids_over_ten, "status", Value::from("won")), 7);
+            assert_eq!(
+                c.update(&Filter::eq("operation", "NOPE"), "status", 1i64.into()),
+                0
+            );
+            assert_eq!(c.delete(&Filter::eq("operation", "REQUEST")), 10);
+            assert_eq!(c.delete(&Filter::eq("operation", "REQUEST")), 0);
+            assert_eq!(c.len(), 20);
+        }
+        for filter in [
+            Filter::eq("status", "won"),
+            Filter::eq("operation", "BID"),
+            Filter::eq("operation", "REQUEST"),
+            bids_over_ten,
+            Filter::All,
+        ] {
+            assert_eq!(ids(&indexed, &filter), ids(&scanned, &filter), "{filter:?}");
+        }
+        // Every index answers what a scan of the documents answers.
+        let all = indexed.scan();
+        for (path, value) in [
+            ("status", "won"),
+            ("operation", "BID"),
+            ("operation", "CREATE"),
+        ] {
+            let scan = all
+                .iter()
+                .filter(|d| d.pointer(path).and_then(Value::as_str) == Some(value))
+                .count();
+            assert_eq!(
+                indexed.count(&Filter::eq(path, value)),
+                scan,
+                "{path}={value}"
+            );
+        }
+        assert_eq!(indexed.count(&Filter::eq("status", "won")), 7);
     }
 
     #[test]

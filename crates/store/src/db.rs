@@ -56,6 +56,9 @@ impl Db {
         utxos.create_index("spent");
         let recovery = db.collection(collections::ACCEPT_TX_RECOVERY);
         recovery.create_index("status");
+        // A completed parent's status update finds its document by id,
+        // not by scanning every accept ever committed.
+        recovery.create_index("parent");
         db
     }
 

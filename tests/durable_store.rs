@@ -11,6 +11,9 @@
 //! and `--test-threads=1`, which switches the kill-point sweep from a
 //! strided sample to every single write boundary.
 
+mod common;
+
+use common::{nested_state, tracker_state, Scratch};
 use smartchaindb::consensus::{App, BlockView, TxId};
 use smartchaindb::core::pipeline::PipelineOptions;
 use smartchaindb::core::{NestedStatus, Transaction, ValidationError};
@@ -18,7 +21,6 @@ use smartchaindb::sim::SimTime;
 use smartchaindb::store::{DurableStore, FsyncLevel, OutputRef, StateDigest, Utxo};
 use smartchaindb::workload::{scdb_plan, ScenarioConfig};
 use smartchaindb::{KeyPair, LedgerView, Node, SmartchainCluster, TxBuilder};
-use std::path::PathBuf;
 use std::sync::Arc;
 
 fn stress_iters() -> usize {
@@ -36,24 +38,6 @@ fn kill_stride() -> u64 {
         1
     } else {
         7
-    }
-}
-
-/// A self-cleaning scratch directory for one test.
-struct Scratch(PathBuf);
-
-impl Scratch {
-    fn new(tag: &str) -> Scratch {
-        let dir =
-            std::env::temp_dir().join(format!("scdb-durable-it-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        Scratch(dir)
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
     }
 }
 
@@ -381,7 +365,11 @@ fn node_with_queued_children(dir: &std::path::Path, level: FsyncLevel) -> Node {
 /// A crash after any child's wave record and before the seal lands
 /// whole must recover to the pre-pump state with every child back on
 /// the return queue, and pumping the rebuilt queue must land
-/// digest-equal to the uncrashed run.
+/// digest-equal to the uncrashed run. At every kill point the nested
+/// state recovery rebuilds — tracker statuses and outstanding ids, the
+/// return queue in order, the recovery collection — equals the
+/// uncrashed node's at the same height: recovery reads the settled
+/// children off the UTXO set and derives only the outstanding ones.
 #[test]
 fn crash_inside_a_multi_child_pump_recovers_to_the_pre_pump_state() {
     let scratch = Scratch::new("pump-crash");
@@ -389,6 +377,9 @@ fn crash_inside_a_multi_child_pump_recovers_to_the_pre_pump_state() {
         let _ = std::fs::remove_dir_all(&scratch.0);
         let mut uncrashed = node_with_queued_children(&scratch.0, level);
         let pre_pump = ref_state(&uncrashed);
+        let accepts = uncrashed.tracker().incomplete_parents();
+        assert_eq!(accepts.len(), 1, "the script's one ACCEPT_BID");
+        let pre_pump_nested = nested_state(&uncrashed, &accepts);
         let pre_height = uncrashed.ledger().durable_store().unwrap().next_height();
         assert_eq!(uncrashed.pump_returns(usize::MAX), 2);
         assert_eq!(
@@ -397,6 +388,7 @@ fn crash_inside_a_multi_child_pump_recovers_to_the_pre_pump_state() {
             "one pump, one sealed block"
         );
         let settled = ref_state(&uncrashed);
+        let settled_nested = nested_state(&uncrashed, &accepts);
         drop(uncrashed);
 
         let mut k = 0u64;
@@ -419,6 +411,11 @@ fn crash_inside_a_multi_child_pump_recovers_to_the_pre_pump_state() {
                 assert_eq!(recovered.state_digest(), settled.digest);
                 assert!(recovered.queue().is_empty(), "nothing left to settle");
             } else {
+                assert_eq!(
+                    nested_state(&recovered, &accepts),
+                    pre_pump_nested,
+                    "pre-pump nested state at k={k} level={level:?}"
+                );
                 // The seal is the pump's last write: a tripped run never
                 // landed it whole, so no child's wave is covered.
                 assert_eq!(
@@ -448,6 +445,11 @@ fn crash_inside_a_multi_child_pump_recovers_to_the_pre_pump_state() {
                 recovered.ledger().committed_ids(),
                 settled.committed.as_slice(),
                 "converged commit order at k={k} level={level:?}"
+            );
+            assert_eq!(
+                nested_state(&recovered, &accepts),
+                settled_nested,
+                "converged nested state at k={k} level={level:?}"
             );
             k += 1;
         }
@@ -599,8 +601,11 @@ fn cluster_restart_and_catch_up_stay_digest_equal() {
 /// accept with its children settled, one with them outstanding —
 /// recovered by `Node::with_durable_dir` and by
 /// `SmartchainCluster::restart_replica` lands on the same digest and
-/// the same tracker status per accept; the node, which alone keeps a
-/// return queue, gets back exactly the outstanding children.
+/// the same tracker state (status and outstanding ids) per accept; the
+/// node, which alone keeps a return queue, gets back exactly the
+/// outstanding children. And the replica under fire: killed at any
+/// write of the children's block, it recovers the tracker of the
+/// height it landed on — the children's block whole, or not at all.
 #[test]
 fn node_and_replica_recover_the_same_nested_state() {
     let escrow = KeyPair::from_seed([0xE5; 32]);
@@ -615,7 +620,7 @@ fn node_and_replica_recover_the_same_nested_state() {
         &escrow.public_hex(),
     );
     let payloads = plan.contended_payloads();
-    let accepts: Vec<&str> = plan.auctions.iter().map(|a| a.accept.id.as_str()).collect();
+    let accepts: Vec<String> = plan.auctions.iter().map(|a| a.accept.id.clone()).collect();
     let opts = || PipelineOptions::with_workers(2).utxo_shards(4);
 
     // The node: commit the stream, settle the first accept's children.
@@ -623,31 +628,30 @@ fn node_and_replica_recover_the_same_nested_state() {
     let mut node =
         Node::with_durable_dir(escrow.clone(), opts(), &scratch.0).expect("fresh store opens");
     assert!(node.submit_batch(&payloads).fully_committed());
+    let unsettled = tracker_state(node.tracker(), &accepts);
     assert_eq!(node.pump_returns(2), 2, "one accept's children settle");
-    let before: Vec<_> = accepts.iter().map(|a| node.tracker().status(a)).collect();
+    let before = nested_state(&node, &accepts);
+    let statuses: Vec<_> = before.tracker.iter().map(|(status, _)| status).collect();
     assert_eq!(
-        before,
+        statuses,
         [
-            Some(NestedStatus::Complete),
-            Some(NestedStatus::PendingChildren { outstanding: 2 })
+            &Some(NestedStatus::Complete),
+            &Some(NestedStatus::PendingChildren { outstanding: 2 })
         ]
     );
-    let outstanding = node.tracker().outstanding_children(accepts[1]);
     node.flush_durable().expect("flush");
     drop(node);
     let recovered = Node::with_durable_dir(escrow, opts(), &scratch.0).expect("node recovers");
 
-    // The cluster: the same stream as one block, then the settled
-    // accept's children as a second, on every replica.
-    let mut cluster = SmartchainCluster::with_options(2, opts().durable(true));
-    let mut next_tx: TxId = 0;
-    let mut commit = |cluster: &mut SmartchainCluster, block: &[String]| {
+    // The cluster: the same stream as one block on every replica, its
+    // seal flushed, and the settled accept's children as the payloads
+    // of a second.
+    let commit = |cluster: &mut SmartchainCluster, first: TxId, block: &[String]| {
         let pairs: Vec<(TxId, &str)> = block
             .iter()
-            .map(|p| {
-                next_tx += 1;
-                (next_tx, p.as_str())
-            })
+            .map(String::as_str)
+            .zip(first..)
+            .map(|(p, id)| (id, p))
             .collect();
         let ids: Vec<TxId> = pairs.iter().map(|(id, _)| *id).collect();
         for node in 0..2 {
@@ -656,38 +660,65 @@ fn node_and_replica_recover_the_same_nested_state() {
             cluster.on_commit(node, 0, &ids, SimTime::ZERO);
         }
     };
-    commit(&mut cluster, &payloads);
-    let settled_children: Vec<String> = cluster
-        .drain_outbox()
-        .into_iter()
-        .filter(|p| {
-            let child = Transaction::from_payload(p).expect("child payload parses");
-            child.metadata.get("parent").and_then(|v| v.as_str()) == Some(accepts[0])
-        })
-        .collect();
-    assert_eq!(settled_children.len(), 2);
-    commit(&mut cluster, &settled_children);
+    let cluster_with_children = || {
+        let mut cluster = SmartchainCluster::with_options(2, opts().durable(true));
+        commit(&mut cluster, 1, &payloads);
+        let children: Vec<String> = cluster
+            .drain_outbox()
+            .into_iter()
+            .filter(|p| {
+                let child = Transaction::from_payload(p).expect("child payload parses");
+                child.metadata.get("parent").and_then(|v| v.as_str()) == Some(&accepts[0])
+            })
+            .collect();
+        assert_eq!(children.len(), 2);
+        cluster.restart_replica(1).expect("replica 1 reopens");
+        assert_eq!(tracker_state(cluster.tracker(1), &accepts), unsettled);
+        (cluster, children)
+    };
+    let (mut cluster, children) = cluster_with_children();
+    commit(&mut cluster, 1000, &children);
     cluster.restart_replica(1).expect("replica 1 recovers");
 
     assert_eq!(recovered.state_digest(), cluster.state_digest(1));
     assert_eq!(cluster.state_digest(0), cluster.state_digest(1));
-    for (accept, status) in accepts.iter().zip(before) {
-        assert_eq!(recovered.tracker().status(accept), status, "node {accept}");
-        assert_eq!(cluster.nested_status(1, accept), status, "replica {accept}");
-    }
-    let mut queued: Vec<String> = recovered
-        .queue()
-        .drain(usize::MAX)
-        .into_iter()
-        .map(|job| {
-            assert_eq!(job.parent_id, accepts[1]);
-            job.child.id.clone()
-        })
-        .collect();
+    assert_eq!(nested_state(&recovered, &accepts), before, "node");
+    assert_eq!(
+        tracker_state(cluster.tracker(1), &accepts),
+        before.tracker,
+        "replica"
+    );
+    let mut queued: Vec<&String> = before.queue.iter().map(|(_, child)| child).collect();
     queued.sort_unstable();
-    let mut outstanding = outstanding;
-    outstanding.sort_unstable();
+    let outstanding: Vec<&String> = before.tracker[1].1.iter().collect();
     assert_eq!(queued, outstanding, "exactly the outstanding children");
+
+    // The replica killed after `k` writes of the children's block.
+    let mut k = 0u64;
+    let mut survived = false;
+    while !survived && k < 1_000 {
+        let (mut cluster, children) = cluster_with_children();
+        let store = cluster.ledger(1).durable_store().unwrap().clone();
+        store.inject_crash_after(k);
+        commit(&mut cluster, 1000, &children);
+        // The restart flushes first: under group commit that flush is
+        // what writes the block's seal, so it too is a kill point.
+        cluster.restart_replica(1).expect("replica 1 recovers");
+        survived = !store.crash_tripped();
+        let expect = if survived {
+            &before.tracker
+        } else {
+            &unsettled
+        };
+        assert_eq!(
+            &tracker_state(cluster.tracker(1), &accepts),
+            expect,
+            "replica tracker at k={k}"
+        );
+        k += 1;
+    }
+    assert!(survived, "the sweep reaches an untripped children block");
+    assert!(k > 2, "the block wrote its waves and a seal");
 }
 
 /// Incremental catch-up: a lagging replica that already holds a
