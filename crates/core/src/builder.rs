@@ -6,6 +6,7 @@
 //! fulfills every input with a multi-signature over the signing payload
 //! and seals the content-addressed id.
 
+use crate::conditions::{row, Signers};
 use crate::model::{AssetRef, Input, InputRef, Operation, Output, Transaction};
 use scdb_crypto::KeyPair;
 use scdb_json::Value;
@@ -165,7 +166,8 @@ impl TxBuilder {
 /// subset of `signers` matching their `owners_before`; a CREATE-style
 /// transaction with no inputs gets one synthesized self-input.
 ///
-/// ACCEPT_BID is the exception: its inputs spend escrow-held bid outputs
+/// ACCEPT_BID — the type whose row names the requester as signer — is
+/// the exception: its inputs spend escrow-held bid outputs
 /// (`owners_before` names `PBPK-ℛℯ𝓈`), but the *requester* authorizes
 /// the settlement — "the signer of the ACCEPT_BID transaction [must not
 /// be] different from the signer of REQUEST" (Algorithm 3). Every
@@ -182,7 +184,7 @@ pub fn sign_transaction(tx: &mut Transaction, signers: &[&KeyPair]) {
     }
     let message = tx.signing_payload();
     for input in &mut tx.inputs {
-        let input_signers: Vec<&KeyPair> = if tx.operation == Operation::AcceptBid {
+        let input_signers: Vec<&KeyPair> = if row(tx.operation).signers == Signers::Requester {
             signers.to_vec()
         } else {
             signers

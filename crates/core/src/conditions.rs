@@ -1,325 +1,669 @@
-//! Composable declarative validation conditions — the paper's
-//! future-work direction made concrete (§8: "generalize our modeling
-//! framework further to support more complex transaction modeling,
-//! including transaction conditions and compositions"; §2.2: the
-//! declarative model "is extensible, allowing the combination of simple
-//! conditional expressions to form complex ones").
+//! The declaration: every native transaction type is a row.
 //!
-//! A [`Condition`] is a first-class value describing *what must hold*
-//! for a transaction against the committed ledger. Primitive conditions
-//! cover the checks the paper's `C_α` sets use; combinators (`all`,
-//! `any`, `not`) compose them. [`condition_set_for`] expresses each
-//! native type's condition set declaratively; the differential tests
-//! in this module check the composed sets agree with the hand-written
-//! validators of [`crate::validate`] — so new transaction types can be
-//! defined by *writing a condition expression* rather than a validator
-//! function.
+//! The paper's thesis is that marketplace transactions are *declared* —
+//! a type is its condition set `C_α` (§3.2, Definitions 3–4). Here that
+//! is literal: [`row`] maps each [`Operation`] to a `static` [`TxType`]
+//! whose `conditions` slice *is* `C_α`, in the order the checks run —
+//! which is the order faults are named in, so the order is part of the
+//! declaration. The row also says who must sign, which REQUEST the type
+//! is about and which marketplace key it writes. Everything that needs
+//! to know a type reads its row: [`crate::validate::validate_transaction`]
+//! evaluates the conditions, [`crate::pipeline::footprint`] takes the
+//! marketplace keys from what the conditions declare they read
+//! (`Condition::reads`) and what the row writes, the ledger applies
+//! the same declared write, and admission asks the row who signs.
+//!
+//! A [`Condition`] is a named primitive with one meaning
+//! (`Condition::check`); a slice of them is their conjunction. A new
+//! transaction family is a new slice — §8's "transaction conditions and
+//! compositions" — evaluated by the same `validate::evaluate`.
 
 use crate::errors::ValidationError;
 use crate::model::{AssetRef, Operation, Transaction};
-use crate::validate;
+use crate::validate::{
+    check_input_signatures, requester_account, requester_keys, verify_signed_by,
+};
+use crate::verified::VerifiedSigners;
 use crate::view::LedgerView;
-use std::fmt;
+use scdb_store::{OutputRef, Utxo};
+use std::collections::HashSet;
+use Condition::*;
 
-/// A declarative validation condition over `(transaction, ledger)`.
-#[derive(Debug, Clone)]
+/// One primitive validation condition over `(transaction, ledger)`.
+///
+/// "The subject" is the committed transaction the one under validation
+/// is about — the REQUEST of a BID or ACCEPT_BID, the BID of a RETURN —
+/// resolved by [`Condition::OneRequestAmongReferences`] or
+/// [`Condition::SoleReference`] for the conditions after it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Condition {
-    /// `|I| ≥ n`.
-    MinInputs(usize),
-    /// `|R| ≥ n`.
-    MinReferences(usize),
-    /// `|R| == n`.
-    ExactReferences(usize),
-    /// No input spends an output (CREATE-style self-inputs only).
+    /// No input spends an output (a mint's self-inputs only).
     NoSpends,
-    /// Exactly one committed reference with the given operation exists.
-    ExactlyOneReferencedOp(Operation),
-    /// Every input's multi-signature verifies against its
-    /// `owners_before` (the model's `verify(s, pb, m)`).
-    SignaturesMatchOwners,
-    /// Every output is held by a reserved account (`PBPK-ℛℯ𝓈`).
-    OutputsToReserved,
-    /// The referenced REQUEST's capabilities are a subset of the bid
-    /// asset's capabilities (Algorithm 2 lines 8–11).
-    CapabilitySubset,
-    /// Every spend input resolves to a committed, unspent output with
-    /// matching owners, and input shares balance output shares.
-    SpendsBalance,
-    /// At least one input carries a non-null asset amount.
-    PositiveInputAmount,
+    /// The asset data lists at least one requested capability (§5.2.1).
+    DeclaresCapabilities,
+    /// Every input's multi-signature verifies against its own
+    /// `owners_before` — the model's `verify(s, pb, m)`. Skipped when
+    /// the verified set vouches for exactly that.
+    InputSignatures,
+    /// `validateTransferInputs` (Alg. 2 line 12): every input spends a
+    /// distinct committed, unspent output whose owners are the input's
+    /// `owners_before`. Resolves the spent outputs for later conditions.
+    SpendsResolve,
+    /// Input shares equal output shares.
+    Balanced,
+    /// Every spent output holds shares of the declared asset id.
+    SpendsDeclaredAsset,
+    /// `|I| ≥ 1` (C_BID 1).
+    HasInputs,
+    /// `|R| ≥ 1` (C_BID 2).
+    HasReferences,
+    /// Every reference is committed and exactly one is a REQUEST
+    /// (C_BID 3, Alg. 2 lines 1–4). Resolves the subject.
+    OneRequestAmongReferences,
+    /// The subject is `references[0]` — what every marketplace index and
+    /// the conflict footprint key a bid by, so a bid naming its REQUEST
+    /// elsewhere would evade Algorithm 3's all-locked-bids accounting.
+    RequestIsFirstReference,
     /// The declared asset id names a committed transaction.
     AssetCommitted,
-    /// Negation.
-    Not(Box<Condition>),
-    /// Conjunction (short-circuits on the first failure, like the
-    /// sequential checks of Algorithms 2–3).
-    All(Vec<Condition>),
-    /// Disjunction.
-    Any(Vec<Condition>),
+    /// Every output is held by reserved accounts only (C_BID 6).
+    OutputsToEscrow,
+    /// The subject's requested capabilities are a subset of the declared
+    /// asset's (C_BID 7, Alg. 2 lines 8–11).
+    OffersRequestedCapabilities,
+    /// The resolved inputs carry at least one share (C_BID 4).
+    PositiveInputAmount,
+    /// `|R| = 1` and the reference is a committed transaction of this
+    /// operation. Resolves the subject.
+    SoleReference(Operation),
+    /// The asset names a committed BID on the subject (Alg. 3 lines 2–5).
+    WinnerBidsOnRequest,
+    /// Every input is signed by the subject's signers (Alg. 3 lines
+    /// 6–7). Skipped when the verified set vouches for exactly them.
+    SignedByRequester,
+    /// The subject has no committed ACCEPT_BID (Alg. 3 lines 8–10).
+    NoAcceptYet,
+    /// The winning bid is among the subject's locked bids (Alg. 3 lines
+    /// 11–12).
+    WinnerLocked,
+    /// The inputs spend one unspent, escrow-held output of each of the
+    /// subject's locked bids, and nothing else (C_ACCEPT_BID 1, 7).
+    InputsCoverLockedBids,
+    /// Exactly one output pays the requester; every other returns to
+    /// the original bidder of a locked, unaccepted bid (C_ACCEPT_BID 8–9).
+    OutputsSettle,
+    /// The subject's REQUEST has a committed ACCEPT_BID that chose
+    /// another bid — what triggers a RETURN.
+    ReturnTriggered,
+    /// Every resolved input is an escrow-held output of the subject, and
+    /// every output goes back to that output's previous owners.
+    ReturnsBidFromEscrow,
+}
+
+/// Who must sign every input of a type.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Signers {
+    /// Each input's own `owners_before` — part of the content, so the
+    /// check needs no ledger.
+    InputOwners,
+    /// The signers of the REQUEST the type references: the inputs name
+    /// the escrow account, the requester authorizes (Algorithm 3).
+    Requester,
+}
+
+/// A per-REQUEST marketplace index a type reads or writes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MarketKey {
+    /// The REQUEST's locked-bid set.
+    Bids,
+    /// The REQUEST's accepted-bid slot.
+    Accept,
+}
+
+/// Where a type finds the REQUEST whose marketplace keys it touches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RequestLink {
+    /// `references[0]` is the REQUEST.
+    FirstReference,
+    /// `references[0]` is a BID; the REQUEST is the one it bids on.
+    BidAtFirstReference,
+}
+
+/// A transaction type, declared.
+#[derive(Debug)]
+pub struct TxType {
+    /// `C_α`, in evaluation order: the first condition that fails names
+    /// the error.
+    pub conditions: &'static [Condition],
+    pub signers: Signers,
+    /// The REQUEST the marketplace keys below belong to, for the types
+    /// that touch any.
+    pub request: Option<RequestLink>,
+    /// The marketplace index a commit of this type updates: a BID joins
+    /// its REQUEST's locked-bid set, an ACCEPT_BID claims the accept
+    /// slot.
+    pub writes: Option<MarketKey>,
+    /// A nested type (Definition 2) commits without touching the UTXO
+    /// set: its inputs and outputs are the plan its children realize.
+    pub nested: bool,
+}
+
+impl TxType {
+    /// The marketplace keys validation of this type consults and the
+    /// type does not itself write — each once, as its conditions declare
+    /// them.
+    pub(crate) fn reads(&self) -> impl Iterator<Item = MarketKey> + '_ {
+        [MarketKey::Bids, MarketKey::Accept]
+            .into_iter()
+            .filter(|key| Some(*key) != self.writes)
+            .filter(|key| self.conditions.iter().any(|c| c.reads() == Some(*key)))
+    }
+}
+
+/// What the rows below start from: signed by its input owners, touching
+/// no marketplace key, not nested.
+const PLAIN: TxType = TxType {
+    conditions: &[],
+    signers: Signers::InputOwners,
+    request: None,
+    writes: None,
+    nested: false,
+};
+
+static CREATE: TxType = TxType {
+    conditions: &[NoSpends, InputSignatures],
+    ..PLAIN
+};
+
+static REQUEST: TxType = TxType {
+    conditions: &[NoSpends, DeclaresCapabilities, InputSignatures],
+    ..PLAIN
+};
+
+static TRANSFER: TxType = TxType {
+    conditions: &[
+        InputSignatures,
+        SpendsResolve,
+        Balanced,
+        SpendsDeclaredAsset,
+    ],
+    ..PLAIN
+};
+
+/// Algorithm 2 — `validateT_BID` with C_BID (Definition 3).
+static BID: TxType = TxType {
+    conditions: &[
+        HasInputs,
+        HasReferences,
+        OneRequestAmongReferences,
+        RequestIsFirstReference,
+        AssetCommitted,
+        InputSignatures,
+        OutputsToEscrow,
+        OffersRequestedCapabilities,
+        SpendsResolve,
+        PositiveInputAmount,
+        Balanced,
+    ],
+    request: Some(RequestLink::FirstReference),
+    writes: Some(MarketKey::Bids),
+    ..PLAIN
+};
+
+/// Algorithm 3, first part — `validateT_ACCEPT_BID` with C_ACCEPT_BID
+/// (Definition 4).
+static ACCEPT_BID: TxType = TxType {
+    conditions: &[
+        SoleReference(Operation::Request),
+        WinnerBidsOnRequest,
+        SignedByRequester,
+        NoAcceptYet,
+        WinnerLocked,
+        InputsCoverLockedBids,
+        OutputsSettle,
+    ],
+    signers: Signers::Requester,
+    request: Some(RequestLink::FirstReference),
+    writes: Some(MarketKey::Accept),
+    nested: true,
+};
+
+/// C_RETURN: one unaccepted bid goes from escrow back to its bidder,
+/// once an ACCEPT_BID for its REQUEST is committed.
+static RETURN: TxType = TxType {
+    conditions: &[
+        SoleReference(Operation::Bid),
+        ReturnTriggered,
+        InputSignatures,
+        SpendsResolve,
+        ReturnsBidFromEscrow,
+        Balanced,
+    ],
+    request: Some(RequestLink::BidAtFirstReference),
+    ..PLAIN
+};
+
+/// The row of a native operation.
+pub fn row(operation: Operation) -> &'static TxType {
+    match operation {
+        Operation::Create => &CREATE,
+        Operation::Request => &REQUEST,
+        Operation::Transfer => &TRANSFER,
+        Operation::Bid => &BID,
+        Operation::AcceptBid => &ACCEPT_BID,
+        Operation::Return => &RETURN,
+    }
+}
+
+/// What one evaluation carries from condition to condition: the inputs
+/// of every check, and what earlier conditions resolved for later ones,
+/// so a row looks each thing up once.
+pub(crate) struct Evaluation<'a, L: LedgerView> {
+    tx: &'a Transaction,
+    ledger: &'a L,
+    verified: Option<&'a VerifiedSigners>,
+    subject: Option<&'a Transaction>,
+    locked: Option<Vec<&'a Transaction>>,
+    spends: Option<Vec<(OutputRef, Utxo)>>,
+}
+
+fn semantic(why: String) -> ValidationError {
+    ValidationError::Semantic(why)
+}
+
+fn ensure(holds: bool, why: impl FnOnce() -> String) -> Result<(), ValidationError> {
+    if holds {
+        Ok(())
+    } else {
+        Err(semantic(why()))
+    }
+}
+
+fn asset_id(tx: &Transaction) -> Result<&String, ValidationError> {
+    match &tx.asset {
+        AssetRef::Id(id) => Ok(id),
+        _ => Err(semantic(format!(
+            "{} must reference an asset id",
+            tx.operation
+        ))),
+    }
+}
+
+fn win_bid_id(tx: &Transaction) -> Result<&String, ValidationError> {
+    match &tx.asset {
+        AssetRef::WinBid(id) => Ok(id),
+        _ => Err(semantic(format!(
+            "{} asset must name the winning bid",
+            tx.operation
+        ))),
+    }
+}
+
+/// The check ACCEPT_BID and RETURN share: the output input `i` spends is
+/// held by reserved accounts only (`PBPK-ℛℯ𝓈`).
+fn escrow_held(
+    tx: &Transaction,
+    ledger: &impl LedgerView,
+    i: usize,
+    utxo: &Utxo,
+) -> Result<(), ValidationError> {
+    ensure(utxo.owners.iter().all(|k| ledger.is_reserved(k)), || {
+        format!(
+            "{} input {i} does not spend an escrow-held output",
+            tx.operation
+        )
+    })
+}
+
+/// The entry of an output that exists and is unspent.
+fn unspent(ledger: &impl LedgerView, output: &OutputRef) -> Result<Utxo, ValidationError> {
+    let Some(utxo) = ledger.utxo(output) else {
+        return Err(ValidationError::InputDoesNotExist(output.to_string()));
+    };
+    match &utxo.spent_by {
+        Some(spender) => Err(ValidationError::DoubleSpend(format!(
+            "{output} already spent by {spender}"
+        ))),
+        None => Ok(utxo),
+    }
+}
+
+impl<'a, L: LedgerView> Evaluation<'a, L> {
+    pub(crate) fn new(
+        tx: &'a Transaction,
+        ledger: &'a L,
+        verified: Option<&'a VerifiedSigners>,
+    ) -> Self {
+        Evaluation {
+            tx,
+            ledger,
+            verified,
+            subject: None,
+            locked: None,
+            spends: None,
+        }
+    }
+
+    fn subject(&self) -> Result<&'a Transaction, ValidationError> {
+        self.subject.ok_or_else(|| {
+            semantic("no earlier condition resolved the referenced transaction".to_owned())
+        })
+    }
+
+    fn spends(&self) -> Result<&[(OutputRef, Utxo)], ValidationError> {
+        self.spends
+            .as_deref()
+            .ok_or_else(|| semantic("no earlier condition resolved the spent outputs".to_owned()))
+    }
+
+    fn input_amount(&self) -> Result<u64, ValidationError> {
+        Ok(self.spends()?.iter().map(|(_, utxo)| utxo.amount).sum())
+    }
+
+    /// `getLockedBids` of the subject, fetched by the first condition
+    /// that asks.
+    fn locked(&mut self) -> Result<&[&'a Transaction], ValidationError> {
+        let (request, ledger) = (self.subject()?, self.ledger);
+        Ok(self
+            .locked
+            .get_or_insert_with(|| ledger.locked_bids_for_request(&request.id)))
+    }
 }
 
 impl Condition {
-    /// Convenience conjunction.
-    pub fn all(conditions: impl IntoIterator<Item = Condition>) -> Condition {
-        Condition::All(conditions.into_iter().collect())
-    }
-
-    /// Convenience disjunction.
-    pub fn any(conditions: impl IntoIterator<Item = Condition>) -> Condition {
-        Condition::Any(conditions.into_iter().collect())
-    }
-
-    /// Convenience negation.
-    #[allow(clippy::should_implement_trait)]
-    pub fn not(condition: Condition) -> Condition {
-        Condition::Not(Box::new(condition))
-    }
-
-    /// Evaluates the condition; `Err` carries the first violated leaf.
-    pub fn check(
-        &self,
-        tx: &Transaction,
-        ledger: &impl LedgerView,
-    ) -> Result<(), ConditionViolation> {
+    /// The marketplace key of the type's REQUEST this condition
+    /// consults — what the conflict footprint must order the
+    /// transaction against.
+    pub(crate) fn reads(&self) -> Option<MarketKey> {
         match self {
-            Condition::MinInputs(n) => ensure(
-                tx.inputs.len() >= *n,
-                self,
-                format!("|I| = {} < {n}", tx.inputs.len()),
-            ),
-            Condition::MinReferences(n) => ensure(
-                tx.references.len() >= *n,
-                self,
-                format!("|R| = {} < {n}", tx.references.len()),
-            ),
-            Condition::ExactReferences(n) => ensure(
-                tx.references.len() == *n,
-                self,
-                format!("|R| = {} ≠ {n}", tx.references.len()),
-            ),
-            Condition::NoSpends => ensure(
-                tx.inputs.iter().all(|i| i.fulfills.is_none()),
-                self,
-                "an input spends an output".to_owned(),
-            ),
-            Condition::ExactlyOneReferencedOp(op) => {
-                let mut found = 0usize;
+            NoAcceptYet | ReturnTriggered => Some(MarketKey::Accept),
+            WinnerLocked | InputsCoverLockedBids | OutputsSettle => Some(MarketKey::Bids),
+            NoSpends
+            | DeclaresCapabilities
+            | InputSignatures
+            | SpendsResolve
+            | Balanced
+            | SpendsDeclaredAsset
+            | HasInputs
+            | HasReferences
+            | OneRequestAmongReferences
+            | RequestIsFirstReference
+            | AssetCommitted
+            | OutputsToEscrow
+            | OffersRequestedCapabilities
+            | PositiveInputAmount
+            | SoleReference(_)
+            | WinnerBidsOnRequest
+            | SignedByRequester
+            | ReturnsBidFromEscrow => None,
+        }
+    }
+
+    /// What the condition means: `Err` is the verdict, variant and
+    /// message, of a transaction that violates it.
+    pub(crate) fn check<L: LedgerView>(
+        self,
+        cx: &mut Evaluation<'_, L>,
+    ) -> Result<(), ValidationError> {
+        let (tx, ledger, op) = (cx.tx, cx.ledger, cx.tx.operation);
+        match self {
+            NoSpends => ensure(tx.inputs.iter().all(|i| i.fulfills.is_none()), || {
+                format!("{op} inputs must not spend outputs")
+            }),
+            DeclaresCapabilities => ensure(!ledger.request_capabilities(tx).is_empty(), || {
+                format!("{op} asset data must declare a non-empty capabilities list")
+            }),
+            InputSignatures => check_input_signatures(tx, cx.verified),
+            SpendsResolve => {
+                let mut seen = HashSet::new();
+                let mut spends = Vec::with_capacity(tx.inputs.len());
+                for (i, input) in tx.inputs.iter().enumerate() {
+                    let Some(fulfills) = &input.fulfills else {
+                        return Err(semantic(format!(
+                            "input {i}: {op} inputs must spend an output"
+                        )));
+                    };
+                    if !ledger.is_committed(&fulfills.tx_id) {
+                        return Err(ValidationError::InputDoesNotExist(fulfills.tx_id.clone()));
+                    }
+                    let output = OutputRef::new(fulfills.tx_id.clone(), fulfills.output_index);
+                    // One output may be consumed once per transaction:
+                    // listing it twice would double-count its shares
+                    // and mint value.
+                    if !seen.insert((fulfills.tx_id.as_str(), fulfills.output_index)) {
+                        return Err(ValidationError::DoubleSpend(format!(
+                            "input {i} spends {output} twice within one transaction"
+                        )));
+                    }
+                    let utxo = unspent(ledger, &output)?;
+                    if utxo.owners != input.owners_before {
+                        return Err(ValidationError::InvalidSignature(format!(
+                            "input {i}: owners_before does not match the current owners of {output}"
+                        )));
+                    }
+                    spends.push((output, utxo));
+                }
+                cx.spends = Some(spends);
+                Ok(())
+            }
+            Balanced => {
+                let (inputs, outputs) = (cx.input_amount()?, tx.output_amount());
+                if inputs != outputs {
+                    return Err(ValidationError::AmountMismatch { inputs, outputs });
+                }
+                Ok(())
+            }
+            SpendsDeclaredAsset => {
+                let declared = asset_id(tx)?;
+                match cx.spends()?.iter().find(|(_, u)| &u.asset_id != declared) {
+                    Some((_, utxo)) => Err(semantic(format!(
+                        "input spends asset {} but the transaction declares {declared}",
+                        utxo.asset_id
+                    ))),
+                    None => Ok(()),
+                }
+            }
+            HasInputs => ensure(!tx.inputs.is_empty(), || {
+                format!("{op} requires at least one input")
+            }),
+            HasReferences => ensure(!tx.references.is_empty(), || {
+                format!("{op} must reference a REQUEST")
+            }),
+            OneRequestAmongReferences => {
+                let mut request = None;
                 for r in &tx.references {
-                    match ledger.get(r) {
-                        None => {
-                            return Err(ConditionViolation::new(
-                                self,
-                                format!("reference {r} not committed"),
-                            ))
-                        }
-                        Some(referenced) if referenced.operation == *op => found += 1,
-                        Some(_) => {}
+                    let Some(referenced) = ledger.get(r) else {
+                        return Err(ValidationError::InputDoesNotExist(r.clone()));
+                    };
+                    if referenced.operation == Operation::Request
+                        && request.replace(referenced).is_some()
+                    {
+                        return Err(semantic(format!("{op} must reference exactly one REQUEST")));
                     }
                 }
-                ensure(
-                    found == 1,
-                    self,
-                    format!("{found} committed {op} references, need exactly 1"),
-                )
+                ensure(request.is_some(), || {
+                    format!("{op} reference vector contains no REQUEST")
+                })?;
+                cx.subject = request;
+                Ok(())
             }
-            Condition::SignaturesMatchOwners => validate::verify_input_signatures(tx)
-                .map_err(|e| ConditionViolation::new(self, e.to_string())),
-            Condition::OutputsToReserved => {
-                for (i, output) in tx.outputs.iter().enumerate() {
-                    if !output.public_keys.iter().all(|k| ledger.is_reserved(k)) {
-                        return Err(ConditionViolation::new(
-                            self,
-                            format!("output {i} is not held by a reserved account"),
-                        ));
-                    }
+            RequestIsFirstReference => {
+                let request = cx.subject()?;
+                ensure(tx.references.first() == Some(&request.id), || {
+                    format!("{op} must name its REQUEST as the first reference")
+                })
+            }
+            AssetCommitted => {
+                let declared = asset_id(tx)?;
+                if !ledger.is_committed(declared) {
+                    return Err(ValidationError::InputDoesNotExist(declared.clone()));
                 }
                 Ok(())
             }
-            Condition::CapabilitySubset => {
-                let request = tx
-                    .references
+            OutputsToEscrow => {
+                let loose = tx
+                    .outputs
                     .iter()
-                    .filter_map(|r| ledger.get(r))
-                    .find(|t| t.operation == Operation::Request);
-                let Some(request) = request else {
-                    return Err(ConditionViolation::new(
-                        self,
-                        "no committed REQUEST reference".to_owned(),
-                    ));
-                };
-                let AssetRef::Id(asset_id) = &tx.asset else {
-                    return Err(ConditionViolation::new(
-                        self,
-                        "transaction has no asset id".to_owned(),
-                    ));
-                };
-                let requested = ledger.request_capabilities(request);
-                let offered = ledger.asset_capabilities(asset_id);
-                let missing: Vec<String> = requested
-                    .into_iter()
-                    .filter(|c| !offered.contains(c))
-                    .collect();
-                ensure(
-                    missing.is_empty(),
-                    self,
-                    format!("missing capabilities: {missing:?}"),
-                )
+                    .position(|o| !o.public_keys.iter().all(|k| ledger.is_reserved(k)));
+                match loose {
+                    Some(output_index) => Err(ValidationError::NotEscrowOutput { output_index }),
+                    None => Ok(()),
+                }
             }
-            Condition::SpendsBalance => {
-                let input_amount = validate::validate_spend_inputs(tx, ledger)
-                    .map_err(|e| ConditionViolation::new(self, e.to_string()))?;
-                let output_amount = tx.output_amount();
-                ensure(
-                    input_amount == output_amount,
-                    self,
-                    format!("inputs {input_amount} ≠ outputs {output_amount}"),
-                )
-            }
-            Condition::PositiveInputAmount => {
-                let total: u64 = tx
-                    .inputs
-                    .iter()
-                    .filter_map(|i| i.fulfills.as_ref())
-                    .filter_map(|f| {
-                        ledger.utxo(&scdb_store::OutputRef::new(f.tx_id.clone(), f.output_index))
-                    })
-                    .map(|u| u.amount)
-                    .sum();
-                ensure(
-                    total > 0,
-                    self,
-                    "no input carries a non-null asset".to_owned(),
-                )
-            }
-            Condition::AssetCommitted => match &tx.asset {
-                AssetRef::Id(id) => ensure(
-                    ledger.is_committed(id),
-                    self,
-                    format!("asset {id} is not committed"),
-                ),
-                AssetRef::WinBid(id) => ensure(
-                    ledger.is_committed(id),
-                    self,
-                    format!("winning bid {id} is not committed"),
-                ),
-                AssetRef::Data(_) => Ok(()),
-            },
-            Condition::Not(inner) => match inner.check(tx, ledger) {
-                Ok(()) => Err(ConditionViolation::new(
-                    self,
-                    "negated condition held".to_owned(),
-                )),
-                Err(_) => Ok(()),
-            },
-            Condition::All(items) => {
-                for item in items {
-                    item.check(tx, ledger)?;
+            OffersRequestedCapabilities => {
+                let offered = ledger.asset_capabilities(asset_id(tx)?);
+                let mut missing = ledger.request_capabilities(cx.subject()?);
+                missing.retain(|c| !offered.contains(c));
+                if !missing.is_empty() {
+                    return Err(ValidationError::InsufficientCapabilities { missing });
                 }
                 Ok(())
             }
-            Condition::Any(items) => {
-                let mut last = None;
-                for item in items {
-                    match item.check(tx, ledger) {
-                        Ok(()) => return Ok(()),
-                        Err(v) => last = Some(v),
-                    }
+            PositiveInputAmount => ensure(cx.input_amount()? != 0, || {
+                format!("{op} requires at least one input with a non-null asset")
+            }),
+            SoleReference(target) => {
+                let [id] = tx.references.as_slice() else {
+                    return Err(semantic(format!(
+                        "{op} must reference exactly one {target}"
+                    )));
+                };
+                let Some(referenced) = ledger.get(id) else {
+                    return Err(ValidationError::InputDoesNotExist(id.clone()));
+                };
+                ensure(referenced.operation == target, || {
+                    format!("{op} reference {id} is not a {target}")
+                })?;
+                cx.subject = Some(referenced);
+                Ok(())
+            }
+            WinnerBidsOnRequest => {
+                let (request, winner) = (cx.subject()?, win_bid_id(tx)?);
+                let Some(bid) = ledger.get(winner) else {
+                    return Err(ValidationError::InputDoesNotExist(winner.clone()));
+                };
+                ensure(
+                    bid.operation == Operation::Bid && bid.references.first() == Some(&request.id),
+                    || {
+                        format!(
+                            "winning bid {winner} is not a BID for request {}",
+                            request.id
+                        )
+                    },
+                )
+            }
+            SignedByRequester => {
+                // A verified-set entry vouches only for the requester it
+                // was checked against.
+                let requester = requester_keys(cx.subject()?);
+                match cx.verified {
+                    Some(VerifiedSigners::Explicit(keys)) if *keys == requester => Ok(()),
+                    _ => verify_signed_by(tx, &requester),
                 }
-                Err(last.unwrap_or_else(|| ConditionViolation::new(self, "empty Any".to_owned())))
+            }
+            NoAcceptYet => match ledger.accept_for_request(&cx.subject()?.id) {
+                Some(existing) => Err(ValidationError::DuplicateTransaction(existing.id.clone())),
+                None => Ok(()),
+            },
+            WinnerLocked => {
+                let (request, winner) = (cx.subject()?, win_bid_id(tx)?);
+                ensure(cx.locked()?.iter().any(|b| &b.id == winner), || {
+                    format!(
+                        "winning bid {winner} is not escrow-held for request {}",
+                        request.id
+                    )
+                })
+            }
+            InputsCoverLockedBids => {
+                let locked = cx.locked()?;
+                ensure(tx.inputs.len() == locked.len(), || {
+                    format!(
+                        "{op} must take all {} locked bids as inputs, found {}",
+                        locked.len(),
+                        tx.inputs.len()
+                    )
+                })?;
+                let mut covered = HashSet::new();
+                for (i, input) in tx.inputs.iter().enumerate() {
+                    let Some(fulfills) = &input.fulfills else {
+                        return Err(semantic(format!("{op} input {i} must spend a bid output")));
+                    };
+                    ensure(locked.iter().any(|b| b.id == fulfills.tx_id), || {
+                        format!("{op} input {i} does not spend a locked bid of this request")
+                    })?;
+                    let output = OutputRef::new(fulfills.tx_id.clone(), fulfills.output_index);
+                    let utxo = unspent(ledger, &output)?;
+                    escrow_held(tx, ledger, i, &utxo)?;
+                    ensure(covered.insert(fulfills.tx_id.as_str()), || {
+                        format!("{op} input {i} duplicates bid {}", fulfills.tx_id)
+                    })?;
+                }
+                Ok(())
+            }
+            OutputsSettle => {
+                let (requester, winner) = (requester_account(cx.subject()?)?, win_bid_id(tx)?);
+                let to_requester = tx
+                    .outputs
+                    .iter()
+                    .filter(|o| o.public_keys == requester)
+                    .count();
+                ensure(to_requester == 1, || {
+                    format!(
+                        "{op} must have exactly one output to the requester, found {to_requester}"
+                    )
+                })?;
+                let locked = cx.locked()?;
+                for (idx, output) in tx.outputs.iter().enumerate() {
+                    if output.public_keys == requester {
+                        continue; // the winner settlement
+                    }
+                    let returns_to_bidder = locked.iter().any(|bid| {
+                        &bid.id != winner
+                            && (0..bid.outputs.len() as u32).any(|oi| {
+                                ledger
+                                    .utxo(&OutputRef::new(bid.id.clone(), oi))
+                                    .is_some_and(|u| u.previous_owners == output.public_keys)
+                            })
+                    });
+                    ensure(returns_to_bidder, || {
+                        format!(
+                            "{op} output {idx} settles to neither the requester nor an unaccepted bidder"
+                        )
+                    })?;
+                }
+                Ok(())
+            }
+            ReturnTriggered => {
+                let bid = cx.subject()?;
+                let request_id = bid.references.first().map_or("", String::as_str);
+                let Some(accept) = ledger.accept_for_request(request_id) else {
+                    return Err(semantic(format!(
+                        "{op} of bid {} has no committed ACCEPT_BID for its request",
+                        bid.id
+                    )));
+                };
+                ensure(
+                    !matches!(&accept.asset, AssetRef::WinBid(w) if *w == bid.id),
+                    || "the winning bid is transferred to the requester, not returned".to_owned(),
+                )
+            }
+            ReturnsBidFromEscrow => {
+                let bid = cx.subject()?;
+                for (i, (output, utxo)) in cx.spends()?.iter().enumerate() {
+                    ensure(output.tx_id == bid.id, || {
+                        format!("{op} input {i} does not spend the referenced bid")
+                    })?;
+                    escrow_held(tx, ledger, i, utxo)?;
+                    ensure(
+                        tx.outputs
+                            .iter()
+                            .all(|o| o.public_keys == utxo.previous_owners),
+                        || format!("{op} outputs must go back to the original bidder"),
+                    )?;
+                }
+                Ok(())
             }
         }
-    }
-
-    /// Number of leaf conditions (a complexity measure for optimizers).
-    pub fn leaf_count(&self) -> usize {
-        match self {
-            Condition::Not(inner) => inner.leaf_count(),
-            Condition::All(items) | Condition::Any(items) => {
-                items.iter().map(Condition::leaf_count).sum()
-            }
-            _ => 1,
-        }
-    }
-}
-
-/// A failed condition leaf with its reason.
-#[derive(Debug, Clone)]
-pub struct ConditionViolation {
-    /// Debug rendering of the violated condition.
-    pub condition: String,
-    /// Human-readable explanation.
-    pub reason: String,
-}
-
-impl ConditionViolation {
-    fn new(condition: &Condition, reason: String) -> ConditionViolation {
-        ConditionViolation {
-            condition: format!("{condition:?}"),
-            reason,
-        }
-    }
-}
-
-impl fmt::Display for ConditionViolation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "condition {} violated: {}", self.condition, self.reason)
-    }
-}
-
-impl From<ConditionViolation> for ValidationError {
-    fn from(v: ConditionViolation) -> ValidationError {
-        ValidationError::Semantic(v.to_string())
-    }
-}
-
-fn ensure(ok: bool, condition: &Condition, reason: String) -> Result<(), ConditionViolation> {
-    if ok {
-        Ok(())
-    } else {
-        Err(ConditionViolation::new(condition, reason))
-    }
-}
-
-/// The declarative condition sets `C_α` for the shared (stateless +
-/// ledger-queryable) fragment of each native type. These mirror the
-/// validators of [`crate::validate`]; the per-type extras that need
-/// bespoke cross-transaction logic (the full ACCEPT_BID settlement plan
-/// check, RETURN's trigger rule) stay in the validators, exactly as the
-/// paper keeps Algorithm 3's second half in the commit hook.
-pub fn condition_set_for(op: Operation) -> Condition {
-    use Condition::*;
-    match op {
-        Operation::Create => Condition::all([NoSpends, SignaturesMatchOwners]),
-        Operation::Request => Condition::all([NoSpends, SignaturesMatchOwners]),
-        Operation::Transfer => Condition::all([
-            MinInputs(1),
-            SignaturesMatchOwners,
-            AssetCommitted,
-            SpendsBalance,
-        ]),
-        Operation::Bid => Condition::all([
-            MinInputs(1),                               // C_BID 1
-            MinReferences(1),                           // C_BID 2
-            ExactlyOneReferencedOp(Operation::Request), // C_BID 3
-            SignaturesMatchOwners,                      // C_BID 5
-            OutputsToReserved,                          // C_BID 6
-            CapabilitySubset,                           // C_BID 7
-            SpendsBalance,                              // C_BID 4+8
-            PositiveInputAmount,                        // C_BID 4
-        ]),
-        Operation::Return => Condition::all([
-            MinInputs(1),
-            ExactReferences(1),
-            SignaturesMatchOwners,
-            AssetCommitted,
-            SpendsBalance,
-        ]),
-        Operation::AcceptBid => Condition::all([
-            MinInputs(1),
-            ExactReferences(1),                         // C 2
-            ExactlyOneReferencedOp(Operation::Request), // C 3
-            AssetCommitted,
-        ]),
     }
 }
 
@@ -328,6 +672,7 @@ mod tests {
     use super::*;
     use crate::builder::TxBuilder;
     use crate::ledger::LedgerState;
+    use crate::validate::evaluate;
     use scdb_crypto::KeyPair;
     use scdb_json::{arr, obj};
 
@@ -335,7 +680,6 @@ mod tests {
         ledger: LedgerState,
         escrow: KeyPair,
         alice: KeyPair,
-        sally: KeyPair,
         asset: Transaction,
         request: Transaction,
     }
@@ -358,162 +702,116 @@ mod tests {
             ledger,
             escrow,
             alice,
-            sally,
             asset,
             request,
         }
     }
 
-    fn valid_bid(m: &Market) -> Transaction {
+    fn bid_into(m: &Market, holder: &KeyPair) -> Transaction {
         TxBuilder::bid(m.asset.id.clone(), m.request.id.clone())
             .input(m.asset.id.clone(), 0, vec![m.alice.public_hex()])
-            .output_with_prev(m.escrow.public_hex(), 1, vec![m.alice.public_hex()])
+            .output_with_prev(holder.public_hex(), 1, vec![m.alice.public_hex()])
             .sign(&[&m.alice])
     }
 
     #[test]
     fn declarative_bid_conditions_accept_valid_bids() {
         let m = market();
-        let bid = valid_bid(&m);
-        condition_set_for(Operation::Bid)
-            .check(&bid, &m.ledger)
-            .expect("valid bid");
-        // And the imperative validator agrees.
-        validate::validate_bid(&bid, &m.ledger, None).expect("validator agrees");
-    }
-
-    type Mutation = (&'static str, Box<dyn Fn(&Market) -> Transaction>);
-
-    /// Differential test: on a corpus of mutations, the declarative
-    /// C_BID and the hand-written Algorithm 2 return the same verdict.
-    #[test]
-    fn declarative_and_imperative_bid_validation_agree() {
-        let m = market();
-        let mutations: Vec<Mutation> = vec![
-            ("valid", Box::new(valid_bid)),
-            (
-                "no reference",
-                Box::new(|m: &Market| {
-                    let mut tx = valid_bid(m);
-                    tx.references.clear();
-                    crate::builder::sign_transaction(&mut tx, &[&m.alice]);
-                    tx
-                }),
-            ),
-            (
-                "output not escrow",
-                Box::new(|m: &Market| {
-                    TxBuilder::bid(m.asset.id.clone(), m.request.id.clone())
-                        .input(m.asset.id.clone(), 0, vec![m.alice.public_hex()])
-                        .output_with_prev(m.alice.public_hex(), 1, vec![m.alice.public_hex()])
-                        .sign(&[&m.alice])
-                }),
-            ),
-            (
-                "unsigned",
-                Box::new(|m: &Market| {
-                    let mut tx = valid_bid(m);
-                    tx.inputs[0].fulfillment = String::new();
-                    tx.seal();
-                    tx
-                }),
-            ),
-            (
-                "amount mismatch",
-                Box::new(|m: &Market| {
-                    TxBuilder::bid(m.asset.id.clone(), m.request.id.clone())
-                        .input(m.asset.id.clone(), 0, vec![m.alice.public_hex()])
-                        .output_with_prev(m.escrow.public_hex(), 5, vec![m.alice.public_hex()])
-                        .sign(&[&m.alice])
-                }),
-            ),
-        ];
-        for (name, mutate) in mutations {
-            let tx = mutate(&m);
-            let declarative = condition_set_for(Operation::Bid)
-                .check(&tx, &m.ledger)
-                .is_ok();
-            let imperative = validate::validate_bid(&tx, &m.ledger, None).is_ok();
-            assert_eq!(declarative, imperative, "verdicts diverge on {name:?}");
-        }
+        let bid = bid_into(&m, &m.escrow);
+        let c_bid = row(Operation::Bid).conditions;
+        assert_eq!(evaluate(c_bid, &bid, &m.ledger, None), Ok(()));
     }
 
     #[test]
     fn capability_subset_names_the_missing_capability() {
-        let m = market();
+        let mut m = market();
         // A request wanting something the asset lacks.
-        let fancy_request = TxBuilder::request(obj! { "capabilities" => arr!["welding"] })
-            .output(m.sally.public_hex(), 1)
-            .nonce(9)
-            .sign(&[&m.sally]);
-        let mut ledger = m.ledger;
-        ledger.apply(&fancy_request).unwrap();
-        let bid = TxBuilder::bid(m.asset.id.clone(), fancy_request.id.clone())
-            .input(m.asset.id.clone(), 0, vec![m.alice.public_hex()])
-            .output_with_prev(m.escrow.public_hex(), 1, vec![m.alice.public_hex()])
-            .sign(&[&m.alice]);
-        let err = Condition::CapabilitySubset
-            .check(&bid, &ledger)
-            .unwrap_err();
-        assert!(err.reason.contains("welding"), "{err}");
-    }
-
-    #[test]
-    fn combinators_compose() {
-        let m = market();
-        let bid = valid_bid(&m);
-        // any(contradiction, C_BID) holds; not(C_BID) fails.
-        let c = Condition::any([Condition::MinInputs(99), condition_set_for(Operation::Bid)]);
-        assert!(c.check(&bid, &m.ledger).is_ok());
-        let n = Condition::not(condition_set_for(Operation::Bid));
-        assert!(n.check(&bid, &m.ledger).is_err());
-        // Double negation restores the verdict.
-        let nn = Condition::not(Condition::not(condition_set_for(Operation::Bid)));
-        assert!(nn.check(&bid, &m.ledger).is_ok());
-    }
-
-    #[test]
-    fn any_reports_the_last_failure() {
-        let m = market();
-        let bid = valid_bid(&m);
-        let c = Condition::any([Condition::MinInputs(5), Condition::ExactReferences(3)]);
-        let err = c.check(&bid, &m.ledger).unwrap_err();
-        assert!(err.condition.contains("ExactReferences"), "{err}");
-    }
-
-    #[test]
-    fn leaf_count_measures_complexity() {
-        assert_eq!(condition_set_for(Operation::Bid).leaf_count(), 8);
-        assert_eq!(condition_set_for(Operation::Create).leaf_count(), 2);
+        let sally = KeyPair::from_seed([0x5A; 32]);
+        let fancy = TxBuilder::request(obj! { "capabilities" => arr!["welding", "cnc"] })
+            .output(sally.public_hex(), 1)
+            .sign(&[&sally]);
+        m.ledger.apply(&fancy).unwrap();
+        m.request = fancy;
+        let bid = bid_into(&m, &m.escrow);
         assert_eq!(
-            Condition::not(Condition::all([
-                Condition::MinInputs(1),
-                Condition::NoSpends
-            ]))
-            .leaf_count(),
-            2
+            evaluate(
+                &[OneRequestAmongReferences, OffersRequestedCapabilities],
+                &bid,
+                &m.ledger,
+                None
+            ),
+            Err(ValidationError::InsufficientCapabilities {
+                missing: vec!["welding".to_owned()]
+            })
         );
     }
 
-    /// A brand-new transaction type defined purely declaratively: a
-    /// "DONATE" (transfer to a reserved account with a reference to the
-    /// cause) — no validator function written.
+    /// A transaction family defined purely by composition: a DONATE — a
+    /// balanced, owner-signed move into a reserved account, naming its
+    /// cause — is a condition slice the production evaluator runs. No
+    /// validator function, no new `Operation`.
     #[test]
     fn new_type_definable_by_composition() {
+        const DONATE: &[Condition] = &[
+            HasInputs,
+            HasReferences,
+            InputSignatures,
+            OutputsToEscrow,
+            SpendsResolve,
+            PositiveInputAmount,
+            Balanced,
+        ];
         let m = market();
-        let donate_conditions = Condition::all([
-            Condition::MinInputs(1),
-            Condition::SignaturesMatchOwners,
-            Condition::OutputsToReserved,
-            Condition::SpendsBalance,
-            Condition::MinReferences(1),
-        ]);
-        // Shape it as a BID-like transfer into escrow referencing the
+        // Shaped as a BID-like transfer into escrow referencing the
         // request as the "cause".
-        let donation = valid_bid(&m);
-        donate_conditions
-            .check(&donation, &m.ledger)
-            .expect("declaratively valid");
-        assert_eq!(donate_conditions.leaf_count(), 5);
+        let donation = bid_into(&m, &m.escrow);
+        assert_eq!(evaluate(DONATE, &donation, &m.ledger, None), Ok(()));
+        let kept = bid_into(&m, &m.alice);
+        assert_eq!(
+            evaluate(DONATE, &kept, &m.ledger, None),
+            Err(ValidationError::NotEscrowOutput { output_index: 0 })
+        );
+    }
+
+    /// A slice that uses what no earlier condition resolved is refused
+    /// with an error, not a panic.
+    #[test]
+    fn a_misordered_slice_is_an_error() {
+        let m = market();
+        let bid = bid_into(&m, &m.escrow);
+        for misordered in [&[Balanced][..], &[RequestIsFirstReference], &[WinnerLocked]] {
+            assert!(matches!(
+                evaluate(misordered, &bid, &m.ledger, None),
+                Err(ValidationError::Semantic(_))
+            ));
+        }
+    }
+
+    /// The marketplace keys a row's conditions declare, which the
+    /// footprint is built from: ACCEPT_BID reads the locked-bid set
+    /// (three conditions walk it — once) and not the accept slot it
+    /// writes; RETURN reads the accept slot; nothing else reads any.
+    #[test]
+    fn rows_declare_their_marketplace_reads() {
+        let reads = |op| row(op).reads().collect::<Vec<_>>();
+        assert_eq!(reads(Operation::AcceptBid), [MarketKey::Bids]);
+        assert_eq!(reads(Operation::Return), [MarketKey::Accept]);
+        for op in [
+            Operation::Create,
+            Operation::Request,
+            Operation::Transfer,
+            Operation::Bid,
+        ] {
+            assert!(reads(op).is_empty(), "{op}");
+        }
+        // A type that touches a marketplace key says whose it is.
+        for op in Operation::ALL {
+            let row = row(op);
+            assert_eq!(
+                row.request.is_some(),
+                row.writes.is_some() || row.reads().next().is_some(),
+                "{op}"
+            );
+        }
     }
 }

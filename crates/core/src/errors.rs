@@ -42,6 +42,26 @@ pub enum ValidationError {
     Storage(String),
 }
 
+impl ValidationError {
+    /// The variant's name, in the registry's spelling — what rejection
+    /// counters (`pipeline.rejected.<name>`) are keyed by.
+    pub fn variant_name(&self) -> &'static str {
+        match self {
+            ValidationError::Schema(_) => "schema",
+            ValidationError::InputDoesNotExist(_) => "input_does_not_exist",
+            ValidationError::DoubleSpend(_) => "double_spend",
+            ValidationError::InvalidSignature(_) => "invalid_signature",
+            ValidationError::NotEscrowOutput { .. } => "not_escrow_output",
+            ValidationError::InsufficientCapabilities { .. } => "insufficient_capabilities",
+            ValidationError::DuplicateTransaction(_) => "duplicate_transaction",
+            ValidationError::IdMismatch { .. } => "id_mismatch",
+            ValidationError::AmountMismatch { .. } => "amount_mismatch",
+            ValidationError::Semantic(_) => "semantic",
+            ValidationError::Storage(_) => "storage",
+        }
+    }
+}
+
 impl fmt::Display for ValidationError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

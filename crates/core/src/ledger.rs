@@ -19,10 +19,10 @@
 //!   (Algorithm 3's hottest probe) is O(bids still locked) instead of
 //!   re-deriving spentness from the UTXO set per call.
 
-use crate::model::{Operation, Transaction};
+use crate::conditions::{row, MarketKey};
+use crate::model::Transaction;
 use crate::verified::{VerifiedSet, VerifiedSigners, VerifiedStats};
 use crate::view::LedgerView;
-use scdb_json::Value;
 use scdb_store::{DurableStore, OutputRef, SpendError, Utxo, UtxoSet};
 use scdb_telemetry::Telemetry;
 use std::collections::{HashMap, HashSet};
@@ -50,8 +50,6 @@ pub struct LedgerState {
     unspent_escrow: HashMap<String, u32>,
     /// REQUEST id -> the committed ACCEPT_BID id, once one exists.
     accept_by_request: HashMap<String, String>,
-    /// BID id -> RETURN/TRANSFER id that settled it.
-    settled_bids: HashMap<String, String>,
     committed_in_order: Vec<String>,
     /// The write-ahead log backing this ledger, when the durable mode
     /// ([`crate::pipeline::PipelineOptions::durable`]) is on. The
@@ -244,10 +242,10 @@ impl LedgerState {
     /// write-ahead plans, so what the WAL logs is exactly what the
     /// apply executes. Derived read-only, so wave workers can compute
     /// and execute plans for non-conflicting transactions concurrently.
-    /// ACCEPT_BID's plan is empty — its inputs and outputs are the
-    /// settlement plan its children realize (non-locking commit).
+    /// A nested type's plan is empty — ACCEPT_BID's inputs and outputs
+    /// are the settlement plan its children realize (non-locking commit).
     pub(crate) fn utxo_effects(&self, tx: &Transaction) -> UtxoEffects {
-        if matches!(tx.operation, Operation::AcceptBid) {
+        if row(tx.operation).nested {
             return UtxoEffects::default();
         }
         let spends: Vec<OutputRef> = tx
@@ -326,8 +324,8 @@ impl LedgerState {
     }
 
     /// Everything a commit mutates besides the UTXO set: the locked-bid
-    /// escrow counts, the per-type marketplace indexes, the committed
-    /// map and the commit order.
+    /// escrow counts, the marketplace index the type writes, the
+    /// committed map and the commit order.
     fn record_indexes(&mut self, tx: &Arc<Transaction>, spent: &[OutputRef]) {
         // Spending a BID's escrow output unlocks that share of the
         // bid: keep the locked-bid index in step.
@@ -340,39 +338,29 @@ impl LedgerState {
             }
         }
 
-        // The per-type marketplace indexes, keyed by the first reference.
-        let reference = tx.references.first();
-        match tx.operation {
-            Operation::Bid => {
+        // The marketplace index the type's row declares it writes, keyed
+        // by the first reference.
+        let request = tx.references.first();
+        match row(tx.operation).writes {
+            Some(MarketKey::Bids) => {
                 if !tx.outputs.is_empty() {
                     self.unspent_escrow
                         .insert(tx.id.clone(), tx.outputs.len() as u32);
                 }
-                if let Some(request) = reference {
+                if let Some(request) = request {
                     self.bids_by_request
                         .entry(request.clone())
                         .or_default()
                         .push(tx.id.clone());
                 }
             }
-            Operation::AcceptBid => {
-                if let Some(request) = reference {
+            Some(MarketKey::Accept) => {
+                if let Some(request) = request {
                     self.accept_by_request
                         .insert(request.clone(), tx.id.clone());
                 }
             }
-            Operation::Return => {
-                if let Some(bid) = reference {
-                    self.settled_bids.insert(bid.clone(), tx.id.clone());
-                }
-            }
-            Operation::Transfer => {
-                // Winner transfers record their bid linkage in metadata.
-                if let Some(bid) = tx.metadata.get("settles_bid").and_then(Value::as_str) {
-                    self.settled_bids.insert(bid.to_owned(), tx.id.clone());
-                }
-            }
-            _ => {}
+            None => {}
         }
 
         self.txs.insert(tx.id.clone(), Arc::clone(tx));
@@ -445,10 +433,6 @@ impl LedgerView for LedgerState {
             .and_then(|id| self.get(id))
     }
 
-    fn settlement_for_bid(&self, bid_id: &str) -> Option<&str> {
-        self.settled_bids.get(bid_id).map(String::as_str)
-    }
-
     fn verified(&self, tx: &Transaction) -> Option<VerifiedSigners> {
         self.verified.lookup(tx)
     }
@@ -465,8 +449,8 @@ impl LedgerView for LedgerState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{AssetRef, Input, Output};
-    use scdb_json::obj;
+    use crate::model::{AssetRef, Input, Operation, Output};
+    use scdb_json::{obj, Value};
 
     fn create_tx(owner: &str, caps: &[&str], amount: u64) -> Transaction {
         let mut tx = Transaction {
@@ -607,7 +591,8 @@ mod tests {
         ret.seal();
         ledger.apply(&ret).unwrap();
         assert_eq!(ledger.locked_bids_for_request(&request.id).len(), 0);
-        assert_eq!(ledger.settlement_for_bid(&bid.id), Some(ret.id.as_str()));
+        let escrow_output = ledger.utxo(&OutputRef::new(bid.id.clone(), 0)).unwrap();
+        assert_eq!(escrow_output.spent_by, Some(ret.id.clone()));
     }
 
     /// The incremental locked-bid index must agree with re-deriving

@@ -9,8 +9,13 @@
 //!   (Definition 1) with content-addressed SHA3 ids;
 //! * [`TxBuilder`] — declarative construction + signing (the driver's
 //!   Prepare-and-Sign templates);
-//! * [`validate`] — the per-type condition sets `C_α` (Definitions 3–4,
-//!   Algorithms 2–3) over a [`LedgerState`];
+//! * [`conditions`] — the declaration: one `static` row per operation
+//!   holding its condition set `C_α` (Definitions 3–4, Algorithms 2–3),
+//!   its signers and the marketplace keys it reads and writes;
+//! * [`validate`] — the evaluator: stateless screen, signatures, then
+//!   the operation's row over a [`LedgerState`];
+//! * [`pipeline`] — footprint-scheduled batch-parallel commit, its
+//!   per-type conflict keys read off the same rows;
 //! * [`nested`] — nested transactions (Definition 2): non-locking
 //!   commit, `deterRtrnTxs` child determination, eventual-commit
 //!   tracking;
@@ -47,7 +52,7 @@ mod view;
 pub mod workflow;
 
 pub use builder::{sign_transaction, TxBuilder};
-pub use conditions::{condition_set_for, Condition, ConditionViolation};
+pub use conditions::Condition;
 pub use errors::{ValidationError, WireError};
 pub use ledger::LedgerState;
 pub use model::{AssetRef, Input, InputRef, Operation, Output, Transaction, VERSION};

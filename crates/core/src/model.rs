@@ -63,10 +63,10 @@ impl Operation {
         Operation::AcceptBid,
     ];
 
-    /// Nested transaction types (|Ch| may exceed 0) — only ACCEPT_BID in
-    /// the paper's catalogue.
+    /// Nested transaction types (|Ch| may exceed 0), as their row
+    /// declares — only ACCEPT_BID in the paper's catalogue.
     pub fn is_nested(self) -> bool {
-        matches!(self, Operation::AcceptBid)
+        crate::conditions::row(self).nested
     }
 }
 

@@ -13,6 +13,7 @@
 use crate::builder::sign_transaction;
 use crate::errors::ValidationError;
 use crate::model::{AssetRef, Input, InputRef, Operation, Output, Transaction};
+use crate::validate::requester_account;
 use crate::view::LedgerView;
 use scdb_crypto::KeyPair;
 use scdb_json::Value;
@@ -145,7 +146,7 @@ impl<'a> SettlementPlan<'a> {
         Ok(SettlementPlan {
             accept,
             win_bid_id,
-            requester: request.inputs[0].owners_before.clone(),
+            requester: requester_account(request)?.to_vec(),
         })
     }
 

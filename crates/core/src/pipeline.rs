@@ -35,9 +35,10 @@
 //! `validate_transaction` + `LedgerState::apply` replay is the oracle
 //! the differential tests pin it against.
 
+use crate::conditions::{row, MarketKey, RequestLink};
 use crate::errors::ValidationError;
 use crate::ledger::{LedgerState, UtxoEffects};
-use crate::model::{AssetRef, Operation, Transaction};
+use crate::model::{AssetRef, Transaction};
 use crate::par::parallel_map;
 use crate::validate::validate_transaction;
 use crate::view::LedgerView;
@@ -106,12 +107,13 @@ impl TxLookup for () {
     }
 }
 
-/// Resolves the REQUEST a bid belongs to, looking first at batch
+/// Resolves the REQUEST a bid belongs to — a bid being a transaction
+/// whose row joins its REQUEST's locked-bid set — looking first at batch
 /// members (the bid may commit earlier in this very batch), then at
 /// committed state.
 fn request_of_bid(bid_id: &str, by_id: &impl TxLookup, ledger: &impl LedgerView) -> Option<String> {
     let bid = by_id.lookup(bid_id).or_else(|| ledger.get(bid_id))?;
-    if bid.operation != Operation::Bid {
+    if row(bid.operation).writes != Some(MarketKey::Bids) {
         return None;
     }
     bid.references.first().cloned()
@@ -164,31 +166,23 @@ pub fn footprint(tx: &Transaction, by_id: &impl TxLookup, ledger: &impl LedgerVi
         }
     }
 
-    // Marketplace footprint per type.
-    match tx.operation {
-        Operation::Bid => {
-            if let Some(request) = tx.references.first() {
-                // Appends itself to the request's bid set: two bids on
-                // one request conflict (the ISSUE's canonical example).
-                fp.writes.push(ConflictKey::Bids(request.clone()));
-            }
-        }
-        Operation::AcceptBid => {
-            if let Some(request) = tx.references.first() {
-                // Reads the whole locked-bid set, claims the accept slot.
-                fp.reads.push(ConflictKey::Bids(request.clone()));
-                fp.writes.push(ConflictKey::Accept(request.clone()));
-            }
-        }
-        Operation::Return => {
-            // Valid only once its request's ACCEPT_BID committed.
-            if let Some(bid_id) = tx.references.first() {
-                if let Some(request) = request_of_bid(bid_id, by_id, ledger) {
-                    fp.reads.push(ConflictKey::Accept(request));
-                }
-            }
-        }
-        _ => {}
+    // Marketplace keys, from the type's row: what its conditions declare
+    // they read of its REQUEST (ACCEPT_BID walks the whole locked-bid
+    // set; a RETURN is valid only once the accept slot is claimed) and
+    // the index its commit writes (a BID appends to the bid set — two
+    // bids on one request conflict — an ACCEPT_BID claims the slot).
+    let row = row(tx.operation);
+    let request = tx.references.first().and_then(|first| match row.request? {
+        RequestLink::FirstReference => Some(first.clone()),
+        RequestLink::BidAtFirstReference => request_of_bid(first, by_id, ledger),
+    });
+    if let Some(request) = request {
+        let conflict_key = |key| match key {
+            MarketKey::Bids => ConflictKey::Bids(request.clone()),
+            MarketKey::Accept => ConflictKey::Accept(request.clone()),
+        };
+        fp.reads.extend(row.reads().map(conflict_key));
+        fp.writes.extend(row.writes.map(conflict_key));
     }
 
     fp
@@ -655,7 +649,7 @@ pub fn commit_batch_with_gossip(
     wire: Option<&str>,
     options: &PipelineOptions,
 ) -> (BatchOutcome, ScheduleSource) {
-    let (schedule, source) = choose_schedule(batch.len(), footprints, wire, options);
+    let (schedule, source) = choose_schedule(batch.len(), footprints, wire);
     (
         commit_batch_planned(ledger, batch, &schedule, options),
         source,
@@ -669,7 +663,6 @@ pub fn choose_schedule(
     n: usize,
     footprints: Vec<Footprint>,
     wire: Option<&str>,
-    _options: &PipelineOptions,
 ) -> (WaveSchedule, ScheduleSource) {
     debug_assert_eq!(footprints.len(), n);
     let gossiped = wire.map(|wire| {
@@ -688,7 +681,8 @@ pub fn choose_schedule(
 }
 
 /// Ids a footprint derivation could not resolve on either side — spent
-/// transactions and RETURN-referenced bids that are neither pending in
+/// transactions and the bid a RETURN-like row reaches its REQUEST
+/// through ([`RequestLink::BidAtFirstReference`]) that are neither pending in
 /// `pool` (the batch, or a mempool's standing set) nor committed on
 /// `ledger`. A footprint derived with unresolved links can
 /// *under-approximate* (the classic case: spending a not-yet-seen BID's
@@ -712,7 +706,7 @@ pub fn unresolved_links(
             note(&f.tx_id);
         }
     }
-    if tx.operation == Operation::Return {
+    if row(tx.operation).request == Some(RequestLink::BidAtFirstReference) {
         if let Some(bid) = tx.references.first() {
             note(bid);
         }
@@ -778,8 +772,8 @@ impl StageClock {
 }
 
 /// Folds one finished commit into the registry: per-stage histograms,
-/// the block/tx counters, and the block's [`CommitTrace`]. No-op when
-/// telemetry is disabled.
+/// the block/tx counters, the rejections by reason, and the block's
+/// [`CommitTrace`]. No-op when telemetry is disabled.
 fn record_commit(
     telemetry: &Telemetry,
     clock: StageClock,
@@ -805,6 +799,11 @@ fn record_commit(
     registry
         .counter("pipeline.txs_rejected")
         .add(outcome.rejected.len() as u64);
+    for (_, why) in &outcome.rejected {
+        registry
+            .counter(&format!("pipeline.rejected.{}", why.variant_name()))
+            .incr();
+    }
     telemetry.record_trace(CommitTrace {
         block: 0, // assigned by the ring
         executor: "pipeline",

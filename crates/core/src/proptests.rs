@@ -301,10 +301,11 @@ mod pipeline_differential {
             );
         }
         for bid in &gen.bid_ids {
+            let escrow_output = scdb_store::OutputRef::new(bid.clone(), 0);
             assert_eq!(
-                a.settlement_for_bid(bid),
-                b.settlement_for_bid(bid),
-                "settlement index diverged for {bid}"
+                a.utxo(&escrow_output).map(|u| u.spent_by),
+                b.utxo(&escrow_output).map(|u| u.spent_by),
+                "settlement diverged for {bid}"
             );
         }
     }

@@ -1,18 +1,21 @@
-//! Semantic validation: the condition sets `C_α` of §3.2 and the
-//! validation algorithms of §4 (`validateT_BID` = Algorithm 2,
-//! `validateT_ACCEPT_BID` = Algorithm 3's first part).
+//! The evaluator: Fig. 4's validation order over the declared rows.
 //!
-//! Validation order follows Fig. 4: schema validation (Algorithm 1,
+//! [`validate_transaction`] runs schema validation (Algorithm 1,
 //! delegated to `scdb-schema`), then id-tamper checking, then the
-//! per-type semantic rules against the committed ledger.
+//! duplicate check, then evaluates the type's condition set `C_α` —
+//! the row [`crate::conditions`] declares for the operation (§3.2;
+//! `validateT_BID` = Algorithm 2 and `validateT_ACCEPT_BID` =
+//! Algorithm 3's first part are rows there) — against the committed
+//! ledger. This file holds no per-type rule: it is the stateless screen,
+//! the signature checks (serial, pooled and batched) and `evaluate`.
 
+use crate::conditions::{row, Condition, Evaluation, Signers};
 use crate::errors::ValidationError;
-use crate::model::{AssetRef, Operation, Transaction};
+use crate::model::Transaction;
 use crate::par::map_chunks;
 use crate::verified::VerifiedSigners;
 use crate::view::LedgerView;
 use scdb_crypto::{MultiSignature, PublicKey, Signature};
-use scdb_store::OutputRef;
 use std::sync::Arc;
 
 /// Full validation pipeline for one transaction against a ledger.
@@ -25,7 +28,7 @@ use std::sync::Arc;
 /// Ids are digests of the whole body, fulfillments included, so the
 /// skipped checks would pass again on the same bytes: a hit and a miss
 /// always return the same verdict. On a miss the order is the oracle's:
-/// schema → id → duplicate → per-type rules.
+/// schema → id → duplicate → the type's row.
 pub fn validate_transaction(
     tx: &Transaction,
     ledger: &impl LedgerView,
@@ -41,14 +44,23 @@ pub fn validate_transaction(
         return Err(ValidationError::DuplicateTransaction(tx.id.clone()));
     }
 
-    match tx.operation {
-        Operation::Create => validate_create(tx, ledger, verified),
-        Operation::Transfer => validate_transfer(tx, ledger, verified),
-        Operation::Request => validate_request(tx, ledger, verified),
-        Operation::Bid => validate_bid(tx, ledger, verified),
-        Operation::Return => validate_return(tx, ledger, verified),
-        Operation::AcceptBid => validate_accept_bid(tx, ledger, verified),
-    }
+    evaluate(row(tx.operation).conditions, tx, ledger, verified)
+}
+
+/// Evaluates a condition set against `ledger`: the slice is the
+/// conjunction, in order, and the first condition that fails is the
+/// verdict. `verified` is what the ledger's verified set vouches for, if
+/// anything — the signature conditions skip what it covers.
+pub(crate) fn evaluate(
+    conditions: &[Condition],
+    tx: &Transaction,
+    ledger: &impl LedgerView,
+    verified: Option<&VerifiedSigners>,
+) -> Result<(), ValidationError> {
+    let mut evaluation = Evaluation::new(tx, ledger, verified);
+    conditions
+        .iter()
+        .try_for_each(|condition| condition.check(&mut evaluation))
 }
 
 /// The stateless screen every entry point shares — this function, pooled
@@ -83,16 +95,18 @@ pub fn record_validated(tx: &Transaction, ledger: &impl LedgerView) {
     }
 }
 
-/// The signer set a verified-set entry for `tx` vouches for: the
-/// inputs' own owners, or for an ACCEPT_BID the requester keys its
+/// The signer set a verified-set entry for `tx` vouches for, as its row
+/// declares it: the inputs' own owners, or the requester keys its
 /// REQUEST resolves to in `ledger` — `None` while that REQUEST does not
 /// resolve, which leaves the signature to the serial check.
 fn signers_to_vouch_for(tx: &Transaction, ledger: &impl LedgerView) -> Option<VerifiedSigners> {
-    if tx.operation != Operation::AcceptBid {
-        return Some(VerifiedSigners::InputOwners);
+    match row(tx.operation).signers {
+        Signers::InputOwners => Some(VerifiedSigners::InputOwners),
+        Signers::Requester => {
+            let request = tx.references.first().and_then(|id| ledger.get(id))?;
+            Some(VerifiedSigners::Explicit(requester_keys(request)))
+        }
     }
-    let request = tx.references.first().and_then(|id| ledger.get(id))?;
-    Some(VerifiedSigners::Explicit(requester_keys(request)))
 }
 
 /// What [`record_validated_batch`] did with a block's members.
@@ -193,9 +207,21 @@ pub fn requester_keys(request: &Transaction) -> Vec<String> {
         .collect()
 }
 
-/// The per-type validators' signature step over the inputs' own
-/// owners: already done when the verified set vouches for exactly that.
-fn check_input_signatures(
+/// The account an ACCEPT_BID settles the winning bid to: the owners of
+/// the REQUEST's first input.
+pub(crate) fn requester_account(request: &Transaction) -> Result<&[String], ValidationError> {
+    match request.inputs.first() {
+        Some(input) => Ok(&input.owners_before),
+        None => Err(ValidationError::Semantic(format!(
+            "REQUEST {} has no inputs",
+            request.id
+        ))),
+    }
+}
+
+/// The rows' signature step over the inputs' own owners: already done
+/// when the verified set vouches for exactly that.
+pub(crate) fn check_input_signatures(
     tx: &Transaction,
     verified: Option<&VerifiedSigners>,
 ) -> Result<(), ValidationError> {
@@ -421,446 +447,6 @@ fn decode_keys(hex_keys: &[String]) -> Result<Vec<scdb_crypto::PublicKey>, Strin
         .collect()
 }
 
-/// `validateTransferInputs` (Alg. 2 line 12 / Alg. 3 line 13): every
-/// input must spend a committed, unspent output whose owners match the
-/// input's `owners_before`. Returns the total input share amount.
-pub fn validate_spend_inputs(
-    tx: &Transaction,
-    ledger: &impl LedgerView,
-) -> Result<u64, ValidationError> {
-    let mut total = 0u64;
-    let mut spent = std::collections::HashSet::new();
-    for (i, input) in tx.inputs.iter().enumerate() {
-        let Some(fulfills) = &input.fulfills else {
-            return Err(ValidationError::Semantic(format!(
-                "input {i}: {} inputs must spend an output",
-                tx.operation
-            )));
-        };
-        if !ledger.is_committed(&fulfills.tx_id) {
-            return Err(ValidationError::InputDoesNotExist(fulfills.tx_id.clone()));
-        }
-        let out_ref = OutputRef::new(fulfills.tx_id.clone(), fulfills.output_index);
-        // One output may be consumed once per transaction: listing it
-        // twice would double-count its shares below and mint value.
-        if !spent.insert(out_ref.clone()) {
-            return Err(ValidationError::DoubleSpend(format!(
-                "input {i} spends {out_ref} twice within one transaction"
-            )));
-        }
-        let Some(utxo) = ledger.utxo(&out_ref) else {
-            return Err(ValidationError::InputDoesNotExist(out_ref.to_string()));
-        };
-        if let Some(spent_by) = &utxo.spent_by {
-            return Err(ValidationError::DoubleSpend(format!(
-                "{out_ref} already spent by {spent_by}"
-            )));
-        }
-        if utxo.owners != input.owners_before {
-            return Err(ValidationError::InvalidSignature(format!(
-                "input {i}: owners_before does not match the current owners of {out_ref}"
-            )));
-        }
-        total += utxo.amount;
-    }
-    Ok(total)
-}
-
-/// C_CREATE: a mint. Inputs are self-signed (no spends), outputs define
-/// the initial share distribution.
-pub fn validate_create(
-    tx: &Transaction,
-    _ledger: &impl LedgerView,
-    verified: Option<&VerifiedSigners>,
-) -> Result<(), ValidationError> {
-    if tx.inputs.iter().any(|i| i.fulfills.is_some()) {
-        return Err(ValidationError::Semantic(
-            "CREATE inputs must not spend outputs".to_owned(),
-        ));
-    }
-    check_input_signatures(tx, verified)
-}
-
-/// C_REQUEST: a CREATE-shaped mint whose asset data must declare the
-/// requested capabilities (the "digital manufacturing capabilities being
-/// requested", §5.2.1).
-pub fn validate_request(
-    tx: &Transaction,
-    ledger: &impl LedgerView,
-    verified: Option<&VerifiedSigners>,
-) -> Result<(), ValidationError> {
-    if tx.inputs.iter().any(|i| i.fulfills.is_some()) {
-        return Err(ValidationError::Semantic(
-            "REQUEST inputs must not spend outputs".to_owned(),
-        ));
-    }
-    if ledger.request_capabilities(tx).is_empty() {
-        return Err(ValidationError::Semantic(
-            "REQUEST asset data must declare a non-empty capabilities list".to_owned(),
-        ));
-    }
-    check_input_signatures(tx, verified)
-}
-
-/// C_TRANSFER: spends must balance outputs, stay within one asset, and
-/// be authorized by the current owners.
-pub fn validate_transfer(
-    tx: &Transaction,
-    ledger: &impl LedgerView,
-    verified: Option<&VerifiedSigners>,
-) -> Result<(), ValidationError> {
-    check_input_signatures(tx, verified)?;
-    let input_amount = validate_spend_inputs(tx, ledger)?;
-    let output_amount = tx.output_amount();
-    if input_amount != output_amount {
-        return Err(ValidationError::AmountMismatch {
-            inputs: input_amount,
-            outputs: output_amount,
-        });
-    }
-    // Every spent output must hold shares of the declared asset.
-    let AssetRef::Id(asset_id) = &tx.asset else {
-        return Err(ValidationError::Semantic(
-            "TRANSFER must reference an asset id".to_owned(),
-        ));
-    };
-    for input in &tx.inputs {
-        let fulfills = input
-            .fulfills
-            .as_ref()
-            .expect("checked by validate_spend_inputs");
-        let utxo = ledger
-            .utxo(&OutputRef::new(
-                fulfills.tx_id.clone(),
-                fulfills.output_index,
-            ))
-            .expect("checked by validate_spend_inputs");
-        if &utxo.asset_id != asset_id {
-            return Err(ValidationError::Semantic(format!(
-                "input spends asset {} but the transaction declares {asset_id}",
-                utxo.asset_id
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// Algorithm 2 — `validateT_BID` with the condition set C_BID (§3.2,
-/// Definition 3).
-pub fn validate_bid(
-    tx: &Transaction,
-    ledger: &impl LedgerView,
-    verified: Option<&VerifiedSigners>,
-) -> Result<(), ValidationError> {
-    // C_BID 1: at least one input.
-    if tx.inputs.is_empty() {
-        return Err(ValidationError::Semantic(
-            "BID requires at least one input".to_owned(),
-        ));
-    }
-    // C_BID 2: reference vector non-empty.
-    if tx.references.is_empty() {
-        return Err(ValidationError::Semantic(
-            "BID must reference a REQUEST".to_owned(),
-        ));
-    }
-    // C_BID 3: exactly one committed REQUEST among the references
-    // (Alg. 2 lines 1-4: RFQTx must be committed).
-    let mut request = None;
-    for r in &tx.references {
-        let Some(referenced) = ledger.get(r) else {
-            return Err(ValidationError::InputDoesNotExist(r.clone()));
-        };
-        if referenced.operation == Operation::Request && request.replace(referenced).is_some() {
-            return Err(ValidationError::Semantic(
-                "BID must reference exactly one REQUEST".to_owned(),
-            ));
-        }
-    }
-    let Some(request) = request else {
-        return Err(ValidationError::Semantic(
-            "BID reference vector contains no REQUEST".to_owned(),
-        ));
-    };
-    // The REQUEST must be the head of the reference vector: every
-    // marketplace index (`bids_by_request`), the RETURN trigger rule
-    // and the pipeline's conflict footprint key a bid by
-    // `references[0]`, so a bid with its REQUEST elsewhere would
-    // commit but evade Algorithm 3's all-locked-bids accounting.
-    if tx.references.first().map(String::as_str) != Some(request.id.as_str()) {
-        return Err(ValidationError::Semantic(
-            "BID must name its REQUEST as the first reference".to_owned(),
-        ));
-    }
-
-    // The bid asset itself must be committed (Alg. 2: AssetTx check).
-    let AssetRef::Id(asset_id) = &tx.asset else {
-        return Err(ValidationError::Semantic(
-            "BID must reference an asset id".to_owned(),
-        ));
-    };
-    if !ledger.is_committed(asset_id) {
-        return Err(ValidationError::InputDoesNotExist(asset_id.clone()));
-    }
-
-    // C_BID 5: input signatures verify.
-    check_input_signatures(tx, verified)?;
-
-    // C_BID 6 (Alg. 2 lines 5-7): every output must be held by a
-    // reserved escrow account.
-    for (idx, output) in tx.outputs.iter().enumerate() {
-        if !output.public_keys.iter().all(|k| ledger.is_reserved(k)) {
-            return Err(ValidationError::NotEscrowOutput { output_index: idx });
-        }
-    }
-
-    // C_BID 7 (Alg. 2 lines 8-11): requested capabilities must be a
-    // subset of the bid asset's capabilities.
-    let requested = ledger.request_capabilities(request);
-    let offered = ledger.asset_capabilities(asset_id);
-    let missing: Vec<String> = requested
-        .iter()
-        .filter(|c| !offered.contains(c))
-        .cloned()
-        .collect();
-    if !missing.is_empty() {
-        return Err(ValidationError::InsufficientCapabilities { missing });
-    }
-
-    // C_BID 4 + 8 (Alg. 2 line 12): inputs spend committed, unspent
-    // outputs with matching owners; at least one carries shares.
-    let input_amount = validate_spend_inputs(tx, ledger)?;
-    if input_amount == 0 {
-        return Err(ValidationError::Semantic(
-            "BID requires at least one input with a non-null asset".to_owned(),
-        ));
-    }
-    let output_amount = tx.output_amount();
-    if input_amount != output_amount {
-        return Err(ValidationError::AmountMismatch {
-            inputs: input_amount,
-            outputs: output_amount,
-        });
-    }
-    Ok(())
-}
-
-/// Algorithm 3 (first part) — `validateT_ACCEPT_BID` with C_ACCEPT_BID
-/// (§3.2, Definition 4).
-pub fn validate_accept_bid(
-    tx: &Transaction,
-    ledger: &impl LedgerView,
-    verified: Option<&VerifiedSigners>,
-) -> Result<(), ValidationError> {
-    // C 2-3: exactly one reference, a committed REQUEST.
-    if tx.references.len() != 1 {
-        return Err(ValidationError::Semantic(
-            "ACCEPT_BID must reference exactly one REQUEST".to_owned(),
-        ));
-    }
-    let request_id = &tx.references[0];
-    let Some(request) = ledger.get(request_id) else {
-        return Err(ValidationError::InputDoesNotExist(request_id.clone()));
-    };
-    if request.operation != Operation::Request {
-        return Err(ValidationError::Semantic(format!(
-            "ACCEPT_BID reference {request_id} is not a REQUEST"
-        )));
-    }
-
-    // Alg. 3 lines 2-5: the winning bid must be committed.
-    let AssetRef::WinBid(win_bid_id) = &tx.asset else {
-        return Err(ValidationError::Semantic(
-            "ACCEPT_BID asset must name the winning bid".to_owned(),
-        ));
-    };
-    let Some(win_bid) = ledger.get(win_bid_id) else {
-        return Err(ValidationError::InputDoesNotExist(win_bid_id.clone()));
-    };
-    if win_bid.operation != Operation::Bid || win_bid.references.first() != Some(request_id) {
-        return Err(ValidationError::Semantic(format!(
-            "winning bid {win_bid_id} is not a BID for request {request_id}"
-        )));
-    }
-
-    // Alg. 3 lines 6-7: signer(ACCEPT_BID) must equal signer(REQUEST).
-    // A verified-set entry vouches only for the requester it was
-    // checked against.
-    let requester = requester_keys(request);
-    if !matches!(verified, Some(VerifiedSigners::Explicit(keys)) if *keys == requester) {
-        verify_signed_by(tx, &requester)?;
-    }
-
-    // Alg. 3 lines 8-10: duplicate ACCEPT_BID rejection.
-    if let Some(existing) = ledger.accept_for_request(request_id) {
-        return Err(ValidationError::DuplicateTransaction(existing.id.clone()));
-    }
-
-    // Alg. 3 lines 11-12: the winner must be among the escrow-held
-    // (locked) bids for this request.
-    let locked = ledger.locked_bids_for_request(request_id);
-    if !locked.iter().any(|b| &b.id == win_bid_id) {
-        return Err(ValidationError::Semantic(format!(
-            "winning bid {win_bid_id} is not escrow-held for request {request_id}"
-        )));
-    }
-
-    // C 1: the inputs must cover the escrow outputs of *all* locked bids
-    // (|I| == n), and C 7: each spends an output owned by PBPK-ℛℯ𝓈.
-    if tx.inputs.len() != locked.len() {
-        return Err(ValidationError::Semantic(format!(
-            "ACCEPT_BID must take all {} locked bids as inputs, found {}",
-            locked.len(),
-            tx.inputs.len()
-        )));
-    }
-    let mut covered = std::collections::HashSet::new();
-    for (i, input) in tx.inputs.iter().enumerate() {
-        let Some(fulfills) = &input.fulfills else {
-            return Err(ValidationError::Semantic(format!(
-                "ACCEPT_BID input {i} must spend a bid output"
-            )));
-        };
-        if !locked.iter().any(|b| b.id == fulfills.tx_id) {
-            return Err(ValidationError::Semantic(format!(
-                "ACCEPT_BID input {i} does not spend a locked bid of this request"
-            )));
-        }
-        let out_ref = OutputRef::new(fulfills.tx_id.clone(), fulfills.output_index);
-        let Some(utxo) = ledger.utxo(&out_ref) else {
-            return Err(ValidationError::InputDoesNotExist(out_ref.to_string()));
-        };
-        if let Some(spent_by) = &utxo.spent_by {
-            return Err(ValidationError::DoubleSpend(format!(
-                "{out_ref} already spent by {spent_by}"
-            )));
-        }
-        if !utxo.owners.iter().all(|k| ledger.is_reserved(k)) {
-            return Err(ValidationError::Semantic(format!(
-                "ACCEPT_BID input {i} does not spend an escrow-held output"
-            )));
-        }
-        if !covered.insert(fulfills.tx_id.clone()) {
-            return Err(ValidationError::Semantic(format!(
-                "ACCEPT_BID input {i} duplicates bid {}",
-                fulfills.tx_id
-            )));
-        }
-    }
-
-    // C 9: exactly one output settles to the requester; C 8: every
-    // other output returns to the original bidder of an unaccepted bid.
-    let requester_outputs = tx
-        .outputs
-        .iter()
-        .filter(|o| o.public_keys == request.inputs[0].owners_before)
-        .count();
-    if requester_outputs != 1 {
-        return Err(ValidationError::Semantic(format!(
-            "ACCEPT_BID must have exactly one output to the requester, found {requester_outputs}"
-        )));
-    }
-    for (idx, output) in tx.outputs.iter().enumerate() {
-        if output.public_keys == request.inputs[0].owners_before {
-            continue; // the winner settlement
-        }
-        let returns_to_bidder = locked.iter().any(|bid| {
-            bid.id != *win_bid_id
-                && (0..bid.outputs.len() as u32).any(|oi| {
-                    ledger
-                        .utxo(&OutputRef::new(bid.id.clone(), oi))
-                        .is_some_and(|u| u.previous_owners == output.public_keys)
-                })
-        });
-        if !returns_to_bidder {
-            return Err(ValidationError::Semantic(format!(
-                "ACCEPT_BID output {idx} settles to neither the requester nor an unaccepted bidder"
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// C_RETURN: settles one unaccepted bid from escrow back to its original
-/// bidder, after an ACCEPT_BID for the request is committed.
-pub fn validate_return(
-    tx: &Transaction,
-    ledger: &impl LedgerView,
-    verified: Option<&VerifiedSigners>,
-) -> Result<(), ValidationError> {
-    if tx.references.len() != 1 {
-        return Err(ValidationError::Semantic(
-            "RETURN must reference exactly one BID".to_owned(),
-        ));
-    }
-    let bid_id = &tx.references[0];
-    let Some(bid) = ledger.get(bid_id) else {
-        return Err(ValidationError::InputDoesNotExist(bid_id.clone()));
-    };
-    if bid.operation != Operation::Bid {
-        return Err(ValidationError::Semantic(format!(
-            "RETURN reference {bid_id} is not a BID"
-        )));
-    }
-
-    // Returns are triggered by an ACCEPT_BID that chose another winner.
-    let request_id = bid.references.first().cloned().unwrap_or_default();
-    let Some(accept) = ledger.accept_for_request(&request_id) else {
-        return Err(ValidationError::Semantic(format!(
-            "RETURN of bid {bid_id} has no committed ACCEPT_BID for its request"
-        )));
-    };
-    if matches!(&accept.asset, AssetRef::WinBid(w) if w == bid_id) {
-        return Err(ValidationError::Semantic(
-            "the winning bid is transferred to the requester, not returned".to_owned(),
-        ));
-    }
-
-    check_input_signatures(tx, verified)?;
-    let input_amount = validate_spend_inputs(tx, ledger)?;
-
-    // All inputs must spend this bid's escrow outputs, and the proceeds
-    // must go back to the original bidder (pb_prev of the escrow UTXO).
-    for (i, input) in tx.inputs.iter().enumerate() {
-        let fulfills = input
-            .fulfills
-            .as_ref()
-            .expect("checked by validate_spend_inputs");
-        if &fulfills.tx_id != bid_id {
-            return Err(ValidationError::Semantic(format!(
-                "RETURN input {i} does not spend the referenced bid"
-            )));
-        }
-        let utxo = ledger
-            .utxo(&OutputRef::new(
-                fulfills.tx_id.clone(),
-                fulfills.output_index,
-            ))
-            .expect("checked by validate_spend_inputs");
-        if !utxo.owners.iter().all(|k| ledger.is_reserved(k)) {
-            return Err(ValidationError::Semantic(format!(
-                "RETURN input {i} does not spend an escrow-held output"
-            )));
-        }
-        for output in &tx.outputs {
-            if output.public_keys != utxo.previous_owners {
-                return Err(ValidationError::Semantic(
-                    "RETURN outputs must go back to the original bidder".to_owned(),
-                ));
-            }
-        }
-    }
-
-    let output_amount = tx.output_amount();
-    if input_amount != output_amount {
-        return Err(ValidationError::AmountMismatch {
-            inputs: input_amount,
-            outputs: output_amount,
-        });
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod batch_sig_tests {
     use super::*;
@@ -1035,7 +621,7 @@ mod batch_sig_tests {
 mod pooled_record_tests {
     use super::*;
     use crate::builder::TxBuilder;
-    use crate::LedgerState;
+    use crate::{LedgerState, Operation};
     use scdb_crypto::KeyPair;
     use scdb_json::{arr, obj};
 

@@ -48,9 +48,6 @@ pub trait LedgerView: Sync {
     /// `getAcceptTxForRFQ`: the ACCEPT_BID committed for a REQUEST.
     fn accept_for_request(&self, request_id: &str) -> Option<&Transaction>;
 
-    /// The settlement (RETURN or winner TRANSFER) for a BID, if any.
-    fn settlement_for_bid(&self, bid_id: &str) -> Option<&str>;
-
     /// True when the transaction is committed.
     fn is_committed(&self, id: &str) -> bool {
         self.get(id).is_some()

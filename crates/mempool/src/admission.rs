@@ -35,12 +35,13 @@
 //! slot in stages 1–2. See `DESIGN-mempool.md` § Admission pipeline.
 
 use crate::pool::{
-    screen_error, sender_key, AdmitError, AdmitReceipt, Mempool, PendingTx, PoolLookup,
+    screen_error, sender_key, signed_by_input_owners, AdmitError, AdmitReceipt, Mempool, PendingTx,
+    PoolLookup,
 };
 use scdb_core::pipeline::{footprint, unresolved_links};
 use scdb_core::validate::{batch_verify_input_signatures, stateless_screen};
 use scdb_core::{map_chunks, parallel_map};
-use scdb_core::{LedgerView, Operation, Transaction, ValidationError};
+use scdb_core::{LedgerView, Transaction, ValidationError};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -72,7 +73,7 @@ fn screen(tx: &Transaction, by_id: &HashMap<String, u64>, ledger: &impl LedgerVi
     if by_id.contains_key(&tx.id) || ledger.is_committed(&tx.id) {
         return Screened::Duplicate;
     }
-    let stateless = stateless_screen(tx, tx.operation != Operation::AcceptBid);
+    let stateless = stateless_screen(tx, signed_by_input_owners(tx));
     let ledger_spent = tx
         .inputs
         .iter()

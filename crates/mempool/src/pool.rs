@@ -2,6 +2,7 @@
 
 use crate::index::FootprintIndex;
 use crate::pack::pack_batch;
+use scdb_core::conditions::{row, Signers};
 use scdb_core::pipeline::{
     footprint, unresolved_links, ConflictKey, Footprint, TxLookup, WaveSchedule,
 };
@@ -418,7 +419,7 @@ impl Mempool {
         // signing payload, from one walk. ACCEPT_BID's signers are the
         // requester's — stateful knowledge; the drain-time check
         // verifies it.
-        let payload = stateless_screen(&tx, tx.operation != Operation::AcceptBid)
+        let payload = stateless_screen(&tx, signed_by_input_owners(&tx))
             .map_err(|e| self.count_reject(screen_error(e)))?;
         if let Some(payload) = payload {
             verify_input_signatures_over(&tx, &payload)
@@ -523,7 +524,7 @@ impl Mempool {
     /// Nothing is recorded for ACCEPT_BID, whose signatures only the
     /// drain-time check verifies.
     pub(crate) fn record_admitted(&self, tx: &Transaction, ledger: &impl LedgerView) {
-        if tx.operation != Operation::AcceptBid {
+        if signed_by_input_owners(tx) {
             ledger.record_verified(&tx.id, VerifiedSigners::InputOwners);
         }
     }
@@ -547,7 +548,7 @@ impl Mempool {
     fn reject_unsigned_accepts(&mut self, ledger: &impl LedgerView) -> Vec<EvictedTx> {
         let mut unchecked: Vec<(u64, Vec<String>)> = Vec::new();
         for entry in self.pending.values() {
-            if entry.tx.operation != Operation::AcceptBid || entry.accept_sig_checked {
+            if signed_by_input_owners(&entry.tx) || entry.accept_sig_checked {
                 continue;
             }
             // Malformed shapes (no reference, non-REQUEST reference)
@@ -850,6 +851,13 @@ impl Mempool {
         entry.flagged = self.suspected_double_spend(&entry.footprint, ledger);
         self.insert_pending(entry);
     }
+}
+
+/// Whether the stateless front door can check `tx`'s signatures: its
+/// row says the inputs' own owners sign. A requester-signed type
+/// (ACCEPT_BID) needs the REQUEST, so its check waits for drain.
+pub(crate) fn signed_by_input_owners(tx: &Transaction) -> bool {
+    row(tx.operation).signers == Signers::InputOwners
 }
 
 /// The admission-side sender identity: the union of input owner keys

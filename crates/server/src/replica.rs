@@ -190,7 +190,7 @@ impl Replica {
         let (schedule, source) = match plan {
             Plan::Formed(schedule) => (schedule, ScheduleSource::Rederived(None)),
             Plan::Footprints(footprints, wire) => {
-                let (schedule, source) = choose_schedule(batch.len(), footprints, wire, options);
+                let (schedule, source) = choose_schedule(batch.len(), footprints, wire);
                 chosen = schedule;
                 (&chosen, source)
             }

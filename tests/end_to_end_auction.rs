@@ -7,7 +7,7 @@ use smartchaindb::core::workflow::{is_valid_workflow, validate_workflow_sequence
 use smartchaindb::core::Operation;
 use smartchaindb::json::{arr, obj};
 use smartchaindb::sim::SimTime;
-use smartchaindb::store::{collections, Filter};
+use smartchaindb::store::{collections, Filter, OutputRef};
 use smartchaindb::{KeyPair, LedgerView, SmartchainHarness, Transaction, TxBuilder};
 
 struct Auction {
@@ -21,6 +21,12 @@ struct Auction {
     bid_a: Transaction,
     bid_b: Transaction,
     accept: Transaction,
+}
+
+/// The committed child that settled `bid`: whatever spent its escrow
+/// output.
+fn settlement(ledger: &impl LedgerView, bid: &Transaction) -> Option<String> {
+    ledger.utxo(&OutputRef::new(bid.id.clone(), 0))?.spent_by
 }
 
 fn run_auction(nodes: usize) -> Auction {
@@ -137,10 +143,7 @@ fn committed_history_forms_a_valid_workflow() {
     assert!(is_valid_workflow(&ops));
 
     // Definition 5 over the concrete committed transactions.
-    let winner_transfer_id = ledger
-        .settlement_for_bid(&a.bid_a.id)
-        .expect("winner settled")
-        .to_owned();
+    let winner_transfer_id = settlement(ledger, &a.bid_a).expect("winner settled");
     let winner_transfer = ledger.get(&winner_transfer_id).unwrap().clone();
     let seq = [
         &a.asset_a,
@@ -177,10 +180,7 @@ fn losing_bidder_can_reuse_the_returned_asset() {
     // Bob's asset came back; he can trade it again — the RETURN output
     // is a first-class UTXO.
     let ledger = a.cluster.consensus().app().ledger(0);
-    let return_id = ledger
-        .settlement_for_bid(&a.bid_b.id)
-        .expect("returned")
-        .to_owned();
+    let return_id = settlement(ledger, &a.bid_b).expect("returned");
     let transfer = TxBuilder::transfer(a.asset_b.id.clone())
         .input(return_id.clone(), 0, vec![a.bob.public_hex()])
         .output_with_prev(a.alice.public_hex(), 1, vec![a.bob.public_hex()])

@@ -13,6 +13,7 @@ use smartchaindb::core::{determine_children, LedgerState, Operation};
 use smartchaindb::driver::{BatchingConfig, BatchingDriver, DriverError};
 use smartchaindb::json::obj;
 use smartchaindb::sim::SimTime;
+use smartchaindb::store::OutputRef;
 use smartchaindb::workload::{scdb_plan, ScdbPlan, ScenarioConfig};
 use smartchaindb::{KeyPair, LedgerView, Node, SmartchainHarness, Transaction, TxBuilder};
 use std::cell::RefCell;
@@ -308,10 +309,17 @@ fn entry_points_agree(durable: bool) {
             "accept index diverged for {request}"
         );
         for bid in &auction.bids {
+            let escrow_output = OutputRef::new(bid.id.clone(), 0);
             assert_eq!(
-                mempool_node.ledger().settlement_for_bid(&bid.id),
-                direct_node.ledger().settlement_for_bid(&bid.id),
-                "settlement index diverged for {}",
+                mempool_node
+                    .ledger()
+                    .utxo(&escrow_output)
+                    .map(|u| u.spent_by),
+                direct_node
+                    .ledger()
+                    .utxo(&escrow_output)
+                    .map(|u| u.spent_by),
+                "settlement diverged for {}",
                 bid.id
             );
         }

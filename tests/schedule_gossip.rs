@@ -13,6 +13,7 @@ use smartchaindb::core::pipeline::{
 };
 use smartchaindb::core::validate::validate_transaction;
 use smartchaindb::core::{plan_schedule, WaveSchedule};
+use smartchaindb::store::OutputRef;
 use smartchaindb::workload::{scdb_plan, ScenarioConfig};
 use smartchaindb::{KeyPair, LedgerState, LedgerView, Transaction};
 use std::collections::BTreeMap;
@@ -91,7 +92,9 @@ fn index_fingerprint(ledger: &LedgerState, batch: &[Arc<Transaction>]) -> Vec<St
         out.push(format!(
             "{id}:locked={locked:?}:accept={:?}:settled={:?}",
             ledger.accept_for_request(id).map(|t| t.id.clone()),
-            ledger.settlement_for_bid(id),
+            ledger
+                .utxo(&OutputRef::new(id.clone(), 0))
+                .and_then(|u| u.spent_by),
         ));
     }
     out

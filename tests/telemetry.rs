@@ -121,3 +121,78 @@ fn telemetry_env_gate_matches_the_sibling_flags() {
     // default-built node under the CI matrix).
     assert_eq!(TELEMETRY_ENV, "SCDB_TELEMETRY");
 }
+
+/// Rejections are counted by reason: a block mixing four ways to be
+/// refused leaves one `pipeline.rejected.<variant>` counter per reason,
+/// summing to `pipeline.txs_rejected` — across blocks, since counters
+/// accumulate.
+#[test]
+fn rejections_are_counted_by_reason_and_sum_to_the_total() {
+    use smartchaindb::core::commit_batch;
+    use smartchaindb::json::obj;
+    use smartchaindb::{LedgerState, Transaction, TxBuilder};
+    use std::sync::Arc;
+
+    let alice = KeyPair::from_seed([0xA1; 32]);
+    let bob = KeyPair::from_seed([0xB0; 32]);
+    let mint = |nonce: u64| {
+        TxBuilder::create(obj! { "kind" => "asset" })
+            .output(alice.public_hex(), 2)
+            .nonce(nonce)
+            .sign(&[&alice])
+    };
+    let pay = |asset: &Transaction, amount: u64, nonce: u64| {
+        TxBuilder::transfer(asset.id.clone())
+            .input(asset.id.clone(), 0, vec![alice.public_hex()])
+            .output_with_prev(bob.public_hex(), amount, vec![alice.public_hex()])
+            .nonce(nonce)
+            .sign(&[&alice])
+    };
+    let (a, b, never) = (mint(1), mint(2), mint(3));
+    let mut forged = pay(&b, 2, 0);
+    forged.outputs[0].amount = 1;
+    forged.seal();
+    let first: Vec<Arc<Transaction>> = [
+        a.clone(),
+        b.clone(),
+        pay(&a, 2, 0),
+        pay(&a, 2, 1),     // loses the race for a#0
+        pay(&never, 2, 0), // spends an uncommitted mint
+        forged,
+    ]
+    .into_iter()
+    .map(Arc::new)
+    .collect();
+    let second: Vec<Arc<Transaction>> = [pay(&b, 1, 0), pay(&a, 2, 2), a]
+        .into_iter()
+        .map(Arc::new)
+        .collect();
+
+    let telemetry = Telemetry::enabled();
+    let options = PipelineOptions::with_workers(2)
+        .durable(false)
+        .with_telemetry(telemetry.clone());
+    let mut ledger = LedgerState::new();
+    let mut rejected = 0;
+    for block in [&first, &second] {
+        rejected += commit_batch(&mut ledger, block, &options).rejected.len() as u64;
+    }
+    assert_eq!(rejected, 6);
+
+    let counters = telemetry.snapshot().expect("enabled").counters;
+    let by_reason: Vec<(&str, u64)> = counters
+        .iter()
+        .filter_map(|(name, n)| Some((name.strip_prefix("pipeline.rejected.")?, *n)))
+        .collect();
+    assert_eq!(
+        by_reason,
+        [
+            ("amount_mismatch", 1),
+            ("double_spend", 2),
+            ("duplicate_transaction", 1),
+            ("input_does_not_exist", 1),
+            ("invalid_signature", 1),
+        ]
+    );
+    assert_eq!(counters["pipeline.txs_rejected"], rejected);
+}
