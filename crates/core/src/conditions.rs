@@ -356,8 +356,14 @@ impl<'a, L: LedgerView> Evaluation<'a, L> {
             .ok_or_else(|| semantic("no earlier condition resolved the spent outputs".to_owned()))
     }
 
+    /// Sum of the spent outputs' shares. The amounts are committed but
+    /// attacker-chosen, so the sum is checked: two `u64::MAX` outputs
+    /// must not wrap into a small balance.
     fn input_amount(&self) -> Result<u64, ValidationError> {
-        Ok(self.spends()?.iter().map(|(_, utxo)| utxo.amount).sum())
+        self.spends()?
+            .iter()
+            .try_fold(0u64, |sum, (_, utxo)| sum.checked_add(utxo.amount))
+            .ok_or_else(|| semantic(format!("{} input amounts overflow u64", self.tx.operation)))
     }
 
     /// `getLockedBids` of the subject, fetched by the first condition
@@ -447,7 +453,10 @@ impl Condition {
                 Ok(())
             }
             Balanced => {
-                let (inputs, outputs) = (cx.input_amount()?, tx.output_amount());
+                let inputs = cx.input_amount()?;
+                let outputs = tx
+                    .output_amount()
+                    .ok_or_else(|| semantic(format!("{op} output amounts overflow u64")))?;
                 if inputs != outputs {
                     return Err(ValidationError::AmountMismatch { inputs, outputs });
                 }

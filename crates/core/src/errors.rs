@@ -35,9 +35,10 @@ pub enum ValidationError {
     AmountMismatch { inputs: u64, outputs: u64 },
     /// Any other condition from the C_α sets.
     Semantic(String),
-    /// The durable store refused the commit (a WAL write or seal
-    /// failed). Fail-closed: the transaction did not apply and the
-    /// in-memory state still matches the last durable seal. Retryable
+    /// The durable store refused the commit. Either the store was
+    /// already latched fail-closed and the transaction did not apply,
+    /// or its own block's seal was the write that failed — then it
+    /// applied in memory only and the next reopen drops it. Retryable
     /// once the store is reopened.
     Storage(String),
 }

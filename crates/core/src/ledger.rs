@@ -51,12 +51,11 @@ pub struct LedgerState {
     /// REQUEST id -> the committed ACCEPT_BID id, once one exists.
     accept_by_request: HashMap<String, String>,
     committed_in_order: Vec<String>,
-    /// The write-ahead log backing this ledger, when the durable mode
+    /// The block manifest backing this ledger, when the durable mode
     /// ([`crate::pipeline::PipelineOptions::durable`]) is on. The
-    /// scalar apply write-ahead logs through it; the batch pipeline
-    /// fetches it via [`LedgerState::durable_store`] to log whole
-    /// waves and seal blocks at its own commit points. `None` (the
-    /// default) is the in-memory oracle.
+    /// ledger itself never writes to it: the commit paths fetch it via
+    /// [`LedgerState::durable_store`] and seal each block after it
+    /// applied. `None` (the default) is the in-memory oracle.
     durable: Option<Arc<DurableStore>>,
     /// Ids whose stateless checks (schema, id digest, signatures) an
     /// earlier stage already ran against this ledger — see
@@ -89,11 +88,10 @@ impl LedgerState {
         self.reserved.insert(public_key_hex.into());
     }
 
-    /// Attaches the write-ahead log every commit path must write
-    /// through before mutating the UTXO set. Attach only to a ledger
-    /// whose state the store already reflects (empty + empty store, or
-    /// a ledger just rebuilt by [`LedgerState::restore`] from the same
-    /// store's recovery).
+    /// Attaches the durable store every commit path seals its blocks
+    /// into. Attach only to a ledger whose state the store already
+    /// reflects (empty + empty store, or a ledger just rebuilt by
+    /// [`LedgerState::restore`] from the same store's recovery).
     pub fn attach_durable(&mut self, store: Arc<DurableStore>) {
         self.durable = Some(store);
     }
@@ -122,19 +120,23 @@ impl LedgerState {
         self.verified.forget(id);
     }
 
-    /// Rebuilds a ledger from a durable store's recovery: replays the
-    /// recovered committed transactions (parsed by the caller, which
-    /// shares them with its own rebuilds) in commit order through the
-    /// scalar apply (the same effects derivation every pipeline path
-    /// funnels through), then asserts the rebuilt digest equals
-    /// `digest` — the one the recovery verified against the manifest's
-    /// last seal. Sequential replay of the commit order is exact: waves
-    /// are conflict-free, so flattening them in commit order reproduces
-    /// every index and UTXO byte-identically. Fail-closed: any replay
-    /// error or digest mismatch refuses the restore.
+    /// Rebuilds a ledger from a durable store's recovery — the only
+    /// code that turns a disk into state. `committed` is the sealed
+    /// chain's transactions in commit order (parsed by the caller, which
+    /// shares them with its own rebuilds) and `seals` its block
+    /// boundaries, each the number of transactions the block holds and
+    /// the digest its seal recorded. The blocks re-execute from genesis
+    /// through the scalar apply (the same effects derivation every
+    /// pipeline path funnels through) and the replayed digest must
+    /// equal the seal's at **every** boundary, so a corrupted document
+    /// is refused at the block that holds it. Sequential replay of the
+    /// commit order is exact: waves are conflict-free, so flattening
+    /// them in commit order reproduces every index and UTXO
+    /// byte-identically. Fail-closed: any replay error or digest
+    /// mismatch refuses the restore and names the height.
     pub fn restore(
         committed: &[Arc<Transaction>],
-        digest: &scdb_store::StateDigest,
+        seals: &[(usize, scdb_store::StateDigest)],
         utxo_shards: usize,
         reserved: impl IntoIterator<Item = String>,
     ) -> Result<LedgerState, String> {
@@ -142,16 +144,35 @@ impl LedgerState {
         for account in reserved {
             ledger.add_reserved_account(account);
         }
-        for tx in committed {
-            ledger
-                .apply_shared(tx)
-                .map_err(|e| format!("restore: replay of {} failed: {e}", tx.id))?;
+        let mut rest = committed;
+        for (height, (count, digest)) in seals.iter().enumerate() {
+            let Some((block, later)) = rest.split_at_checked(*count) else {
+                return Err(format!(
+                    "restore: seal {height} covers {count} transactions, {} remain",
+                    rest.len()
+                ));
+            };
+            for tx in block {
+                ledger.apply_shared(tx).map_err(|e| {
+                    format!(
+                        "restore: replay of {} at height {height} failed: {e}",
+                        tx.id
+                    )
+                })?;
+            }
+            if ledger.state_digest() != *digest {
+                return Err(format!(
+                    "restore: replayed digest {} != sealed digest {} at height {height}",
+                    ledger.state_digest().to_hex(),
+                    digest.to_hex()
+                ));
+            }
+            rest = later;
         }
-        if ledger.state_digest() != *digest {
+        if !rest.is_empty() {
             return Err(format!(
-                "restore: replayed digest {} != recovered digest {}",
-                ledger.state_digest().to_hex(),
-                digest.to_hex()
+                "restore: {} transactions past the last seal",
+                rest.len()
             ));
         }
         Ok(ledger)
@@ -214,21 +235,6 @@ impl LedgerState {
     /// atomically — so the sharded path cannot drift from this one.
     pub fn apply_shared(&mut self, tx: &Arc<Transaction>) -> Result<(), SpendError> {
         let UtxoEffects { spends, adds } = self.utxo_effects(tx);
-        if let Some(store) = &self.durable {
-            // Write-ahead: the effects hit the WAL before the UTXO set
-            // mutates. A failed apply below leaves the logged wave
-            // unsealed; the sealing caller (`Node::pump_returns`) neutralizes
-            // it by naming the transaction aborted in the block's seal.
-            // A failed *write* refuses the whole apply: state must
-            // never run ahead of what the log can prove, and the store
-            // latches fail-closed so a later seal cannot cover the
-            // half-logged wave.
-            let logged: Vec<(OutputRef, String)> =
-                spends.iter().map(|o| (o.clone(), tx.id.clone())).collect();
-            store
-                .log_wave(&logged, &adds)
-                .map_err(|e| SpendError::Store(e.to_string()))?;
-        }
         self.utxos.apply_tx(&spends, adds, &tx.id)?;
         self.record_indexes(tx, &spends);
         Ok(())
@@ -238,10 +244,9 @@ impl LedgerState {
     /// it spends and the entries it registers — against committed state.
     ///
     /// This is the single effects computation shared by the scalar
-    /// apply, the parallel wave apply and the durable path's
-    /// write-ahead plans, so what the WAL logs is exactly what the
-    /// apply executes. Derived read-only, so wave workers can compute
-    /// and execute plans for non-conflicting transactions concurrently.
+    /// apply (recovery's re-execution included) and the parallel wave
+    /// apply. Derived read-only, so wave workers can compute and
+    /// execute plans for non-conflicting transactions concurrently.
     /// A nested type's plan is empty — ACCEPT_BID's inputs and outputs
     /// are the settlement plan its children realize (non-locking commit).
     pub(crate) fn utxo_effects(&self, tx: &Transaction) -> UtxoEffects {
@@ -283,33 +288,20 @@ impl LedgerState {
     /// aligned with `wave`. Wave members are pairwise conflict-free, so
     /// the concurrent execution order is unobservable and the result is
     /// byte-identical to applying the wave serially.
-    ///
-    /// `effects` optionally carries precomputed UTXO plans (aligned
-    /// with `wave`): a `Some` slot is executed as-is — the durable path
-    /// hands over the plans it already derived for the WAL — while a
-    /// `None` slot is derived here.
     pub(crate) fn apply_wave(
         &mut self,
         wave: &[&Arc<Transaction>],
-        effects: Vec<Option<UtxoEffects>>,
         workers: usize,
     ) -> Vec<Result<(), SpendError>> {
-        debug_assert_eq!(wave.len(), effects.len());
         // Each slot resolves to (spent refs, verdict): the adds move
         // into the UTXO set, the spends stay for the index bookkeeping.
-        // Workers derive missing plans themselves — utxo_effects reads
-        // only the committed-tx map, which nothing mutates until the
-        // serial phase — so the clone-heavy plan construction
-        // parallelizes along with the shard mutations.
-        let plans: Vec<std::sync::Mutex<Option<UtxoEffects>>> =
-            effects.into_iter().map(std::sync::Mutex::new).collect();
+        // Workers derive the plans themselves — utxo_effects reads only
+        // the committed-tx map, which nothing mutates until the serial
+        // phase — so the clone-heavy plan construction parallelizes
+        // along with the shard mutations.
         let outcomes = crate::par::parallel_map(wave.len(), workers, |slot| {
             let tx = wave[slot];
-            let UtxoEffects { spends, adds } = plans[slot]
-                .lock()
-                .expect("plan slot")
-                .take()
-                .unwrap_or_else(|| self.utxo_effects(tx));
+            let UtxoEffects { spends, adds } = self.utxo_effects(tx);
             let verdict = self.utxos.apply_tx(&spends, adds, &tx.id).map(|_| ());
             (spends, verdict)
         });
@@ -699,6 +691,32 @@ mod tests {
         ledger.apply(&a).unwrap();
         ledger.apply(&b).unwrap();
         assert_eq!(ledger.committed_ids(), &[a.id.clone(), b.id.clone()]);
+    }
+
+    #[test]
+    fn restore_checks_the_digest_at_every_seal_and_names_the_height() {
+        let txs: Vec<Arc<Transaction>> = (1..=3)
+            .map(|n| Arc::new(create_tx(&"aa".repeat(32), &[], n)))
+            .collect();
+        let mut live = LedgerState::new();
+        let mut seals = Vec::new();
+        for tx in &txs {
+            live.apply_shared(tx).unwrap();
+            seals.push((1, live.state_digest()));
+        }
+        let restored = LedgerState::restore(&txs, &seals, 4, []).expect("a true chain restores");
+        assert_eq!(restored.state_digest(), live.state_digest());
+        assert_eq!(restored.committed_ids(), live.committed_ids());
+
+        // A wrong digest in the middle is refused there, though the last
+        // seal's digest is right.
+        let mut wrong = seals.clone();
+        wrong[1].1 = seals[0].1;
+        let refused = LedgerState::restore(&txs, &wrong, 4, []).err().unwrap();
+        assert!(refused.contains("at height 1"), "{refused}");
+        // So is a chain whose seals do not cover its documents exactly.
+        assert!(LedgerState::restore(&txs, &seals[..2], 4, []).is_err());
+        assert!(LedgerState::restore(&txs[..2], &seals, 4, []).is_err());
     }
 
     #[test]

@@ -451,9 +451,12 @@ impl Transaction {
         self.id == self.compute_id()
     }
 
-    /// Sum of output share amounts.
-    pub fn output_amount(&self) -> u64 {
-        self.outputs.iter().map(|o| o.amount).sum()
+    /// Sum of output share amounts; `None` when the (untrusted) amounts
+    /// overflow `u64`.
+    pub fn output_amount(&self) -> Option<u64> {
+        self.outputs
+            .iter()
+            .try_fold(0u64, |sum, o| sum.checked_add(o.amount))
     }
 
     /// Approximate payload size in bytes (the "transaction size" axis of
@@ -619,7 +622,7 @@ mod tests {
     fn output_amount_sums() {
         let mut tx = sample();
         tx.outputs.push(Output::new("cc".repeat(32), 7));
-        assert_eq!(tx.output_amount(), 12);
+        assert_eq!(tx.output_amount(), Some(12));
     }
 
     #[test]

@@ -37,13 +37,13 @@
 
 use crate::conditions::{row, MarketKey, RequestLink};
 use crate::errors::ValidationError;
-use crate::ledger::{LedgerState, UtxoEffects};
+use crate::ledger::LedgerState;
 use crate::model::{AssetRef, Transaction};
 use crate::par::parallel_map;
 use crate::validate::validate_transaction;
 use crate::view::LedgerView;
 use scdb_json::Value;
-use scdb_store::{FsyncLevel, OutputRef, Utxo};
+use scdb_store::FsyncLevel;
 use scdb_telemetry::{env_flag, CommitTrace, Stopwatch, Telemetry};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
@@ -252,24 +252,23 @@ pub struct PipelineOptions {
     /// The member is rejected exactly as a late spend conflict would
     /// be. Test-only; empty in production.
     pub fail_apply: BTreeSet<String>,
-    /// Durable sharded store: every commit path write-ahead logs wave
-    /// effects to per-shard WALs and seals each block in a manifest
-    /// before the in-memory state is the block's only copy
-    /// ([`scdb_store::DurableStore`], attached to the ledger by
-    /// `Node`/`SmartchainCluster`). `false` keeps the in-memory-only
-    /// oracle; committed state is identical either way — durability
-    /// only adds the recovery path.
+    /// Durable store: every commit path seals each block — its
+    /// committed documents and post-block digest — into the block
+    /// manifest ([`scdb_store::DurableStore`], attached to the ledger by
+    /// `Node`/`SmartchainCluster`), the log recovery re-executes.
+    /// `false` keeps the in-memory-only oracle; committed state is
+    /// identical either way — durability only adds the recovery path.
     ///
     /// The default honours the `SCDB_DURABLE` environment variable
     /// ([`scdb_telemetry::env_flag`] — CI runs the whole suite with it
     /// set), falling back to off.
     pub durable: bool,
     /// Durability level for the attached store's group-commit path
-    /// ([`scdb_store::FsyncLevel`]): `None` keeps the legacy
-    /// write-no-sync behavior (byte-identical WAL traffic), `Block`
-    /// fsyncs every seal, `Group(n)` coalesces up to `n` consecutive
-    /// seals into one buffered manifest write plus one fsync. Only
-    /// consulted when [`PipelineOptions::durable`] attaches a store.
+    /// ([`scdb_store::FsyncLevel`]): `None` writes without syncing,
+    /// `Block` fsyncs every seal, `Group(n)` coalesces up to `n`
+    /// consecutive seals into one buffered manifest write plus one
+    /// fsync. Only consulted when [`PipelineOptions::durable`] attaches
+    /// a store.
     ///
     /// The default honours the `SCDB_FSYNC` environment variable
     /// (`none`/`block`/`group:N` — one cell of CI's durable matrix
@@ -364,11 +363,13 @@ pub struct BatchOutcome {
     /// removed together with `core.re_validated_txs` by the next
     /// `benchmark` PR.
     pub re_validated: usize,
-    /// Set when the durable store refused a write-ahead log or seal —
-    /// the batch (or the affected waves) failed closed: members are
-    /// listed in `rejected` as [`ValidationError::Storage`] and the
-    /// in-memory state still matches the last durable seal. The store
-    /// latches and refuses further writes until reopened.
+    /// Set when the durable store refused this block. A refused seal
+    /// (or group flush) is discovered after the block applied: its
+    /// members are in `committed`, in memory only, and the store
+    /// latches. Every later block meets the latch before it touches
+    /// memory — nothing commits and every member is listed in
+    /// `rejected` as [`ValidationError::Storage`] — until the store is
+    /// reopened, which recovers the last durable seal.
     pub wal_error: Option<String>,
 }
 
@@ -848,6 +849,18 @@ pub fn commit_batch_planned(
         "waves must partition the batch"
     );
 
+    // Fail closed: a seal is written after its block applied, so a
+    // latched store must stop the block here, before memory moves.
+    if let Some(Err(e)) = ledger.durable_store().map(|store| store.guard()) {
+        let why = e.to_string();
+        outcome.rejected = (0..batch.len())
+            .map(|index| (index, ValidationError::Storage(why.clone())))
+            .collect();
+        outcome.wal_error = Some(why);
+        forget_rejected(ledger, batch, &outcome);
+        return outcome;
+    }
+
     outcome.waves = schedule.waves.len();
     outcome.widest_wave = schedule.waves.iter().map(Vec::len).max().unwrap_or(0);
 
@@ -891,27 +904,16 @@ pub fn commit_batch_planned(
     outcome.committed = accepted.iter().map(|&i| batch[i].id.clone()).collect();
     ledger.set_commit_order_tail(commit_start, &outcome.committed);
     if let Some(store) = ledger.durable_store() {
-        // Seal the block: every logged wave is now covered by one
-        // manifest record carrying the committed documents and the
-        // post-block digest. The rejected ids double as the abort
-        // list, so effects write-ahead logged for a member that later
-        // failed to apply are skipped at replay (rejections that were
-        // never logged are no-ops there).
+        // Seal the block: one manifest record carrying the committed
+        // documents and the post-block digest — its durable commit.
         let docs: Vec<Value> = accepted.iter().map(|&i| batch[i].to_value()).collect();
-        let aborted: Vec<String> = outcome
-            .rejected
-            .iter()
-            .map(|(i, _)| batch[*i].id.clone())
-            .collect();
-        let sealed = clock.time("seal", || {
-            store.seal_block(&docs, &aborted, &ledger.state_digest())
-        });
+        let sealed = clock.time("seal", || store.seal_block(&docs, &ledger.state_digest()));
         if let Err(e) = sealed {
             // The in-memory state already applied; the seal is the
             // durability commit point, so record the failure for the
-            // caller. The store latched fail-closed — the next reopen
-            // discards the unsealed waves and replays up to the last
-            // good seal.
+            // caller. The store latched fail-closed — later blocks are
+            // refused up front, and the next reopen replays up to the
+            // last good seal.
             outcome.wal_error = Some(e.to_string());
         }
     }
@@ -971,41 +973,7 @@ fn apply_survivors(
     }
 
     let wave_txs: Vec<&Arc<Transaction>> = live.iter().map(|&index| &batch[index]).collect();
-    let mut effects: Vec<Option<UtxoEffects>> = live.iter().map(|_| None).collect();
-    // Durable mode: the wave's effects hit the WAL before any shard
-    // mutates (write-ahead). The plans the apply workers would derive
-    // are derived here instead and handed onward, so logging never
-    // doubles the derivation work.
-    if let Some(store) = ledger.durable_store().cloned() {
-        let logged = clock.time("wal", || {
-            let mut spends: Vec<(OutputRef, String)> = Vec::new();
-            let mut adds: Vec<(OutputRef, Utxo)> = Vec::new();
-            for (tx, slot) in wave_txs.iter().zip(effects.iter_mut()) {
-                let plan = slot.insert(ledger.utxo_effects(tx));
-                spends.extend(plan.spends.iter().map(|o| (o.clone(), tx.id.clone())));
-                adds.extend(plan.adds.iter().cloned());
-            }
-            store.log_wave(&spends, &adds)
-        });
-        if let Err(e) = logged {
-            // Fail closed: nothing in this wave applies if its effects
-            // never reached the log — in-memory state must never run
-            // ahead of what the WAL can prove. Every live member is
-            // rejected as a (retryable) storage error; the store
-            // latched and refuses further writes until reopened.
-            let why = e.to_string();
-            outcome.wal_error = Some(why.clone());
-            for &index in &live {
-                outcome
-                    .rejected
-                    .push((index, ValidationError::Storage(why.clone())));
-            }
-            return;
-        }
-    }
-    let applied = clock.time("apply", || {
-        ledger.apply_wave(&wave_txs, effects, options.workers)
-    });
+    let applied = clock.time("apply", || ledger.apply_wave(&wave_txs, options.workers));
     for (&index, verdict) in live.iter().zip(applied) {
         match verdict {
             Ok(()) => accepted.push(index),

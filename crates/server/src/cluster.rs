@@ -8,8 +8,8 @@
 //! children and hands them to the outbox for asynchronous submission —
 //! the simulation-side realization of the ReturnQueue workers.
 //!
-//! Every replica opens, commits, settles, recovers and checkpoints
-//! through the same core a standalone [`crate::Node`] embeds. What this
+//! Every replica opens, commits, settles and recovers through the
+//! same core a standalone [`crate::Node`] embeds. What this
 //! shell adds is what consensus needs around it: the shared parsed and
 //! footprint caches, schedule gossip (forming annotated blocks,
 //! counting how deliveries used them), CheckTx with the simulated cost
@@ -32,7 +32,7 @@ use scdb_crypto::KeyPair;
 use scdb_json::Value;
 use scdb_mempool::pack_batch;
 use scdb_sim::{NodeId, SimTime};
-use scdb_store::{collections, CheckpointHandle, Db, ExportStats, StateDigest};
+use scdb_store::{collections, Db, ExportStats, StateDigest};
 use scdb_telemetry::{Counter, Telemetry};
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
@@ -233,7 +233,7 @@ impl SmartchainCluster {
     /// shard-blind (sorted dumps of the entry set).
     pub fn with_options(nodes: usize, pipeline: PipelineOptions) -> SmartchainCluster {
         let escrow = KeyPair::from_seed([0xE5; 32]);
-        // Durable mode: every replica gets its own write-ahead store
+        // Durable mode: every replica gets its own durable store
         // under one self-cleaning root — each survives (and recovers
         // from) an independent crash.
         let durable_root = pipeline.durable.then(|| EphemeralDir::new("scdb-cluster"));
@@ -336,34 +336,10 @@ impl SmartchainCluster {
         self.replicas[node].durable_dir()
     }
 
-    /// Checkpoints one replica's durable store at its current block
-    /// boundary (snapshot + WAL truncation). Returns `false` when the
-    /// cluster runs without durability.
-    pub fn checkpoint_replica(&mut self, node: NodeId) -> Result<bool, String> {
-        self.replicas[node]
-            .checkpoint()
-            .map_err(|e| format!("checkpoint failed: {e}"))
-    }
-
-    /// Like [`SmartchainCluster::checkpoint_replica`], but the file
-    /// writes and WAL truncation run on a background thread — the
-    /// snapshot is pinned synchronously at the replica's current block
-    /// boundary, so blocks delivered while the writer runs are never
-    /// stalled and never leak into the checkpoint. `Ok(None)` without
-    /// durability; wait on the handle to observe writer errors.
-    pub fn checkpoint_replica_background(
-        &mut self,
-        node: NodeId,
-    ) -> Result<Option<CheckpointHandle>, String> {
-        self.replicas[node]
-            .checkpoint_background()
-            .map_err(|e| format!("background checkpoint failed: {e}"))
-    }
-
     /// Orderly-restarts a replica: buffered group-commit seals are
     /// fsync'd, and the replica is then rebuilt from its own durable
-    /// store (newest checkpoint + sealed WAL tail). The recovered
-    /// replica lands exactly on its last delivered block and stays
+    /// store (the sealed chain, re-executed). The recovered replica
+    /// lands exactly on its last delivered block and stays
     /// digest-equal with the survivors. Loss at arbitrary *crash*
     /// points (no orderly shutdown) is the kill-point sweep's
     /// territory: recovery then lands on the last fsync'd seal for the
@@ -375,21 +351,18 @@ impl SmartchainCluster {
         self.replicas[node]
             .flush()
             .map_err(|e| format!("restart flush failed: {e}"))?;
-        // Detach first: the old store's WAL handles must drop before
-        // recovery rewrites the log files in place.
+        // Detach first: the old store's manifest handle must drop
+        // before recovery trims the file in place.
         self.replicas[node] = Replica::open(&self.pipeline, &self.escrow, None);
         self.reopen_replica(node, dir)
     }
 
     /// Catch-up for a lagging (or freshly wiped) replica: fetches the
-    /// source replica's checkpoint + WAL tail and recovers from the
-    /// copy, landing digest-equal with the source's sealed state.
-    /// Incremental when the lagging replica already holds a committed
-    /// checkpoint: per-shard digests are compared against the source's
-    /// newest checkpoint and only the shards that differ are shipped
-    /// (plus the WAL suffix) — matching shard files are reused in
-    /// place. Any mismatch falls back to a full export. Returns what
-    /// the transfer actually moved.
+    /// source replica's sealed chain and recovers from it, landing
+    /// digest-equal with the source's sealed state. Incremental when
+    /// the lagging replica's manifest is a verified prefix of the
+    /// source's — only the seals it lacks are shipped; an empty,
+    /// diverged or longer one is replaced whole. Returns which.
     pub fn catch_up(&mut self, node: NodeId, from: NodeId) -> Result<ExportStats, String> {
         if node == from {
             return Err("a replica cannot catch up from itself".into());
@@ -403,8 +376,8 @@ impl SmartchainCluster {
             .durable_dir(node)
             .ok_or_else(|| "lagging replica runs without durability".to_string())?;
         // Detach the lagging replica before writing into its store
-        // directory, so its stale WAL handles drop first and cannot
-        // append over the shipped files.
+        // directory, so its stale manifest handle drops first and
+        // cannot append over the shipped seals.
         self.replicas[node] = Replica::open(&self.pipeline, &self.escrow, None);
         let stats = src
             .export_to(&dst)
@@ -415,8 +388,8 @@ impl SmartchainCluster {
 
     /// Rebuilds one replica from the durable store at `dir`
     /// ([`Replica::recover`]). The caller has already detached the old
-    /// replica, so its store (and WAL handles) dropped before recovery
-    /// rewrites the log files in place. A parent whose children cannot
+    /// replica, so its store (and manifest handle) dropped before
+    /// recovery trims the file in place. A parent whose children cannot
     /// be determined from the recovered state stays untracked and is
     /// counted.
     fn reopen_replica(&mut self, node: NodeId, dir: PathBuf) -> Result<(), String> {

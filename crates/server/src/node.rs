@@ -6,8 +6,8 @@
 //! §4 life cycle minus distributed consensus: schema validation →
 //! semantic validation → commit to storage → (for nested types) child
 //! determination and asynchronous settlement. Opening, recovering,
-//! committing, settling and checkpointing are the [`Replica`] core's —
-//! the same code every cluster replica runs; this module adds the
+//! committing and settling are the [`Replica`] core's — the same code
+//! every cluster replica runs; this module adds the
 //! queryable document mirror, the `ReturnQueue` whose
 //! pump settles children locally, and the standing `Mempool`. Every
 //! submission entry point reaches the pipeline through
@@ -20,7 +20,7 @@ use scdb_core::{LedgerState, NestedTracker, Transaction, ValidationError};
 use scdb_crypto::KeyPair;
 use scdb_json::{obj, Value};
 use scdb_mempool::{AdmitError, AdmitReceipt, Mempool, MempoolConfig};
-use scdb_store::{collections, CheckpointHandle, Db, Filter, WalError};
+use scdb_store::{collections, Db, Filter, WalError};
 use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -126,8 +126,8 @@ impl Node {
         mempool: MempoolConfig,
     ) -> Node {
         // Durable mode without an explicit directory: an ephemeral
-        // per-node store, so every commit still runs the full WAL
-        // protocol, cleaned up when the node drops.
+        // per-node store, so every commit still seals its block,
+        // cleaned up when the node drops.
         let durable_tmp = pipeline.durable.then(|| EphemeralDir::new("scdb-durable"));
         let replica = Replica::open(
             &pipeline,
@@ -450,25 +450,6 @@ impl Node {
         self.mempool.requeue(formed, &self.replica.ledger)
     }
 
-    /// Snapshots the durable store at the current block boundary and
-    /// truncates the write-ahead logs behind it (a no-op returning
-    /// `false` when the node runs without durability). Recovery after
-    /// this point loads the snapshot and replays only the tail.
-    pub fn checkpoint_durable(&mut self) -> Result<bool, WalError> {
-        self.replica.checkpoint()
-    }
-
-    /// Like [`Node::checkpoint_durable`], but the file writes and WAL
-    /// truncation run on a background thread: the snapshot and digests
-    /// are captured synchronously at the current block boundary —
-    /// consistency is pinned before this returns — and commits landing
-    /// while the writer runs are never stalled by checkpoint I/O.
-    /// Returns `Ok(None)` when the node runs without durability; wait
-    /// on the handle to observe writer errors.
-    pub fn checkpoint_durable_background(&mut self) -> Result<Option<CheckpointHandle>, WalError> {
-        self.replica.checkpoint_background()
-    }
-
     /// Flushes any group-buffered seal records to the manifest and
     /// fsyncs them ([`scdb_store::FsyncLevel::Group`] durability).
     /// Call before an orderly shutdown — buffered seals are invisible
@@ -535,15 +516,18 @@ impl Node {
     }
 
     /// Settles up to `max` queued children as **one block** (the
-    /// simulation-side worker pump). Each child write-ahead logs its
-    /// own wave as it applies; one seal then covers the whole drain,
-    /// naming the children whose apply failed as aborted so replay
-    /// skips their logged effects. Post-commit effects run over the
-    /// block's committed children after the seal. A child that failed
-    /// goes back on the queue; a failed seal fails closed — the store
-    /// latched — and every child of the drain goes back. Returns how
-    /// many settled.
+    /// simulation-side worker pump): the children apply, then one seal
+    /// covers the whole drain — the children that applied, in queue
+    /// order. Post-commit effects run over them after the seal. A child
+    /// whose apply failed goes back on the queue; a failed seal fails
+    /// closed — the store latched — and every child of the drain goes
+    /// back. A store already latched refuses the pump before anything
+    /// leaves the queue. Returns how many settled.
     pub fn pump_returns(&mut self, max: usize) -> usize {
+        let store = self.replica.ledger.durable_store();
+        if store.is_some_and(|store| store.guard().is_err()) {
+            return 0;
+        }
         let jobs = self.queue.drain(max);
         if jobs.is_empty() {
             return 0;
@@ -553,16 +537,13 @@ impl Node {
             .map(|job| self.replica.ledger.apply_shared(&job.child).is_ok())
             .collect();
         if let Some(store) = self.replica.ledger.durable_store() {
-            let mut docs = Vec::with_capacity(jobs.len());
-            let mut aborted = Vec::new();
-            for (job, ok) in jobs.iter().zip(&applied) {
-                if *ok {
-                    docs.push(job.child.to_value());
-                } else {
-                    aborted.push(job.child.id.clone());
-                }
-            }
-            let sealed = store.seal_block(&docs, &aborted, &self.replica.ledger.state_digest());
+            let docs: Vec<Value> = jobs
+                .iter()
+                .zip(&applied)
+                .filter(|(_, ok)| **ok)
+                .map(|(job, _)| job.child.to_value())
+                .collect();
+            let sealed = store.seal_block(&docs, &self.replica.ledger.state_digest());
             if sealed.is_err() {
                 for job in jobs {
                     self.queue.retry(job);
@@ -590,10 +571,10 @@ impl Node {
 
     /// Crash-recovery (§4.2.1 case 2): rebuilds the return queue —
     /// "enqueue all the RETURNs … when the receiver node comes up
-    /// online" — from the nested tracker (itself rebuilt from the WAL
-    /// by [`Replica::recover`]): every parent with outstanding
-    /// children, in ledger commit order, has them re-determined and
-    /// re-enqueued. Children already committed are skipped. Returns
+    /// online" — from the nested tracker (itself rebuilt from the
+    /// sealed chain by [`Replica::recover`]): every parent with
+    /// outstanding children, in ledger commit order, has them
+    /// re-determined and re-enqueued. Children already committed are skipped. Returns
     /// how many were re-enqueued.
     pub fn recover(&mut self) -> usize {
         let incomplete: HashSet<String> = self

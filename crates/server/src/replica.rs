@@ -7,9 +7,8 @@
 //! over a durable store, commits a block (pooled stateless verification
 //! → schedule → pipeline), settles it (the nested-transaction stage:
 //! children derived in parallel, registered in commit order — at commit
-//! time and on replay alike), or checkpoints / flushes the store. The
-//! shells add their own stores and caches on top and never repeat these
-//! steps.
+//! time and on replay alike), or flushes the store. The shells add
+//! their own stores and caches on top and never repeat these steps.
 
 use scdb_core::pipeline::{
     choose_schedule, commit_batch_planned, BatchOutcome, Footprint, PipelineOptions,
@@ -22,14 +21,14 @@ use scdb_core::{
 };
 use scdb_crypto::KeyPair;
 use scdb_json::Value;
-use scdb_store::{CheckpointHandle, DurableStore, WalError};
+use scdb_store::{DurableStore, WalError};
 use scdb_telemetry::Stopwatch;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A self-cleaning directory backing the env-gated ephemeral durable
-/// stores (`SCDB_DURABLE=1` without an explicit directory): the WAL
+/// stores (`SCDB_DURABLE=1` without an explicit directory): the log
 /// exists for the owner's lifetime — crash-consistency machinery is
 /// exercised end to end — and is removed when the owner drops.
 pub(crate) struct EphemeralDir(pub(crate) PathBuf);
@@ -97,8 +96,8 @@ pub(crate) struct Replica {
 impl Replica {
     /// A fresh replica with the escrow system account reserved. `dir`
     /// attaches a durable store on that (fresh) directory, so every
-    /// commit runs the full WAL protocol — recovering an empty
-    /// directory *is* opening it fresh.
+    /// commit seals its block — recovering an empty directory *is*
+    /// opening it fresh.
     pub(crate) fn open(options: &PipelineOptions, escrow: &KeyPair, dir: Option<&Path>) -> Replica {
         if let Some(dir) = dir {
             return Replica::recover(options, escrow, dir)
@@ -115,12 +114,12 @@ impl Replica {
     }
 
     /// Rebuilds a replica from the durable store at `dir`, fail-closed:
-    /// newest valid checkpoint, sealed WAL tail replayed over it, torn
-    /// tail discarded. Each committed document is parsed once and the
-    /// same transactions feed the ledger replay (cross-checked against
-    /// the recovered digest — a mismatch refuses to start) and the
-    /// nested-settlement replay, which the returned [`Replay`] reports
-    /// member by member.
+    /// the sealed chain is read (a torn tail discarded), each committed
+    /// document is parsed once, and the same transactions feed the
+    /// ledger's re-execution from genesis (the replayed digest checked
+    /// against every seal — a mismatch refuses to start, naming the
+    /// height) and the nested-settlement replay, which the returned
+    /// [`Replay`] reports member by member.
     pub(crate) fn recover(
         options: &PipelineOptions,
         escrow: &KeyPair,
@@ -128,8 +127,8 @@ impl Replica {
     ) -> Result<(Replica, Replay), String> {
         let telemetry = &options.telemetry;
         let clock = telemetry.is_enabled().then(Stopwatch::new);
-        let (mut store, recovered) = DurableStore::open(dir, options.utxo_shards)
-            .map_err(|e| format!("durable store open failed: {e}"))?;
+        let (mut store, recovered) =
+            DurableStore::open(dir).map_err(|e| format!("durable store open failed: {e}"))?;
         if let Some(clock) = clock {
             telemetry.observe_ns("durable.recovery_ns", clock.elapsed_ns());
             telemetry.add("durable.recovery_tail_discards", recovered.tail_discards);
@@ -153,7 +152,7 @@ impl Replica {
             .collect();
         let mut ledger = LedgerState::restore(
             &committed,
-            &recovered.digest,
+            &recovered.seals,
             options.utxo_shards,
             [escrow.public_hex()],
         )?;
@@ -176,9 +175,8 @@ impl Replica {
     /// not hold get their stateless checks as one pool (which decides
     /// nothing — a member it cannot vouch for takes the full check in
     /// the pipeline and is named there), then the wave-barrier pipeline
-    /// validates, applies, write-ahead logs and seals under `plan`'s
-    /// schedule. A formed schedule reports
-    /// [`ScheduleSource::Rederived`]`(None)`.
+    /// validates, applies and seals under `plan`'s schedule. A formed
+    /// schedule reports [`ScheduleSource::Rederived`]`(None)`.
     pub(crate) fn commit_block(
         &mut self,
         batch: &[Arc<Transaction>],
@@ -305,41 +303,6 @@ impl Replica {
                 _ => None,
             })
             .collect()
-    }
-
-    /// The committed history as checkpoint documents, in commit order.
-    fn checkpoint_documents(&self) -> Vec<Value> {
-        self.ledger
-            .committed_ids()
-            .iter()
-            .map(|id| {
-                self.ledger
-                    .get(id)
-                    .expect("committed id resolves to a transaction")
-                    .to_value()
-            })
-            .collect()
-    }
-
-    /// Snapshots the durable store at the current block boundary and
-    /// truncates the write-ahead logs behind it. `Ok(false)` without
-    /// durability.
-    pub(crate) fn checkpoint(&self) -> Result<bool, WalError> {
-        let Some(store) = self.ledger.durable_store() else {
-            return Ok(false);
-        };
-        store.checkpoint(self.ledger.utxos(), &self.checkpoint_documents())?;
-        Ok(true)
-    }
-
-    /// [`Replica::checkpoint`] with the file writes and WAL truncation
-    /// on a background thread; the snapshot is still captured here, at
-    /// the current block boundary. `Ok(None)` without durability.
-    pub(crate) fn checkpoint_background(&self) -> Result<Option<CheckpointHandle>, WalError> {
-        self.ledger
-            .durable_store()
-            .map(|store| store.checkpoint_async(self.ledger.utxos(), &self.checkpoint_documents()))
-            .transpose()
     }
 
     /// Flushes group-buffered seal records to the manifest and fsyncs

@@ -13,8 +13,8 @@
 //!   the `accept_tx_recovery` collection of §4.2;
 //! * [`UtxoSet`] — hash-sharded spend tracking with native double-spend
 //!   rejection and deadlock-free multi-shard atomic apply;
-//! * [`DurableStore`] — the per-shard write-ahead log, checkpoints and
-//!   crash recovery behind the UTXO set.
+//! * [`DurableStore`] — the sealed block manifest a node's state is
+//!   re-executed from after a crash.
 
 mod collection;
 mod db;
@@ -28,7 +28,7 @@ pub use filter::Filter;
 pub use utxo::{
     entry_hash, OutputRef, SpendError, StateDigest, Utxo, UtxoSet, DEFAULT_UTXO_SHARDS,
 };
-pub use wal::{CheckpointHandle, DurableStore, ExportStats, FsyncLevel, RecoveredState, WalError};
+pub use wal::{DurableStore, ExportStats, FsyncLevel, RecoveredState, WalError};
 
 #[cfg(test)]
 mod proptests;

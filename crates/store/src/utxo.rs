@@ -102,10 +102,6 @@ pub enum SpendError {
     /// The output was already consumed — the double-spend the paper's
     /// native validation exists to prevent.
     DoubleSpend { output: OutputRef, spent_by: String },
-    /// The durable write-ahead log refused the effects: nothing was
-    /// applied (write-ahead is fail-closed — state never runs ahead of
-    /// what the log can prove). Retryable after the store reopens.
-    Store(String),
 }
 
 impl fmt::Display for SpendError {
@@ -115,7 +111,6 @@ impl fmt::Display for SpendError {
             SpendError::DoubleSpend { output, spent_by } => {
                 write!(f, "double spend of {output}: already spent by {spent_by}")
             }
-            SpendError::Store(why) => write!(f, "durable store refused the effects: {why}"),
         }
     }
 }

@@ -1,35 +1,28 @@
 //! Tunable durability: fsync levels and the group-commit seal writer.
 //!
-//! The WAL's buffered writes survive a *process* crash (the kernel
+//! The manifest's buffered writes survive a *process* crash (the kernel
 //! holds the page cache), but only an fsync survives a *host* crash.
 //! [`FsyncLevel`] picks where the commit point sits:
 //!
-//! * [`FsyncLevel::None`] — never fsync. Byte-identical to the store
-//!   before group commit existed: every record is a buffered
-//!   write + flush, seals land immediately. On host crash, anything
-//!   since the last kernel writeback may vanish; recovery still lands
-//!   on a consistent sealed prefix because the lost suffix is an
-//!   unsealed/torn tail.
-//! * [`FsyncLevel::Block`] — fsync at every seal (a group of one): the
-//!   dirty shard WALs are synced first, then the seal is written and
-//!   the manifest synced. A block acknowledged here survives host
-//!   crash.
+//! * [`FsyncLevel::None`] — never fsync: every seal is a buffered write
+//!   that lands immediately. On host crash, anything since the last
+//!   kernel writeback may vanish; recovery still lands on a consistent
+//!   sealed prefix because the lost suffix is a missing or torn tail.
+//! * [`FsyncLevel::Block`] — fsync at every seal (a group of one). A
+//!   block acknowledged here survives host crash.
 //! * [`FsyncLevel::Group(n)`] — group commit: up to `n` consecutive
 //!   seals accumulate in memory, then flush as ONE coalesced manifest
-//!   write followed by ONE manifest fsync (plus the dirty-shard syncs
-//!   covering their wave records). Amortizes the fsync cost over `n`
+//!   write followed by ONE fsync. Amortizes the fsync cost over `n`
 //!   blocks at the price of the last `< n` unflushed blocks on any
-//!   crash — they sit past the last durable seal, so recovery discards
-//!   them as an unsealed tail, never a corruption.
+//!   crash — they never reached the file, so recovery simply does not
+//!   see them.
 //!
 //! A buffered (unflushed) seal is invisible to recovery by
-//! construction: its manifest line is still in memory, so its wave
-//! records look like an unsealed tail. That is exactly the shape the
-//! recovery path already tolerates, which is why group commit needs no
-//! recovery-side changes — the kill-point sweep in
-//! `tests/durable_store.rs` pins this at every level. Checkpoint and
-//! export force a flush first, so a trimmed WAL never orphans a
-//! buffered seal's wave records.
+//! construction: its manifest line is still in memory. That is exactly
+//! the shape the recovery path already tolerates, which is why group
+//! commit needs no recovery-side changes — the kill-point sweep in
+//! `tests/durable_store.rs` pins this at every level. Export forces a
+//! flush first, so the copy holds every acknowledged block.
 
 use super::{DurableStore, Inner, WalError};
 
@@ -115,82 +108,34 @@ impl DurableStore {
     /// Forces the buffered seal group to disk — the clean-shutdown (or
     /// end-of-stream) flush at `group:N`. A process that exits without
     /// flushing loses its buffered seals exactly like a crash would:
-    /// recovery discards them as an unsealed tail.
+    /// recovery never sees them. A latched store refuses at every
+    /// level: a seal it accepted may not be on disk, so it never reads
+    /// as flushed.
     pub fn flush_group(&self) -> Result<(), WalError> {
         let mut inner = self.inner.lock();
+        inner.guard()?;
         self.flush_group_locked(&mut inner)
     }
 
-    /// The group flush: fsync the dirty shard WALs (the wave records
-    /// the seals cover must be durable before the seals are), then ONE
-    /// coalesced manifest write of every buffered seal line, then ONE
-    /// manifest fsync — the whole group's commit point. The coalesced
-    /// write is a single crash-injection boundary: torn mid-chunk it
-    /// leaves whole leading seals plus one torn line, the tail shape
-    /// recovery already discards.
-    ///
-    /// The dirty-shard syncs run CONCURRENTLY (one scoped thread per
-    /// file): sequential `fsync`s serialize one device round-trip per
-    /// shard, while concurrent ones queue at the device and complete
-    /// in roughly a single round-trip. Ordering is unaffected — the
-    /// durability barrier is "every dirty shard synced before the
-    /// manifest chunk is written", and the scope join is that barrier.
+    /// The group flush: ONE coalesced manifest write of every buffered
+    /// seal line, then ONE fsync — the whole group's commit point. The
+    /// coalesced write is a single crash-injection boundary: torn
+    /// mid-chunk it leaves whole leading seals plus one torn line, the
+    /// tail shape recovery already discards. The buffer empties only
+    /// once the group is on disk: a failed flush latches the store with
+    /// its seals still counted as pending, so neither
+    /// [`DurableStore::pending_seals`] nor a later flush ever reports
+    /// them durable.
     pub(super) fn flush_group_locked(&self, inner: &mut Inner) -> Result<(), WalError> {
         if inner.pending_seals.is_empty() {
             return Ok(());
         }
         inner.guard()?;
-        let mut fsyncs = 0u64;
-        let dirty: Vec<usize> = (0..self.shards)
-            .filter(|&s| inner.dirty_shards[s])
-            .collect();
-        if !dirty.is_empty() {
-            if inner.tripped {
-                // Crash-sim semantics: a tripped store's syncs are
-                // silent no-ops, exactly like its writes.
-            } else if dirty.len() == 1 {
-                if let Err(e) = inner.sync_shard(dirty[0]) {
-                    inner.poison(&e);
-                    return Err(WalError::Io(e));
-                }
-            } else {
-                let files = &inner.shard_files;
-                let failed = std::thread::scope(|scope| {
-                    let syncs: Vec<_> = dirty
-                        .iter()
-                        .map(|&s| scope.spawn(move || files[s].sync_data()))
-                        .collect();
-                    syncs
-                        .into_iter()
-                        .filter_map(|h| h.join().expect("shard sync thread").err())
-                        .next()
-                });
-                if let Some(e) = failed {
-                    inner.poison(&e);
-                    return Err(WalError::Io(e));
-                }
-            }
-            for &s in &dirty {
-                inner.dirty_shards[s] = false;
-            }
-            fsyncs += dirty.len() as u64;
-        }
+        let chunk = inner.pending_seals.concat();
+        inner.append(chunk.as_bytes(), true)?;
         let group = inner.pending_seals.len() as u64;
-        let mut chunk = Vec::new();
-        for line in inner.pending_seals.drain(..) {
-            chunk.extend_from_slice(line.as_bytes());
-            chunk.push(b'\n');
-        }
-        if let Err(e) = inner.append_manifest_chunk(&chunk) {
-            inner.poison(&e);
-            return Err(WalError::Io(e));
-        }
-        if let Err(e) = inner.sync_manifest() {
-            inner.poison(&e);
-            return Err(WalError::Io(e));
-        }
-        fsyncs += 1;
-        self.telemetry.add("durable.fsyncs", fsyncs);
+        inner.pending_seals.clear();
+        self.telemetry.incr("durable.fsyncs");
         self.telemetry.observe_ns("durable.group_size", group);
         Ok(())
     }
@@ -198,10 +143,9 @@ impl DurableStore {
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::{block, out, utxo, Scratch, SHARDS};
+    use super::super::tests::{block, Scratch};
     use super::*;
     use crate::utxo::UtxoSet;
-    use scdb_json::obj;
 
     #[test]
     fn fsync_level_parses_the_env_syntax() {
@@ -219,32 +163,20 @@ mod tests {
     #[test]
     fn group_seals_buffer_until_the_group_fills() {
         let scratch = Scratch::new("group-buffer");
-        let (mut store, _) = DurableStore::open(scratch.path(), SHARDS).expect("open");
+        let (mut store, _) = DurableStore::open(scratch.path()).expect("open");
         store.set_fsync(FsyncLevel::Group(2));
-        let live = UtxoSet::with_shards(SHARDS);
+        let live = UtxoSet::with_shards(4);
 
-        block(
-            &store,
-            &live,
-            &[],
-            &[(out("aaaa", 0), utxo("alice"))],
-            &[obj! { "id" => "aaaa" }],
-        );
+        block(&store, &live, "aaaa");
         // One seal buffered: on-disk recovery still sees height 0.
         assert_eq!(store.pending_seals(), 1);
-        let rec = DurableStore::recover(scratch.path(), SHARDS).expect("recover");
+        let rec = DurableStore::recover(scratch.path(), 4).expect("recover");
         assert_eq!(rec.height, 0);
 
-        block(
-            &store,
-            &live,
-            &[],
-            &[(out("bbbb", 0), utxo("bob"))],
-            &[obj! { "id" => "bbbb" }],
-        );
+        block(&store, &live, "bbbb");
         // The group filled and flushed: both seals are durable.
         assert_eq!(store.pending_seals(), 0);
-        let rec = DurableStore::recover(scratch.path(), SHARDS).expect("recover");
+        let rec = DurableStore::recover(scratch.path(), 4).expect("recover");
         assert_eq!(rec.height, 2);
         assert_eq!(rec.digest, live.state_digest());
     }
@@ -252,39 +184,25 @@ mod tests {
     #[test]
     fn unflushed_group_seals_are_lost_like_a_crash() {
         let scratch = Scratch::new("group-lost");
-        let (mut store, _) = DurableStore::open(scratch.path(), SHARDS).expect("open");
+        let (mut store, _) = DurableStore::open(scratch.path()).expect("open");
         store.set_fsync(FsyncLevel::Group(3));
-        let live = UtxoSet::with_shards(SHARDS);
-        block(
-            &store,
-            &live,
-            &[],
-            &[(out("aaaa", 0), utxo("alice"))],
-            &[obj! { "id" => "aaaa" }],
-        );
+        block(&store, &UtxoSet::with_shards(4), "aaaa");
         assert_eq!(store.pending_seals(), 1);
-        // The process dies with the seal still buffered: its wave
-        // records are an unsealed tail and the block never happened.
+        // The process dies with the seal still buffered: the block
+        // never happened.
         drop(store);
-        let (store, rec) = DurableStore::open(scratch.path(), SHARDS).expect("reopen");
+        let (mut store, rec) = DurableStore::open(scratch.path()).expect("reopen");
         assert_eq!(rec.height, 0);
-        assert!(rec.utxos.is_empty());
+        assert!(rec.committed.is_empty());
 
         // An explicit flush is the clean shutdown.
-        let mut store = store;
         store.set_fsync(FsyncLevel::Group(3));
-        let live = UtxoSet::with_shards(SHARDS);
-        block(
-            &store,
-            &live,
-            &[],
-            &[(out("bbbb", 0), utxo("bob"))],
-            &[obj! { "id" => "bbbb" }],
-        );
+        let live = UtxoSet::with_shards(4);
+        block(&store, &live, "bbbb");
         store.flush_group().expect("flush");
         assert_eq!(store.pending_seals(), 0);
         drop(store);
-        let (_, rec) = DurableStore::open(scratch.path(), SHARDS).expect("reopen");
+        let (_, rec) = DurableStore::open(scratch.path()).expect("reopen");
         assert_eq!(rec.height, 1);
         assert_eq!(rec.digest, live.state_digest());
     }
@@ -292,45 +210,31 @@ mod tests {
     #[test]
     fn block_level_flushes_every_seal() {
         let scratch = Scratch::new("block-level");
-        let (mut store, _) = DurableStore::open(scratch.path(), SHARDS).expect("open");
+        let (mut store, _) = DurableStore::open(scratch.path()).expect("open");
         store.set_fsync(FsyncLevel::Block);
-        let live = UtxoSet::with_shards(SHARDS);
-        block(
-            &store,
-            &live,
-            &[],
-            &[(out("aaaa", 0), utxo("alice"))],
-            &[obj! { "id" => "aaaa" }],
-        );
+        let live = UtxoSet::with_shards(4);
+        block(&store, &live, "aaaa");
         assert_eq!(store.pending_seals(), 0);
-        let rec = DurableStore::recover(scratch.path(), SHARDS).expect("recover");
+        let rec = DurableStore::recover(scratch.path(), 4).expect("recover");
         assert_eq!(rec.height, 1);
         assert_eq!(rec.digest, live.state_digest());
     }
 
     #[test]
-    fn checkpoint_flushes_the_group_first() {
-        let scratch = Scratch::new("group-ckpt");
-        let (mut store, _) = DurableStore::open(scratch.path(), SHARDS).expect("open");
-        store.set_fsync(FsyncLevel::Group(8));
-        let live = UtxoSet::with_shards(SHARDS);
-        let doc = obj! { "id" => "aaaa" };
-        block(
-            &store,
-            &live,
-            &[],
-            &[(out("aaaa", 0), utxo("alice"))],
-            std::slice::from_ref(&doc),
-        );
-        assert_eq!(store.pending_seals(), 1);
-        // The checkpoint must not trim wave records out from under a
-        // buffered seal: it flushes the group before snapshotting.
-        store
-            .checkpoint(&live, std::slice::from_ref(&doc))
-            .expect("checkpoint");
-        assert_eq!(store.pending_seals(), 0);
-        let rec = DurableStore::recover(scratch.path(), SHARDS).expect("recover");
-        assert_eq!(rec.height, 1);
-        assert_eq!(rec.digest, live.state_digest());
+    fn a_failed_flush_keeps_its_seals_pending_and_latches() {
+        let scratch = Scratch::new("group-failed-flush");
+        let (mut store, _) = DurableStore::open(scratch.path()).expect("open");
+        store.set_fsync(FsyncLevel::Group(2));
+        let live = UtxoSet::with_shards(4);
+        block(&store, &live, "aaaa");
+        store.inject_io_failure();
+        // The second seal fills the group; the flush it triggers fails.
+        assert!(store.seal_block(&[], &live.state_digest()).is_err());
+        assert!(store.guard().is_err());
+        // Neither seal is reported durable, now or by a later flush.
+        assert_eq!(store.next_height() - store.pending_seals() as u64, 0);
+        assert!(store.flush_group().is_err());
+        let rec = DurableStore::recover(scratch.path(), 4).expect("recover");
+        assert_eq!(rec.height, 0);
     }
 }

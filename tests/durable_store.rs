@@ -1,11 +1,11 @@
 //! Durable-store crash lane: randomized (but seeded, repeatable)
-//! auction streams committed through the write-ahead store, killed at
-//! every write boundary — mid-wave, between the wave records and the
-//! seal, a torn seal line, mid-checkpoint — then recovered. Recovery
-//! must land on a *sealed block boundary* whose digest, UTXO snapshot
-//! and commit order are byte-identical to a sequential in-memory
-//! reference at the same height, and the recovered node must be able
-//! to finish the rest of the stream and converge with the reference.
+//! auction streams committed through the sealed block manifest, killed
+//! at every write boundary — a torn seal line, a torn group flush —
+//! then recovered. Recovery re-executes the sealed chain and must land
+//! on a *sealed block boundary* whose digest, UTXO snapshot and commit
+//! order are byte-identical to a sequential in-memory reference at the
+//! same height, and the recovered node must be able to finish the rest
+//! of the stream and converge with the reference.
 //!
 //! CI's `stress-single-thread` job runs this with `SCDB_STRESS_ITERS=50`
 //! and `--test-threads=1`, which switches the kill-point sweep from a
@@ -31,14 +31,27 @@ fn stress_iters() -> usize {
 }
 
 /// Kill-point stride: the stress lane sweeps every write boundary, the
-/// default lane samples with a coprime stride so successive runs still
-/// hit wave records, seals and checkpoint files.
+/// default lane samples every other one (a block is one write, so a
+/// wider stride would skip most of a short stream).
 fn kill_stride() -> u64 {
     if stress_iters() >= 10 {
         1
     } else {
-        7
+        2
     }
+}
+
+/// The one-log layout: whatever ran, a durable directory holds exactly
+/// `wal/manifest.jsonl`.
+fn assert_only_the_manifest(dir: &std::path::Path) {
+    let names = |dir: &std::path::Path| -> Vec<String> {
+        std::fs::read_dir(dir)
+            .expect("durable directory lists")
+            .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+            .collect()
+    };
+    assert_eq!(names(dir), ["wal"], "{}", dir.display());
+    assert_eq!(names(&dir.join("wal")), ["manifest.jsonl"]);
 }
 
 /// Reference state at one sealed height: what recovery must reproduce.
@@ -77,11 +90,11 @@ fn contended_blocks(seed: u64, block_size: usize) -> Vec<Vec<Arc<Transaction>>> 
 }
 
 /// The batch path under fire: the whole contended stream is fed block
-/// by block (checkpoints interleaved) into a durable node whose disk
-/// dies after `k` whole writes. Recovery must land on a sealed block
-/// boundary equal to the sequential reference at that height, and
-/// finishing the remaining blocks must converge on the reference's
-/// final state. `k` sweeps until a run survives the entire stream.
+/// by block into a durable node whose disk dies after `k` whole writes.
+/// Recovery must land on a sealed block boundary equal to the
+/// sequential reference at that height, and finishing the remaining
+/// blocks must converge on the reference's final state. `k` sweeps
+/// until a run survives the entire stream.
 #[test]
 fn crash_at_any_write_recovers_a_sealed_prefix_matching_the_reference() {
     let escrow = KeyPair::from_seed([0xE5; 32]);
@@ -101,10 +114,10 @@ fn crash_at_any_write_recovers_a_sealed_prefix_matching_the_reference() {
         ref_states.push(ref_state(&reference));
     }
 
-    // The kill sweep runs at every durability level: `None` keeps the
-    // seed's boundary set, `Block` adds the per-seal fsync boundaries,
-    // `Group(3)` adds buffered seals (lost like a crash until the group
-    // flushes) and the coalesced manifest-chunk boundary.
+    // The kill sweep runs at every durability level: `None` and `Block`
+    // write one seal per block, `Group(3)` adds buffered seals (lost
+    // like a crash until the group flushes) and the coalesced
+    // manifest-chunk boundary.
     let scratch = Scratch::new("batch-crash");
     for level in [FsyncLevel::None, FsyncLevel::Block, FsyncLevel::Group(3)] {
         let opts = move || PipelineOptions::with_workers(4).utxo_shards(8).fsync(level);
@@ -121,12 +134,8 @@ fn crash_at_any_write_recovers_a_sealed_prefix_matching_the_reference() {
                 .expect("durable node has a store")
                 .clone();
             store.inject_crash_after(k);
-            for (i, block) in blocks.iter().enumerate() {
+            for block in &blocks {
                 node.submit_batch_parsed(block);
-                if i % 2 == 1 {
-                    node.checkpoint_durable()
-                        .expect("checkpoint at a block boundary");
-                }
             }
             // Orderly shutdown flushes group-buffered seals; a tripped
             // run's flush is swallowed by the simulated dead disk, so
@@ -186,6 +195,7 @@ fn crash_at_any_write_recovers_a_sealed_prefix_matching_the_reference() {
                 last.snapshot,
                 "converged snapshot at k={k} level={level:?}"
             );
+            assert_only_the_manifest(&scratch.0);
             k += kill_stride();
         }
         assert!(
@@ -361,11 +371,10 @@ fn node_with_queued_children(dir: &std::path::Path, level: FsyncLevel) -> Node {
 }
 
 /// Batched settlement under fire: one `pump_returns` settles both
-/// children as ONE block — a wave record per child, one shared seal.
-/// A crash after any child's wave record and before the seal lands
-/// whole must recover to the pre-pump state with every child back on
-/// the return queue, and pumping the rebuilt queue must land
-/// digest-equal to the uncrashed run. At every kill point the nested
+/// children as ONE block — one shared seal, the pump's only write. A
+/// crash before the seal lands whole must recover to the pre-pump state
+/// with every child back on the return queue, and pumping the rebuilt
+/// queue must land digest-equal to the uncrashed run. At every kill point the nested
 /// state recovery rebuilds — tracker statuses and outstanding ids, the
 /// return queue in order, the recovery collection — equals the
 /// uncrashed node's at the same height: recovery reads the settled
@@ -416,8 +425,8 @@ fn crash_inside_a_multi_child_pump_recovers_to_the_pre_pump_state() {
                     pre_pump_nested,
                     "pre-pump nested state at k={k} level={level:?}"
                 );
-                // The seal is the pump's last write: a tripped run never
-                // landed it whole, so no child's wave is covered.
+                // The seal is the pump's only write: a tripped run never
+                // landed it whole, so no child is on disk.
                 assert_eq!(
                     recovered.state_digest(),
                     pre_pump.digest,
@@ -454,16 +463,16 @@ fn crash_inside_a_multi_child_pump_recovers_to_the_pre_pump_state() {
             k += 1;
         }
         assert!(survived, "the sweep reaches an untripped pump ({level:?})");
-        assert!(k > 2, "the pump wrote a wave per child plus the seal");
+        assert_eq!(k, 2, "one pump, one write: its seal");
     }
 }
 
-/// A child whose apply fails inside a batched pump is named aborted in
-/// the shared seal — replay skips its write-ahead-logged effects — and
-/// its siblings commit in the same block. The failed child goes back on
-/// the queue, exactly as on the scalar path.
+/// A child whose apply fails inside a batched pump stays out of the
+/// shared seal — re-execution never sees it — and its siblings commit
+/// in the same block. The failed child goes back on the queue, exactly
+/// as on the scalar path.
 #[test]
-fn failed_child_is_aborted_in_the_seal_and_its_siblings_commit() {
+fn failed_child_stays_out_of_the_seal_and_its_siblings_commit() {
     let scratch = Scratch::new("pump-abort");
     let mut node = node_with_queued_children(&scratch.0, FsyncLevel::None);
     // Settle one child behind the queue's back, then queue both again:
@@ -488,14 +497,14 @@ fn failed_child_is_aborted_in_the_seal_and_its_siblings_commit() {
     node.flush_durable().expect("flush");
     drop(node);
 
-    // Replay must skip the aborted child's logged spend (it would be a
-    // double spend) and land on the sealed digest.
+    // Re-execution replays the sibling alone (the failed child would be
+    // a double spend) and lands on the sealed digest.
     let recovered = Node::with_durable_dir(
         KeyPair::from_seed([0xE5; 32]),
         PipelineOptions::with_workers(2).utxo_shards(4),
         &scratch.0,
     )
-    .expect("the aborted child's effects are skipped at replay");
+    .expect("the failed child is not in the sealed chain");
     assert_eq!(recovered.state_digest(), expect.digest);
     assert_eq!(recovered.ledger().utxos().snapshot(), expect.snapshot);
     assert_eq!(
@@ -520,8 +529,8 @@ fn pump_returns_counts_are_independent_of_the_batching() {
 }
 
 /// Cluster durability: one replica restarts mid-stream and recovers
-/// from its own WAL, another is wiped and catches up wholesale from a
-/// peer's store. Everyone must stay digest-equal throughout.
+/// from its own manifest, another is wiped and catches up wholesale
+/// from a peer's store. Everyone must stay digest-equal throughout.
 #[test]
 fn cluster_restart_and_catch_up_stay_digest_equal() {
     let blocks = contended_blocks(0xCAFE, 4);
@@ -554,9 +563,6 @@ fn cluster_restart_and_catch_up_stay_digest_equal() {
     for block in &payloads[..half] {
         deliver(&mut cluster, block);
     }
-    cluster
-        .checkpoint_replica(0)
-        .expect("replica 0 checkpoints at a block boundary");
 
     // Replica 1 restarts; recovery from its own store must reach the
     // sealed state every surviving replica holds.
@@ -575,13 +581,13 @@ fn cluster_restart_and_catch_up_stay_digest_equal() {
     assert_eq!(d0, cluster.state_digest(2));
 
     // Replica 2 is wiped entirely and catches up from replica 0's
-    // store (checkpoint + WAL tail, wholesale).
+    // store (the whole chain).
     let wiped = cluster.durable_dir(2).expect("durable cluster has dirs");
     std::fs::remove_dir_all(&wiped).expect("wipe replica 2");
     let stats = cluster.catch_up(2, 0).expect("replica 2 catches up");
     assert!(
         !stats.incremental,
-        "a wiped replica has no checkpoint to diff against — full export"
+        "a wiped replica holds no prefix to extend — full export"
     );
     assert_eq!(cluster.state_digest(0), cluster.state_digest(2));
     assert_eq!(
@@ -595,6 +601,9 @@ fn cluster_restart_and_catch_up_stay_digest_equal() {
     let d0 = cluster.state_digest(0);
     assert_eq!(d0, cluster.state_digest(1));
     assert_eq!(d0, cluster.state_digest(2));
+    for node in 0..nodes {
+        assert_only_the_manifest(&cluster.durable_dir(node).unwrap());
+    }
 }
 
 /// Node ≡ replica recovery: the same committed auction stream — one
@@ -718,26 +727,28 @@ fn node_and_replica_recover_the_same_nested_state() {
         k += 1;
     }
     assert!(survived, "the sweep reaches an untripped children block");
-    assert!(k > 2, "the block wrote its waves and a seal");
+    assert_eq!(k, 2, "the children's block costs one write: its seal");
 }
 
-/// Incremental catch-up: a lagging replica that already holds a
-/// committed checkpoint at the same height as the source's newest one
-/// reuses every digest-matching shard file in place — the transfer
-/// ships only the WAL suffix — and still lands digest-equal.
+/// Catch-up ships only what the lagging replica lacks: a replica whose
+/// manifest is a prefix of the source's gets the missing seals appended
+/// to it, while one that diverged, or ran ahead of the source, is
+/// replaced whole — and lands digest-equal with the source either way.
 #[test]
-fn incremental_catch_up_reuses_matching_checkpoint_shards() {
+fn catch_up_ships_only_the_missing_seals_and_replaces_a_diverged_or_longer_target() {
     let blocks = contended_blocks(0x19C4, 4);
     let payloads: Vec<Vec<String>> = blocks
         .iter()
         .map(|b| b.iter().map(|t| t.to_payload()).collect())
         .collect();
-    let shards = 8;
+    // Write-through seals: what a replica holds on disk is what it
+    // delivered, whatever level the suite runs at.
     let mut cluster = SmartchainCluster::with_options(
         3,
         PipelineOptions::with_workers(4)
-            .utxo_shards(shards)
-            .durable(true),
+            .utxo_shards(8)
+            .durable(true)
+            .fsync(FsyncLevel::None),
     );
     let mut next_tx: TxId = 0;
     let mut deliver = |cluster: &mut SmartchainCluster, block: &[String], nodes: &[usize]| {
@@ -752,160 +763,216 @@ fn incremental_catch_up_reuses_matching_checkpoint_shards() {
             cluster.deliver_block(node, BlockView::bare(&pairs));
         }
     };
+    let manifest = |cluster: &SmartchainCluster, node: usize| {
+        let dir = cluster.durable_dir(node).expect("durable cluster has dirs");
+        std::fs::read(dir.join("wal/manifest.jsonl")).expect("manifest reads")
+    };
+    let caught_up = |cluster: &SmartchainCluster, node: usize| {
+        assert_eq!(cluster.state_digest(0), cluster.state_digest(node));
+        assert_eq!(
+            cluster.ledger(0).utxos().snapshot(),
+            cluster.ledger(node).utxos().snapshot(),
+            "caught-up replica holds the full state"
+        );
+        assert_eq!(manifest(cluster, 0), manifest(cluster, node));
+    };
 
-    // Everyone sees the stream prefix, then replicas 0 and 2 both
-    // checkpoint at the same block boundary — their per-shard digests
-    // now match file for file.
-    let (last, prefix) = payloads.split_last().expect("stream has blocks");
+    // Lagging: replica 2 misses the last two blocks. Its manifest is a
+    // prefix of replica 0's, so only the two missing seals move.
+    let (prefix, tail) = payloads.split_at(payloads.len() - 2);
     for block in prefix {
         deliver(&mut cluster, block, &[0, 1, 2]);
     }
-    cluster
-        .checkpoint_replica(0)
-        .expect("replica 0 checkpoints");
-    cluster
-        .checkpoint_replica(2)
-        .expect("replica 2 checkpoints");
-
-    // Replica 2 misses the last block; catch-up from replica 0 must
-    // take the incremental path and reuse every shard in place.
-    deliver(&mut cluster, last, &[0, 1]);
+    for block in tail {
+        deliver(&mut cluster, block, &[0, 1]);
+    }
+    let held = manifest(&cluster, 2);
     let stats = cluster.catch_up(2, 0).expect("replica 2 catches up");
-    assert!(stats.incremental, "matching checkpoints diff incrementally");
-    assert_eq!(stats.shards_reused, shards, "every shard file is reused");
-    assert_eq!(stats.shards_shipped, 0, "only the WAL suffix moves");
+    assert!(stats.incremental, "a prefix is extended, not replaced");
+    assert!(manifest(&cluster, 2).starts_with(&held));
+    caught_up(&cluster, 2);
 
-    let d0 = cluster.state_digest(0);
-    assert_eq!(d0, cluster.state_digest(2), "caught-up replica diverged");
-    assert_eq!(
-        cluster.ledger(0).utxos().snapshot(),
-        cluster.ledger(2).utxos().snapshot(),
-        "caught-up replica holds the full state"
-    );
+    // Diverged: replica 1 alone delivers a block the others never saw,
+    // then the others move on. Longer: replica 2 alone runs ahead.
+    let extra = |nonce: u64| vec![filler(nonce).to_payload()];
+    deliver(&mut cluster, &extra(1), &[1]);
+    deliver(&mut cluster, &extra(2), &[0]);
+    deliver(&mut cluster, &extra(3), &[2]);
+    deliver(&mut cluster, &extra(4), &[2]);
+    for node in [1, 2] {
+        let stats = cluster.catch_up(node, 0).expect("replica catches up");
+        assert!(!stats.incremental, "replica {node} is replaced whole");
+        caught_up(&cluster, node);
+    }
 
-    // And it keeps replicating.
-    deliver(&mut cluster, &payloads[0], &[0, 1, 2]);
+    // And everyone keeps replicating.
+    deliver(&mut cluster, &extra(5), &[0, 1, 2]);
     let d0 = cluster.state_digest(0);
     assert_eq!(d0, cluster.state_digest(1));
     assert_eq!(d0, cluster.state_digest(2));
 }
 
-/// Background checkpointing races live commits: the snapshot is pinned
-/// at the block boundary where the checkpoint was requested, blocks
-/// keep committing while the writer runs, and recovery stitches the
-/// checkpoint plus the concurrently sealed WAL tail back into exactly
-/// the final state.
-#[test]
-fn background_checkpoint_overlaps_commits_and_recovers() {
-    let escrow = KeyPair::from_seed([0xE5; 32]);
-    let blocks = contended_blocks(0xBAC6, 4);
-    for level in [FsyncLevel::None, FsyncLevel::Group(2)] {
-        let opts = move || PipelineOptions::with_workers(4).utxo_shards(8).fsync(level);
-        let scratch = Scratch::new(&format!("bg-ckpt-{level:?}"));
-        let mut node =
-            Node::with_durable_dir(escrow.clone(), opts(), &scratch.0).expect("fresh store opens");
-        let half = blocks.len() / 2;
-        for block in &blocks[..half] {
-            node.submit_batch_parsed(block);
-        }
-        let handle = node
-            .checkpoint_durable_background()
-            .expect("background checkpoint starts")
-            .expect("a durable node returns a handle");
-        // Commits land while the checkpoint writer is (possibly still)
-        // running; the snapshot must not absorb them.
-        for block in &blocks[half..] {
-            node.submit_batch_parsed(block);
-        }
-        handle
-            .wait()
-            .expect("background checkpoint writer succeeds");
-        node.flush_durable().expect("group flush at shutdown");
-        let expect = ref_state(&node);
-        let dir = node.durable_dir().expect("durable node has a dir");
-        drop(node);
-
-        assert!(
-            dir.join(format!("ckpt-{half}")).is_dir(),
-            "the checkpoint is anchored at the request boundary (level={level:?})"
-        );
-        let recovered = Node::with_durable_dir(escrow.clone(), opts(), &scratch.0)
-            .expect("recovery stitches checkpoint + concurrent tail");
-        assert_eq!(
-            recovered.state_digest(),
-            expect.digest,
-            "digest (level={level:?})"
-        );
-        assert_eq!(
-            recovered.ledger().utxos().snapshot(),
-            expect.snapshot,
-            "snapshot (level={level:?})"
-        );
-        assert_eq!(
-            recovered.ledger().committed_ids(),
-            expect.committed.as_slice(),
-            "commit order (level={level:?})"
-        );
-    }
+/// A fresh single-output CREATE, one per `nonce`.
+fn filler(nonce: u64) -> Arc<Transaction> {
+    let owner = KeyPair::from_seed([0x77; 32]);
+    Arc::new(
+        TxBuilder::create(smartchaindb::json::obj! { "n" => nonce })
+            .output(owner.public_hex(), 1)
+            .nonce(nonce)
+            .sign(&[&owner]),
+    )
 }
 
-/// A refused WAL write fails the commit closed at the node surface:
-/// the batch is rejected as a storage error, the in-memory state never
-/// runs ahead of the log, the store latches against further writes,
-/// and reopening recovers the sealed prefix and finishes the stream.
+/// A refused write fails closed at the node surface. A seal is written
+/// after its block applied, so the block whose seal (at `group:3`: whose
+/// group flush) is refused is in memory and reports the storage error;
+/// the store latches, and from then on the latch holds *before* memory:
+/// the next block and the next pump commit nothing, reject every member
+/// as a storage error and leave the state untouched. Reopening recovers
+/// the last durable seal and finishes the stream.
 #[test]
 fn wal_write_failure_fails_the_commit_closed() {
     let escrow = KeyPair::from_seed([0xE5; 32]);
-    let blocks = contended_blocks(0xFA11, 5);
-    let scratch = Scratch::new("wal-fail");
-    let opts = || PipelineOptions::with_workers(2).utxo_shards(4);
-    let mut node =
-        Node::with_durable_dir(escrow.clone(), opts(), &scratch.0).expect("fresh store opens");
-    node.submit_batch_parsed(&blocks[0]);
-    // At a group-commit level (`SCDB_FSYNC=group:N`) block 0's seal is
-    // only buffered: put the sealed prefix on disk before the failure.
-    node.flush_durable().expect("the sealed prefix is flushed");
-    let before = ref_state(&node);
+    for level in [FsyncLevel::None, FsyncLevel::Group(3)] {
+        let scratch = Scratch::new("wal-fail");
+        // Both children of the script's ACCEPT_BID are queued and the
+        // sealed prefix is on disk.
+        let mut node = node_with_queued_children(&scratch.0, level);
+        let before = ref_state(&node);
 
-    let store = node.ledger().durable_store().unwrap().clone();
-    store.inject_io_failure();
-    let report = node.submit_batch_parsed(&blocks[1]);
-    assert!(
-        report.outcome.committed.is_empty(),
-        "nothing commits past a refused WAL write"
-    );
-    assert!(
-        report.outcome.wal_error.is_some(),
-        "the outcome names the storage failure"
-    );
-    assert!(
-        report
+        // The refusal surfaces at the first write: the very next seal,
+        // or the flush of the group the third seal fills.
+        let store = node.ledger().durable_store().unwrap().clone();
+        store.inject_io_failure();
+        let until_refusal = match level {
+            FsyncLevel::Group(n) => n as u64,
+            _ => 1,
+        };
+        for nonce in 1..until_refusal {
+            node.process_transaction(&filler(nonce).to_payload())
+                .expect("a buffered seal acknowledges nothing and refuses nothing");
+        }
+        let refused = filler(until_refusal);
+        match node.process_transaction(&refused.to_payload()) {
+            Err(ValidationError::Storage(why)) => {
+                assert!(why.contains("durable seal failed"), "{why} ({level:?})")
+            }
+            other => panic!("the refused block names the failure, got {other:?} ({level:?})"),
+        }
+        assert!(
+            node.ledger().is_committed(&refused.id),
+            "the named cost: the refused block applied in memory ({level:?})"
+        );
+        assert!(node.flush_durable().is_err(), "nothing reads as flushed");
+        let ahead = node.state_digest();
+
+        // The latch holds before memory, for a block and for a pump.
+        let next = [filler(100), filler(101)];
+        let report = node.submit_batch_parsed(&next);
+        assert!(report.outcome.committed.is_empty(), "the latch holds");
+        assert!(report.outcome.wal_error.is_some());
+        assert_eq!(report.outcome.rejected.len(), next.len());
+        assert!(report
             .outcome
             .rejected
             .iter()
-            .any(|(_, e)| matches!(e, ValidationError::Storage(_))),
-        "members are rejected as (retryable) storage errors"
-    );
-    assert_eq!(
-        node.state_digest(),
-        before.digest,
-        "in-memory state never ran ahead of the log"
-    );
+            .all(|(_, e)| matches!(e, ValidationError::Storage(_))));
+        assert_eq!(node.pump_returns(usize::MAX), 0, "the pump is refused");
+        assert_eq!(node.queue().len(), 2, "nothing left the queue");
+        assert_eq!(node.state_digest(), ahead, "memory did not move");
+        assert!(!node.ledger().is_committed(&next[0].id));
+        drop(node);
 
-    // The store latched fail-closed: later blocks are refused too.
-    let report = node.submit_batch_parsed(&blocks[2]);
-    assert!(report.outcome.committed.is_empty(), "the latch holds");
-    assert!(report.outcome.wal_error.is_some());
+        // Reopen: the last durable seal, children back on the queue,
+        // and the stream finishes cleanly.
+        let opts = PipelineOptions::with_workers(2).utxo_shards(4).fsync(level);
+        let mut recovered = Node::with_durable_dir(escrow.clone(), opts, &scratch.0)
+            .expect("reopen recovers the last durable seal");
+        assert_eq!(recovered.state_digest(), before.digest, "{level:?}");
+        assert_eq!(
+            recovered.ledger().committed_ids(),
+            before.committed.as_slice()
+        );
+        assert_eq!(recovered.queue().len(), 2);
+        let report = recovered.submit_batch_parsed(&next);
+        assert!(report.fully_committed(), "the reopen unlatches");
+        assert!(report.outcome.wal_error.is_none());
+        assert_eq!(recovered.pump_returns(usize::MAX), 2);
+        recovered.flush_durable().expect("flush");
+        assert_only_the_manifest(&scratch.0);
+    }
+}
+
+/// Corruption is localised: one committed document altered in the
+/// middle of the manifest — the line still parses — is refused at the
+/// seal that holds it, not at the end of the replay.
+#[test]
+fn corrupted_document_is_refused_at_its_own_seal() {
+    let escrow = KeyPair::from_seed([0xE5; 32]);
+    let blocks = contended_blocks(0xC0DE, 4);
+    let scratch = Scratch::new("mid-corrupt");
+    let opts = || PipelineOptions::with_workers(2).utxo_shards(4);
+    let mut node =
+        Node::with_durable_dir(escrow.clone(), opts(), &scratch.0).expect("fresh store opens");
+    for block in &blocks {
+        node.submit_batch_parsed(block);
+    }
+    node.flush_durable().expect("flush");
     drop(node);
 
-    // Reopen: the partial wave is an unsealed tail, discarded; the
-    // sealed prefix survives and the stream finishes cleanly.
-    let mut recovered = Node::with_durable_dir(escrow.clone(), opts(), &scratch.0)
-        .expect("reopen recovers the sealed prefix");
-    assert_eq!(recovered.state_digest(), before.digest);
-    for block in &blocks[1..] {
-        let report = recovered.submit_batch_parsed(block);
-        assert!(report.outcome.wal_error.is_none(), "the reopen unlatches");
+    let path = scratch.0.join("wal/manifest.jsonl");
+    let text = std::fs::read_to_string(&path).expect("manifest reads");
+    let lines: Vec<&str> = text.lines().collect();
+    assert!(lines.len() >= 4, "the stream seals several blocks");
+    // One more share in the first output amount of a middle block. (An
+    // ACCEPT_BID's outputs are a settlement plan, not UTXOs: the state
+    // digest does not cover them.)
+    let height = (1..lines.len() - 1)
+        .find(|&h| lines[h].contains("\"amount\":1,") && !lines[h].contains("ACCEPT_BID"))
+        .expect("a middle block creates an output");
+    let altered = lines[height].replacen("\"amount\":1,", "\"amount\":2,", 1);
+    let mut rewritten: Vec<&str> = lines.clone();
+    rewritten[height] = &altered;
+    std::fs::write(&path, rewritten.join("\n") + "\n").expect("manifest rewrites");
+
+    let refused = Node::with_durable_dir(escrow, opts(), &scratch.0)
+        .err()
+        .expect("a corrupted document refuses the start");
+    assert!(
+        refused.contains(&format!("at height {height}")),
+        "the error names seal {height}: {refused}"
+    );
+}
+
+/// A directory of the retired layout — a checkpoint snapshot, or shard
+/// files with records in them — holds history the manifest does not. It
+/// is refused as corrupt, never opened as a shorter chain.
+#[test]
+fn a_retired_layout_is_refused() {
+    let escrow = KeyPair::from_seed([0xE5; 32]);
+    for stale in ["ckpt-4/meta.json", "wal/shard-3.jsonl"] {
+        let scratch = Scratch::new("retired-layout");
+        let opts = || PipelineOptions::with_workers(2).utxo_shards(4);
+        let mut node =
+            Node::with_durable_dir(escrow.clone(), opts(), &scratch.0).expect("fresh store opens");
+        node.submit_batch_parsed(&[filler(1)]);
+        node.flush_durable().expect("flush");
+        drop(node);
+        let path = scratch.0.join(stale);
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, "{\"h\":4}\n").unwrap();
+
+        assert!(
+            matches!(
+                DurableStore::recover(&scratch.0, 4),
+                Err(smartchaindb::store::WalError::Corrupt(_))
+            ),
+            "{stale}"
+        );
+        let refused = Node::with_durable_dir(escrow.clone(), opts(), &scratch.0)
+            .err()
+            .expect("the node refuses to start");
+        assert!(refused.contains("retired"), "{stale}: {refused}");
     }
 }
 
@@ -920,11 +987,8 @@ fn exported_store_recovers_independently() {
     let opts = || PipelineOptions::with_workers(2).utxo_shards(4);
     let mut node =
         Node::with_durable_dir(escrow.clone(), opts(), &scratch.0).expect("fresh store opens");
-    for (i, block) in blocks.iter().enumerate() {
+    for block in &blocks {
         node.submit_batch_parsed(block);
-        if i == blocks.len() / 2 {
-            node.checkpoint_durable().expect("mid-stream checkpoint");
-        }
     }
     let store: Arc<DurableStore> = node.ledger().durable_store().unwrap().clone();
     store.export_to(&target.0).expect("export clones the store");

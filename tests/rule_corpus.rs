@@ -776,6 +776,15 @@ fn transfer_rows(m: &Market) -> Vec<Row> {
         )
         .shadowed(Expect::Ok),
     ];
+    // 5 in, u64::MAX + 6 out: the sum wraps to 5 and must not balance.
+    rows.push(row(
+        "TRANSFER whose outputs wrap around to the input amount",
+        m.transfer()
+            .output_with_prev(hex(&m.bob), 6, vec![hex(&m.alice)])
+            .output_with_prev(hex(&m.bob), u64::MAX - 5, vec![hex(&m.alice)])
+            .sign(&signers),
+        semantic("TRANSFER output amounts overflow u64"),
+    ));
     for (name, edit, verdict) in spend_faults(m, "TRANSFER", spent) {
         let tx = edited(m.transfer(), &signers, |tx| edit(tx));
         rows.push(row(format!("TRANSFER {name}"), tx, verdict));
@@ -955,6 +964,14 @@ fn bid_rows(m: &Market) -> Vec<Row> {
             }),
         ),
     ];
+    rows.push(row(
+        "BID whose outputs wrap around to the input amount",
+        m.bid()
+            .output_with_prev(hex(&m.escrow), u64::MAX, vec![hex(&m.carol)])
+            .output_with_prev(hex(&m.escrow), 1, vec![hex(&m.carol)])
+            .sign(&signers),
+        semantic("BID output amounts overflow u64"),
+    ));
     for (name, edit, verdict) in spend_faults(m, "BID", spent) {
         let tx = edited(m.bid(), &signers, |tx| edit(tx));
         rows.push(row(format!("BID {name}"), tx, verdict));
@@ -1409,6 +1426,14 @@ fn return_rows(m: &Market) -> Vec<Row> {
         )
         .shadowed(mismatch(0, 1)),
     ];
+    rows.push(row(
+        "RETURN whose outputs wrap around to the input amount",
+        m.bid_return()
+            .output_with_prev(hex(&m.bob), u64::MAX, vec![hex(&m.escrow)])
+            .output_with_prev(hex(&m.bob), 1, vec![hex(&m.escrow)])
+            .sign(&signers),
+        semantic("RETURN output amounts overflow u64"),
+    ));
     for (name, edit, verdict) in spend_faults(m, "RETURN", spent) {
         let tx = edited(m.bid_return(), &signers, |tx| edit(tx));
         rows.push(row(format!("RETURN {name}"), tx, verdict));

@@ -6,7 +6,7 @@
 //! three stacked mutations — inputs, outputs and references dropped,
 //! duplicated and retargeted (at spent, foreign, escrow-held and
 //! non-existent outputs; at transactions of every operation), the asset
-//! kind swapped, amounts zeroed — then re-signed by the right accounts,
+//! kind swapped, amounts zeroed and maxed out — then re-signed by the right accounts,
 //! re-sealed with stale signatures, or left with a stale id, with or
 //! without a stripped fulfillment. Whatever comes out,
 //! `validate_transaction` must *return*; and after the block pre-pass
@@ -189,7 +189,7 @@ fn apply(f: &Fixture, tx: &mut Transaction, (what, how, at, to): (usize, usize, 
         1 => mutate(&mut tx.outputs, how, at, |output| match how {
             2 => output.public_keys = vec![f.keys[to % f.keys.len()].public_hex()],
             3 => output.previous_owners = vec![f.keys[to % f.keys.len()].public_hex()],
-            _ => output.amount = [0, 1, 7][to % 3],
+            _ => output.amount = [0, 1, 7, u64::MAX][to % 4],
         }),
         2 => mutate(&mut tx.references, how, at, |r| *r = id.clone()),
         3 => tx.references.push(id.clone()),
@@ -278,4 +278,48 @@ fn the_valid_instances_validate_and_hit() {
         );
         assert_eq!(f.ledger.verified_stats().hits, hits + 1, "{}", tx.operation);
     }
+}
+
+/// Amounts are untrusted: sums that overflow `u64` are refused by name,
+/// in release and debug alike — never wrapped into a balance (which
+/// would mint shares), never a panic.
+#[test]
+fn overflowing_amounts_are_refused_not_wrapped() {
+    let f = &mut build_fixture();
+    let (alice, bob) = (&f.keys[2], &f.keys[3]);
+    let hex = KeyPair::public_hex;
+
+    // Outputs: 5 shares in, u64::MAX + 6 out — wraps to 5.
+    let mut minting = f.valid[2].clone();
+    let mut extra = minting.outputs[0].clone();
+    extra.amount = 6;
+    minting.outputs.push(extra.clone());
+    extra.amount = u64::MAX - 5;
+    minting.outputs.push(extra);
+    sign_transaction(&mut minting, &[alice]);
+    let refused = validate_transaction(&minting, &f.ledger).expect_err("wrapping outputs");
+    assert!(
+        refused.to_string().contains("output amounts overflow"),
+        "{refused}"
+    );
+
+    // Inputs: two committed u64::MAX outputs spent together — wraps to
+    // u64::MAX - 1.
+    let rich = TxBuilder::create(obj! { "capabilities" => arr!["cnc"] })
+        .output(hex(alice), u64::MAX)
+        .output(hex(alice), u64::MAX)
+        .nonce(77)
+        .sign(&[alice]);
+    validate_transaction(&rich, &f.ledger).expect("a CREATE mints what it likes");
+    f.ledger.apply(&rich).expect("applies");
+    let spend = TxBuilder::transfer(rich.id.clone())
+        .input(rich.id.clone(), 0, vec![hex(alice)])
+        .input(rich.id.clone(), 1, vec![hex(alice)])
+        .output_with_prev(hex(bob), u64::MAX - 1, vec![hex(alice)])
+        .sign(&[alice]);
+    let refused = validate_transaction(&spend, &f.ledger).expect_err("wrapping inputs");
+    assert!(
+        refused.to_string().contains("input amounts overflow"),
+        "{refused}"
+    );
 }
