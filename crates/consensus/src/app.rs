@@ -5,7 +5,9 @@
 //! add valid transactions to the local mempool") and `DeliverTx` (the
 //! "final, third set of validation checks … before mutating the state"),
 //! plus the commit hook where ACCEPT_BID children are enqueued
-//! (Algorithm 3's `Commit(BlockTxs)`).
+//! (Algorithm 3's `Commit(BlockTxs)`). The seam is typed: the receiver
+//! decodes a payload once into the application's [`App::Tx`], and
+//! every later call borrows that value.
 
 use crate::TxId;
 use scdb_sim::{NodeId, SimTime};
@@ -76,19 +78,28 @@ impl From<Vec<usize>> for FormedBlock {
 }
 
 /// A structured, self-describing block as delivered to the
-/// application: the transactions in block order plus the proposer's
-/// annotations.
-#[derive(Debug, Clone, Copy)]
-pub struct BlockView<'a> {
-    /// The block's live transactions, in block order.
-    pub txs: &'a [(TxId, &'a str)],
+/// application: the decoded transactions in block order plus the
+/// proposer's annotations.
+#[derive(Debug)]
+pub struct BlockView<'a, Tx> {
+    /// The block's transactions, in block order, as the application
+    /// decoded them at submission.
+    pub txs: &'a [(TxId, &'a Tx)],
     /// The proposer's gossiped annotations (untrusted).
     pub annotations: &'a BlockAnnotations,
 }
 
-impl<'a> BlockView<'a> {
+impl<Tx> Clone for BlockView<'_, Tx> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<Tx> Copy for BlockView<'_, Tx> {}
+
+impl<'a, Tx> BlockView<'a, Tx> {
     /// A bare block with no annotations (single-tx delivery, tests).
-    pub fn bare(txs: &'a [(TxId, &'a str)]) -> BlockView<'a> {
+    pub fn bare(txs: &'a [(TxId, &'a Tx)]) -> BlockView<'a, Tx> {
         const NONE: &BlockAnnotations = &BlockAnnotations {
             schedule: None,
             state_digest: None,
@@ -104,9 +115,24 @@ impl<'a> BlockView<'a> {
 ///
 /// The engine calls each method with the node id so one `App` value can
 /// hold per-node state (each node has its own database replica).
+///
+/// Payloads are decoded once: the receiver's [`App::decode`] turns the
+/// client's bytes into the application's own [`App::Tx`] when the
+/// submission arrives, and the engine keeps that value, lending `&Tx`
+/// to every later call — CheckTx on the receiver and on every
+/// validator, block forming, delivery and the commit hook — so no
+/// application re-parses, or caches a parse, per stage (the typed seam
+/// of malachite's consensus, generic over the application's value).
 pub trait App {
+    /// The application's decoded transaction.
+    type Tx;
+
+    /// Decodes a client payload, once, on the receiver. An error
+    /// rejects the submission with that reason before CheckTx runs.
+    fn decode(&self, payload: &str) -> Result<Self::Tx, String>;
+
     /// Admission validation before a transaction enters `node`'s mempool.
-    fn check_tx(&mut self, node: NodeId, tx: TxId, payload: &str) -> AppResult;
+    fn check_tx(&mut self, node: NodeId, id: TxId, tx: &Self::Tx) -> AppResult;
 
     /// CheckTx for a whole proposed block on `node` (Fig. 4's second
     /// validation set): one verdict per transaction, aligned with
@@ -116,14 +142,14 @@ pub trait App {
     /// checks amortize over a block (the SmartchainDB cluster pools a
     /// block's signature verification across its workers) override it —
     /// the verdicts must not depend on the strategy.
-    fn check_block(&mut self, node: NodeId, txs: &[(TxId, &str)]) -> Vec<AppResult> {
+    fn check_block(&mut self, node: NodeId, txs: &[(TxId, &Self::Tx)]) -> Vec<AppResult> {
         txs.iter()
-            .map(|(tx, payload)| self.check_tx(node, *tx, payload))
+            .map(|(id, tx)| self.check_tx(node, *id, tx))
             .collect()
     }
 
     /// Execution during block commit on `node`; mutates node-local state.
-    fn deliver_tx(&mut self, node: NodeId, tx: TxId, payload: &str) -> AppResult;
+    fn deliver_tx(&mut self, node: NodeId, id: TxId, tx: &Self::Tx) -> AppResult;
 
     /// Block forming: selects and orders up to `max` of the proposer's
     /// mempool candidates into the next proposal, returning indices
@@ -142,14 +168,20 @@ pub trait App {
     /// candidate to the proposer's mempool in arrival order — an
     /// abandoned selection is indistinguishable from never having been
     /// formed.
-    fn form_block(&mut self, node: NodeId, candidates: &[(TxId, &str)], max: usize) -> FormedBlock {
+    fn form_block(
+        &mut self,
+        node: NodeId,
+        candidates: &[(TxId, &Self::Tx)],
+        max: usize,
+    ) -> FormedBlock {
         let _ = node;
         FormedBlock::from_picks((0..candidates.len().min(max)).collect())
     }
 
     /// Executes one whole block on `node`, returning a verdict per
     /// transaction, aligned with `block.txs`. The engine always
-    /// delivers through this method; the default loops
+    /// delivers through this method, the block exactly as its proposer
+    /// formed it on every replica; the default loops
     /// [`App::deliver_tx`] in block order and ignores the annotations.
     /// Applications with a batch execution path (the SmartchainDB
     /// cluster's conflict-aware validation pipeline) override it to
@@ -161,23 +193,23 @@ pub trait App {
     /// strategy a replica chose — in particular, never on the
     /// (untrusted) annotations, which may only shape *how* the block is
     /// executed, not what it decides.
-    fn deliver_block(&mut self, node: NodeId, block: BlockView<'_>) -> Vec<AppResult> {
+    fn deliver_block(&mut self, node: NodeId, block: BlockView<'_, Self::Tx>) -> Vec<AppResult> {
         block
             .txs
             .iter()
-            .map(|(tx, payload)| self.deliver_tx(node, *tx, payload))
+            .map(|(id, tx)| self.deliver_tx(node, *id, tx))
             .collect()
     }
 
     /// Called after `node` finishes executing a block. Returns extra
     /// simulated work triggered by the commit (e.g. determining and
-    /// enqueueing RETURN children). `committed` lists the tx ids whose
-    /// `deliver_tx` succeeded.
+    /// enqueueing RETURN children). `committed` lists the members whose
+    /// delivery succeeded, in block order.
     fn on_commit(
         &mut self,
         node: NodeId,
         height: u64,
-        committed: &[TxId],
+        committed: &[(TxId, &Self::Tx)],
         now: SimTime,
     ) -> SimTime {
         let _ = (node, height, committed, now);
@@ -208,7 +240,13 @@ impl CountingApp {
 }
 
 impl App for CountingApp {
-    fn check_tx(&mut self, _node: NodeId, _tx: TxId, payload: &str) -> AppResult {
+    type Tx = String;
+
+    fn decode(&self, payload: &str) -> Result<String, String> {
+        Ok(payload.to_owned())
+    }
+
+    fn check_tx(&mut self, _node: NodeId, _id: TxId, payload: &String) -> AppResult {
         if let Some(marker) = &self.reject_marker {
             if payload.contains(marker.as_str()) {
                 return Err(format!("payload contains {marker:?}"));
@@ -217,8 +255,8 @@ impl App for CountingApp {
         Ok(self.cost)
     }
 
-    fn deliver_tx(&mut self, node: NodeId, tx: TxId, _payload: &str) -> AppResult {
-        self.delivered[node].push(tx);
+    fn deliver_tx(&mut self, node: NodeId, id: TxId, _payload: &String) -> AppResult {
+        self.delivered[node].push(id);
         Ok(self.cost)
     }
 }

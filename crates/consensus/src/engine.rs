@@ -9,7 +9,9 @@
 //! the proposer so the chain survives proposer crashes, and the
 //! pipelining option anchors the next proposal at the previous block's
 //! prevote quorum ("nodes proceed with voting without waiting for a
-//! decision on the previous block", §2.2).
+//! decision on the previous block", §2.2). A submission is decoded once,
+//! on its receiver (`App::decode`); the engine keeps the decoded value
+//! and lends it to every later application call.
 
 use crate::app::{App, BlockAnnotations, BlockView};
 use crate::config::BftConfig;
@@ -33,12 +35,27 @@ pub enum TxStatus {
     Committed(SimTime),
 }
 
-#[derive(Debug, Clone)]
-struct TxRecord {
-    payload: String,
+struct TxRecord<T> {
+    /// The receiver's decoding of the payload, kept once it passed the
+    /// receiver's CheckTx. A transaction without one was rejected on
+    /// arrival and never reached a mempool, so every mempool entry and
+    /// block member holds its value.
+    decoded: Option<T>,
     submitted_at: SimTime,
     receiver: NodeId,
     status: TxStatus,
+}
+
+/// Lends the application the decoded members of `ids`, in order. Takes
+/// the transaction table rather than `&self` so the caller can hand the
+/// result to `&mut self.app` — the two are disjoint fields.
+fn members<'a, T>(txs: &'a [TxRecord<T>], ids: &[TxId]) -> Vec<(TxId, &'a T)> {
+    ids.iter()
+        .map(|id| match &txs[*id as usize].decoded {
+            Some(decoded) => (*id, decoded),
+            None => unreachable!("a mempool entry passed its receiver's CheckTx"),
+        })
+        .collect()
 }
 
 /// A proposed block: the transaction list plus the proposer's
@@ -56,10 +73,11 @@ struct Block {
 /// Simulation events.
 #[derive(Debug)]
 enum Event {
-    /// Client payload arrives at the receiver node.
+    /// Client payload arrives at the receiver node, which decodes it.
     Submit {
         node: NodeId,
         tx: TxId,
+        payload: String,
     },
     /// Mempool gossip of a checked transaction.
     Gossip {
@@ -129,7 +147,7 @@ pub struct Harness<A: App> {
     net: Network,
     app: A,
     nodes: Vec<NodeState>,
-    txs: Vec<TxRecord>,
+    txs: Vec<TxRecord<A::Tx>>,
     blocks: Vec<Block>,
     /// Height -> decided block (first quorum execution).
     decided: HashMap<u64, BlockId>,
@@ -217,13 +235,13 @@ impl<A: App> Harness<A> {
     pub fn submit_at_node(&mut self, at: SimTime, node: NodeId, payload: String) -> TxId {
         let tx = self.txs.len() as TxId;
         self.txs.push(TxRecord {
-            payload,
+            decoded: None,
             submitted_at: at,
             receiver: node,
             status: TxStatus::Pending,
         });
         self.scheduled_submits += 1;
-        self.schedule_abs(at, Event::Submit { node, tx });
+        self.schedule_abs(at, Event::Submit { node, tx, payload });
         tx
     }
 
@@ -429,7 +447,7 @@ impl<A: App> Harness<A> {
                     self.activate_loop(height);
                 }
             }
-            Event::Submit { node, tx } => {
+            Event::Submit { node, tx, payload } => {
                 if self.first_submit.is_none() {
                     self.first_submit = Some(now);
                 }
@@ -440,9 +458,11 @@ impl<A: App> Harness<A> {
                         TxStatus::Rejected("receiver node offline".to_owned());
                     return;
                 }
-                let payload = std::mem::take(&mut self.txs[tx as usize].payload);
-                let verdict = self.app.check_tx(node, tx, &payload);
-                self.txs[tx as usize].payload = payload;
+                let verdict = self.app.decode(&payload).and_then(|decoded| {
+                    let cost = self.app.check_tx(node, tx, &decoded)?;
+                    self.txs[tx as usize].decoded = Some(decoded);
+                    Ok(cost)
+                });
                 match verdict {
                     Err(reason) => {
                         self.txs[tx as usize].status = TxStatus::Rejected(reason);
@@ -514,9 +534,10 @@ impl<A: App> Harness<A> {
                 // CheckTx re-validation at the validator (second set of
                 // checks, Fig. 4), the block in one call: accumulate
                 // the simulated cost of the members that pass.
-                let tx_ids = self.blocks[block].txs.clone();
+                let members = members(&self.txs, &self.blocks[block].txs);
                 let cost = self
-                    .with_payloads(&tx_ids, |app, txs| app.check_block(to, txs))
+                    .app
+                    .check_block(to, &members)
                     .into_iter()
                     .flatten()
                     .fold(SimTime::ZERO, |sum, c| sum + c);
@@ -587,30 +608,6 @@ impl<A: App> Harness<A> {
         }
     }
 
-    /// Lends the application the payloads of `ids`: they are taken out
-    /// of the transaction table for the call, so `&mut app` does not
-    /// alias it, and put back afterwards.
-    fn with_payloads<R>(
-        &mut self,
-        ids: &[TxId],
-        call: impl FnOnce(&mut A, &[(TxId, &str)]) -> R,
-    ) -> R {
-        let payloads: Vec<String> = ids
-            .iter()
-            .map(|tx| std::mem::take(&mut self.txs[*tx as usize].payload))
-            .collect();
-        let txs: Vec<(TxId, &str)> = ids
-            .iter()
-            .copied()
-            .zip(payloads.iter().map(String::as_str))
-            .collect();
-        let out = call(&mut self.app, &txs);
-        for (tx, payload) in ids.iter().zip(payloads) {
-            self.txs[*tx as usize].payload = payload;
-        }
-        out
-    }
-
     fn enqueue(&mut self, node: NodeId, tx: TxId) {
         let state = &mut self.nodes[node];
         if state.seen.insert(tx) {
@@ -663,8 +660,9 @@ impl<A: App> Harness<A> {
         }
         let mut annotations = BlockAnnotations::default();
         if !candidates.is_empty() && capacity > 0 {
-            let formed =
-                self.with_payloads(&candidates, |app, txs| app.form_block(node, txs, capacity));
+            let formed = self
+                .app
+                .form_block(node, &members(&self.txs, &candidates), capacity);
             // Sanitize the application's picks: in-range, unique,
             // capped at capacity.
             let mut chosen: HashSet<usize> = HashSet::new();
@@ -770,48 +768,49 @@ impl<A: App> Harness<A> {
         self.execute_block(node, height, block);
     }
 
-    /// Executes a block on one node: the whole block goes through
-    /// `App::deliver_block` (third validation set — applications may
-    /// validate non-conflicting transactions in parallel), summing
-    /// simulated costs; the node reports completion after that much
-    /// simulated work.
+    /// Executes a block on one node: the whole block, exactly as its
+    /// proposer formed it, goes through `App::deliver_block` (third
+    /// validation set — applications may validate non-conflicting
+    /// transactions in parallel), summing the simulated costs of the
+    /// members that pass; the node reports completion after that much
+    /// simulated work. A member an earlier replica already rejected is
+    /// delivered again — every replica executes the same block, and
+    /// the repeated rejection costs nothing and changes no status.
     fn execute_block(&mut self, node: NodeId, height: u64, block: BlockId) {
         self.nodes[node].executing.insert(height);
-        let tx_ids = self.blocks[block].txs.clone();
-        let annotations = self.blocks[block].annotations.clone();
-        // Hand the app the block's still-live transactions in order.
-        let live: Vec<TxId> = tx_ids
-            .into_iter()
-            .filter(|tx| !matches!(self.txs[*tx as usize].status, TxStatus::Rejected(_)))
-            .collect();
-        let verdicts = self.with_payloads(&live, |app, txs| {
-            app.deliver_block(
-                node,
-                BlockView {
-                    txs,
-                    annotations: &annotations,
-                },
-            )
-        });
-        debug_assert_eq!(verdicts.len(), live.len(), "one verdict per delivered tx");
+        let Block {
+            txs, annotations, ..
+        } = &self.blocks[block];
+        let members = members(&self.txs, txs);
+        let verdicts = self.app.deliver_block(
+            node,
+            BlockView {
+                txs: &members,
+                annotations,
+            },
+        );
+        debug_assert_eq!(verdicts.len(), members.len(), "one verdict per member");
 
         let mut cost = SimTime::ZERO;
         let mut committed = Vec::new();
-        for (tx, verdict) in live.into_iter().zip(verdicts) {
+        let mut rejected = Vec::new();
+        for (member, verdict) in members.iter().zip(verdicts) {
             match verdict {
                 Ok(c) => {
                     cost += c;
-                    committed.push(tx);
+                    committed.push(*member);
                 }
-                Err(reason) => {
-                    if matches!(self.txs[tx as usize].status, TxStatus::Pending) {
-                        self.txs[tx as usize].status = TxStatus::Rejected(reason);
-                        self.undecided = self.undecided.saturating_sub(1);
-                    }
-                }
+                Err(reason) => rejected.push((member.0, reason)),
             }
         }
         cost += self.app.on_commit(node, height, &committed, self.sim.now());
+        for (tx, reason) in rejected {
+            let record = &mut self.txs[tx as usize];
+            if matches!(record.status, TxStatus::Pending) {
+                record.status = TxStatus::Rejected(reason);
+                self.undecided = self.undecided.saturating_sub(1);
+            }
+        }
         self.schedule(
             cost,
             Event::Executed {
@@ -1153,18 +1152,24 @@ mod tests {
     }
 
     impl App for PickyApp {
-        fn check_tx(&mut self, node: NodeId, tx: TxId, payload: &str) -> AppResult {
-            self.inner.check_tx(node, tx, payload)
+        type Tx = String;
+
+        fn decode(&self, payload: &str) -> Result<String, String> {
+            self.inner.decode(payload)
         }
 
-        fn deliver_tx(&mut self, node: NodeId, tx: TxId, payload: &str) -> AppResult {
-            self.inner.deliver_tx(node, tx, payload)
+        fn check_tx(&mut self, node: NodeId, id: TxId, tx: &String) -> AppResult {
+            self.inner.check_tx(node, id, tx)
+        }
+
+        fn deliver_tx(&mut self, node: NodeId, id: TxId, tx: &String) -> AppResult {
+            self.inner.deliver_tx(node, id, tx)
         }
 
         fn form_block(
             &mut self,
             _node: NodeId,
-            candidates: &[(TxId, &str)],
+            candidates: &[(TxId, &String)],
             max: usize,
         ) -> crate::app::FormedBlock {
             let mut picks = vec![usize::MAX, 0, 0]; // garbage + duplicate
@@ -1214,18 +1219,24 @@ mod tests {
     }
 
     impl App for AnnotatingApp {
-        fn check_tx(&mut self, node: NodeId, tx: TxId, payload: &str) -> AppResult {
-            self.inner.check_tx(node, tx, payload)
+        type Tx = String;
+
+        fn decode(&self, payload: &str) -> Result<String, String> {
+            self.inner.decode(payload)
         }
 
-        fn deliver_tx(&mut self, node: NodeId, tx: TxId, payload: &str) -> AppResult {
-            self.inner.deliver_tx(node, tx, payload)
+        fn check_tx(&mut self, node: NodeId, id: TxId, tx: &String) -> AppResult {
+            self.inner.check_tx(node, id, tx)
+        }
+
+        fn deliver_tx(&mut self, node: NodeId, id: TxId, tx: &String) -> AppResult {
+            self.inner.deliver_tx(node, id, tx)
         }
 
         fn form_block(
             &mut self,
             _node: NodeId,
-            candidates: &[(TxId, &str)],
+            candidates: &[(TxId, &String)],
             max: usize,
         ) -> crate::app::FormedBlock {
             let picks: Vec<usize> = (0..candidates.len().min(max)).collect();
@@ -1238,14 +1249,14 @@ mod tests {
             }
         }
 
-        fn deliver_block(&mut self, node: NodeId, block: BlockView<'_>) -> Vec<AppResult> {
+        fn deliver_block(&mut self, node: NodeId, block: BlockView<'_, String>) -> Vec<AppResult> {
             if node == 0 {
                 self.delivered_annotations.push(block.annotations.clone());
             }
             block
                 .txs
                 .iter()
-                .map(|(tx, payload)| self.deliver_tx(node, *tx, payload))
+                .map(|(id, tx)| self.deliver_tx(node, *id, tx))
                 .collect()
         }
     }
@@ -1288,26 +1299,34 @@ mod tests {
             saw_annotation: bool,
         }
         impl App for Recorder {
-            fn check_tx(&mut self, node: NodeId, tx: TxId, payload: &str) -> AppResult {
-                self.inner.check_tx(node, tx, payload)
+            type Tx = String;
+            fn decode(&self, payload: &str) -> Result<String, String> {
+                self.inner.decode(payload)
             }
-            fn deliver_tx(&mut self, node: NodeId, tx: TxId, payload: &str) -> AppResult {
-                self.inner.deliver_tx(node, tx, payload)
+            fn check_tx(&mut self, node: NodeId, id: TxId, tx: &String) -> AppResult {
+                self.inner.check_tx(node, id, tx)
+            }
+            fn deliver_tx(&mut self, node: NodeId, id: TxId, tx: &String) -> AppResult {
+                self.inner.deliver_tx(node, id, tx)
             }
             fn form_block(
                 &mut self,
                 node: NodeId,
-                candidates: &[(TxId, &str)],
+                candidates: &[(TxId, &String)],
                 max: usize,
             ) -> crate::app::FormedBlock {
                 self.inner.form_block(node, candidates, max)
             }
-            fn deliver_block(&mut self, node: NodeId, block: BlockView<'_>) -> Vec<AppResult> {
+            fn deliver_block(
+                &mut self,
+                node: NodeId,
+                block: BlockView<'_, String>,
+            ) -> Vec<AppResult> {
                 self.saw_annotation |= !block.annotations.is_empty();
                 block
                     .txs
                     .iter()
-                    .map(|(tx, payload)| self.deliver_tx(node, *tx, payload))
+                    .map(|(id, tx)| self.deliver_tx(node, *id, tx))
                     .collect()
             }
         }

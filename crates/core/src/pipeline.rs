@@ -394,9 +394,9 @@ pub struct WaveSchedule {
 }
 
 /// Derives every batch member's footprint, with intra-batch link
-/// resolution — the footprint half of [`plan_schedule`], exposed so
-/// callers holding cached footprints (block delivery with schedule
-/// gossip) can mix cached and freshly derived entries.
+/// resolution — the footprint half of [`plan_schedule`], exposed for
+/// the cluster, which derives a block's footprints to pack it
+/// (forming) and to verify a gossiped schedule against (delivery).
 pub fn derive_footprints(batch: &[Arc<Transaction>], ledger: &impl LedgerView) -> Vec<Footprint> {
     let by_id: HashMap<&str, &Transaction> = batch
         .iter()
@@ -688,9 +688,8 @@ pub fn choose_schedule(
 /// `ledger`. A footprint derived with unresolved links can
 /// *under-approximate* (the classic case: spending a not-yet-seen BID's
 /// escrow output misses the `Bids(request)` write), so callers caching
-/// footprints must re-derive when any of these ids later appears —
-/// the mempool refreshes on arrival/drain, and the block-delivery
-/// footprint cache invalidates on exactly this test.
+/// footprints must re-derive when any of these ids later appears — the
+/// mempool refreshes on arrival/drain on exactly this test.
 pub fn unresolved_links(
     tx: &Transaction,
     pool: &impl TxLookup,

@@ -1,6 +1,7 @@
 //! The ETH-SC consensus application: the reverse-auction contract
 //! replicated across Quorum/IBFT validators.
 //!
+//! Payloads decode once, on the receiver (`decode`, into an [`EthTx`]).
 //! Mempool admission (`check_tx`) performs only the checks an Ethereum
 //! node does — well-formed payload and intrinsic gas — *not* contract
 //! execution; contracts run once, sequentially, at block execution
@@ -191,12 +192,18 @@ impl EthScApp {
 }
 
 impl App for EthScApp {
-    fn check_tx(&mut self, _node: NodeId, _tx: TxId, payload: &str) -> AppResult {
-        // Ethereum mempool admission: parse + intrinsic-gas affordability,
-        // no contract execution.
-        match decode_eth_payload(payload)? {
+    type Tx = EthTx;
+
+    fn decode(&self, payload: &str) -> Result<EthTx, String> {
+        decode_eth_payload(payload)
+    }
+
+    fn check_tx(&mut self, _node: NodeId, _id: TxId, tx: &EthTx) -> AppResult {
+        // Ethereum mempool admission: intrinsic-gas affordability of the
+        // decoded call, no contract execution.
+        match tx {
             EthTx::Call { calldata, .. } => {
-                let intrinsic = self.schedule.intrinsic(&calldata);
+                let intrinsic = self.schedule.intrinsic(calldata);
                 if intrinsic > self.replicas[0].default_gas_limit {
                     return Err("intrinsic gas above limit".to_owned());
                 }
@@ -207,10 +214,10 @@ impl App for EthScApp {
         Ok(SimTime::from_micros(90))
     }
 
-    fn deliver_tx(&mut self, node: NodeId, _tx: TxId, payload: &str) -> AppResult {
-        match decode_eth_payload(payload)? {
+    fn deliver_tx(&mut self, node: NodeId, _id: TxId, tx: &EthTx) -> AppResult {
+        match tx {
             EthTx::Call { sender, calldata } => {
-                match self.replicas[node].execute(&sender, &calldata) {
+                match self.replicas[node].execute(sender, calldata) {
                     Ok(receipt) => self.bill(node, receipt.gas_used, false),
                     // A revert is still *included* in the block and pays
                     // gas; it is not a consensus-level rejection. Report
@@ -225,7 +232,7 @@ impl App for EthScApp {
                 value,
                 nonce,
             } => {
-                match self.worlds[node].transfer(&from, &to, value, nonce) {
+                match self.worlds[node].transfer(from, to, *value, *nonce) {
                     Ok(gas) => self.bill(node, gas, false),
                     // Invalid native sends never make it into blocks on
                     // Ethereum (nonce/balance checked at admission);

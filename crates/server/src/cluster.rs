@@ -10,18 +10,19 @@
 //!
 //! Every replica opens, commits, settles and recovers through the
 //! same core a standalone [`crate::Node`] embeds. What this
-//! shell adds is what consensus needs around it: the shared parsed and
-//! footprint caches, schedule gossip (forming annotated blocks,
-//! counting how deliveries used them), CheckTx with the simulated cost
-//! model, the node-0 query mirror, and the outbox that routes children
-//! back through consensus instead of a local queue.
+//! shell adds is what consensus needs around it: decoding each payload
+//! once, on its receiver, into a [`DecodedTx`] the engine carries to
+//! every later stage; schedule gossip (forming annotated blocks from
+//! footprints derived per block, counting how deliveries used them);
+//! CheckTx with the simulated cost model; the node-0 query mirror; and
+//! the outbox that routes children back through consensus instead of a
+//! local queue. It keeps no per-transaction state of its own: nothing
+//! to find a parsed form again, nothing to retire.
 
 use crate::cost::CostModel;
 use crate::replica::{EphemeralDir, Plan, Replica, Settled};
 use scdb_consensus::{App, AppResult, BlockAnnotations, BlockView, FormedBlock, TxId, TxStatus};
-use scdb_core::pipeline::{
-    footprint, unresolved_links, Footprint, PipelineOptions, ScheduleSource, TxLookup, WaveSchedule,
-};
+use scdb_core::pipeline::{derive_footprints, PipelineOptions, ScheduleSource, WaveSchedule};
 use scdb_core::{
     validate::{
         record_validated, record_validated_batch, validate_transaction, PooledVerification,
@@ -34,7 +35,6 @@ use scdb_mempool::pack_batch;
 use scdb_sim::{NodeId, SimTime};
 use scdb_store::{collections, Db, ExportStats, StateDigest};
 use scdb_telemetry::{Counter, Telemetry};
-use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -52,23 +52,21 @@ const DELIVER_BLOCK_POOL: [&str; 3] = [
     "cluster.deliver_block.failed_stateless",
 ];
 
-/// A footprint derived once (at CheckTx, or a previous delivery) and
-/// reused at block delivery instead of re-deriving per block — the
-/// "validate, don't recompute" half of schedule gossip.
-///
-/// Reuse is sound only while the footprint cannot under-approximate
-/// today's truth: `unresolved` records the links the derivation could
-/// not chase (ids neither committed nor in scope at derivation time).
-/// If any of them is resolvable at delivery — committed meanwhile, or
-/// sitting in the delivered block itself — the cached footprint may be
-/// missing conflict keys and MUST be re-derived. Links that *were*
-/// resolved at derivation time resolved against immutable committed
-/// transactions, so they can only ever over-approximate a fresh
-/// derivation (extra stale keys), which merely narrows waves — always
-/// safe. DESIGN-blocks.md carries the full argument.
-struct CachedFootprint {
-    footprint: Footprint,
-    unresolved: Vec<String>,
+/// A client payload as the cluster decodes it, once, on its receiver:
+/// the parsed transaction, shared with every batch that carries it,
+/// and the payload's wire length, which the simulated cost model
+/// charges at CheckTx and delivery.
+#[derive(Debug)]
+pub struct DecodedTx {
+    tx: Arc<Transaction>,
+    payload_len: usize,
+}
+
+/// The parsed transactions of a block or candidate set, in order.
+fn batch(txs: &[(TxId, &DecodedTx)]) -> Vec<Arc<Transaction>> {
+    txs.iter()
+        .map(|(_, decoded)| Arc::clone(&decoded.tx))
+        .collect()
 }
 
 /// Counters for the self-describing-block machinery (diagnostics and
@@ -139,14 +137,15 @@ impl GossipStats {
         self.gossip_absent.value()
     }
 
-    /// Footprints served from the CheckTx-time cache (at block forming
-    /// or delivery).
+    /// Always 0 since PR 25: footprints are derived per block, never
+    /// cached. Kept readable because `benchmark/` reads it; the next
+    /// `benchmark` PR removes it.
     pub fn footprints_cached(&self) -> u64 {
         self.footprints_cached.value()
     }
 
-    /// Footprints re-derived at block forming or delivery (cold cache,
-    /// or an unresolved link became resolvable).
+    /// Footprints derived at block forming and delivery, one per
+    /// member of each block or candidate set.
     pub fn footprints_derived(&self) -> u64 {
         self.footprints_derived.value()
     }
@@ -177,32 +176,10 @@ pub struct SmartchainCluster {
     cost: CostModel,
     /// Batch-validation options for block delivery (worker count).
     pipeline: PipelineOptions,
-    /// Parsed-payload cache (payloads are immutable once submitted).
-    /// Bounded by in-flight work like `footprints`: an entry retires
-    /// when a CheckTx or delivery rejects it, or once the last
-    /// replica's commit hook has read it; [`SmartchainCluster::parse`]
-    /// re-parses on a miss.
-    parsed: HashMap<TxId, Arc<Transaction>>,
-    /// Footprint cache, populated at CheckTx (every replica runs the
-    /// check per Fig. 4, so the derivation happens off the block
-    /// execution hot path) and consulted at block delivery. Replicas
-    /// are identical by construction, so one shared cache stands in
-    /// for per-replica ones — staleness is re-checked against the
-    /// *delivering* replica's ledger on every use.
-    footprints: HashMap<TxId, CachedFootprint>,
-    /// How many replicas have delivered (and run the commit hook for)
-    /// each transaction — once every replica has, its cache entries can
-    /// never be consulted again (a transaction is delivered once per
-    /// replica) and are dropped, so the caches stay bounded by
-    /// in-flight work instead of growing with chain history.
-    deliveries: HashMap<TxId, usize>,
     /// Self-describing-block counters.
     gossip: GossipStats,
     /// Child payloads awaiting submission into consensus.
     outbox: Vec<String>,
-    /// Parents whose children have been pushed to the outbox and whose
-    /// commit hook has not yet run on every replica.
-    dispatched: HashSet<String>,
     /// Node 0 keeps the full document mirror for queries. Replicas are
     /// identical by construction, so materializing one mirror is a
     /// memory optimization of the simulation, not a semantic change.
@@ -251,12 +228,8 @@ impl SmartchainCluster {
             escrow,
             cost: CostModel::smartchaindb(),
             pipeline,
-            parsed: HashMap::new(),
-            footprints: HashMap::new(),
-            deliveries: HashMap::new(),
             gossip,
             outbox: Vec::new(),
-            dispatched: HashSet::new(),
             query_db: Db::smartchaindb(),
             nested_completed: 0,
             _durable_root: durable_root,
@@ -296,7 +269,7 @@ impl SmartchainCluster {
     }
 
     /// Self-describing-block counters: gossip accept/reject/absent,
-    /// footprint cache hits, digest match/mismatch.
+    /// footprints derived, digest match/mismatch.
     pub fn gossip_stats(&self) -> &GossipStats {
         &self.gossip
     }
@@ -311,17 +284,6 @@ impl SmartchainCluster {
             .telemetry
             .snapshot()
             .map(|snap| crate::telemetry::snapshot_to_json(&snap))
-    }
-
-    /// Live footprint-cache entries (bounded by in-flight work: fully
-    /// delivered transactions are retired).
-    pub fn footprint_cache_len(&self) -> usize {
-        self.footprints.len()
-    }
-
-    /// Live parsed-payload entries (bounded the same way).
-    pub fn parsed_cache_len(&self) -> usize {
-        self.parsed.len()
     }
 
     /// A node's post-block UTXO state digest — the O(shards) replica
@@ -405,84 +367,9 @@ impl SmartchainCluster {
         Ok(())
     }
 
-    /// Derives `t`'s footprint against `node`'s committed state plus
-    /// `pool` (the block or candidate set in hand; `()` at CheckTx,
-    /// which sees transactions alone) and caches it with the links the
-    /// derivation could not resolve.
-    fn derive_footprint(
-        &mut self,
-        node: NodeId,
-        tx: TxId,
-        t: &Transaction,
-        pool: &impl TxLookup,
-    ) -> &Footprint {
-        let ledger = &self.replicas[node].ledger;
-        let cached = CachedFootprint {
-            footprint: footprint(t, pool, ledger),
-            unresolved: unresolved_links(t, pool, ledger),
-        };
-        self.footprints.insert(tx, cached);
-        &self.footprints[&tx].footprint
-    }
-
-    /// The block's footprints for delivery on `node`: cache hits where
-    /// the cached entry provably cannot under-approximate (none of its
-    /// unresolved links became resolvable), fresh derivations — with
-    /// intra-block link resolution, refreshing the cache: they resolved
-    /// against strictly more knowledge — everywhere else.
-    fn block_footprints(
-        &mut self,
-        node: NodeId,
-        ids: &[TxId],
-        batch: &[Arc<Transaction>],
-    ) -> Vec<Footprint> {
-        debug_assert_eq!(ids.len(), batch.len());
-        let by_id: HashMap<&str, &Transaction> =
-            batch.iter().map(|t| (t.id.as_str(), t.as_ref())).collect();
-        let mut out = Vec::with_capacity(batch.len());
-        for (tx, t) in ids.iter().zip(batch) {
-            let ledger = &self.replicas[node].ledger;
-            let cached = self.footprints.get(tx).and_then(|entry| {
-                let still_unresolvable = entry
-                    .unresolved
-                    .iter()
-                    .all(|id| !by_id.contains_key(id.as_str()) && !ledger.is_committed(id));
-                still_unresolvable.then(|| entry.footprint.clone())
-            });
-            out.push(match cached {
-                Some(fp) => {
-                    self.gossip.footprints_cached.incr();
-                    fp
-                }
-                None => {
-                    self.gossip.footprints_derived.incr();
-                    self.derive_footprint(node, *tx, t, &by_id).clone()
-                }
-            });
-        }
-        out
-    }
-
     /// Takes the pending child payloads for submission into consensus.
     pub fn drain_outbox(&mut self) -> Vec<String> {
         std::mem::take(&mut self.outbox)
-    }
-
-    fn parse(&mut self, tx: TxId, payload: &str) -> Result<Arc<Transaction>, String> {
-        if let Some(t) = self.parsed.get(&tx) {
-            return Ok(Arc::clone(t));
-        }
-        let t = Arc::new(Transaction::from_payload(payload).map_err(|e| e.to_string())?);
-        self.parsed.insert(tx, Arc::clone(&t));
-        Ok(t)
-    }
-
-    /// Drops every cache entry of a transaction no replica will look
-    /// at again, handing back its parsed form.
-    fn retire(&mut self, tx: TxId) -> Option<Arc<Transaction>> {
-        self.deliveries.remove(&tx);
-        self.footprints.remove(&tx);
-        self.parsed.remove(&tx)
     }
 
     /// Counts what the pooled stateless verification did with a block
@@ -495,36 +382,6 @@ impl SmartchainCluster {
         telemetry.add(counters[0], report.pooled as u64);
         telemetry.add(counters[1], report.already_verified as u64);
         telemetry.add(counters[2], report.failed_stateless as u64);
-    }
-
-    /// CheckTx of one parsed transaction on `node`: the full validation
-    /// against the replica's state, then the verified-set record, the
-    /// footprint cache and the simulated cost.
-    fn check_parsed(
-        &mut self,
-        node: NodeId,
-        tx: TxId,
-        payload: &str,
-        t: &Transaction,
-    ) -> AppResult {
-        let ledger = &self.replicas[node].ledger;
-        if let Err(e) = validate_transaction(t, ledger) {
-            self.parsed.remove(&tx);
-            return Err(e.to_string());
-        }
-        // This replica has now checked the schema, id and signatures:
-        // its own delivery of the same bytes re-runs only the stateful
-        // rules. Other replicas' sets are untouched — each verifies
-        // once for itself.
-        record_validated(t, ledger);
-        // Derive the footprint while we hold the parsed transaction:
-        // CheckTx runs on every replica anyway (Fig. 4's second check
-        // set), so delivery can verify a gossiped schedule against
-        // cached footprints instead of re-deriving the whole block's.
-        self.derive_footprint(node, tx, t, &());
-        let sigs = t.inputs.len();
-        let caps = self.capability_work(node, t);
-        Ok(self.cost.check_cost(payload.len(), sigs, caps))
     }
 
     /// Capability-work estimate for the cost model: requested + offered
@@ -549,37 +406,58 @@ impl SmartchainCluster {
 }
 
 impl App for SmartchainCluster {
-    fn check_tx(&mut self, node: NodeId, tx: TxId, payload: &str) -> AppResult {
-        let t = self.parse(tx, payload)?;
-        self.check_parsed(node, tx, payload, &t)
+    type Tx = DecodedTx;
+
+    /// The one parse of a payload, on its receiver: every later stage
+    /// borrows the result from the engine.
+    fn decode(&self, payload: &str) -> Result<DecodedTx, String> {
+        let tx = Transaction::from_payload(payload).map_err(|e| e.to_string())?;
+        Ok(DecodedTx {
+            tx: Arc::new(tx),
+            payload_len: payload.len(),
+        })
+    }
+
+    /// CheckTx on `node`: the full validation against the replica's
+    /// state, then the verified-set record and the simulated cost.
+    fn check_tx(&mut self, node: NodeId, _id: TxId, decoded: &DecodedTx) -> AppResult {
+        let t = decoded.tx.as_ref();
+        let ledger = &self.replicas[node].ledger;
+        validate_transaction(t, ledger).map_err(|e| e.to_string())?;
+        // This replica has now checked the schema, id and signatures:
+        // its own delivery of the same bytes re-runs only the stateful
+        // rules. Other replicas' sets are untouched — each verifies
+        // once for itself.
+        record_validated(t, ledger);
+        let caps = self.capability_work(node, t);
+        Ok(self
+            .cost
+            .check_cost(decoded.payload_len, t.inputs.len(), caps))
     }
 
     /// CheckTx for a proposed block: the members `node` has not
     /// verified yet get their schema, id and signature checks as one
     /// pool over the workers, then every member goes through exactly
-    /// [`App::check_tx`]'s body in block order — where the pooled
-    /// members now hit the verified set, and a member the pool could
-    /// not vouch for takes the full check and is named by it.
-    fn check_block(&mut self, node: NodeId, txs: &[(TxId, &str)]) -> Vec<AppResult> {
+    /// [`App::check_tx`] in block order — where the pooled members now
+    /// hit the verified set, and a member the pool could not vouch for
+    /// takes the full check and is named by it.
+    fn check_block(&mut self, node: NodeId, txs: &[(TxId, &DecodedTx)]) -> Vec<AppResult> {
         let _span = self.pipeline.telemetry.span("cluster.check_block_ns");
-        let parsed: Vec<Result<Arc<Transaction>, String>> = txs
-            .iter()
-            .map(|(tx, payload)| self.parse(*tx, payload))
-            .collect();
-        let batch: Vec<Arc<Transaction>> = parsed.iter().flatten().cloned().collect();
         // Verified as a pool into this replica's own verified set.
-        let pooled =
-            record_validated_batch(&batch, &self.replicas[node].ledger, self.pipeline.workers);
+        let pooled = record_validated_batch(
+            &batch(txs),
+            &self.replicas[node].ledger,
+            self.pipeline.workers,
+        );
         self.count_pool(pooled, CHECK_BLOCK_POOL);
         txs.iter()
-            .zip(parsed)
-            .map(|((tx, payload), t)| self.check_parsed(node, *tx, payload, t?.as_ref()))
+            .map(|(id, decoded)| self.check_tx(node, *id, decoded))
             .collect()
     }
 
-    fn deliver_tx(&mut self, node: NodeId, tx: TxId, payload: &str) -> AppResult {
+    fn deliver_tx(&mut self, node: NodeId, id: TxId, decoded: &DecodedTx) -> AppResult {
         // Single-transaction delivery is block delivery of a singleton.
-        self.deliver_block(node, BlockView::bare(&[(tx, payload)]))
+        self.deliver_block(node, BlockView::bare(&[(id, decoded)]))
             .pop()
             .expect("deliver_block returns one verdict per tx")
     }
@@ -592,94 +470,61 @@ impl App for SmartchainCluster {
     /// `deliver_block`'s pipeline wants. The packed wave schedule and
     /// the proposer's committed state digest are gossiped *with* the
     /// block (the self-describing payload), so replicas verify the
-    /// plan instead of re-deriving it and cross-check the state they
-    /// execute it from. Unparseable candidates ride at
-    /// the tail (DeliverTx rejects them; no annotations then — they
-    /// would not cover the tail); unselected candidates stay pooled,
-    /// courtesy of the engine's re-queue contract.
-    fn form_block(&mut self, node: NodeId, candidates: &[(TxId, &str)], max: usize) -> FormedBlock {
-        if candidates.len() <= 1 {
-            return FormedBlock::from_picks((0..candidates.len().min(max)).collect());
-        }
-        // The parseable candidates (position, id, transaction) and the rest.
-        let (mut slots, mut ids, mut txs) = (Vec::new(), Vec::new(), Vec::new());
-        let mut unparseable: Vec<usize> = Vec::new();
-        for (i, (tx, payload)) in candidates.iter().enumerate() {
-            match self.parse(*tx, payload) {
-                Ok(t) => {
-                    slots.push(i);
-                    ids.push(*tx);
-                    txs.push(t);
-                }
-                Err(_) => unparseable.push(i),
-            }
-        }
-        // Footprints for packing: CheckTx-time cache hits wherever the
-        // cached entry provably cannot under-approximate (the same
-        // unresolved-link guard as delivery), fresh candidate-local
-        // derivations everywhere else. A cached entry may
-        // over-approximate — it only serializes more, and delivery
-        // verifies the gossiped schedule against its *own* footprints,
-        // so extra separation can never fail verification.
-        let footprints = self.block_footprints(node, &ids, &txs);
+    /// waves against their own footprints instead of layering their
+    /// own, and cross-check the state they execute from. Every formed
+    /// block is annotated, one member or
+    /// many; unselected candidates stay pooled, courtesy of the
+    /// engine's re-queue contract.
+    fn form_block(
+        &mut self,
+        node: NodeId,
+        candidates: &[(TxId, &DecodedTx)],
+        max: usize,
+    ) -> FormedBlock {
+        let ledger = &self.replicas[node].ledger;
+        // Footprints are derived per block: a static function of the
+        // content, cheap next to validation.
+        self.gossip.footprints_derived.add(candidates.len() as u64);
+        let footprints = derive_footprints(&batch(candidates), ledger);
         let packed = pack_batch(&footprints, max, self.pipeline.utxo_shards);
-
-        // Annotate only a fully parseable selection: the schedule's
-        // indices must mean "position in the block body".
-        let mut annotations = BlockAnnotations::default();
-        if unparseable.is_empty() {
-            // The state this block was formed against, as committed.
-            annotations.state_digest = Some(self.replicas[node].ledger.state_digest().to_hex());
+        let annotations = BlockAnnotations {
             // Only the waves travel: replicas verify them against their
             // own footprints.
-            annotations.schedule = Some(
+            schedule: Some(
                 WaveSchedule {
                     waves: packed.waves(),
                     ..WaveSchedule::default()
                 }
                 .to_wire(),
-            );
+            ),
+            // The state this block was formed against, as committed.
+            state_digest: Some(ledger.state_digest().to_hex()),
+        };
+        FormedBlock {
+            picks: packed.order,
+            annotations,
         }
-
-        let mut picks: Vec<usize> = packed.order.iter().map(|&p| slots[p]).collect();
-        for i in unparseable {
-            if picks.len() >= max {
-                break;
-            }
-            picks.push(i);
-        }
-        FormedBlock { picks, annotations }
     }
 
     /// DeliverTx for a whole block: the third validation set (Fig. 4)
     /// runs through the conflict-aware pipeline — non-conflicting
     /// transactions validate concurrently against the replica's
     /// snapshot, and state mutates in block order. Self-describing
-    /// blocks short-circuit the planning stage: footprints come from
-    /// the CheckTx-time cache (re-derived only where staleness could
-    /// under-approximate) and the proposer's gossiped wave schedule
-    /// executes after a cheap verification — with full local
-    /// re-derivation as the fallback for anything tampered, so the
-    /// gossip can shape parallelism but never outcomes. Both schedule
-    /// sources are deterministic, so every replica derives the
-    /// identical committed/rejected split and identical post-state.
-    fn deliver_block(&mut self, node: NodeId, block: BlockView<'_>) -> Vec<AppResult> {
-        // Parse (or fetch from cache); parse failures reject outright,
-        // everyone else starts from the delivery cost.
-        let txs = block.txs;
-        let mut verdicts: Vec<AppResult> = Vec::with_capacity(txs.len());
-        let (mut batch, mut batch_ids, mut batch_slots) = (Vec::new(), Vec::new(), Vec::new());
-        for (slot, (tx, payload)) in txs.iter().enumerate() {
-            match self.parse(*tx, payload) {
-                Ok(t) => {
-                    verdicts.push(Ok(self.cost.deliver_cost(payload.len(), t.inputs.len())));
-                    batch.push(t);
-                    batch_ids.push(*tx);
-                    batch_slots.push(slot);
-                }
-                Err(e) => verdicts.push(Err(e)),
-            }
-        }
+    /// blocks short-circuit the layering stage: the replica derives the
+    /// block's footprints itself and the proposer's gossiped wave
+    /// schedule executes after a cheap verification against them —
+    /// with local layering as the fallback for anything tampered, so
+    /// the gossip can shape parallelism but never outcomes. Both
+    /// schedule sources are deterministic, so every replica derives
+    /// the identical committed/rejected split and identical post-state.
+    fn deliver_block(&mut self, node: NodeId, block: BlockView<'_, DecodedTx>) -> Vec<AppResult> {
+        // Every member starts from the delivery cost.
+        let mut verdicts: Vec<AppResult> = block
+            .txs
+            .iter()
+            .map(|(_, d)| Ok(self.cost.deliver_cost(d.payload_len, d.tx.inputs.len())))
+            .collect();
+        let batch = batch(block.txs);
 
         // The digest the proposer formed this block against, when
         // gossiped, must equal this replica's own before the block
@@ -699,7 +544,8 @@ impl App for SmartchainCluster {
         // The members this replica never CheckTx'd (it proposed the
         // block, or caught up on it) are verified as one pool inside
         // the commit, so the pipeline re-runs only the stateful rules.
-        let footprints = self.block_footprints(node, &batch_ids, &batch);
+        self.gossip.footprints_derived.add(batch.len() as u64);
+        let footprints = derive_footprints(&batch, &self.replicas[node].ledger);
         let (outcome, source, pooled) = self.replicas[node].commit_block(
             &batch,
             Plan::Footprints(footprints, block.annotations.schedule.as_deref()),
@@ -712,22 +558,16 @@ impl App for SmartchainCluster {
             ScheduleSource::Rederived(None) => self.gossip.gossip_absent.incr(),
         }
 
-        for (batch_index, error) in &outcome.rejected {
-            verdicts[batch_slots[*batch_index]] = Err(error.to_string());
+        for (index, error) in &outcome.rejected {
+            verdicts[*index] = Err(error.to_string());
         }
         // Post-delivery bookkeeping, in block order: the node-0 query
         // mirror, then settlement of the delivered members — children
         // check themselves off their parents here; an ACCEPT_BID
-        // settles in the commit hook, where its cost is charged. A
-        // transaction *rejected* here never reaches the other replicas'
-        // deliveries, nor any commit hook — the engine filters rejected
-        // txs out of later executions — so waiting for a full delivery
-        // count would leak its cache entries forever; retire them the
-        // moment the first replica rejects it.
+        // settles in the commit hook, where its cost is charged.
         let mut delivered: Vec<&Transaction> = Vec::new();
-        for ((slot, id), tx) in batch_slots.iter().zip(batch_ids).zip(&batch) {
-            if verdicts[*slot].is_err() {
-                self.retire(id);
+        for (tx, verdict) in batch.iter().zip(&verdicts) {
+            if verdict.is_err() {
                 continue;
             }
             if node == 0 {
@@ -764,20 +604,18 @@ impl App for SmartchainCluster {
         &mut self,
         node: NodeId,
         _height: u64,
-        committed: &[TxId],
+        committed: &[(TxId, &DecodedTx)],
         _now: SimTime,
     ) -> SimTime {
         let mut extra = SimTime::ZERO;
         // The block's ACCEPT_BIDs settle here, once per replica: their
         // children are derived as one stage over the wave workers.
-        let accepts: Vec<Arc<Transaction>> = committed
+        let accepts: Vec<&Transaction> = committed
             .iter()
-            .filter_map(|id| self.parsed.get(id))
+            .map(|(_, decoded)| decoded.tx.as_ref())
             .filter(|t| t.operation == Operation::AcceptBid)
-            .cloned()
             .collect();
-        let members: Vec<&Transaction> = accepts.iter().map(Arc::as_ref).collect();
-        let settled = self.replicas[node].settle_block(&members, &self.escrow, &self.pipeline);
+        let settled = self.replicas[node].settle_block(&accepts, &self.escrow, &self.pipeline);
         for (accept, settled) in accepts.iter().zip(settled) {
             let Ok(Settled::Parent {
                 child_ids,
@@ -790,29 +628,19 @@ impl App for SmartchainCluster {
                 continue;
             };
             extra += self.cost.commit_hook_cost(child_ids.len());
-            // The first replica to commit plays the receiver-node role:
-            // it enqueues the children for asynchronous submission.
-            if self.dispatched.insert(accept.id.clone()) {
-                for child in outstanding {
-                    self.outbox.push(child.to_payload());
-                }
-            }
-        }
-        // Cache retirement. Committed transactions are delivered by
-        // every replica (including crashed ones, via catch-up), and the
-        // commit hook above is each delivery's last reader of the
-        // parsed payload, so the count of hooks run gates the removal.
-        let replicas = self.replicas.len();
-        for tx in committed {
-            let count = self.deliveries.entry(*tx).or_default();
-            *count += 1;
-            if *count >= replicas {
-                if let Some(t) = self.retire(*tx) {
-                    // Every replica has dispatched or skipped this
-                    // parent's children: the first-dispatcher mark is
-                    // spent.
-                    self.dispatched.remove(&t.id);
-                }
+            // The first replica to settle an accept plays the
+            // receiver-node role and enqueues its children for
+            // asynchronous submission. The replicas' own trackers are
+            // the mark: no other tracker holding the accept means no
+            // other replica has settled, hence dispatched, it.
+            let first = self
+                .replicas
+                .iter()
+                .enumerate()
+                .all(|(n, replica)| n == node || replica.tracker.status(&accept.id).is_none());
+            if first {
+                self.outbox
+                    .extend(outstanding.iter().map(Transaction::to_payload));
             }
         }
         extra
@@ -1024,10 +852,6 @@ mod tests {
                 "node {node}: bob got his bid back"
             );
         }
-        // Quiescent: every commit hook ran on every replica, so both
-        // caches are empty — bounded by in-flight work, not history.
-        assert_eq!(app.parsed_cache_len(), 0);
-        assert_eq!(app.footprint_cache_len(), 0);
     }
 
     #[test]
@@ -1056,29 +880,24 @@ mod tests {
     fn blocks_gossip_schedules_and_digests_end_to_end() {
         let (h, _, _) = run_cluster_auction(4);
         let stats = h.consensus().app().gossip_stats();
-        // Multi-candidate proposals ship a schedule and a digest;
-        // every replica verifies rather than falls back (an honest
-        // proposer's schedule always passes), and the single-tx blocks
-        // deliver unannotated (gossip_absent covers those).
-        assert!(
-            stats.gossip_used() > 0,
-            "multi-tx blocks must gossip schedules: {stats:?}"
-        );
+        // Every proposal — one member or many — ships a schedule and a
+        // digest, and every replica verifies rather than falls back (an
+        // honest proposer's schedule always passes): no delivery goes
+        // without gossip.
+        assert!(stats.gossip_used() > 0, "{stats:?}");
         assert_eq!(stats.gossip_rejected(), 0, "honest proposer: {stats:?}");
-        // The footprint cache carried most deliveries: CheckTx ran on
-        // every replica, so delivery rarely re-derives.
-        assert!(
-            stats.footprints_cached() > stats.footprints_derived(),
-            "cache must carry the hot path: {stats:?}"
+        assert_eq!(
+            stats.gossip_absent(),
+            0,
+            "every block is annotated: {stats:?}"
         );
-        // Every annotated block was delivered from the state its
-        // proposer formed it against.
+        // Footprints are derived per block, never cached.
+        assert!(stats.footprints_derived() > 0, "{stats:?}");
+        assert_eq!(stats.footprints_cached(), 0, "{stats:?}");
+        // Every block was delivered from the state its proposer formed
+        // it against.
         assert!(stats.digest_matches() > 0, "{stats:?}");
         assert_eq!(stats.digest_mismatches(), 0, "{stats:?}");
-        // Everything committed on all four replicas, so the footprint
-        // cache retired every entry — it is bounded by in-flight work,
-        // not chain history.
-        assert_eq!(h.consensus().app().footprint_cache_len(), 0);
     }
 
     #[test]
@@ -1156,6 +975,10 @@ mod tests {
         let stats = app.gossip_stats();
         assert_eq!(stats.digest_mismatches(), 0, "{stats:?}");
         assert!(stats.digest_matches() > 0, "{stats:?}");
+        // Every replica delivers the block its proposer formed, the
+        // losing spend included, so the honest schedule covers it
+        // everywhere.
+        assert_eq!(stats.gossip_rejected(), 0, "{stats:?}");
         for node in 1..4 {
             assert_eq!(app.state_digest(node), app.state_digest(0), "node {node}");
         }
@@ -1174,20 +997,23 @@ mod tests {
                 .sign(&[&p.alice])
                 .to_payload()
         };
-        // One winner and one rejected double spend per delivery.
-        let payloads = [spend(&p.bob), spend(&p.sally)];
-        let block: Vec<(TxId, &str)> = vec![(1, &payloads[0]), (2, &payloads[1])];
-
         // A fresh one-replica cluster holding the CREATE.
         let fresh = || {
             let mut app = SmartchainCluster::new(1);
-            app.deliver_tx(0, 0, &create.to_payload()).expect("create");
+            let decoded = app.decode(&create.to_payload()).expect("decodes");
+            app.deliver_tx(0, 0, &decoded).expect("create");
             app
         };
+        // One winner and one rejected double spend per delivery.
+        let payloads = [spend(&p.bob), spend(&p.sally)];
         // Delivers the block under `state_digest`; returns verdicts,
         // post-block digest and the (matches, mismatches) counted.
         let deliver = |state_digest: Option<&str>| {
             let mut app = fresh();
+            let decoded = payloads
+                .each_ref()
+                .map(|payload| app.decode(payload).expect("decodes"));
+            let block = [(1, &decoded[0]), (2, &decoded[1])];
             let annotations = BlockAnnotations {
                 schedule: None,
                 state_digest: state_digest.map(str::to_owned),

@@ -17,7 +17,7 @@ mod replica;
 mod return_queue;
 mod telemetry;
 
-pub use cluster::{GossipStats, SmartchainCluster, SmartchainHarness};
+pub use cluster::{DecodedTx, GossipStats, SmartchainCluster, SmartchainHarness};
 pub use cost::CostModel;
 pub use node::{BatchSubmitReport, DrainReport, Node};
 pub use return_queue::{ReturnJob, ReturnQueue};

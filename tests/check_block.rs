@@ -1,9 +1,10 @@
 //! Pooled CheckTx ≡ the per-transaction loop.
 //!
 //! `SmartchainCluster::check_block` verifies the stateless part of a
-//! proposed block as one pool before running `check_tx`'s body per
-//! member; `App::check_block`'s default is the plain loop over
-//! `check_tx`. The two must be indistinguishable from outside.
+//! proposed block — its members as the receivers decoded them — as one
+//! pool before running `check_tx` per member; `App::check_block`'s
+//! default is the plain loop over `check_tx`. The two must be
+//! indistinguishable from outside.
 //!
 //! **Differentially**: the same submissions go through a cluster whose
 //! `check_block` is forwarded and through one behind a wrapper that
@@ -22,6 +23,7 @@ use smartchaindb::consensus::{
 };
 use smartchaindb::core::validate::validate_transaction;
 use smartchaindb::json::{arr, obj};
+use smartchaindb::server::DecodedTx;
 use smartchaindb::sim::{NodeId, SimTime};
 use smartchaindb::store::StateDigest;
 use smartchaindb::workload::{scdb_plan, ScenarioConfig};
@@ -80,31 +82,42 @@ impl Pooled {
 }
 
 impl App for Pooled {
-    fn check_tx(&mut self, node: NodeId, tx: TxId, payload: &str) -> AppResult {
-        let verdict = self.cluster.check_tx(node, tx, payload);
-        self.log.checks.push((node, tx, verdict.clone()));
+    type Tx = DecodedTx;
+
+    fn decode(&self, payload: &str) -> Result<DecodedTx, String> {
+        self.cluster.decode(payload)
+    }
+
+    fn check_tx(&mut self, node: NodeId, id: TxId, tx: &DecodedTx) -> AppResult {
+        let verdict = self.cluster.check_tx(node, id, tx);
+        self.log.checks.push((node, id, verdict.clone()));
         verdict
     }
 
-    fn check_block(&mut self, node: NodeId, txs: &[(TxId, &str)]) -> Vec<AppResult> {
+    fn check_block(&mut self, node: NodeId, txs: &[(TxId, &DecodedTx)]) -> Vec<AppResult> {
         let before = self.misses();
         let verdicts = self.cluster.check_block(node, txs);
         self.block_misses += self.misses() - before;
-        for ((tx, _), verdict) in txs.iter().zip(&verdicts) {
-            self.log.checks.push((node, *tx, verdict.clone()));
+        for ((id, _), verdict) in txs.iter().zip(&verdicts) {
+            self.log.checks.push((node, *id, verdict.clone()));
         }
         verdicts
     }
 
-    fn deliver_tx(&mut self, node: NodeId, tx: TxId, payload: &str) -> AppResult {
-        self.cluster.deliver_tx(node, tx, payload)
+    fn deliver_tx(&mut self, node: NodeId, id: TxId, tx: &DecodedTx) -> AppResult {
+        self.cluster.deliver_tx(node, id, tx)
     }
 
-    fn form_block(&mut self, node: NodeId, candidates: &[(TxId, &str)], max: usize) -> FormedBlock {
+    fn form_block(
+        &mut self,
+        node: NodeId,
+        candidates: &[(TxId, &DecodedTx)],
+        max: usize,
+    ) -> FormedBlock {
         self.cluster.form_block(node, candidates, max)
     }
 
-    fn deliver_block(&mut self, node: NodeId, block: BlockView<'_>) -> Vec<AppResult> {
+    fn deliver_block(&mut self, node: NodeId, block: BlockView<'_, DecodedTx>) -> Vec<AppResult> {
         let before = self.misses();
         let verdicts = self.cluster.deliver_block(node, block);
         self.block_misses += self.misses() - before;
@@ -118,7 +131,7 @@ impl App for Pooled {
         &mut self,
         node: NodeId,
         height: u64,
-        committed: &[TxId],
+        committed: &[(TxId, &DecodedTx)],
         now: SimTime,
     ) -> SimTime {
         let extra = self.cluster.on_commit(node, height, committed, now);
@@ -133,19 +146,30 @@ impl App for Pooled {
 struct Looped(Pooled);
 
 impl App for Looped {
-    fn check_tx(&mut self, node: NodeId, tx: TxId, payload: &str) -> AppResult {
-        self.0.check_tx(node, tx, payload)
+    type Tx = DecodedTx;
+
+    fn decode(&self, payload: &str) -> Result<DecodedTx, String> {
+        self.0.decode(payload)
     }
 
-    fn deliver_tx(&mut self, node: NodeId, tx: TxId, payload: &str) -> AppResult {
-        self.0.deliver_tx(node, tx, payload)
+    fn check_tx(&mut self, node: NodeId, id: TxId, tx: &DecodedTx) -> AppResult {
+        self.0.check_tx(node, id, tx)
     }
 
-    fn form_block(&mut self, node: NodeId, candidates: &[(TxId, &str)], max: usize) -> FormedBlock {
+    fn deliver_tx(&mut self, node: NodeId, id: TxId, tx: &DecodedTx) -> AppResult {
+        self.0.deliver_tx(node, id, tx)
+    }
+
+    fn form_block(
+        &mut self,
+        node: NodeId,
+        candidates: &[(TxId, &DecodedTx)],
+        max: usize,
+    ) -> FormedBlock {
         self.0.form_block(node, candidates, max)
     }
 
-    fn deliver_block(&mut self, node: NodeId, block: BlockView<'_>) -> Vec<AppResult> {
+    fn deliver_block(&mut self, node: NodeId, block: BlockView<'_, DecodedTx>) -> Vec<AppResult> {
         self.0.deliver_block(node, block)
     }
 
@@ -153,7 +177,7 @@ impl App for Looped {
         &mut self,
         node: NodeId,
         height: u64,
-        committed: &[TxId],
+        committed: &[(TxId, &DecodedTx)],
         now: SimTime,
     ) -> SimTime {
         self.0.on_commit(node, height, committed, now)
@@ -161,7 +185,7 @@ impl App for Looped {
 }
 
 /// Access to the recording cluster under either wrapper.
-trait Probe: App {
+trait Probe: App<Tx = DecodedTx> {
     fn probe(&mut self) -> &mut Pooled;
 }
 
@@ -259,10 +283,6 @@ impl<A: Probe> Run<A> {
             latencies,
             committed: probe.cluster.ledger(0).committed_ids().to_vec(),
             final_digests: (0..NODES).map(|n| probe.cluster.state_digest(n)).collect(),
-            caches: (
-                probe.cluster.parsed_cache_len(),
-                probe.cluster.footprint_cache_len(),
-            ),
             log: std::mem::take(&mut probe.log),
             block_misses: probe.block_misses,
             misses: probe.misses(),
@@ -282,7 +302,6 @@ struct Outcome {
     latencies: Vec<f64>,
     committed: Vec<String>,
     final_digests: Vec<StateDigest>,
-    caches: (usize, usize),
     block_misses: u64,
     misses: u64,
     hits: u64,
@@ -465,7 +484,7 @@ proptest! {
 
 /// Honest traffic: every validation inside a Proposal-time `check_block`
 /// and inside `deliver_block` is a verified-set hit — the only full
-/// checks left are the Submit-time ones — and both caches drain.
+/// checks left are the Submit-time ones.
 #[test]
 fn honest_blocks_validate_on_hits_only() {
     let phases = auction_phases(3, 3, 0xC4);
@@ -485,8 +504,6 @@ fn honest_blocks_validate_on_hits_only() {
     // The loop verified the same members one at a time instead.
     assert_eq!(looped.block_misses, 0, "delivery pools under either App");
     assert!(looped.misses > pooled.misses, "{looped:?}");
-    assert_eq!(pooled.caches, (0, 0), "parsed / footprint caches drained");
-    assert_eq!(looped.caches, (0, 0));
 }
 
 /// The pool's counters and span observe only: a traced cluster decides
@@ -522,6 +539,37 @@ fn submit_checks(log: &Log) -> u64 {
     submitted.len() as u64
 }
 
+/// A hand-made block decoded the way the engine decodes a submission:
+/// members numbered from `first`, and a payload that does not decode
+/// rejected on arrival with the decoder's reason — it never reaches a
+/// block.
+type Decoded = Vec<Result<(TxId, DecodedTx), String>>;
+
+fn decode_block(cluster: &SmartchainCluster, first: TxId, block: &[String]) -> Decoded {
+    (first..)
+        .zip(block)
+        .map(|(id, payload)| Ok((id, cluster.decode(payload)?)))
+        .collect()
+}
+
+/// The members that decoded, in block order.
+fn members(decoded: &Decoded) -> Vec<(TxId, &DecodedTx)> {
+    decoded.iter().flatten().map(|(id, tx)| (*id, tx)).collect()
+}
+
+/// One verdict per payload: the block's verdicts in member order, each
+/// decode failure in its own slot.
+fn in_payload_order(decoded: &Decoded, verdicts: Vec<AppResult>) -> Vec<AppResult> {
+    let mut verdicts = verdicts.into_iter();
+    decoded
+        .iter()
+        .map(|member| match member {
+            Ok(_) => verdicts.next().expect("one verdict per member"),
+            Err(reason) => Err(reason.clone()),
+        })
+        .collect()
+}
+
 /// One cluster under each wrapper with the same committed prefix, for
 /// handing hand-made blocks to `check_block` directly.
 struct Twins {
@@ -546,9 +594,8 @@ impl Twins {
     /// Delivers `block` on every replica of both clusters and applies
     /// it to the sequential oracle; returns the (agreed) verdicts.
     fn deliver(&mut self, block: &[String]) -> Vec<Result<(), String>> {
-        let txs: Vec<(TxId, &str)> = (self.next_tx..)
-            .zip(block.iter().map(String::as_str))
-            .collect();
+        let decoded = decode_block(&self.pooled.cluster, self.next_tx, block);
+        let members = members(&decoded);
         self.next_tx += block.len() as TxId;
         let expected: Vec<Result<(), String>> = block
             .iter()
@@ -560,17 +607,22 @@ impl Twins {
             })
             .collect();
         for node in 0..NODES {
-            for app in [&mut self.pooled as &mut dyn App, &mut self.looped] {
-                let verdicts = app.deliver_block(node, BlockView::bare(&txs));
-                let got: Vec<Result<(), String>> =
-                    verdicts.iter().map(|v| v.clone().map(|_| ())).collect();
-                assert_eq!(got, expected, "node {node}: delivery ≡ sequential");
-                let committed: Vec<TxId> = txs
+            for app in [
+                &mut self.pooled as &mut dyn App<Tx = DecodedTx>,
+                &mut self.looped,
+            ] {
+                let verdicts = app.deliver_block(node, BlockView::bare(&members));
+                let committed: Vec<(TxId, &DecodedTx)> = members
                     .iter()
                     .zip(&verdicts)
-                    .filter_map(|((tx, _), v)| v.is_ok().then_some(*tx))
+                    .filter_map(|(member, v)| v.is_ok().then_some(*member))
                     .collect();
                 app.on_commit(node, 1, &committed, SimTime::ZERO);
+                let got: Vec<Result<(), String>> = in_payload_order(&decoded, verdicts)
+                    .into_iter()
+                    .map(|v| v.map(|_| ()))
+                    .collect();
+                assert_eq!(got, expected, "node {node}: delivery ≡ sequential");
             }
         }
         for node in 0..NODES {
@@ -585,11 +637,10 @@ impl Twins {
     /// pool on one, the trait's loop on the other — and returns the
     /// (agreed) verdicts, simulated costs included.
     fn check(&mut self, node: NodeId, block: &[String]) -> Vec<AppResult> {
-        let txs: Vec<(TxId, &str)> = (self.next_tx..)
-            .zip(block.iter().map(String::as_str))
-            .collect();
-        let pooled = self.pooled.check_block(node, &txs);
-        let looped = self.looped.check_block(node, &txs);
+        let decoded = decode_block(&self.pooled.cluster, self.next_tx, block);
+        let members = members(&decoded);
+        let pooled = in_payload_order(&decoded, self.pooled.check_block(node, &members));
+        let looped = in_payload_order(&decoded, self.looped.check_block(node, &members));
         assert_eq!(pooled, looped, "check_block ≡ loop over check_tx");
         // What CheckTx says is what the sequential check says.
         for (payload, verdict) in block.iter().zip(&pooled) {
@@ -815,6 +866,9 @@ fn in_block_double_spend_passes_check_and_loses_at_delivery() {
     );
 }
 
+/// Garbage is rejected by the receiver's decode with the parser's
+/// reason — the same verdict the sequential check gives — and its
+/// neighbours decide as if it had never been sent.
 #[test]
 fn unparseable_payload_mid_block_rejects_only_itself() {
     let mut s = stage(Telemetry::disabled());
@@ -859,11 +913,11 @@ fn block_mixing_verified_and_fresh_members_pools_only_the_fresh() {
     let payloads: Vec<String> = block.iter().map(Transaction::to_payload).collect();
     // Node 1 received two of them itself (Submit-time CheckTx)...
     let base = s.twins.next_tx;
+    let cluster = &mut s.twins.pooled.cluster;
     for i in [1usize, 4] {
-        s.twins
-            .pooled
-            .cluster
-            .check_tx(1, base + i as TxId, &payloads[i])
+        let decoded = cluster.decode(&payloads[i]).expect("decodes");
+        cluster
+            .check_tx(1, base + i as TxId, &decoded)
             .expect("Submit-time CheckTx passes");
     }
     let hits_before = counter("verified.hits");
@@ -871,10 +925,8 @@ fn block_mixing_verified_and_fresh_members_pools_only_the_fresh() {
     // ...and one member is a forgery.
     let mut mixed = payloads.clone();
     mixed[3] = with_flipped_signature(&block[3]).to_payload();
-    let pooled = s.twins.pooled.check_block(1, &{
-        let txs: Vec<(TxId, &str)> = (base..).zip(mixed.iter().map(String::as_str)).collect();
-        txs
-    });
+    let decoded = decode_block(&s.twins.pooled.cluster, base, &mixed);
+    let pooled = s.twins.pooled.check_block(1, &members(&decoded));
     assert_eq!(
         pooled.iter().map(Result::is_ok).collect::<Vec<_>>(),
         [true, true, true, false, true, true]

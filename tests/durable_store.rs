@@ -17,6 +17,7 @@ use common::{nested_state, tracker_state, Scratch};
 use smartchaindb::consensus::{App, BlockView, TxId};
 use smartchaindb::core::pipeline::PipelineOptions;
 use smartchaindb::core::{NestedStatus, Transaction, ValidationError};
+use smartchaindb::server::DecodedTx;
 use smartchaindb::sim::SimTime;
 use smartchaindb::store::{DurableStore, FsyncLevel, OutputRef, StateDigest, Utxo};
 use smartchaindb::workload::{scdb_plan, ScenarioConfig};
@@ -528,6 +529,24 @@ fn pump_returns_counts_are_independent_of_the_batching() {
     assert_eq!(height(&node), start + 2, "an empty pump seals no block");
 }
 
+/// `block` as the engine hands it to a cluster: every payload decoded
+/// once, numbered from `first`.
+fn decode_block(
+    cluster: &SmartchainCluster,
+    first: TxId,
+    block: &[String],
+) -> Vec<(TxId, DecodedTx)> {
+    (first..)
+        .zip(block)
+        .map(|(id, payload)| (id, cluster.decode(payload).expect("payload decodes")))
+        .collect()
+}
+
+/// The decoded members, lent the way the engine lends them.
+fn members(decoded: &[(TxId, DecodedTx)]) -> Vec<(TxId, &DecodedTx)> {
+    decoded.iter().map(|(id, tx)| (*id, tx)).collect()
+}
+
 /// Cluster durability: one replica restarts mid-stream and recovers
 /// from its own manifest, another is wiped and catches up wholesale
 /// from a peer's store. Everyone must stay digest-equal throughout.
@@ -545,17 +564,12 @@ fn cluster_restart_and_catch_up_stay_digest_equal() {
             .utxo_shards(8)
             .durable(true),
     );
-    let mut next_tx: TxId = 0;
+    let mut next_tx: TxId = 1;
     let mut deliver = |cluster: &mut SmartchainCluster, block: &[String]| {
-        let pairs: Vec<(TxId, &str)> = block
-            .iter()
-            .map(|p| {
-                next_tx += 1;
-                (next_tx, p.as_str())
-            })
-            .collect();
+        let decoded = decode_block(cluster, next_tx, block);
+        next_tx += block.len() as TxId;
         for node in 0..nodes {
-            cluster.deliver_block(node, BlockView::bare(&pairs));
+            cluster.deliver_block(node, BlockView::bare(&members(&decoded)));
         }
     };
 
@@ -656,17 +670,12 @@ fn node_and_replica_recover_the_same_nested_state() {
     // seal flushed, and the settled accept's children as the payloads
     // of a second.
     let commit = |cluster: &mut SmartchainCluster, first: TxId, block: &[String]| {
-        let pairs: Vec<(TxId, &str)> = block
-            .iter()
-            .map(String::as_str)
-            .zip(first..)
-            .map(|(p, id)| (id, p))
-            .collect();
-        let ids: Vec<TxId> = pairs.iter().map(|(id, _)| *id).collect();
+        let decoded = decode_block(cluster, first, block);
+        let members = members(&decoded);
         for node in 0..2 {
-            let verdicts = cluster.deliver_block(node, BlockView::bare(&pairs));
+            let verdicts = cluster.deliver_block(node, BlockView::bare(&members));
             assert!(verdicts.iter().all(Result::is_ok), "{verdicts:?}");
-            cluster.on_commit(node, 0, &ids, SimTime::ZERO);
+            cluster.on_commit(node, 0, &members, SimTime::ZERO);
         }
     };
     let cluster_with_children = || {
@@ -750,17 +759,12 @@ fn catch_up_ships_only_the_missing_seals_and_replaces_a_diverged_or_longer_targe
             .durable(true)
             .fsync(FsyncLevel::None),
     );
-    let mut next_tx: TxId = 0;
+    let mut next_tx: TxId = 1;
     let mut deliver = |cluster: &mut SmartchainCluster, block: &[String], nodes: &[usize]| {
-        let pairs: Vec<(TxId, &str)> = block
-            .iter()
-            .map(|p| {
-                next_tx += 1;
-                (next_tx, p.as_str())
-            })
-            .collect();
+        let decoded = decode_block(cluster, next_tx, block);
+        next_tx += block.len() as TxId;
         for &node in nodes {
-            cluster.deliver_block(node, BlockView::bare(&pairs));
+            cluster.deliver_block(node, BlockView::bare(&members(&decoded)));
         }
     };
     let manifest = |cluster: &SmartchainCluster, node: usize| {

@@ -3,7 +3,7 @@
 //! settlement — plus driver-level retry and mid-apply failure injection
 //! for the commit pipeline.
 
-use smartchaindb::consensus::TxStatus;
+use smartchaindb::consensus::{TxId, TxStatus};
 use smartchaindb::core::pipeline::commit_batch;
 use smartchaindb::core::validate::validate_transaction;
 use smartchaindb::driver::{Driver, DriverConfig, DriverError, FlakyEndpoint};
@@ -153,6 +153,132 @@ fn supermajority_crash_stalls_and_resumes_nested_settlement() {
         1,
         "children settle after resume"
     );
+}
+
+/// `SmartchainHarness::run`'s loop, spelled out so every child payload
+/// the cluster's outbox hands out is seen: runs to quiescence, submits
+/// each drained child (returned in `drained`), and retries children a
+/// lagging receiver rejected one block later — a retry resubmits, it
+/// never drains again.
+fn run_draining(cluster: &mut SmartchainHarness, drained: &mut Vec<String>) {
+    let h = cluster.consensus_mut();
+    let mut children: Vec<(TxId, String, u32)> = Vec::new();
+    loop {
+        let progressed = h.has_live_work() && h.step();
+        let outbox = h.app_mut().drain_outbox();
+        if !outbox.is_empty() {
+            let now = h.now();
+            for payload in outbox {
+                children.push((h.submit_at(now, payload.clone()), payload.clone(), 0));
+                drained.push(payload);
+            }
+            continue;
+        }
+        if progressed {
+            continue;
+        }
+        let retry_at = h.now() + h.config().block_interval;
+        let mut resubmitted = false;
+        for (handle, payload, attempts) in &mut children {
+            if *attempts < 8 && matches!(h.status(*handle), TxStatus::Rejected(_)) {
+                *handle = h.submit_at(retry_at, payload.clone());
+                *attempts += 1;
+                resubmitted = true;
+            }
+        }
+        if !resubmitted {
+            break;
+        }
+    }
+}
+
+#[test]
+fn each_accepts_children_reach_the_outbox_exactly_once() {
+    // The first replica to settle an accept dispatches its children;
+    // every other commit hook — live replicas, and replicas executing
+    // the accept's block late after a crash — must not. Two schedules:
+    // a supermajority outage the accept waits out, and a minority
+    // outage whose replica catches up after the children settled.
+    for supermajority in [true, false] {
+        let mut cluster = SmartchainHarness::new(4);
+        let (request, bid_a, bid_b) = stage_auction(&mut cluster);
+        let accept = build_accept(&cluster, &request, &bid_a, &bid_b);
+        let down: &[usize] = if supermajority { &[2, 3] } else { &[3] };
+
+        let now = cluster.consensus().now();
+        for &node in down {
+            cluster.consensus_mut().crash_at(now, node);
+        }
+        let handle = cluster.consensus_mut().submit_at_node(
+            now + SimTime::from_millis(2),
+            0,
+            accept.to_payload(),
+        );
+        let mut drained = Vec::new();
+        if supermajority {
+            // No quorum: nothing commits, nothing is dispatched.
+            let deadline = now + SimTime::from_secs(30);
+            cluster.consensus_mut().run_until(deadline);
+            assert!(cluster.consensus_mut().app_mut().drain_outbox().is_empty());
+            for &node in down {
+                cluster
+                    .consensus_mut()
+                    .recover_at(deadline + SimTime::from_secs(1), node);
+            }
+            run_draining(&mut cluster, &mut drained);
+        } else {
+            run_draining(&mut cluster, &mut drained);
+            // The children settled without node 3; it now executes the
+            // accept's block (and the children's) on catching up.
+            assert_eq!(cluster.consensus().app().nested_completed(), 1);
+            let late = cluster.consensus().now() + SimTime::from_millis(1);
+            cluster.consensus_mut().recover_at(late, 3);
+            run_draining(&mut cluster, &mut drained);
+        }
+
+        let what = if supermajority {
+            "supermajority"
+        } else {
+            "minority"
+        };
+        assert!(
+            matches!(cluster.consensus().status(handle), TxStatus::Committed(_)),
+            "{what}"
+        );
+        // Exactly one payload per child: one per accepted input.
+        let mut children: Vec<String> = drained
+            .iter()
+            .map(|payload| {
+                let child = Transaction::from_payload(payload).expect("child payload parses");
+                assert_eq!(
+                    child.metadata.get("parent").and_then(|v| v.as_str()),
+                    Some(accept.id.as_str()),
+                    "{what}"
+                );
+                child.id
+            })
+            .collect();
+        children.sort_unstable();
+        children.dedup();
+        assert_eq!(
+            children.len(),
+            drained.len(),
+            "{what}: a child dispatched twice"
+        );
+        assert_eq!(drained.len(), accept.inputs.len(), "{what}");
+        let app = cluster.consensus().app();
+        assert_eq!(app.nested_completed(), 1, "{what}");
+        // Nothing is left to bound: the dispatch mark is the replicas'
+        // own trackers, and at quiescence every one holds the accept
+        // complete.
+        for node in 0..4 {
+            assert_eq!(
+                app.tracker(node).status(&accept.id),
+                Some(NestedStatus::Complete),
+                "{what}: node {node}"
+            );
+        }
+    }
 }
 
 #[test]

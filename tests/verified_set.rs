@@ -510,7 +510,8 @@ fn check_tx_on_one_replica_does_not_hit_on_another() {
     let options = PipelineOptions::with_workers(1).with_telemetry(Telemetry::disabled());
     let mut cluster = SmartchainCluster::with_options(2, options);
     let payload = create(&seed_key(0xA1, 0), 1).to_payload();
-    cluster.check_tx(0, 1, &payload).expect("CheckTx passes");
+    let decoded = cluster.decode(&payload).expect("decodes");
+    cluster.check_tx(0, 1, &decoded).expect("CheckTx passes");
     let stats = |c: &SmartchainCluster, node| {
         let s = c.ledger(node).verified_stats();
         (s.hits, s.misses, s.recorded)
@@ -521,13 +522,13 @@ fn check_tx_on_one_replica_does_not_hit_on_another() {
     // Replica 1 never CheckTx'd these bytes: its delivery verifies them
     // for itself (the block pool records, the commit then hits) —
     // replica 0's entry did nothing for it.
-    cluster.deliver_tx(1, 1, &payload).expect("delivers");
+    cluster.deliver_tx(1, 1, &decoded).expect("delivers");
     assert_eq!(
         stats(&cluster, 1),
         (1, 0, 1),
         "replica 1 verified for itself"
     );
-    cluster.deliver_tx(0, 1, &payload).expect("delivers");
+    cluster.deliver_tx(0, 1, &decoded).expect("delivers");
     assert_eq!(stats(&cluster, 0), (1, 1, 1), "replica 0 verified once");
     assert_eq!(cluster.state_digest(0), cluster.state_digest(1));
 }
