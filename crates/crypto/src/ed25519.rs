@@ -5,9 +5,18 @@
 //! `verify(s, pb, m)` functions (§3.1 of the paper). Verification is
 //! cofactorless (`S·B == R + k·A`), matching the RFC 8032 test vectors
 //! and BigchainDB's behaviour.
+//!
+//! [`verify`] checks one signature as [k]A − [s]B == −R in one shared
+//! doubling chain. [`verify_batch`] pools a flush into one random linear
+//! combination and, when it fails, bisects at half cost: each failing
+//! subset evaluates its left half and derives its right half by one
+//! point subtraction, and a singleton is decided from its own combined
+//! point. That derivation is exact only over keys of prime order, so a
+//! key with a torsion component ([L]A ≠ O, recorded once per prepared
+//! key) is checked alone instead of pooled.
 
 use crate::edwards::{multiscalar_mul, EdwardsPoint, PointTable};
-use crate::scalar::Scalar;
+use crate::scalar::{Scalar, L_BYTES};
 use crate::sha512::sha512;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -133,13 +142,21 @@ pub fn sign(seed: &SecretKey, message: &[u8]) -> Signature {
 #[derive(Debug)]
 pub struct PreparedPublicKey {
     table: PointTable,
+    /// [L]A = O: the key lies in the prime-order subgroup. Every key
+    /// `derive_public_key` makes does; a key with a torsion component
+    /// decodes just as well, and batch verification must not pool it.
+    torsion_free: bool,
 }
 
 impl PreparedPublicKey {
     fn decode(public: &PublicKey) -> Option<PreparedPublicKey> {
         let point = EdwardsPoint::decompress(public)?;
         let table = PointTable::from_point(&point);
-        Some(PreparedPublicKey { table })
+        let torsion_free = multiscalar_mul(None, &[(L_BYTES, &table)]).is_identity();
+        Some(PreparedPublicKey {
+            table,
+            torsion_free,
+        })
     }
 }
 
@@ -201,11 +218,17 @@ impl PreparedKeyCache {
         Some(entry.0.clone())
     }
 
-    fn insert(&mut self, public: PublicKey, prepared: Option<Arc<PreparedPublicKey>>) {
-        if let Some(entry) = self.entries.get_mut(&public) {
-            entry.0 = prepared;
-            Self::touch(entry, &mut self.by_age, &mut self.clock, &public);
-            return;
+    /// Inserts `prepared` unless `public` is already resident, and
+    /// returns the resident entry either way: a worker that lost a
+    /// decode race gets the winner's `Arc`, so grouping by identity
+    /// still holds.
+    fn get_or_insert(
+        &mut self,
+        public: PublicKey,
+        prepared: Option<Arc<PreparedPublicKey>>,
+    ) -> Option<Arc<PreparedPublicKey>> {
+        if let Some(resident) = self.get(&public) {
+            return resident;
         }
         if self.entries.len() >= self.cap {
             if let Some((&oldest, _)) = self.by_age.iter().next() {
@@ -214,8 +237,9 @@ impl PreparedKeyCache {
             }
         }
         self.clock += 1;
-        self.entries.insert(public, (prepared, self.clock));
+        self.entries.insert(public, (prepared.clone(), self.clock));
         self.by_age.insert(self.clock, public);
+        prepared
     }
 }
 
@@ -228,15 +252,20 @@ fn pubkey_cache() -> &'static Mutex<PreparedKeyCache> {
 
 const PUBKEY_CACHE_CAP: usize = 8_192;
 
-/// Decompresses `public` through the process-wide cache.
+/// Decompresses `public` through the process-wide cache. A miss decodes
+/// outside the lock — decompression, the table and the [L]A test cost
+/// about one verification, and admission workers must not queue behind
+/// each other's cold keys — then keeps whichever decoding landed first.
 pub fn prepare_public_key(public: &PublicKey) -> Option<Arc<PreparedPublicKey>> {
-    let mut cache = pubkey_cache().lock().expect("pubkey cache");
-    if let Some(hit) = cache.get(public) {
+    let hit = pubkey_cache().lock().expect("pubkey cache").get(public);
+    if let Some(hit) = hit {
         return hit;
     }
     let prepared = PreparedPublicKey::decode(public).map(Arc::new);
-    cache.insert(*public, prepared.clone());
-    prepared
+    pubkey_cache()
+        .lock()
+        .expect("pubkey cache")
+        .get_or_insert(*public, prepared)
 }
 
 /// k = SHA-512(R || A || M) mod L — the Fiat–Shamir challenge scalar.
@@ -249,17 +278,23 @@ fn challenge_scalar(r_bytes: &[u8; 32], public: &PublicKey, message: &[u8]) -> S
 }
 
 /// The verification equation S·B == R + k·A over decoded components —
-/// shared verbatim by `verify` and the batch fallback so their verdicts
-/// are identical by construction.
+/// shared verbatim by `verify` and the batch's single checks so their
+/// verdicts are identical by construction.
+///
+/// Evaluated as [k]A + [−S mod L]B == −R in one doubling chain. Only
+/// B's scalar is negated, which is exact because B has order L; k stays
+/// as it is, so a key with a torsion component is multiplied exactly.
+/// `s_bytes` must be canonical (< L).
 fn verify_equation(
     a: &PreparedPublicKey,
     r: &EdwardsPoint,
     s_bytes: &[u8; 32],
     k: &Scalar,
 ) -> bool {
-    let lhs = EdwardsPoint::mul_base(s_bytes);
-    let rhs = r.add(&multiscalar_mul(None, &[(k.0, &a.table)]));
-    lhs.eq_point(&rhs)
+    #[cfg(test)]
+    count_work(|w| w.single_checks += 1);
+    let neg_s = Scalar::neg(Scalar(*s_bytes));
+    multiscalar_mul(Some(&neg_s.0), &[(k.0, &a.table)]).eq_point(&r.neg())
 }
 
 /// Verifies `signature` over `message` under `public`, RFC 8032 §5.1.7.
@@ -314,22 +349,34 @@ struct DecodedItem {
 /// Batch signature verification: per-item verdicts for a whole flush.
 ///
 /// Valid batches are accepted with a single random-linear-combination
-/// check — Σ zᵢ·(Sᵢ·B − Rᵢ − kᵢ·Aᵢ) == O over one shared-doubling
+/// check — V(S) = Σ zᵢ·(Rᵢ + kᵢ·Aᵢ − Sᵢ·B) == O over one shared-doubling
 /// multiscalar accumulation — amortizing the per-signature scalar
-/// multiplications. A failing batch bisects: each half is re-checked
-/// (reusing the decoded points, tables and challenge scalars), and
-/// singleton leaves fall back to the exact individual equation, so
-/// offender attribution matches [`verify`] precisely.
+/// multiplications. A failing subset bisects at half cost: its left
+/// half is evaluated and its right half is V(S) − V(left), one point
+/// subtraction. A singleton is decided from its own point: V({i}) =
+/// zᵢ·(Rᵢ + kᵢ·Aᵢ − Sᵢ·B), and zᵢ is odd and below L, so it is the
+/// identity exactly when [`verify`]'s equation holds. Every accept or
+/// split is the decision a fresh evaluation of that subset would make.
+///
+/// The derivation needs V to be additive over subsets, which holds
+/// because B's coefficient and each grouped A coefficient are reduced
+/// mod L only against points of order L. A key with a torsion
+/// component ([L]A ≠ O) would break that, so such an item is decided
+/// by [`verify`]'s equation on its own and never pooled.
 ///
 /// The zᵢ coefficients are derived deterministically from a transcript
-/// over all (signature, key, challenge) triples, so verdicts are a pure
-/// function of the batch. Soundness: a signature set that fails the
-/// individual equations passes the combined check with probability
-/// ≲ 2⁻¹²⁷. One caveat, shared with every random-linear-combination
-/// batch verifier: a signature whose defect lies entirely in the
-/// small-order (torsion) component of the curve can cancel inside the
-/// combination, which an honest signer can never produce and commit-time
-/// individual re-verification rejects regardless.
+/// over all pooled (signature, key, challenge) triples, so verdicts are
+/// a pure function of the batch. Soundness: a signature set that fails
+/// the individual equations passes the combined check with probability
+/// ≲ 2⁻¹²⁷ — **except** for defects that lie entirely in R's small-order
+/// (torsion) component, which can cancel in the combination: two
+/// signatures whose R carries the order-2 point both fail [`verify`]
+/// and both pass here (pinned by the ignored test
+/// `torsion_in_r_cancels_in_the_pool`). Only the key's holder can make
+/// such a signature. Nothing re-verifies a pooled verdict at commit —
+/// the verified set vouches for it — so such a pair can be admitted
+/// that the sequential oracle rejects, depending on how a pool was
+/// chunked. The two fixes and their costs are ROADMAP item 2 (e).
 pub fn verify_batch(items: &[BatchItem<'_>]) -> Vec<Result<(), SignatureError>> {
     let mut results: Vec<Result<(), SignatureError>> = vec![Ok(()); items.len()];
     let mut decoded: Vec<DecodedItem> = Vec::with_capacity(items.len());
@@ -352,6 +399,14 @@ pub fn verify_batch(items: &[BatchItem<'_>]) -> Vec<Result<(), SignatureError>> 
             continue;
         }
         let k = challenge_scalar(&r_bytes, item.public, item.message);
+        if !a.torsion_free {
+            // Reducing A's pooled coefficient mod L would drop its
+            // torsion term, so V would not be additive: decide it alone.
+            if !verify_equation(&a, &r_point, &s_bytes, &k) {
+                results[idx] = Err(SignatureError::Mismatch);
+            }
+            continue;
+        }
         decoded.push(DecodedItem {
             idx,
             r_table: PointTable::from_point(&r_point),
@@ -401,32 +456,31 @@ pub fn verify_batch(items: &[BatchItem<'_>]) -> Vec<Result<(), SignatureError>> 
         d.z = Scalar(z);
     }
 
-    bisect(&decoded.iter().collect::<Vec<_>>(), &mut results);
+    let pool: Vec<&DecodedItem> = decoded.iter().collect();
+    bisect(&pool, combined_point(&pool), &mut results);
     results
 }
 
-/// Recursive batch check: accept whole subsets on one combined
-/// equation, bisect failures, decide singletons individually.
-fn bisect(subset: &[&DecodedItem], results: &mut [Result<(), SignatureError>]) {
-    if subset.is_empty() {
-        return;
-    }
-    if subset.len() == 1 {
-        let d = subset[0];
-        if !verify_equation(&d.a, &d.r_point, &d.s.0, &d.k) {
-            results[d.idx] = Err(SignatureError::Mismatch);
-        }
-        return;
-    }
-    if combined_equation_holds(subset) {
+/// Decides a non-empty `subset` whose combined point `v` = V(subset) is
+/// already known: the identity accepts every member, a singleton that
+/// is not the identity is its member's mismatch, and anything else
+/// evaluates its left half and derives the right as V(subset) − V(left).
+fn bisect(subset: &[&DecodedItem], v: EdwardsPoint, results: &mut [Result<(), SignatureError>]) {
+    if v.is_identity() {
         return; // every member already carries Ok
     }
-    let mid = subset.len() / 2;
-    bisect(&subset[..mid], results);
-    bisect(&subset[mid..], results);
+    if let [d] = subset {
+        results[d.idx] = Err(SignatureError::Mismatch);
+        return;
+    }
+    let (left, right) = subset.split_at(subset.len() / 2);
+    let v_left = combined_point(left);
+    bisect(left, v_left, results);
+    bisect(right, v.add(&v_left.neg()), results);
 }
 
-/// The combined check: −(Σ zᵢ·sᵢ)·B + Σ zᵢ·Rᵢ + Σ (zᵢ·kᵢ)·Aᵢ == O.
+/// The combined point V(S) = −(Σ zᵢ·sᵢ)·B + Σ zᵢ·Rᵢ + Σ (zᵢ·kᵢ)·Aᵢ,
+/// which is the identity when the subset's combined check passes.
 ///
 /// A-terms sharing one public key collapse into a single multiscalar
 /// term with coefficient Σ zᵢ·kᵢ — the combination is linear in Aᵢ, so
@@ -435,7 +489,12 @@ fn bisect(subset: &[&DecodedItem], results: &mut [Result<(), SignatureError>]) {
 /// per repeated key. Repeats are recognized by prepared-key identity
 /// (the process-wide cache hands equal keys the same `Arc`); a missed
 /// share merely costs the optimization, never correctness.
-fn combined_equation_holds(subset: &[&DecodedItem]) -> bool {
+fn combined_point(subset: &[&DecodedItem]) -> EdwardsPoint {
+    #[cfg(test)]
+    count_work(|w| {
+        w.items += subset.len();
+        w.equations += 1;
+    });
     let mut b_coeff = Scalar::zero();
     let mut terms: Vec<([u8; 32], &PointTable)> = Vec::with_capacity(subset.len() * 2);
     let mut a_coeffs: Vec<(Scalar, &PointTable)> = Vec::with_capacity(subset.len());
@@ -455,7 +514,40 @@ fn combined_equation_holds(subset: &[&DecodedItem]) -> bool {
     for (coeff, table) in &a_coeffs {
         terms.push((coeff.0, table));
     }
-    multiscalar_mul(Some(&Scalar::neg(b_coeff).0), &terms).is_identity()
+    multiscalar_mul(Some(&Scalar::neg(b_coeff).0), &terms)
+}
+
+/// What the pooled path did on this thread, for tests that pin its
+/// cost (per thread because tests run in parallel).
+#[cfg(test)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct PoolWork {
+    /// Item terms fed to combined equations.
+    items: usize,
+    /// Combined equations evaluated.
+    equations: usize,
+    /// Single-signature equations evaluated.
+    single_checks: usize,
+}
+
+#[cfg(test)]
+thread_local! {
+    static POOL_WORK: std::cell::Cell<PoolWork> = std::cell::Cell::new(PoolWork::default());
+}
+
+#[cfg(test)]
+fn count_work(update: impl FnOnce(&mut PoolWork)) {
+    POOL_WORK.with(|cell| {
+        let mut work = cell.get();
+        update(&mut work);
+        cell.set(work);
+    });
+}
+
+/// Returns this thread's counts and resets them.
+#[cfg(test)]
+fn take_pool_work() -> PoolWork {
+    POOL_WORK.with(|cell| cell.take())
 }
 
 #[cfg(test)]
@@ -667,6 +759,169 @@ mod tests {
         let miss = prepare_public_key(&bad);
         let miss_again = prepare_public_key(&bad);
         assert_eq!(miss.is_none(), miss_again.is_none());
+
+        // Two workers miss on one cold key at once: both decode outside
+        // the lock, and the loser gets the winner's resident `Arc`.
+        let cold = derive_public_key(&[0x5Bu8; 32]);
+        let start = std::sync::Barrier::new(2);
+        let prepare = || {
+            start.wait();
+            prepare_public_key(&cold).expect("valid key")
+        };
+        let (a, b) = std::thread::scope(|scope| {
+            let a = scope.spawn(prepare);
+            let b = scope.spawn(prepare);
+            (
+                a.join().expect("first worker"),
+                b.join().expect("second worker"),
+            )
+        });
+        assert!(Arc::ptr_eq(&a, &b), "a lost race returns the resident key");
+        assert!(Arc::ptr_eq(
+            &a,
+            &prepare_public_key(&cold).expect("valid key")
+        ));
+    }
+
+    /// The order-2 point T₂ = (0, −1).
+    fn order_two() -> EdwardsPoint {
+        use crate::field::FieldElement;
+        EdwardsPoint {
+            x: FieldElement::ZERO,
+            y: FieldElement::ONE.neg(),
+            z: FieldElement::ONE,
+            t: FieldElement::ZERO,
+        }
+    }
+
+    /// Signs RFC 8032's way except for the commitment: R is `r·B + extra`
+    /// and the challenge is taken under `public` (which need not be the
+    /// secret's own key). Only a key holder can do this.
+    fn sign_with(
+        secret: &ExpandedSecret,
+        public: &PublicKey,
+        extra: &EdwardsPoint,
+        nonce: u8,
+        msg: &[u8],
+    ) -> Signature {
+        let r = Scalar::from_bytes(&[nonce; 32]);
+        let r_point = EdwardsPoint::mul_base(&r.0).add(extra).compress();
+        let k = challenge_scalar(&r_point, public, msg);
+        let s = Scalar::mul_add(k, Scalar::from_bytes(&secret.s.0), r);
+        let mut sig = [0u8; 64];
+        sig[..32].copy_from_slice(&r_point);
+        sig[32..].copy_from_slice(&s.0);
+        sig
+    }
+
+    /// Known gap (ROADMAP item 2 (e)): a defect that lies entirely in
+    /// R's torsion component cancels in the random linear combination.
+    /// Both signatures fail `verify` (R′ + k·A − S·B = T₂), but the pool
+    /// sums z₁·T₂ + z₂·T₂ with both zᵢ odd, which is the identity.
+    #[test]
+    #[ignore = "known gap: torsion cancels in the pooled equation"]
+    fn torsion_in_r_cancels_in_the_pool() {
+        let secret = ExpandedSecret::from_seed(&[0x3Cu8; 32]);
+        let public = secret.public_key();
+        let msgs: [&[u8]; 2] = [b"first", b"second"];
+        let sigs: Vec<Signature> = msgs
+            .iter()
+            .enumerate()
+            .map(|(i, msg)| sign_with(&secret, &public, &order_two(), i as u8 + 1, msg))
+            .collect();
+        let items: Vec<BatchItem<'_>> = sigs
+            .iter()
+            .zip(msgs)
+            .map(|(signature, message)| BatchItem {
+                signature,
+                public: &public,
+                message,
+            })
+            .collect();
+        let singly: Vec<_> = items
+            .iter()
+            .map(|item| verify(item.signature, item.public, item.message))
+            .collect();
+        assert_eq!(singly, vec![Err(SignatureError::Mismatch); 2]);
+        assert_eq!(verify_batch(&items), singly);
+    }
+
+    /// A key A + T₂ decompresses but is not torsion-free. Pooled, its
+    /// reduced coefficient would drop the T₂ term; it is decided alone,
+    /// so its verdict is `verify`'s — Ok exactly when the challenge is
+    /// even — and the honest members beside it stay Ok.
+    #[test]
+    fn torsion_key_is_decided_alone_and_matches_verify() {
+        let secret = ExpandedSecret::from_seed(&[0x4Du8; 32]);
+        let honest_key = secret.public_key();
+        let twisted = EdwardsPoint::decompress(&honest_key)
+            .expect("honest key")
+            .add(&order_two())
+            .compress();
+        let prepared = prepare_public_key(&twisted).expect("A + T₂ decompresses");
+        assert!(!prepared.torsion_free);
+        assert!(
+            prepare_public_key(&honest_key)
+                .expect("honest")
+                .torsion_free
+        );
+
+        let msgs: Vec<Vec<u8>> = (0..16)
+            .map(|i| format!("twisted {i}").into_bytes())
+            .collect();
+        let mut triples = honest_batch(6);
+        for (i, msg) in msgs.iter().enumerate() {
+            let sig = sign_with(
+                &secret,
+                &twisted,
+                &EdwardsPoint::identity(),
+                i as u8 + 1,
+                msg,
+            );
+            triples.insert(2 * i % (triples.len() + 1), (twisted, msg.clone(), sig));
+        }
+        let batch = run_batch(&triples);
+        let mut twisted_verdicts = Vec::new();
+        for ((pk, msg, sig), verdict) in triples.iter().zip(&batch) {
+            assert_eq!(&verify(sig, pk, msg), verdict);
+            if *pk == twisted {
+                twisted_verdicts.push(*verdict);
+            } else {
+                assert!(verdict.is_ok(), "honest members stay Ok");
+            }
+        }
+        // Both parities of the challenge occur, so both branches ran.
+        assert!(twisted_verdicts.contains(&Ok(())));
+        assert!(twisted_verdicts.contains(&Err(SignatureError::Mismatch)));
+    }
+
+    /// Pins the bisection's cost: 128 distinct-key items with bad
+    /// signatures at 17 and 90. Each failing subset evaluates only its
+    /// left half (64 + 32 + … + 1 on the path to 17, 32 + … + 1 on the
+    /// path to 90, after the whole pool's 128) and the singletons are
+    /// decided from their own points, with no single check.
+    #[test]
+    fn failing_pool_evaluates_one_half_and_derives_the_other() {
+        let mut triples = honest_batch(128);
+        triples[17].2[40] ^= 0x01;
+        triples[90].1.push(b'!');
+        take_pool_work();
+        let results = run_batch(&triples);
+        let work = take_pool_work();
+        for (i, r) in results.iter().enumerate() {
+            match i {
+                17 | 90 => assert_eq!(*r, Err(SignatureError::Mismatch), "item {i}"),
+                _ => assert!(r.is_ok(), "item {i}"),
+            }
+        }
+        assert_eq!(
+            work,
+            PoolWork {
+                items: 318,
+                equations: 14,
+                single_checks: 0
+            }
+        );
     }
 
     #[test]
@@ -676,7 +931,7 @@ mod tests {
         let mut cache = PreparedKeyCache::with_capacity(8);
         let hot_pk = derive_public_key(&[0x11u8; 32]);
         let hot = Arc::new(PreparedPublicKey::decode(&hot_pk).expect("valid key"));
-        cache.insert(hot_pk, Some(hot.clone()));
+        cache.get_or_insert(hot_pk, Some(hot.clone()));
 
         // Flood with far more distinct keys than the capacity, touching
         // the hot key between insertions the way a busy escrow account
@@ -685,7 +940,7 @@ mod tests {
             let mut junk = [0u8; 32];
             junk[..4].copy_from_slice(&i.to_le_bytes());
             junk[31] = 0xee;
-            cache.insert(junk, None);
+            cache.get_or_insert(junk, None);
             let resident = cache
                 .get(&hot_pk)
                 .expect("hot key survives the flood")
@@ -704,12 +959,12 @@ mod tests {
         // A key that is never touched again ages out once enough
         // distinct keys pass through.
         let cold_pk = derive_public_key(&[0x22u8; 32]);
-        cache.insert(cold_pk, None);
+        cache.get_or_insert(cold_pk, None);
         for i in 0..16u32 {
             let mut junk = [0u8; 32];
             junk[..4].copy_from_slice(&i.to_le_bytes());
             junk[30] = 0xdd;
-            cache.insert(junk, None);
+            cache.get_or_insert(junk, None);
         }
         assert!(cache.get(&cold_pk).is_none(), "untouched key must age out");
     }
@@ -732,7 +987,7 @@ mod tests {
             })
             .collect();
         for k in &keys {
-            cache.insert(*k, None);
+            cache.get_or_insert(*k, None);
         }
         assert_eq!(cache.len(), cap, "cache filled to capacity");
 
@@ -754,7 +1009,7 @@ mod tests {
         cache.get(&keys[0]); // keys[1] is now the oldest
         let mut fresh = [0u8; 32];
         fresh[0] = 0xff;
-        cache.insert(fresh, None);
+        cache.get_or_insert(fresh, None);
         assert_eq!(cache.len(), cap);
         assert!(cache.get(&keys[1]).is_none(), "LRU key evicted");
         for k in keys

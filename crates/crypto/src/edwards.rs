@@ -4,6 +4,14 @@
 //! extended homogeneous coordinates (X : Y : Z : T) with x = X/Z,
 //! y = Y/Z, x·y = T/Z, which gives complete addition formulas
 //! ("add-2008-hwcd-3" / "dbl-2008-hwcd" with a = −1).
+//!
+//! Two ways to multiply by a scalar. [`EdwardsPoint::mul_base`] (signing,
+//! key derivation) adds one entry per radix-16 digit from 64 static
+//! window tables and never doubles. [`multiscalar_mul`] (every
+//! verification) runs one doubling chain shared by all its terms: each
+//! dynamic point brings a width-5 NAF table of 8 odd multiples, and the
+//! base point reads a static width-8 table of 64 odd multiples, so a
+//! single check [k]A − [s]B costs one chain plus ~43 + ~28 additions.
 
 use crate::field::FieldElement;
 use std::sync::OnceLock;
@@ -175,7 +183,8 @@ impl EdwardsPoint {
 
     /// `scalar · B` for the standard base point, off the static
     /// per-window tables: no doublings at all, one cached addition per
-    /// non-zero radix-16 digit.
+    /// non-zero radix-16 digit. The signing side's multiplication;
+    /// verification folds its base term into [`multiscalar_mul`]'s chain.
     pub fn mul_base(scalar_le: &[u8; 32]) -> EdwardsPoint {
         if scalar_le[31] > 127 {
             return EdwardsPoint::base().scalar_mul_serial(scalar_le);
@@ -189,9 +198,7 @@ impl EdwardsPoint {
         acc
     }
 
-    /// Point negation: (−x, y). Part of the complete group API;
-    /// exercised by tests rather than the signing hot path.
-    #[allow(dead_code)]
+    /// Point negation: (−x, y).
     pub fn neg(&self) -> EdwardsPoint {
         EdwardsPoint {
             x: self.x.neg(),
@@ -285,36 +292,25 @@ pub(crate) struct CachedPoint {
     t2d: FieldElement,
 }
 
-/// Odd multiples [P, 3P, 5P, …, 15P] in cached form: the lookup table
-/// for width-5 NAF scalar recoding (digit d uses entry (|d|−1)/2).
-/// The same 8-entry layout doubles as the radix-16 table for the static
+/// Odd multiples [P, 3P, 5P, …, (2N−1)P] in cached form: the lookup
+/// table for width-w NAF scalar recoding with N = 2^(w−2) (digit d uses
+/// entry (|d|−1)/2). The default N = 8 is the width-5 table every
+/// dynamic point gets; the static base-point table is N = 64 (width 8).
+/// The 8-entry layout doubles as the radix-16 table for the static
 /// base-point windows (digit d uses entry |d|−1 over [P, 2P, …, 8P]).
 #[derive(Debug, Clone)]
-pub(crate) struct PointTable {
-    entries: [CachedPoint; 8],
+pub(crate) struct PointTable<const N: usize = 8> {
+    entries: [CachedPoint; N],
 }
 
-impl PointTable {
-    /// Odd multiples [P, 3P, …, 15P] of `p`.
-    pub(crate) fn from_point(p: &EdwardsPoint) -> PointTable {
+impl<const N: usize> PointTable<N> {
+    /// Odd multiples [P, 3P, …, (2N−1)P] of `p`.
+    pub(crate) fn from_point(p: &EdwardsPoint) -> PointTable<N> {
         let p2 = p.double().to_cached();
-        let mut entries = [p.to_cached(); 8];
+        let mut entries = [p.to_cached(); N];
         let mut cur = *p;
         for slot in entries.iter_mut().skip(1) {
             cur = cur.add_cached(&p2);
-            *slot = cur.to_cached();
-        }
-        PointTable { entries }
-    }
-
-    /// Consecutive multiples [P, 2P, …, 8P] of `p` — the signed radix-16
-    /// layout used by the static base-point window tables.
-    fn consecutive_from_point(p: &EdwardsPoint) -> PointTable {
-        let first = p.to_cached();
-        let mut entries = [first; 8];
-        let mut cur = *p;
-        for slot in entries.iter_mut().skip(1) {
-            cur = cur.add_cached(&first);
             *slot = cur.to_cached();
         }
         PointTable { entries }
@@ -327,6 +323,21 @@ impl PointTable {
             std::cmp::Ordering::Greater => acc.add_cached(&self.entries[(digit as usize - 1) / 2]),
             std::cmp::Ordering::Less => acc.sub_cached(&self.entries[((-digit) as usize - 1) / 2]),
         }
+    }
+}
+
+impl PointTable {
+    /// Consecutive multiples [P, 2P, …, 8P] of `p` — the signed radix-16
+    /// layout used by the static base-point window tables.
+    fn consecutive_from_point(p: &EdwardsPoint) -> PointTable {
+        let first = p.to_cached();
+        let mut entries = [first; 8];
+        let mut cur = *p;
+        for slot in entries.iter_mut().skip(1) {
+            cur = cur.add_cached(&first);
+            *slot = cur.to_cached();
+        }
+        PointTable { entries }
     }
 
     /// `acc ± entry` for a signed radix-16 digit in [−8, 8] against the
@@ -362,16 +373,25 @@ fn radix16_digits(bytes: &[u8; 32]) -> [i8; 64] {
     digits
 }
 
-/// Width-5 NAF digits of a little-endian scalar below 2^255: one signed
-/// odd digit in {±1, ±3, …, ±15} or 0 per bit position, with value
-/// Σ dᵢ·2ⁱ. At most one non-zero digit in any 5 consecutive positions,
-/// so a 256-bit scalar averages ~43 additions instead of ~128.
+/// NAF width for dynamic points: an 8-entry [`PointTable`] per point.
+const NAF_WIDTH: usize = 5;
+
+/// NAF width for the base point: its 64-entry table is built once.
+const BASE_NAF_WIDTH: usize = 8;
+
+/// Width-`w` NAF digits (2 ≤ w ≤ 8) of a little-endian scalar below
+/// 2^255: one signed odd digit in {±1, ±3, …, ±(2^(w−1)−1)} or 0 per bit
+/// position, with value Σ dᵢ·2ⁱ. At most one non-zero digit in any w
+/// consecutive positions, so a 253-bit scalar averages ~253/(w+1)
+/// additions (~43 at width 5, ~28 at width 8) instead of ~127.
 ///
-/// Carry-based recoding: an odd 5-bit window above 16 is recentered by
-/// subtracting 32, and the borrowed 2^(pos+5) rides along as a +1 carry
-/// into the next window read.
-fn wnaf5_digits(bytes: &[u8; 32]) -> [i8; 256] {
+/// Carry-based recoding: an odd w-bit window at or above 2^(w−1) is
+/// recentered by subtracting 2^w, and the borrowed 2^(pos+w) rides
+/// along as a +1 carry into the next window read.
+fn wnaf_digits(bytes: &[u8; 32], w: usize) -> [i8; 256] {
     debug_assert!(bytes[31] <= 127, "NAF recoding needs the top bit clear");
+    debug_assert!((2..=8).contains(&w), "digits must fit an i8");
+    let width = 1u64 << w;
     let mut limbs = [0u64; 5]; // one spare limb so window reads never index out
     for (i, chunk) in bytes.chunks_exact(8).enumerate() {
         limbs[i] = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
@@ -382,24 +402,24 @@ fn wnaf5_digits(bytes: &[u8; 32]) -> [i8; 256] {
     while pos < 256 {
         let limb = pos / 64;
         let bit = pos % 64;
-        let bit_buf = if bit < 64 - 5 {
+        let bit_buf = if bit < 64 - w {
             limbs[limb] >> bit
         } else {
             (limbs[limb] >> bit) | (limbs[limb + 1] << (64 - bit))
         };
-        let window = carry + (bit_buf & 31);
+        let window = carry + (bit_buf & (width - 1));
         if window & 1 == 0 {
             pos += 1;
             continue;
         }
-        if window < 16 {
+        if window < width / 2 {
             carry = 0;
             digits[pos] = window as i8;
         } else {
             carry = 1;
-            digits[pos] = (window as i8).wrapping_sub(32);
+            digits[pos] = (window as i64 - width as i64) as i8;
         }
-        pos += 5;
+        pos += w;
     }
     digits
 }
@@ -422,39 +442,43 @@ fn base_window_tables() -> &'static [PointTable; 64] {
     })
 }
 
-/// `base_coeff·B + Σ sᵢ·Pᵢ` with one shared doubling chain across all
-/// dynamic terms (width-5 NAF) and the static no-doubling window tables
-/// for the base-point term. All scalars must be below 2^255 (canonical
-/// scalars always are). Variable-time.
+/// The static width-8 table for B: odd multiples [B, 3B, …, 127B].
+fn base_odd_multiples() -> &'static PointTable<64> {
+    static TABLE: OnceLock<Box<PointTable<64>>> = OnceLock::new();
+    TABLE.get_or_init(|| Box::new(PointTable::from_point(&EdwardsPoint::base())))
+}
+
+/// `base_coeff·B + Σ sᵢ·Pᵢ` with one doubling chain shared by every
+/// term: width-5 NAF digits against each dynamic point's table, width-8
+/// digits against the static base-point table. All scalars must be
+/// below 2^255 (canonical scalars always are). Variable-time.
 pub(crate) fn multiscalar_mul(
     base_coeff: Option<&[u8; 32]>,
     terms: &[([u8; 32], &PointTable)],
 ) -> EdwardsPoint {
+    let base = base_coeff.map(|s| (wnaf_digits(s, BASE_NAF_WIDTH), base_odd_multiples()));
     let digit_sets: Vec<[i8; 256]> = terms
         .iter()
-        .map(|(scalar, _)| wnaf5_digits(scalar))
+        .map(|(scalar, _)| wnaf_digits(scalar, NAF_WIDTH))
         .collect();
     // Highest bit position with any non-zero digit bounds the doubling
     // chain (short scalars — e.g. 128-bit batch coefficients alone —
     // pay proportionally fewer doublings).
     let top = digit_sets
         .iter()
+        .chain(base.as_ref().map(|(digits, _)| digits))
         .flat_map(|d| d.iter().rposition(|&x| x != 0))
         .max();
     let mut acc = EdwardsPoint::identity();
     if let Some(top) = top {
         for pos in (0..=top).rev() {
             acc = acc.double();
+            if let Some((digits, table)) = &base {
+                acc = table.apply_naf(&acc, digits[pos]);
+            }
             for (digits, (_, table)) in digit_sets.iter().zip(terms.iter()) {
                 acc = table.apply_naf(&acc, digits[pos]);
             }
-        }
-    }
-    if let Some(s) = base_coeff {
-        let digits = radix16_digits(s);
-        let tables = base_window_tables();
-        for (table, &digit) in tables.iter().zip(digits.iter()) {
-            acc = table.apply(&acc, digit);
         }
     }
     acc
@@ -600,21 +624,32 @@ mod tests {
 
     #[test]
     fn wnaf_digits_reconstruct_the_scalar() {
-        for seed in 0..8u64 {
-            let s = pseudo_scalar(seed);
-            let digits = wnaf5_digits(&s);
-            // Value equality is pinned through the group by
-            // `windowed_scalar_mul_matches_serial`; here check the NAF
-            // shape invariants.
-            for w in digits.windows(5) {
-                assert!(
-                    w.iter().filter(|&&d| d != 0).count() <= 1,
-                    "width-5 non-adjacency violated"
-                );
-            }
-            for d in digits {
-                assert!(d == 0 || d % 2 != 0, "digits are odd");
-                assert!((-15..=15).contains(&d));
+        for w in [NAF_WIDTH, BASE_NAF_WIDTH] {
+            let bound = (1i16 << (w - 1)) - 1;
+            for seed in 0..8u64 {
+                let s = pseudo_scalar(seed);
+                let digits = wnaf_digits(&s, w);
+                // Σ dᵢ·2ⁱ, carry-normalized bit by bit, is the scalar.
+                let mut bytes = [0u8; 32];
+                let mut carry: i16 = 0;
+                for (i, &d) in digits.iter().enumerate() {
+                    let cur = d as i16 + carry;
+                    let bit = cur.rem_euclid(2);
+                    carry = (cur - bit) / 2;
+                    bytes[i / 8] |= (bit as u8) << (i % 8);
+                }
+                assert_eq!(carry, 0);
+                assert_eq!(bytes, s, "width {w}, seed {seed}");
+                for window in digits.windows(w) {
+                    assert!(
+                        window.iter().filter(|&&d| d != 0).count() <= 1,
+                        "width-{w} non-adjacency violated"
+                    );
+                }
+                for d in digits {
+                    assert!(d == 0 || d % 2 != 0, "digits are odd");
+                    assert!((-bound..=bound).contains(&(d as i16)));
+                }
             }
         }
     }
@@ -712,12 +747,10 @@ mod tests {
 
     #[test]
     fn base_order_times_base_is_identity() {
-        // L·B = identity, where L is the prime group order.
-        let l_bytes: [u8; 32] = [
-            0xed, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12, 0x58, 0xd6, 0x9c, 0xf7, 0xa2, 0xde, 0xf9,
-            0xde, 0x14, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-            0x00, 0x00, 0x00, 0x10,
-        ];
+        // L·B = identity, where L is the prime group order — through
+        // the signing windows and through the verification chain alike.
+        let l_bytes = crate::scalar::L_BYTES;
         assert!(EdwardsPoint::mul_base(&l_bytes).is_identity());
+        assert!(multiscalar_mul(Some(&l_bytes), &[]).is_identity());
     }
 }

@@ -3,7 +3,9 @@
 //! Elements are represented with five 51-bit limbs (radix 2^51), the
 //! classic "ref10" layout: products of two 51-bit limbs fit in a `u128`
 //! accumulator, and the modulus shape lets the overflow above bit 255 be
-//! folded back with a multiplication by 19.
+//! folded back with a multiplication by 19. Squaring has its own
+//! 15-product form (doublings, and so verification, are mostly
+//! squarings); it and `mul` share one carry chain.
 
 /// A field element `a0 + a1·2^51 + a2·2^102 + a3·2^153 + a4·2^204`.
 ///
@@ -90,7 +92,7 @@ impl FieldElement {
         let mut acc: u128 = 0;
         let mut acc_bits = 0u32;
         let mut idx = 0usize;
-        for (i, &limb) in h.iter().enumerate() {
+        for &limb in &h {
             acc |= (limb as u128) << acc_bits;
             acc_bits += 51;
             while acc_bits >= 8 && idx < 32 {
@@ -99,7 +101,6 @@ impl FieldElement {
                 acc_bits -= 8;
                 idx += 1;
             }
-            let _ = i;
         }
         while idx < 32 {
             out[idx] = (acc & 0xff) as u8;
@@ -176,41 +177,33 @@ impl FieldElement {
         let b3_19 = b[3] * 19;
         let b4_19 = b[4] * 19;
 
-        let t0 = m(a[0], b[0]) + m(a[1], b4_19) + m(a[2], b3_19) + m(a[3], b2_19) + m(a[4], b1_19);
-        let mut t1 =
-            m(a[0], b[1]) + m(a[1], b[0]) + m(a[2], b4_19) + m(a[3], b3_19) + m(a[4], b2_19);
-        let mut t2 =
-            m(a[0], b[2]) + m(a[1], b[1]) + m(a[2], b[0]) + m(a[3], b4_19) + m(a[4], b3_19);
-        let mut t3 = m(a[0], b[3]) + m(a[1], b[2]) + m(a[2], b[1]) + m(a[3], b[0]) + m(a[4], b4_19);
-        let mut t4 = m(a[0], b[4]) + m(a[1], b[3]) + m(a[2], b[2]) + m(a[3], b[1]) + m(a[4], b[0]);
-
-        // Carry chain over 51-bit limbs with ·19 wraparound.
-        let mut out = [0u64; 5];
-        let mut carry: u128;
-        carry = t0 >> 51;
-        out[0] = (t0 as u64) & MASK;
-        t1 += carry;
-        carry = t1 >> 51;
-        out[1] = (t1 as u64) & MASK;
-        t2 += carry;
-        carry = t2 >> 51;
-        out[2] = (t2 as u64) & MASK;
-        t3 += carry;
-        carry = t3 >> 51;
-        out[3] = (t3 as u64) & MASK;
-        t4 += carry;
-        carry = t4 >> 51;
-        out[4] = (t4 as u64) & MASK;
-        out[0] += (carry as u64) * 19;
-        let c = out[0] >> 51;
-        out[0] &= MASK;
-        out[1] += c;
-
-        FieldElement(out)
+        carry_wide([
+            m(a[0], b[0]) + m(a[1], b4_19) + m(a[2], b3_19) + m(a[3], b2_19) + m(a[4], b1_19),
+            m(a[0], b[1]) + m(a[1], b[0]) + m(a[2], b4_19) + m(a[3], b3_19) + m(a[4], b2_19),
+            m(a[0], b[2]) + m(a[1], b[1]) + m(a[2], b[0]) + m(a[3], b4_19) + m(a[4], b3_19),
+            m(a[0], b[3]) + m(a[1], b[2]) + m(a[2], b[1]) + m(a[3], b[0]) + m(a[4], b4_19),
+            m(a[0], b[4]) + m(a[1], b[3]) + m(a[2], b[2]) + m(a[3], b[1]) + m(a[4], b[0]),
+        ])
     }
 
+    /// `self · self` in 15 limb products instead of [`FieldElement::mul`]'s
+    /// 25: each cross product aᵢ·aⱼ (i ≠ j) appears twice in the
+    /// schoolbook sum, so it is computed once and doubled. Point doubling
+    /// is four squarings, and doublings are most of a verification.
     pub fn square(self) -> FieldElement {
-        self.mul(self)
+        let a = self.0;
+        let m = |x: u64, y: u64| -> u128 { (x as u128) * (y as u128) };
+
+        let a3_19 = a[3] * 19;
+        let a4_19 = a[4] * 19;
+
+        carry_wide([
+            m(a[0], a[0]) + 2 * (m(a[1], a4_19) + m(a[2], a3_19)),
+            m(a[3], a3_19) + 2 * (m(a[0], a[1]) + m(a[2], a4_19)),
+            m(a[1], a[1]) + 2 * (m(a[0], a[2]) + m(a[4], a3_19)),
+            m(a[4], a4_19) + 2 * (m(a[0], a[3]) + m(a[1], a[2])),
+            m(a[2], a[2]) + 2 * (m(a[0], a[4]) + m(a[1], a[3])),
+        ])
     }
 
     /// Multiplicative inverse via Fermat: a^(p−2).
@@ -285,6 +278,23 @@ impl FieldElement {
     }
 }
 
+/// Carry chain over the five 51-bit column sums of a product, with the
+/// ·19 wraparound folding the overflow above bit 255 back into limb 0.
+fn carry_wide(t: [u128; 5]) -> FieldElement {
+    let mut out = [0u64; 5];
+    let mut carry: u128 = 0;
+    for (limb, column) in out.iter_mut().zip(t) {
+        let column = column + carry;
+        *limb = (column as u64) & MASK;
+        carry = column >> 51;
+    }
+    out[0] += (carry as u64) * 19;
+    let c = out[0] >> 51;
+    out[0] &= MASK;
+    out[1] += c;
+    FieldElement(out)
+}
+
 fn square_n(mut f: FieldElement, n: usize) -> FieldElement {
     for _ in 0..n {
         f = f.square();
@@ -321,6 +331,27 @@ mod tests {
         let b = fe(250_000);
         let expected = fe(100_000 * 250_000);
         assert!(a.mul(b).ct_eq(expected));
+    }
+
+    #[test]
+    fn square_matches_mul() {
+        // Full-width, loosely reduced inputs: sums and differences of
+        // products leave limbs just above 2^51, the worst case `square`
+        // sees inside a doubling.
+        let mut x = FieldElement::d();
+        for _ in 0..64 {
+            let y = x.mul(FieldElement::sqrt_m1()).add(x).sub(FieldElement::ONE);
+            assert!(y.square().ct_eq(y.mul(y)));
+            x = y.square().add(y);
+        }
+        let mut pm1 = [0xffu8; 32];
+        pm1[0] = 0xec;
+        pm1[31] = 0x7f;
+        let minus_one = FieldElement::from_bytes(&pm1);
+        assert!(minus_one.square().ct_eq(minus_one.mul(minus_one)));
+        // Every limb at the invariant's ceiling.
+        let top = FieldElement([(1 << 52) - 1; 5]);
+        assert!(top.square().ct_eq(top.mul(top)));
     }
 
     #[test]

@@ -1,9 +1,24 @@
 //! Property tests for the cryptography substrate.
 
-use crate::ed25519::{derive_public_key, sign, verify, verify_batch, BatchItem};
+use crate::ed25519::{
+    derive_public_key, prepare_public_key, sign, verify, verify_batch, BatchItem, PublicKey,
+    Signature,
+};
 use crate::keys::{KeyPair, MultiSignature};
 use crate::{hex, sha3_256, sha512};
 use proptest::prelude::*;
+
+/// The first encoding y = 2, 3, … that does not decode to a curve point.
+fn undecodable_key() -> PublicKey {
+    (2u8..)
+        .map(|y| {
+            let mut key = [0u8; 32];
+            key[0] = y;
+            key
+        })
+        .find(|key| prepare_public_key(key).is_none())
+        .expect("some small y is off the curve")
+}
 
 proptest! {
     // Point arithmetic dominates runtime; keep case counts modest.
@@ -53,6 +68,51 @@ proptest! {
         let i = idx.index(tampered.len());
         tampered[i] ^= 1;
         prop_assert!(verify(&sig, &pk, &tampered).is_err());
+    }
+
+    /// Pooled ≡ per-item: a batch of 2–64 items over three keys (so
+    /// A-terms group and their coefficients wrap mod L), with a random
+    /// tamper per item — an S byte, an R byte, a message byte, a
+    /// non-canonical S or an undecodable key — gets exactly `verify`'s
+    /// verdicts, through every accepted, derived and singleton subset
+    /// the bisection visits.
+    #[test]
+    fn batch_verdicts_equal_per_item_verify(
+        plan in prop::collection::vec((0usize..3, 0u8..20, any::<u8>(), 1u8..=255), 2..=64),
+    ) {
+        let pairs: Vec<KeyPair> = (1u8..=3).map(|i| KeyPair::from_seed([i; 32])).collect();
+        let undecodable = undecodable_key();
+        let triples: Vec<(PublicKey, Vec<u8>, Signature)> = plan
+            .iter()
+            .enumerate()
+            .map(|(i, &(signer, tamper, at, mask))| {
+                let pair = &pairs[signer];
+                let mut msg = format!("pooled {i} {at}").into_bytes();
+                let mut sig = pair.sign(&msg);
+                let mut public = *pair.public();
+                match tamper {
+                    0 => sig[32 + at as usize % 32] ^= mask, // S byte
+                    1 => sig[at as usize % 32] ^= mask,      // R byte
+                    2 => {
+                        let j = at as usize % msg.len();
+                        msg[j] ^= mask
+                    }
+                    3 => sig[63] |= 0xf0, // S ≥ L
+                    4 => public = undecodable,
+                    _ => {} // honest
+                }
+                (public, msg, sig)
+            })
+            .collect();
+        let items: Vec<BatchItem<'_>> = triples
+            .iter()
+            .map(|(public, message, signature)| BatchItem { signature, public, message })
+            .collect();
+        let singly: Vec<_> = triples
+            .iter()
+            .map(|(public, message, signature)| verify(signature, public, message))
+            .collect();
+        prop_assert_eq!(verify_batch(&items), singly);
     }
 
     /// Multisig round-trips through the wire encoding and verifies.

@@ -15,6 +15,18 @@ const L: [u64; 4] = [
     0x1000000000000000,
 ];
 
+/// L as 32 little-endian bytes: the multiplier of the torsion-freeness
+/// test [L]P = O.
+pub(crate) const L_BYTES: [u8; 32] = {
+    let mut out = [0u8; 32];
+    let mut i = 0;
+    while i < 32 {
+        out[i] = (L[i / 8] >> (8 * (i % 8))) as u8;
+        i += 1;
+    }
+    out
+};
+
 /// c = L − 2^252 (125 bits, two limbs, little-endian).
 const C: [u64; 2] = [0x5812631a5cf5d3ed, 0x14def9dea2f79cd6];
 
@@ -232,20 +244,14 @@ mod tests {
 
     #[test]
     fn l_reduces_to_zero() {
-        let mut l_bytes = [0u8; 32];
-        for (i, limb) in L.iter().enumerate() {
-            l_bytes[i * 8..(i + 1) * 8].copy_from_slice(&limb.to_le_bytes());
-        }
-        assert_eq!(Scalar::from_bytes(&l_bytes), Scalar::zero());
-        assert!(!Scalar::is_canonical(&l_bytes));
+        assert_eq!(to_limbs(&L_BYTES), L);
+        assert_eq!(Scalar::from_bytes(&L_BYTES), Scalar::zero());
+        assert!(!Scalar::is_canonical(&L_BYTES));
     }
 
     #[test]
     fn l_minus_one_is_canonical() {
-        let mut l_bytes = [0u8; 32];
-        for (i, limb) in L.iter().enumerate() {
-            l_bytes[i * 8..(i + 1) * 8].copy_from_slice(&limb.to_le_bytes());
-        }
+        let mut l_bytes = L_BYTES;
         l_bytes[0] -= 1;
         assert!(Scalar::is_canonical(&l_bytes));
         assert_eq!(Scalar::from_bytes(&l_bytes).0, l_bytes);
