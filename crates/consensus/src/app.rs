@@ -71,12 +71,6 @@ impl FormedBlock {
     }
 }
 
-impl From<Vec<usize>> for FormedBlock {
-    fn from(picks: Vec<usize>) -> FormedBlock {
-        FormedBlock::from_picks(picks)
-    }
-}
-
 /// A structured, self-describing block as delivered to the
 /// application: the decoded transactions in block order plus the
 /// proposer's annotations.

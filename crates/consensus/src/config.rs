@@ -2,23 +2,9 @@
 
 use scdb_sim::{LatencyModel, SimTime};
 
-/// Which protocol profile a configuration models (for reports only; both
-/// run the same three-phase BFT message flow with different pacing).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Protocol {
-    /// BigchainDB's Tendermint deployment: short pacing, block
-    /// pipelining enabled.
-    Tendermint,
-    /// Quorum's Istanbul BFT as used for the ETH-SC baseline: fixed
-    /// multi-second block interval, strictly sequential blocks.
-    Ibft,
-}
-
 /// Parameters of the BFT engine.
 #[derive(Debug, Clone)]
 pub struct BftConfig {
-    /// Protocol profile label.
-    pub protocol: Protocol,
     /// Number of validator nodes (the paper sweeps 4–32).
     pub nodes: usize,
     /// Pacing between consecutive block proposals.
@@ -43,7 +29,6 @@ impl BftConfig {
     /// latencies (the DigitalOcean cluster of §5.1.1).
     pub fn tendermint(nodes: usize) -> BftConfig {
         BftConfig {
-            protocol: Protocol::Tendermint,
             nodes,
             block_interval: SimTime::from_millis(200),
             max_block_txs: 9,
@@ -58,7 +43,6 @@ impl BftConfig {
     /// cadence and no pipelining.
     pub fn ibft(nodes: usize) -> BftConfig {
         BftConfig {
-            protocol: Protocol::Ibft,
             nodes,
             block_interval: SimTime::from_secs(5),
             max_block_txs: 200,
@@ -104,7 +88,5 @@ mod tests {
         assert!(t.pipelined);
         assert!(!i.pipelined);
         assert!(i.block_interval > t.block_interval);
-        assert_eq!(t.protocol, Protocol::Tendermint);
-        assert_eq!(i.protocol, Protocol::Ibft);
     }
 }

@@ -1,4 +1,4 @@
-//! The BFT consensus engine over the discrete-event simulator.
+//! The event driver of the BFT consensus engine.
 //!
 //! Message flow (per height): the round's proposer batches transactions
 //! from its mempool and broadcasts a *proposal*; nodes validate and
@@ -12,17 +12,23 @@
 //! decision on the previous block", §2.2). A submission is decoded once,
 //! on its receiver (`App::decode`); the engine keeps the decoded value
 //! and lends it to every later application call.
+//!
+//! Each validator's vote rules live in its clock-free [`RoundMachine`].
+//! [`Harness`] is the driver: it owns the event queue, the network, the
+//! transaction table, the block registry and the application, feeds
+//! each machine its inputs and carries out the outputs in order. It also
+//! keeps what no single validator can know: the decided chain recovering
+//! nodes sync from, the proposer-loop pacing, the live-work counters,
+//! the re-gossip of stranded transactions and the vote re-delivery.
 
 use crate::app::{App, BlockAnnotations, BlockView};
 use crate::config::BftConfig;
+use crate::round::{
+    proposer, BlockId, Input, Message, Output, Proposal, RoundMachine, Vote, VoteKind,
+};
+use crate::TxId;
 use scdb_sim::{Network, NodeId, SimTime, Simulation};
-use std::collections::{HashMap, HashSet, VecDeque};
-
-/// Handle to a submitted transaction.
-pub type TxId = u64;
-
-/// Index into the engine's block registry.
-type BlockId = usize;
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
 /// Life-cycle status of a transaction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,7 +48,6 @@ struct TxRecord<T> {
     /// block member holds its value.
     decoded: Option<T>,
     submitted_at: SimTime,
-    receiver: NodeId,
     status: TxStatus,
 }
 
@@ -84,30 +89,15 @@ enum Event {
         to: NodeId,
         tx: TxId,
     },
-    /// A node should propose (or re-poll) the given height/round.
+    /// A node should propose (or re-poll) round 0 of the given height.
     StartHeight {
         node: NodeId,
         height: u64,
-        round: u32,
     },
-    /// Consensus messages.
-    Proposal {
+    /// A consensus message arrives at `to`.
+    Deliver {
         to: NodeId,
-        height: u64,
-        round: u32,
-        block: BlockId,
-    },
-    Prevote {
-        to: NodeId,
-        from: NodeId,
-        height: u64,
-        block: BlockId,
-    },
-    Precommit {
-        to: NodeId,
-        from: NodeId,
-        height: u64,
-        block: BlockId,
+        msg: Message,
     },
     /// Block execution finished on a node.
     Executed {
@@ -126,30 +116,26 @@ enum Event {
     Recover(NodeId),
 }
 
+/// A node's mempool: the transactions it may propose.
 #[derive(Default)]
 struct NodeState {
     mempool: VecDeque<TxId>,
     seen: HashSet<TxId>,
-    /// Next height this node wants to commit.
-    height: u64,
-    round: u32,
-    prevotes: HashMap<(u64, BlockId), HashSet<NodeId>>,
-    precommits: HashMap<(u64, BlockId), HashSet<NodeId>>,
-    sent_prevote: HashSet<u64>,
-    sent_precommit: HashSet<u64>,
-    executing: HashSet<u64>,
 }
 
-/// The consensus harness: engine + network + application.
+/// The consensus harness: the driver of every node's round machine,
+/// over the network and the application.
 pub struct Harness<A: App> {
     config: BftConfig,
     sim: Simulation<Event>,
     net: Network,
     app: A,
     nodes: Vec<NodeState>,
+    machines: Vec<RoundMachine>,
     txs: Vec<TxRecord<A::Tx>>,
     blocks: Vec<Block>,
-    /// Height -> decided block (first quorum execution).
+    /// Height -> decided block (first quorum execution): the simulated
+    /// chain a recovering node syncs from.
     decided: HashMap<u64, BlockId>,
     /// (height, round) pairs already proposed, to avoid duplicates.
     proposed: HashSet<(u64, u32)>,
@@ -184,10 +170,14 @@ impl<A: App> Harness<A> {
     pub fn new(config: BftConfig, app: A) -> Harness<A> {
         let net = Network::new(config.nodes, config.latency, config.seed);
         let nodes = (0..config.nodes).map(|_| NodeState::default()).collect();
+        let machines = (0..config.nodes)
+            .map(|id| RoundMachine::new(id, config.nodes, config.quorum(), config.pipelined))
+            .collect();
         Harness {
             net,
             app,
             nodes,
+            machines,
             sim: Simulation::new(),
             txs: Vec::new(),
             blocks: Vec::new(),
@@ -237,7 +227,6 @@ impl<A: App> Harness<A> {
         self.txs.push(TxRecord {
             decoded: None,
             submitted_at: at,
-            receiver: node,
             status: TxStatus::Pending,
         });
         self.scheduled_submits += 1;
@@ -258,12 +247,6 @@ impl<A: App> Harness<A> {
     /// Status of a transaction.
     pub fn status(&self, tx: TxId) -> &TxStatus {
         &self.txs[tx as usize].status
-    }
-
-    /// The receiver node a transaction was submitted to (diagnostics;
-    /// §4: the randomly chosen validator that ran the first checks).
-    pub fn receiver(&self, tx: TxId) -> NodeId {
-        self.txs[tx as usize].receiver
     }
 
     /// Commit latency of a transaction, when committed.
@@ -352,20 +335,13 @@ impl<A: App> Harness<A> {
         self.decided.keys().copied().max().unwrap_or(0)
     }
 
-    fn proposer(&self, height: u64, round: u32) -> NodeId {
-        ((height + round as u64) % self.config.nodes as u64) as usize
-    }
-
-    /// Schedules an event `delay` from now, tracking whether it is a
-    /// consequential (non-timer) event.
+    /// Schedules an event `delay` from now.
     fn schedule(&mut self, delay: SimTime, event: Event) {
-        if !is_timer(&event) {
-            self.pending_real += 1;
-        }
-        self.sim.schedule_in(delay, event);
+        self.schedule_abs(self.sim.now() + delay, event);
     }
 
-    /// Schedules an event at an absolute time, with the same tracking.
+    /// Schedules an event at an absolute time, tracking whether it is a
+    /// consequential (non-timer) event.
     fn schedule_abs(&mut self, at: SimTime, event: Event) {
         if !is_timer(&event) {
             self.pending_real += 1;
@@ -378,9 +354,43 @@ impl<A: App> Harness<A> {
         self.scheduled_submits > 0 || self.undecided > 0 || self.pending_real > 0
     }
 
-    fn broadcast(&mut self, from: NodeId, mk: impl Fn(NodeId) -> Event) {
+    /// Sends `mk(peer)` to every reachable peer, each `after` plus its
+    /// link delay from now.
+    fn broadcast(&mut self, from: NodeId, after: SimTime, mk: impl Fn(NodeId) -> Event) {
         for (to, delay) in self.net.broadcast(from) {
-            self.schedule(delay, mk(to));
+            self.schedule(after + delay, mk(to));
+        }
+    }
+
+    /// Feeds `input` to `node`'s round machine and carries out its
+    /// outputs in order.
+    fn step_node(&mut self, node: NodeId, input: Input) {
+        let outputs = self.machines[node].handle(input);
+        let mut check_cost = SimTime::ZERO;
+        for output in outputs {
+            match output {
+                Output::Check(block) => {
+                    // CheckTx at the validator (Fig. 4's second set), the
+                    // block in one call: the cost of the members that pass.
+                    let members = members(&self.txs, &self.blocks[block].txs);
+                    check_cost = self
+                        .app
+                        .check_block(node, &members)
+                        .into_iter()
+                        .flatten()
+                        .fold(SimTime::ZERO, |sum, c| sum + c);
+                }
+                Output::Broadcast(msg) => {
+                    // A prevote is the verdict on the proposal just
+                    // checked, so it leaves after the validation work.
+                    let prevote = matches!(msg, Message::Vote(v) if v.kind == VoteKind::Prevote);
+                    let after = if prevote { check_cost } else { SimTime::ZERO };
+                    self.broadcast(node, after, |to| Event::Deliver { to, msg });
+                }
+                Output::Execute { height, block } => self.execute_block(node, height, block),
+                Output::Propose { height, round } => self.try_propose(node, height, round),
+                Output::NextHeight(height) => self.schedule_height_start(height),
+            }
         }
     }
 
@@ -407,13 +417,12 @@ impl<A: App> Harness<A> {
         if self.decided.contains_key(&height) || !self.height_started.insert(height) {
             return;
         }
-        let proposer = self.proposer(height, 0);
+        let proposer = proposer(self.config.nodes, height, 0);
         self.schedule(
             self.config.block_interval,
             Event::StartHeight {
                 node: proposer,
                 height,
-                round: 0,
             },
         );
         for peer in 0..self.config.nodes {
@@ -441,7 +450,7 @@ impl<A: App> Harness<A> {
                 // the proposer loop if work is outstanding.
                 self.catch_up(node);
                 self.resync_votes(node);
-                let height = self.nodes[node].height;
+                let height = self.machines[node].height();
                 if self.undecided > 0 {
                     self.loop_active = false;
                     self.activate_loop(height);
@@ -471,8 +480,8 @@ impl<A: App> Harness<A> {
                         self.undecided += 1;
                         self.enqueue(node, tx);
                         // Gossip to the other validators' mempools.
-                        self.broadcast(node, |to| Event::Gossip { to, tx });
-                        let height = self.nodes[node].height;
+                        self.broadcast(node, SimTime::ZERO, |to| Event::Gossip { to, tx });
+                        let height = self.machines[node].height();
                         self.activate_loop(height);
                     }
                 }
@@ -485,13 +494,7 @@ impl<A: App> Harness<A> {
                 }
                 self.enqueue(to, tx);
             }
-            Event::StartHeight {
-                node,
-                height,
-                round,
-            } => {
-                self.try_propose(node, height, round);
-            }
+            Event::StartHeight { node, height } => self.try_propose(node, height, 0),
             Event::RoundTimeout {
                 node,
                 height,
@@ -503,109 +506,48 @@ impl<A: App> Harness<A> {
                 {
                     return;
                 }
-                // Rotate the proposer and keep the failure timer armed
-                // while work is outstanding.
-                let next_round = round + 1;
-                self.nodes[node].round = next_round;
-                if self.proposer(height, next_round) == node {
-                    self.try_propose(node, height, next_round);
-                }
+                // The machine rotates the proposer; the driver keeps the
+                // failure timer armed while work is outstanding.
+                self.step_node(node, Input::Timeout { height, round });
                 self.schedule(
                     self.config.round_timeout,
                     Event::RoundTimeout {
                         node,
                         height,
-                        round: next_round,
+                        round: round + 1,
                     },
                 );
             }
-            Event::Proposal {
-                to,
-                height,
-                round,
-                block,
-            } => {
-                if !self.net.is_up(to) || self.decided.contains_key(&height) {
-                    return;
-                }
-                if self.nodes[to].sent_prevote.contains(&height) {
-                    return;
-                }
-                // CheckTx re-validation at the validator (second set of
-                // checks, Fig. 4), the block in one call: accumulate
-                // the simulated cost of the members that pass.
-                let members = members(&self.txs, &self.blocks[block].txs);
-                let cost = self
-                    .app
-                    .check_block(to, &members)
-                    .into_iter()
-                    .flatten()
-                    .fold(SimTime::ZERO, |sum, c| sum + c);
-                // The proposal carries the proposer's implicit prevote;
-                // without crediting it here, two live validators plus
-                // the proposer stall one short of quorum when a fourth
-                // node is down.
-                let proposer = self.proposer(height, round);
-                self.nodes[to]
-                    .prevotes
-                    .entry((height, block))
-                    .or_default()
-                    .insert(proposer);
-                self.nodes[to].sent_prevote.insert(height);
-                self.record_prevote(to, height, block);
-                // Prevote broadcast after the validation work.
-                for (peer, delay) in self.net.broadcast(to) {
-                    self.schedule(
-                        cost + delay,
-                        Event::Prevote {
-                            to: peer,
-                            from: to,
-                            height,
-                            block,
-                        },
-                    );
-                }
-            }
-            Event::Prevote {
-                to,
-                from,
-                height,
-                block,
-            } => {
+            Event::Deliver { to, msg } => {
                 if !self.net.is_up(to) {
                     return;
                 }
-                self.nodes[to]
-                    .prevotes
-                    .entry((height, block))
-                    .or_default()
-                    .insert(from);
-                self.record_prevote(to, height, block);
-            }
-            Event::Precommit {
-                to,
-                from,
-                height,
-                block,
-            } => {
-                if !self.net.is_up(to) {
-                    return;
+                // A proposal for a height the chain already decided is
+                // stale everywhere.
+                if let Message::Proposal(p) = msg {
+                    if self.decided.contains_key(&p.height) {
+                        return;
+                    }
                 }
-                self.nodes[to]
-                    .precommits
-                    .entry((height, block))
-                    .or_default()
-                    .insert(from);
-                self.maybe_execute(to, height, block);
+                self.step_node(to, Input::Receive(msg));
             }
             Event::Executed {
                 node,
                 height,
                 block,
-            } => {
-                self.finish_execution(node, height, block);
-            }
+            } => self.finish_execution(node, height, block),
         }
+    }
+
+    /// The still-pending members of every block proposed at `height`,
+    /// in registry order.
+    fn stranded(&self, height: u64) -> Vec<TxId> {
+        self.blocks
+            .iter()
+            .filter(|b| b.height == height)
+            .flat_map(|b| b.txs.iter().copied())
+            .filter(|tx| matches!(self.txs[*tx as usize].status, TxStatus::Pending))
+            .collect()
     }
 
     fn enqueue(&mut self, node: NodeId, tx: TxId) {
@@ -629,18 +571,11 @@ impl<A: App> Harness<A> {
         let mut batch = Vec::new();
         let mut in_batch = HashSet::new();
         if round > 0 {
-            let stranded: Vec<TxId> = self
-                .blocks
-                .iter()
-                .filter(|b| b.height == height)
-                .flat_map(|b| b.txs.iter().copied())
-                .collect();
-            for tx in stranded {
+            for tx in self.stranded(height) {
                 if batch.len() >= self.config.max_block_txs {
                     break;
                 }
-                if matches!(self.txs[tx as usize].status, TxStatus::Pending) && in_batch.insert(tx)
-                {
+                if in_batch.insert(tx) {
                     batch.push(tx);
                 }
             }
@@ -711,61 +646,15 @@ impl<A: App> Harness<A> {
             txs: batch,
             annotations,
         });
-        // Proposer prevotes its own block implicitly.
-        self.nodes[node].sent_prevote.insert(height);
-        self.record_prevote(node, height, block);
-        self.broadcast(node, |to| Event::Proposal {
-            to,
-            height,
-            round,
-            block,
-        });
-    }
-
-    /// Registers a prevote on `to` (from itself or a peer) and fires the
-    /// precommit when the quorum forms.
-    fn record_prevote(&mut self, node: NodeId, height: u64, block: BlockId) {
-        let quorum = self.config.quorum();
-        let state = &mut self.nodes[node];
-        state
-            .prevotes
-            .entry((height, block))
-            .or_default()
-            .insert(node);
-        let have = state.prevotes[&(height, block)].len();
-        if have >= quorum && !state.sent_precommit.contains(&height) {
-            state.sent_precommit.insert(height);
-            state
-                .precommits
-                .entry((height, block))
-                .or_default()
-                .insert(node);
-            // Pipelining: anchor the next height's proposal at the
-            // prevote quorum instead of the commit.
-            if self.config.pipelined {
-                self.schedule_next_height(height + 1);
-            }
-            self.broadcast(node, |to| Event::Precommit {
-                to,
-                from: node,
+        // The proposer prevotes its own block implicitly.
+        self.step_node(
+            node,
+            Input::Proposed(Proposal {
                 height,
+                round,
                 block,
-            });
-            self.maybe_execute(node, height, block);
-        }
-    }
-
-    fn maybe_execute(&mut self, node: NodeId, height: u64, block: BlockId) {
-        let quorum = self.config.quorum();
-        let state = &mut self.nodes[node];
-        let have = state
-            .precommits
-            .get(&(height, block))
-            .map_or(0, HashSet::len);
-        if have < quorum || state.executing.contains(&height) || state.height > height {
-            return;
-        }
-        self.execute_block(node, height, block);
+            }),
+        );
     }
 
     /// Executes a block on one node: the whole block, exactly as its
@@ -777,7 +666,6 @@ impl<A: App> Harness<A> {
     /// delivered again — every replica executes the same block, and
     /// the repeated rejection costs nothing and changes no status.
     fn execute_block(&mut self, node: NodeId, height: u64, block: BlockId) {
-        self.nodes[node].executing.insert(height);
         let Block {
             txs, annotations, ..
         } = &self.blocks[block];
@@ -824,93 +712,42 @@ impl<A: App> Harness<A> {
     /// State sync for a recovered node: execute, in height order, every
     /// decided block it missed while down.
     fn catch_up(&mut self, node: NodeId) {
-        let mut missed: Vec<(u64, BlockId)> = self
-            .decided
-            .iter()
-            .filter(|(h, _)| !self.nodes[node].executing.contains(h))
-            .map(|(h, b)| (*h, *b))
-            .collect();
-        missed.sort_unstable();
-        for (height, block) in missed {
-            self.execute_block(node, height, block);
+        let mut decided: Vec<(u64, BlockId)> = self.decided.iter().map(|(h, b)| (*h, *b)).collect();
+        decided.sort_unstable();
+        for (height, block) in decided {
+            self.step_node(node, Input::Decided { height, block });
         }
     }
 
     /// Vote gossip for a recovered node: re-deliver every proposal and
-    /// every known vote for undecided heights, so partially quorate
-    /// rounds can complete once enough voting power is back.
+    /// every vote any node counted for undecided heights, so partially
+    /// quorate rounds can complete once enough voting power is back.
+    /// Proposals go first, in registry order, then the votes, prevotes
+    /// before precommits.
     fn resync_votes(&mut self, node: NodeId) {
-        let delay = SimTime::from_micros(200);
-        // Undecided proposals (the recovered node may never have seen
-        // them; the Proposal handler re-checks sent_prevote).
-        let undecided_blocks: Vec<(usize, u64, u32)> = self
+        let proposals = self
             .blocks
             .iter()
             .enumerate()
-            .filter(|(_, b)| !self.decided.contains_key(&b.height))
-            .map(|(id, b)| (id, b.height, b.round))
+            .map(|(block, b)| Proposal {
+                height: b.height,
+                round: b.round,
+                block,
+            })
+            .filter(|p| !self.decided.contains_key(&p.height))
+            .map(Message::Proposal);
+        let votes: BTreeSet<Vote> = self
+            .machines
+            .iter()
+            .flat_map(RoundMachine::votes)
+            .copied()
+            .filter(|v| v.from != node && !self.decided.contains_key(&v.height))
             .collect();
-        for (id, height, round) in undecided_blocks {
-            self.schedule(
-                delay,
-                Event::Proposal {
-                    to: node,
-                    height,
-                    round,
-                    block: id,
-                },
-            );
-        }
-        // Union of votes recorded anywhere, re-delivered to the node.
-        let mut prevotes: HashMap<(u64, BlockId), HashSet<NodeId>> = HashMap::new();
-        let mut precommits: HashMap<(u64, BlockId), HashSet<NodeId>> = HashMap::new();
-        for peer in &self.nodes {
-            for (key, voters) in &peer.prevotes {
-                if !self.decided.contains_key(&key.0) {
-                    prevotes
-                        .entry(*key)
-                        .or_default()
-                        .extend(voters.iter().copied());
-                }
-            }
-            for (key, voters) in &peer.precommits {
-                if !self.decided.contains_key(&key.0) {
-                    precommits
-                        .entry(*key)
-                        .or_default()
-                        .extend(voters.iter().copied());
-                }
-            }
-        }
-        for ((height, block), voters) in prevotes {
-            for from in voters {
-                if from != node {
-                    self.schedule(
-                        delay,
-                        Event::Prevote {
-                            to: node,
-                            from,
-                            height,
-                            block,
-                        },
-                    );
-                }
-            }
-        }
-        for ((height, block), voters) in precommits {
-            for from in voters {
-                if from != node {
-                    self.schedule(
-                        delay,
-                        Event::Precommit {
-                            to: node,
-                            from,
-                            height,
-                            block,
-                        },
-                    );
-                }
-            }
+        let messages: Vec<Message> = proposals
+            .chain(votes.into_iter().map(Message::Vote))
+            .collect();
+        for msg in messages {
+            self.schedule(SimTime::from_micros(200), Event::Deliver { to: node, msg });
         }
     }
 
@@ -932,14 +769,7 @@ impl<A: App> Harness<A> {
             // Transactions stranded in competing (non-decided) blocks of
             // this height go back into every live mempool so the next
             // height re-proposes them.
-            let stranded: Vec<TxId> = self
-                .blocks
-                .iter()
-                .filter(|b| b.height == height)
-                .flat_map(|b| b.txs.iter().copied())
-                .filter(|tx| matches!(self.txs[*tx as usize].status, TxStatus::Pending))
-                .collect();
-            for tx in stranded {
+            for tx in self.stranded(height) {
                 for peer in 0..self.config.nodes {
                     if self.net.is_up(peer) && !self.nodes[peer].mempool.contains(&tx) {
                         self.nodes[peer].seen.insert(tx);
@@ -948,17 +778,7 @@ impl<A: App> Harness<A> {
                 }
             }
         }
-        let state = &mut self.nodes[node];
-        state.height = state.height.max(height + 1);
-        state.round = 0;
-        // Non-pipelined profile: the next proposal waits for the commit.
-        if !self.config.pipelined {
-            self.schedule_next_height(height + 1);
-        }
-    }
-
-    fn schedule_next_height(&mut self, height: u64) {
-        self.schedule_height_start(height);
+        self.step_node(node, Input::Executed { height });
     }
 }
 

@@ -9,18 +9,22 @@
 //!   baseline (§5.1.2): multi-second fixed block cadence, strictly
 //!   sequential blocks.
 //!
-//! The engine runs over [`scdb_sim`]'s deterministic event queue and
-//! couples application work into the timeline through the [`App`] trait,
-//! whose methods return simulated CPU costs (validation work, contract
-//! gas). Crash faults and proposer rotation implement the failure
-//! scenarios of §4.2.1.
+//! The engine is two layers. `round` holds each validator's round state
+//! machine: votes, quorums, the one vote per (kind, height), when to
+//! execute and when to propose, with no clock. `engine` holds
+//! [`Harness`], the driver: it runs the machines over [`scdb_sim`]'s
+//! deterministic event queue and couples application work into the
+//! timeline through the [`App`] trait, whose methods return simulated
+//! CPU costs (validation work, contract gas). Crash faults and proposer
+//! rotation implement the failure scenarios of §4.2.1.
 
 mod app;
 mod config;
 mod engine;
+mod round;
 
 pub use app::{App, AppResult, BlockAnnotations, BlockView, CountingApp, FormedBlock};
-pub use config::{BftConfig, Protocol};
+pub use config::BftConfig;
 pub use engine::{Harness, TxStatus};
 
 /// Handle to a submitted transaction (index into the harness registry).

@@ -52,7 +52,6 @@ pub struct Simulation<E> {
     now: SimTime,
     next_seq: u64,
     queue: BinaryHeap<Scheduled<E>>,
-    processed: u64,
 }
 
 impl<E> Default for Simulation<E> {
@@ -67,18 +66,12 @@ impl<E> Simulation<E> {
             now: SimTime::ZERO,
             next_seq: 0,
             queue: BinaryHeap::new(),
-            processed: 0,
         }
     }
 
     /// Current simulated time (the timestamp of the last event popped).
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Number of events processed so far.
-    pub fn processed(&self) -> u64 {
-        self.processed
     }
 
     /// Schedules an event at an absolute time. Events in the past are
@@ -103,22 +96,12 @@ impl<E> Simulation<E> {
         let s = self.queue.pop()?;
         debug_assert!(s.at >= self.now, "time must be monotonic");
         self.now = s.at;
-        self.processed += 1;
         Some((s.at, s.event))
     }
 
     /// Peeks at the next event time without consuming it.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.queue.peek().map(|s| s.at)
-    }
-
-    /// Number of pending events.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
-    pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
     }
 }
 
@@ -153,7 +136,6 @@ mod tests {
         assert_eq!(sim.now(), SimTime::ZERO);
         sim.next();
         assert_eq!(sim.now(), SimTime::from_millis(7));
-        assert_eq!(sim.processed(), 1);
     }
 
     #[test]
@@ -181,10 +163,12 @@ mod tests {
     #[test]
     fn peek_and_pending() {
         let mut sim = Simulation::new();
-        assert!(sim.is_idle());
-        sim.schedule_in(SimTime::from_millis(1), ());
+        assert_eq!(sim.peek_time(), None);
         sim.schedule_in(SimTime::from_millis(2), ());
-        assert_eq!(sim.pending(), 2);
+        sim.schedule_in(SimTime::from_millis(1), ());
         assert_eq!(sim.peek_time(), Some(SimTime::from_millis(1)));
+        sim.next();
+        sim.next();
+        assert_eq!(sim.peek_time(), None, "nothing left pending");
     }
 }

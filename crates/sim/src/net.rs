@@ -31,14 +31,6 @@ impl LatencyModel {
             jitter: SimTime::from_micros(300),
         }
     }
-
-    /// A WAN-like profile (20ms ± 10ms) for geo-distributed what-ifs.
-    pub fn wan() -> LatencyModel {
-        LatencyModel {
-            base: SimTime::from_millis(20),
-            jitter: SimTime::from_millis(10),
-        }
-    }
 }
 
 /// The cluster network: `n` nodes, a shared latency model, per-node
@@ -48,7 +40,6 @@ pub struct Network {
     up: Vec<bool>,
     rng: SmallRng,
     messages_sent: u64,
-    messages_dropped: u64,
 }
 
 impl Network {
@@ -59,17 +50,7 @@ impl Network {
             up: vec![true; n],
             rng: SmallRng::seed_from_u64(seed),
             messages_sent: 0,
-            messages_dropped: 0,
         }
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.up.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.up.is_empty()
     }
 
     /// True when the node is up.
@@ -87,18 +68,12 @@ impl Network {
         self.up[node] = true;
     }
 
-    /// Number of nodes currently up.
-    pub fn up_count(&self) -> usize {
-        self.up.iter().filter(|&&u| u).count()
-    }
-
     /// Samples the delivery delay for a message `from -> to`. Returns
     /// `None` when either endpoint is down (the message is dropped).
     /// Self-delivery is immediate.
     pub fn delay(&mut self, from: NodeId, to: NodeId) -> Option<SimTime> {
         self.messages_sent += 1;
         if !self.is_up(from) || !self.is_up(to) {
-            self.messages_dropped += 1;
             return None;
         }
         if from == to {
@@ -115,8 +90,7 @@ impl Network {
     /// Samples delays for a broadcast from `from` to every other node;
     /// entries are `(to, delay)` for reachable peers only.
     pub fn broadcast(&mut self, from: NodeId) -> Vec<(NodeId, SimTime)> {
-        let n = self.len();
-        (0..n)
+        (0..self.up.len())
             .filter(|&to| to != from)
             .filter_map(|to| self.delay(from, to).map(|d| (to, d)))
             .collect()
@@ -126,11 +100,6 @@ impl Network {
     /// overhead analysis of Experiment 2.
     pub fn messages_sent(&self) -> u64 {
         self.messages_sent
-    }
-
-    /// Messages dropped due to crashed endpoints.
-    pub fn messages_dropped(&self) -> u64 {
-        self.messages_dropped
     }
 
     /// Uniform sample in `[0, bound)` from the network's deterministic
@@ -171,10 +140,8 @@ mod tests {
         n.crash(1);
         assert!(n.delay(0, 1).is_none());
         assert!(n.delay(1, 0).is_none());
-        assert_eq!(n.up_count(), 3);
         n.recover(1);
         assert!(n.delay(0, 1).is_some());
-        assert_eq!(n.messages_dropped(), 2);
     }
 
     #[test]

@@ -193,14 +193,18 @@ impl StateDigest {
         format!("{:016x}:{:016x}:{:x}", self.xor, self.sum, self.count)
     }
 
-    /// Parses [`StateDigest::to_hex`] output. `None` on malformed input
-    /// (digests cross trust boundaries when gossiped).
+    /// Parses [`StateDigest::to_hex`] output, and only its spelling:
+    /// `None` on anything else (digests cross trust boundaries when
+    /// gossiped), so an accepted wire round-trips byte for byte. A sign,
+    /// an uppercase digit or a short field is refused, though
+    /// `u64::from_str_radix` alone would take them.
     pub fn from_hex(wire: &str) -> Option<StateDigest> {
         let mut parts = wire.splitn(3, ':');
         let xor = u64::from_str_radix(parts.next()?, 16).ok()?;
         let sum = u64::from_str_radix(parts.next()?, 16).ok()?;
         let count = u64::from_str_radix(parts.next()?, 16).ok()?;
-        Some(StateDigest { xor, sum, count })
+        let digest = StateDigest { xor, sum, count };
+        (digest.to_hex() == wire).then_some(digest)
     }
 }
 
@@ -847,7 +851,18 @@ mod tests {
         set.add(OutputRef::new("tx1", 0), utxo("alice", 3));
         let digest = set.state_digest();
         assert_eq!(StateDigest::from_hex(&digest.to_hex()), Some(digest));
-        for garbage in ["", "xyz", "12:34", "1:2:3:4gg", "zz:00:0", "not-a-digest"] {
+        for garbage in [
+            "",
+            "xyz",
+            "12:34",
+            "1:2:3:4gg",
+            "zz:00:0",
+            "not-a-digest",
+            // `u64::from_str_radix` takes these; `to_hex` never writes them.
+            "+c067882de03eb25:d90cfc76d57f9afb:17",
+            "AC067882DE03EB25:D90CFC76D57F9AFB:17",
+            "1:2:3",
+        ] {
             assert!(
                 StateDigest::from_hex(garbage).is_none(),
                 "{garbage:?} must not parse"
