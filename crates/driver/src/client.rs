@@ -164,10 +164,7 @@ impl<E: Endpoint> Driver<E> {
     ///
     /// Each pumped submission travels alone, and a transient fault is
     /// retried inline ([`Driver::submit_sync`]'s loop) — one round trip
-    /// per attempt. Under real load prefer the batching mode
-    /// ([`Driver::into_batching`]): it ships the queue as whole-batch
-    /// mempool ingests and routes retries back through the buffer so
-    /// they coalesce with the next flush instead of bypassing it.
+    /// per attempt.
     pub fn pump(&mut self, max: usize) -> usize {
         let mut resolved = 0;
         for _ in 0..max {
@@ -179,26 +176,6 @@ impl<E: Endpoint> Driver<E> {
             resolved += 1;
         }
         resolved
-    }
-
-    /// Converts this driver into batching submission mode over the same
-    /// endpoint, carrying any still-queued async submissions into the
-    /// batching buffer (they resolve on the first flush). The retry
-    /// budget carries over as the batching attempt budget.
-    pub fn into_batching(self, config: crate::BatchingConfig) -> crate::BatchingDriver<E>
-    where
-        E: crate::BatchEndpoint,
-    {
-        let config = crate::BatchingConfig {
-            max_attempts: self.config.max_attempts,
-            ..config
-        };
-        let mut batching = crate::BatchingDriver::with_config(self.endpoint, config);
-        for job in self.queue {
-            let mut callback = job.callback;
-            batching.submit(job.tx, move |id, outcome| callback(id, outcome));
-        }
-        batching
     }
 }
 

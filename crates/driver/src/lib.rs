@@ -31,12 +31,10 @@
 //! assert!(driver.endpoint().ledger().is_committed(&ack.tx_id));
 //! ```
 
-mod batching;
 mod client;
 mod endpoint;
 mod template;
 
-pub use batching::{BatchEndpoint, BatchingConfig, BatchingDriver, FlakyBatchEndpoint};
 pub use client::{Callback, Driver, DriverConfig, DriverError};
 pub use endpoint::{CommitAck, Endpoint, FlakyEndpoint, SubmitError};
 pub use template::{prepare, PrepareError};

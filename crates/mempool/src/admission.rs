@@ -348,7 +348,6 @@ impl Mempool {
             flagged: false, // settled at flush, before any receipt
             sender,
             unresolved,
-            admitted_tick: self.clock,
             accept_sig_checked: false,
         });
         self.record_admitted(tx, ledger);

@@ -43,7 +43,7 @@ mod proptests;
 
 pub use pack::{pack_batch, primary_shard, PackedBatch};
 pub use pool::{
-    AdmitError, AdmitReceipt, EvictedTx, FormedBatch, Mempool, MempoolConfig, MempoolStats,
+    AdmitError, AdmitReceipt, ExpelledTx, FormedBatch, Mempool, MempoolConfig, MempoolStats,
 };
 
 #[cfg(test)]
@@ -555,91 +555,6 @@ mod tests {
             again.schedule.footprints[pos].writes.contains(&bids_key),
             "requeue must re-derive the footprint against the new ledger"
         );
-    }
-
-    #[test]
-    fn stale_pending_txs_expire_after_the_configured_tick_age() {
-        let (ledger, _) = market();
-        let mut pool = Mempool::new(MempoolConfig {
-            max_tick_age: Some(10),
-            ..MempoolConfig::default()
-        });
-        pool.observe_tick(100);
-        let old = create(&keys(1), 0);
-        pool.admit(Arc::clone(&old), &ledger).unwrap();
-        pool.observe_tick(108);
-        let young = create(&keys(2), 1);
-        pool.admit(Arc::clone(&young), &ledger).unwrap();
-
-        // Within the age cap: nothing expires.
-        assert!(pool.evict_stale().is_empty());
-        assert_eq!(pool.len(), 2);
-
-        // 11 ticks after the first admission: only the old one expires,
-        // and it leaves the pool + footprint index completely (a fresh
-        // re-admission works, which DuplicatePending would block).
-        pool.observe_tick(111);
-        let evicted = pool.evict_stale();
-        assert_eq!(evicted.len(), 1);
-        assert_eq!(evicted[0].tx.id, old.id);
-        assert_eq!(evicted[0].age, 11);
-        assert_eq!(pool.len(), 1);
-        assert!(pool.contains(&young.id));
-        assert_eq!(pool.stats().evicted, 1);
-        pool.admit(old, &ledger).expect("evictee re-admits cleanly");
-
-        // Stale clock observations never run the clock backwards.
-        pool.observe_tick(5);
-        assert!(pool.evict_stale().is_empty());
-    }
-
-    #[test]
-    fn requeued_batches_survive_the_first_post_round_eviction_sweep() {
-        let (ledger, _) = market();
-        let mut pool = Mempool::new(MempoolConfig {
-            max_tick_age: Some(10),
-            ..MempoolConfig::default()
-        });
-        pool.observe_tick(100);
-        let tx = create(&keys(1), 0);
-        pool.admit(Arc::clone(&tx), &ledger).unwrap();
-        let proposal = pool.drain_batch(usize::MAX, &ledger);
-        assert!(pool.is_empty());
-
-        // A slow consensus round: the clock freezes while the proposal
-        // is in flight, the block never quorates, the batch comes back
-        // stamped with the pre-round clock.
-        assert_eq!(pool.requeue(proposal, &ledger), 1);
-
-        // The first post-round tick lands far beyond the age cap.
-        // Without grandfathering, the entry (stamped 100, now 150)
-        // would be swept the moment it returned.
-        pool.observe_tick(150);
-        assert!(
-            pool.evict_stale().is_empty(),
-            "a requeued entry must get a fresh eviction life"
-        );
-        assert!(pool.contains(&tx.id));
-
-        // The fresh life is real, not immortality: the age cap applies
-        // from the post-round restamp.
-        pool.observe_tick(160);
-        assert!(pool.evict_stale().is_empty());
-        pool.observe_tick(161);
-        let evicted = pool.evict_stale();
-        assert_eq!(evicted.len(), 1);
-        assert_eq!(evicted[0].tx.id, tx.id);
-        assert_eq!(evicted[0].age, 11);
-    }
-
-    #[test]
-    fn eviction_disabled_by_default() {
-        let (ledger, _) = market();
-        let mut pool = Mempool::default();
-        pool.admit(create(&keys(1), 0), &ledger).unwrap();
-        pool.observe_tick(u64::MAX);
-        assert!(pool.evict_stale().is_empty(), "no age cap, no eviction");
-        assert_eq!(pool.len(), 1);
     }
 
     #[test]

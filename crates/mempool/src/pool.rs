@@ -28,14 +28,6 @@ pub struct MempoolConfig {
     /// Should match the committing ledger's UTXO shard count; any
     /// value ≥ 1 is correct (it only tunes apply-lock spread).
     pub shard_hint: usize,
-    /// Eviction policy: a pending transaction older than this many
-    /// ticks (as observed through [`Mempool::observe_tick`] — the
-    /// batching driver pumps the simulated clock through) is expired by
-    /// [`Mempool::evict_stale`]. Eviction is a *retryable* outcome, not
-    /// a verdict: the transaction was never validated, it just
-    /// out-waited its welcome — clients (the batching driver's
-    /// transient-retry loop) re-submit. `None` never expires.
-    pub max_tick_age: Option<u64>,
     /// Worker threads for the staged batch-admission pipeline
     /// ([`Mempool::admit_batch`]): the stateless screen, the pooled
     /// signature batches and the sharded index apply all fan out this
@@ -45,7 +37,7 @@ pub struct MempoolConfig {
     /// `SCDB_ADMISSION_WORKERS` when set, else available parallelism.
     pub admission_workers: usize,
     /// Runtime telemetry: admission stage latency, push-back /
-    /// eviction / expulsion counts, pool depth — recorded under
+    /// rejection / expulsion counts, pool depth — recorded under
     /// `mempool.*`. The owning node overrides this with the pipeline's
     /// handle so every layer shares one registry; standalone pools
     /// follow `SCDB_TELEMETRY` (default off, in which case every
@@ -59,7 +51,6 @@ impl Default for MempoolConfig {
             max_pending: 65_536,
             max_per_sender: 1_024,
             shard_hint: scdb_store::DEFAULT_UTXO_SHARDS,
-            max_tick_age: None,
             admission_workers: default_admission_workers(),
             telemetry: Telemetry::from_env(),
         }
@@ -112,6 +103,21 @@ impl AdmitError {
             self,
             AdmitError::SenderCapExceeded { .. } | AdmitError::PoolFull { .. }
         )
+    }
+
+    /// The variant's name, in the registry's spelling — what admission
+    /// rejection counters (`mempool.rejected.<name>`) are keyed by.
+    pub fn variant_name(&self) -> &'static str {
+        match self {
+            AdmitError::Parse(_) => "parse",
+            AdmitError::Schema(_) => "schema",
+            AdmitError::IdMismatch { .. } => "id_mismatch",
+            AdmitError::InvalidSignature(_) => "invalid_signature",
+            AdmitError::DuplicatePending(_) => "duplicate_pending",
+            AdmitError::AlreadyCommitted(_) => "already_committed",
+            AdmitError::SenderCapExceeded { .. } => "sender_cap_exceeded",
+            AdmitError::PoolFull { .. } => "pool_full",
+        }
     }
 }
 
@@ -190,9 +196,6 @@ pub(crate) struct PendingTx {
     /// where "computed once at admission" must bend, because a missing
     /// link can under-approximate the footprint.
     pub(crate) unresolved: Vec<String>,
-    /// Tick at which the transaction (re-)entered the pool, for the
-    /// eviction policy.
-    pub(crate) admitted_tick: u64,
     /// True once the drain-time ACCEPT_BID check verified this member's
     /// fulfillment against its resolved requester, so later drains skip
     /// it. Never set for other operations (admission checked those).
@@ -217,13 +220,12 @@ pub struct FormedBatch {
     pub seqs: Vec<u64>,
     /// ACCEPT_BID members expelled at drain time because their
     /// fulfillment does not verify against the (pool- or
-    /// ledger-resolved) requester's key set. Unlike eviction this IS a
-    /// validity verdict — ids are content digests, so the resolved
-    /// REQUEST (and with it the required signer set) can never change
-    /// under the same id, and re-submission cannot succeed. Not part
-    /// of `txs`; `requeue` of an abandoned proposal never reinstates
-    /// them.
-    pub expelled: Vec<EvictedTx>,
+    /// ledger-resolved) requester's key set. A validity verdict — ids
+    /// are content digests, so the resolved REQUEST (and with it the
+    /// required signer set) can never change under the same id, and
+    /// re-submission cannot succeed. Not part of `txs`; `requeue` of an
+    /// abandoned proposal never reinstates them.
+    pub expelled: Vec<ExpelledTx>,
 }
 
 impl FormedBatch {
@@ -255,41 +257,27 @@ pub struct MempoolStats {
     pub flagged: u64,
     pub drained: u64,
     pub requeued: u64,
-    pub evicted: u64,
 }
 
-/// A pending transaction expired by [`Mempool::evict_stale`]: returned
-/// to the caller so the RETRYABLE outcome can be surfaced (the batching
-/// driver re-submits; a standalone client decides for itself).
+/// An ACCEPT_BID the drain-time signature check expelled from the
+/// pool (see [`FormedBatch::expelled`]).
 #[derive(Debug, Clone)]
-pub struct EvictedTx {
+pub struct ExpelledTx {
     pub tx: Arc<Transaction>,
-    /// The evictee's pool seq (diagnostics).
+    /// The expelled member's pool seq (diagnostics).
     pub seq: u64,
-    /// How many ticks it sat pending.
-    pub age: u64,
 }
 
 /// A standing pool of admitted-but-uncommitted transactions, indexed
 /// by read/write footprint.
 ///
-/// The pool is the system's ingest path: clients (via the batching
-/// driver) push single transactions in, admission runs the cheap
+/// The pool is the system's ingest path: clients hand payload batches
+/// in (`Node::ingest_payload_batch`), admission runs the cheap
 /// stateless checks and derives the conflict footprint once, and the
 /// block former drains wide conflict-free wave schedules out.
 pub struct Mempool {
     pub(crate) config: MempoolConfig,
     pub(crate) next_seq: u64,
-    /// Latest tick observed ([`Mempool::observe_tick`]); stamps
-    /// admissions and drives the eviction policy.
-    pub(crate) clock: u64,
-    /// Lower bound on the next tick at which anything *could* expire
-    /// (earliest admission + age cap + 1), maintained on insert and
-    /// recomputed on each real eviction scan — so the per-tick
-    /// [`Mempool::evict_stale`] no-op is O(1), not O(pool). Removals
-    /// (drains) can only push the true due time later, so the stored
-    /// bound at worst triggers one spurious scan.
-    eviction_due: u64,
     pub(crate) pending: BTreeMap<u64, PendingTx>,
     pub(crate) by_id: HashMap<String, u64>,
     /// Footprint index: key → pending writers / readers, sharded by
@@ -298,13 +286,6 @@ pub struct Mempool {
     pub(crate) per_sender: HashMap<String, usize>,
     /// Unresolved id → pending members awaiting it.
     pub(crate) waiting_on: HashMap<String, BTreeSet<u64>>,
-    /// Seqs requeued since the clock last advanced. The pool's clock
-    /// only moves on [`Mempool::observe_tick`], so a batch requeued
-    /// after a slow consensus round would be stamped with the *pre-round*
-    /// clock and instantly swept when the first post-round tick lands.
-    /// These entries are grandfathered instead: the next real clock
-    /// advance restamps them so their eviction life starts there.
-    requeued_since_tick: Vec<u64>,
     pub(crate) stats: MempoolStats,
 }
 
@@ -336,14 +317,11 @@ impl Mempool {
         Mempool {
             config,
             next_seq: 0,
-            clock: 0,
-            eviction_due: u64::MAX,
             pending: BTreeMap::new(),
             by_id: HashMap::new(),
             index,
             per_sender: HashMap::new(),
             waiting_on: HashMap::new(),
-            requeued_since_tick: Vec::new(),
             stats: MempoolStats::default(),
         }
     }
@@ -459,7 +437,6 @@ impl Mempool {
             flagged,
             sender,
             unresolved,
-            admitted_tick: self.clock,
             accept_sig_checked: false,
         });
         self.on_arrival(seq, ledger);
@@ -545,7 +522,7 @@ impl Mempool {
     /// checked once: it is marked so later drains skip it, and recorded
     /// in the ledger's verified set against the requester it resolved
     /// to, so commit skips it too.
-    fn reject_unsigned_accepts(&mut self, ledger: &impl LedgerView) -> Vec<EvictedTx> {
+    fn reject_unsigned_accepts(&mut self, ledger: &impl LedgerView) -> Vec<ExpelledTx> {
         let mut unchecked: Vec<(u64, Vec<String>)> = Vec::new();
         for entry in self.pending.values() {
             if signed_by_input_owners(&entry.tx) || entry.accept_sig_checked {
@@ -586,7 +563,6 @@ impl Mempool {
             .telemetry
             .add("mempool.accept_sig_checks", unchecked.len() as u64);
 
-        let now = self.clock;
         let mut expelled = Vec::new();
         for ((seq, requester), verdict) in unchecked.into_iter().zip(verdicts.into_iter().flatten())
         {
@@ -597,14 +573,8 @@ impl Mempool {
                 continue;
             }
             let entry = self.remove_pending(seq).expect("failed seq is pending");
-            // A verdict, not a capacity decision: counted as a
-            // rejection even though it rides the EvictedTx shape.
             self.stats.rejected += 1;
-            expelled.push(EvictedTx {
-                age: now.saturating_sub(entry.admitted_tick),
-                tx: entry.tx,
-                seq,
-            });
+            expelled.push(ExpelledTx { tx: entry.tx, seq });
         }
         expelled
     }
@@ -642,92 +612,13 @@ impl Mempool {
                 flagged,
                 sender,
                 unresolved,
-                // The pending clock restarts: a requeue is a fresh stay
-                // in the pool, not a continuation of the first one (the
-                // proposal window already consumed part of its life).
-                admitted_tick: self.clock,
                 accept_sig_checked: false,
             });
             self.on_arrival(seq, ledger);
-            // The stamp above may be arbitrarily stale — the clock
-            // freezes while a consensus round runs. Grandfather the
-            // entry so the next clock advance restamps it rather than
-            // letting `evict_stale` sweep it on arrival.
-            self.requeued_since_tick.push(seq);
             restored += 1;
             self.stats.requeued += 1;
         }
         restored
-    }
-
-    /// Advances the pool's tick clock (monotonic; stale observations
-    /// are ignored). The batching driver pumps the simulated clock
-    /// through on every tick.
-    pub fn observe_tick(&mut self, tick: u64) {
-        if tick <= self.clock {
-            return;
-        }
-        self.clock = tick;
-        // Requeued entries start their eviction life at the first tick
-        // observed *after* the requeue — their requeue-time stamp was
-        // whatever the clock froze at during the consensus round.
-        // Restamping only pushes due times later, so the stored
-        // `eviction_due` lower bound stays valid (at worst one spurious
-        // scan).
-        for seq in std::mem::take(&mut self.requeued_since_tick) {
-            if let Some(entry) = self.pending.get_mut(&seq) {
-                entry.admitted_tick = tick;
-            }
-        }
-    }
-
-    /// The eviction policy (the PR-4 follow-on): expires every pending
-    /// transaction older than [`MempoolConfig::max_tick_age`] ticks,
-    /// removing it from the pool and the footprint index exactly as a
-    /// drain would. Returns the evictees so callers can surface the
-    /// RETRYABLE outcome — eviction is a capacity decision, never a
-    /// validity verdict (the transaction was not validated; re-submission
-    /// is expected to succeed). No-op when no age cap is configured.
-    pub fn evict_stale(&mut self) -> Vec<EvictedTx> {
-        let Some(max_age) = self.config.max_tick_age else {
-            return Vec::new();
-        };
-        let now = self.clock;
-        // Nothing can have expired before the earliest possible due
-        // time — the common per-tick case, answered without touching
-        // the pool.
-        if now < self.eviction_due {
-            return Vec::new();
-        }
-        let stale: Vec<u64> = self
-            .pending
-            .values()
-            .filter(|p| now.saturating_sub(p.admitted_tick) > max_age)
-            .map(|p| p.seq)
-            .collect();
-        let mut evicted = Vec::with_capacity(stale.len());
-        for seq in stale {
-            let entry = self.remove_pending(seq).expect("stale seq is pending");
-            evicted.push(EvictedTx {
-                age: now.saturating_sub(entry.admitted_tick),
-                tx: entry.tx,
-                seq,
-            });
-            self.stats.evicted += 1;
-        }
-        // Re-arm off the survivors' earliest admission.
-        self.eviction_due = self
-            .pending
-            .values()
-            .map(|p| p.admitted_tick.saturating_add(max_age).saturating_add(1))
-            .min()
-            .unwrap_or(u64::MAX);
-        if !evicted.is_empty() {
-            self.config
-                .telemetry
-                .add("mempool.evicted", evicted.len() as u64);
-        }
-        evicted
     }
 
     /// The double-spend flag, read off the footprint index and the
@@ -748,13 +639,21 @@ impl Mempool {
         })
     }
 
+    /// The one site every admission rejection passes — serial `admit`,
+    /// the staged `admit_batch` and the parse stage of
+    /// `admit_payload_batch` — so the counts are by construction the
+    /// same on every path.
     pub(crate) fn count_reject(&mut self, e: AdmitError) -> AdmitError {
         self.stats.rejected += 1;
-        self.config.telemetry.incr("mempool.rejected");
+        let telemetry = &self.config.telemetry;
+        telemetry.incr("mempool.rejected");
+        if telemetry.is_enabled() {
+            telemetry.incr(&format!("mempool.rejected.{}", e.variant_name()));
+        }
         if e.is_retryable() {
-            // Capacity push-backs (pool full, sender cap): the load the
-            // batching driver's retry loop absorbs.
-            self.config.telemetry.incr("mempool.pushbacks");
+            // Capacity push-backs (pool full, sender cap): load the
+            // client is expected to re-submit after a drain.
+            telemetry.incr("mempool.pushbacks");
         }
         e
     }
@@ -770,14 +669,6 @@ impl Mempool {
     /// shard-parallel apply can land the whole batch at once.
     pub(crate) fn insert_pending_core(&mut self, entry: PendingTx) {
         let seq = entry.seq;
-        if let Some(max_age) = self.config.max_tick_age {
-            self.eviction_due = self.eviction_due.min(
-                entry
-                    .admitted_tick
-                    .saturating_add(max_age)
-                    .saturating_add(1),
-            );
-        }
         self.by_id.insert(entry.tx.id.clone(), seq);
         for id in &entry.unresolved {
             self.waiting_on.entry(id.clone()).or_default().insert(seq);

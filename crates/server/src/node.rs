@@ -67,18 +67,7 @@ pub struct DrainReport {
     /// ACCEPT_BID members the mempool expelled at drain time (their
     /// fulfillment does not verify against the resolved requester's
     /// keys). Definitive rejections — not in `batch`, never requeued.
-    pub expelled: Vec<scdb_mempool::EvictedTx>,
-}
-
-impl DrainReport {
-    /// The rejected transactions as `(id, error)` pairs.
-    pub fn rejected_ids(&self) -> Vec<(String, &ValidationError)> {
-        self.outcome
-            .rejected
-            .iter()
-            .map(|(i, e)| (self.batch[*i].id.clone(), e))
-            .collect()
-    }
+    pub expelled: Vec<scdb_mempool::ExpelledTx>,
 }
 
 /// One SmartchainDB server node.
@@ -119,7 +108,7 @@ impl Node {
     }
 
     /// [`Node::with_options`] with explicit mempool tuning (capacity,
-    /// per-sender cap, the stale-transaction eviction age).
+    /// per-sender cap, admission workers).
     pub fn with_mempool_config(
         escrow: KeyPair,
         pipeline: PipelineOptions,
@@ -274,8 +263,8 @@ impl Node {
     /// run exactly as on the single-transaction path.
     ///
     /// This is the ingest core: callers that hold parsed transactions
-    /// (the mempool, the batching driver, block delivery) hand them
-    /// over as `Arc`s and nothing downstream re-parses a payload.
+    /// hand them over as `Arc`s and nothing downstream re-parses a
+    /// payload.
     pub fn submit_batch_parsed(&mut self, batch: &[Arc<Transaction>]) -> BatchSubmitReport {
         let footprints = derive_footprints(batch, &self.replica.ledger);
         let plan = Plan::Footprints(footprints, None);
@@ -361,50 +350,27 @@ impl Node {
         &self.mempool
     }
 
-    /// Admits one parsed transaction into the node's mempool: cheap
+    /// Admits one serialized payload into the node's mempool (the
+    /// single-transaction RPC surface): parsed exactly once, cheap
     /// stateless checks plus footprint indexing, no semantic
     /// validation (that happens at [`Node::drain_block`] commit time).
-    pub fn ingest(&mut self, tx: Arc<Transaction>) -> Result<AdmitReceipt, AdmitError> {
-        self.mempool.admit(tx, &self.replica.ledger)
-    }
-
-    /// [`Node::ingest`] over a serialized payload (the RPC surface);
-    /// parses exactly once.
     pub fn ingest_payload(&mut self, payload: &str) -> Result<AdmitReceipt, AdmitError> {
         self.mempool.admit_payload(payload, &self.replica.ledger)
     }
 
-    /// Admits a whole arrival batch through the mempool's staged
-    /// parallel pipeline (screen → pooled signature verification →
-    /// sharded index apply): one verdict per member in input order,
-    /// byte-identical to a loop of [`Node::ingest`]. This is the
-    /// batching driver's ingest surface — per-member calls stay for
-    /// single-transaction RPCs.
-    pub fn ingest_batch(
-        &mut self,
-        txs: &[Arc<Transaction>],
-    ) -> Vec<Result<AdmitReceipt, AdmitError>> {
-        self.mempool.admit_batch(txs, &self.replica.ledger)
-    }
-
-    /// [`Node::ingest_batch`] over serialized payloads: the parse
-    /// stage fans out over the admission workers too.
+    /// Admits a whole arrival batch of payloads through the mempool's
+    /// staged parallel pipeline (parse → screen → pooled signature
+    /// verification → sharded index apply): one verdict per member in
+    /// input order, byte-identical to a loop of
+    /// [`Node::ingest_payload`]. This is the client ingest path; the
+    /// benchmark drives it, then [`Node::form_proposal`] and
+    /// [`Node::commit_proposal`].
     pub fn ingest_payload_batch(
         &mut self,
         payloads: &[String],
     ) -> Vec<Result<AdmitReceipt, AdmitError>> {
         self.mempool
             .admit_payload_batch(payloads, &self.replica.ledger)
-    }
-
-    /// Advances the mempool's tick clock and expires pending
-    /// transactions older than the pool's configured age
-    /// (`MempoolConfig::max_tick_age`). Returns the evictees so the
-    /// caller can surface the RETRYABLE outcome — the batching driver
-    /// pumps this on every tick.
-    pub fn evict_stale(&mut self, now_tick: u64) -> Vec<scdb_mempool::EvictedTx> {
-        self.mempool.observe_tick(now_tick);
-        self.mempool.evict_stale()
     }
 
     /// Drains up to `max_n` pooled transactions as one wave-packed

@@ -14,7 +14,8 @@
 //! |---|---|---|
 //! | [`core`] | `scdb-core` | the formal transaction model, typed validation, nested transactions, workflows |
 //! | [`server`] | `scdb-server` | the SmartchainDB node and the replicated consensus cluster |
-//! | [`driver`] | `scdb-driver` | the client driver: templates, prepare-and-sign, sync/async submit |
+//! | [`driver`] | `scdb-driver` | the paper's client driver: templates, prepare-and-sign, sync or async (callback) submit |
+//! | [`mempool`] | `scdb-mempool` | conflict-aware ingest: the pool `Node::ingest_payload_batch` fills and blocks are formed from |
 //! | [`consensus`] | `scdb-consensus` | Tendermint-profile (pipelined) and IBFT-profile BFT engines |
 //! | [`store`] | `scdb-store` | the document-store substrate (MongoDB stand-in) with declarative filters |
 //! | [`schema`] | `scdb-schema` | YAML transaction schemas and Algorithm-1 schema validation |
@@ -123,7 +124,6 @@ pub use scdb_core::{
     TxBuilder, ValidationError,
 };
 pub use scdb_crypto::KeyPair;
-pub use scdb_driver::{BatchingConfig, BatchingDriver};
 pub use scdb_mempool::{Mempool, MempoolConfig};
 pub use scdb_server::{BatchSubmitReport, DrainReport, Node, SmartchainCluster, SmartchainHarness};
 pub use scdb_telemetry::Telemetry;

@@ -1,0 +1,214 @@
+//! Hostile bytes at the admission front door: the payload batch a
+//! client hands `Node::ingest_payload_batch`, and the one decoding each
+//! consensus application runs on a receiver (`App::decode` of
+//! `SmartchainCluster` and `EthScApp`). Arbitrary strings, JSON-token
+//! soup and one-byte mutations of valid marketplace payloads must get
+//! exactly one verdict each, in input order — the verdicts a
+//! member-by-member `ingest_payload` loop gives — and the next drain
+//! must decide every member admitted. Nothing may panic.
+
+use proptest::prelude::*;
+use smartchaindb::consensus::App;
+use smartchaindb::evm::EthScApp;
+use smartchaindb::server::SmartchainCluster;
+use smartchaindb::workload::{scdb_plan, ScenarioConfig};
+use smartchaindb::{KeyPair, Node, PipelineOptions, Transaction};
+use std::collections::HashSet;
+use std::sync::OnceLock;
+
+fn escrow() -> KeyPair {
+    KeyPair::from_seed([0xE5; 32])
+}
+
+fn fresh_node() -> Node {
+    Node::with_options(escrow(), PipelineOptions::with_workers(2).durable(false))
+}
+
+/// Two small auctions in dependency order: creates, request, bids and
+/// the accept of each.
+fn plan_payloads() -> &'static [String] {
+    static PAYLOADS: OnceLock<Vec<String>> = OnceLock::new();
+    PAYLOADS.get_or_init(|| {
+        scdb_plan(
+            &ScenarioConfig {
+                requests: 2,
+                bidders_per_request: 2,
+                capability_count: 2,
+                capability_bytes: 32,
+                seed: 0xF00D,
+            },
+            &escrow().public_hex(),
+        )
+        .contended_payloads()
+    })
+}
+
+thread_local! {
+    /// Decoding reads no replica state, so one decoder of each kind
+    /// serves every case.
+    static DECODERS: (SmartchainCluster, EthScApp) = (SmartchainCluster::new(1), EthScApp::new(1));
+}
+
+/// `payload` with the byte at `at` (modulo its length) replaced, removed
+/// or duplicated, read back as text the way a receiver would get it.
+fn mutate(payload: &str, at: usize, byte: u8, kind: usize) -> String {
+    let mut bytes = payload.as_bytes().to_vec();
+    let at = at % (bytes.len() + 1);
+    match kind {
+        0 if at < bytes.len() => bytes[at] = byte,
+        1 if at < bytes.len() => {
+            bytes.remove(at);
+        }
+        _ => bytes.insert(at, byte),
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// Every front door on `inputs`. Both decoders return; the batch gets
+/// one verdict per input, equal position by position to a serial loop
+/// on a twin node; the pool grows by the admitted count; one drain
+/// decides every admitted member with no post-commit failure.
+fn through_the_front_door(inputs: &[String]) -> Result<(), TestCaseError> {
+    DECODERS.with(|(cluster, eth)| {
+        for input in inputs {
+            let _ = cluster.decode(input);
+            let _ = eth.decode(input);
+        }
+    });
+
+    let mut node = fresh_node();
+    let mut serial = fresh_node();
+    let before = node.mempool().len();
+    let verdicts = node.ingest_payload_batch(inputs);
+    prop_assert_eq!(verdicts.len(), inputs.len());
+    let expected: Vec<_> = inputs.iter().map(|p| serial.ingest_payload(p)).collect();
+    prop_assert_eq!(&verdicts, &expected);
+
+    let admitted: Vec<String> = inputs
+        .iter()
+        .zip(&verdicts)
+        .filter(|(_, verdict)| verdict.is_ok())
+        .map(|(payload, _)| {
+            Transaction::from_payload(payload)
+                .expect("an admitted payload parses")
+                .id
+        })
+        .collect();
+    prop_assert_eq!(node.mempool().len(), before + admitted.len());
+
+    let report = node.drain_block(usize::MAX);
+    prop_assert!(
+        report.post_commit_failures.is_empty(),
+        "{:?}",
+        report.post_commit_failures
+    );
+    let mut decided: HashSet<&str> = report
+        .outcome
+        .committed
+        .iter()
+        .map(String::as_str)
+        .collect();
+    decided.extend(
+        report
+            .outcome
+            .rejected
+            .iter()
+            .map(|(member, _)| report.batch[*member].id.as_str()),
+    );
+    decided.extend(report.expelled.iter().map(|e| e.tx.id.as_str()));
+    for id in &admitted {
+        prop_assert!(decided.contains(id.as_str()), "{id} admitted, not decided");
+    }
+    prop_assert!(node.mempool().is_empty());
+    Ok(())
+}
+
+/// JSON-shaped fragments, transaction keys among them, so arbitrary
+/// token strings reach past the tokenizer into the wire decoders.
+const TOKENS: &[&str] = &[
+    "{",
+    "}",
+    "[",
+    "]",
+    ":",
+    ",",
+    "\"operation\"",
+    "\"CREATE\"",
+    "\"TRANSFER\"",
+    "\"ACCEPT_BID\"",
+    "\"id\"",
+    "\"asset\"",
+    "\"data\"",
+    "\"inputs\"",
+    "\"outputs\"",
+    "\"amount\"",
+    "\"public_keys\"",
+    "\"owners_before\"",
+    "\"fulfillment\"",
+    "\"fulfills\"",
+    "\"output_index\"",
+    "\"transaction_id\"",
+    "\"children\"",
+    "\"references\"",
+    "\"metadata\"",
+    "native",
+    "ab",
+    "0",
+    "1",
+    "-1",
+    "1e99",
+    "18446744073709551616",
+    "null",
+    "true",
+    "\"\"",
+    " ",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn arbitrary_strings_get_one_verdict_each(
+        wire in "\\PC{0,48}",
+        tokens in prop::collection::vec(0usize..TOKENS.len(), 0..32),
+        at in 0usize..3,
+    ) {
+        let jsonish: String = tokens.iter().map(|t| TOKENS[*t]).collect();
+        let mut inputs = vec![wire, jsonish];
+        // One valid member among the garbage, at a drawn position, so
+        // a misaligned verdict cannot pass unnoticed.
+        inputs.insert(at, plan_payloads()[0].clone());
+        through_the_front_door(&inputs)?;
+    }
+
+    #[test]
+    fn mutated_plan_payloads_get_one_verdict_each(
+        pick in any::<usize>(),
+        at in any::<usize>(),
+        byte in any::<u8>(),
+        kind in 0usize..3,
+    ) {
+        let mut inputs = plan_payloads().to_vec();
+        let pick = pick % inputs.len();
+        let mutant = mutate(&inputs[pick], at, byte, kind);
+        // Right behind its original: an unchanged or equivalent mutant
+        // meets the duplicate check, a broken one its own rejection.
+        inputs.insert(pick + 1, mutant);
+        through_the_front_door(&inputs)?;
+    }
+}
+
+/// The mutation cases start from a stream the front door takes whole:
+/// without this, a plan that no longer commits would leave them
+/// checking rejections only.
+#[test]
+fn the_unmutated_plan_commits_through_the_front_door() {
+    let mut node = fresh_node();
+    assert!(node
+        .ingest_payload_batch(plan_payloads())
+        .iter()
+        .all(Result::is_ok));
+    let report = node.drain_block(usize::MAX);
+    assert!(report.outcome.fully_committed(), "{:?}", report.outcome);
+    assert!(report.expelled.is_empty());
+}

@@ -1,24 +1,22 @@
 //! Acceptance differential for the mempool ingest path: the same
-//! workload submitted one transaction at a time through the batching
-//! driver (buffer → mempool admission → wave-packed drain → pipeline
-//! commit with the admission-derived schedule) must commit the same
-//! ledger — ids, verdicts, UTXO snapshot, marketplace indexes — as
-//! pushing the sequence directly through `Node::submit_batch`, and as
-//! pushing it one payload at a time through `Node::process_transaction`;
-//! the two batch entry points equal the sequential oracle exactly.
+//! workload admitted in windows through `Node::ingest_payload_batch`
+//! (mempool admission → wave-packed `form_proposal` → `commit_proposal`
+//! with the admission-derived schedule — the path the benchmark
+//! measures) must commit the same ledger — ids, verdicts, UTXO
+//! snapshot, marketplace indexes — as pushing the sequence directly
+//! through `Node::submit_batch`, and as pushing it one payload at a
+//! time through `Node::process_transaction`; the two batch entry points
+//! equal the sequential oracle exactly.
 
 use smartchaindb::core::pipeline::PipelineOptions;
 use smartchaindb::core::validate::validate_transaction;
 use smartchaindb::core::{determine_children, LedgerState, Operation};
-use smartchaindb::driver::{BatchingConfig, BatchingDriver, DriverError};
 use smartchaindb::json::obj;
 use smartchaindb::sim::SimTime;
 use smartchaindb::store::OutputRef;
 use smartchaindb::workload::{scdb_plan, ScdbPlan, ScenarioConfig};
 use smartchaindb::{KeyPair, LedgerView, Node, SmartchainHarness, Transaction, TxBuilder};
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
 use std::sync::Arc;
 
 fn contended_plan() -> (KeyPair, ScdbPlan) {
@@ -90,42 +88,39 @@ fn find_supplier_key(public_hex: &str) -> Option<KeyPair> {
     None
 }
 
-/// Drives the stream through the batching driver one submission at a
-/// time (tick-flushed on the sim clock), returning the node and the
-/// per-transaction verdicts.
+/// Drives the stream through the path the benchmark measures: payloads
+/// admitted in windows of 10 by `Node::ingest_payload_batch`, each
+/// window's pool formed and committed until it is empty, children
+/// settled. An admission error, a commit rejection or a drain-time
+/// expulsion is an `Err` verdict; a commit is `Ok`.
 fn drive_through_mempool(
     options: PipelineOptions,
     stream: &[Arc<Transaction>],
 ) -> (Node, BTreeMap<String, Result<(), String>>) {
-    let node = Node::with_options(KeyPair::from_seed([0xE5; 32]), options);
-    let mut driver = BatchingDriver::with_config(
-        node,
-        BatchingConfig {
-            flush_size: 10,
-            flush_interval: SimTime::from_millis(100),
-            max_attempts: 3,
-        },
-    );
-    let verdicts: Rc<RefCell<BTreeMap<String, Result<(), String>>>> = Rc::default();
-    let mut now = SimTime::ZERO;
-    for tx in stream {
-        let sink = Rc::clone(&verdicts);
-        driver.submit_shared(Arc::clone(tx), move |id, outcome| {
-            let entry = match outcome {
-                Ok(_) => Ok(()),
-                Err(DriverError::Rejected(reason)) => Err(reason.clone()),
-                Err(e) => Err(e.to_string()),
-            };
-            sink.borrow_mut().insert(id.to_owned(), entry);
-        });
-        // One round trip per submission on the simulated clock.
-        now += SimTime::from_millis(7);
-        driver.tick(now);
+    let mut node = Node::with_options(KeyPair::from_seed([0xE5; 32]), options);
+    let payloads: Vec<String> = stream.iter().map(|tx| tx.to_payload()).collect();
+    let mut verdicts = BTreeMap::new();
+    for (window, txs) in payloads.chunks(10).zip(stream.chunks(10)) {
+        for (tx, admitted) in txs.iter().zip(node.ingest_payload_batch(window)) {
+            if let Err(e) = admitted {
+                verdicts.insert(tx.id.clone(), Err(e.to_string()));
+            }
+        }
+        while !node.mempool().is_empty() {
+            let formed = node.form_proposal(usize::MAX);
+            let report = node.commit_proposal(formed);
+            for id in &report.outcome.committed {
+                verdicts.insert(id.clone(), Ok(()));
+            }
+            for (member, error) in &report.outcome.rejected {
+                verdicts.insert(report.batch[*member].id.clone(), Err(error.to_string()));
+            }
+            for expelled in &report.expelled {
+                verdicts.insert(expelled.tx.id.clone(), Err("expelled at drain".to_owned()));
+            }
+        }
+        while node.pump_returns(64) > 0 {}
     }
-    driver.run_to_completion();
-    let verdicts = verdicts.borrow().clone();
-    let mut node = driver.into_endpoint();
-    while node.pump_returns(64) > 0 {}
     (node, verdicts)
 }
 
@@ -254,12 +249,12 @@ fn entry_points_agree(durable: bool) {
     assert_eq!(mempool_verdicts.len(), stream.len());
     assert_eq!(direct_verdicts.len(), stream.len());
     for tx in &stream {
-        let a = mempool_verdicts.get(&tx.id).expect("driver verdict");
+        let a = mempool_verdicts.get(&tx.id).expect("mempool verdict");
         let b = direct_verdicts.get(&tx.id).expect("batch verdict");
         assert_eq!(
             a.is_ok(),
             b.is_ok(),
-            "verdict diverged for {}: driver {a:?} vs direct {b:?}",
+            "verdict diverged for {}: mempool {a:?} vs direct {b:?}",
             tx.id
         );
     }

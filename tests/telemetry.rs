@@ -196,3 +196,79 @@ fn rejections_are_counted_by_reason_and_sum_to_the_total() {
     );
     assert_eq!(counters["pipeline.txs_rejected"], rejected);
 }
+
+/// Admission rejections are counted by reason too: one payload batch
+/// holding six ways to be turned away at the front door leaves one
+/// `mempool.rejected.<variant>` counter per reason, summing to
+/// `mempool.rejected`.
+#[test]
+fn admission_rejections_are_counted_by_reason_and_sum_to_the_total() {
+    use smartchaindb::json::obj;
+    use smartchaindb::{MempoolConfig, TxBuilder};
+
+    let telemetry = Telemetry::enabled();
+    let mut node = Node::with_mempool_config(
+        escrow(),
+        PipelineOptions::with_workers(2)
+            .durable(false)
+            .with_telemetry(telemetry.clone()),
+        MempoolConfig {
+            max_per_sender: 1,
+            ..MempoolConfig::default()
+        },
+    );
+    let key = |seed: u8| KeyPair::from_seed([seed; 32]);
+    let mint = |owner: &KeyPair, nonce: u64| {
+        TxBuilder::create(obj! { "kind" => "asset" })
+            .output(owner.public_hex(), 1)
+            .nonce(nonce)
+            .sign(&[owner])
+    };
+    let committed = mint(&key(0xC0), 0);
+    node.process_transaction(&committed.to_payload())
+        .expect("commits");
+
+    let pending = mint(&key(0xA1), 0);
+    let mut tampered = mint(&key(0xA2), 0);
+    tampered.id = "f".repeat(64);
+    // Signed by mallory, declaring alice as the minting owner.
+    let (alice, mallory) = (key(0xA3), key(0x3F));
+    let mut forged = TxBuilder::create(obj! {})
+        .output(alice.public_hex(), 1)
+        .sign(&[&mallory]);
+    for input in &mut forged.inputs {
+        input.owners_before = vec![alice.public_hex()];
+    }
+    forged.seal();
+    let payloads = [
+        "not json".to_owned(),
+        pending.to_payload(),
+        tampered.to_payload(),
+        forged.to_payload(),
+        pending.to_payload(),
+        committed.to_payload(),
+        mint(&key(0xA1), 1).to_payload(),
+    ];
+    let verdicts = node.ingest_payload_batch(&payloads);
+    let admitted: Vec<bool> = verdicts.iter().map(Result::is_ok).collect();
+    assert_eq!(admitted, [false, true, false, false, false, false, false]);
+
+    let counters = telemetry.snapshot().expect("enabled").counters;
+    let by_reason: Vec<(&str, u64)> = counters
+        .iter()
+        .filter_map(|(name, n)| Some((name.strip_prefix("mempool.rejected.")?, *n)))
+        .collect();
+    assert_eq!(
+        by_reason,
+        [
+            ("already_committed", 1),
+            ("duplicate_pending", 1),
+            ("id_mismatch", 1),
+            ("invalid_signature", 1),
+            ("parse", 1),
+            ("sender_cap_exceeded", 1),
+        ]
+    );
+    let total: u64 = by_reason.iter().map(|(_, n)| n).sum();
+    assert_eq!(counters["mempool.rejected"], total);
+}
