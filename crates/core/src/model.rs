@@ -259,11 +259,13 @@ impl Input {
                     .and_then(Value::as_str)
                     .ok_or(WireError::Field("inputs.fulfills.transaction_id"))?
                     .to_owned(),
+                // An index past u32 is refused, never truncated: a cast
+                // would give one transaction a second accepted spelling.
                 output_index: f
                     .get("output_index")
                     .and_then(Value::as_u64)
-                    .ok_or(WireError::Field("inputs.fulfills.output_index"))?
-                    as u32,
+                    .and_then(|index| u32::try_from(index).ok())
+                    .ok_or(WireError::Field("inputs.fulfills.output_index"))?,
             }),
         };
         Ok(Input {

@@ -1,112 +1,45 @@
-//! The sharded footprint index behind admission's conflict scans.
+//! The footprint index behind admission's conflict scans.
 //!
 //! Pending transactions are indexed by the [`ConflictKey`]s they read
-//! and write. The key space is split across N shards by the same FNV-1a
-//! hash [`scdb_store::OutputRef::shard_hash`] uses for UTXO sharding,
-//! each shard behind its own lock, so the batched admission path can
-//! apply a whole batch's insertions shard-parallel while the serial
-//! path locks one uncontended shard per key. The shard count is fixed
-//! at construction (never derived from the worker count), which keeps
-//! every scan's result — conflict sets, double-spend flags — identical
-//! at any parallelism.
+//! and write: key → the pending writers / readers, by pool seq. Every
+//! scan and insert runs in admission order on the pool's own thread,
+//! so conflict sets and double-spend flags are identical at any
+//! admission worker count.
 
-use scdb_core::parallel_map;
 use scdb_core::pipeline::{ConflictKey, Footprint};
 use std::collections::{BTreeSet, HashMap};
-use std::sync::{Mutex, MutexGuard};
 
-/// Per-shard slice of the footprint index: key → pending writers /
-/// readers, with empty sets pruned on removal.
+/// The pool-wide footprint index, with empty key sets pruned on
+/// removal.
 #[derive(Default)]
-struct IndexShard {
+pub(crate) struct FootprintIndex {
     writers: HashMap<ConflictKey, BTreeSet<u64>>,
     readers: HashMap<ConflictKey, BTreeSet<u64>>,
 }
 
-/// The pool-wide footprint index, sharded by conflict key.
-pub(crate) struct FootprintIndex {
-    shards: Vec<Mutex<IndexShard>>,
-}
-
-// The same FNV-1a parameters as `OutputRef::shard_hash`, so an
-// `Output` key and its UTXO entry shard by the same function family.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
-/// FNV-1a over a variant tag plus the key's fields, so the four key
-/// kinds over one id land on unrelated shards.
-fn key_hash(key: &ConflictKey) -> u64 {
-    match key {
-        ConflictKey::Output(id, index) => fnv(
-            fnv(fnv(FNV_OFFSET, &[0]), id.as_bytes()),
-            &index.to_le_bytes(),
-        ),
-        ConflictKey::Id(id) => fnv(fnv(FNV_OFFSET, &[1]), id.as_bytes()),
-        ConflictKey::Bids(id) => fnv(fnv(FNV_OFFSET, &[2]), id.as_bytes()),
-        ConflictKey::Accept(id) => fnv(fnv(FNV_OFFSET, &[3]), id.as_bytes()),
-    }
-}
-
 impl FootprintIndex {
-    pub(crate) fn new(shards: usize) -> FootprintIndex {
-        FootprintIndex {
-            shards: (0..shards.max(1))
-                .map(|_| Mutex::new(IndexShard::default()))
-                .collect(),
-        }
-    }
-
-    fn shard_of(&self, key: &ConflictKey) -> usize {
-        (key_hash(key) % self.shards.len() as u64) as usize
-    }
-
-    fn lock(&self, shard: usize) -> MutexGuard<'_, IndexShard> {
-        self.shards[shard].lock().expect("footprint index shard")
-    }
-
     /// Indexes one pending member's footprint.
-    pub(crate) fn insert(&self, seq: u64, fp: &Footprint) {
+    pub(crate) fn insert(&mut self, seq: u64, fp: &Footprint) {
         for key in &fp.writes {
-            self.lock(self.shard_of(key))
-                .writers
-                .entry(key.clone())
-                .or_default()
-                .insert(seq);
+            self.writers.entry(key.clone()).or_default().insert(seq);
         }
         for key in &fp.reads {
-            self.lock(self.shard_of(key))
-                .readers
-                .entry(key.clone())
-                .or_default()
-                .insert(seq);
+            self.readers.entry(key.clone()).or_default().insert(seq);
         }
     }
 
     /// Unindexes one pending member, pruning emptied key sets.
-    pub(crate) fn remove(&self, seq: u64, fp: &Footprint) {
-        for key in &fp.writes {
-            let mut shard = self.lock(self.shard_of(key));
-            if let Some(set) = shard.writers.get_mut(key) {
-                set.remove(&seq);
-                if set.is_empty() {
-                    shard.writers.remove(key);
-                }
-            }
-        }
-        for key in &fp.reads {
-            let mut shard = self.lock(self.shard_of(key));
-            if let Some(set) = shard.readers.get_mut(key) {
-                set.remove(&seq);
-                if set.is_empty() {
-                    shard.readers.remove(key);
+    pub(crate) fn remove(&mut self, seq: u64, fp: &Footprint) {
+        for (keys, index) in [
+            (&fp.writes, &mut self.writers),
+            (&fp.reads, &mut self.readers),
+        ] {
+            for key in keys {
+                if let Some(set) = index.get_mut(key) {
+                    set.remove(&seq);
+                    if set.is_empty() {
+                        index.remove(key);
+                    }
                 }
             }
         }
@@ -116,132 +49,23 @@ impl FootprintIndex {
     /// its writes against their writes and reads, its reads against
     /// their writes — exactly the wave-serialization relation.
     pub(crate) fn conflicts_with(&self, fp: &Footprint) -> BTreeSet<u64> {
-        let mut conflicts = BTreeSet::new();
-        for key in &fp.writes {
-            let shard = self.lock(self.shard_of(key));
-            if let Some(ws) = shard.writers.get(key) {
-                conflicts.extend(ws.iter().copied());
-            }
-            if let Some(rs) = shard.readers.get(key) {
-                conflicts.extend(rs.iter().copied());
-            }
-        }
-        for key in &fp.reads {
-            let shard = self.lock(self.shard_of(key));
-            if let Some(ws) = shard.writers.get(key) {
-                conflicts.extend(ws.iter().copied());
-            }
-        }
-        conflicts
+        let write_hits = fp
+            .writes
+            .iter()
+            .flat_map(|key| [self.writers.get(key), self.readers.get(key)]);
+        let read_hits = fp.reads.iter().map(|key| self.writers.get(key));
+        write_hits
+            .chain(read_hits)
+            .flatten()
+            .flatten()
+            .copied()
+            .collect()
     }
 
     /// True when some pending member already writes this key (the
     /// pending half of the double-spend flag).
     pub(crate) fn has_pending_writer(&self, key: &ConflictKey) -> bool {
-        self.lock(self.shard_of(key))
-            .writers
-            .get(key)
-            .is_some_and(|ws| !ws.is_empty())
-    }
-
-    /// Applies one admitted batch to the index shard-parallel and
-    /// returns, per member in order, (conflict set, pending-writer
-    /// double-spend hit) — each computed against the index state a
-    /// serial admission loop would have seen: all earlier pool members
-    /// plus every batch member admitted before it, never itself.
-    ///
-    /// Each shard walks the batch in admission (= seq) order, scanning
-    /// a member's keys before inserting them, so the per-key answers
-    /// are position-exact; cross-shard union is order-insensitive
-    /// because the answers are sets. Keys are bucketed by shard once,
-    /// up front, so the fan-out does not rehash every key per shard.
-    pub(crate) fn apply_admissions(
-        &self,
-        workers: usize,
-        admitted: &[(u64, &Footprint)],
-    ) -> Vec<(BTreeSet<u64>, bool)> {
-        // (member position, key, is_write) per shard, in member order.
-        let mut buckets: Vec<Vec<(u32, &ConflictKey, bool)>> = vec![Vec::new(); self.shards.len()];
-        for (idx, (_, fp)) in admitted.iter().enumerate() {
-            for key in &fp.writes {
-                buckets[self.shard_of(key)].push((idx as u32, key, true));
-            }
-            for key in &fp.reads {
-                buckets[self.shard_of(key)].push((idx as u32, key, false));
-            }
-        }
-        let seqs: Vec<u64> = admitted.iter().map(|&(seq, _)| seq).collect();
-        let touched: Vec<usize> = (0..buckets.len())
-            .filter(|&s| !buckets[s].is_empty())
-            .collect();
-        let per_shard = parallel_map(touched.len(), workers, |t| {
-            self.apply_shard(touched[t], &seqs, &buckets[touched[t]], admitted.len())
-        });
-
-        let mut merged: Vec<(BTreeSet<u64>, bool)> = (0..admitted.len())
-            .map(|_| (BTreeSet::new(), false))
-            .collect();
-        for shard_out in per_shard {
-            for (idx, (mut conflicts, writer_hit)) in shard_out.into_iter().enumerate() {
-                merged[idx].0.append(&mut conflicts);
-                merged[idx].1 |= writer_hit;
-            }
-        }
-        merged
-    }
-
-    /// One shard's pass over its bucket: for each member (bucket
-    /// entries are grouped in member order), scan all its keys first,
-    /// then insert them — the scan-before-insert split keeps a member
-    /// from conflicting with itself, exactly like the serial path's
-    /// scan-then-`insert_pending` sequence.
-    fn apply_shard(
-        &self,
-        shard: usize,
-        seqs: &[u64],
-        bucket: &[(u32, &ConflictKey, bool)],
-        members: usize,
-    ) -> Vec<(BTreeSet<u64>, bool)> {
-        let mut guard = self.lock(shard);
-        let mut out: Vec<(BTreeSet<u64>, bool)> =
-            (0..members).map(|_| (BTreeSet::new(), false)).collect();
-        let mut pos = 0;
-        while pos < bucket.len() {
-            let idx = bucket[pos].0;
-            let mut end = pos;
-            while end < bucket.len() && bucket[end].0 == idx {
-                end += 1;
-            }
-            let slot = &mut out[idx as usize];
-            for &(_, key, is_write) in &bucket[pos..end] {
-                if is_write {
-                    if let Some(ws) = guard.writers.get(key) {
-                        slot.0.extend(ws.iter().copied());
-                        // Only a spent-output collision flags a double
-                        // spend; marketplace-key write overlap is an
-                        // ordinary conflict.
-                        if !ws.is_empty() && matches!(key, ConflictKey::Output(..)) {
-                            slot.1 = true;
-                        }
-                    }
-                    if let Some(rs) = guard.readers.get(key) {
-                        slot.0.extend(rs.iter().copied());
-                    }
-                } else if let Some(ws) = guard.writers.get(key) {
-                    slot.0.extend(ws.iter().copied());
-                }
-            }
-            let seq = seqs[idx as usize];
-            for &(_, key, is_write) in &bucket[pos..end] {
-                if is_write {
-                    guard.writers.entry(key.clone()).or_default().insert(seq);
-                } else {
-                    guard.readers.entry(key.clone()).or_default().insert(seq);
-                }
-            }
-            pos = end;
-        }
-        out
+        self.writers.get(key).is_some_and(|ws| !ws.is_empty())
     }
 }
 
@@ -262,7 +86,7 @@ mod tests {
 
     #[test]
     fn insert_scan_remove_round_trip() {
-        let index = FootprintIndex::new(4);
+        let mut index = FootprintIndex::default();
         let a = fp(&[out("t1", 0)], &[ConflictKey::Id("t0".into())]);
         index.insert(7, &a);
         assert!(index.has_pending_writer(&out("t1", 0)));
@@ -279,37 +103,6 @@ mod tests {
         index.remove(7, &a);
         assert!(!index.has_pending_writer(&out("t1", 0)));
         assert!(index.conflicts_with(&rival).is_empty());
-    }
-
-    #[test]
-    fn batch_apply_matches_a_serial_scan_then_insert_loop() {
-        // Three members: 1 and 2 fight over one output, 3 is clean but
-        // reads a key 1 writes. Apply as one batch at several worker
-        // counts and compare against the hand-walked serial answers.
-        let a = fp(&[out("x", 0), ConflictKey::Bids("r".into())], &[]);
-        let b = fp(&[out("x", 0)], &[]);
-        let c = fp(&[out("y", 1)], &[ConflictKey::Bids("r".into())]);
-        for workers in [1, 2, 8] {
-            let index = FootprintIndex::new(4);
-            let pre = fp(&[out("x", 0)], &[]);
-            index.insert(1, &pre);
-            let admitted = vec![(10u64, &a), (11u64, &b), (12u64, &c)];
-            let results = index.apply_admissions(workers, &admitted);
-            // a: conflicts with the pre-existing writer on x:0 (seq 1).
-            assert_eq!(results[0].0.iter().copied().collect::<Vec<_>>(), vec![1]);
-            assert!(results[0].1, "output write collision flags");
-            // b: conflicts with seq 1 and with a (seq 10).
-            assert_eq!(
-                results[1].0.iter().copied().collect::<Vec<_>>(),
-                vec![1, 10]
-            );
-            assert!(results[1].1);
-            // c: reads the bid set a writes — conflict, but no flag.
-            assert_eq!(results[2].0.iter().copied().collect::<Vec<_>>(), vec![10]);
-            assert!(!results[2].1, "marketplace overlap is not a double spend");
-            // The applied state equals per-member inserts.
-            assert!(index.has_pending_writer(&out("y", 1)));
-            assert_eq!(index.conflicts_with(&fp(&[out("x", 0)], &[])).len(), 3);
-        }
+        assert!(index.writers.is_empty() && index.readers.is_empty());
     }
 }

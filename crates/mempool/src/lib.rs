@@ -14,6 +14,10 @@
 //!   and marketplace keys it touches, so an obvious double spend is
 //!   *flagged* the moment it arrives — flagged, never rejected: the
 //!   full validator is the only judge of which racer wins.
+//!   [`Mempool::admit_batch`] admits an arrival batch: the stateless
+//!   screen and the signature checks fan out over the admission
+//!   workers, then every member is decided, in arrival order, by the
+//!   step `admit` itself ends in.
 //! * **Batch forming** ([`Mempool::drain_batch`]) — a scheduler that
 //!   packs pending transactions into wide, shallow wave schedules by
 //!   greedy conflict-graph coloring over the footprint index, and
@@ -501,6 +505,90 @@ mod tests {
             batch.schedule.footprints[pos].writes.contains(&bids_key),
             "refreshed footprint must carry the locked-bid-set write"
         );
+    }
+
+    #[test]
+    fn batch_admission_refreshes_a_waiter_from_earlier_in_the_same_batch() {
+        // The batch twin of the test above: the escrow spender arrives
+        // in one `admit_batch` ahead of the BID whose output it spends
+        // and of that BID's REQUEST, so placing the BID re-derives the
+        // footprint of a member admitted moments earlier in the same
+        // batch. Receipts, stats and the next drain must be those of a
+        // per-member `admit` loop at any worker count.
+        let (mut ledger, escrow) = market();
+        let sally = keys(0x5A);
+        let supplier = keys(0x20);
+        let request = TxBuilder::request(obj! { "capabilities" => arr!["cnc"] })
+            .output(sally.public_hex(), 1)
+            .sign(&[&sally]);
+        let asset = TxBuilder::create(obj! { "capabilities" => arr!["cnc"] })
+            .output(supplier.public_hex(), 1)
+            .sign(&[&supplier]);
+        ledger.apply(&asset).unwrap();
+        let bid = TxBuilder::bid(asset.id.clone(), request.id.clone())
+            .input(asset.id.clone(), 0, vec![supplier.public_hex()])
+            .output_with_prev(escrow.public_hex(), 1, vec![supplier.public_hex()])
+            .sign(&[&supplier]);
+        let spender = TxBuilder::transfer(asset.id.clone())
+            .input(bid.id.clone(), 0, vec![escrow.public_hex()])
+            .output_with_prev(supplier.public_hex(), 1, vec![escrow.public_hex()])
+            .sign(&[&escrow]);
+        let batch = vec![
+            Arc::new(spender.clone()),
+            Arc::new(request.clone()),
+            Arc::new(bid.clone()),
+        ];
+        let config = |workers: usize| MempoolConfig {
+            admission_workers: workers,
+            ..MempoolConfig::default()
+        };
+        let drained = |pool: &mut Mempool| {
+            let formed = pool.drain_batch(usize::MAX, &ledger);
+            let ids: Vec<String> = formed.txs.iter().map(|t| t.id.clone()).collect();
+            (
+                ids,
+                formed.seqs,
+                formed.flagged,
+                formed.schedule.waves,
+                formed.schedule.footprints,
+            )
+        };
+
+        let mut serial = Mempool::new(config(1));
+        let receipts: Vec<_> = batch
+            .iter()
+            .map(|tx| serial.admit(Arc::clone(tx), &ledger))
+            .collect();
+        let stats = serial.stats().clone();
+        let (ids, seqs, flagged, waves, footprints) = drained(&mut serial);
+
+        // The loop's own drain: the spender's refreshed footprint
+        // carries the locked-bid-set write, and the spender — the
+        // earlier arrival — is in an earlier wave than its BID.
+        let wave_of = |id: &str| {
+            let pos = ids.iter().position(|t| t == id).unwrap();
+            waves.iter().position(|w| w.contains(&pos)).unwrap()
+        };
+        let spender_pos = ids.iter().position(|t| *t == spender.id).unwrap();
+        let bids_key = scdb_core::ConflictKey::Bids(request.id.clone());
+        assert!(footprints[spender_pos].writes.contains(&bids_key));
+        assert!(wave_of(&spender.id) < wave_of(&bid.id), "{waves:?}");
+
+        for workers in [1, 4] {
+            let mut pool = Mempool::new(config(workers));
+            assert_eq!(
+                pool.admit_batch(&batch, &ledger),
+                receipts,
+                "workers={workers}"
+            );
+            assert_eq!(pool.stats(), &stats, "workers={workers}");
+            let (got_ids, got_seqs, got_flagged, got_waves, got_footprints) = drained(&mut pool);
+            assert_eq!(got_ids, ids, "workers={workers}");
+            assert_eq!(got_seqs, seqs, "workers={workers}");
+            assert_eq!(got_flagged, flagged, "workers={workers}");
+            assert_eq!(got_waves, waves, "workers={workers}");
+            assert!(got_footprints[spender_pos].writes.contains(&bids_key));
+        }
     }
 
     #[test]

@@ -28,12 +28,12 @@ pub struct MempoolConfig {
     /// Should match the committing ledger's UTXO shard count; any
     /// value ≥ 1 is correct (it only tunes apply-lock spread).
     pub shard_hint: usize,
-    /// Worker threads for the staged batch-admission pipeline
-    /// ([`Mempool::admit_batch`]): the stateless screen, the pooled
-    /// signature batches and the sharded index apply all fan out this
-    /// wide. `1` pins batch admission to the serial member-by-member
-    /// path (byte-identical results either way — the worker count
-    /// never shows through; see `DESIGN-mempool.md`). Defaults to
+    /// Worker threads for the two stateless stages of batch admission
+    /// ([`Mempool::admit_batch`]: the screen and the pooled signature
+    /// batches) and the drain-time ACCEPT_BID signature pool. At `1`
+    /// they run inline on the caller's thread. Results are
+    /// byte-identical at any count — the worker count never shows
+    /// through; see `DESIGN-mempool.md`. Defaults to
     /// `SCDB_ADMISSION_WORKERS` when set, else available parallelism.
     pub admission_workers: usize,
     /// Runtime telemetry: admission stage latency, push-back /
@@ -166,6 +166,11 @@ pub(crate) fn screen_error(e: ValidationError) -> AdmitError {
     }
 }
 
+/// An input-signature failure as the cascade's signature rejection.
+pub(crate) fn signature_error(e: ValidationError) -> AdmitError {
+    AdmitError::InvalidSignature(e.to_string())
+}
+
 /// What admission hands back for an accepted transaction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AdmitReceipt {
@@ -184,22 +189,22 @@ pub struct AdmitReceipt {
 }
 
 /// One admitted-but-uncommitted transaction.
-pub(crate) struct PendingTx {
-    pub(crate) seq: u64,
-    pub(crate) tx: Arc<Transaction>,
-    pub(crate) footprint: Footprint,
-    pub(crate) flagged: bool,
-    pub(crate) sender: String,
+struct PendingTx {
+    seq: u64,
+    tx: Arc<Transaction>,
+    footprint: Footprint,
+    flagged: bool,
+    sender: String,
     /// Ids this footprint could not resolve at admission (the spent
     /// transaction was neither pending nor committed). If such an id
     /// shows up later, the footprint is re-derived — the only case
     /// where "computed once at admission" must bend, because a missing
     /// link can under-approximate the footprint.
-    pub(crate) unresolved: Vec<String>,
+    unresolved: Vec<String>,
     /// True once the drain-time ACCEPT_BID check verified this member's
     /// fulfillment against its resolved requester, so later drains skip
     /// it. Never set for other operations (admission checked those).
-    pub(crate) accept_sig_checked: bool,
+    accept_sig_checked: bool,
 }
 
 /// A drained, ready-to-commit batch: the transactions in commit order
@@ -277,22 +282,21 @@ pub struct ExpelledTx {
 /// block former drains wide conflict-free wave schedules out.
 pub struct Mempool {
     pub(crate) config: MempoolConfig,
-    pub(crate) next_seq: u64,
-    pub(crate) pending: BTreeMap<u64, PendingTx>,
+    next_seq: u64,
+    pending: BTreeMap<u64, PendingTx>,
     pub(crate) by_id: HashMap<String, u64>,
-    /// Footprint index: key → pending writers / readers, sharded by
-    /// conflict key so batch admission can apply shard-parallel.
-    pub(crate) index: FootprintIndex,
-    pub(crate) per_sender: HashMap<String, usize>,
+    /// Footprint index: conflict key → pending writers / readers.
+    index: FootprintIndex,
+    per_sender: HashMap<String, usize>,
     /// Unresolved id → pending members awaiting it.
-    pub(crate) waiting_on: HashMap<String, BTreeSet<u64>>,
-    pub(crate) stats: MempoolStats,
+    waiting_on: HashMap<String, BTreeSet<u64>>,
+    stats: MempoolStats,
 }
 
 /// Footprint resolution over the pool's own pending set.
-pub(crate) struct PoolLookup<'a> {
-    pub(crate) by_id: &'a HashMap<String, u64>,
-    pub(crate) pending: &'a BTreeMap<u64, PendingTx>,
+struct PoolLookup<'a> {
+    by_id: &'a HashMap<String, u64>,
+    pending: &'a BTreeMap<u64, PendingTx>,
 }
 
 impl TxLookup for PoolLookup<'_> {
@@ -310,16 +314,12 @@ impl Default for Mempool {
 
 impl Mempool {
     pub fn new(config: MempoolConfig) -> Mempool {
-        // The index shard count follows the drain-interleave hint —
-        // fixed at construction, never the worker count, so scan
-        // results are identical at any parallelism.
-        let index = FootprintIndex::new(config.shard_hint);
         Mempool {
             config,
             next_seq: 0,
             pending: BTreeMap::new(),
             by_id: HashMap::new(),
-            index,
+            index: FootprintIndex::default(),
             per_sender: HashMap::new(),
             waiting_on: HashMap::new(),
             stats: MempoolStats::default(),
@@ -381,66 +381,41 @@ impl Mempool {
         tx: Arc<Transaction>,
         ledger: &impl LedgerView,
     ) -> Result<AdmitReceipt, AdmitError> {
-        if self.by_id.contains_key(&tx.id) {
-            return Err(self.count_reject(AdmitError::DuplicatePending(tx.id.clone())));
-        }
-        if ledger.is_committed(&tx.id) {
-            return Err(self.count_reject(AdmitError::AlreadyCommitted(tx.id.clone())));
-        }
-        if self.pending.len() >= self.config.max_pending {
-            return Err(self.count_reject(AdmitError::PoolFull {
-                cap: self.config.max_pending,
-            }));
-        }
-
         // Template shape (Algorithm 1), the id tamper check and the
-        // signing payload, from one walk. ACCEPT_BID's signers are the
-        // requester's — stateful knowledge; the drain-time check
-        // verifies it.
-        let payload = stateless_screen(&tx, signed_by_input_owners(&tx))
-            .map_err(|e| self.count_reject(screen_error(e)))?;
-        if let Some(payload) = payload {
-            verify_input_signatures_over(&tx, &payload)
-                .map_err(|e| self.count_reject(AdmitError::InvalidSignature(e.to_string())))?;
-        }
+        // signing payload, from one walk, then the input signatures.
+        // ACCEPT_BID's signers are the requester's — stateful
+        // knowledge; the drain-time check verifies it.
+        self.decide(tx, ledger, |tx| {
+            match stateless_screen(tx, signed_by_input_owners(tx)).map_err(screen_error)? {
+                Some(payload) => {
+                    verify_input_signatures_over(tx, &payload).map_err(signature_error)
+                }
+                None => Ok(()),
+            }
+        })
+    }
 
-        let sender = sender_key(&tx);
-        let in_flight = self.per_sender.get(&sender).copied().unwrap_or(0);
-        if in_flight >= self.config.max_per_sender {
-            return Err(self.count_reject(AdmitError::SenderCapExceeded {
-                sender,
-                cap: self.config.max_per_sender,
-            }));
-        }
-
-        // Derive the footprint once, against pool + committed state.
-        let lookup = PoolLookup {
-            by_id: &self.by_id,
-            pending: &self.pending,
-        };
-        let fp = footprint(&tx, &lookup, ledger);
-        let unresolved = unresolved_links(&tx, &lookup, ledger);
-
-        // Flag obvious double spends off the footprint index, and
-        // count the distinct pending members this footprint conflicts
-        // with (they will serialize into different waves).
-        let flagged = self.suspected_double_spend(&fp, ledger);
-        let conflict_set = self.index.conflicts_with(&fp);
-
+    /// The admission cascade, the one step [`Mempool::admit`] and every
+    /// member of [`Mempool::admit_batch`] are decided by: duplicate,
+    /// committed and pool-full checks against the live pool, then
+    /// `checks` (the schema, id and signature steps — run inline by
+    /// `admit`, read off stages 1–2 by `admit_batch`), then the sender
+    /// cap; an admitted member takes the next seq and is placed.
+    /// `checks` runs only once the live checks pass, so a duplicate or
+    /// a push-back never pays for a signature here.
+    pub(crate) fn decide(
+        &mut self,
+        tx: Arc<Transaction>,
+        ledger: &impl LedgerView,
+        checks: impl FnOnce(&Transaction) -> Result<(), AdmitError>,
+    ) -> Result<AdmitReceipt, AdmitError> {
+        let sender = self
+            .gate(&tx, ledger, checks)
+            .map_err(|e| self.count_reject(e))?;
         let seq = self.next_seq;
         self.next_seq += 1;
         self.record_admitted(&tx, ledger);
-        self.insert_pending(PendingTx {
-            seq,
-            tx,
-            footprint: fp,
-            flagged,
-            sender,
-            unresolved,
-            accept_sig_checked: false,
-        });
-        self.on_arrival(seq, ledger);
-
+        let (flagged, conflicts) = self.place(seq, tx, sender, false, ledger);
         self.stats.admitted += 1;
         self.config.telemetry.incr("mempool.admitted");
         if flagged {
@@ -449,8 +424,38 @@ impl Mempool {
         Ok(AdmitReceipt {
             seq,
             flagged,
-            conflicts: conflict_set.len(),
+            conflicts,
         })
+    }
+
+    /// [`Mempool::decide`]'s checks in cascade order; the admitted
+    /// member's sender key.
+    fn gate(
+        &self,
+        tx: &Transaction,
+        ledger: &impl LedgerView,
+        checks: impl FnOnce(&Transaction) -> Result<(), AdmitError>,
+    ) -> Result<String, AdmitError> {
+        if self.by_id.contains_key(&tx.id) {
+            return Err(AdmitError::DuplicatePending(tx.id.clone()));
+        }
+        if ledger.is_committed(&tx.id) {
+            return Err(AdmitError::AlreadyCommitted(tx.id.clone()));
+        }
+        if self.pending.len() >= self.config.max_pending {
+            return Err(AdmitError::PoolFull {
+                cap: self.config.max_pending,
+            });
+        }
+        checks(tx)?;
+        let sender = sender_key(tx);
+        if self.per_sender.get(&sender).copied().unwrap_or(0) >= self.config.max_per_sender {
+            return Err(AdmitError::SenderCapExceeded {
+                sender,
+                cap: self.config.max_per_sender,
+            });
+        }
+        Ok(sender)
     }
 
     /// Drains up to `max_n` pending transactions as a formed batch:
@@ -500,7 +505,7 @@ impl Mempool {
     /// for `tx`, so commit-time validation does not repeat them.
     /// Nothing is recorded for ACCEPT_BID, whose signatures only the
     /// drain-time check verifies.
-    pub(crate) fn record_admitted(&self, tx: &Transaction, ledger: &impl LedgerView) {
+    fn record_admitted(&self, tx: &Transaction, ledger: &impl LedgerView) {
         if signed_by_input_owners(tx) {
             ledger.record_verified(&tx.id, VerifiedSigners::InputOwners);
         }
@@ -598,35 +603,63 @@ impl Mempool {
             // reusing the admission-time footprint would silently drop
             // that refresh signal and under-approximate conflicts).
             let sender = sender_key(&tx);
-            let lookup = PoolLookup {
-                by_id: &self.by_id,
-                pending: &self.pending,
-            };
-            let fp = footprint(&tx, &lookup, ledger);
-            let unresolved = unresolved_links(&tx, &lookup, ledger);
-            let flagged = self.suspected_double_spend(&fp, ledger);
-            self.insert_pending(PendingTx {
-                seq,
-                tx,
-                footprint: fp,
-                flagged,
-                sender,
-                unresolved,
-                accept_sig_checked: false,
-            });
-            self.on_arrival(seq, ledger);
+            self.place(seq, tx, sender, false, ledger);
             restored += 1;
             self.stats.requeued += 1;
         }
         restored
     }
 
+    /// Places one member into the pool at `seq`, the step admission,
+    /// [`Mempool::requeue`] and footprint refresh share: derives its
+    /// footprint and unresolved links against pool + ledger, reads the
+    /// double-spend flag and the conflict set off the index *before*
+    /// inserting (a member never conflicts with itself), inserts, and
+    /// re-derives the footprints of members waiting on its id. Returns
+    /// (flagged, distinct pending members it conflicts with).
+    fn place(
+        &mut self,
+        seq: u64,
+        tx: Arc<Transaction>,
+        sender: String,
+        accept_sig_checked: bool,
+        ledger: &impl LedgerView,
+    ) -> (bool, usize) {
+        let lookup = PoolLookup {
+            by_id: &self.by_id,
+            pending: &self.pending,
+        };
+        let footprint = footprint(&tx, &lookup, ledger);
+        let unresolved = unresolved_links(&tx, &lookup, ledger);
+        let flagged = self.suspected_double_spend(&footprint, ledger);
+        let conflicts = self.index.conflicts_with(&footprint).len();
+
+        self.index.insert(seq, &footprint);
+        self.by_id.insert(tx.id.clone(), seq);
+        for id in &unresolved {
+            self.waiting_on.entry(id.clone()).or_default().insert(seq);
+        }
+        *self.per_sender.entry(sender.clone()).or_default() += 1;
+        self.pending.insert(
+            seq,
+            PendingTx {
+                seq,
+                tx,
+                footprint,
+                flagged,
+                sender,
+                unresolved,
+                accept_sig_checked,
+            },
+        );
+        self.on_arrival(seq, ledger);
+        (flagged, conflicts)
+    }
+
     /// The double-spend flag, read off the footprint index and the
     /// committed UTXO set: some spent output either has a pending
-    /// writer already, or is already marked spent on the ledger. Used
-    /// at admission, requeue, and footprint refresh so the flag always
-    /// reflects the footprint it sits next to.
-    pub(crate) fn suspected_double_spend(&self, fp: &Footprint, ledger: &impl LedgerView) -> bool {
+    /// writer already, or is already marked spent on the ledger.
+    fn suspected_double_spend(&self, fp: &Footprint, ledger: &impl LedgerView) -> bool {
         fp.writes.iter().any(|key| {
             let ConflictKey::Output(tx_id, index) = key else {
                 return false;
@@ -639,10 +672,10 @@ impl Mempool {
         })
     }
 
-    /// The one site every admission rejection passes — serial `admit`,
-    /// the staged `admit_batch` and the parse stage of
-    /// `admit_payload_batch` — so the counts are by construction the
-    /// same on every path.
+    /// The one site every admission rejection passes — `decide` (for
+    /// `admit` and each member of `admit_batch`) and the parse step of
+    /// `admit_payload` and `admit_payload_batch` — so the counts are by
+    /// construction the same on every path.
     pub(crate) fn count_reject(&mut self, e: AdmitError) -> AdmitError {
         self.stats.rejected += 1;
         let telemetry = &self.config.telemetry;
@@ -656,25 +689,6 @@ impl Mempool {
             telemetry.incr("mempool.pushbacks");
         }
         e
-    }
-
-    fn insert_pending(&mut self, entry: PendingTx) {
-        self.index.insert(entry.seq, &entry.footprint);
-        self.insert_pending_core(entry);
-    }
-
-    /// Everything [`Mempool::insert_pending`] does *except* the
-    /// footprint-index insertion. Batch admission inserts members here
-    /// as it decides them, deferring their index keys so one
-    /// shard-parallel apply can land the whole batch at once.
-    pub(crate) fn insert_pending_core(&mut self, entry: PendingTx) {
-        let seq = entry.seq;
-        self.by_id.insert(entry.tx.id.clone(), seq);
-        for id in &entry.unresolved {
-            self.waiting_on.entry(id.clone()).or_default().insert(seq);
-        }
-        *self.per_sender.entry(entry.sender.clone()).or_default() += 1;
-        self.pending.insert(seq, entry);
     }
 
     fn remove_pending(&mut self, seq: u64) -> Option<PendingTx> {
@@ -699,7 +713,10 @@ impl Mempool {
 
     /// A newly arrived id may be the missing link of earlier members'
     /// footprints — re-derive theirs so no conflict stays invisible.
-    pub(crate) fn on_arrival(&mut self, seq: u64, ledger: &impl LedgerView) {
+    /// (A refreshed member's own id has no waiters: a waiter registers
+    /// only while the id it waits on is absent, and every placement
+    /// clears them.)
+    fn on_arrival(&mut self, seq: u64, ledger: &impl LedgerView) {
         let id = self.pending[&seq].tx.id.clone();
         let Some(waiters) = self.waiting_on.remove(&id) else {
             return;
@@ -723,24 +740,20 @@ impl Mempool {
         }
     }
 
-    /// Removes and re-inserts one member with a freshly derived
+    /// Removes and re-places one member with a freshly derived
     /// footprint (pool + ledger resolution as of now). The double-spend
     /// flag is re-read too — a refreshed footprint may reveal (or
     /// dissolve) a conflict the admission-time flag could not see.
     fn refresh_footprint(&mut self, seq: u64, ledger: &impl LedgerView) {
-        let Some(mut entry) = self.remove_pending(seq) else {
-            return;
-        };
-        {
-            let lookup = PoolLookup {
-                by_id: &self.by_id,
-                pending: &self.pending,
-            };
-            entry.footprint = footprint(&entry.tx, &lookup, ledger);
-            entry.unresolved = unresolved_links(&entry.tx, &lookup, ledger);
+        if let Some(entry) = self.remove_pending(seq) {
+            self.place(
+                seq,
+                entry.tx,
+                entry.sender,
+                entry.accept_sig_checked,
+                ledger,
+            );
         }
-        entry.flagged = self.suspected_double_spend(&entry.footprint, ledger);
-        self.insert_pending(entry);
     }
 }
 
@@ -754,7 +767,7 @@ pub(crate) fn signed_by_input_owners(tx: &Transaction) -> bool {
 /// The admission-side sender identity: the union of input owner keys
 /// (every transaction type self-identifies its controllers there; for
 /// CREATE/REQUEST these are the minting signers).
-pub(crate) fn sender_key(tx: &Transaction) -> String {
+fn sender_key(tx: &Transaction) -> String {
     let mut owners: Vec<&str> = tx
         .inputs
         .iter()

@@ -10,9 +10,9 @@
 //!    sequential turn must be admitted (possibly flagged), never turned
 //!    away.
 //! 3. **Parallel ≡ serial admission** — the staged batch pipeline at
-//!    any worker count is byte-identical to the pre-PR per-transaction
-//!    serial loop: same per-tx verdicts, pool contents, seq order,
-//!    stats, and subsequent drain schedules.
+//!    any worker count is byte-identical to a per-member `admit` loop:
+//!    same per-tx verdicts, pool contents, seq order, stats, and
+//!    subsequent drain schedules.
 
 use crate::{Mempool, MempoolConfig};
 use proptest::prelude::*;
@@ -295,7 +295,7 @@ proptest! {
             ..MempoolConfig::default()
         };
 
-        // The serial oracle: the pre-PR per-transaction loop.
+        // The serial oracle: a per-member `admit_payload` loop.
         let mut oracle = Mempool::new(config(1));
         let oracle_verdicts: Vec<_> = payloads
             .iter()

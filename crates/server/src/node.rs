@@ -359,8 +359,8 @@ impl Node {
     }
 
     /// Admits a whole arrival batch of payloads through the mempool's
-    /// staged parallel pipeline (parse → screen → pooled signature
-    /// verification → sharded index apply): one verdict per member in
+    /// staged pipeline (parallel parse → screen → pooled signature
+    /// verification, then the per-member decide step): one verdict per member in
     /// input order, byte-identical to a loop of
     /// [`Node::ingest_payload`]. This is the client ingest path; the
     /// benchmark drives it, then [`Node::form_proposal`] and

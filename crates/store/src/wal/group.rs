@@ -125,8 +125,16 @@ impl DurableStore {
     /// once the group is on disk: a failed flush latches the store with
     /// its seals still counted as pending, so neither
     /// [`DurableStore::pending_seals`] nor a later flush ever reports
-    /// them durable.
+    /// them durable. The `durable.pending_seals` gauge reads the
+    /// buffer after every flush, failed ones included.
     pub(super) fn flush_group_locked(&self, inner: &mut Inner) -> Result<(), WalError> {
+        let flushed = self.write_group(inner);
+        self.telemetry
+            .gauge_set("durable.pending_seals", inner.pending_seals.len() as i64);
+        flushed
+    }
+
+    fn write_group(&self, inner: &mut Inner) -> Result<(), WalError> {
         if inner.pending_seals.is_empty() {
             return Ok(());
         }

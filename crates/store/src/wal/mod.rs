@@ -422,6 +422,8 @@ impl DurableStore {
             Some(group) => {
                 inner.pending_seals.push(line);
                 inner.height += 1;
+                self.telemetry
+                    .gauge_set("durable.pending_seals", inner.pending_seals.len() as i64);
                 if inner.pending_seals.len() >= group {
                     self.flush_group_locked(&mut inner)?;
                 }
@@ -448,6 +450,7 @@ impl DurableStore {
 pub(super) mod tests {
     use super::*;
     use crate::utxo::{OutputRef, Utxo, UtxoSet};
+    use proptest::prelude::*;
     use scdb_json::obj;
 
     /// Self-cleaning scratch directory.
@@ -767,5 +770,132 @@ pub(super) mod tests {
         block(&store, &live, "dddd");
         let rec = DurableStore::recover(scratch.path(), 4).expect("recover");
         assert_eq!(rec.height, 2);
+    }
+
+    /// Per seal, in height order: its documents and its digest.
+    type Seals = Vec<(Vec<Value>, StateDigest)>;
+
+    fn seals_of(rec: &RecoveredState) -> Seals {
+        let mut docs = rec.committed.iter();
+        rec.seals
+            .iter()
+            .map(|&(count, digest)| (docs.by_ref().take(count).cloned().collect(), digest))
+            .collect()
+    }
+
+    /// The manifest a real store leaves after sealing four blocks (one
+    /// holding two documents), and the seals it recovers to.
+    fn sealed_manifest() -> &'static (Vec<u8>, Seals) {
+        static MANIFEST: std::sync::OnceLock<(Vec<u8>, Seals)> = std::sync::OnceLock::new();
+        MANIFEST.get_or_init(|| {
+            let scratch = Scratch::new("hostile-source");
+            let (store, _) = DurableStore::open(scratch.path()).expect("open");
+            let live = UtxoSet::with_shards(4);
+            for tx in ["aaaa", "bbbb", "cccc"] {
+                block(&store, &live, tx);
+            }
+            store
+                .seal_block(
+                    &[obj! { "id" => "dddd" }, obj! { "id" => "eeee", "n" => 7 }],
+                    &live.state_digest(),
+                )
+                .expect("seal");
+            let rec = DurableStore::recover(scratch.path(), 4).expect("recover");
+            let bytes = fs::read(manifest_path(scratch.path())).expect("manifest");
+            (bytes, seals_of(&rec))
+        })
+    }
+
+    /// Opens a store whose manifest holds exactly `bytes`. On success the
+    /// recovered state must be self-consistent, and a second open of the
+    /// trimmed manifest must read the same seals with no tail left.
+    fn open_hostile(bytes: &[u8]) -> Result<Option<Seals>, TestCaseError> {
+        static CASE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let case = CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let scratch = Scratch::new(&format!("hostile-{case}"));
+        fs::create_dir_all(scratch.path().join(WAL_DIR)).expect("scratch dir");
+        fs::write(manifest_path(scratch.path()), bytes).expect("scratch manifest");
+        let Ok((store, rec)) = DurableStore::open(scratch.path()) else {
+            return Ok(None);
+        };
+        drop(store);
+        let seals = seals_of(&rec);
+        prop_assert_eq!(rec.height, rec.seals.len() as u64);
+        prop_assert_eq!(
+            rec.committed.len(),
+            seals.iter().map(|s| s.0.len()).sum::<usize>()
+        );
+        prop_assert_eq!(rec.digest, seals.last().map_or(StateDigest::EMPTY, |s| s.1));
+        let (_, again) = DurableStore::open(scratch.path()).expect("a trimmed manifest reopens");
+        prop_assert_eq!(again.tail_discards, 0);
+        prop_assert_eq!(seals_of(&again), seals.clone());
+        Ok(Some(seals))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Arbitrary bytes, alone or behind a real manifest: `Err`, or
+        /// a prefix of what the real manifest seals — its whole chain
+        /// when the garbage only trails it.
+        #[test]
+        fn arbitrary_manifest_bytes_never_panic(
+            garbage in prop::collection::vec(any::<u8>(), 0..256),
+            behind_real in any::<bool>(),
+        ) {
+            let (real, original) = sealed_manifest();
+            let mut bytes = if behind_real { real.clone() } else { Vec::new() };
+            bytes.extend_from_slice(&garbage);
+            if let Some(seals) = open_hostile(&bytes)? {
+                prop_assert!(original.starts_with(&seals));
+                if behind_real {
+                    prop_assert_eq!(&seals, original);
+                }
+            }
+        }
+
+        /// One byte replaced, deleted or inserted: `Err`, or no more
+        /// seals than the original, each equal to the original's at its
+        /// height except the one on the mutated line. The manifest
+        /// carries no checksum, so a byte flipped inside a document or
+        /// a digest can read back as a different well-formed seal —
+        /// the re-executing caller's digest check is what refuses it.
+        #[test]
+        fn one_byte_manifest_mutants_never_panic(
+            at in any::<usize>(),
+            byte in any::<u8>(),
+            kind in 0usize..3,
+        ) {
+            let (real, original) = sealed_manifest();
+            let mut bytes = real.clone();
+            let at = at % (bytes.len() + 1);
+            match kind {
+                0 if at < bytes.len() => bytes[at] = byte,
+                1 if at < bytes.len() => {
+                    bytes.remove(at);
+                }
+                _ => bytes.insert(at, byte),
+            }
+            if let Some(seals) = open_hostile(&bytes)? {
+                let mutated_line = real[..at].iter().filter(|&&b| b == b'\n').count();
+                prop_assert!(seals.len() <= original.len());
+                for (height, seal) in seals.iter().enumerate() {
+                    if height != mutated_line {
+                        prop_assert_eq!(seal, &original[height]);
+                    }
+                }
+            }
+        }
+
+        /// A truncated manifest always opens, to exactly the seals whose
+        /// lines survived whole.
+        #[test]
+        fn truncated_manifests_open_to_their_whole_seals(cut in any::<usize>()) {
+            let (real, original) = sealed_manifest();
+            let cut = cut % (real.len() + 1);
+            let whole = real[..cut].iter().filter(|&&b| b == b'\n').count();
+            let seals = open_hostile(&real[..cut])?;
+            prop_assert_eq!(seals.as_deref(), Some(&original[..whole]));
+        }
     }
 }

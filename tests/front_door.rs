@@ -10,6 +10,7 @@
 use proptest::prelude::*;
 use smartchaindb::consensus::App;
 use smartchaindb::evm::EthScApp;
+use smartchaindb::mempool::AdmitError;
 use smartchaindb::server::SmartchainCluster;
 use smartchaindb::workload::{scdb_plan, ScenarioConfig};
 use smartchaindb::{KeyPair, Node, PipelineOptions, Transaction};
@@ -211,4 +212,41 @@ fn the_unmutated_plan_commits_through_the_front_door() {
     let report = node.drain_block(usize::MAX);
     assert!(report.outcome.fully_committed(), "{:?}", report.outcome);
     assert!(report.expelled.is_empty());
+}
+
+/// An `output_index` past `u32::MAX` is refused at parse, never cast
+/// onto the index it aliases: a spend respelled with 2³² + k in place
+/// of k would otherwise be accepted as a second spelling of itself.
+#[test]
+fn an_output_index_past_u32_is_refused_not_truncated() {
+    let mut inputs = plan_payloads().to_vec();
+    let (pick, k) = inputs
+        .iter()
+        .enumerate()
+        .find_map(|(i, payload)| {
+            let tx = Transaction::from_payload(payload).expect("plan payloads parse");
+            let spent = tx.inputs.iter().find_map(|input| input.fulfills.as_ref())?;
+            Some((i, spent.output_index))
+        })
+        .expect("the plan spends an output");
+    let spelled = format!("\"output_index\":{k}");
+    assert!(inputs[pick].contains(&spelled));
+    let respelled = inputs[pick].replacen(
+        &spelled,
+        &format!("\"output_index\":{}", (1u64 << 32) + u64::from(k)),
+        1,
+    );
+    DECODERS.with(|(cluster, eth)| {
+        assert!(cluster.decode(&respelled).is_err());
+        assert!(eth.decode(&respelled).is_err());
+    });
+    inputs.insert(pick, respelled);
+    let verdicts = fresh_node().ingest_payload_batch(&inputs);
+    for (i, verdict) in verdicts.iter().enumerate() {
+        if i == pick {
+            assert!(matches!(verdict, Err(AdmitError::Parse(_))), "{verdict:?}");
+        } else {
+            assert!(verdict.is_ok(), "member {i}: {verdict:?}");
+        }
+    }
 }

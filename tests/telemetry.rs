@@ -272,3 +272,35 @@ fn admission_rejections_are_counted_by_reason_and_sum_to_the_total() {
     let total: u64 = by_reason.iter().map(|(_, n)| n).sum();
     assert_eq!(counters["mempool.rejected"], total);
 }
+
+/// Group-commit lag: `durable.pending_seals` counts the seals written
+/// to the group buffer but not yet fsynced. A flush empties it; a
+/// failed flush keeps its seals pending.
+#[test]
+fn pending_seals_gauge_tracks_the_group_commit_buffer() {
+    use smartchaindb::store::{DurableStore, FsyncLevel, StateDigest};
+
+    let dir = std::env::temp_dir().join(format!("scdb-telemetry-group-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let telemetry = Telemetry::enabled();
+    let (mut store, _) = DurableStore::open(&dir).expect("open");
+    store.set_fsync(FsyncLevel::Group(8));
+    store.set_telemetry(telemetry.clone());
+    let pending = || telemetry.snapshot().expect("enabled").gauges["durable.pending_seals"];
+    let seal = |n: usize| {
+        for _ in 0..n {
+            store.seal_block(&[], &StateDigest::EMPTY).expect("seal");
+        }
+    };
+
+    seal(3);
+    assert_eq!(pending(), 3);
+    store.flush_group().expect("flush");
+    assert_eq!(pending(), 0);
+    seal(2);
+    store.inject_io_failure();
+    assert!(store.flush_group().is_err());
+    assert_eq!(pending(), 2, "a failed flush keeps its seals pending");
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+}
