@@ -8,15 +8,16 @@
 //! declaration. The row also says who must sign, which REQUEST the type
 //! is about and which marketplace key it writes. Everything that needs
 //! to know a type reads its row: [`crate::validate::validate_transaction`]
-//! evaluates the conditions, [`crate::pipeline::footprint`] takes the
-//! marketplace keys from what the conditions declare they read
-//! (`Condition::reads`) and what the row writes, the ledger applies
-//! the same declared write, and admission asks the row who signs.
+//! evaluates the conditions, the ledger applies the declared write, and
+//! admission asks the row who signs.
 //!
 //! A [`Condition`] is a named primitive with one meaning
-//! (`Condition::check`); a slice of them is their conjunction. A new
-//! transaction family is a new slice — §8's "transaction conditions and
-//! compositions" — evaluated by the same `validate::evaluate`.
+//! (`Condition::check`); a slice of them is their conjunction. Its
+//! ledger reads are data too (`Condition::lookups`): `check` sees only
+//! what they resolve to, and the conflict footprint reads their keys
+//! (see `view.rs`). A new transaction family is a new slice —
+//! §8's "transaction conditions and compositions" — run by the same
+//! `evaluate`.
 
 use crate::errors::ValidationError;
 use crate::model::{AssetRef, Operation, Transaction};
@@ -24,12 +25,13 @@ use crate::validate::{
     check_input_signatures, requester_account, requester_keys, verify_signed_by,
 };
 use crate::verified::VerifiedSigners;
-use crate::view::LedgerView;
+use crate::view::{capabilities, Lookup, ReadSet};
 use scdb_store::{OutputRef, Utxo};
 use std::collections::HashSet;
 use Condition::*;
 
-/// One primitive validation condition over `(transaction, ledger)`.
+/// One primitive validation condition over a transaction and the ledger
+/// reads it declares.
 ///
 /// "The subject" is the committed transaction the one under validation
 /// is about — the REQUEST of a BID or ACCEPT_BID, the BID of a RETURN —
@@ -149,15 +151,41 @@ pub struct TxType {
 }
 
 impl TxType {
-    /// The marketplace keys validation of this type consults and the
-    /// type does not itself write — each once, as its conditions declare
-    /// them.
-    pub(crate) fn reads(&self) -> impl Iterator<Item = MarketKey> + '_ {
-        [MarketKey::Bids, MarketKey::Accept]
-            .into_iter()
-            .filter(|key| Some(*key) != self.writes)
-            .filter(|key| self.conditions.iter().any(|c| c.reads() == Some(*key)))
+    /// The REQUEST the type's marketplace keys belong to. A link through
+    /// another transaction (a RETURN's bid) is followed with `resolve`.
+    pub(crate) fn request_of<'t>(
+        &self,
+        tx: &'t Transaction,
+        resolve: impl FnOnce(&str) -> Option<&'t Transaction>,
+    ) -> Option<&'t str> {
+        let first = tx.references.first()?;
+        match self.request? {
+            RequestLink::FirstReference => Some(first),
+            RequestLink::BidAtFirstReference => bid_request(resolve(first)?),
+        }
     }
+
+    /// Every lookup the row's conditions declare for `tx`, each once.
+    pub(crate) fn lookups<'t>(
+        &self,
+        tx: &'t Transaction,
+        request: Option<&'t str>,
+    ) -> Vec<Lookup<'t>> {
+        let mut lookups = Vec::new();
+        for lookup in self.conditions.iter().flat_map(|c| c.lookups(tx, request)) {
+            if !lookups.contains(&lookup) {
+                lookups.push(lookup);
+            }
+        }
+        lookups
+    }
+}
+
+/// The REQUEST `tx` bids on, if it is a bid: a transaction whose row
+/// joins its first reference's locked-bid set.
+pub(crate) fn bid_request(tx: &Transaction) -> Option<&str> {
+    let joins = row(tx.operation).writes == Some(MarketKey::Bids);
+    tx.references.first().filter(|_| joins).map(String::as_str)
 }
 
 /// What the rows below start from: signed by its input owners, touching
@@ -255,16 +283,39 @@ pub fn row(operation: Operation) -> &'static TxType {
     }
 }
 
+/// Evaluates a condition set over what the ledger `reads` holds: the
+/// slice is the conjunction, in order, and the first condition that
+/// fails is the verdict. `verified` is what the ledger's verified set
+/// vouches for, if anything — the signature conditions skip what it
+/// covers.
+pub(crate) fn evaluate(
+    conditions: &[Condition],
+    tx: &Transaction,
+    reads: &ReadSet<'_>,
+    verified: Option<&VerifiedSigners>,
+) -> Result<(), ValidationError> {
+    let mut evaluation = Evaluation {
+        tx,
+        reads,
+        verified,
+        subject: None,
+        spends: None,
+    };
+    conditions
+        .iter()
+        .try_for_each(|condition| condition.check(&mut evaluation))
+}
+
 /// What one evaluation carries from condition to condition: the inputs
 /// of every check, and what earlier conditions resolved for later ones,
 /// so a row looks each thing up once.
-pub(crate) struct Evaluation<'a, L: LedgerView> {
+struct Evaluation<'a> {
     tx: &'a Transaction,
-    ledger: &'a L,
+    reads: &'a ReadSet<'a>,
     verified: Option<&'a VerifiedSigners>,
     subject: Option<&'a Transaction>,
-    locked: Option<Vec<&'a Transaction>>,
-    spends: Option<Vec<(OutputRef, Utxo)>>,
+    /// Each spent output's transaction id and UTXO entry.
+    spends: Option<Vec<(&'a str, &'a Utxo)>>,
 }
 
 fn semantic(why: String) -> ValidationError {
@@ -303,11 +354,11 @@ fn win_bid_id(tx: &Transaction) -> Result<&String, ValidationError> {
 /// held by reserved accounts only (`PBPK-ℛℯ𝓈`).
 fn escrow_held(
     tx: &Transaction,
-    ledger: &impl LedgerView,
+    reads: &ReadSet<'_>,
     i: usize,
     utxo: &Utxo,
 ) -> Result<(), ValidationError> {
-    ensure(utxo.owners.iter().all(|k| ledger.is_reserved(k)), || {
+    ensure(utxo.owners.iter().all(|k| reads.is_reserved(k)), || {
         format!(
             "{} input {i} does not spend an escrow-held output",
             tx.operation
@@ -316,8 +367,8 @@ fn escrow_held(
 }
 
 /// The entry of an output that exists and is unspent.
-fn unspent(ledger: &impl LedgerView, output: &OutputRef) -> Result<Utxo, ValidationError> {
-    let Some(utxo) = ledger.utxo(output) else {
+fn unspent<'r>(reads: &'r ReadSet<'_>, output: &OutputRef) -> Result<&'r Utxo, ValidationError> {
+    let Some(utxo) = reads.utxo(&output.tx_id, output.index)? else {
         return Err(ValidationError::InputDoesNotExist(output.to_string()));
     };
     match &utxo.spent_by {
@@ -328,29 +379,14 @@ fn unspent(ledger: &impl LedgerView, output: &OutputRef) -> Result<Utxo, Validat
     }
 }
 
-impl<'a, L: LedgerView> Evaluation<'a, L> {
-    pub(crate) fn new(
-        tx: &'a Transaction,
-        ledger: &'a L,
-        verified: Option<&'a VerifiedSigners>,
-    ) -> Self {
-        Evaluation {
-            tx,
-            ledger,
-            verified,
-            subject: None,
-            locked: None,
-            spends: None,
-        }
-    }
-
+impl<'a> Evaluation<'a> {
     fn subject(&self) -> Result<&'a Transaction, ValidationError> {
         self.subject.ok_or_else(|| {
             semantic("no earlier condition resolved the referenced transaction".to_owned())
         })
     }
 
-    fn spends(&self) -> Result<&[(OutputRef, Utxo)], ValidationError> {
+    fn spends(&self) -> Result<&[(&'a str, &'a Utxo)], ValidationError> {
         self.spends
             .as_deref()
             .ok_or_else(|| semantic("no earlier condition resolved the spent outputs".to_owned()))
@@ -365,58 +401,43 @@ impl<'a, L: LedgerView> Evaluation<'a, L> {
             .try_fold(0u64, |sum, (_, utxo)| sum.checked_add(utxo.amount))
             .ok_or_else(|| semantic(format!("{} input amounts overflow u64", self.tx.operation)))
     }
-
-    /// `getLockedBids` of the subject, fetched by the first condition
-    /// that asks.
-    fn locked(&mut self) -> Result<&[&'a Transaction], ValidationError> {
-        let (request, ledger) = (self.subject()?, self.ledger);
-        Ok(self
-            .locked
-            .get_or_insert_with(|| ledger.locked_bids_for_request(&request.id)))
-    }
 }
 
 impl Condition {
-    /// The marketplace key of the type's REQUEST this condition
-    /// consults — what the conflict footprint must order the
-    /// transaction against.
-    pub(crate) fn reads(&self) -> Option<MarketKey> {
+    /// The ledger reads `check` makes, as data: each keyed off `tx`'s
+    /// content or the `request` its row links to. `check` holds only what
+    /// they resolve to, so a read it does not declare is an `Err`.
+    fn lookups<'t>(self, tx: &'t Transaction, request: Option<&'t str>) -> Vec<Lookup<'t>> {
+        let spent = tx.inputs.iter().filter_map(|i| i.fulfills.as_ref());
+        let entries = spent
+            .clone()
+            .map(|f| Lookup::Utxo(&f.tx_id, f.output_index));
+        let locked_bids = request.map(Lookup::LockedBids).into_iter();
         match self {
-            NoAcceptYet | ReturnTriggered => Some(MarketKey::Accept),
-            WinnerLocked | InputsCoverLockedBids | OutputsSettle => Some(MarketKey::Bids),
-            NoSpends
-            | DeclaresCapabilities
-            | InputSignatures
-            | SpendsResolve
-            | Balanced
-            | SpendsDeclaredAsset
-            | HasInputs
-            | HasReferences
-            | OneRequestAmongReferences
-            | RequestIsFirstReference
-            | AssetCommitted
-            | OutputsToEscrow
-            | OffersRequestedCapabilities
-            | PositiveInputAmount
-            | SoleReference(_)
-            | WinnerBidsOnRequest
-            | SignedByRequester
-            | ReturnsBidFromEscrow => None,
+            SpendsResolve => spent.map(|f| Lookup::Tx(&f.tx_id)).chain(entries).collect(),
+            OneRequestAmongReferences | SoleReference(_) => {
+                tx.references.iter().map(|r| Lookup::Tx(r)).collect()
+            }
+            AssetCommitted | OffersRequestedCapabilities | WinnerBidsOnRequest => match &tx.asset {
+                AssetRef::Id(id) | AssetRef::WinBid(id) => vec![Lookup::Tx(id)],
+                AssetRef::Data(_) => Vec::new(),
+            },
+            NoAcceptYet | ReturnTriggered => request.map(Lookup::Accept).into_iter().collect(),
+            WinnerLocked | OutputsSettle => locked_bids.collect(),
+            InputsCoverLockedBids => locked_bids.chain(entries).collect(),
+            _ => Vec::new(),
         }
     }
 
     /// What the condition means: `Err` is the verdict, variant and
     /// message, of a transaction that violates it.
-    pub(crate) fn check<L: LedgerView>(
-        self,
-        cx: &mut Evaluation<'_, L>,
-    ) -> Result<(), ValidationError> {
-        let (tx, ledger, op) = (cx.tx, cx.ledger, cx.tx.operation);
+    fn check(self, cx: &mut Evaluation<'_>) -> Result<(), ValidationError> {
+        let (tx, reads, op) = (cx.tx, cx.reads, cx.tx.operation);
         match self {
             NoSpends => ensure(tx.inputs.iter().all(|i| i.fulfills.is_none()), || {
                 format!("{op} inputs must not spend outputs")
             }),
-            DeclaresCapabilities => ensure(!ledger.request_capabilities(tx).is_empty(), || {
+            DeclaresCapabilities => ensure(!capabilities(tx).is_empty(), || {
                 format!("{op} asset data must declare a non-empty capabilities list")
             }),
             InputSignatures => check_input_signatures(tx, cx.verified),
@@ -429,7 +450,7 @@ impl Condition {
                             "input {i}: {op} inputs must spend an output"
                         )));
                     };
-                    if !ledger.is_committed(&fulfills.tx_id) {
+                    if reads.tx(&fulfills.tx_id)?.is_none() {
                         return Err(ValidationError::InputDoesNotExist(fulfills.tx_id.clone()));
                     }
                     let output = OutputRef::new(fulfills.tx_id.clone(), fulfills.output_index);
@@ -441,13 +462,13 @@ impl Condition {
                             "input {i} spends {output} twice within one transaction"
                         )));
                     }
-                    let utxo = unspent(ledger, &output)?;
+                    let utxo = unspent(reads, &output)?;
                     if utxo.owners != input.owners_before {
                         return Err(ValidationError::InvalidSignature(format!(
                             "input {i}: owners_before does not match the current owners of {output}"
                         )));
                     }
-                    spends.push((output, utxo));
+                    spends.push((fulfills.tx_id.as_str(), utxo));
                 }
                 cx.spends = Some(spends);
                 Ok(())
@@ -481,7 +502,7 @@ impl Condition {
             OneRequestAmongReferences => {
                 let mut request = None;
                 for r in &tx.references {
-                    let Some(referenced) = ledger.get(r) else {
+                    let Some(referenced) = reads.tx(r)? else {
                         return Err(ValidationError::InputDoesNotExist(r.clone()));
                     };
                     if referenced.operation == Operation::Request
@@ -504,7 +525,7 @@ impl Condition {
             }
             AssetCommitted => {
                 let declared = asset_id(tx)?;
-                if !ledger.is_committed(declared) {
+                if reads.tx(declared)?.is_none() {
                     return Err(ValidationError::InputDoesNotExist(declared.clone()));
                 }
                 Ok(())
@@ -513,15 +534,16 @@ impl Condition {
                 let loose = tx
                     .outputs
                     .iter()
-                    .position(|o| !o.public_keys.iter().all(|k| ledger.is_reserved(k)));
+                    .position(|o| !o.public_keys.iter().all(|k| reads.is_reserved(k)));
                 match loose {
                     Some(output_index) => Err(ValidationError::NotEscrowOutput { output_index }),
                     None => Ok(()),
                 }
             }
             OffersRequestedCapabilities => {
-                let offered = ledger.asset_capabilities(asset_id(tx)?);
-                let mut missing = ledger.request_capabilities(cx.subject()?);
+                let offered = reads.tx(asset_id(tx)?)?.map(capabilities);
+                let offered = offered.unwrap_or_default();
+                let mut missing = capabilities(cx.subject()?);
                 missing.retain(|c| !offered.contains(c));
                 if !missing.is_empty() {
                     return Err(ValidationError::InsufficientCapabilities { missing });
@@ -537,7 +559,7 @@ impl Condition {
                         "{op} must reference exactly one {target}"
                     )));
                 };
-                let Some(referenced) = ledger.get(id) else {
+                let Some(referenced) = reads.tx(id)? else {
                     return Err(ValidationError::InputDoesNotExist(id.clone()));
                 };
                 ensure(referenced.operation == target, || {
@@ -548,7 +570,7 @@ impl Condition {
             }
             WinnerBidsOnRequest => {
                 let (request, winner) = (cx.subject()?, win_bid_id(tx)?);
-                let Some(bid) = ledger.get(winner) else {
+                let Some(bid) = reads.tx(winner)? else {
                     return Err(ValidationError::InputDoesNotExist(winner.clone()));
                 };
                 ensure(
@@ -570,13 +592,14 @@ impl Condition {
                     _ => verify_signed_by(tx, &requester),
                 }
             }
-            NoAcceptYet => match ledger.accept_for_request(&cx.subject()?.id) {
+            NoAcceptYet => match reads.accept(&cx.subject()?.id)? {
                 Some(existing) => Err(ValidationError::DuplicateTransaction(existing.id.clone())),
                 None => Ok(()),
             },
             WinnerLocked => {
                 let (request, winner) = (cx.subject()?, win_bid_id(tx)?);
-                ensure(cx.locked()?.iter().any(|b| &b.id == winner), || {
+                let locked = reads.locked_bids(&request.id)?;
+                ensure(locked.iter().any(|(bid, _)| &bid.id == winner), || {
                     format!(
                         "winning bid {winner} is not escrow-held for request {}",
                         request.id
@@ -584,7 +607,7 @@ impl Condition {
                 })
             }
             InputsCoverLockedBids => {
-                let locked = cx.locked()?;
+                let locked = reads.locked_bids(&cx.subject()?.id)?;
                 ensure(tx.inputs.len() == locked.len(), || {
                     format!(
                         "{op} must take all {} locked bids as inputs, found {}",
@@ -597,12 +620,12 @@ impl Condition {
                     let Some(fulfills) = &input.fulfills else {
                         return Err(semantic(format!("{op} input {i} must spend a bid output")));
                     };
-                    ensure(locked.iter().any(|b| b.id == fulfills.tx_id), || {
-                        format!("{op} input {i} does not spend a locked bid of this request")
-                    })?;
+                    ensure(
+                        locked.iter().any(|(bid, _)| bid.id == fulfills.tx_id),
+                        || format!("{op} input {i} does not spend a locked bid of this request"),
+                    )?;
                     let output = OutputRef::new(fulfills.tx_id.clone(), fulfills.output_index);
-                    let utxo = unspent(ledger, &output)?;
-                    escrow_held(tx, ledger, i, &utxo)?;
+                    escrow_held(tx, reads, i, unspent(reads, &output)?)?;
                     ensure(covered.insert(fulfills.tx_id.as_str()), || {
                         format!("{op} input {i} duplicates bid {}", fulfills.tx_id)
                     })?;
@@ -621,18 +644,15 @@ impl Condition {
                         "{op} must have exactly one output to the requester, found {to_requester}"
                     )
                 })?;
-                let locked = cx.locked()?;
+                let locked = reads.locked_bids(&cx.subject()?.id)?;
                 for (idx, output) in tx.outputs.iter().enumerate() {
                     if output.public_keys == requester {
                         continue; // the winner settlement
                     }
-                    let returns_to_bidder = locked.iter().any(|bid| {
+                    let returns_to_bidder = locked.iter().any(|(bid, entries)| {
                         &bid.id != winner
-                            && (0..bid.outputs.len() as u32).any(|oi| {
-                                ledger
-                                    .utxo(&OutputRef::new(bid.id.clone(), oi))
-                                    .is_some_and(|u| u.previous_owners == output.public_keys)
-                            })
+                            && (entries.iter().flatten())
+                                .any(|u| u.previous_owners == output.public_keys)
                     });
                     ensure(returns_to_bidder, || {
                         format!(
@@ -644,8 +664,8 @@ impl Condition {
             }
             ReturnTriggered => {
                 let bid = cx.subject()?;
-                let request_id = bid.references.first().map_or("", String::as_str);
-                let Some(accept) = ledger.accept_for_request(request_id) else {
+                let request = bid.references.first();
+                let Some(accept) = request.map(|r| reads.accept(r)).transpose()?.flatten() else {
                     return Err(semantic(format!(
                         "{op} of bid {} has no committed ACCEPT_BID for its request",
                         bid.id
@@ -658,11 +678,11 @@ impl Condition {
             }
             ReturnsBidFromEscrow => {
                 let bid = cx.subject()?;
-                for (i, (output, utxo)) in cx.spends()?.iter().enumerate() {
-                    ensure(output.tx_id == bid.id, || {
+                for (i, (spent, utxo)) in cx.spends()?.iter().enumerate() {
+                    ensure(*spent == bid.id, || {
                         format!("{op} input {i} does not spend the referenced bid")
                     })?;
-                    escrow_held(tx, ledger, i, utxo)?;
+                    escrow_held(tx, reads, i, utxo)?;
                     ensure(
                         tx.outputs
                             .iter()
@@ -681,7 +701,8 @@ mod tests {
     use super::*;
     use crate::builder::TxBuilder;
     use crate::ledger::LedgerState;
-    use crate::validate::evaluate;
+    use crate::pipeline::{footprint, ConflictKey};
+    use crate::view::LedgerView;
     use scdb_crypto::KeyPair;
     use scdb_json::{arr, obj};
 
@@ -716,6 +737,20 @@ mod tests {
         }
     }
 
+    /// Evaluates `conditions` over the lookups they declare for `tx`,
+    /// linked to a REQUEST as `tx`'s own row links.
+    fn run(
+        conditions: &'static [Condition],
+        tx: &Transaction,
+        ledger: &LedgerState,
+    ) -> Result<(), ValidationError> {
+        let declared = TxType {
+            conditions,
+            ..*row(tx.operation)
+        };
+        evaluate(conditions, tx, &ReadSet::fetch(&declared, tx, ledger), None)
+    }
+
     fn bid_into(m: &Market, holder: &KeyPair) -> Transaction {
         TxBuilder::bid(m.asset.id.clone(), m.request.id.clone())
             .input(m.asset.id.clone(), 0, vec![m.alice.public_hex()])
@@ -728,7 +763,7 @@ mod tests {
         let m = market();
         let bid = bid_into(&m, &m.escrow);
         let c_bid = row(Operation::Bid).conditions;
-        assert_eq!(evaluate(c_bid, &bid, &m.ledger, None), Ok(()));
+        assert_eq!(run(c_bid, &bid, &m.ledger), Ok(()));
     }
 
     #[test]
@@ -743,11 +778,10 @@ mod tests {
         m.request = fancy;
         let bid = bid_into(&m, &m.escrow);
         assert_eq!(
-            evaluate(
+            run(
                 &[OneRequestAmongReferences, OffersRequestedCapabilities],
                 &bid,
-                &m.ledger,
-                None
+                &m.ledger
             ),
             Err(ValidationError::InsufficientCapabilities {
                 missing: vec!["welding".to_owned()]
@@ -774,52 +808,82 @@ mod tests {
         // Shaped as a BID-like transfer into escrow referencing the
         // request as the "cause".
         let donation = bid_into(&m, &m.escrow);
-        assert_eq!(evaluate(DONATE, &donation, &m.ledger, None), Ok(()));
+        assert_eq!(run(DONATE, &donation, &m.ledger), Ok(()));
         let kept = bid_into(&m, &m.alice);
         assert_eq!(
-            evaluate(DONATE, &kept, &m.ledger, None),
+            run(DONATE, &kept, &m.ledger),
             Err(ValidationError::NotEscrowOutput { output_index: 0 })
         );
     }
 
-    /// A slice that uses what no earlier condition resolved is refused
-    /// with an error, not a panic.
+    /// A slice that uses what no earlier condition resolved, or reads a
+    /// key its row did not declare, is refused with an error, not a
+    /// panic: here every slice runs over the lookups a BID declares,
+    /// which hold no accept slot for `NoAcceptYet` to read.
     #[test]
     fn a_misordered_slice_is_an_error() {
         let m = market();
         let bid = bid_into(&m, &m.escrow);
-        for misordered in [&[Balanced][..], &[RequestIsFirstReference], &[WinnerLocked]] {
+        let reads = ReadSet::fetch(row(Operation::Bid), &bid, &m.ledger);
+        for misordered in [
+            &[Balanced][..],
+            &[RequestIsFirstReference],
+            &[WinnerLocked],
+            &[OneRequestAmongReferences, NoAcceptYet],
+        ] {
             assert!(matches!(
-                evaluate(misordered, &bid, &m.ledger, None),
+                evaluate(misordered, &bid, &reads, None),
                 Err(ValidationError::Semantic(_))
             ));
         }
     }
 
-    /// The marketplace keys a row's conditions declare, which the
-    /// footprint is built from: ACCEPT_BID reads the locked-bid set
+    /// The marketplace keys the derived footprints read, from the lookups
+    /// the rows' conditions declare: ACCEPT_BID reads the locked-bid set
     /// (three conditions walk it — once) and not the accept slot it
-    /// writes; RETURN reads the accept slot; nothing else reads any.
+    /// writes; RETURN reads the accept slot; nothing else reads any. A
+    /// type that touches a marketplace key says whose it is.
     #[test]
     fn rows_declare_their_marketplace_reads() {
-        let reads = |op| row(op).reads().collect::<Vec<_>>();
-        assert_eq!(reads(Operation::AcceptBid), [MarketKey::Bids]);
-        assert_eq!(reads(Operation::Return), [MarketKey::Accept]);
-        for op in [
-            Operation::Create,
-            Operation::Request,
-            Operation::Transfer,
-            Operation::Bid,
-        ] {
-            assert!(reads(op).is_empty(), "{op}");
-        }
-        // A type that touches a marketplace key says whose it is.
-        for op in Operation::ALL {
-            let row = row(op);
+        let mut m = market();
+        let sally = KeyPair::from_seed([0x5A; 32]);
+        let bid = bid_into(&m, &m.escrow);
+        m.ledger.apply(&bid).unwrap();
+        let accept = TxBuilder::accept_bid(bid.id.clone(), m.request.id.clone())
+            .input(bid.id.clone(), 0, vec![m.escrow.public_hex()])
+            .output_with_prev(sally.public_hex(), 1, vec![m.escrow.public_hex()])
+            .sign(&[&sally]);
+        let give_back = TxBuilder::bid_return(m.asset.id.clone(), bid.id.clone())
+            .input(bid.id.clone(), 0, vec![m.escrow.public_hex()])
+            .output_with_prev(m.alice.public_hex(), 1, vec![m.escrow.public_hex()])
+            .sign(&[&m.escrow]);
+        let transfer = TxBuilder::transfer(m.asset.id.clone())
+            .input(m.asset.id.clone(), 0, vec![m.alice.public_hex()])
+            .output_with_prev(sally.public_hex(), 1, vec![m.alice.public_hex()])
+            .sign(&[&m.alice]);
+        let request = m.request.id.clone();
+        let market_keys = |keys: &[ConflictKey]| {
+            let market =
+                |k: &&ConflictKey| matches!(k, ConflictKey::Bids(_) | ConflictKey::Accept(_));
+            keys.iter().filter(market).cloned().collect::<Vec<_>>()
+        };
+        for tx in [&m.asset, &m.request, &transfer, &bid, &accept, &give_back] {
+            let (fp, _) = footprint(tx, |id| m.ledger.get(id));
+            let reads = market_keys(&fp.reads);
+            match tx.operation {
+                Operation::AcceptBid => {
+                    assert_eq!(reads, [ConflictKey::Bids(request.clone())]);
+                    assert!(fp.writes.contains(&ConflictKey::Accept(request.clone())));
+                }
+                Operation::Return => assert_eq!(reads, [ConflictKey::Accept(request.clone())]),
+                op => assert!(reads.is_empty(), "{op}"),
+            }
+            let touches = !reads.is_empty() || !market_keys(&fp.writes).is_empty();
             assert_eq!(
-                row.request.is_some(),
-                row.writes.is_some() || row.reads().next().is_some(),
-                "{op}"
+                row(tx.operation).request.is_some(),
+                touches,
+                "{}",
+                tx.operation
             );
         }
     }

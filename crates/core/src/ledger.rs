@@ -178,11 +178,6 @@ impl LedgerState {
         Ok(ledger)
     }
 
-    /// The reserved-account set.
-    pub fn reserved_accounts(&self) -> impl Iterator<Item = &String> {
-        self.reserved.iter()
-    }
-
     /// Number of committed transactions.
     pub fn len(&self) -> usize {
         self.txs.len()
@@ -396,8 +391,8 @@ impl LedgerView for LedgerState {
         self.utxos.get(output)
     }
 
-    fn is_reserved(&self, public_key_hex: &str) -> bool {
-        self.reserved.contains(public_key_hex)
+    fn reserved(&self) -> &HashSet<String> {
+        &self.reserved
     }
 
     fn locked_bids_for_request(&self, request_id: &str) -> Vec<&Transaction> {
@@ -516,9 +511,9 @@ mod tests {
     fn reserved_account_registry() {
         let mut ledger = LedgerState::new();
         ledger.add_reserved_account("e5".repeat(32));
-        assert!(ledger.is_reserved(&"e5".repeat(32)));
-        assert!(!ledger.is_reserved(&"00".repeat(32)));
-        assert_eq!(ledger.reserved_accounts().count(), 1);
+        assert!(ledger.reserved().contains(&"e5".repeat(32)));
+        assert!(!ledger.reserved().contains(&"00".repeat(32)));
+        assert_eq!(ledger.reserved().len(), 1);
     }
 
     #[test]

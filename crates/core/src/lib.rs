@@ -11,7 +11,8 @@
 //!   Prepare-and-Sign templates);
 //! * [`conditions`] — the declaration: one `static` row per operation
 //!   holding its condition set `C_α` (Definitions 3–4, Algorithms 2–3),
-//!   its signers and the marketplace keys it reads and writes;
+//!   the ledger lookups those conditions declare, its signers and the
+//!   marketplace key it writes;
 //! * [`validate`] — the evaluator: stateless screen, signatures, then
 //!   the operation's row over a [`LedgerState`];
 //! * [`pipeline`] — footprint-scheduled batch-parallel commit, its
@@ -62,8 +63,8 @@ pub use nested::{
 pub use pipeline::{
     choose_schedule, commit_batch, commit_batch_planned, commit_batch_with_gossip,
     derive_footprints, footprint, footprints_conflict, plan_schedule, schedule_waves,
-    unresolved_links, verify_schedule, BatchOutcome, ConflictKey, Footprint, PipelineOptions,
-    ScheduleError, ScheduleSource, TxLookup, WaveSchedule,
+    verify_schedule, BatchOutcome, ConflictKey, Footprint, PipelineOptions, ScheduleError,
+    ScheduleSource, WaveSchedule,
 };
 pub use verified::{VerifiedSigners, VerifiedStats};
 pub use view::LedgerView;

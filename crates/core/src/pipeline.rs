@@ -11,8 +11,10 @@
 //! (Bartoletti et al.; Dickerson et al., see PAPERS.md):
 //!
 //! 1. **Footprints** — [`footprint`] derives, per transaction and
-//!    without touching signatures, the set of [`ConflictKey`]s it reads
-//!    and writes.
+//!    without touching signatures, the [`ConflictKey`]s it reads and
+//!    writes. The reads are the keys of the ledger lookups its row's
+//!    conditions declare — the same list validation fetches — so a
+//!    condition cannot consult state the schedule does not order.
 //! 2. **Waves** — [`schedule_waves`] layers the batch: a transaction
 //!    lands one wave after the last earlier transaction it conflicts
 //!    with (read–write or write–write on any key). Non-conflicting
@@ -35,13 +37,13 @@
 //! `validate_transaction` + `LedgerState::apply` replay is the oracle
 //! the differential tests pin it against.
 
-use crate::conditions::{row, MarketKey, RequestLink};
+use crate::conditions::{bid_request, row, MarketKey};
 use crate::errors::ValidationError;
 use crate::ledger::LedgerState;
-use crate::model::{AssetRef, Transaction};
+use crate::model::Transaction;
 use crate::par::parallel_map;
 use crate::validate::validate_transaction;
-use crate::view::LedgerView;
+use crate::view::{LedgerView, Lookup};
 use scdb_json::Value;
 use scdb_store::FsyncLevel;
 use scdb_telemetry::{env_flag, CommitTrace, Stopwatch, Telemetry};
@@ -84,108 +86,66 @@ pub fn footprints_conflict(a: &Footprint, b: &Footprint) -> bool {
     overlaps(&a.writes, &b.writes) || overlaps(&a.writes, &b.reads) || overlaps(&a.reads, &b.writes)
 }
 
-/// Resolves not-yet-committed transactions by id when [`footprint`]
-/// chases links to other members of the same batch (or, for the
-/// mempool, to other pending transactions). Implemented by the batch
-/// map [`plan_schedule`] builds and by `scdb-mempool`'s standing pool —
-/// which is why this is a trait and not a concrete `HashMap`: the pool
-/// cannot hand out a self-referential map of its own entries.
-pub trait TxLookup {
-    fn lookup(&self, id: &str) -> Option<&Transaction>;
-}
-
-impl TxLookup for HashMap<&str, &Transaction> {
-    fn lookup(&self, id: &str) -> Option<&Transaction> {
-        self.get(id).copied()
-    }
-}
-
-/// The empty batch: every link resolves against committed state only.
-impl TxLookup for () {
-    fn lookup(&self, _id: &str) -> Option<&Transaction> {
-        None
-    }
-}
-
-/// Resolves the REQUEST a bid belongs to — a bid being a transaction
-/// whose row joins its REQUEST's locked-bid set — looking first at batch
-/// members (the bid may commit earlier in this very batch), then at
-/// committed state.
-fn request_of_bid(bid_id: &str, by_id: &impl TxLookup, ledger: &impl LedgerView) -> Option<String> {
-    let bid = by_id.lookup(bid_id).or_else(|| ledger.get(bid_id))?;
-    if row(bid.operation).writes != Some(MarketKey::Bids) {
-        return None;
-    }
-    bid.references.first().cloned()
-}
-
-/// Derives the read/write footprint of one transaction.
+/// Derives the read/write footprint of one transaction, and the ids it
+/// could not resolve.
 ///
-/// `by_id` indexes the whole batch so footprints can chase intra-batch
-/// links (a RETURN whose BID commits earlier in the same batch);
-/// `ledger` resolves links to already-committed state.
-pub fn footprint(tx: &Transaction, by_id: &impl TxLookup, ledger: &impl LedgerView) -> Footprint {
-    let mut fp = Footprint::default();
-
-    // The transaction brings its id into existence.
-    fp.writes.push(ConflictKey::Id(tx.id.clone()));
-
-    // Spent outputs: write-points (consumed), and their owning ids are
-    // read (the spent transaction must exist). ACCEPT_BID's inputs are
-    // not spent at apply time, but validation reads their unspentness
-    // and the children will consume them — treating them as writes
-    // orders the acceptance against anything else touching the escrow.
-    for input in &tx.inputs {
-        if let Some(f) = &input.fulfills {
-            fp.writes
-                .push(ConflictKey::Output(f.tx_id.clone(), f.output_index));
-            fp.reads.push(ConflictKey::Id(f.tx_id.clone()));
-            // Spending a BID's escrow output mutates the locked-bid set
-            // of that bid's REQUEST (it may unlock the bid).
-            if let Some(request) = request_of_bid(&f.tx_id, by_id, ledger) {
-                fp.writes.push(ConflictKey::Bids(request));
-            }
+/// Reads are the keys of the lookups the row's conditions declare (the
+/// list validation fetches), less the marketplace key the row writes.
+/// Writes are its own id, the outputs it spends (ACCEPT_BID's too: its
+/// children consume them), the locked-bid set of each bid it spends from
+/// (the spend may unlock the bid) and the row's marketplace key.
+/// `resolve` follows links: batch members first, then committed state.
+/// An id it cannot find may hide a `Bids` write; re-derive once it shows.
+pub fn footprint<'a>(
+    tx: &'a Transaction,
+    resolve: impl Fn(&str) -> Option<&'a Transaction>,
+) -> (Footprint, Vec<String>) {
+    let mut unresolved = Vec::new();
+    let mut follow = |id: &str| {
+        let found = resolve(id);
+        if found.is_none() {
+            unresolved.push(id.to_owned());
         }
-    }
-
-    // References are reads of the referenced ids.
-    for r in &tx.references {
-        fp.reads.push(ConflictKey::Id(r.clone()));
-    }
-
-    // The asset anchor is a read.
-    match &tx.asset {
-        AssetRef::Id(id) | AssetRef::WinBid(id) => fp.reads.push(ConflictKey::Id(id.clone())),
-        AssetRef::Data(_) => {}
-    }
-
-    // Nested-settlement linkage recorded in metadata.
-    for key in ["parent", "settles_bid"] {
-        if let Some(id) = tx.metadata.get(key).and_then(Value::as_str) {
-            fp.reads.push(ConflictKey::Id(id.to_owned()));
-        }
-    }
-
-    // Marketplace keys, from the type's row: what its conditions declare
-    // they read of its REQUEST (ACCEPT_BID walks the whole locked-bid
-    // set; a RETURN is valid only once the accept slot is claimed) and
-    // the index its commit writes (a BID appends to the bid set — two
-    // bids on one request conflict — an ACCEPT_BID claims the slot).
+        found
+    };
     let row = row(tx.operation);
-    let request = tx.references.first().and_then(|first| match row.request? {
-        RequestLink::FirstReference => Some(first.clone()),
-        RequestLink::BidAtFirstReference => request_of_bid(first, by_id, ledger),
-    });
-    if let Some(request) = request {
-        let conflict_key = |key| match key {
-            MarketKey::Bids => ConflictKey::Bids(request.clone()),
-            MarketKey::Accept => ConflictKey::Accept(request.clone()),
-        };
-        fp.reads.extend(row.reads().map(conflict_key));
-        fp.writes.extend(row.writes.map(conflict_key));
+    let mut fp = Footprint::default();
+    fp.writes.push(ConflictKey::Id(tx.id.clone()));
+    for f in tx.inputs.iter().filter_map(|i| i.fulfills.as_ref()) {
+        fp.writes
+            .push(ConflictKey::Output(f.tx_id.clone(), f.output_index));
+        if let Some(request) = follow(&f.tx_id).and_then(bid_request) {
+            fp.writes.push(ConflictKey::Bids(request.to_owned()));
+        }
     }
-
-    fp
+    let request = row.request_of(tx, &mut follow);
+    let written = row.writes.zip(request).map(|(key, request)| match key {
+        MarketKey::Bids => ConflictKey::Bids(request.to_owned()),
+        MarketKey::Accept => ConflictKey::Accept(request.to_owned()),
+    });
+    // A UTXO entry changes when its transaction commits (`Id`) and when
+    // it is spent (`Output`); the locked bids with their outputs' entries
+    // change only under a `Bids` write.
+    let mut read = |key: ConflictKey| {
+        if written.as_ref() != Some(&key) && !fp.reads.contains(&key) {
+            fp.reads.push(key);
+        }
+    };
+    for lookup in row.lookups(tx, request) {
+        match lookup {
+            Lookup::Tx(id) => read(ConflictKey::Id(id.to_owned())),
+            Lookup::Utxo(id, index) => {
+                read(ConflictKey::Id(id.to_owned()));
+                read(ConflictKey::Output(id.to_owned(), index));
+            }
+            Lookup::LockedBids(request) => read(ConflictKey::Bids(request.to_owned())),
+            Lookup::Accept(request) => read(ConflictKey::Accept(request.to_owned())),
+        }
+    }
+    fp.writes.extend(written);
+    unresolved.sort_unstable();
+    unresolved.dedup();
+    (fp, unresolved)
 }
 
 /// Assigns every batch member to a wave: one past the latest earlier
@@ -404,7 +364,7 @@ pub fn derive_footprints(batch: &[Arc<Transaction>], ledger: &impl LedgerView) -
         .collect();
     batch
         .iter()
-        .map(|tx| footprint(tx, &by_id, ledger))
+        .map(|tx| footprint(tx, |id| by_id.get(id).copied().or_else(|| ledger.get(id))).0)
         .collect()
 }
 
@@ -679,41 +639,6 @@ pub fn choose_schedule(
         ),
         None => (build_schedule(footprints), ScheduleSource::Rederived(None)),
     }
-}
-
-/// Ids a footprint derivation could not resolve on either side — spent
-/// transactions and the bid a RETURN-like row reaches its REQUEST
-/// through ([`RequestLink::BidAtFirstReference`]) that are neither pending in
-/// `pool` (the batch, or a mempool's standing set) nor committed on
-/// `ledger`. A footprint derived with unresolved links can
-/// *under-approximate* (the classic case: spending a not-yet-seen BID's
-/// escrow output misses the `Bids(request)` write), so callers caching
-/// footprints must re-derive when any of these ids later appears — the
-/// mempool refreshes on arrival/drain on exactly this test.
-pub fn unresolved_links(
-    tx: &Transaction,
-    pool: &impl TxLookup,
-    ledger: &impl LedgerView,
-) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut note = |id: &str| {
-        if pool.lookup(id).is_none() && !ledger.is_committed(id) {
-            out.push(id.to_owned());
-        }
-    };
-    for input in &tx.inputs {
-        if let Some(f) = &input.fulfills {
-            note(&f.tx_id);
-        }
-    }
-    if row(tx.operation).request == Some(RequestLink::BidAtFirstReference) {
-        if let Some(bid) = tx.references.first() {
-            note(bid);
-        }
-    }
-    out.sort_unstable();
-    out.dedup();
-    out
 }
 
 /// Validates and commits a batch through the conflict-aware pipeline.

@@ -5,16 +5,16 @@
 //! duplicate check, then evaluates the type's condition set `C_α` —
 //! the row [`crate::conditions`] declares for the operation (§3.2;
 //! `validateT_BID` = Algorithm 2 and `validateT_ACCEPT_BID` =
-//! Algorithm 3's first part are rows there) — against the committed
-//! ledger. This file holds no per-type rule: it is the stateless screen,
-//! the signature checks (serial, pooled and batched) and `evaluate`.
+//! Algorithm 3's first part are rows there) — over the ledger reads the
+//! row declares. This file holds no per-type rule: it is the stateless
+//! screen and the signature checks (serial, pooled and batched).
 
-use crate::conditions::{row, Condition, Evaluation, Signers};
+use crate::conditions::{evaluate, row, Signers};
 use crate::errors::ValidationError;
 use crate::model::Transaction;
 use crate::par::map_chunks;
 use crate::verified::VerifiedSigners;
-use crate::view::LedgerView;
+use crate::view::{LedgerView, ReadSet};
 use scdb_crypto::{MultiSignature, PublicKey, Signature};
 use std::sync::Arc;
 
@@ -44,23 +44,9 @@ pub fn validate_transaction(
         return Err(ValidationError::DuplicateTransaction(tx.id.clone()));
     }
 
-    evaluate(row(tx.operation).conditions, tx, ledger, verified)
-}
-
-/// Evaluates a condition set against `ledger`: the slice is the
-/// conjunction, in order, and the first condition that fails is the
-/// verdict. `verified` is what the ledger's verified set vouches for, if
-/// anything — the signature conditions skip what it covers.
-pub(crate) fn evaluate(
-    conditions: &[Condition],
-    tx: &Transaction,
-    ledger: &impl LedgerView,
-    verified: Option<&VerifiedSigners>,
-) -> Result<(), ValidationError> {
-    let mut evaluation = Evaluation::new(tx, ledger, verified);
-    conditions
-        .iter()
-        .try_for_each(|condition| condition.check(&mut evaluation))
+    let row = row(tx.operation);
+    let reads = ReadSet::fetch(row, tx, ledger);
+    evaluate(row.conditions, tx, &reads, verified)
 }
 
 /// The stateless screen every entry point shares — this function, pooled

@@ -1,18 +1,25 @@
-//! The read-only ledger surface validation runs against.
+//! The ledger surface validation reads, and the part one transaction
+//! may see of it.
 //!
-//! Validation (Algorithms 1–3, the `C_α` condition sets) only ever
-//! *reads* committed state. [`LedgerView`] captures exactly that read
-//! surface, so the same validators run against a live
-//! [`LedgerState`](crate::LedgerState) on the sequential path and
-//! against an immutable snapshot shared by worker threads on the
-//! batch-parallel path ([`crate::pipeline`]). Because every method
-//! takes `&self` and implementors are `Sync`, one snapshot can serve
-//! any number of concurrent validators.
+//! [`LedgerView`] is the read-only surface over committed state: a live
+//! [`LedgerState`](crate::LedgerState) on the sequential path, an
+//! immutable snapshot shared by worker threads on the batch-parallel
+//! path ([`crate::pipeline`]). Every method takes `&self` and
+//! implementors are `Sync`, so one snapshot serves any number of
+//! concurrent validators.
+//!
+//! No condition holds the view. Each declares its `Lookup`s, a row's
+//! lookups are resolved once into a `ReadSet`, and `Condition::check`
+//! reads only that — a key the row did not declare is an `Err`. The
+//! conflict footprint reads the keys of the same lookups.
 
+use crate::conditions::TxType;
+use crate::errors::ValidationError;
 use crate::model::{AssetRef, Operation, Transaction};
 use crate::verified::VerifiedSigners;
 use scdb_json::Value;
 use scdb_store::{OutputRef, Utxo};
+use std::collections::HashSet;
 
 /// Read-only view of committed ledger state.
 ///
@@ -35,8 +42,8 @@ pub trait LedgerView: Sync {
     /// output exists.
     fn utxo(&self, output: &OutputRef) -> Option<Utxo>;
 
-    /// True when the key belongs to the reserved registry `PBPK-ℛℯ𝓈`.
-    fn is_reserved(&self, public_key_hex: &str) -> bool;
+    /// The reserved registry `PBPK-ℛℯ𝓈` (hex public keys).
+    fn reserved(&self) -> &HashSet<String>;
 
     /// `getLockedBids`: committed BIDs referencing a REQUEST whose
     /// escrow output is still unspent.
@@ -69,27 +76,13 @@ pub trait LedgerView: Sync {
 
     /// The capability strings of a REQUEST (`getCapsFromRFQ`, Alg. 2).
     fn request_capabilities(&self, request: &Transaction) -> Vec<String> {
-        capability_list(match &request.asset {
-            AssetRef::Data(data) => data,
-            _ => return Vec::new(),
-        })
+        capabilities(request)
     }
 
     /// The capability strings of an asset (`getCapsFromAsset`, Alg. 2):
     /// looked up from the CREATE transaction that minted it.
     fn asset_capabilities(&self, asset_id: &str) -> Vec<String> {
-        match self.get(asset_id) {
-            Some(create) => match &create.asset {
-                AssetRef::Data(data) => capability_list(data),
-                _ => Vec::new(),
-            },
-            None => Vec::new(),
-        }
-    }
-
-    /// True when the output exists and has not been spent.
-    fn is_unspent_output(&self, output: &OutputRef) -> bool {
-        self.utxo(output).is_some_and(|u| u.spent_by.is_none())
+        self.get(asset_id).map(capabilities).unwrap_or_default()
     }
 
     /// Verified-set lookup ([`crate::verified`]): the signer set `tx`
@@ -115,14 +108,112 @@ pub trait LedgerView: Sync {
     fn record_verified(&self, _id: &str, _signers: VerifiedSigners) {}
 }
 
-/// Reads `capabilities` (a string array) out of an asset-data object.
-pub(crate) fn capability_list(data: &Value) -> Vec<String> {
-    data.get("capabilities")
-        .and_then(Value::as_array)
-        .map(|a| {
-            a.iter()
-                .filter_map(|v| v.as_str().map(str::to_owned))
-                .collect()
-        })
-        .unwrap_or_default()
+/// The `capabilities` strings of a transaction's asset data
+/// (`getCapsFromRFQ` / `getCapsFromAsset`); empty without any.
+pub(crate) fn capabilities(tx: &Transaction) -> Vec<String> {
+    let list = match &tx.asset {
+        AssetRef::Data(data) => data.get("capabilities").and_then(Value::as_array),
+        _ => None,
+    };
+    let strings = list.into_iter().flatten().filter_map(Value::as_str);
+    strings.map(str::to_owned).collect()
+}
+
+/// One ledger read a condition declares, keyed off the transaction's
+/// content or the REQUEST its row links to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Lookup<'a> {
+    /// `getTxFromDB`: a committed transaction by id.
+    Tx(&'a str),
+    /// One output's UTXO entry, by `(tx id, index)`.
+    Utxo(&'a str, u32),
+    /// `getLockedBids` of a REQUEST: its locked bids, each with the UTXO
+    /// entries of all its outputs.
+    LockedBids(&'a str),
+    /// `getAcceptTxForRFQ`: the ACCEPT_BID committed for a REQUEST.
+    Accept(&'a str),
+}
+
+/// A locked bid and the UTXO entry of each of its outputs, by index.
+pub(crate) type LockedBid<'a> = (&'a Transaction, Vec<Option<Utxo>>);
+
+/// The ledger state one row's lookups resolved to, each entry under the
+/// lookup that fetched it: all its conditions see of the ledger.
+pub(crate) struct ReadSet<'a> {
+    /// `Tx` and `Accept` lookups.
+    txs: Vec<(Lookup<'a>, Option<&'a Transaction>)>,
+    utxos: Vec<(Lookup<'a>, Option<Utxo>)>,
+    locked_bids: Vec<(Lookup<'a>, Vec<LockedBid<'a>>)>,
+    /// The reserved registry: configuration no commit writes, so it is
+    /// borrowed, not declared.
+    reserved: &'a HashSet<String>,
+}
+
+impl<'a> ReadSet<'a> {
+    /// Resolves every lookup `row`'s conditions declare for `tx`, once.
+    /// A RETURN's REQUEST is reached through its committed bid.
+    pub(crate) fn fetch(
+        row: &TxType,
+        tx: &'a Transaction,
+        ledger: &'a impl LedgerView,
+    ) -> ReadSet<'a> {
+        let utxo = |id: &str, i| ledger.utxo(&OutputRef::new(id, i));
+        let mut reads = ReadSet {
+            txs: Vec::new(),
+            utxos: Vec::new(),
+            locked_bids: Vec::new(),
+            reserved: ledger.reserved(),
+        };
+        for lookup in row.lookups(tx, row.request_of(tx, |id| ledger.get(id))) {
+            match lookup {
+                Lookup::Tx(id) => reads.txs.push((lookup, ledger.get(id))),
+                Lookup::Accept(r) => reads.txs.push((lookup, ledger.accept_for_request(r))),
+                Lookup::Utxo(id, i) => reads.utxos.push((lookup, utxo(id, i))),
+                Lookup::LockedBids(r) => {
+                    let bids = ledger.locked_bids_for_request(r).into_iter().map(|bid| {
+                        let entries = (0..bid.outputs.len() as u32).map(|i| utxo(&bid.id, i));
+                        (bid, entries.collect())
+                    });
+                    reads.locked_bids.push((lookup, bids.collect()));
+                }
+            }
+        }
+        reads
+    }
+
+    /// A committed transaction by id.
+    pub(crate) fn tx(&self, id: &str) -> Result<Option<&'a Transaction>, ValidationError> {
+        declared(&self.txs, Lookup::Tx(id)).copied()
+    }
+
+    /// One output's UTXO entry.
+    pub(crate) fn utxo(&self, id: &str, i: u32) -> Result<Option<&Utxo>, ValidationError> {
+        declared(&self.utxos, Lookup::Utxo(id, i)).map(Option::as_ref)
+    }
+
+    /// A REQUEST's locked bids, with their outputs' UTXO entries.
+    pub(crate) fn locked_bids(&self, request: &str) -> Result<&[LockedBid<'a>], ValidationError> {
+        declared(&self.locked_bids, Lookup::LockedBids(request)).map(Vec::as_slice)
+    }
+
+    /// The ACCEPT_BID committed for a REQUEST.
+    pub(crate) fn accept(&self, request: &str) -> Result<Option<&'a Transaction>, ValidationError> {
+        declared(&self.txs, Lookup::Accept(request)).copied()
+    }
+
+    /// True when the key belongs to the reserved registry.
+    pub(crate) fn is_reserved(&self, public_key_hex: &str) -> bool {
+        self.reserved.contains(public_key_hex)
+    }
+}
+
+/// The entry `lookup` fetched — an `Err` when the row did not declare it.
+fn declared<'s, V>(
+    entries: &'s [(Lookup<'_>, V)],
+    lookup: Lookup<'_>,
+) -> Result<&'s V, ValidationError> {
+    let entry = entries.iter().find(|(fetched, _)| *fetched == lookup);
+    entry.map(|(_, v)| v).ok_or_else(|| {
+        ValidationError::Semantic(format!("{lookup:?} is not a lookup this row declares"))
+    })
 }

@@ -3,9 +3,7 @@
 use crate::index::FootprintIndex;
 use crate::pack::pack_batch;
 use scdb_core::conditions::{row, Signers};
-use scdb_core::pipeline::{
-    footprint, unresolved_links, ConflictKey, Footprint, TxLookup, WaveSchedule,
-};
+use scdb_core::pipeline::{footprint, ConflictKey, Footprint, WaveSchedule};
 use scdb_core::validate::{
     batch_verify_signed_by, requester_keys, stateless_screen, verify_input_signatures_over,
 };
@@ -291,19 +289,6 @@ pub struct Mempool {
     /// Unresolved id → pending members awaiting it.
     waiting_on: HashMap<String, BTreeSet<u64>>,
     stats: MempoolStats,
-}
-
-/// Footprint resolution over the pool's own pending set.
-struct PoolLookup<'a> {
-    by_id: &'a HashMap<String, u64>,
-    pending: &'a BTreeMap<u64, PendingTx>,
-}
-
-impl TxLookup for PoolLookup<'_> {
-    fn lookup(&self, id: &str) -> Option<&Transaction> {
-        let seq = self.by_id.get(id)?;
-        Some(&self.pending[seq].tx)
-    }
 }
 
 impl Default for Mempool {
@@ -625,12 +610,8 @@ impl Mempool {
         accept_sig_checked: bool,
         ledger: &impl LedgerView,
     ) -> (bool, usize) {
-        let lookup = PoolLookup {
-            by_id: &self.by_id,
-            pending: &self.pending,
-        };
-        let footprint = footprint(&tx, &lookup, ledger);
-        let unresolved = unresolved_links(&tx, &lookup, ledger);
+        let pending = |id: &str| self.by_id.get(id).map(|seq| &*self.pending[seq].tx);
+        let (footprint, unresolved) = footprint(&tx, |id| pending(id).or_else(|| ledger.get(id)));
         let flagged = self.suspected_double_spend(&footprint, ledger);
         let conflicts = self.index.conflicts_with(&footprint).len();
 

@@ -18,7 +18,7 @@ use crate::{Mempool, MempoolConfig};
 use proptest::prelude::*;
 use scdb_core::pipeline::{footprint, footprints_conflict, Footprint};
 use scdb_core::validate::validate_transaction;
-use scdb_core::{LedgerState, Transaction, TxBuilder};
+use scdb_core::{LedgerState, LedgerView, Transaction, TxBuilder};
 use scdb_crypto::KeyPair;
 use scdb_json::{arr, obj};
 use std::collections::HashMap;
@@ -142,7 +142,7 @@ proptest! {
             let fresh: Vec<Footprint> = batch
                 .txs
                 .iter()
-                .map(|t| footprint(t, &by_id, &ledger))
+                .map(|t| footprint(t, |id| by_id.get(id).copied().or_else(|| ledger.get(id))).0)
                 .collect();
 
             for wave in &batch.schedule.waves {

@@ -27,7 +27,14 @@ pub enum YamlError {
     BadIndent(usize),
     /// Duplicate mapping key.
     DuplicateKey(usize, String),
+    /// Blocks nested deeper than 128 (the line that opens the first
+    /// block past the bound).
+    TooDeep(usize),
 }
+
+/// How deep blocks may nest: the bound `scdb_json::parse` puts on JSON
+/// nesting, so a hostile document is refused, not a stack overflow.
+const MAX_DEPTH: usize = 128;
 
 impl fmt::Display for YamlError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -41,6 +48,7 @@ impl fmt::Display for YamlError {
             }
             YamlError::BadIndent(l) => write!(f, "line {l}: inconsistent indentation"),
             YamlError::DuplicateKey(l, k) => write!(f, "line {l}: duplicate key {k:?}"),
+            YamlError::TooDeep(l) => write!(f, "line {l}: nested deeper than {MAX_DEPTH} blocks"),
         }
     }
 }
@@ -83,7 +91,7 @@ pub fn parse_yaml(input: &str) -> Result<Value, YamlError> {
     }
     let mut parser = Parser { lines, pos: 0 };
     let indent = parser.lines[0].indent;
-    let v = parser.block(indent)?;
+    let v = parser.block(indent, 0)?;
     if parser.pos < parser.lines.len() {
         return Err(YamlError::BadIndent(parser.lines[parser.pos].number));
     }
@@ -125,19 +133,23 @@ impl Parser {
         self.lines.get(self.pos)
     }
 
-    fn block(&mut self, indent: usize) -> Result<Value, YamlError> {
+    /// The block at `indent`, `depth` blocks below the document's.
+    fn block(&mut self, indent: usize, depth: usize) -> Result<Value, YamlError> {
         let first = self.peek().expect("block called with lines remaining");
+        if depth > MAX_DEPTH {
+            return Err(YamlError::TooDeep(first.number));
+        }
         if first.indent != indent {
             return Err(YamlError::BadIndent(first.number));
         }
         if first.text.starts_with("- ") || first.text == "-" {
-            self.sequence(indent)
+            self.sequence(indent, depth)
         } else {
-            self.mapping(indent)
+            self.mapping(indent, depth)
         }
     }
 
-    fn sequence(&mut self, indent: usize) -> Result<Value, YamlError> {
+    fn sequence(&mut self, indent: usize, depth: usize) -> Result<Value, YamlError> {
         let mut items = Vec::new();
         while let Some(line) = self.peek() {
             if line.indent < indent {
@@ -157,7 +169,7 @@ impl Parser {
                 match self.peek() {
                     Some(next) if next.indent > indent => {
                         let child_indent = next.indent;
-                        items.push(self.block(child_indent)?);
+                        items.push(self.block(child_indent, depth + 1)?);
                     }
                     _ => items.push(Value::Null),
                 }
@@ -172,7 +184,7 @@ impl Parser {
                 };
                 // Any following lines of this item are deeper than `indent`;
                 // they must sit at `virtual_indent` for the subset.
-                items.push(self.mapping(virtual_indent)?);
+                items.push(self.mapping(virtual_indent, depth + 1)?);
             } else {
                 items.push(parse_scalar(&rest, number)?);
                 self.pos += 1;
@@ -181,7 +193,7 @@ impl Parser {
         Ok(Value::Array(items))
     }
 
-    fn mapping(&mut self, indent: usize) -> Result<Value, YamlError> {
+    fn mapping(&mut self, indent: usize, depth: usize) -> Result<Value, YamlError> {
         let mut map = Map::new();
         while let Some(line) = self.peek() {
             if line.indent < indent {
@@ -203,7 +215,7 @@ impl Parser {
                 match self.peek() {
                     Some(next) if next.indent > indent => {
                         let child_indent = next.indent;
-                        let v = self.block(child_indent)?;
+                        let v = self.block(child_indent, depth + 1)?;
                         map.insert(key, v);
                     }
                     _ => {
@@ -546,6 +558,30 @@ items:
             parse_yaml("a: 1\na: 2\n"),
             Err(YamlError::DuplicateKey(2, _))
         ));
+    }
+
+    /// Nesting is refused at the JSON parser's depth, not by a stack
+    /// overflow that aborts the process. Level `i` is indented `i`
+    /// columns, so the document grows with the square of its depth;
+    /// 4,000 levels (8 MB) overflowed a 1 MiB stack before the bound.
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let depth = 4_000;
+        let doc: String = (0..depth)
+            .map(|i| format!("{}k:\n", " ".repeat(i)))
+            .collect();
+        let parsed = std::thread::Builder::new()
+            .stack_size(1 << 20)
+            .spawn(move || parse_yaml(&doc))
+            .expect("spawn")
+            .join()
+            .expect("no stack overflow");
+        assert_eq!(parsed, Err(YamlError::TooDeep(MAX_DEPTH + 2)));
+        // At the bound itself the document still parses.
+        let doc: String = (0..=MAX_DEPTH)
+            .map(|i| format!("{}k:\n", " ".repeat(i)))
+            .collect();
+        assert!(parse_yaml(&doc).is_ok());
     }
 
     #[test]
