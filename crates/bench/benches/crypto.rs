@@ -2,6 +2,8 @@
 //! per-transaction costs (`sha3_hexdigest` ids, Ed25519 sign/verify,
 //! multi-signatures) that the server cost model charges for.
 
+#![forbid(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -4,6 +4,8 @@
 //! effects (contract gas growth, SCDB vs ETH-SC round times) under
 //! continuous measurement.
 
+#![forbid(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use scdb_bench::{eth_round, scdb_round};
 use scdb_evm::{ReverseAuction, U256};

@@ -2,6 +2,8 @@
 //! store (indexed vs scanned queries), the UTXO set, and one consensus
 //! round — the building blocks whose costs the server model charges.
 
+#![forbid(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use scdb_consensus::{BftConfig, CountingApp, Harness};
 use scdb_json::{obj, Value};

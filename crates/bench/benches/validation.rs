@@ -2,6 +2,8 @@
 //! (Algorithms 1–3) that dominate SmartchainDB's CheckTx/DeliverTx work,
 //! measured on real transactions against a populated ledger.
 
+#![forbid(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use scdb_core::{validate::validate_transaction, LedgerState, Transaction, TxBuilder};
 use scdb_crypto::KeyPair;

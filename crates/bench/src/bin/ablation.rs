@@ -11,6 +11,8 @@
 //!
 //! Run: `cargo run --release -p scdb-bench --bin ablation [--requests 5] [--bidders 10]`
 
+#![forbid(unsafe_code)]
+
 use scdb_bench::{arg_parse, scdb_round_on, Table};
 use scdb_consensus::BftConfig;
 use scdb_server::SmartchainHarness;

@@ -8,6 +8,8 @@
 //!
 //! Run: `cargo run --release -p scdb-bench --bin fig2 [--transfers 20] [--nodes 4]`
 
+#![forbid(unsafe_code)]
+
 use scdb_bench::{arg_parse, Table};
 use scdb_evm::{EthScHarness, ExecutionRate, ReverseAuction, U256};
 use scdb_sim::SimTime;

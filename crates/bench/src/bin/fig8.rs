@@ -13,6 +13,8 @@
 //! Run: `cargo run --release -p scdb-bench --bin fig8 -- [--panel a|b|c]
 //!        [--requests 5] [--bidders 10] [--gap-ms 20]`
 
+#![forbid(unsafe_code)]
+
 use scdb_bench::{arg_parse, arg_value, eth_round, render_series, scdb_round};
 use scdb_sim::SimTime;
 use scdb_telemetry::Series;

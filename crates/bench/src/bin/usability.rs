@@ -9,6 +9,8 @@
 //!
 //! Run: `cargo run --release -p scdb-bench --bin usability`
 
+#![forbid(unsafe_code)]
+
 use scdb_bench::Table;
 use scdb_evm::solidity::{solidity_loc, solidity_total_lines, REVERSE_AUCTION_SOL};
 

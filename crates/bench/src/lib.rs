@@ -6,6 +6,8 @@
 //! paper's figures. The heavy lifting (protocols, contracts, metrics)
 //! lives in the library crates; this crate only orchestrates and prints.
 
+#![forbid(unsafe_code)]
+
 pub mod run;
 pub mod table;
 

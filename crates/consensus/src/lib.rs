@@ -18,6 +18,8 @@
 //! CPU costs (validation work, contract gas). Crash faults and proposer
 //! rotation implement the failure scenarios of §4.2.1.
 
+#![forbid(unsafe_code)]
+
 mod app;
 mod config;
 mod engine;

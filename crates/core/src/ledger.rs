@@ -428,8 +428,8 @@ impl LedgerView for LedgerState {
         self.verified.contains(id)
     }
 
-    fn record_verified(&self, id: &str, signers: VerifiedSigners) {
-        self.verified.record(id, signers);
+    fn record_verified(&self, tx: &Arc<Transaction>, signers: VerifiedSigners) {
+        self.verified.record(tx, signers);
     }
 }
 

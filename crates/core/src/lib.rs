@@ -38,6 +38,8 @@
 //! assert!(ledger.is_committed(&tx.id));
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod builder;
 pub mod conditions;
 mod errors;

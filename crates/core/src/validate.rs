@@ -23,8 +23,9 @@ use std::sync::Arc;
 /// The stateless part — schema, id digest, signatures — runs once per
 /// ledger: when an earlier stage (mempool admission, the drain-time
 /// ACCEPT_BID check, CheckTx) already ran it and recorded the id in the
-/// ledger's verified set, and the object in hand still hashes to that
-/// id, only the duplicate check and the stateful per-type rules remain.
+/// ledger's verified set, and the object in hand is the recorded
+/// allocation or still hashes to that id, only the duplicate check and
+/// the stateful per-type rules remain.
 /// Ids are digests of the whole body, fulfillments included, so the
 /// skipped checks would pass again on the same bytes: a hit and a miss
 /// always return the same verdict. On a miss the order is the oracle's:
@@ -73,11 +74,12 @@ pub fn stateless_screen(
 /// Records a transaction that just passed [`validate_transaction`]
 /// against `ledger` in that ledger's verified set, so the next
 /// validation there (CheckTx → DeliverTx on one replica) skips the
-/// stateless checks. An ACCEPT_BID is recorded against the requester
-/// its REQUEST resolves to.
-pub fn record_validated(tx: &Transaction, ledger: &impl LedgerView) {
+/// stateless checks — without an id recompute when it validates this
+/// same `Arc`. An ACCEPT_BID is recorded against the requester its
+/// REQUEST resolves to.
+pub fn record_validated(tx: &Arc<Transaction>, ledger: &impl LedgerView) {
     if let Some(signers) = signers_to_vouch_for(tx, ledger) {
-        ledger.record_verified(&tx.id, signers);
+        ledger.record_verified(tx, signers);
     }
 }
 
@@ -118,24 +120,25 @@ pub struct PooledVerification {
 /// a full [`validate_transaction`]. Nothing is decided here: a member
 /// that fails is left unrecorded, so the validation that follows takes
 /// the unchanged miss path and names the error with its usual string
-/// and precedence. Candidates are selected by membership alone
-/// ([`LedgerView::is_verified_id`]) — a present id pays its id digest
-/// once, in [`validate_transaction`]'s lookup.
+/// and precedence. Each member is recorded pinned to its `Arc` in
+/// `txs`, so validating those same `Arc`s hits without an id recompute.
+/// Candidates are selected by membership alone
+/// ([`LedgerView::is_verified_id`]) — a present id is left to
+/// [`validate_transaction`]'s lookup, which binds the object in hand.
 pub fn record_validated_batch(
     txs: &[Arc<Transaction>],
     ledger: &impl LedgerView,
     workers: usize,
 ) -> PooledVerification {
-    let candidates: Vec<&Transaction> = txs
+    let candidates: Vec<&Arc<Transaction>> = txs
         .iter()
-        .map(Arc::as_ref)
         .filter(|tx| !ledger.is_verified_id(&tx.id))
         .collect();
     let vouched = map_chunks(&candidates, workers, |chunk| verify_chunk(chunk, ledger));
     let mut pooled = 0;
     for (tx, signers) in candidates.iter().zip(vouched.into_iter().flatten()) {
         if let Some(signers) = signers {
-            ledger.record_verified(&tx.id, signers);
+            ledger.record_verified(tx, signers);
             pooled += 1;
         }
     }
@@ -149,7 +152,10 @@ pub fn record_validated_batch(
 /// One worker's share of [`record_validated_batch`]: both stages on the
 /// same thread, so a block costs one fan-out. `Some(signers)` per
 /// member that passed schema, id and signatures against `signers`.
-fn verify_chunk(chunk: &[&Transaction], ledger: &impl LedgerView) -> Vec<Option<VerifiedSigners>> {
+fn verify_chunk(
+    chunk: &[&Arc<Transaction>],
+    ledger: &impl LedgerView,
+) -> Vec<Option<VerifiedSigners>> {
     // Stage 1: shape, id digest and signing payload from one walk; the
     // signer set the entry will vouch for.
     let clean: Vec<(usize, String, VerifiedSigners)> = chunk

@@ -8,10 +8,21 @@
 //! ([`Transaction::compute_id`]): an id-consistent transaction whose id
 //! was verified is byte-for-byte the verified one. So the stage that
 //! first runs those checks (mempool admission, the drain-time
-//! ACCEPT_BID check, a replica's CheckTx) records the id here, and
+//! ACCEPT_BID check, a replica's CheckTx) records the id here, pinned
+//! to the `Arc` allocation it checked, and
 //! [`crate::validate::validate_transaction`] skips them on a hit,
-//! keeping only the id recompute that binds the object in hand to the
-//! verified content plus every stateful rule.
+//! keeping every stateful rule. The object in hand is bound to the
+//! verified content by address when it is the pinned allocation — the
+//! case on every path that shares the `Arc` — and by an id recompute
+//! otherwise (a clone, a re-parse, a body edited under the id).
+//!
+//! The address check is sound because a pinned allocation holds the
+//! verified bytes for as long as the entry holds its [`Weak`]:
+//! `Arc::get_mut` refuses while a weak reference exists,
+//! `Arc::make_mut` / `Arc::try_unwrap` move the value to another
+//! address, the allocation is not freed (so the address is not reused),
+//! `Transaction` has no interior mutability, and every crate forbids
+//! `unsafe`.
 //!
 //! The set is a cache, never an authority: a lost entry costs one
 //! re-verification and cannot change a verdict. Entries leave when the
@@ -25,7 +36,7 @@
 use crate::model::Transaction;
 use scdb_telemetry::{Counter, Telemetry};
 use std::collections::HashMap;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, RwLock, Weak};
 
 /// The signer set a verified-set entry vouches for.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,18 +61,28 @@ const GENERATION_CAP: usize = 65_536;
 pub struct VerifiedStats {
     /// Lookups that let validation skip the stateless checks.
     pub hits: u64,
+    /// Hits that paid the id recompute: the object in hand was not the
+    /// pinned allocation (a clone or a re-parse of the verified bytes).
+    pub rehashed: u64,
     /// Lookups that fell through to the full check.
     pub misses: u64,
-    /// Entries recorded (re-recording a live id does not count).
+    /// Entries recorded (re-recording a live id, in either generation,
+    /// does not count).
     pub recorded: u64,
     /// Entries dropped by a generation swap.
     pub evicted: u64,
 }
 
+/// One entry: the signer set, and the allocation that was checked.
+struct Entry {
+    signers: VerifiedSigners,
+    pin: Weak<Transaction>,
+}
+
 #[derive(Default)]
 struct Generations {
-    young: HashMap<String, VerifiedSigners>,
-    old: HashMap<String, VerifiedSigners>,
+    young: HashMap<String, Entry>,
+    old: HashMap<String, Entry>,
 }
 
 /// The set itself; see the module docs. Interior-mutable so admission
@@ -71,6 +92,7 @@ struct Generations {
 pub(crate) struct VerifiedSet {
     generations: RwLock<Generations>,
     hits: Arc<Counter>,
+    rehashed: Arc<Counter>,
     misses: Arc<Counter>,
     recorded: Arc<Counter>,
     evicted: Arc<Counter>,
@@ -82,6 +104,7 @@ impl VerifiedSet {
     pub(crate) fn set_telemetry(&mut self, telemetry: &Telemetry) {
         if let Some(registry) = telemetry.registry() {
             self.hits = registry.counter("verified.hits");
+            self.rehashed = registry.counter("verified.rehashed");
             self.misses = registry.counter("verified.misses");
             self.recorded = registry.counter("verified.recorded");
             self.evicted = registry.counter("verified.evicted");
@@ -89,9 +112,11 @@ impl VerifiedSet {
     }
 
     /// The signer set `tx` was verified against, if its id is in the
-    /// set **and** the object in hand still hashes to that id — a
-    /// different body under an admitted id is a miss, and the full
-    /// check then names the mismatch.
+    /// set **and** the object in hand is the verified content: the
+    /// pinned allocation itself, or else an object that still hashes to
+    /// the id (counted in `rehashed`). A different body under a
+    /// recorded id is a miss, and the full check then names the
+    /// mismatch.
     pub(crate) fn lookup(&self, tx: &Transaction) -> Option<VerifiedSigners> {
         let entry = {
             let generations = self.generations.read().expect("verified set lock");
@@ -99,9 +124,16 @@ impl VerifiedSet {
                 .young
                 .get(&tx.id)
                 .or_else(|| generations.old.get(&tx.id))
-                .cloned()
+                .map(|entry| (entry.signers.clone(), std::ptr::eq(entry.pin.as_ptr(), tx)))
         };
-        let hit = entry.filter(|_| tx.id_is_consistent());
+        let hit = match entry {
+            Some((signers, true)) => Some(signers),
+            Some((signers, false)) if tx.id_is_consistent() => {
+                self.rehashed.incr();
+                Some(signers)
+            }
+            _ => None,
+        };
         match hit {
             Some(_) => self.hits.incr(),
             None => self.misses.incr(),
@@ -110,17 +142,26 @@ impl VerifiedSet {
     }
 
     /// Whether `id` is in the set at all — a map probe, with no id
-    /// recompute and no hit/miss accounting. The block pre-pass selects
-    /// its candidates with this and leaves every present id to
-    /// [`VerifiedSet::lookup`], so a hit pays the digest once.
+    /// check and no hit/miss accounting. The block pre-pass selects its
+    /// candidates with this and leaves every present id to
+    /// [`VerifiedSet::lookup`], which binds the object in hand.
     pub(crate) fn contains(&self, id: &str) -> bool {
         let generations = self.generations.read().expect("verified set lock");
         generations.young.contains_key(id) || generations.old.contains_key(id)
     }
 
-    pub(crate) fn record(&self, id: &str, signers: VerifiedSigners) {
+    /// Records that `tx` passed the stateless checks against `signers`,
+    /// pinning its allocation. Re-recording a live id replaces its
+    /// entry and moves it to the young generation, counted once.
+    pub(crate) fn record(&self, tx: &Arc<Transaction>, signers: VerifiedSigners) {
+        let entry = Entry {
+            signers,
+            pin: Arc::downgrade(tx),
+        };
         let mut generations = self.generations.write().expect("verified set lock");
-        if generations.young.insert(id.to_owned(), signers).is_none() {
+        let was_old = generations.old.remove(&tx.id).is_some();
+        let was_young = generations.young.insert(tx.id.clone(), entry).is_some();
+        if !was_old && !was_young {
             self.recorded.incr();
         }
         if generations.young.len() >= GENERATION_CAP {
@@ -142,6 +183,7 @@ impl VerifiedSet {
     pub(crate) fn stats(&self) -> VerifiedStats {
         VerifiedStats {
             hits: self.hits.value(),
+            rehashed: self.rehashed.value(),
             misses: self.misses.value(),
             recorded: self.recorded.value(),
             evicted: self.evicted.value(),

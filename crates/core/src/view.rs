@@ -20,6 +20,7 @@ use crate::verified::VerifiedSigners;
 use scdb_json::Value;
 use scdb_store::{OutputRef, Utxo};
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Read-only view of committed ledger state.
 ///
@@ -87,25 +88,29 @@ pub trait LedgerView: Sync {
 
     /// Verified-set lookup ([`crate::verified`]): the signer set `tx`
     /// already passed schema, id-digest and signature checks against,
-    /// if this view's ledger recorded its id and the object in hand
-    /// still hashes to it. The default — a view with no set — always
-    /// misses, which is the full check.
+    /// if this view's ledger recorded its id and the object in hand is
+    /// the verified content — the very allocation that was recorded,
+    /// or, for any other object, one that still hashes to the id. The
+    /// default — a view with no set — always misses, which is the full
+    /// check.
     fn verified(&self, _tx: &Transaction) -> Option<VerifiedSigners> {
         None
     }
 
     /// Whether the verified set holds an entry for `id` — membership
-    /// only: no id recompute, no hit/miss accounting, and no promise
-    /// that [`LedgerView::verified`] will hit (it still binds the
-    /// object in hand to the id). The default has no set.
+    /// only: no id check, no hit/miss accounting, and no promise that
+    /// [`LedgerView::verified`] will hit (it still binds the object in
+    /// hand to the id). The default has no set.
     fn is_verified_id(&self, _id: &str) -> bool {
         false
     }
 
-    /// Records that the transaction with this id passed schema,
-    /// id-digest and signature checks against `signers`. Call only
-    /// after all three passed. The default discards the record.
-    fn record_verified(&self, _id: &str, _signers: VerifiedSigners) {}
+    /// Records that `tx` passed schema, id-digest and signature checks
+    /// against `signers`, pinning its allocation: a later lookup on
+    /// that same allocation hits without recomputing the id. Call only
+    /// after all three passed on this very `Arc`'s content. The default
+    /// discards the record.
+    fn record_verified(&self, _tx: &Arc<Transaction>, _signers: VerifiedSigners) {}
 }
 
 /// The `capabilities` strings of a transaction's asset data

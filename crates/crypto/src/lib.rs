@@ -21,6 +21,8 @@
 //! FIPS examples) plus property tests (sign/verify round trips, tampering
 //! detection).
 
+#![forbid(unsafe_code)]
+
 mod ed25519;
 mod edwards;
 mod field;

@@ -31,6 +31,8 @@
 //! assert!(driver.endpoint().ledger().is_committed(&ack.tx_id));
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod client;
 mod endpoint;
 mod template;

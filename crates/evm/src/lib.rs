@@ -28,6 +28,8 @@
 //! assert!(receipt.gas_used > 21_000);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod abi;
 pub mod app;
 pub mod auction;

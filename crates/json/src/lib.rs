@@ -19,6 +19,8 @@
 //!
 //! No external JSON crate is used; see DESIGN.md §7.
 
+#![forbid(unsafe_code)]
+
 mod error;
 mod number;
 mod parse;

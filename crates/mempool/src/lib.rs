@@ -38,6 +38,8 @@
 //! gives it almost none. See `DESIGN-mempool.md` for the protocol and
 //! the equivalence argument.
 
+#![forbid(unsafe_code)]
+
 mod admission;
 mod index;
 mod pack;

@@ -487,12 +487,13 @@ impl Mempool {
 
     /// Tells the committing ledger's verified set that admission's
     /// stateless checks — schema, id digest, input signatures — passed
-    /// for `tx`, so commit-time validation does not repeat them.
+    /// for `tx`, so commit-time validation does not repeat them — nor
+    /// the id recompute, when it validates this same `Arc`.
     /// Nothing is recorded for ACCEPT_BID, whose signatures only the
     /// drain-time check verifies.
-    fn record_admitted(&self, tx: &Transaction, ledger: &impl LedgerView) {
+    fn record_admitted(&self, tx: &Arc<Transaction>, ledger: &impl LedgerView) {
         if signed_by_input_owners(tx) {
-            ledger.record_verified(&tx.id, VerifiedSigners::InputOwners);
+            ledger.record_verified(tx, VerifiedSigners::InputOwners);
         }
     }
 
@@ -559,7 +560,7 @@ impl Mempool {
             if verdict.is_ok() {
                 let entry = self.pending.get_mut(&seq).expect("checked seq is pending");
                 entry.accept_sig_checked = true;
-                ledger.record_verified(&entry.tx.id, VerifiedSigners::Explicit(requester));
+                ledger.record_verified(&entry.tx, VerifiedSigners::Explicit(requester));
                 continue;
             }
             let entry = self.remove_pending(seq).expect("failed seq is pending");

@@ -16,6 +16,8 @@
 //!   operation-dispatched entry point used by the server's CheckTx
 //!   phase.
 
+#![forbid(unsafe_code)]
+
 pub mod model;
 pub mod regex;
 pub mod txschemas;

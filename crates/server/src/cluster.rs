@@ -428,7 +428,7 @@ impl App for SmartchainCluster {
         // its own delivery of the same bytes re-runs only the stateful
         // rules. Other replicas' sets are untouched — each verifies
         // once for itself.
-        record_validated(t, ledger);
+        record_validated(&decoded.tx, ledger);
         let caps = self.capability_work(node, t);
         Ok(self
             .cost

@@ -10,6 +10,8 @@
 //! * [`CostModel`] — maps real validation work to simulated time
 //!   (calibrated to the paper's SCDB operating point).
 
+#![forbid(unsafe_code)]
+
 mod cluster;
 mod cost;
 mod node;

@@ -8,6 +8,8 @@
 //! models node crashes. Latency and throughput are then measured in
 //! simulated time produced by the protocols' actual message flow.
 
+#![forbid(unsafe_code)]
+
 mod events;
 mod net;
 mod time;

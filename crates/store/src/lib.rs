@@ -16,6 +16,8 @@
 //! * [`DurableStore`] — the sealed block manifest a node's state is
 //!   re-executed from after a crash.
 
+#![forbid(unsafe_code)]
+
 mod collection;
 mod db;
 mod filter;

@@ -13,6 +13,8 @@
 //! in the workspace (core, store, mempool, server, bench all depend on
 //! it), so it must never pull the dependency graph sideways.
 
+#![forbid(unsafe_code)]
+
 mod counter;
 mod hist;
 mod registry;

@@ -2,6 +2,8 @@
 //! counters and histograms must merge to exactly the serial sums —
 //! the striped relaxed-ordering fast path loses nothing.
 
+#![forbid(unsafe_code)]
+
 use proptest::prelude::*;
 use scdb_telemetry::Telemetry;
 use std::thread;

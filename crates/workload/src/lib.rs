@@ -14,6 +14,8 @@
 //! The §5.1.4 metric definitions (`LatencyStats`, `throughput_tps`)
 //! live in `scdb-telemetry`.
 
+#![forbid(unsafe_code)]
+
 mod mix;
 mod payload;
 mod scenario;

@@ -48,6 +48,8 @@
 //! `crates/bench` for the binaries regenerating every figure of the
 //! paper's evaluation.
 
+#![forbid(unsafe_code)]
+
 /// The paper's primary contribution: the formal model, typed
 /// transactions and nested-transaction machinery (`scdb-core`).
 pub mod core {

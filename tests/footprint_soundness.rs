@@ -247,7 +247,7 @@ impl Case<'_> {
             .zip(&self.clean)
             .filter(|(_, clean)| **clean)
         {
-            record_validated(tx, &ledger);
+            record_validated(&Arc::new(tx.clone()), &ledger);
         }
         ledger
     }

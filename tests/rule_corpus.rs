@@ -27,6 +27,7 @@ use smartchaindb::crypto::MultiSignature;
 use smartchaindb::json::{arr, obj, Value};
 use smartchaindb::store::OutputRef;
 use smartchaindb::{KeyPair, LedgerState, LedgerView, Transaction, TxBuilder, ValidationError};
+use std::sync::Arc;
 
 fn key(tag: u8) -> KeyPair {
     KeyPair::from_seed([tag; 32])
@@ -1480,8 +1481,10 @@ fn recorded_verdicts_hold_on_the_miss_path_and_when_vouched_for() {
         );
 
         match &row.vouched {
-            Vouched::As(signers) => m.ledger.record_verified(&row.tx.id, signers.clone()),
-            _ => record_validated(&row.tx, &m.ledger),
+            Vouched::As(signers) => m
+                .ledger
+                .record_verified(&Arc::new(row.tx.clone()), signers.clone()),
+            _ => record_validated(&Arc::new(row.tx.clone()), &m.ledger),
         }
         let hits = m.ledger.verified_stats().hits;
         let second = validate_transaction(&row.tx, &m.ledger);

@@ -243,7 +243,7 @@ proptest! {
         let miss = validate_transaction(&tx, &f.ledger);
         record_validated_batch(&[Arc::new(tx.clone())], &f.ledger, 1);
         prop_assert_eq!(validate_transaction(&tx, &f.ledger), miss);
-        record_validated(&tx, &f.ledger);
+        record_validated(&Arc::new(tx.clone()), &f.ledger);
         let _returned = validate_transaction(&tx, &f.ledger);
     }
 }

@@ -13,16 +13,17 @@
 //! could be abused or go stale.
 
 use proptest::prelude::*;
-use smartchaindb::consensus::App;
-use smartchaindb::core::validate::validate_transaction;
+use smartchaindb::consensus::{App, BftConfig};
+use smartchaindb::core::validate::{record_validated, validate_transaction};
 use smartchaindb::core::{
     commit_batch, commit_batch_planned, determine_children, VerifiedSigners, WaveSchedule,
 };
 use smartchaindb::json::{arr, obj};
+use smartchaindb::sim::SimTime;
 use smartchaindb::workload::{scdb_plan, ScenarioConfig};
 use smartchaindb::{
     KeyPair, LedgerState, LedgerView, Mempool, MempoolConfig, Node, Operation, PipelineOptions,
-    SmartchainCluster, Telemetry, Transaction, TxBuilder, ValidationError,
+    SmartchainCluster, SmartchainHarness, Telemetry, Transaction, TxBuilder, ValidationError,
 };
 use std::sync::Arc;
 
@@ -49,6 +50,14 @@ fn create(owner: &KeyPair, nonce: u64) -> Transaction {
         .output(owner.public_hex(), 1)
         .nonce(nonce)
         .sign(&[owner])
+}
+
+/// A set filler: `template`'s body under the id `filler-{n}`.
+fn filler_tx(template: &Transaction, n: usize) -> Arc<Transaction> {
+    Arc::new(Transaction {
+        id: format!("filler-{n}"),
+        ..template.clone()
+    })
 }
 
 fn transfer(asset: &Transaction, from: &KeyPair, to: &KeyPair, n: u64) -> Transaction {
@@ -378,7 +387,7 @@ fn accept_bid_verified_against_another_requester_is_re_verified() {
     commit_up_to_accept(&mut ledger, &forged);
     // Mallory's signature is genuine — for Mallory's key set.
     ledger.record_verified(
-        &forged.accept.id,
+        &Arc::new(forged.accept.clone()),
         VerifiedSigners::Explicit(vec![mallory.public_hex()]),
     );
     let verdict = validate_transaction(&forged.accept, &ledger);
@@ -392,7 +401,7 @@ fn accept_bid_verified_against_another_requester_is_re_verified() {
     let mut ledger = fresh_ledger();
     commit_up_to_accept(&mut ledger, &honest);
     ledger.record_verified(
-        &honest.accept.id,
+        &Arc::new(honest.accept.clone()),
         VerifiedSigners::Explicit(vec![honest.requester.public_hex()]),
     );
     validate_transaction(&honest.accept, &ledger).expect("requester-signed accept validates");
@@ -411,7 +420,7 @@ fn overflowing_the_cap_evicts_without_changing_a_verdict() {
     pool.admit(Arc::clone(&good), &ledger).unwrap();
     let cap = MempoolConfig::default().max_pending;
     for filler in 0..2 * cap {
-        ledger.record_verified(&format!("filler-{filler}"), VerifiedSigners::InputOwners);
+        ledger.record_verified(&filler_tx(&good, filler), VerifiedSigners::InputOwners);
     }
     assert!(ledger.verified_stats().evicted > 0);
 
@@ -572,4 +581,171 @@ fn every_signature_is_checked_once_on_the_ingest_path() {
     assert_eq!(counters["verified.hits"], client_txs);
     assert_eq!(counters["verified.recorded"], client_txs);
     assert_eq!(counters["mempool.accept_sig_checks"], 6);
+}
+
+/// Re-recording an id that already moved to the old generation moves
+/// its one entry back to the young generation: counted once, and not
+/// evicted by the next swap while it is still live.
+#[test]
+fn re_recording_an_old_generation_id_moves_it_and_counts_once() {
+    let mut ledger = fresh_ledger();
+    let mut pool = Mempool::default();
+    let alice = seed_key(0xA1, 0);
+    let good = Arc::new(create(&alice, 1));
+    pool.admit(Arc::clone(&good), &ledger).unwrap();
+    let cap = MempoolConfig::default().max_pending;
+    // The young generation fills and swaps: `good` is now old.
+    for n in 1..cap {
+        ledger.record_verified(&filler_tx(&good, n), VerifiedSigners::InputOwners);
+    }
+    let swapped = ledger.verified_stats();
+    assert_eq!((swapped.recorded, swapped.evicted), (cap as u64, 0));
+
+    ledger.record_verified(&good, VerifiedSigners::InputOwners);
+    assert_eq!(ledger.verified_stats().recorded, cap as u64, "counted once");
+    // The next swap drops the fillers only.
+    for n in cap..2 * cap - 1 {
+        ledger.record_verified(&filler_tx(&good, n), VerifiedSigners::InputOwners);
+    }
+    assert_eq!(ledger.verified_stats().evicted, cap as u64 - 1);
+
+    let batch = pool.drain_batch(usize::MAX, &ledger);
+    let options = PipelineOptions::with_workers(1).durable(false);
+    let outcome = commit_batch_planned(&mut ledger, &batch.txs, &batch.schedule, &options);
+    assert_eq!(outcome.committed, vec![good.id.clone()]);
+    let stats = ledger.verified_stats();
+    assert_eq!((stats.hits, stats.misses), (1, 0), "still live ⇒ a hit");
+}
+
+/// Validating the very `Arc` admission recorded hits without an id
+/// recompute.
+#[test]
+fn a_hit_on_the_pinned_arc_does_not_rehash() {
+    let ledger = fresh_ledger();
+    let mut pool = Mempool::default();
+    let genuine = Arc::new(create(&seed_key(0xA1, 0), 1));
+    pool.admit(Arc::clone(&genuine), &ledger).unwrap();
+    validate_transaction(&genuine, &ledger).expect("admitted create validates");
+    let stats = ledger.verified_stats();
+    assert_eq!((stats.hits, stats.rehashed, stats.misses), (1, 0, 0));
+}
+
+/// Another object with the verified body — a clone — is bound to the
+/// entry by the id recompute: a hit that pays exactly one rehash.
+#[test]
+fn a_clone_with_the_same_body_hits_with_one_rehash() {
+    let ledger = fresh_ledger();
+    let mut pool = Mempool::default();
+    let genuine = Arc::new(create(&seed_key(0xA1, 0), 1));
+    pool.admit(Arc::clone(&genuine), &ledger).unwrap();
+    let clone = (*genuine).clone();
+    validate_transaction(&clone, &ledger).expect("the clone validates");
+    let stats = ledger.verified_stats();
+    assert_eq!((stats.hits, stats.rehashed, stats.misses), (1, 1, 0));
+}
+
+/// `Arc::make_mut` on a pinned transaction moves the value to a new
+/// allocation, so an edit under the old id is not the pinned object: the
+/// recompute names the mismatch, and the lookup is a miss.
+#[test]
+fn make_mut_then_an_edit_under_the_old_id_is_an_id_mismatch() {
+    let ledger = fresh_ledger();
+    let mut tx = Arc::new(create(&seed_key(0xA1, 0), 1));
+    validate_transaction(&tx, &ledger).expect("the create validates");
+    record_validated(&tx, &ledger);
+    let pinned = Arc::as_ptr(&tx);
+    let id = tx.id.clone();
+
+    Arc::make_mut(&mut tx).outputs[0].amount = 1_000_000;
+    assert_ne!(Arc::as_ptr(&tx), pinned, "the pin forces a move");
+    assert_eq!(tx.id, id);
+    let verdict = validate_transaction(&tx, &ledger);
+    assert!(
+        matches!(verdict, Err(ValidationError::IdMismatch { .. })),
+        "{verdict:?}"
+    );
+    let stats = ledger.verified_stats();
+    assert_eq!((stats.hits, stats.rehashed, stats.misses), (0, 0, 2));
+}
+
+/// Once every strong reference is gone, a re-parse of the same payload
+/// is a new object: one rehash, and the verdict of the full check.
+#[test]
+fn a_re_parse_after_the_pinned_arc_is_dropped_rehashes_once() {
+    let alice = seed_key(0xA1, 0);
+    let asset = create(&alice, 1);
+    let payload = transfer(&asset, &alice, &seed_key(0xB0, 0), 1).to_payload();
+    let mut fresh = fresh_ledger();
+    let mut ledger = fresh_ledger();
+    fresh.apply(&asset).unwrap();
+    ledger.apply(&asset).unwrap();
+
+    let tx = Arc::new(Transaction::from_payload(&payload).unwrap());
+    validate_transaction(&tx, &ledger).expect("the transfer validates");
+    record_validated(&tx, &ledger);
+    drop(tx);
+
+    let again = Transaction::from_payload(&payload).unwrap();
+    assert_eq!(
+        validate_transaction(&again, &ledger),
+        validate_transaction(&again, &fresh)
+    );
+    let stats = ledger.verified_stats();
+    assert_eq!((stats.hits, stats.rehashed, stats.misses), (1, 1, 1));
+}
+
+/// On both ingest paths — a consensus cluster's Submit → CheckTx →
+/// block → DeliverTx, and a node's ingest → drain → commit — every
+/// stage shares the receiver's `Arc`, so no hit pays the id recompute.
+#[test]
+fn the_cluster_and_node_ingest_paths_never_rehash() {
+    let config = ScenarioConfig {
+        requests: 3,
+        bidders_per_request: 2,
+        capability_count: 2,
+        capability_bytes: 16,
+        seed: 0x0CF,
+    };
+    let counters = |telemetry: &Telemetry| {
+        let counters = telemetry.snapshot().expect("telemetry is on").counters;
+        let read = |name: &str| counters.get(name).copied().unwrap_or(0);
+        (read("verified.hits"), read("verified.rehashed"))
+    };
+
+    let telemetry = Telemetry::enabled();
+    let mut harness = SmartchainHarness::with_pipeline(
+        BftConfig::tendermint(4),
+        PipelineOptions::default().with_telemetry(telemetry.clone()),
+    );
+    let plan = scdb_plan(&config, &harness.escrow_public_hex());
+    for phase in plan.phases() {
+        let now = harness.consensus().now() + SimTime::from_millis(1);
+        for payload in phase {
+            harness.submit_at(now, payload);
+        }
+        harness.run();
+    }
+    let (hits, rehashed) = counters(&telemetry);
+    assert!(hits > 0, "the cluster hit its verified sets");
+    assert_eq!(rehashed, 0, "cluster");
+
+    let escrow = KeyPair::from_seed([0xE5; 32]);
+    let plan = scdb_plan(&config, &escrow.public_hex());
+    let telemetry = Telemetry::enabled();
+    let mut node = Node::with_options(
+        escrow,
+        PipelineOptions::default().with_telemetry(telemetry.clone()),
+    );
+    for phase in plan.phases() {
+        for verdict in node.ingest_payload_batch(&phase) {
+            verdict.expect("generated stream admits");
+        }
+        while !node.mempool().is_empty() {
+            node.drain_block(8);
+            while node.pump_returns(64) > 0 {}
+        }
+    }
+    let (hits, rehashed) = counters(&telemetry);
+    assert!(hits > 0, "the node hit its verified set");
+    assert_eq!(rehashed, 0, "node");
 }
