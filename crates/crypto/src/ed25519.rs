@@ -7,7 +7,9 @@
 //! and BigchainDB's behaviour.
 //!
 //! [`verify`] checks one signature as [k]A − [s]B == −R in one shared
-//! doubling chain. [`verify_batch`] pools a flush into one random linear
+//! doubling chain, cut to 64 doublings by splitting k and −s into
+//! 64-bit chunks against tables of 2^(64j)·A and 2^(64j)·B.
+//! [`verify_batch`] pools a flush into one random linear
 //! combination and, when it fails, bisects at half cost: each failing
 //! subset evaluates its left half and derives its right half by one
 //! point subtraction, and a singleton is decided from its own combined
@@ -15,7 +17,7 @@
 //! key with a torsion component ([L]A ≠ O, recorded once per prepared
 //! key) is checked alone instead of pooled.
 
-use crate::edwards::{multiscalar_mul, EdwardsPoint, PointTable};
+use crate::edwards::{multiscalar_mul, split_tables, EdwardsPoint, PointTable, SplitTables};
 use crate::scalar::{Scalar, L_BYTES};
 use crate::sha512::sha512;
 use std::collections::{BTreeMap, HashMap};
@@ -136,12 +138,17 @@ pub fn sign(seed: &SecretKey, message: &[u8]) -> Signature {
     secret.sign(&secret.public_key(), message)
 }
 
-/// A decompressed public key with its precomputed window table. Senders
+/// A decompressed public key with its precomputed split tables. Senders
 /// repeat, so prepared keys are cached process-wide and shared across
 /// individual and batch verification.
 #[derive(Debug)]
 pub struct PreparedPublicKey {
-    table: PointTable,
+    /// Width-5 odd-multiples tables of 2^(64j)·A for j = 0..3, 8 cached
+    /// points of 160 bytes each, ~5 KB in all. A single check runs k's
+    /// four 64-bit chunks against them, a pool its grouped coefficient's
+    /// two 128-bit halves against tables 0 and 2. Building them costs 192
+    /// doublings on top of the first table's.
+    split: SplitTables,
     /// [L]A = O: the key lies in the prime-order subgroup. Every key
     /// `derive_public_key` makes does; a key with a torsion component
     /// decodes just as well, and batch verification must not pool it.
@@ -151,10 +158,11 @@ pub struct PreparedPublicKey {
 impl PreparedPublicKey {
     fn decode(public: &PublicKey) -> Option<PreparedPublicKey> {
         let point = EdwardsPoint::decompress(public)?;
-        let table = PointTable::from_point(&point);
-        let torsion_free = multiscalar_mul(None, &[(L_BYTES, &table)]).is_identity();
+        let split = split_tables(&point);
+        let torsion_free =
+            multiscalar_mul(SINGLE_CHUNK_BITS, None, &[(L_BYTES, &split)], &[]).is_identity();
         Some(PreparedPublicKey {
-            table,
+            split,
             torsion_free,
         })
     }
@@ -176,11 +184,19 @@ impl PreparedPublicKey {
 /// insert both cost O(log cap). Decode failures are cached too, so a
 /// replayed garbage key does not pay the square-root decompression
 /// attempt twice.
+///
+/// Memory: a decoded entry is ~5 KB of split tables, so a full cache
+/// holds ~42 MB at [`PUBKEY_CACHE_CAP`].
 struct PreparedKeyCache {
     entries: HashMap<PublicKey, (Option<Arc<PreparedPublicKey>>, u64)>,
     by_age: BTreeMap<u64, PublicKey>,
     clock: u64,
     cap: usize,
+    /// Lookups that found the key resident, and those that did not.
+    hits: u64,
+    misses: u64,
+    /// Entries dropped to make room at capacity.
+    evicted: u64,
 }
 
 impl PreparedKeyCache {
@@ -190,6 +206,9 @@ impl PreparedKeyCache {
             by_age: BTreeMap::new(),
             clock: 0,
             cap: cap.max(1),
+            hits: 0,
+            misses: 0,
+            evicted: 0,
         }
     }
 
@@ -212,10 +231,31 @@ impl PreparedKeyCache {
         by_age.insert(*clock, *public);
     }
 
-    fn get(&mut self, public: &PublicKey) -> Option<Option<Arc<PreparedPublicKey>>> {
+    fn stats(&self) -> [(&'static str, u64); 4] {
+        [
+            ("resident", self.entries.len() as u64),
+            ("hits", self.hits),
+            ("misses", self.misses),
+            ("evicted", self.evicted),
+        ]
+    }
+
+    /// The resident entry for `public`, refreshed; `None` if absent.
+    fn resident(&mut self, public: &PublicKey) -> Option<Option<Arc<PreparedPublicKey>>> {
         let entry = self.entries.get_mut(public)?;
         Self::touch(entry, &mut self.by_age, &mut self.clock, public);
         Some(entry.0.clone())
+    }
+
+    /// [`PreparedKeyCache::resident`], counted as a hit or a miss.
+    fn get(&mut self, public: &PublicKey) -> Option<Option<Arc<PreparedPublicKey>>> {
+        let found = self.resident(public);
+        if found.is_some() {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+        found
     }
 
     /// Inserts `prepared` unless `public` is already resident, and
@@ -227,13 +267,14 @@ impl PreparedKeyCache {
         public: PublicKey,
         prepared: Option<Arc<PreparedPublicKey>>,
     ) -> Option<Arc<PreparedPublicKey>> {
-        if let Some(resident) = self.get(&public) {
+        if let Some(resident) = self.resident(&public) {
             return resident;
         }
         if self.entries.len() >= self.cap {
             if let Some((&oldest, _)) = self.by_age.iter().next() {
                 let evicted = self.by_age.remove(&oldest).expect("indexed key");
                 self.entries.remove(&evicted);
+                self.evicted += 1;
             }
         }
         self.clock += 1;
@@ -252,10 +293,20 @@ fn pubkey_cache() -> &'static Mutex<PreparedKeyCache> {
 
 const PUBKEY_CACHE_CAP: usize = 8_192;
 
+/// The process-wide prepared-key cache's figures: keys resident, lookups
+/// that hit and missed, and entries evicted at capacity, in that order.
+/// Every verifier in the process shares the one cache, so the figures
+/// cover every node and replica in it. A miss costs a decompression
+/// plus the split tables and the [L]A test, about two single checks.
+pub fn key_cache_stats() -> [(&'static str, u64); 4] {
+    pubkey_cache().lock().expect("pubkey cache").stats()
+}
+
 /// Decompresses `public` through the process-wide cache. A miss decodes
-/// outside the lock — decompression, the table and the [L]A test cost
-/// about one verification, and admission workers must not queue behind
-/// each other's cold keys — then keeps whichever decoding landed first.
+/// outside the lock — decompression, the split tables and the [L]A test
+/// cost about two single checks, and admission workers must not queue
+/// behind each other's cold keys — then keeps whichever decoding landed
+/// first.
 pub fn prepare_public_key(public: &PublicKey) -> Option<Arc<PreparedPublicKey>> {
     let hit = pubkey_cache().lock().expect("pubkey cache").get(public);
     if let Some(hit) = hit {
@@ -277,6 +328,16 @@ fn challenge_scalar(r_bytes: &[u8; 32], public: &PublicKey, message: &[u8]) -> S
     Scalar::from_bytes_wide(&sha512(&buf))
 }
 
+/// A single check cuts k and −S into four 64-bit chunks, so its chain
+/// is at most 64 doublings.
+const SINGLE_CHUNK_BITS: usize = 64;
+
+/// A pool's chain is already 128 doublings long for the 128-bit zᵢ on
+/// each dynamic Rᵢ, so its B coefficient and each grouped A coefficient
+/// are cut into two 128-bit halves: a key in a big pool costs additions
+/// against two of its tables, not four, and no extra doubling.
+const POOL_CHUNK_BITS: usize = 128;
+
 /// The verification equation S·B == R + k·A over decoded components —
 /// shared verbatim by `verify` and the batch's single checks so their
 /// verdicts are identical by construction.
@@ -284,8 +345,14 @@ fn challenge_scalar(r_bytes: &[u8; 32], public: &PublicKey, message: &[u8]) -> S
 /// Evaluated as [k]A + [−S mod L]B == −R in one doubling chain. Only
 /// B's scalar is negated, which is exact because B has order L; k stays
 /// as it is, so a key with a torsion component is multiplied exactly.
+/// Both scalars are cut into `chunk_bits`-bit integer chunks against
+/// the split tables of A and B; the cut is an identity over the
+/// integers, so it keeps that exactness. Production passes
+/// [`SINGLE_CHUNK_BITS`] (a chain of at most 64 doublings against ~253
+/// for whole scalars); the tests' plain-chain reference passes 256.
 /// `s_bytes` must be canonical (< L).
 fn verify_equation(
+    chunk_bits: usize,
     a: &PreparedPublicKey,
     r: &EdwardsPoint,
     s_bytes: &[u8; 32],
@@ -294,11 +361,32 @@ fn verify_equation(
     #[cfg(test)]
     count_work(|w| w.single_checks += 1);
     let neg_s = Scalar::neg(Scalar(*s_bytes));
-    multiscalar_mul(Some(&neg_s.0), &[(k.0, &a.table)]).eq_point(&r.neg())
+    multiscalar_mul(chunk_bits, Some(&neg_s.0), &[(k.0, &a.split)], &[]).eq_point(&r.neg())
 }
 
 /// Verifies `signature` over `message` under `public`, RFC 8032 §5.1.7.
 pub fn verify(
+    signature: &Signature,
+    public: &PublicKey,
+    message: &[u8],
+) -> Result<(), SignatureError> {
+    verify_chunked(SINGLE_CHUNK_BITS, signature, public, message)
+}
+
+/// [`verify`] with its equation on the plain chain: k and −S run whole
+/// against the first table of A and of B. The reference the split
+/// chain is tested against.
+#[cfg(test)]
+pub(crate) fn verify_plain_chain(
+    signature: &Signature,
+    public: &PublicKey,
+    message: &[u8],
+) -> Result<(), SignatureError> {
+    verify_chunked(256, signature, public, message)
+}
+
+fn verify_chunked(
+    chunk_bits: usize,
     signature: &Signature,
     public: &PublicKey,
     message: &[u8],
@@ -318,7 +406,7 @@ pub fn verify(
     let k = challenge_scalar(&r_bytes, public, message);
 
     // S·B == R + k·A
-    if verify_equation(&a, &r, &s_bytes, &k) {
+    if verify_equation(chunk_bits, &a, &r, &s_bytes, &k) {
         Ok(())
     } else {
         Err(SignatureError::Mismatch)
@@ -351,7 +439,10 @@ struct DecodedItem {
 /// Valid batches are accepted with a single random-linear-combination
 /// check — V(S) = Σ zᵢ·(Rᵢ + kᵢ·Aᵢ − Sᵢ·B) == O over one shared-doubling
 /// multiscalar accumulation — amortizing the per-signature scalar
-/// multiplications. A failing subset bisects at half cost: its left
+/// multiplications. The 128-bit zᵢ set that chain at 128 doublings;
+/// the full-width B and A coefficients run as two 128-bit halves on
+/// their split tables to stay within it (see [`combined_point`]), and
+/// a single check decided alone runs 64. A failing subset bisects at half cost: its left
 /// half is evaluated and its right half is V(S) − V(left), one point
 /// subtraction. A singleton is decided from its own point: V({i}) =
 /// zᵢ·(Rᵢ + kᵢ·Aᵢ − Sᵢ·B), and zᵢ is odd and below L, so it is the
@@ -402,7 +493,7 @@ pub fn verify_batch(items: &[BatchItem<'_>]) -> Vec<Result<(), SignatureError>> 
         if !a.torsion_free {
             // Reducing A's pooled coefficient mod L would drop its
             // torsion term, so V would not be additive: decide it alone.
-            if !verify_equation(&a, &r_point, &s_bytes, &k) {
+            if !verify_equation(SINGLE_CHUNK_BITS, &a, &r_point, &s_bytes, &k) {
                 results[idx] = Err(SignatureError::Mismatch);
             }
             continue;
@@ -422,7 +513,7 @@ pub fn verify_batch(items: &[BatchItem<'_>]) -> Vec<Result<(), SignatureError>> 
         0 => return results,
         1 => {
             let d = &decoded[0];
-            if !verify_equation(&d.a, &d.r_point, &d.s.0, &d.k) {
+            if !verify_equation(SINGLE_CHUNK_BITS, &d.a, &d.r_point, &d.s.0, &d.k) {
                 results[d.idx] = Err(SignatureError::Mismatch);
             }
             return results;
@@ -489,6 +580,11 @@ fn bisect(subset: &[&DecodedItem], v: EdwardsPoint, results: &mut [Result<(), Si
 /// per repeated key. Repeats are recognized by prepared-key identity
 /// (the process-wide cache hands equal keys the same `Arc`); a missed
 /// share merely costs the optimization, never correctness.
+///
+/// Each Rᵢ runs its 128-bit zᵢ whole against its one table, which sets
+/// the chain at 128 doublings; the B coefficient and each grouped A
+/// coefficient are cut into two 128-bit halves against their split
+/// tables 0 and 2 ([`POOL_CHUNK_BITS`]), so they stay within it.
 fn combined_point(subset: &[&DecodedItem]) -> EdwardsPoint {
     #[cfg(test)]
     count_work(|w| {
@@ -496,25 +592,27 @@ fn combined_point(subset: &[&DecodedItem]) -> EdwardsPoint {
         w.equations += 1;
     });
     let mut b_coeff = Scalar::zero();
-    let mut terms: Vec<([u8; 32], &PointTable)> = Vec::with_capacity(subset.len() * 2);
-    let mut a_coeffs: Vec<(Scalar, &PointTable)> = Vec::with_capacity(subset.len());
+    let mut r_terms: Vec<([u8; 32], &PointTable)> = Vec::with_capacity(subset.len());
+    let mut a_terms: Vec<([u8; 32], &SplitTables)> = Vec::with_capacity(subset.len());
     let mut a_index: std::collections::HashMap<*const PreparedPublicKey, usize> =
         std::collections::HashMap::with_capacity(subset.len());
     for d in subset {
         b_coeff = Scalar::mul_add(d.z, d.s, b_coeff);
-        terms.push((d.z.0, &d.r_table));
+        r_terms.push((d.z.0, &d.r_table));
         match a_index.get(&Arc::as_ptr(&d.a)) {
-            Some(&slot) => a_coeffs[slot].0 = Scalar::mul_add(d.z, d.k, a_coeffs[slot].0),
+            Some(&slot) => a_terms[slot].0 = Scalar::mul_add(d.z, d.k, Scalar(a_terms[slot].0)).0,
             None => {
-                a_index.insert(Arc::as_ptr(&d.a), a_coeffs.len());
-                a_coeffs.push((Scalar::mul_add(d.z, d.k, Scalar::zero()), &d.a.table));
+                a_index.insert(Arc::as_ptr(&d.a), a_terms.len());
+                a_terms.push((Scalar::mul_add(d.z, d.k, Scalar::zero()).0, &d.a.split));
             }
         }
     }
-    for (coeff, table) in &a_coeffs {
-        terms.push((coeff.0, table));
-    }
-    multiscalar_mul(Some(&Scalar::neg(b_coeff).0), &terms)
+    multiscalar_mul(
+        POOL_CHUNK_BITS,
+        Some(&Scalar::neg(b_coeff).0),
+        &a_terms,
+        &r_terms,
+    )
 }
 
 /// What the pooled path did on this thread, for tests that pin its
@@ -553,6 +651,7 @@ fn take_pool_work() -> PoolWork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::edwards::{order_two, take_chain_doublings};
     use crate::hex;
 
     fn seed(hex_str: &str) -> SecretKey {
@@ -783,17 +882,6 @@ mod tests {
         ));
     }
 
-    /// The order-2 point T₂ = (0, −1).
-    fn order_two() -> EdwardsPoint {
-        use crate::field::FieldElement;
-        EdwardsPoint {
-            x: FieldElement::ZERO,
-            y: FieldElement::ONE.neg(),
-            z: FieldElement::ONE,
-            t: FieldElement::ZERO,
-        }
-    }
-
     /// Signs RFC 8032's way except for the commitment: R is `r·B + extra`
     /// and the challenge is taken under `public` (which need not be the
     /// secret's own key). Only a key holder can do this.
@@ -922,6 +1010,52 @@ mod tests {
                 single_checks: 0
             }
         );
+    }
+
+    /// Pins the chain lengths on warm keys: a single check runs at most
+    /// 64 doublings (k and −S in 64-bit chunks), the combined equation
+    /// over an honest pool at most 128 (its 128-bit zᵢ), and the plain
+    /// chain the ~253 a whole scalar needs.
+    #[test]
+    fn single_checks_and_pools_run_short_chains() {
+        let triples = honest_batch(16);
+        for (pk, _, _) in &triples {
+            prepare_public_key(pk).expect("valid key");
+        }
+        take_chain_doublings();
+        for (pk, msg, sig) in &triples {
+            assert!(verify(sig, pk, msg).is_ok());
+            let doublings = take_chain_doublings();
+            assert!((1..=64).contains(&doublings), "single check: {doublings}");
+            assert!(verify_plain_chain(sig, pk, msg).is_ok());
+            let doublings = take_chain_doublings();
+            assert!((240..=253).contains(&doublings), "plain chain: {doublings}");
+        }
+        take_pool_work();
+        assert!(run_batch(&triples).iter().all(Result::is_ok));
+        let doublings = take_chain_doublings();
+        assert!((1..=128).contains(&doublings), "pool: {doublings}");
+        assert_eq!(take_pool_work().equations, 1, "one combined equation");
+    }
+
+    #[test]
+    fn key_cache_counts_hits_misses_and_evictions() {
+        let mut cache = PreparedKeyCache::with_capacity(2);
+        let keys: Vec<PublicKey> = (1..=3u8).map(|i| [i; 32]).collect();
+        assert!(cache.get(&keys[0]).is_none());
+        cache.get_or_insert(keys[0], None);
+        assert!(cache.get(&keys[0]).is_some());
+        // Inserting without a lookup first counts neither; the third
+        // key evicts the least recently touched.
+        cache.get_or_insert(keys[1], None);
+        cache.get_or_insert(keys[2], None);
+        assert_eq!(
+            cache.stats(),
+            [("resident", 2), ("hits", 1), ("misses", 1), ("evicted", 1)]
+        );
+        // The process-wide figures report the same four names.
+        let names = key_cache_stats().map(|(name, _)| name);
+        assert_eq!(names, ["resident", "hits", "misses", "evicted"]);
     }
 
     #[test]

@@ -8,10 +8,15 @@
 //! Two ways to multiply by a scalar. [`EdwardsPoint::mul_base`] (signing,
 //! key derivation) adds one entry per radix-16 digit from 64 static
 //! window tables and never doubles. [`multiscalar_mul`] (every
-//! verification) runs one doubling chain shared by all its terms: each
-//! dynamic point brings a width-5 NAF table of 8 odd multiples, and the
-//! base point reads a static width-8 table of 64 odd multiples, so a
-//! single check [k]A − [s]B costs one chain plus ~43 + ~28 additions.
+//! verification) runs one doubling chain shared by all its terms. A
+//! point it meets often is *split*: it brings four odd-multiples tables,
+//! one for each 2^(64j)·P, and its scalar is cut into integer chunks
+//! that each run against their own table, so the chain is as long as
+//! the widest chunk rather than the whole scalar. Each cached public key
+//! brings four width-5 tables of 8 entries, and the base point reads
+//! four static width-8 tables of 64, so a single check [k]A − [s]B costs
+//! one chain of at most 64 doublings (a 253-bit scalar needs ~253) plus
+//! ~43 + ~28 additions.
 
 use crate::field::FieldElement;
 use std::sync::OnceLock;
@@ -162,13 +167,13 @@ impl EdwardsPoint {
             return self.scalar_mul_serial(scalar_le);
         }
         let table = PointTable::from_point(self);
-        multiscalar_mul(None, &[(*scalar_le, &table)])
+        multiscalar_mul(256, None, &[], &[(*scalar_le, &table)])
     }
 
     /// The pre-table double-and-add ladder, kept as the fallback for
     /// scalars with the top bit set (which the NAF recoding does not
     /// represent).
-    fn scalar_mul_serial(&self, scalar_le: &[u8; 32]) -> EdwardsPoint {
+    pub(crate) fn scalar_mul_serial(&self, scalar_le: &[u8; 32]) -> EdwardsPoint {
         let mut acc = EdwardsPoint::identity();
         for byte_idx in (0..32).rev() {
             for bit_idx in (0..8).rev() {
@@ -295,7 +300,7 @@ pub(crate) struct CachedPoint {
 /// Odd multiples [P, 3P, 5P, …, (2N−1)P] in cached form: the lookup
 /// table for width-w NAF scalar recoding with N = 2^(w−2) (digit d uses
 /// entry (|d|−1)/2). The default N = 8 is the width-5 table every
-/// dynamic point gets; the static base-point table is N = 64 (width 8).
+/// dynamic point gets; the static base-point tables are N = 64 (width 8).
 /// The 8-entry layout doubles as the radix-16 table for the static
 /// base-point windows (digit d uses entry |d|−1 over [P, 2P, …, 8P]).
 #[derive(Debug, Clone)]
@@ -315,14 +320,33 @@ impl<const N: usize> PointTable<N> {
         }
         PointTable { entries }
     }
+}
 
-    /// `acc ± entry` for a signed odd NAF digit (0 is a no-op).
-    fn apply_naf(&self, acc: &EdwardsPoint, digit: i8) -> EdwardsPoint {
-        match digit.cmp(&0) {
-            std::cmp::Ordering::Equal => *acc,
-            std::cmp::Ordering::Greater => acc.add_cached(&self.entries[(digit as usize - 1) / 2]),
-            std::cmp::Ordering::Less => acc.sub_cached(&self.entries[((-digit) as usize - 1) / 2]),
+/// The tables of a split point: entry j holds the odd multiples of
+/// 2^(64j)·P, so a scalar cut into 64-bit (or 128-bit) integer chunks
+/// runs each chunk against its own table — see [`multiscalar_mul`].
+pub(crate) type SplitTables<const N: usize = 8> = [PointTable<N>; 4];
+
+/// The four tables of `p`'s split, each 64 doublings above the last.
+pub(crate) fn split_tables<const N: usize>(p: &EdwardsPoint) -> SplitTables<N> {
+    let mut power = *p;
+    std::array::from_fn(|j| {
+        if j > 0 {
+            for _ in 0..64 {
+                power = power.double();
+            }
         }
+        PointTable::from_point(&power)
+    })
+}
+
+/// `acc ± entry` for a signed odd NAF digit against an odd-multiples
+/// table (0 is a no-op).
+fn apply_naf(entries: &[CachedPoint], acc: &EdwardsPoint, digit: i8) -> EdwardsPoint {
+    match digit.cmp(&0) {
+        std::cmp::Ordering::Equal => *acc,
+        std::cmp::Ordering::Greater => acc.add_cached(&entries[(digit as usize - 1) / 2]),
+        std::cmp::Ordering::Less => acc.sub_cached(&entries[((-digit) as usize - 1) / 2]),
     }
 }
 
@@ -373,22 +397,25 @@ fn radix16_digits(bytes: &[u8; 32]) -> [i8; 64] {
     digits
 }
 
-/// NAF width for dynamic points: an 8-entry [`PointTable`] per point.
+/// NAF width for dynamic points: 8-entry [`PointTable`]s.
 const NAF_WIDTH: usize = 5;
 
-/// NAF width for the base point: its 64-entry table is built once.
+/// NAF width for the base point: its 64-entry tables are built once.
 const BASE_NAF_WIDTH: usize = 8;
 
 /// Width-`w` NAF digits (2 ≤ w ≤ 8) of a little-endian scalar below
 /// 2^255: one signed odd digit in {±1, ±3, …, ±(2^(w−1)−1)} or 0 per bit
-/// position, with value Σ dᵢ·2ⁱ. At most one non-zero digit in any w
-/// consecutive positions, so a 253-bit scalar averages ~253/(w+1)
-/// additions (~43 at width 5, ~28 at width 8) instead of ~127.
+/// position, with value Σ dᵢ·2ⁱ, and the highest position holding a
+/// non-zero digit (`None` for zero). At most one non-zero digit in any
+/// w consecutive positions, so a 253-bit scalar averages ~253/(w+1)
+/// additions (~43 at width 5, ~28 at width 8) instead of ~127. A b-bit
+/// scalar's digits end at position b at the latest: the last window's
+/// carry can set one digit past its top bit.
 ///
 /// Carry-based recoding: an odd w-bit window at or above 2^(w−1) is
 /// recentered by subtracting 2^w, and the borrowed 2^(pos+w) rides
 /// along as a +1 carry into the next window read.
-fn wnaf_digits(bytes: &[u8; 32], w: usize) -> [i8; 256] {
+fn wnaf_digits(bytes: &[u8; 32], w: usize) -> ([i8; 256], Option<usize>) {
     debug_assert!(bytes[31] <= 127, "NAF recoding needs the top bit clear");
     debug_assert!((2..=8).contains(&w), "digits must fit an i8");
     let width = 1u64 << w;
@@ -396,10 +423,16 @@ fn wnaf_digits(bytes: &[u8; 32], w: usize) -> [i8; 256] {
     for (i, chunk) in bytes.chunks_exact(8).enumerate() {
         limbs[i] = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
     }
+    // One past the highest set bit: above it only a carry is left.
+    let bit_len = limbs
+        .iter()
+        .rposition(|&limb| limb != 0)
+        .map_or(0, |i| 64 * (i + 1) - limbs[i].leading_zeros() as usize);
     let mut digits = [0i8; 256];
+    let mut top = None;
     let mut pos = 0;
     let mut carry = 0u64;
-    while pos < 256 {
+    while pos < 256 && (pos < bit_len || carry != 0) {
         let limb = pos / 64;
         let bit = pos % 64;
         let bit_buf = if bit < 64 - w {
@@ -419,9 +452,10 @@ fn wnaf_digits(bytes: &[u8; 32], w: usize) -> [i8; 256] {
             carry = 1;
             digits[pos] = (window as i64 - width as i64) as i8;
         }
+        top = Some(pos);
         pos += w;
     }
-    digits
+    (digits, top)
 }
 
 /// The static base-point window tables: table j holds the consecutive
@@ -442,46 +476,136 @@ fn base_window_tables() -> &'static [PointTable; 64] {
     })
 }
 
-/// The static width-8 table for B: odd multiples [B, 3B, …, 127B].
-fn base_odd_multiples() -> &'static PointTable<64> {
-    static TABLE: OnceLock<Box<PointTable<64>>> = OnceLock::new();
-    TABLE.get_or_init(|| Box::new(PointTable::from_point(&EdwardsPoint::base())))
+/// The static width-8 tables of B's split: odd multiples
+/// [P, 3P, …, 127P] of P = 2^(64j)·B for j = 0..3, ~40 KB once per
+/// process.
+fn base_split_tables() -> &'static SplitTables<64> {
+    static TABLES: OnceLock<Box<SplitTables<64>>> = OnceLock::new();
+    TABLES.get_or_init(|| Box::new(split_tables(&EdwardsPoint::base())))
 }
 
-/// `base_coeff·B + Σ sᵢ·Pᵢ` with one doubling chain shared by every
-/// term: width-5 NAF digits against each dynamic point's table, width-8
-/// digits against the static base-point table. All scalars must be
-/// below 2^255 (canonical scalars always are). Variable-time.
-pub(crate) fn multiscalar_mul(
-    base_coeff: Option<&[u8; 32]>,
-    terms: &[([u8; 32], &PointTable)],
-) -> EdwardsPoint {
-    let base = base_coeff.map(|s| (wnaf_digits(s, BASE_NAF_WIDTH), base_odd_multiples()));
-    let digit_sets: Vec<[i8; 256]> = terms
-        .iter()
-        .map(|(scalar, _)| wnaf_digits(scalar, NAF_WIDTH))
-        .collect();
-    // Highest bit position with any non-zero digit bounds the doubling
-    // chain (short scalars — e.g. 128-bit batch coefficients alone —
-    // pay proportionally fewer doublings).
-    let top = digit_sets
-        .iter()
-        .chain(base.as_ref().map(|(digits, _)| digits))
-        .flat_map(|d| d.iter().rposition(|&x| x != 0))
-        .max();
-    let mut acc = EdwardsPoint::identity();
-    if let Some(top) = top {
-        for pos in (0..=top).rev() {
-            acc = acc.double();
-            if let Some((digits, table)) = &base {
-                acc = table.apply_naf(&acc, digits[pos]);
-            }
-            for (digits, (_, table)) in digit_sets.iter().zip(terms.iter()) {
-                acc = table.apply_naf(&acc, digits[pos]);
-            }
+/// One recoded scalar against one odd-multiples table.
+struct Row<'a> {
+    digits: [i8; 256],
+    entries: &'a [CachedPoint],
+}
+
+/// The rows one doubling chain adds, and the highest digit position
+/// among them, which sets the chain's length.
+struct Chain<'a> {
+    rows: Vec<Row<'a>>,
+    top: Option<usize>,
+}
+
+impl<'a> Chain<'a> {
+    fn push(&mut self, scalar: &[u8; 32], entries: &'a [CachedPoint], w: usize) {
+        let (digits, top) = wnaf_digits(scalar, w);
+        if top.is_some() {
+            self.top = self.top.max(top);
+            self.rows.push(Row { digits, entries });
         }
     }
-    acc
+
+    /// Cuts `scalar` into 256 / `chunk_bits` integer chunks, least
+    /// significant first, and runs chunk i against the table of
+    /// 2^(i·chunk_bits)·P. The cut is the identity
+    /// s = Σ sᵢ·2^(i·chunk_bits) over the integers, with no reduction
+    /// mod L, so [s]P is exact for a point of any order.
+    fn push_split<const N: usize>(
+        &mut self,
+        scalar: &[u8; 32],
+        tables: &'a SplitTables<N>,
+        chunk_bits: usize,
+        w: usize,
+    ) {
+        let chunk_bytes = chunk_bits / 8;
+        for (i, chunk) in scalar.chunks_exact(chunk_bytes).enumerate() {
+            let mut part = [0u8; 32];
+            part[..chunk_bytes].copy_from_slice(chunk);
+            self.push(&part, &tables[i * chunk_bits / 64].entries, w);
+        }
+    }
+
+    /// Σ rows from the top digit down: one doubling per position below
+    /// the top, then each row's digit at that position.
+    fn run(&self) -> EdwardsPoint {
+        let mut acc = EdwardsPoint::identity();
+        let Some(top) = self.top else {
+            return acc;
+        };
+        for pos in (0..=top).rev() {
+            if pos < top {
+                acc = acc.double();
+            }
+            for row in &self.rows {
+                acc = apply_naf(row.entries, &acc, row.digits[pos]);
+            }
+        }
+        #[cfg(test)]
+        CHAIN_DOUBLINGS.with(|count| count.set(count.get() + top));
+        acc
+    }
+}
+
+/// `base_coeff·B + Σ sᵢ·Aᵢ + Σ tᵢ·Pᵢ` with one doubling chain shared by
+/// every term: B and each split point Aᵢ have their scalars cut into
+/// `chunk_bits`-bit chunks against their split tables (width 8 for B,
+/// width 5 for the rest), and each plain point Pᵢ's scalar runs whole
+/// against its one width-5 table. The chain is as long as the widest
+/// chunk or plain scalar: `chunk_bits` of 64 gives at most 64
+/// doublings, 128 gives at most 128, and 256 — one chunk against the
+/// first table, the plain chain — gives ~253. Plain scalars, and every
+/// scalar when `chunk_bits` is 256, must be below 2^255 (canonical
+/// scalars always are). Variable-time.
+pub(crate) fn multiscalar_mul(
+    chunk_bits: usize,
+    base_coeff: Option<&[u8; 32]>,
+    split_terms: &[([u8; 32], &SplitTables)],
+    terms: &[([u8; 32], &PointTable)],
+) -> EdwardsPoint {
+    debug_assert!(
+        matches!(chunk_bits, 64 | 128 | 256),
+        "chunks tile the 4 tables"
+    );
+    let chunks = 256 / chunk_bits;
+    let mut chain = Chain {
+        rows: Vec::with_capacity(chunks * (1 + split_terms.len()) + terms.len()),
+        top: None,
+    };
+    if let Some(s) = base_coeff {
+        chain.push_split(s, base_split_tables(), chunk_bits, BASE_NAF_WIDTH);
+    }
+    for (s, tables) in split_terms {
+        chain.push_split(s, tables, chunk_bits, NAF_WIDTH);
+    }
+    for (s, table) in terms {
+        chain.push(s, &table.entries, NAF_WIDTH);
+    }
+    chain.run()
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Doublings run by [`multiscalar_mul`] chains on this thread (per
+    /// thread because tests run in parallel).
+    static CHAIN_DOUBLINGS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Returns this thread's chain doublings and resets the count.
+#[cfg(test)]
+pub(crate) fn take_chain_doublings() -> usize {
+    CHAIN_DOUBLINGS.with(|count| count.take())
+}
+
+/// The order-2 point T₂ = (0, −1).
+#[cfg(test)]
+pub(crate) fn order_two() -> EdwardsPoint {
+    EdwardsPoint {
+        x: FieldElement::ZERO,
+        y: FieldElement::ONE.neg(),
+        z: FieldElement::ONE,
+        t: FieldElement::ZERO,
+    }
 }
 
 /// y < p when the 255-bit value is canonical.
@@ -628,7 +752,7 @@ mod tests {
             let bound = (1i16 << (w - 1)) - 1;
             for seed in 0..8u64 {
                 let s = pseudo_scalar(seed);
-                let digits = wnaf_digits(&s, w);
+                let (digits, _) = wnaf_digits(&s, w);
                 // Σ dᵢ·2ⁱ, carry-normalized bit by bit, is the scalar.
                 let mut bytes = [0u8; 32];
                 let mut carry: i16 = 0;
@@ -733,16 +857,16 @@ mod tests {
         let (sa, sb, sc) = (pseudo_scalar(10), pseudo_scalar(11), pseudo_scalar(12));
         let tp = PointTable::from_point(&p);
         let tq = PointTable::from_point(&q);
-        let got = multiscalar_mul(Some(&sa), &[(sb, &tp), (sc, &tq)]);
+        let got = multiscalar_mul(256, Some(&sa), &[], &[(sb, &tp), (sc, &tq)]);
         let want = EdwardsPoint::mul_base(&sa)
             .add(&p.scalar_mul_serial(&sb))
             .add(&q.scalar_mul_serial(&sc));
         assert!(got.eq_point(&want));
         // Empty term list is just the base term; no terms at all is identity.
-        assert!(multiscalar_mul(Some(&sa), &[]).eq_point(&EdwardsPoint::mul_base(&sa)));
-        assert!(multiscalar_mul(None, &[]).is_identity());
+        assert!(multiscalar_mul(256, Some(&sa), &[], &[]).eq_point(&EdwardsPoint::mul_base(&sa)));
+        assert!(multiscalar_mul(256, None, &[], &[]).is_identity());
         // All-zero scalars collapse to identity.
-        assert!(multiscalar_mul(None, &[(scalar(0), &tp)]).is_identity());
+        assert!(multiscalar_mul(256, None, &[], &[(scalar(0), &tp)]).is_identity());
     }
 
     #[test]
@@ -751,6 +875,6 @@ mod tests {
         // the signing windows and through the verification chain alike.
         let l_bytes = crate::scalar::L_BYTES;
         assert!(EdwardsPoint::mul_base(&l_bytes).is_identity());
-        assert!(multiscalar_mul(Some(&l_bytes), &[]).is_identity());
+        assert!(multiscalar_mul(256, Some(&l_bytes), &[], &[]).is_identity());
     }
 }

@@ -163,7 +163,11 @@ impl MultiSignature {
             .join(";")
     }
 
-    /// Parses the wire string form.
+    /// Parses the wire string form. Only the spelling
+    /// [`MultiSignature::to_wire`] gives is accepted: `hex::decode`
+    /// alone would also take upper-case digits, and a fulfillment
+    /// re-spelled that way, with its id re-sealed, would be a second
+    /// valid transaction spending the same inputs under another id.
     pub fn from_wire(s: &str) -> Option<MultiSignature> {
         if s.is_empty() {
             return Some(MultiSignature::empty());
@@ -175,7 +179,8 @@ impl MultiSignature {
             let sig: Signature = hex::decode_array(sig_hex)?;
             entries.push((pb, sig));
         }
-        Some(MultiSignature { entries })
+        let ms = MultiSignature { entries };
+        (ms.to_wire() == s).then_some(ms)
     }
 }
 
@@ -267,6 +272,14 @@ mod tests {
         assert!(MultiSignature::from_wire("nothex:beef").is_none());
         assert!(MultiSignature::from_wire("beef").is_none());
         assert_eq!(MultiSignature::from_wire("").map(|m| m.len()), Some(0));
+    }
+
+    #[test]
+    fn wire_accepts_only_its_own_spelling() {
+        let alice = KeyPair::generate(&mut rng());
+        let wire = MultiSignature::create(&[&alice], b"m").to_wire();
+        assert!(MultiSignature::from_wire(&wire).is_some());
+        assert!(MultiSignature::from_wire(&wire.to_uppercase()).is_none());
     }
 
     #[test]

@@ -33,8 +33,8 @@ mod sha3;
 mod sha512;
 
 pub use ed25519::{
-    derive_public_key, sign, verify, verify_batch, BatchItem, PublicKey, SecretKey, Signature,
-    SignatureError, PUBLIC_KEY_LEN, SECRET_KEY_LEN, SIGNATURE_LEN,
+    derive_public_key, key_cache_stats, sign, verify, verify_batch, BatchItem, PublicKey,
+    SecretKey, Signature, SignatureError, PUBLIC_KEY_LEN, SECRET_KEY_LEN, SIGNATURE_LEN,
 };
 pub use keys::{KeyPair, MultiSignature};
 pub use sha3::{keccak_256, sha3_256, sha3_256_hex};

@@ -1,10 +1,12 @@
 //! Property tests for the cryptography substrate.
 
 use crate::ed25519::{
-    derive_public_key, prepare_public_key, sign, verify, verify_batch, BatchItem, PublicKey,
-    Signature,
+    derive_public_key, prepare_public_key, sign, verify, verify_batch, verify_plain_chain,
+    BatchItem, ExpandedSecret, PublicKey, Signature,
 };
+use crate::edwards::{multiscalar_mul, order_two, split_tables, EdwardsPoint, SplitTables};
 use crate::keys::{KeyPair, MultiSignature};
+use crate::scalar::L_BYTES;
 use crate::{hex, sha3_256, sha512};
 use proptest::prelude::*;
 
@@ -18,6 +20,54 @@ fn undecodable_key() -> PublicKey {
         })
         .find(|key| prepare_public_key(key).is_none())
         .expect("some small y is off the curve")
+}
+
+/// 2^bit + delta for delta ∈ {−1, 0, 1}, little-endian.
+fn power_of_two_plus(bit: usize, delta: i8) -> [u8; 32] {
+    let mut s = [0u8; 32];
+    s[bit / 8] = 1 << (bit % 8);
+    match delta {
+        1 => s[0] |= 1,
+        -1 => {
+            // 2^bit − 1: every bit below `bit` set.
+            s = [0u8; 32];
+            for b in 0..bit {
+                s[b / 8] |= 1 << (b % 8);
+            }
+        }
+        _ => {}
+    }
+    s
+}
+
+/// Scalars below 2^255: random ones, and the edges of the split — 0,
+/// L − 1, 2^255 − 1, and each side of the chunk boundaries 2^64, 2^128
+/// and 2^192.
+fn chain_scalar() -> impl Strategy<Value = [u8; 32]> {
+    let edge = (0usize..12).prop_map(|i| match i {
+        0 => [0u8; 32],
+        1 => {
+            let mut l_minus_one = L_BYTES;
+            l_minus_one[0] -= 1;
+            l_minus_one
+        }
+        2 => power_of_two_plus(255, -1),
+        _ => power_of_two_plus(64 * (1 + (i - 3) / 3), (i % 3) as i8 - 1),
+    });
+    let random = any::<[u8; 32]>().prop_map(|mut s| {
+        s[31] &= 0x7f;
+        s
+    });
+    prop_oneof![edge, random]
+}
+
+/// `public` with the order-2 point added: it decodes, and [L] of it is
+/// T₂, not the identity.
+fn twisted(public: &PublicKey) -> PublicKey {
+    EdwardsPoint::decompress(public)
+        .expect("honest key")
+        .add(&order_two())
+        .compress()
 }
 
 proptest! {
@@ -125,6 +175,113 @@ proptest! {
         prop_assert!(ms.verify(&required, &msg));
         let back = MultiSignature::from_wire(&ms.to_wire()).expect("wire parses");
         prop_assert!(back.verify(&required, &msg));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The split chain (64- and 128-bit chunks), the plain chain and the
+    /// serial double-and-add give one point, for an honest key, for that
+    /// key plus T₂ and for B.
+    #[test]
+    fn split_chain_equals_plain_chain_and_serial(
+        seed in any::<[u8; 32]>(),
+        scalar in chain_scalar(),
+    ) {
+        let honest = derive_public_key(&seed);
+        for public in [honest, twisted(&honest)] {
+            let point = EdwardsPoint::decompress(&public).expect("decodes");
+            let split: SplitTables = split_tables(&point);
+            let serial = point.scalar_mul_serial(&scalar);
+            for chunk_bits in [64, 128] {
+                let chained = multiscalar_mul(chunk_bits, None, &[(scalar, &split)], &[]);
+                prop_assert!(chained.eq_point(&serial), "{chunk_bits}-bit chunks");
+            }
+            let plain = multiscalar_mul(256, None, &[], &[(scalar, &split[0])]);
+            prop_assert!(plain.eq_point(&serial), "plain chain");
+        }
+        let serial = EdwardsPoint::base().scalar_mul_serial(&scalar);
+        for chunk_bits in [64, 128, 256] {
+            let chained = multiscalar_mul(chunk_bits, Some(&scalar), &[], &[]);
+            prop_assert!(chained.eq_point(&serial), "B at {chunk_bits}-bit chunks");
+        }
+    }
+
+    /// `verify` and `verify_batch` give the plain-chain reference's
+    /// verdict on every item: honest signatures, tampered ones, and
+    /// signatures under a key with a torsion component (valid exactly
+    /// when the challenge is even).
+    #[test]
+    fn split_chain_verdicts_equal_plain_chain(
+        plan in prop::collection::vec((0usize..4, 0u8..4, any::<u8>()), 1..=12),
+    ) {
+        let pairs: Vec<KeyPair> = (1u8..=3).map(|i| KeyPair::from_seed([i; 32])).collect();
+        let torsion_secret = ExpandedSecret::from_seed(&[0x4D; 32]);
+        let torsion_key = twisted(&torsion_secret.public_key());
+        let triples: Vec<(PublicKey, Vec<u8>, Signature)> = plan
+            .iter()
+            .enumerate()
+            .map(|(i, &(signer, tamper, at))| {
+                let mut msg = format!("chained {i} {at}").into_bytes();
+                let (public, mut sig) = match pairs.get(signer) {
+                    Some(pair) => (*pair.public(), pair.sign(&msg)),
+                    None => (torsion_key, torsion_secret.sign(&torsion_key, &msg)),
+                };
+                match tamper {
+                    0 => sig[32 + at as usize % 31] ^= 1, // S byte
+                    1 => sig[at as usize % 32] ^= 1,      // R byte
+                    2 => msg[0] ^= 1,
+                    _ => {} // untouched
+                }
+                (public, msg, sig)
+            })
+            .collect();
+        let reference: Vec<_> = triples
+            .iter()
+            .map(|(public, message, signature)| verify_plain_chain(signature, public, message))
+            .collect();
+        for ((public, message, signature), want) in triples.iter().zip(&reference) {
+            prop_assert_eq!(&verify(signature, public, message), want);
+        }
+        let items: Vec<BatchItem<'_>> = triples
+            .iter()
+            .map(|(public, message, signature)| BatchItem { signature, public, message })
+            .collect();
+        prop_assert_eq!(verify_batch(&items), reference);
+    }
+
+    /// A fulfillment has one spelling: whatever `from_wire` accepts,
+    /// `to_wire` gives back byte for byte — here over real wires with
+    /// letters re-cased and characters swapped for hex and separators.
+    #[test]
+    fn from_wire_accepts_only_to_wire_spellings(
+        seeds in prop::collection::vec(any::<[u8; 32]>(), 0..3),
+        edits in prop::collection::vec((any::<prop::sample::Index>(), 0usize..6), 0..3),
+    ) {
+        let pairs: Vec<KeyPair> = seeds.into_iter().map(KeyPair::from_seed).collect();
+        let refs: Vec<&KeyPair> = pairs.iter().collect();
+        let mut wire: Vec<u8> = MultiSignature::create(&refs, b"spelled").to_wire().into_bytes();
+        for (at, edit) in &edits {
+            if wire.is_empty() {
+                break;
+            }
+            let i = at.index(wire.len());
+            wire[i] = match edit {
+                0 => wire[i].to_ascii_uppercase(),
+                1 => wire[i].to_ascii_lowercase(),
+                2 => b'A',
+                3 => b'a',
+                4 => b':',
+                _ => b';',
+            };
+        }
+        let wire = String::from_utf8(wire).expect("ascii");
+        if let Some(parsed) = MultiSignature::from_wire(&wire) {
+            prop_assert_eq!(parsed.to_wire(), wire);
+        } else {
+            prop_assert!(!edits.is_empty(), "an unedited wire parses");
+        }
     }
 }
 

@@ -278,12 +278,14 @@ impl SmartchainCluster {
     /// names, traces in block order), or `None` with telemetry off.
     /// Covers every instrumented layer the cluster drives: delivery
     /// commits (`pipeline.*`), the per-replica durable stores
-    /// (`durable.*`), and the gossip counters (`cluster.*`).
+    /// (`durable.*`), and the gossip counters (`cluster.*`). The
+    /// prepared-key cache's gauges (`crypto.key_cache.*`) are per
+    /// process, shared by every replica.
     pub fn telemetry_snapshot(&self) -> Option<Value> {
         self.pipeline
             .telemetry
             .snapshot()
-            .map(|snap| crate::telemetry::snapshot_to_json(&snap))
+            .map(crate::telemetry::snapshot_with_key_cache)
     }
 
     /// A node's post-block UTXO state digest — the O(shards) replica

@@ -193,12 +193,14 @@ impl Node {
     /// names, traces in block order), or `None` with telemetry off.
     /// One handle spans the whole node — mempool admission
     /// (`mempool.*`), the commit pipeline (`pipeline.*`), and the
-    /// durable store (`durable.*`) all report here.
+    /// durable store (`durable.*`) all report here. The prepared-key
+    /// cache's gauges (`crypto.key_cache.*`) are per process, shared
+    /// with every other node in it.
     pub fn telemetry_snapshot(&self) -> Option<Value> {
         self.pipeline
             .telemetry
             .snapshot()
-            .map(|snap| crate::telemetry::snapshot_to_json(&snap))
+            .map(crate::telemetry::snapshot_with_key_cache)
     }
 
     /// The committed ledger view.

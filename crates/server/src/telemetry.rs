@@ -87,6 +87,22 @@ pub fn snapshot_to_json(snap: &TelemetrySnapshot) -> Value {
     doc
 }
 
+/// [`snapshot_to_json`] of a node's or a cluster's registry, with the
+/// process-wide prepared-key cache's figures added as gauges
+/// `crypto.key_cache.{resident,hits,misses,evicted}`. They are read
+/// when the snapshot is taken and cover the whole process: every node
+/// and replica in it verifies through the one cache
+/// (`scdb_crypto::key_cache_stats`).
+pub(crate) fn snapshot_with_key_cache(mut snap: TelemetrySnapshot) -> Value {
+    for (name, value) in scdb_crypto::key_cache_stats() {
+        snap.gauges.insert(
+            format!("crypto.key_cache.{name}"),
+            i64::try_from(value).unwrap_or(i64::MAX),
+        );
+    }
+    snapshot_to_json(&snap)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

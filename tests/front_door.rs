@@ -250,3 +250,45 @@ fn an_output_index_past_u32_is_refused_not_truncated() {
         }
     }
 }
+
+/// A fulfillment is spelled one way. Upper-casing a pending spend's
+/// fulfillment and re-sealing its id makes a twin that names the same
+/// signatures and spends the same inputs under a different id; it is
+/// refused at admission, and the original still commits.
+#[test]
+fn an_upper_cased_fulfillment_is_refused_at_admission() {
+    let mut inputs = plan_payloads().to_vec();
+    let (pick, original) = inputs
+        .iter()
+        .enumerate()
+        .find_map(|(i, payload)| {
+            let tx = Transaction::from_payload(payload).expect("plan payloads parse");
+            tx.inputs[0].fulfills.is_some().then_some((i, tx))
+        })
+        .expect("the plan spends an output");
+    let mut twin = original.clone();
+    for input in &mut twin.inputs {
+        input.fulfillment = input.fulfillment.to_uppercase();
+    }
+    twin.seal();
+    assert_ne!(twin.id, original.id);
+    inputs.insert(pick, twin.to_payload());
+
+    let mut node = fresh_node();
+    let verdicts = node.ingest_payload_batch(&inputs);
+    for (i, verdict) in verdicts.iter().enumerate() {
+        if i == pick {
+            assert!(
+                matches!(verdict, Err(AdmitError::InvalidSignature(_))),
+                "{verdict:?}"
+            );
+        } else {
+            assert!(verdict.is_ok(), "member {i}: {verdict:?}");
+        }
+    }
+    let report = node.drain_block(usize::MAX);
+    assert!(report.outcome.fully_committed(), "{:?}", report.outcome);
+    let committed = node.ledger().committed_ids();
+    assert!(committed.contains(&original.id));
+    assert!(!committed.contains(&twin.id));
+}

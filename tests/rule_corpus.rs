@@ -710,6 +710,14 @@ fn transfer_rows(m: &Market) -> Vec<Row> {
         )
         .vouched(Vouched::Stateful(Expect::Ok)),
         row(
+            "TRANSFER fulfillment re-spelled in upper case",
+            resealed(m.transfer(), &signers, |tx| {
+                tx.inputs[0].fulfillment = tx.inputs[0].fulfillment.to_uppercase()
+            }),
+            bad_signature(MALFORMED),
+        )
+        .vouched(Vouched::Stateful(Expect::Ok)),
+        row(
             "TRANSFER by a stranger claiming the output",
             edited(m.transfer(), &[&m.mallory], |tx| {
                 tx.inputs[0].owners_before = vec![hex(&m.mallory)]

@@ -11,7 +11,7 @@
 
 use smartchaindb::telemetry::TELEMETRY_ENV;
 use smartchaindb::workload::{scdb_plan, ScenarioConfig};
-use smartchaindb::{KeyPair, Node, PipelineOptions, Telemetry};
+use smartchaindb::{KeyPair, Node, PipelineOptions, SmartchainCluster, Telemetry};
 
 fn escrow() -> KeyPair {
     KeyPair::from_seed([0xE5; 32])
@@ -303,4 +303,31 @@ fn pending_seals_gauge_tracks_the_group_commit_buffer() {
     assert_eq!(pending(), 2, "a failed flush keeps its seals pending");
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Both snapshot entry points carry the process-wide prepared-key
+/// cache's four gauges. After a node has verified a stream, its keys
+/// are resident and its lookups counted.
+#[test]
+fn key_cache_gauges_ride_node_and_cluster_snapshots() {
+    let options = || {
+        PipelineOptions::with_workers(2)
+            .durable(false)
+            .with_telemetry(Telemetry::enabled())
+    };
+    let mut node = Node::with_options(escrow(), options());
+    run_rounds(&mut node, &contended_payloads(2, 2, 0xCAC4E), 8);
+    let cluster = SmartchainCluster::with_options(1, options());
+    for snap in [node.telemetry_snapshot(), cluster.telemetry_snapshot()] {
+        let snap = snap.expect("telemetry on");
+        let gauge = |name: &str| {
+            snap.get("gauges")
+                .and_then(|gauges| gauges.get(&format!("crypto.key_cache.{name}")))
+                .and_then(|value| value.as_i64())
+                .unwrap_or_else(|| panic!("crypto.key_cache.{name} is exported"))
+        };
+        assert!(gauge("resident") >= 1);
+        assert!(gauge("hits") + gauge("misses") >= gauge("resident"));
+        assert!(gauge("evicted") >= 0);
+    }
 }
