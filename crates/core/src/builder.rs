@@ -162,18 +162,20 @@ impl TxBuilder {
 }
 
 /// Fulfills every input of `tx` with a multi-signature from `signers`
-/// over the signing payload, then seals the id. Inputs are signed by the
-/// subset of `signers` matching their `owners_before`; a CREATE-style
-/// transaction with no inputs gets one synthesized self-input.
+/// over the signing payload, then seals the id. Each input is signed by
+/// the `signers` matching its `owners_before`, in `owners_before` order
+/// (the one order validation accepts); a CREATE-style transaction with
+/// no inputs gets one synthesized self-input owned by `signers` in the
+/// order given.
 ///
 /// ACCEPT_BID — the type whose row names the requester as signer — is
 /// the exception: its inputs spend escrow-held bid outputs
 /// (`owners_before` names `PBPK-ℛℯ𝓈`), but the *requester* authorizes
 /// the settlement — "the signer of the ACCEPT_BID transaction [must not
 /// be] different from the signer of REQUEST" (Algorithm 3). Every
-/// ACCEPT_BID input is therefore fulfilled by the full signer set, and
-/// validation checks it against the REQUEST's signers rather than the
-/// escrow account.
+/// ACCEPT_BID input is therefore fulfilled by the full signer set, as
+/// given, and validation checks it against the REQUEST's signers rather
+/// than the escrow account: pass them in the REQUEST's order.
 pub fn sign_transaction(tx: &mut Transaction, signers: &[&KeyPair]) {
     if tx.inputs.is_empty() {
         tx.inputs.push(Input {
@@ -187,10 +189,10 @@ pub fn sign_transaction(tx: &mut Transaction, signers: &[&KeyPair]) {
         let input_signers: Vec<&KeyPair> = if row(tx.operation).signers == Signers::Requester {
             signers.to_vec()
         } else {
-            signers
+            input
+                .owners_before
                 .iter()
-                .copied()
-                .filter(|k| input.owners_before.contains(&k.public_hex()))
+                .filter_map(|owner| signers.iter().copied().find(|k| k.public_hex() == *owner))
                 .collect()
         };
         let ms = scdb_crypto::MultiSignature::create(&input_signers, message.as_bytes());
@@ -289,6 +291,20 @@ mod tests {
             .output(ks[0].public_hex(), 1)
             .sign(&[&ks[0]]);
         assert!(verify_input_signatures(&tx).is_err());
+    }
+
+    #[test]
+    fn owner_signed_inputs_follow_owners_before_order() {
+        let ks = keys(2);
+        let tx = TxBuilder::transfer("cc".repeat(32))
+            .input(
+                "cc".repeat(32),
+                0,
+                vec![ks[0].public_hex(), ks[1].public_hex()],
+            )
+            .output(ks[0].public_hex(), 1)
+            .sign(&[&ks[1], &ks[0]]);
+        assert!(verify_input_signatures(&tx).is_ok());
     }
 
     #[test]

@@ -3,22 +3,22 @@
 //!
 //! This realizes the formal model's `sign(pk, m)` and
 //! `verify(s, pb, m)` functions (§3.1 of the paper). Verification is
-//! cofactorless (`S·B == R + k·A`), matching the RFC 8032 test vectors
-//! and BigchainDB's behaviour.
+//! cofactored on both paths: a signature is accepted when
+//! [8]([k]A − [s]B + R) is the identity, the check RFC 8032 §5.1.7
+//! permits and ZIP 215 specifies. Under it a single check and a pooled
+//! one give the same verdict, a small-order component in R or A
+//! included. Non-canonical encodings of R and A are still refused.
 //!
-//! [`verify`] checks one signature as [k]A − [s]B == −R in one shared
-//! doubling chain, cut to 64 doublings by splitting k and −s into
-//! 64-bit chunks against tables of 2^(64j)·A and 2^(64j)·B.
-//! [`verify_batch`] pools a flush into one random linear
-//! combination and, when it fails, bisects at half cost: each failing
-//! subset evaluates its left half and derives its right half by one
-//! point subtraction, and a singleton is decided from its own combined
-//! point. That derivation is exact only over keys of prime order, so a
-//! key with a torsion component ([L]A ≠ O, recorded once per prepared
-//! key) is checked alone instead of pooled.
+//! [`verify`] computes [k]A − [s]B in one shared doubling chain, cut to
+//! 64 doublings by splitting k and −s into 64-bit chunks against tables
+//! of 2^(64j)·A and 2^(64j)·B. [`verify_batch`] pools a flush into one
+//! random linear combination and, when it fails, bisects at half cost:
+//! each failing subset evaluates its left half and derives its right
+//! half by one point subtraction, and a singleton is decided from its
+//! own combined point.
 
 use crate::edwards::{multiscalar_mul, split_tables, EdwardsPoint, PointTable, SplitTables};
-use crate::scalar::{Scalar, L_BYTES};
+use crate::scalar::Scalar;
 use crate::sha512::sha512;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -123,6 +123,28 @@ impl ExpandedSecret {
         sig[32..].copy_from_slice(&big_s.to_bytes());
         sig
     }
+
+    /// Signs RFC 8032's way except for the commitment: R is `r·B + extra`
+    /// for r = `nonce` repeated, and the challenge is taken under
+    /// `public` (which need not be this secret's own key). Only a key
+    /// holder can do this.
+    #[cfg(test)]
+    pub(crate) fn sign_with(
+        &self,
+        public: &PublicKey,
+        extra: &EdwardsPoint,
+        nonce: u8,
+        msg: &[u8],
+    ) -> Signature {
+        let r = Scalar::from_bytes(&[nonce; 32]);
+        let r_point = EdwardsPoint::mul_base(&r.0).add(extra).compress();
+        let k = challenge_scalar(&r_point, public, msg);
+        let s = Scalar::mul_add(k, Scalar::from_bytes(&self.s.0), r);
+        let mut sig = [0u8; 64];
+        sig[..32].copy_from_slice(&r_point);
+        sig[32..].copy_from_slice(&s.0);
+        sig
+    }
 }
 
 /// Derives the public key A = s·B from a seed.
@@ -149,21 +171,13 @@ pub struct PreparedPublicKey {
     /// two 128-bit halves against tables 0 and 2. Building them costs 192
     /// doublings on top of the first table's.
     split: SplitTables,
-    /// [L]A = O: the key lies in the prime-order subgroup. Every key
-    /// `derive_public_key` makes does; a key with a torsion component
-    /// decodes just as well, and batch verification must not pool it.
-    torsion_free: bool,
 }
 
 impl PreparedPublicKey {
     fn decode(public: &PublicKey) -> Option<PreparedPublicKey> {
         let point = EdwardsPoint::decompress(public)?;
-        let split = split_tables(&point);
-        let torsion_free =
-            multiscalar_mul(SINGLE_CHUNK_BITS, None, &[(L_BYTES, &split)], &[]).is_identity();
         Some(PreparedPublicKey {
-            split,
-            torsion_free,
+            split: split_tables(&point),
         })
     }
 }
@@ -297,16 +311,15 @@ const PUBKEY_CACHE_CAP: usize = 8_192;
 /// that hit and missed, and entries evicted at capacity, in that order.
 /// Every verifier in the process shares the one cache, so the figures
 /// cover every node and replica in it. A miss costs a decompression
-/// plus the split tables and the [L]A test, about two single checks.
+/// plus the split tables: 196 doublings and 28 additions.
 pub fn key_cache_stats() -> [(&'static str, u64); 4] {
     pubkey_cache().lock().expect("pubkey cache").stats()
 }
 
 /// Decompresses `public` through the process-wide cache. A miss decodes
-/// outside the lock — decompression, the split tables and the [L]A test
-/// cost about two single checks, and admission workers must not queue
-/// behind each other's cold keys — then keeps whichever decoding landed
-/// first.
+/// outside the lock — decompression and the split tables cost more than
+/// a single check, and admission workers must not queue behind each
+/// other's cold keys — then keeps whichever decoding landed first.
 pub fn prepare_public_key(public: &PublicKey) -> Option<Arc<PreparedPublicKey>> {
     let hit = pubkey_cache().lock().expect("pubkey cache").get(public);
     if let Some(hit) = hit {
@@ -338,19 +351,18 @@ const SINGLE_CHUNK_BITS: usize = 64;
 /// against two of its tables, not four, and no extra doubling.
 const POOL_CHUNK_BITS: usize = 128;
 
-/// The verification equation S·B == R + k·A over decoded components —
-/// shared verbatim by `verify` and the batch's single checks so their
-/// verdicts are identical by construction.
+/// The cofactored verification equation [8]([k]A − [S]B + R) == O over
+/// decoded components — shared verbatim by `verify` and the batch's
+/// single checks so their verdicts are identical by construction.
 ///
-/// Evaluated as [k]A + [−S mod L]B == −R in one doubling chain. Only
-/// B's scalar is negated, which is exact because B has order L; k stays
-/// as it is, so a key with a torsion component is multiplied exactly.
-/// Both scalars are cut into `chunk_bits`-bit integer chunks against
-/// the split tables of A and B; the cut is an identity over the
-/// integers, so it keeps that exactness. Production passes
-/// [`SINGLE_CHUNK_BITS`] (a chain of at most 64 doublings against ~253
-/// for whole scalars); the tests' plain-chain reference passes 256.
-/// `s_bytes` must be canonical (< L).
+/// [k]A + [−S mod L]B runs in one doubling chain; negating B's scalar
+/// mod L is exact because B has order L. Both scalars are cut into
+/// `chunk_bits`-bit integer chunks against the split tables of A and B.
+/// Production passes [`SINGLE_CHUNK_BITS`] (a chain of at most 64
+/// doublings against ~253 for whole scalars); the tests' plain-chain
+/// reference passes 256. R is added and the sum multiplied by the
+/// cofactor, so a small-order component in R or A drops out, as it does
+/// in the pool. `s_bytes` must be canonical (< L).
 fn verify_equation(
     chunk_bits: usize,
     a: &PreparedPublicKey,
@@ -361,7 +373,10 @@ fn verify_equation(
     #[cfg(test)]
     count_work(|w| w.single_checks += 1);
     let neg_s = Scalar::neg(Scalar(*s_bytes));
-    multiscalar_mul(chunk_bits, Some(&neg_s.0), &[(k.0, &a.split)], &[]).eq_point(&r.neg())
+    multiscalar_mul(chunk_bits, Some(&neg_s.0), &[(k.0, &a.split)], &[])
+        .add(r)
+        .mul_by_cofactor()
+        .is_identity()
 }
 
 /// Verifies `signature` over `message` under `public`, RFC 8032 §5.1.7.
@@ -405,7 +420,6 @@ fn verify_chunked(
 
     let k = challenge_scalar(&r_bytes, public, message);
 
-    // S·B == R + k·A
     if verify_equation(chunk_bits, &a, &r, &s_bytes, &k) {
         Ok(())
     } else {
@@ -437,37 +451,25 @@ struct DecodedItem {
 /// Batch signature verification: per-item verdicts for a whole flush.
 ///
 /// Valid batches are accepted with a single random-linear-combination
-/// check — V(S) = Σ zᵢ·(Rᵢ + kᵢ·Aᵢ − Sᵢ·B) == O over one shared-doubling
-/// multiscalar accumulation — amortizing the per-signature scalar
-/// multiplications. The 128-bit zᵢ set that chain at 128 doublings;
-/// the full-width B and A coefficients run as two 128-bit halves on
-/// their split tables to stay within it (see [`combined_point`]), and
-/// a single check decided alone runs 64. A failing subset bisects at half cost: its left
+/// check — [8]V(S) == O for V(S) = Σ zᵢ·(Rᵢ + kᵢ·Aᵢ − Sᵢ·B), one
+/// shared-doubling multiscalar accumulation — amortizing the
+/// per-signature scalar multiplications. The 128-bit zᵢ set that chain
+/// at 128 doublings; the full-width B and A coefficients run as two
+/// 128-bit halves on their split tables to stay within it (see
+/// [`combined_point`]). A failing subset bisects at half cost: its left
 /// half is evaluated and its right half is V(S) − V(left), one point
-/// subtraction. A singleton is decided from its own point: V({i}) =
-/// zᵢ·(Rᵢ + kᵢ·Aᵢ − Sᵢ·B), and zᵢ is odd and below L, so it is the
-/// identity exactly when [`verify`]'s equation holds. Every accept or
-/// split is the decision a fresh evaluation of that subset would make.
-///
-/// The derivation needs V to be additive over subsets, which holds
-/// because B's coefficient and each grouped A coefficient are reduced
-/// mod L only against points of order L. A key with a torsion
-/// component ([L]A ≠ O) would break that, so such an item is decided
-/// by [`verify`]'s equation on its own and never pooled.
+/// subtraction. Reducing a grouped A coefficient mod L can add a
+/// small-order point to V, and the cofactor clears it, so the derived
+/// half is decided as a fresh evaluation would decide it. A singleton
+/// is decided from its own point: [8]V({i}) = zᵢ·[8](Rᵢ + kᵢ·Aᵢ − Sᵢ·B)
+/// lies in the prime-order subgroup and zᵢ is odd and below L, so it is
+/// the identity exactly when [`verify`]'s equation holds.
 ///
 /// The zᵢ coefficients are derived deterministically from a transcript
 /// over all pooled (signature, key, challenge) triples, so verdicts are
-/// a pure function of the batch. Soundness: a signature set that fails
-/// the individual equations passes the combined check with probability
-/// ≲ 2⁻¹²⁷ — **except** for defects that lie entirely in R's small-order
-/// (torsion) component, which can cancel in the combination: two
-/// signatures whose R carries the order-2 point both fail [`verify`]
-/// and both pass here (pinned by the ignored test
-/// `torsion_in_r_cancels_in_the_pool`). Only the key's holder can make
-/// such a signature. Nothing re-verifies a pooled verdict at commit —
-/// the verified set vouches for it — so such a pair can be admitted
-/// that the sequential oracle rejects, depending on how a pool was
-/// chunked. The two fixes and their costs are ROADMAP item 2 (e).
+/// a pure function of the batch. A signature set that fails the
+/// individual equations passes the combined check with probability
+/// ≲ 2⁻¹²⁷.
 pub fn verify_batch(items: &[BatchItem<'_>]) -> Vec<Result<(), SignatureError>> {
     let mut results: Vec<Result<(), SignatureError>> = vec![Ok(()); items.len()];
     let mut decoded: Vec<DecodedItem> = Vec::with_capacity(items.len());
@@ -490,14 +492,6 @@ pub fn verify_batch(items: &[BatchItem<'_>]) -> Vec<Result<(), SignatureError>> 
             continue;
         }
         let k = challenge_scalar(&r_bytes, item.public, item.message);
-        if !a.torsion_free {
-            // Reducing A's pooled coefficient mod L would drop its
-            // torsion term, so V would not be additive: decide it alone.
-            if !verify_equation(SINGLE_CHUNK_BITS, &a, &r_point, &s_bytes, &k) {
-                results[idx] = Err(SignatureError::Mismatch);
-            }
-            continue;
-        }
         decoded.push(DecodedItem {
             idx,
             r_table: PointTable::from_point(&r_point),
@@ -553,11 +547,11 @@ pub fn verify_batch(items: &[BatchItem<'_>]) -> Vec<Result<(), SignatureError>> 
 }
 
 /// Decides a non-empty `subset` whose combined point `v` = V(subset) is
-/// already known: the identity accepts every member, a singleton that
-/// is not the identity is its member's mismatch, and anything else
-/// evaluates its left half and derives the right as V(subset) − V(left).
+/// already known: [8]V = O accepts every member, a singleton with
+/// [8]V ≠ O is its member's mismatch, and anything else evaluates its
+/// left half and derives the right as V(subset) − V(left).
 fn bisect(subset: &[&DecodedItem], v: EdwardsPoint, results: &mut [Result<(), SignatureError>]) {
-    if v.is_identity() {
+    if v.mul_by_cofactor().is_identity() {
         return; // every member already carries Ok
     }
     if let [d] = subset {
@@ -570,8 +564,9 @@ fn bisect(subset: &[&DecodedItem], v: EdwardsPoint, results: &mut [Result<(), Si
     bisect(right, v.add(&v_left.neg()), results);
 }
 
-/// The combined point V(S) = −(Σ zᵢ·sᵢ)·B + Σ zᵢ·Rᵢ + Σ (zᵢ·kᵢ)·Aᵢ,
-/// which is the identity when the subset's combined check passes.
+/// The combined point V(S) = −(Σ zᵢ·sᵢ)·B + Σ zᵢ·Rᵢ + Σ (zᵢ·kᵢ)·Aᵢ, up
+/// to a small-order point; the subset's combined check passes when
+/// [8]V(S) is the identity.
 ///
 /// A-terms sharing one public key collapse into a single multiscalar
 /// term with coefficient Σ zᵢ·kᵢ — the combination is linear in Aᵢ, so
@@ -882,40 +877,18 @@ mod tests {
         ));
     }
 
-    /// Signs RFC 8032's way except for the commitment: R is `r·B + extra`
-    /// and the challenge is taken under `public` (which need not be the
-    /// secret's own key). Only a key holder can do this.
-    fn sign_with(
-        secret: &ExpandedSecret,
-        public: &PublicKey,
-        extra: &EdwardsPoint,
-        nonce: u8,
-        msg: &[u8],
-    ) -> Signature {
-        let r = Scalar::from_bytes(&[nonce; 32]);
-        let r_point = EdwardsPoint::mul_base(&r.0).add(extra).compress();
-        let k = challenge_scalar(&r_point, public, msg);
-        let s = Scalar::mul_add(k, Scalar::from_bytes(&secret.s.0), r);
-        let mut sig = [0u8; 64];
-        sig[..32].copy_from_slice(&r_point);
-        sig[32..].copy_from_slice(&s.0);
-        sig
-    }
-
-    /// Known gap (ROADMAP item 2 (e)): a defect that lies entirely in
-    /// R's torsion component cancels in the random linear combination.
-    /// Both signatures fail `verify` (R′ + k·A − S·B = T₂), but the pool
-    /// sums z₁·T₂ + z₂·T₂ with both zᵢ odd, which is the identity.
+    /// Two signatures whose R carries the order-2 point: R′ + k·A − S·B
+    /// is T₂, which the cofactor clears, so `verify` accepts each one
+    /// and the pool, where z₁·T₂ + z₂·T₂ cancels anyway, agrees.
     #[test]
-    #[ignore = "known gap: torsion cancels in the pooled equation"]
-    fn torsion_in_r_cancels_in_the_pool() {
+    fn torsion_in_r_is_accepted_alone_and_in_the_pool() {
         let secret = ExpandedSecret::from_seed(&[0x3Cu8; 32]);
         let public = secret.public_key();
         let msgs: [&[u8]; 2] = [b"first", b"second"];
         let sigs: Vec<Signature> = msgs
             .iter()
             .enumerate()
-            .map(|(i, msg)| sign_with(&secret, &public, &order_two(), i as u8 + 1, msg))
+            .map(|(i, msg)| secret.sign_with(&public, &order_two(), i as u8 + 1, msg))
             .collect();
         let items: Vec<BatchItem<'_>> = sigs
             .iter()
@@ -930,57 +903,8 @@ mod tests {
             .iter()
             .map(|item| verify(item.signature, item.public, item.message))
             .collect();
-        assert_eq!(singly, vec![Err(SignatureError::Mismatch); 2]);
+        assert_eq!(singly, vec![Ok(()); 2]);
         assert_eq!(verify_batch(&items), singly);
-    }
-
-    /// A key A + T₂ decompresses but is not torsion-free. Pooled, its
-    /// reduced coefficient would drop the T₂ term; it is decided alone,
-    /// so its verdict is `verify`'s — Ok exactly when the challenge is
-    /// even — and the honest members beside it stay Ok.
-    #[test]
-    fn torsion_key_is_decided_alone_and_matches_verify() {
-        let secret = ExpandedSecret::from_seed(&[0x4Du8; 32]);
-        let honest_key = secret.public_key();
-        let twisted = EdwardsPoint::decompress(&honest_key)
-            .expect("honest key")
-            .add(&order_two())
-            .compress();
-        let prepared = prepare_public_key(&twisted).expect("A + T₂ decompresses");
-        assert!(!prepared.torsion_free);
-        assert!(
-            prepare_public_key(&honest_key)
-                .expect("honest")
-                .torsion_free
-        );
-
-        let msgs: Vec<Vec<u8>> = (0..16)
-            .map(|i| format!("twisted {i}").into_bytes())
-            .collect();
-        let mut triples = honest_batch(6);
-        for (i, msg) in msgs.iter().enumerate() {
-            let sig = sign_with(
-                &secret,
-                &twisted,
-                &EdwardsPoint::identity(),
-                i as u8 + 1,
-                msg,
-            );
-            triples.insert(2 * i % (triples.len() + 1), (twisted, msg.clone(), sig));
-        }
-        let batch = run_batch(&triples);
-        let mut twisted_verdicts = Vec::new();
-        for ((pk, msg, sig), verdict) in triples.iter().zip(&batch) {
-            assert_eq!(&verify(sig, pk, msg), verdict);
-            if *pk == twisted {
-                twisted_verdicts.push(*verdict);
-            } else {
-                assert!(verdict.is_ok(), "honest members stay Ok");
-            }
-        }
-        // Both parities of the challenge occur, so both branches ran.
-        assert!(twisted_verdicts.contains(&Ok(())));
-        assert!(twisted_verdicts.contains(&Err(SignatureError::Mismatch)));
     }
 
     /// Pins the bisection's cost: 128 distinct-key items with bad
@@ -1155,6 +1079,43 @@ mod tests {
             assert!(cache.get(k).is_some(), "non-LRU keys stay resident");
         }
         assert!(cache.get(&fresh).is_some());
+    }
+
+    /// Encodings ZIP 215 accepts and this crate refuses, as R and as A:
+    /// y = p and y = p + 1 (non-canonical), and the identity and T₂ with
+    /// the sign bit set (x = 0 has no negative). Both paths name the
+    /// component; an honest member beside them stays Ok.
+    #[test]
+    fn non_canonical_points_stay_refused() {
+        let mut y_p = [0xffu8; 32];
+        y_p[0] = 0xed;
+        y_p[31] = 0x7f;
+        let mut y_p_plus_one = y_p;
+        y_p_plus_one[0] = 0xee;
+        let mut identity_negative = [0u8; 32];
+        identity_negative[0] = 1;
+        identity_negative[31] = 0x80;
+        let mut order_two_negative = order_two().compress();
+        order_two_negative[31] |= 0x80;
+        let refused = [y_p, y_p_plus_one, identity_negative, order_two_negative];
+
+        let (honest_key, msg, honest_sig) = honest_batch(1).remove(0);
+        let mut triples = vec![(honest_key, msg.clone(), honest_sig)];
+        let mut want = vec![Ok(())];
+        for encoding in refused {
+            let mut sig = honest_sig;
+            sig[..32].copy_from_slice(&encoding);
+            triples.push((honest_key, msg.clone(), sig));
+            want.push(Err(SignatureError::InvalidR));
+            triples.push((encoding, msg.clone(), honest_sig));
+            want.push(Err(SignatureError::InvalidPublicKey));
+        }
+        let singly: Vec<_> = triples
+            .iter()
+            .map(|(pk, msg, sig)| verify(sig, pk, msg))
+            .collect();
+        assert_eq!(singly, want);
+        assert_eq!(run_batch(&triples), want);
     }
 
     #[test]

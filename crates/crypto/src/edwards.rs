@@ -278,10 +278,15 @@ impl EdwardsPoint {
             && self.y.mul(other.z).ct_eq(other.y.mul(self.z))
     }
 
-    /// True when this is the neutral element (the batch verifier's
-    /// accept condition).
+    /// True when this is the neutral element.
     pub fn is_identity(&self) -> bool {
         self.eq_point(&EdwardsPoint::identity())
+    }
+
+    /// [8]P, three doublings. It clears any small-order component, so
+    /// both verification paths accept when [8]P, not P, is the identity.
+    pub(crate) fn mul_by_cofactor(&self) -> EdwardsPoint {
+        self.double().double().double()
     }
 }
 
@@ -606,6 +611,22 @@ pub(crate) fn order_two() -> EdwardsPoint {
         z: FieldElement::ONE,
         t: FieldElement::ZERO,
     }
+}
+
+/// A point of order 8: [L]P for the first decodable P (y = 2, 3, …)
+/// with [4]([L]P) ≠ O. [L] keeps only P's small-order component, so no
+/// constant is pasted in.
+#[cfg(test)]
+pub(crate) fn order_eight() -> EdwardsPoint {
+    (2u8..)
+        .filter_map(|y| {
+            let mut bytes = [0u8; 32];
+            bytes[0] = y;
+            EdwardsPoint::decompress(&bytes)
+        })
+        .map(|p| p.scalar_mul(&crate::scalar::L_BYTES))
+        .find(|t| !t.double().double().is_identity())
+        .expect("some small y has an order-8 component")
 }
 
 /// y < p when the 255-bit value is canonical.

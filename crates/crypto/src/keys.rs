@@ -117,9 +117,8 @@ impl MultiSignature {
     }
 
     /// Verifies that *every* entry is a valid signature over `message`,
-    /// and that the set of signers covers `required` exactly (order-
-    /// insensitive). This is the model's `verify` lifted to
-    /// multi-signature strings.
+    /// and that the signers are `required`, in order. This is the
+    /// model's `verify` lifted to multi-signature strings.
     pub fn verify(&self, required: &[PublicKey], message: &[u8]) -> bool {
         self.covers_exactly(required)
             && self
@@ -128,22 +127,14 @@ impl MultiSignature {
                 .all(|(pb, sig)| verify(sig, pb, message).is_ok())
     }
 
-    /// The exact-cover half of [`MultiSignature::verify`]: the signer
-    /// set equals `required` as a multiset, no signature checked. Batch
+    /// The exact-cover half of [`MultiSignature::verify`]: the entries'
+    /// keys equal `required` in order, no signature checked. One order
+    /// means one spelling: a permuted fulfillment, re-sealed, would be a
+    /// second valid transaction spending the same inputs. Batch
     /// verification runs this structurally, then pools the per-entry
     /// ed25519 checks across many strings.
     pub fn covers_exactly(&self, required: &[PublicKey]) -> bool {
-        if self.entries.len() != required.len() {
-            return false;
-        }
-        let mut needed: Vec<&PublicKey> = required.iter().collect();
-        for (pb, _) in &self.entries {
-            let Some(pos) = needed.iter().position(|r| *r == pb) else {
-                return false;
-            };
-            needed.swap_remove(pos);
-        }
-        true
+        self.signers().eq(required)
     }
 
     /// The (public key, signature) pairs in entry order, for pooling
@@ -239,12 +230,14 @@ mod tests {
     }
 
     #[test]
-    fn multisig_order_insensitive() {
+    fn multisig_refuses_a_permuted_entry_order() {
         let mut r = rng();
         let alice = KeyPair::generate(&mut r);
         let bob = KeyPair::generate(&mut r);
+        let required = [*alice.public(), *bob.public()];
+        assert!(MultiSignature::create(&[&alice, &bob], b"m").verify(&required, b"m"));
         let ms = MultiSignature::create(&[&bob, &alice], b"m");
-        assert!(ms.verify(&[*alice.public(), *bob.public()], b"m"));
+        assert!(!ms.verify(&required, b"m"));
     }
 
     #[test]

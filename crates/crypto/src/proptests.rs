@@ -4,7 +4,9 @@ use crate::ed25519::{
     derive_public_key, prepare_public_key, sign, verify, verify_batch, verify_plain_chain,
     BatchItem, ExpandedSecret, PublicKey, Signature,
 };
-use crate::edwards::{multiscalar_mul, order_two, split_tables, EdwardsPoint, SplitTables};
+use crate::edwards::{
+    multiscalar_mul, order_eight, order_two, split_tables, EdwardsPoint, SplitTables,
+};
 use crate::keys::{KeyPair, MultiSignature};
 use crate::scalar::L_BYTES;
 use crate::{hex, sha3_256, sha512};
@@ -120,26 +122,33 @@ proptest! {
         prop_assert!(verify(&sig, &pk, &tampered).is_err());
     }
 
-    /// Pooled ≡ per-item: a batch of 2–64 items over three keys (so
-    /// A-terms group and their coefficients wrap mod L), with a random
-    /// tamper per item — an S byte, an R byte, a message byte, a
-    /// non-canonical S or an undecodable key — gets exactly `verify`'s
-    /// verdicts, through every accepted, derived and singleton subset
-    /// the bisection visits.
+    /// Pooled ≡ per-item: a batch of 2–64 items over three keys and a
+    /// fourth, twisted(A) = A + T₂, held by the first key's holder (so
+    /// A-terms group and their coefficients wrap mod L, a small-order
+    /// term included), with a random tamper per item — an S byte, an R
+    /// byte, a message byte, a non-canonical S or an undecodable key —
+    /// or the holder's re-signature with R = [r]B + T for T = T₂ or a
+    /// point of order 8. Every item gets exactly `verify`'s verdict,
+    /// through every accepted, derived and singleton subset the
+    /// bisection visits, and every untampered item is Ok.
     #[test]
     fn batch_verdicts_equal_per_item_verify(
-        plan in prop::collection::vec((0usize..3, 0u8..20, any::<u8>(), 1u8..=255), 2..=64),
+        plan in prop::collection::vec((0usize..4, 0u8..20, any::<u8>(), 1u8..=255), 2..=64),
     ) {
-        let pairs: Vec<KeyPair> = (1u8..=3).map(|i| KeyPair::from_seed([i; 32])).collect();
+        let secrets: Vec<ExpandedSecret> =
+            (1u8..=3).map(|i| ExpandedSecret::from_seed(&[i; 32])).collect();
+        let mut keys: Vec<PublicKey> = secrets.iter().map(ExpandedSecret::public_key).collect();
+        keys.push(twisted(&keys[0]));
+        let small_order = [order_two(), order_eight()];
         let undecodable = undecodable_key();
         let triples: Vec<(PublicKey, Vec<u8>, Signature)> = plan
             .iter()
             .enumerate()
             .map(|(i, &(signer, tamper, at, mask))| {
-                let pair = &pairs[signer];
+                let secret = &secrets[signer % 3];
+                let mut public = keys[signer];
                 let mut msg = format!("pooled {i} {at}").into_bytes();
-                let mut sig = pair.sign(&msg);
-                let mut public = *pair.public();
+                let mut sig = secret.sign(&public, &msg);
                 match tamper {
                     0 => sig[32 + at as usize % 32] ^= mask, // S byte
                     1 => sig[at as usize % 32] ^= mask,      // R byte
@@ -149,6 +158,11 @@ proptest! {
                     }
                     3 => sig[63] |= 0xf0, // S ≥ L
                     4 => public = undecodable,
+                    5 | 6 => {
+                        // The holder's re-signature with a small-order R.
+                        let t = &small_order[usize::from(tamper - 5)];
+                        sig = secret.sign_with(&public, t, at, &msg);
+                    }
                     _ => {} // honest
                 }
                 (public, msg, sig)
@@ -162,6 +176,11 @@ proptest! {
             .iter()
             .map(|(public, message, signature)| verify(signature, public, message))
             .collect();
+        for (&(_, tamper, _, _), verdict) in plan.iter().zip(&singly) {
+            if tamper >= 5 {
+                prop_assert_eq!(verdict, &Ok(()));
+            }
+        }
         prop_assert_eq!(verify_batch(&items), singly);
     }
 
@@ -210,8 +229,7 @@ proptest! {
 
     /// `verify` and `verify_batch` give the plain-chain reference's
     /// verdict on every item: honest signatures, tampered ones, and
-    /// signatures under a key with a torsion component (valid exactly
-    /// when the challenge is even).
+    /// signatures under a key with a torsion component.
     #[test]
     fn split_chain_verdicts_equal_plain_chain(
         plan in prop::collection::vec((0usize..4, 0u8..4, any::<u8>()), 1..=12),

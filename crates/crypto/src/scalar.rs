@@ -15,8 +15,9 @@ const L: [u64; 4] = [
     0x1000000000000000,
 ];
 
-/// L as 32 little-endian bytes: the multiplier of the torsion-freeness
-/// test [L]P = O.
+/// L as 32 little-endian bytes, for tests that multiply by the group
+/// order.
+#[cfg(test)]
 pub(crate) const L_BYTES: [u8; 32] = {
     let mut out = [0u8; 32];
     let mut i = 0;

@@ -580,6 +580,24 @@ fn create_rows(m: &Market) -> Vec<Row> {
             Expect::Schema,
         )
         .shadowed(Expect::Ok),
+        row(
+            "CREATE by two owners",
+            m.create().sign(&[&m.mallory, &m.alice]),
+            Expect::Ok,
+        ),
+        row(
+            "CREATE by two owners, entries swapped and re-sealed",
+            resealed(m.create(), &[&m.mallory, &m.alice], |tx| {
+                let signed = MultiSignature::from_wire(&tx.inputs[0].fulfillment).expect("wire");
+                let mut swapped = MultiSignature::empty();
+                for (public, signature) in signed.entries().iter().rev() {
+                    swapped.push(*public, *signature);
+                }
+                tx.inputs[0].fulfillment = swapped.to_wire();
+            }),
+            bad_signature(UNCOVERED),
+        )
+        .vouched(Vouched::Stateful(Expect::Ok)),
     ]
 }
 
