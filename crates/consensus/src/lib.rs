@@ -23,6 +23,8 @@
 mod app;
 mod config;
 mod engine;
+#[cfg(test)]
+mod explore;
 mod round;
 
 pub use app::{App, AppResult, BlockAnnotations, BlockView, CountingApp, FormedBlock};

@@ -15,7 +15,7 @@
 //! set, and `RoundMachine::tally` is the one quorum check for both.
 
 use scdb_sim::NodeId;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 
 /// Index into the driver's block registry.
 pub(crate) type BlockId = usize;
@@ -34,7 +34,7 @@ pub(crate) enum VoteKind {
 
 /// `from`'s vote of `kind` for `block` at `height`. Votes sort by
 /// kind, height and block, so one block's voters are one range.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub(crate) struct Vote {
     pub(crate) kind: VoteKind,
     pub(crate) height: u64,
@@ -50,7 +50,7 @@ impl Vote {
 }
 
 /// A proposed block at a height and round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub(crate) struct Proposal {
     pub(crate) height: u64,
     pub(crate) round: u32,
@@ -70,14 +70,14 @@ impl Proposal {
 }
 
 /// What validators send one another.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub(crate) enum Message {
     Proposal(Proposal),
     Vote(Vote),
 }
 
 /// One thing that happened to this validator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum Input {
     /// A message from a peer arrived.
     Receive(Message),
@@ -108,7 +108,7 @@ pub(crate) enum Output {
 }
 
 /// One validator's round state.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct RoundMachine {
     id: NodeId,
     nodes: usize,
@@ -121,9 +121,9 @@ pub(crate) struct RoundMachine {
     /// Every vote this node has counted, its own included.
     votes: BTreeSet<Vote>,
     /// The (kind, height) pairs this node has voted at, once each.
-    voted: HashSet<(VoteKind, u64)>,
+    voted: BTreeSet<(VoteKind, u64)>,
     /// Heights whose block this node has started executing.
-    executing: HashSet<u64>,
+    executing: BTreeSet<u64>,
 }
 
 impl RoundMachine {
