@@ -16,7 +16,8 @@ pub struct BftConfig {
     /// proposal is anchored at the previous block's prevote quorum
     /// instead of its commit.
     pub pipelined: bool,
-    /// Round timeout for proposer-failure recovery.
+    /// Timeout of each step of a round (propose, prevote, precommit):
+    /// how long a node waits before moving a stalled round on.
     pub round_timeout: SimTime,
     /// Network latency model between validators.
     pub latency: LatencyModel,

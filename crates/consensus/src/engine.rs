@@ -5,30 +5,35 @@
 //! broadcast *prevotes*; on a >2/3 prevote quorum they broadcast
 //! *precommits*; on a >2/3 precommit quorum each node executes the block
 //! (`DeliverTx` per transaction, then the commit hook) — the three
-//! validation touchpoints of the paper's Fig. 4. Round timeouts rotate
-//! the proposer so the chain survives proposer crashes, and the
-//! pipelining option anchors the next proposal at the previous block's
-//! prevote quorum ("nodes proceed with voting without waiting for a
-//! decision on the previous block", §2.2). A submission is decoded once,
-//! on its receiver (`App::decode`); the engine keeps the decoded value
-//! and lends it to every later application call.
+//! validation touchpoints of the paper's Fig. 4. Round timeouts move a
+//! height to its next round and proposer so the chain survives proposer
+//! crashes, and the pipelining option anchors the next proposal at the
+//! previous block's prevote quorum ("nodes proceed with voting without
+//! waiting for a decision on the previous block", §2.2). A submission
+//! is decoded once, on its receiver (`App::decode`); the engine keeps
+//! the decoded value and lends it to every later application call.
 //!
 //! Each validator's vote rules live in its clock-free [`RoundMachine`].
 //! [`Harness`] is the driver: it owns the event queue, the network, the
-//! transaction table, the block registry and the application, feeds
-//! each machine its inputs and carries out the outputs in order. It also
-//! keeps what no single validator can know: the decided chain recovering
-//! nodes sync from, the proposer-loop pacing, the live-work counters,
-//! the re-gossip of stranded transactions and the vote re-delivery.
+//! transaction table, the block store (keyed by height, a block named by
+//! the digest of its body) and the application, feeds each machine its
+//! inputs with the link sender of every message, and carries out the
+//! outputs in order. It also keeps what no single validator can know:
+//! the decided chain recovering nodes sync from, the proposer-loop
+//! pacing, the live-work counters, the re-gossip of stranded
+//! transactions, and the re-sending of each live node's own messages to
+//! a recovered one.
 
 use crate::app::{App, BlockAnnotations, BlockView};
 use crate::config::BftConfig;
 use crate::round::{
-    proposer, BlockId, Input, Message, Output, Proposal, RoundMachine, Vote, VoteKind,
+    proposer, BlockId, Input, Message, Output, Proposal, RoundMachine, Step, Timer, VoteKind,
 };
 use crate::TxId;
 use scdb_sim::{Network, NodeId, SimTime, Simulation};
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::hash::{Hash, Hasher};
 
 /// Life-cycle status of a transaction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,10 +74,34 @@ fn members<'a, T>(txs: &'a [TxRecord<T>], ids: &[TxId]) -> Vec<(TxId, &'a T)> {
 /// `deliver_block`.
 #[derive(Debug, Clone)]
 struct Block {
-    height: u64,
-    round: u32,
+    /// The digest of the body, so two different bodies proposed at one
+    /// height are two values and the same body proposed twice is one.
+    id: BlockId,
     txs: Vec<TxId>,
     annotations: BlockAnnotations,
+}
+
+impl Block {
+    fn new(txs: Vec<TxId>, annotations: BlockAnnotations) -> Block {
+        let mut digest = DefaultHasher::new();
+        txs.hash(&mut digest);
+        annotations.schedule.hash(&mut digest);
+        annotations.state_digest.hash(&mut digest);
+        Block {
+            id: digest.finish(),
+            txs,
+            annotations,
+        }
+    }
+}
+
+/// The block `id` proposed at `height`. Takes the block store rather
+/// than `&self`, like [`members`].
+fn stored(blocks: &HashMap<u64, Vec<Block>>, height: u64, id: BlockId) -> &Block {
+    blocks
+        .get(&height)
+        .and_then(|proposed| proposed.iter().find(|b| b.id == id))
+        .expect("a block the machines act on was proposed through the driver")
 }
 
 /// Simulation events.
@@ -94,9 +123,10 @@ enum Event {
         node: NodeId,
         height: u64,
     },
-    /// A consensus message arrives at `to`.
+    /// A consensus message from `from` arrives at `to`.
     Deliver {
         to: NodeId,
+        from: NodeId,
         msg: Message,
     },
     /// Block execution finished on a node.
@@ -105,11 +135,10 @@ enum Event {
         height: u64,
         block: BlockId,
     },
-    /// Proposer-failure timeout.
+    /// A round timeout armed at `node`.
     RoundTimeout {
         node: NodeId,
-        height: u64,
-        round: u32,
+        timer: Timer,
     },
     /// Fault injection.
     Crash(NodeId),
@@ -133,13 +162,13 @@ pub struct Harness<A: App> {
     nodes: Vec<NodeState>,
     machines: Vec<RoundMachine>,
     txs: Vec<TxRecord<A::Tx>>,
-    blocks: Vec<Block>,
+    /// Height -> the blocks proposed there, in proposal order; once the
+    /// height is decided, only the decided block.
+    blocks: HashMap<u64, Vec<Block>>,
     /// Height -> decided block (first quorum execution): the simulated
     /// chain a recovering node syncs from.
     decided: HashMap<u64, BlockId>,
-    /// (height, round) pairs already proposed, to avoid duplicates.
-    proposed: HashSet<(u64, u32)>,
-    /// Heights whose proposal + failure timers have been scheduled.
+    /// Heights whose proposal has been scheduled.
     height_started: HashSet<u64>,
     /// Whether the proposer loop is scheduled.
     loop_active: bool,
@@ -171,7 +200,10 @@ impl<A: App> Harness<A> {
         let net = Network::new(config.nodes, config.latency, config.seed);
         let nodes = (0..config.nodes).map(|_| NodeState::default()).collect();
         let machines = (0..config.nodes)
-            .map(|id| RoundMachine::new(id, config.nodes, config.quorum(), config.pipelined))
+            .map(|id| {
+                let (quorum, faults) = (config.quorum(), config.fault_tolerance());
+                RoundMachine::new(id, config.nodes, quorum, faults, config.pipelined)
+            })
             .collect();
         Harness {
             net,
@@ -180,9 +212,8 @@ impl<A: App> Harness<A> {
             machines,
             sim: Simulation::new(),
             txs: Vec::new(),
-            blocks: Vec::new(),
+            blocks: HashMap::new(),
             decided: HashMap::new(),
-            proposed: HashSet::new(),
             height_started: HashSet::new(),
             loop_active: false,
             undecided: 0,
@@ -369,10 +400,10 @@ impl<A: App> Harness<A> {
         let mut check_cost = SimTime::ZERO;
         for output in outputs {
             match output {
-                Output::Check(block) => {
+                Output::Check { height, block } => {
                     // CheckTx at the validator (Fig. 4's second set), the
                     // block in one call: the cost of the members that pass.
-                    let members = members(&self.txs, &self.blocks[block].txs);
+                    let members = members(&self.txs, &stored(&self.blocks, height, block).txs);
                     check_cost = self
                         .app
                         .check_block(node, &members)
@@ -385,10 +416,18 @@ impl<A: App> Harness<A> {
                     // checked, so it leaves after the validation work.
                     let prevote = matches!(msg, Message::Vote(v) if v.kind == VoteKind::Prevote);
                     let after = if prevote { check_cost } else { SimTime::ZERO };
-                    self.broadcast(node, after, |to| Event::Deliver { to, msg });
+                    self.broadcast(node, after, |to| Event::Deliver {
+                        to,
+                        from: node,
+                        msg,
+                    });
                 }
                 Output::Execute { height, block } => self.execute_block(node, height, block),
                 Output::Propose { height, round } => self.try_propose(node, height, round),
+                Output::Arm(timer) => self.schedule(
+                    self.config.round_timeout,
+                    Event::RoundTimeout { node, timer },
+                ),
                 Output::NextHeight(height) => self.schedule_height_start(height),
             }
         }
@@ -410,9 +449,7 @@ impl<A: App> Harness<A> {
         self.schedule_height_start(height);
     }
 
-    /// Schedules the proposal for a height and arms every node's
-    /// proposer-failure timeout, so a crashed proposer is rotated out
-    /// even when it never produced a proposal.
+    /// Schedules the proposal for a height.
     fn schedule_height_start(&mut self, height: u64) {
         if self.decided.contains_key(&height) || !self.height_started.insert(height) {
             return;
@@ -425,16 +462,6 @@ impl<A: App> Harness<A> {
                 height,
             },
         );
-        for peer in 0..self.config.nodes {
-            self.schedule(
-                self.config.block_interval + self.config.round_timeout,
-                Event::RoundTimeout {
-                    node: peer,
-                    height,
-                    round: 0,
-                },
-            );
-        }
     }
 
     fn handle(&mut self, now: SimTime, event: Event) {
@@ -444,12 +471,12 @@ impl<A: App> Harness<A> {
                 self.net.recover(node);
                 // Rejoin protocol (the §4.2.1 "process will resume as
                 // soon as sufficient voting power is attained"): first
-                // catch up on blocks decided while down, then have the
-                // network re-deliver proposals and votes for undecided
-                // heights (Tendermint-style vote gossip), then restart
-                // the proposer loop if work is outstanding.
+                // catch up on blocks decided while down, then have every
+                // live node re-send its own proposals and votes for
+                // undecided heights, then restart the proposer loop if
+                // work is outstanding.
                 self.catch_up(node);
-                self.resync_votes(node);
+                self.resend(node);
                 let height = self.machines[node].height();
                 if self.undecided > 0 {
                     self.loop_active = false;
@@ -494,31 +521,38 @@ impl<A: App> Harness<A> {
                 }
                 self.enqueue(to, tx);
             }
-            Event::StartHeight { node, height } => self.try_propose(node, height, 0),
-            Event::RoundTimeout {
-                node,
-                height,
-                round,
-            } => {
-                if self.decided.contains_key(&height)
+            Event::StartHeight { node, height } => {
+                if self.decided.contains_key(&height) {
+                    return;
+                }
+                if self.net.is_up(node) {
+                    self.step_node(node, Input::Start { height });
+                }
+                // Unless the proposer was idle and un-started the height,
+                // every node arms round 0's proposer-failure timer, so a
+                // crashed proposer is rotated out.
+                if self.height_started.contains(&height) {
+                    let timer = Timer {
+                        height,
+                        round: 0,
+                        step: Step::Propose,
+                    };
+                    for node in 0..self.config.nodes {
+                        let event = Event::RoundTimeout { node, timer };
+                        self.schedule(self.config.round_timeout, event);
+                    }
+                }
+            }
+            Event::RoundTimeout { node, timer } => {
+                if self.decided.contains_key(&timer.height)
                     || !self.net.is_up(node)
                     || self.undecided == 0
                 {
                     return;
                 }
-                // The machine rotates the proposer; the driver keeps the
-                // failure timer armed while work is outstanding.
-                self.step_node(node, Input::Timeout { height, round });
-                self.schedule(
-                    self.config.round_timeout,
-                    Event::RoundTimeout {
-                        node,
-                        height,
-                        round: round + 1,
-                    },
-                );
+                self.step_node(node, Input::Timeout(timer));
             }
-            Event::Deliver { to, msg } => {
+            Event::Deliver { to, from, msg } => {
                 if !self.net.is_up(to) {
                     return;
                 }
@@ -529,7 +563,7 @@ impl<A: App> Harness<A> {
                         return;
                     }
                 }
-                self.step_node(to, Input::Receive(msg));
+                self.step_node(to, Input::Receive { from, msg });
             }
             Event::Executed {
                 node,
@@ -540,11 +574,12 @@ impl<A: App> Harness<A> {
     }
 
     /// The still-pending members of every block proposed at `height`,
-    /// in registry order.
+    /// in proposal order.
     fn stranded(&self, height: u64) -> Vec<TxId> {
         self.blocks
-            .iter()
-            .filter(|b| b.height == height)
+            .get(&height)
+            .into_iter()
+            .flatten()
             .flat_map(|b| b.txs.iter().copied())
             .filter(|tx| matches!(self.txs[*tx as usize].status, TxStatus::Pending))
             .collect()
@@ -559,9 +594,6 @@ impl<A: App> Harness<A> {
 
     fn try_propose(&mut self, node: NodeId, height: u64, round: u32) {
         if self.decided.contains_key(&height) || !self.net.is_up(node) {
-            return;
-        }
-        if !self.proposed.insert((height, round)) {
             return;
         }
         // Re-proposals (round > 0) first reclaim transactions stranded
@@ -633,26 +665,30 @@ impl<A: App> Harness<A> {
             }
         }
         if batch.is_empty() {
-            // Idle: deactivate the loop; the next submission reactivates.
-            self.proposed.remove(&(height, round));
-            self.height_started.remove(&height);
-            self.loop_active = false;
+            // Idle: with nothing pending anywhere, deactivate the loop;
+            // the next submission reactivates. Work pending elsewhere
+            // (a mempool this node missed while down) is reached by the
+            // round timeouts, which move the height to other proposers.
+            if self.undecided == 0 {
+                self.height_started.remove(&height);
+                self.loop_active = false;
+            }
             return;
         }
-        let block = self.blocks.len();
-        self.blocks.push(Block {
-            height,
-            round,
-            txs: batch,
-            annotations,
-        });
-        // The proposer prevotes its own block implicitly.
+        let block = Block::new(batch, annotations);
+        let id = block.id;
+        let proposed = self.blocks.entry(height).or_default();
+        if proposed.iter().all(|b| b.id != id) {
+            proposed.push(block);
+        }
+        // The proposal is the proposer's prevote for its block.
         self.step_node(
             node,
             Input::Proposed(Proposal {
                 height,
                 round,
-                block,
+                block: id,
+                valid_round: None,
             }),
         );
     }
@@ -668,7 +704,7 @@ impl<A: App> Harness<A> {
     fn execute_block(&mut self, node: NodeId, height: u64, block: BlockId) {
         let Block {
             txs, annotations, ..
-        } = &self.blocks[block];
+        } = stored(&self.blocks, height, block);
         let members = members(&self.txs, txs);
         let verdicts = self.app.deliver_block(
             node,
@@ -719,35 +755,25 @@ impl<A: App> Harness<A> {
         }
     }
 
-    /// Vote gossip for a recovered node: re-deliver every proposal and
-    /// every vote any node counted for undecided heights, so partially
-    /// quorate rounds can complete once enough voting power is back.
-    /// Proposals go first, in registry order, then the votes, prevotes
-    /// before precommits.
-    fn resync_votes(&mut self, node: NodeId) {
-        let proposals = self
-            .blocks
-            .iter()
-            .enumerate()
-            .map(|(block, b)| Proposal {
-                height: b.height,
-                round: b.round,
-                block,
-            })
-            .filter(|p| !self.decided.contains_key(&p.height))
-            .map(Message::Proposal);
-        let votes: BTreeSet<Vote> = self
-            .machines
-            .iter()
-            .flat_map(RoundMachine::votes)
-            .copied()
-            .filter(|v| v.from != node && !self.decided.contains_key(&v.height))
-            .collect();
-        let messages: Vec<Message> = proposals
-            .chain(votes.into_iter().map(Message::Vote))
-            .collect();
-        for msg in messages {
-            self.schedule(SimTime::from_micros(200), Event::Deliver { to: node, msg });
+    /// Re-sending for a recovered node: every live peer sends it again
+    /// its own proposals and votes for undecided heights, so partially
+    /// quorate rounds can complete once enough voting power is back. No
+    /// node relays another's message: a vote counts only as its link
+    /// sender's.
+    fn resend(&mut self, node: NodeId) {
+        let mut messages = Vec::new();
+        for from in (0..self.config.nodes).filter(|p| *p != node && self.net.is_up(*p)) {
+            let sent = self.machines[from].sent();
+            let undecided = sent.filter(|m| !self.decided.contains_key(&m.height()));
+            messages.extend(undecided.map(|msg| (from, msg)));
+        }
+        for (from, msg) in messages {
+            let event = Event::Deliver {
+                to: node,
+                from,
+                msg,
+            };
+            self.schedule(SimTime::from_micros(200), event);
         }
     }
 
@@ -757,7 +783,7 @@ impl<A: App> Harness<A> {
         if newly_decided {
             self.decided.insert(height, block);
             // First node to finish execution fixes the commit timestamps.
-            let tx_ids = self.blocks[block].txs.clone();
+            let tx_ids = stored(&self.blocks, height, block).txs.clone();
             for tx in tx_ids {
                 if matches!(self.txs[tx as usize].status, TxStatus::Pending) {
                     self.txs[tx as usize].status = TxStatus::Committed(now);
@@ -776,6 +802,10 @@ impl<A: App> Harness<A> {
                         self.nodes[peer].mempool.push_back(tx);
                     }
                 }
+            }
+            // Only the decided block is read again (by catch-up).
+            if let Some(proposed) = self.blocks.get_mut(&height) {
+                proposed.retain(|b| b.id == block);
             }
         }
         self.step_node(node, Input::Executed { height });

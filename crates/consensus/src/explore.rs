@@ -26,7 +26,7 @@
 //! pruned by hashing the whole world, and a state where every honest
 //! node has executed is not expanded.
 
-use crate::round::{BlockId, Input, Message, Output, Proposal, RoundMachine};
+use crate::round::{BlockId, Input, Message, Output, Proposal, RoundMachine, Step, Timer};
 use scdb_sim::NodeId;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashSet;
@@ -34,18 +34,13 @@ use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 
 const NODES: usize = 4;
+const BYZANTINE: NodeId = 0;
 const HONEST: [NodeId; 3] = [1, 2, 3];
 /// The Byzantine proposer's two blocks.
 const A: BlockId = 0xA;
 const B: BlockId = 0xB;
 /// The honest round-1 proposer's block.
 const C: BlockId = 0xC;
-/// A proposer-failure timeout of a round, as the driver arms it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-struct Timer {
-    round: u32,
-}
-
 /// States the search may visit before it gives up.
 const BUDGET: usize = 1_000_000;
 
@@ -112,15 +107,19 @@ fn hash_of(value: &impl Hash) -> u64 {
 
 /// A timer in scope: any but the one that would start round 2.
 fn in_scope(timer: Timer) -> bool {
-    timer.round == 0
+    timer.round == 0 || timer.step != Step::Precommit
 }
 
 impl World {
     fn new() -> World {
         let machines: Vec<Rc<RoundMachine>> = (0..NODES)
-            .map(|id| Rc::new(RoundMachine::new(id, NODES, 3, true)))
+            .map(|id| Rc::new(RoundMachine::new(id, NODES, 3, 1, true)))
             .collect();
-        let round0 = Timer { round: 0 };
+        let round0 = Timer {
+            height: 0,
+            round: 0,
+            step: Step::Propose,
+        };
         World {
             prints: [0, 1, 2, 3].map(|n| hash_of(&machines[n])),
             machines,
@@ -164,9 +163,16 @@ impl World {
                         height,
                         round,
                         block: C,
+                        valid_round: None,
                     }),
                 ),
-                Output::Check(_) | Output::NextHeight(_) => {}
+                Output::Arm(timer) => {
+                    let armed = (self.now + 1, node, timer);
+                    if in_scope(timer) && !self.timers.contains(&armed) {
+                        self.timers.push(armed);
+                    }
+                }
+                Output::Check { .. } | Output::NextHeight(_) => {}
             }
         }
         self.in_flight.sort_unstable();
@@ -182,7 +188,7 @@ impl World {
                     .position(|m| *m == (to, from, msg))
                     .expect("a delivered message is in flight");
                 self.in_flight.remove(at);
-                self.feed(to, Input::Receive(msg));
+                self.feed(to, Input::Receive { from, msg });
                 to
             }
             Action::Forge { to, block } => {
@@ -191,20 +197,20 @@ impl World {
                     height: 0,
                     round: 0,
                     block,
+                    valid_round: None,
                 });
-                self.feed(to, Input::Receive(msg));
+                self.feed(
+                    to,
+                    Input::Receive {
+                        from: BYZANTINE,
+                        msg,
+                    },
+                );
                 to
             }
             Action::Fire { node, timer } => {
                 self.timers.retain(|t| (t.1, t.2) != (node, timer));
-                let (height, round) = (0, timer.round);
-                self.feed(node, Input::Timeout { height, round });
-                // The driver re-arms the timer for the next round.
-                let next = Timer { round: round + 1 };
-                if in_scope(next) {
-                    self.timers.push((self.now + 1, node, next));
-                    self.timers.sort_unstable();
-                }
+                self.feed(node, Input::Timeout(timer));
                 node
             }
         };
@@ -272,6 +278,19 @@ impl World {
         }
         None
     }
+
+    /// Delivers every honest message in order, firing timers whenever
+    /// none is in flight, until the world is quiescent.
+    fn settle(&mut self) {
+        loop {
+            let action = match (self.in_flight.first(), self.timers.first()) {
+                (Some(&(to, from, msg)), _) => Action::Deliver { to, from, msg },
+                (None, Some(&(_, node, timer))) => Action::Fire { node, timer },
+                (None, None) => return,
+            };
+            self.apply(action);
+        }
+    }
 }
 
 /// Walks every schedule in scope, depth first, up to `budget` states.
@@ -321,18 +340,46 @@ fn explore(budget: usize) -> Outcome {
 }
 
 #[test]
-fn the_explorer_finds_a_counterexample() {
+fn the_explorer_finds_no_counterexample() {
     let outcome = explore(BUDGET);
     println!("explored {} states", outcome.states);
-    assert!(
-        outcome.complete || outcome.counterexample.is_some(),
-        "the budget cut the search short"
-    );
-    let (violation, schedule) = outcome
-        .counterexample
-        .expect("a machine that votes once per height can be stalled");
-    println!("{violation:?} after {} steps:", schedule.len());
-    for action in &schedule {
-        println!("  {action:?}");
+    if let Some((violation, schedule)) = &outcome.counterexample {
+        for action in schedule {
+            println!("  {action:?}");
+        }
+        panic!("{violation:?} after {} steps", schedule.len());
     }
+    assert!(outcome.complete, "the budget cut the search short");
+}
+
+/// The explorer's counterexample at the parent of this machine, whose
+/// nodes voted once per height with no round: the proposer is slow,
+/// node 1 times out and proposes C in round 1 and node 2 prevotes it,
+/// then proposal A reaches nodes 1, 2 and 3 and node 3 prevotes A. No
+/// block could reach a quorum again and the height was stuck. Here the
+/// same schedule decides by round 1.
+#[test]
+fn a_late_proposal_after_a_timeout_no_longer_stalls_the_height() {
+    let mut world = World::new();
+    let round0 = |node| Action::Fire {
+        node,
+        timer: Timer {
+            height: 0,
+            round: 0,
+            step: Step::Propose,
+        },
+    };
+    world.apply(round0(1));
+    while let Some(&(to, from, msg)) = world.in_flight.first() {
+        world.apply(Action::Deliver { to, from, msg });
+    }
+    for to in HONEST {
+        world.apply(Action::Forge { to, block: A });
+    }
+    world.apply(round0(2));
+    world.apply(round0(3));
+    world.settle();
+    assert!(world.quiescent() && !world.late);
+    assert_eq!(world.violation(), None);
+    assert!(world.all_executed(), "executed: {:?}", world.executed);
 }

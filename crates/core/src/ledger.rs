@@ -225,7 +225,7 @@ impl LedgerState {
     /// reference-counted handle to the caller's transaction.
     ///
     /// Both the scalar path and the batch pipeline's parallel wave apply
-    /// funnel through the same two routines — [`LedgerState::utxo_effects`]
+    /// funnel through the same two routines — `LedgerState::utxo_effects`
     /// derives the spend/insert plan, [`UtxoSet::apply_tx`] executes it
     /// atomically — so the sharded path cannot drift from this one.
     pub fn apply_shared(&mut self, tx: &Arc<Transaction>) -> Result<(), SpendError> {

@@ -153,7 +153,7 @@ pub fn derive_public_key(seed: &SecretKey) -> PublicKey {
 }
 
 /// Signs `message` with the secret seed: expand, derive the public key,
-/// then the one signing body ([`ExpandedSecret::sign`]). Callers that
+/// then the one signing body (`ExpandedSecret::sign`). Callers that
 /// sign repeatedly hold a [`crate::KeyPair`], which expands once.
 pub fn sign(seed: &SecretKey, message: &[u8]) -> Signature {
     let secret = ExpandedSecret::from_seed(seed);
@@ -451,17 +451,17 @@ struct DecodedItem {
 /// Batch signature verification: per-item verdicts for a whole flush.
 ///
 /// Valid batches are accepted with a single random-linear-combination
-/// check — [8]V(S) == O for V(S) = Σ zᵢ·(Rᵢ + kᵢ·Aᵢ − Sᵢ·B), one
+/// check — \[8\]V(S) == O for V(S) = Σ zᵢ·(Rᵢ + kᵢ·Aᵢ − Sᵢ·B), one
 /// shared-doubling multiscalar accumulation — amortizing the
 /// per-signature scalar multiplications. The 128-bit zᵢ set that chain
 /// at 128 doublings; the full-width B and A coefficients run as two
 /// 128-bit halves on their split tables to stay within it (see
-/// [`combined_point`]). A failing subset bisects at half cost: its left
+/// `combined_point`). A failing subset bisects at half cost: its left
 /// half is evaluated and its right half is V(S) − V(left), one point
 /// subtraction. Reducing a grouped A coefficient mod L can add a
 /// small-order point to V, and the cofactor clears it, so the derived
 /// half is decided as a fresh evaluation would decide it. A singleton
-/// is decided from its own point: [8]V({i}) = zᵢ·[8](Rᵢ + kᵢ·Aᵢ − Sᵢ·B)
+/// is decided from its own point: \[8\]V({i}) = zᵢ·\[8\](Rᵢ + kᵢ·Aᵢ − Sᵢ·B)
 /// lies in the prime-order subgroup and zᵢ is odd and below L, so it is
 /// the identity exactly when [`verify`]'s equation holds.
 ///

@@ -12,7 +12,7 @@
 //!   uses (storage slots, mapping keys, ABI selectors), shared by the
 //!   ETH-SC baseline runtime in `scdb-evm`;
 //! * [`sha512`] — FIPS 180-4 SHA-512, the internal hash of Ed25519;
-//! * [`ed25519`] — RFC 8032 Ed25519 over our own curve25519 field and
+//! * `ed25519` — RFC 8032 Ed25519 over our own curve25519 field and
 //!   Edwards-point arithmetic;
 //! * [`KeyPair`] / [`MultiSignature`] — account keys (the model's
 //!   `PBPK` set) and multi-owner signature strings.

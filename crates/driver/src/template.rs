@@ -140,7 +140,7 @@ fn apply_common(mut b: TxBuilder, spec: &Value) -> TxBuilder {
 }
 
 /// Instantiates the template for `spec["operation"]`, producing an
-/// unsigned transaction ready for [`fulfill`](crate::fulfill).
+/// unsigned transaction ready to be fulfilled (signed).
 pub fn prepare(spec: &Value) -> Result<Transaction, PrepareError> {
     if spec.as_object().is_none() {
         return Err(PrepareError::NotAnObject);

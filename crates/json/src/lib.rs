@@ -12,7 +12,7 @@
 //!   hashing;
 //! * [`parse`] — a recursive-descent parser over UTF-8 text with precise
 //!   error positions;
-//! * [`Value::to_string`] / [`Value::to_canonical_string`] — compact and
+//! * `Value::to_string` / [`Value::to_canonical_string`] — compact and
 //!   canonical writers;
 //! * [`Value::pointer`] — dotted-path access used by the schema validator
 //!   and the document store's filter engine.

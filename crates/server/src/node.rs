@@ -152,7 +152,7 @@ impl Node {
     }
 
     /// Opens (or re-opens) a node whose durable store lives at `dir`:
-    /// the replica core recovers fail-closed ([`Replica::recover`]) and
+    /// the replica core recovers fail-closed (`Replica::recover`) and
     /// the node's own stores — document mirror, recovery collection,
     /// return queue — are rebuilt by replaying the recovered commit
     /// order, with each member's settlement as the core derived it,
@@ -540,7 +540,7 @@ impl Node {
     /// Crash-recovery (§4.2.1 case 2): rebuilds the return queue —
     /// "enqueue all the RETURNs … when the receiver node comes up
     /// online" — from the nested tracker (itself rebuilt from the
-    /// sealed chain by [`Replica::recover`]): every parent with
+    /// sealed chain by `Replica::recover`): every parent with
     /// outstanding children, in ledger commit order, has them
     /// re-determined and re-enqueued. Children already committed are skipped. Returns
     /// how many were re-enqueued.

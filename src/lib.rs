@@ -16,7 +16,7 @@
 //! | [`server`] | `scdb-server` | the SmartchainDB node and the replicated consensus cluster |
 //! | [`driver`] | `scdb-driver` | the paper's client driver: templates, prepare-and-sign, sync or async (callback) submit |
 //! | [`mempool`] | `scdb-mempool` | conflict-aware ingest: the pool `Node::ingest_payload_batch` fills and blocks are formed from |
-//! | [`consensus`] | `scdb-consensus` | Tendermint-profile (pipelined) and IBFT-profile BFT engines |
+//! | [`consensus`] | `scdb-consensus` | Tendermint's Algorithm 1 over authenticated links, in a Tendermint (pipelined) and an IBFT profile |
 //! | [`store`] | `scdb-store` | the document-store substrate (MongoDB stand-in) with declarative filters |
 //! | [`schema`] | `scdb-schema` | YAML transaction schemas and Algorithm-1 schema validation |
 //! | [`json`] | `scdb-json` | JSON value model, parser and canonical serializer |

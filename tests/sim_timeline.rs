@@ -9,9 +9,9 @@
 //! with its commit time in µs or its rejection reason, the message
 //! count, the decided height, the committed count, every replica's
 //! final state digest and the nested completions (SCDB), gas and
-//! reverts (ETH-SC). The string must equal the one recorded before the
-//! engine carried decoded transactions: refactors of the application
-//! seam may move work, never the timeline.
+//! reverts (ETH-SC). The string must equal the recorded one:
+//! refactors of the application seam may move work, never the
+//! timeline.
 //!
 //! Gossip counters are left out on purpose: which deliveries use a
 //! gossiped schedule is an implementation detail, not the timeline.
@@ -196,7 +196,11 @@ fn eth_stream() -> String {
     out
 }
 
-/// The value recorded at the parent of the typed application seam.
+/// The value recorded at the parent of the typed application seam, with
+/// the SCDB accepts (handles 20–22) and the message count as the round
+/// machine's Algorithm 1 moved them: height 3's proposer was down when
+/// its round started, and round 1 now follows a nil prevote and nil
+/// precommit round (24 messages) and the precommit timeout.
 const RECORDED: &str = "\
 scdb\n\
 0:C205135\n\
@@ -219,10 +223,10 @@ scdb\n\
 17:C608174\n\
 18:C608174\n\
 19:Rdouble spend: 59a6ef0e5bcb62a04502d29e92860a2803db01676f58161f72b58c015e8193b8#0 already spent by 8228e1708ffba8516d759afffcd588671b4a16ebeaabcd808d966caee29675d8\n\
-20:C2809496\n\
-21:C2809496\n\
-22:C2809496\n\
-messages=219 height=5 committed=26\n\
+20:C4810075\n\
+21:C4810075\n\
+22:C4810075\n\
+messages=243 height=5 committed=26\n\
 digest0=ac067882de03eb25:d90cfc76d57f9afb:17\n\
 digest1=ac067882de03eb25:d90cfc76d57f9afb:17\n\
 digest2=ac067882de03eb25:d90cfc76d57f9afb:17\n\
