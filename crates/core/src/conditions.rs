@@ -122,6 +122,30 @@ pub enum MarketKey {
     Accept,
 }
 
+/// How a commit changes a marketplace key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WriteKind {
+    /// Replaces the key's value: an ACCEPT_BID claims the accept slot.
+    Set,
+    /// Adds a member to the key's set: a BID joins its REQUEST's
+    /// locked bids.
+    Append,
+    /// Releases one escrow share of a member: a spend of a bid's output.
+    Unlock,
+}
+
+/// One marketplace write a commit of a transaction makes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct MarketWrite<'t> {
+    pub(crate) key: MarketKey,
+    pub(crate) kind: WriteKind,
+    /// The REQUEST whose index changes.
+    pub(crate) request: &'t str,
+    /// The bid an `Unlock` releases a share of; for the row's own write,
+    /// the transaction itself.
+    pub(crate) member: &'t str,
+}
+
 /// Where a type finds the REQUEST whose marketplace keys it touches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestLink {
@@ -141,10 +165,10 @@ pub struct TxType {
     /// The REQUEST the marketplace keys below belong to, for the types
     /// that touch any.
     pub request: Option<RequestLink>,
-    /// The marketplace index a commit of this type updates: a BID joins
-    /// its REQUEST's locked-bid set, an ACCEPT_BID claims the accept
-    /// slot.
-    pub writes: Option<MarketKey>,
+    /// The marketplace index a commit of this type updates, and how: a
+    /// BID joins its REQUEST's locked-bid set, an ACCEPT_BID claims the
+    /// accept slot.
+    pub writes: Option<(MarketKey, WriteKind)>,
     /// A nested type (Definition 2) commits without touching the UTXO
     /// set: its inputs and outputs are the plan its children realize.
     pub nested: bool,
@@ -163,6 +187,40 @@ impl TxType {
             RequestLink::FirstReference => Some(first),
             RequestLink::BidAtFirstReference => bid_request(resolve(first)?),
         }
+    }
+
+    /// Every marketplace write a commit of `tx` makes: an `Unlock` of
+    /// its REQUEST's bid set per spent output of a bid, then the row's
+    /// own write. A nested row declares the unlocks of the bids it
+    /// spends but applies none: its children spend those outputs.
+    /// `resolve` finds the spent transactions and a linked REQUEST.
+    pub(crate) fn market_writes<'t>(
+        &self,
+        tx: &'t Transaction,
+        mut resolve: impl FnMut(&str) -> Option<&'t Transaction>,
+    ) -> Vec<MarketWrite<'t>> {
+        let mut writes = Vec::new();
+        for f in tx.inputs.iter().filter_map(|i| i.fulfills.as_ref()) {
+            if let Some(request) = resolve(&f.tx_id).and_then(bid_request) {
+                writes.push(MarketWrite {
+                    key: MarketKey::Bids,
+                    kind: WriteKind::Unlock,
+                    request,
+                    member: &f.tx_id,
+                });
+            }
+        }
+        if let Some((key, kind)) = self.writes {
+            if let Some(request) = self.request_of(tx, resolve) {
+                writes.push(MarketWrite {
+                    key,
+                    kind,
+                    request,
+                    member: &tx.id,
+                });
+            }
+        }
+        writes
     }
 
     /// Every lookup the row's conditions declare for `tx`, each once.
@@ -184,7 +242,7 @@ impl TxType {
 /// The REQUEST `tx` bids on, if it is a bid: a transaction whose row
 /// joins its first reference's locked-bid set.
 pub(crate) fn bid_request(tx: &Transaction) -> Option<&str> {
-    let joins = row(tx.operation).writes == Some(MarketKey::Bids);
+    let joins = row(tx.operation).writes == Some((MarketKey::Bids, WriteKind::Append));
     tx.references.first().filter(|_| joins).map(String::as_str)
 }
 
@@ -234,7 +292,7 @@ static BID: TxType = TxType {
         Balanced,
     ],
     request: Some(RequestLink::FirstReference),
-    writes: Some(MarketKey::Bids),
+    writes: Some((MarketKey::Bids, WriteKind::Append)),
     ..PLAIN
 };
 
@@ -252,7 +310,7 @@ static ACCEPT_BID: TxType = TxType {
     ],
     signers: Signers::Requester,
     request: Some(RequestLink::FirstReference),
-    writes: Some(MarketKey::Accept),
+    writes: Some((MarketKey::Accept, WriteKind::Set)),
     nested: true,
 };
 

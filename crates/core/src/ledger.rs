@@ -19,7 +19,7 @@
 //!   (Algorithm 3's hottest probe) is O(bids still locked) instead of
 //!   re-deriving spentness from the UTXO set per call.
 
-use crate::conditions::{row, MarketKey};
+use crate::conditions::{row, WriteKind};
 use crate::model::Transaction;
 use crate::verified::{VerifiedSet, VerifiedSigners, VerifiedStats};
 use crate::view::LedgerView;
@@ -231,7 +231,7 @@ impl LedgerState {
     pub fn apply_shared(&mut self, tx: &Arc<Transaction>) -> Result<(), SpendError> {
         let UtxoEffects { spends, adds } = self.utxo_effects(tx);
         self.utxos.apply_tx(&spends, adds, &tx.id)?;
-        self.record_indexes(tx, &spends);
+        self.record_indexes(tx);
         Ok(())
     }
 
@@ -288,66 +288,56 @@ impl LedgerState {
         wave: &[&Arc<Transaction>],
         workers: usize,
     ) -> Vec<Result<(), SpendError>> {
-        // Each slot resolves to (spent refs, verdict): the adds move
-        // into the UTXO set, the spends stay for the index bookkeeping.
         // Workers derive the plans themselves — utxo_effects reads only
         // the committed-tx map, which nothing mutates until the serial
         // phase — so the clone-heavy plan construction parallelizes
         // along with the shard mutations.
-        let outcomes = crate::par::parallel_map(wave.len(), workers, |slot| {
+        let verdicts = crate::par::parallel_map(wave.len(), workers, |slot| {
             let tx = wave[slot];
             let UtxoEffects { spends, adds } = self.utxo_effects(tx);
-            let verdict = self.utxos.apply_tx(&spends, adds, &tx.id).map(|_| ());
-            (spends, verdict)
+            self.utxos.apply_tx(&spends, adds, &tx.id).map(|_| ())
         });
-        let mut verdicts = Vec::with_capacity(wave.len());
-        for (tx, (spends, verdict)) in wave.iter().zip(outcomes) {
+        for (tx, verdict) in wave.iter().zip(&verdicts) {
             if verdict.is_ok() {
-                self.record_indexes(tx, &spends);
+                self.record_indexes(tx);
             }
-            verdicts.push(verdict);
         }
         verdicts
     }
 
-    /// Everything a commit mutates besides the UTXO set: the locked-bid
-    /// escrow counts, the marketplace index the type writes, the
+    /// Everything a commit mutates besides the UTXO set: the marketplace
+    /// writes the type's row declares (`TxType::market_writes`), the
     /// committed map and the commit order.
-    fn record_indexes(&mut self, tx: &Arc<Transaction>, spent: &[OutputRef]) {
-        // Spending a BID's escrow output unlocks that share of the
-        // bid: keep the locked-bid index in step.
-        for spent_ref in spent {
-            if let Some(remaining) = self.unspent_escrow.get_mut(&spent_ref.tx_id) {
-                *remaining -= 1;
-                if *remaining == 0 {
-                    self.unspent_escrow.remove(&spent_ref.tx_id);
+    fn record_indexes(&mut self, tx: &Arc<Transaction>) {
+        let row = row(tx.operation);
+        for write in row.market_writes(tx, |id| self.txs.get(id).map(Arc::as_ref)) {
+            match write.kind {
+                // Spending a bid's escrow output unlocks that share of
+                // the bid. A nested row spends nothing itself.
+                WriteKind::Unlock if row.nested => {}
+                WriteKind::Unlock => {
+                    if let Some(remaining) = self.unspent_escrow.get_mut(write.member) {
+                        *remaining -= 1;
+                        if *remaining == 0 {
+                            self.unspent_escrow.remove(write.member);
+                        }
+                    }
                 }
-            }
-        }
-
-        // The marketplace index the type's row declares it writes, keyed
-        // by the first reference.
-        let request = tx.references.first();
-        match row(tx.operation).writes {
-            Some(MarketKey::Bids) => {
-                if !tx.outputs.is_empty() {
-                    self.unspent_escrow
-                        .insert(tx.id.clone(), tx.outputs.len() as u32);
-                }
-                if let Some(request) = request {
+                WriteKind::Append => {
+                    if !tx.outputs.is_empty() {
+                        self.unspent_escrow
+                            .insert(tx.id.clone(), tx.outputs.len() as u32);
+                    }
                     self.bids_by_request
-                        .entry(request.clone())
+                        .entry(write.request.to_owned())
                         .or_default()
                         .push(tx.id.clone());
                 }
-            }
-            Some(MarketKey::Accept) => {
-                if let Some(request) = request {
+                WriteKind::Set => {
                     self.accept_by_request
-                        .insert(request.clone(), tx.id.clone());
+                        .insert(write.request.to_owned(), tx.id.clone());
                 }
             }
-            None => {}
         }
 
         self.txs.insert(tx.id.clone(), Arc::clone(tx));

@@ -37,7 +37,7 @@
 //! `validate_transaction` + `LedgerState::apply` replay is the oracle
 //! the differential tests pin it against.
 
-use crate::conditions::{bid_request, row, MarketKey};
+use crate::conditions::{row, MarketKey, WriteKind};
 use crate::errors::ValidationError;
 use crate::ledger::LedgerState;
 use crate::model::Transaction;
@@ -92,10 +92,11 @@ pub fn footprints_conflict(a: &Footprint, b: &Footprint) -> bool {
 /// Reads are the keys of the lookups the row's conditions declare (the
 /// list validation fetches), less the marketplace key the row writes.
 /// Writes are its own id, the outputs it spends (ACCEPT_BID's too: its
-/// children consume them), the locked-bid set of each bid it spends from
-/// (the spend may unlock the bid) and the row's marketplace key.
-/// `resolve` follows links: batch members first, then committed state.
-/// An id it cannot find may hide a `Bids` write; re-derive once it shows.
+/// children consume them) and the marketplace writes its row declares
+/// (`TxType::market_writes`: the unlock of each bid it spends from, then
+/// the row's own key). `resolve` follows links: batch members first,
+/// then committed state. An id it cannot find may hide a `Bids` write;
+/// re-derive once it shows.
 pub fn footprint<'a>(
     tx: &'a Transaction,
     resolve: impl Fn(&str) -> Option<&'a Transaction>,
@@ -114,15 +115,19 @@ pub fn footprint<'a>(
     for f in tx.inputs.iter().filter_map(|i| i.fulfills.as_ref()) {
         fp.writes
             .push(ConflictKey::Output(f.tx_id.clone(), f.output_index));
-        if let Some(request) = follow(&f.tx_id).and_then(bid_request) {
-            fp.writes.push(ConflictKey::Bids(request.to_owned()));
+    }
+    let mut written = None;
+    for write in row.market_writes(tx, &mut follow) {
+        let key = match write.key {
+            MarketKey::Bids => ConflictKey::Bids(write.request.to_owned()),
+            MarketKey::Accept => ConflictKey::Accept(write.request.to_owned()),
+        };
+        if write.kind != WriteKind::Unlock {
+            written = Some(key.clone());
         }
+        fp.writes.push(key);
     }
     let request = row.request_of(tx, &mut follow);
-    let written = row.writes.zip(request).map(|(key, request)| match key {
-        MarketKey::Bids => ConflictKey::Bids(request.to_owned()),
-        MarketKey::Accept => ConflictKey::Accept(request.to_owned()),
-    });
     // A UTXO entry changes when its transaction commits (`Id`) and when
     // it is spent (`Output`); the locked bids with their outputs' entries
     // change only under a `Bids` write.
@@ -142,7 +147,6 @@ pub fn footprint<'a>(
             Lookup::Accept(request) => read(ConflictKey::Accept(request.to_owned())),
         }
     }
-    fp.writes.extend(written);
     unresolved.sort_unstable();
     unresolved.dedup();
     (fp, unresolved)
