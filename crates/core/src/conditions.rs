@@ -899,8 +899,11 @@ mod tests {
     /// The marketplace keys the derived footprints read, from the lookups
     /// the rows' conditions declare: ACCEPT_BID reads the locked-bid set
     /// (three conditions walk it — once) and not the accept slot it
-    /// writes; RETURN reads the accept slot; nothing else reads any. A
-    /// type that touches a marketplace key says whose it is.
+    /// writes; RETURN reads the accept slot; nothing else reads any. The
+    /// writes to a bid set commute: a BID's append, and the unlock of
+    /// every spend of a bid's output (ACCEPT_BID declares the unlocks its
+    /// children apply). A type that touches a marketplace key says whose
+    /// it is.
     #[test]
     fn rows_declare_their_marketplace_reads() {
         let mut m = market();
@@ -928,15 +931,30 @@ mod tests {
         for tx in [&m.asset, &m.request, &transfer, &bid, &accept, &give_back] {
             let (fp, _) = footprint(tx, |id| m.ledger.get(id));
             let reads = market_keys(&fp.reads);
+            let bids = [ConflictKey::Bids(request.clone())];
             match tx.operation {
                 Operation::AcceptBid => {
-                    assert_eq!(reads, [ConflictKey::Bids(request.clone())]);
+                    assert_eq!(reads, bids);
+                    assert_eq!(fp.commuting_writes, bids);
                     assert!(fp.writes.contains(&ConflictKey::Accept(request.clone())));
                 }
-                Operation::Return => assert_eq!(reads, [ConflictKey::Accept(request.clone())]),
-                op => assert!(reads.is_empty(), "{op}"),
+                Operation::Return => {
+                    assert_eq!(reads, [ConflictKey::Accept(request.clone())]);
+                    assert_eq!(fp.commuting_writes, bids);
+                }
+                Operation::Bid => {
+                    assert!(reads.is_empty());
+                    assert_eq!(fp.commuting_writes, bids);
+                }
+                op => {
+                    assert!(reads.is_empty(), "{op}");
+                    assert!(fp.commuting_writes.is_empty(), "{op}");
+                }
             }
-            let touches = !reads.is_empty() || !market_keys(&fp.writes).is_empty();
+            assert!(market_keys(&fp.writes).iter().all(|k| !bids.contains(k)));
+            let touches = !reads.is_empty()
+                || !market_keys(&fp.writes).is_empty()
+                || !fp.commuting_writes.is_empty();
             assert_eq!(
                 row(tx.operation).request.is_some(),
                 touches,

@@ -121,6 +121,9 @@ pub enum WireError {
     UnknownOperation(String),
     /// Payload is not valid JSON.
     Json(String),
+    /// Payload is longer than [`crate::MAX_PAYLOAD_BYTES`]; it was not
+    /// parsed.
+    TooLarge { bytes: usize },
 }
 
 impl fmt::Display for WireError {
@@ -129,6 +132,11 @@ impl fmt::Display for WireError {
             WireError::Field(name) => write!(f, "missing or malformed field {name:?}"),
             WireError::UnknownOperation(op) => write!(f, "unknown operation {op:?}"),
             WireError::Json(e) => write!(f, "payload is not valid JSON: {e}"),
+            WireError::TooLarge { bytes } => write!(
+                f,
+                "payload of {bytes} bytes exceeds the {} byte limit",
+                crate::MAX_PAYLOAD_BYTES
+            ),
         }
     }
 }

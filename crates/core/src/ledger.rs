@@ -25,7 +25,7 @@ use crate::verified::{VerifiedSet, VerifiedSigners, VerifiedStats};
 use crate::view::LedgerView;
 use scdb_store::{DurableStore, OutputRef, SpendError, Utxo, UtxoSet};
 use scdb_telemetry::Telemetry;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 /// The spend/insert plan of one transaction against the UTXO set —
@@ -42,8 +42,10 @@ pub struct LedgerState {
     txs: HashMap<String, Arc<Transaction>>,
     utxos: UtxoSet,
     reserved: HashSet<String>,
-    /// REQUEST id -> BID ids referencing it.
-    bids_by_request: HashMap<String, Vec<String>>,
+    /// REQUEST id -> BID ids referencing it, in id order: a set, so
+    /// BIDs committed in one wave, or in waves that differ from their
+    /// submission order, leave the index a sequential replay would.
+    bids_by_request: HashMap<String, BTreeSet<String>>,
     /// BID id -> number of its escrow outputs not yet spent. Entries are
     /// removed when the count reaches zero, so iteration touches only
     /// still-locked bids.
@@ -331,7 +333,7 @@ impl LedgerState {
                     self.bids_by_request
                         .entry(write.request.to_owned())
                         .or_default()
-                        .push(tx.id.clone());
+                        .insert(tx.id.clone());
                 }
                 WriteKind::Set => {
                     self.accept_by_request

@@ -58,7 +58,9 @@ pub use builder::{sign_transaction, TxBuilder};
 pub use conditions::Condition;
 pub use errors::{ValidationError, WireError};
 pub use ledger::LedgerState;
-pub use model::{AssetRef, Input, InputRef, Operation, Output, Transaction, VERSION};
+pub use model::{
+    AssetRef, Input, InputRef, Operation, Output, Transaction, MAX_PAYLOAD_BYTES, VERSION,
+};
 pub use nested::{
     determine_children, determine_outstanding_children, Child, NestedStatus, NestedTracker,
 };

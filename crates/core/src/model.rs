@@ -10,6 +10,14 @@ use scdb_crypto::sha3_256_hex;
 use scdb_json::{Map, Value};
 use std::fmt;
 
+/// The longest transaction payload [`Transaction::from_payload`]
+/// accepts, in bytes. A longer one is refused before it is parsed, so a
+/// client or a peer cannot make a replica parse an arbitrarily large
+/// document. The largest payload the test suite, the examples and the
+/// benchmark workloads build is 9,853 bytes (an ACCEPT_BID over 16
+/// bids); the limit is 26 times that.
+pub const MAX_PAYLOAD_BYTES: usize = 256 * 1024;
+
 /// The native transaction operations of SmartchainDB (§3.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Operation {
@@ -387,8 +395,14 @@ impl Transaction {
         })
     }
 
-    /// Parses a JSON payload into a transaction.
+    /// Parses a JSON payload into a transaction. A payload longer than
+    /// [`MAX_PAYLOAD_BYTES`] is refused unparsed.
     pub fn from_payload(payload: &str) -> Result<Transaction, WireError> {
+        if payload.len() > MAX_PAYLOAD_BYTES {
+            return Err(WireError::TooLarge {
+                bytes: payload.len(),
+            });
+        }
         let v = scdb_json::parse(payload).map_err(|e| WireError::Json(e.to_string()))?;
         Transaction::from_value(&v)
     }

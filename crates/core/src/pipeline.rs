@@ -17,8 +17,9 @@
 //!    condition cannot consult state the schedule does not order.
 //! 2. **Waves** — [`schedule_waves`] layers the batch: a transaction
 //!    lands one wave after the last earlier transaction it conflicts
-//!    with (read–write or write–write on any key). Non-conflicting
-//!    transactions share a wave.
+//!    with (read–write or write–write on any key, except two commuting
+//!    writes: BIDs appending to one REQUEST's bid set and spends
+//!    unlocking bids in it). Non-conflicting transactions share a wave.
 //! 3. **Parallel validation and apply** — [`commit_batch`] validates
 //!    each wave's members concurrently on `std::thread::scope` workers
 //!    against the immutable [`LedgerView`] snapshot left by the
@@ -61,8 +62,9 @@ pub enum ConflictKey {
     /// carries the id, read by anything referencing or spending it.
     Id(String),
     /// The locked-bid set of a REQUEST: written by BIDs (append) and by
-    /// anything spending a bid's escrow output (unlock), read by
-    /// ACCEPT_BID (Algorithm 3 walks the whole set).
+    /// anything spending a bid's escrow output (unlock) — writes that
+    /// commute with each other — and read by ACCEPT_BID (Algorithm 3
+    /// walks the whole set).
     Bids(String),
     /// The accepted-bid slot of a REQUEST: written by ACCEPT_BID, read
     /// by RETURNs (which are only valid once an acceptance committed).
@@ -73,17 +75,31 @@ pub enum ConflictKey {
 #[derive(Debug, Default, Clone)]
 pub struct Footprint {
     pub reads: Vec<ConflictKey>,
+    /// Writes that conflict with any other access to their key.
     pub writes: Vec<ConflictKey>,
+    /// Writes that commute with each other ([`WriteKind::Append`] and
+    /// [`WriteKind::Unlock`] on a `Bids` key) but conflict with a read
+    /// or a `writes` entry of the same key.
+    pub commuting_writes: Vec<ConflictKey>,
 }
 
-/// True when two footprints conflict: a read–write or write–write
-/// overlap on any [`ConflictKey`]. Readers never conflict with readers.
+/// True when two footprints conflict: an overlap on any [`ConflictKey`]
+/// other than reader with reader, or commuting writer with commuting
+/// writer.
 pub fn footprints_conflict(a: &Footprint, b: &Footprint) -> bool {
     let overlaps = |xs: &[ConflictKey], ys: &[ConflictKey]| {
         let set: HashSet<&ConflictKey> = xs.iter().collect();
         ys.iter().any(|k| set.contains(k))
     };
-    overlaps(&a.writes, &b.writes) || overlaps(&a.writes, &b.reads) || overlaps(&a.reads, &b.writes)
+    // `x`'s writes against every access of `y`'s, its commuting writes
+    // against `y`'s reads.
+    let one_way = |x: &Footprint, y: &Footprint| {
+        overlaps(&x.writes, &y.writes)
+            || overlaps(&x.writes, &y.commuting_writes)
+            || overlaps(&x.writes, &y.reads)
+            || overlaps(&x.commuting_writes, &y.reads)
+    };
+    one_way(a, b) || one_way(b, a)
 }
 
 /// Derives the read/write footprint of one transaction, and the ids it
@@ -94,9 +110,10 @@ pub fn footprints_conflict(a: &Footprint, b: &Footprint) -> bool {
 /// Writes are its own id, the outputs it spends (ACCEPT_BID's too: its
 /// children consume them) and the marketplace writes its row declares
 /// (`TxType::market_writes`: the unlock of each bid it spends from, then
-/// the row's own key). `resolve` follows links: batch members first,
-/// then committed state. An id it cannot find may hide a `Bids` write;
-/// re-derive once it shows.
+/// the row's own key). A `Set` is an ordinary write; an `Append` or an
+/// `Unlock` is a commuting one. `resolve` follows links: batch members
+/// first, then committed state. An id it cannot find may hide a `Bids`
+/// write; re-derive once it shows.
 pub fn footprint<'a>(
     tx: &'a Transaction,
     resolve: impl Fn(&str) -> Option<&'a Transaction>,
@@ -125,7 +142,14 @@ pub fn footprint<'a>(
         if write.kind != WriteKind::Unlock {
             written = Some(key.clone());
         }
-        fp.writes.push(key);
+        match write.kind {
+            WriteKind::Set => fp.writes.push(key),
+            WriteKind::Append | WriteKind::Unlock => {
+                if !fp.commuting_writes.contains(&key) {
+                    fp.commuting_writes.push(key);
+                }
+            }
+        }
     }
     let request = row.request_of(tx, &mut follow);
     // A UTXO entry changes when its transaction commits (`Id`) and when
@@ -155,15 +179,16 @@ pub fn footprint<'a>(
 /// Assigns every batch member to a wave: one past the latest earlier
 /// conflicting member, zero if unconflicted. Returns the wave index per
 /// transaction. Runs in O(total footprint size) via per-key frontier
-/// tracking (readers never conflict with readers). Generic over owned
-/// or borrowed footprints so the mempool can layer its standing pool
-/// without cloning every pending footprint per drain.
+/// tracking (readers never conflict with readers, nor commuting writers
+/// with commuting writers). Generic over owned or borrowed footprints
+/// so the mempool can layer its standing pool without cloning every
+/// pending footprint per drain.
 pub fn schedule_waves<F: std::borrow::Borrow<Footprint>>(footprints: &[F]) -> Vec<usize> {
+    /// 1 + the latest wave of an earlier access of each kind to a key.
     #[derive(Default, Clone, Copy)]
     struct Frontier {
-        /// 1 + wave of the latest earlier writer of this key.
-        after_writer: usize,
-        /// 1 + max wave among earlier readers of this key.
+        after_writers: usize,
+        after_commuters: usize,
         after_readers: usize,
     }
 
@@ -174,17 +199,29 @@ pub fn schedule_waves<F: std::borrow::Borrow<Footprint>>(footprints: &[F]) -> Ve
         let mut wave = 0usize;
         for key in &fp.writes {
             if let Some(f) = frontier.get(key) {
-                wave = wave.max(f.after_writer).max(f.after_readers);
+                wave = wave
+                    .max(f.after_writers)
+                    .max(f.after_commuters)
+                    .max(f.after_readers);
+            }
+        }
+        for key in &fp.commuting_writes {
+            if let Some(f) = frontier.get(key) {
+                wave = wave.max(f.after_writers).max(f.after_readers);
             }
         }
         for key in &fp.reads {
             if let Some(f) = frontier.get(key) {
-                wave = wave.max(f.after_writer);
+                wave = wave.max(f.after_writers).max(f.after_commuters);
             }
         }
         for key in &fp.writes {
             let f = frontier.entry(key).or_default();
-            f.after_writer = f.after_writer.max(wave + 1);
+            f.after_writers = f.after_writers.max(wave + 1);
+        }
+        for key in &fp.commuting_writes {
+            let f = frontier.entry(key).or_default();
+            f.after_commuters = f.after_commuters.max(wave + 1);
         }
         for key in &fp.reads {
             let f = frontier.entry(key).or_default();
@@ -523,8 +560,9 @@ pub fn verify_schedule(
     }
 
     // Conflict order: walk members in block order, tracking per key the
-    // latest earlier writer and reader (wave and position). A member's
-    // wave must strictly exceed every earlier conflicting member's.
+    // latest earlier writer, commuting writer and reader (wave and
+    // position). A member's wave must strictly exceed every earlier
+    // conflicting member's.
     #[derive(Clone, Copy)]
     struct Seen {
         wave: usize,
@@ -533,6 +571,7 @@ pub fn verify_schedule(
     #[derive(Default, Clone, Copy)]
     struct Frontier {
         writer: Option<Seen>,
+        commuter: Option<Seen>,
         reader: Option<Seen>,
     }
     let mut frontier: HashMap<&ConflictKey, Frontier> = HashMap::new();
@@ -550,26 +589,36 @@ pub fn verify_schedule(
         for key in &fp.writes {
             if let Some(f) = frontier.get(key) {
                 beats(f.writer)?;
+                beats(f.commuter)?;
+                beats(f.reader)?;
+            }
+        }
+        for key in &fp.commuting_writes {
+            if let Some(f) = frontier.get(key) {
+                beats(f.writer)?;
                 beats(f.reader)?;
             }
         }
         for key in &fp.reads {
             if let Some(f) = frontier.get(key) {
                 beats(f.writer)?;
+                beats(f.commuter)?;
             }
         }
-        let this = Seen { wave, position };
-        for key in &fp.writes {
-            let f = frontier.entry(key).or_default();
-            if f.writer.is_none_or(|w| w.wave <= wave) {
-                f.writer = Some(this);
+        let this = Some(Seen { wave, position });
+        let latest = |slot: &mut Option<Seen>| {
+            if slot.is_none_or(|seen| seen.wave <= wave) {
+                *slot = this;
             }
+        };
+        for key in &fp.writes {
+            latest(&mut frontier.entry(key).or_default().writer);
+        }
+        for key in &fp.commuting_writes {
+            latest(&mut frontier.entry(key).or_default().commuter);
         }
         for key in &fp.reads {
-            let f = frontier.entry(key).or_default();
-            if f.reader.is_none_or(|r| r.wave <= wave) {
-                f.reader = Some(this);
-            }
+            latest(&mut frontier.entry(key).or_default().reader);
         }
     }
     Ok(())
@@ -701,13 +750,14 @@ impl StageClock {
 }
 
 /// Folds one finished commit into the registry: per-stage histograms,
-/// the block/tx counters, the rejections by reason, and the block's
+/// the wave shape (the block's wave count, and each wave's width), the
+/// block/tx counters, the rejections by reason, and the block's
 /// [`CommitTrace`]. No-op when telemetry is disabled.
 fn record_commit(
     telemetry: &Telemetry,
     clock: StageClock,
     total_ns: u64,
-    txs: usize,
+    waves: &[Vec<usize>],
     outcome: &BatchOutcome,
 ) {
     let Some(registry) = telemetry.registry() else {
@@ -716,6 +766,13 @@ fn record_commit(
     registry
         .histogram("pipeline.commit_total_ns")
         .record(total_ns);
+    registry
+        .histogram("pipeline.waves")
+        .record(waves.len() as u64);
+    let width = registry.histogram("pipeline.wave_width");
+    for wave in waves {
+        width.record(wave.len() as u64);
+    }
     for (stage, ns) in &clock.stages {
         registry
             .histogram(&format!("pipeline.stage.{stage}_ns"))
@@ -736,7 +793,7 @@ fn record_commit(
     telemetry.record_trace(CommitTrace {
         block: 0, // assigned by the ring
         executor: "pipeline",
-        txs,
+        txs: waves.iter().map(Vec::len).sum(),
         committed: outcome.committed.len(),
         rejected: outcome.rejected.len(),
         waves: outcome.waves,
@@ -852,7 +909,7 @@ pub fn commit_batch_planned(
             &options.telemetry,
             clock,
             block_clock.elapsed_ns(),
-            batch.len(),
+            &schedule.waves,
             &outcome,
         );
     }
@@ -1010,9 +1067,10 @@ mod tests {
     }
 
     #[test]
-    fn bids_on_one_request_conflict_but_distinct_requests_do_not() {
+    fn bids_on_one_request_commute_like_bids_on_distinct_requests() {
         let mut m = market();
-        // Two requests, two suppliers each.
+        // Two requests, two suppliers each: every bid appends to a bid
+        // set, and appends commute, so all four share one wave.
         let mut batch = Vec::new();
         let mut bid_waves_expected = Vec::new();
         for r in 0..2u8 {
@@ -1033,7 +1091,7 @@ mod tests {
                     .sign(&[&supplier]);
                 m.ledger.apply(&asset).unwrap();
                 batch.push(arc(bid));
-                bid_waves_expected.push(b as usize); // second bid of a request waits
+                bid_waves_expected.push(0);
             }
             m.ledger.apply(&request).unwrap();
         }
@@ -1044,18 +1102,20 @@ mod tests {
                 wave_of[index] = wave;
             }
         }
-        assert_eq!(
-            wave_of, bid_waves_expected,
-            "bids conflict only within their request"
-        );
+        assert_eq!(wave_of, bid_waves_expected, "bids never wait for bids");
 
         let outcome = commit_batch(&mut m.ledger, &batch, &PipelineOptions::with_workers(4));
         assert!(outcome.fully_committed(), "{:?}", outcome.rejected);
-        assert_eq!(outcome.waves, 2);
-        assert_eq!(
-            outcome.widest_wave, 2,
-            "one bid per request runs concurrently"
-        );
+        assert_eq!(outcome.waves, 1);
+        assert_eq!(outcome.widest_wave, 4, "every bid runs concurrently");
+        // The bid index is a set: id order, whatever the commit order.
+        for request in batch.iter().map(|bid| &bid.references[0]) {
+            let ids: Vec<&str> = (m.ledger.bids_for_request(request).iter())
+                .map(|bid| bid.id.as_str())
+                .collect();
+            assert_eq!(ids.len(), 2);
+            assert!(ids.is_sorted(), "{ids:?}");
+        }
     }
 
     #[test]
@@ -1094,8 +1154,8 @@ mod tests {
 
         let outcome = commit_batch(&mut m.ledger, &batch, &PipelineOptions::with_workers(4));
         assert!(outcome.fully_committed(), "{:?}", outcome.rejected);
-        // bid0 | bid1 | accept — the acceptance reads the full bid set.
-        assert_eq!(outcome.waves, 3);
+        // bid0 bid1 | accept — the acceptance reads the full bid set.
+        assert_eq!(outcome.waves, 2);
         assert!(m.ledger.accept_for_request(&request.id).is_some());
     }
 
@@ -1182,17 +1242,19 @@ mod tests {
     #[test]
     fn verify_schedule_rejects_tampering() {
         let mut m = market();
-        let batch = dependent_wave_batch(&mut m); // bid | bid | accept
+        let batch = dependent_wave_batch(&mut m); // bid bid | accept
         let schedule = plan_schedule(&batch, &m.ledger);
         let fps = &schedule.footprints;
         let n = batch.len();
+        assert_eq!(schedule.waves, [vec![0, 1], vec![2]]);
 
-        // The two bids on one request share a wave: conflict.
+        // The accept shares a wave with a bid on its request: it reads
+        // the bid set the bid appends to.
         assert_eq!(
-            verify_schedule(n, &[vec![0, 1], vec![2]], fps),
+            verify_schedule(n, &[vec![0], vec![1, 2]], fps),
             Err(ScheduleError::ConflictOrder {
-                earlier: 0,
-                later: 1
+                earlier: 1,
+                later: 2
             })
         );
         // Waves out of order: the accept before the bids it folds.
@@ -1262,8 +1324,8 @@ mod tests {
         let mut plain = market();
         dependent_wave_batch(&mut plain);
 
-        // Tamper: collapse every wave into one — the two bids now
-        // overlap, which verification must catch.
+        // Tamper: collapse every wave into one — the accept now shares
+        // a wave with the bids it reads, which verification must catch.
         let mut schedule = plan_schedule(&batch, &gossip.ledger);
         let merged: Vec<usize> = schedule.waves.drain(..).flatten().collect();
         schedule.waves = vec![merged];

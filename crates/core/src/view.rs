@@ -47,10 +47,12 @@ pub trait LedgerView: Sync {
     fn reserved(&self) -> &HashSet<String>;
 
     /// `getLockedBids`: committed BIDs referencing a REQUEST whose
-    /// escrow output is still unspent.
+    /// escrow output is still unspent, in id order.
     fn locked_bids_for_request(&self, request_id: &str) -> Vec<&Transaction>;
 
-    /// All committed BIDs for a REQUEST (locked or settled).
+    /// All committed BIDs for a REQUEST (locked or settled), in id
+    /// order: bids on one request commute, so the order they committed
+    /// in is not part of the state.
     fn bids_for_request(&self, request_id: &str) -> Vec<&Transaction>;
 
     /// `getAcceptTxForRFQ`: the ACCEPT_BID committed for a REQUEST.

@@ -12,6 +12,12 @@ const MAX_DEPTH: usize = 128;
 ///
 /// The entire input must be consumed (modulo trailing whitespace);
 /// anything else is a [`JsonError::TrailingData`].
+///
+/// Nesting is bounded here; size is not. The bound sits at the caller,
+/// which knows what its input is: a client's transaction payload is
+/// refused above a fixed size before it reaches this function, while
+/// the store's manifest reader parses whole-block seal lines, which
+/// hold every document a block committed.
 pub fn parse(input: &str) -> Result<Value, JsonError> {
     let mut p = Parser::new(input);
     p.skip_ws();

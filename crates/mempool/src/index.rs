@@ -1,7 +1,8 @@
 //! The footprint index behind admission's conflict scans.
 //!
 //! Pending transactions are indexed by the [`ConflictKey`]s they read
-//! and write: key → the pending writers / readers, by pool seq. Every
+//! and write: key → the pending writers / commuting writers / readers,
+//! by pool seq. Every
 //! scan and insert runs in admission order on the pool's own thread,
 //! so conflict sets and double-spend flags are identical at any
 //! admission worker count.
@@ -14,17 +15,21 @@ use std::collections::{BTreeSet, HashMap};
 #[derive(Default)]
 pub(crate) struct FootprintIndex {
     writers: HashMap<ConflictKey, BTreeSet<u64>>,
+    commuters: HashMap<ConflictKey, BTreeSet<u64>>,
     readers: HashMap<ConflictKey, BTreeSet<u64>>,
 }
 
 impl FootprintIndex {
     /// Indexes one pending member's footprint.
     pub(crate) fn insert(&mut self, seq: u64, fp: &Footprint) {
-        for key in &fp.writes {
-            self.writers.entry(key.clone()).or_default().insert(seq);
-        }
-        for key in &fp.reads {
-            self.readers.entry(key.clone()).or_default().insert(seq);
+        for (keys, index) in [
+            (&fp.writes, &mut self.writers),
+            (&fp.commuting_writes, &mut self.commuters),
+            (&fp.reads, &mut self.readers),
+        ] {
+            for key in keys {
+                index.entry(key.clone()).or_default().insert(seq);
+            }
         }
     }
 
@@ -32,6 +37,7 @@ impl FootprintIndex {
     pub(crate) fn remove(&mut self, seq: u64, fp: &Footprint) {
         for (keys, index) in [
             (&fp.writes, &mut self.writers),
+            (&fp.commuting_writes, &mut self.commuters),
             (&fp.reads, &mut self.readers),
         ] {
             for key in keys {
@@ -46,20 +52,24 @@ impl FootprintIndex {
     }
 
     /// The distinct pending members this footprint conflicts with:
-    /// its writes against their writes and reads, its reads against
-    /// their writes — exactly the wave-serialization relation.
+    /// its writes against every access, its commuting writes against
+    /// their writes and reads, its reads against both kinds of write —
+    /// exactly the wave-serialization relation.
     pub(crate) fn conflicts_with(&self, fp: &Footprint) -> BTreeSet<u64> {
-        let write_hits = fp
-            .writes
-            .iter()
-            .flat_map(|key| [self.writers.get(key), self.readers.get(key)]);
-        let read_hits = fp.reads.iter().map(|key| self.writers.get(key));
-        write_hits
-            .chain(read_hits)
-            .flatten()
-            .flatten()
-            .copied()
-            .collect()
+        let (writers, commuters, readers) = (&self.writers, &self.commuters, &self.readers);
+        let mut found = BTreeSet::new();
+        for (keys, indexes) in [
+            (&fp.writes, &[writers, commuters, readers][..]),
+            (&fp.commuting_writes, &[writers, readers]),
+            (&fp.reads, &[writers, commuters]),
+        ] {
+            for key in keys {
+                for index in indexes {
+                    found.extend(index.get(key).into_iter().flatten().copied());
+                }
+            }
+        }
+        found
     }
 
     /// True when some pending member already writes this key (the
@@ -77,6 +87,7 @@ mod tests {
         Footprint {
             writes: writes.to_vec(),
             reads: reads.to_vec(),
+            ..Footprint::default()
         }
     }
 
@@ -104,5 +115,21 @@ mod tests {
         assert!(!index.has_pending_writer(&out("t1", 0)));
         assert!(index.conflicts_with(&rival).is_empty());
         assert!(index.writers.is_empty() && index.readers.is_empty());
+    }
+
+    #[test]
+    fn commuting_writes_conflict_with_reads_and_writes_only() {
+        let mut index = FootprintIndex::default();
+        let append = Footprint {
+            commuting_writes: vec![ConflictKey::Bids("r".into())],
+            ..Footprint::default()
+        };
+        index.insert(1, &append);
+        assert!(index.conflicts_with(&append).is_empty());
+        let bids = &append.commuting_writes;
+        assert_eq!(index.conflicts_with(&fp(&[], bids)).len(), 1);
+        assert_eq!(index.conflicts_with(&fp(bids, &[])).len(), 1);
+        index.remove(1, &append);
+        assert!(index.commuters.is_empty());
     }
 }

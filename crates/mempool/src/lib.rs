@@ -360,7 +360,7 @@ mod tests {
             pool.admit(Arc::clone(tx), &planned).unwrap();
         }
         let batch = pool.drain_batch(usize::MAX, &planned);
-        assert_eq!(batch.waves(), 4, "bid|bid|bid|accept serialize");
+        assert_eq!(batch.waves(), 2, "bid bid bid | accept: bids commute");
 
         let options = PipelineOptions::with_workers(2);
         let a = commit_batch_planned(&mut planned, &batch.txs, &batch.schedule, &options);
@@ -470,9 +470,8 @@ mod tests {
         // REQUEST's locked-bid set — but only if the footprint can see
         // the spent transaction IS a bid. Admit the spender while its
         // bid is still unknown, then the bid: the spender's footprint
-        // must be re-derived to pick up the `Bids(request)` write key,
-        // or a later drain could co-schedule it with a reader of the
-        // bid set.
+        // must be re-derived to pick up the `Bids(request)` unlock, or a
+        // later drain could co-schedule it with a reader of the bid set.
         let (mut ledger, escrow) = market();
         let sally = keys(0x5A);
         let supplier = keys(0x20);
@@ -504,8 +503,10 @@ mod tests {
             .expect("spender drained");
         let bids_key = scdb_core::ConflictKey::Bids(request.id.clone());
         assert!(
-            batch.schedule.footprints[pos].writes.contains(&bids_key),
-            "refreshed footprint must carry the locked-bid-set write"
+            batch.schedule.footprints[pos]
+                .commuting_writes
+                .contains(&bids_key),
+            "refreshed footprint must carry the locked-bid-set unlock"
         );
     }
 
@@ -565,7 +566,7 @@ mod tests {
         let (ids, seqs, flagged, waves, footprints) = drained(&mut serial);
 
         // The loop's own drain: the spender's refreshed footprint
-        // carries the locked-bid-set write, and the spender — the
+        // carries the locked-bid-set unlock, and the spender — the
         // earlier arrival — is in an earlier wave than its BID.
         let wave_of = |id: &str| {
             let pos = ids.iter().position(|t| t == id).unwrap();
@@ -573,7 +574,7 @@ mod tests {
         };
         let spender_pos = ids.iter().position(|t| *t == spender.id).unwrap();
         let bids_key = scdb_core::ConflictKey::Bids(request.id.clone());
-        assert!(footprints[spender_pos].writes.contains(&bids_key));
+        assert!(footprints[spender_pos].commuting_writes.contains(&bids_key));
         assert!(wave_of(&spender.id) < wave_of(&bid.id), "{waves:?}");
 
         for workers in [1, 4] {
@@ -589,14 +590,16 @@ mod tests {
             assert_eq!(got_seqs, seqs, "workers={workers}");
             assert_eq!(got_flagged, flagged, "workers={workers}");
             assert_eq!(got_waves, waves, "workers={workers}");
-            assert!(got_footprints[spender_pos].writes.contains(&bids_key));
+            assert!(got_footprints[spender_pos]
+                .commuting_writes
+                .contains(&bids_key));
         }
     }
 
     #[test]
     fn requeue_refreshes_footprints_for_links_committed_during_the_proposal() {
         // A transfer spending bid B's escrow output is admitted while B
-        // is unknown (its footprint cannot see the Bids(request) write)
+        // is unknown (its footprint cannot see the Bids(request) unlock)
         // and drained into a proposal. B commits through another path
         // while the proposal is in flight; the proposal is abandoned.
         // Requeue must re-derive the footprint against the new ledger —
@@ -627,7 +630,9 @@ mod tests {
         let proposal = pool.drain_batch(usize::MAX, &ledger);
         let bids_key = scdb_core::ConflictKey::Bids(request.id.clone());
         assert!(
-            !proposal.schedule.footprints[0].writes.contains(&bids_key),
+            !proposal.schedule.footprints[0]
+                .commuting_writes
+                .contains(&bids_key),
             "admission could not know the spent output is a bid escrow"
         );
 
@@ -642,7 +647,9 @@ mod tests {
             .position(|t| t.id == spender.id)
             .expect("spender requeued");
         assert!(
-            again.schedule.footprints[pos].writes.contains(&bids_key),
+            again.schedule.footprints[pos]
+                .commuting_writes
+                .contains(&bids_key),
             "requeue must re-derive the footprint against the new ledger"
         );
     }

@@ -5,10 +5,13 @@
 //! [`schedule_waves`] slicing in one decisive way: the pipeline plans
 //! whatever batch it is handed, while the packer *chooses* the batch —
 //! it colors the whole standing pool, then drains it wave-prefix-wise,
-//! so a contended arrival stream (fifty bids on one request, back to
-//! back) no longer turns into fifty one-member waves. The conflicting
-//! tail simply stays pooled for later blocks while independent work
-//! from elsewhere in the pool fills the current one.
+//! so a contended arrival stream (fifty spends of one output, back to
+//! back) does not hand the next block fifty one-member waves. The
+//! conflicting tail simply stays pooled for later blocks while
+//! independent work from elsewhere in the pool fills the current one.
+//! (Bids on one request commute: a whole auction packs as
+//! CREATEs + REQUEST | BIDs | ACCEPT_BID, and its settlement children
+//! as one wave.)
 //!
 //! Within each wave, members are interleaved round-robin across their
 //! primary UTXO shard (the ROADMAP's "shard-aware wave packing"
@@ -160,8 +163,8 @@ mod tests {
 
     fn writes(keys: &[ConflictKey]) -> Footprint {
         Footprint {
-            reads: Vec::new(),
             writes: keys.to_vec(),
+            ..Footprint::default()
         }
     }
 
@@ -267,6 +270,87 @@ mod tests {
             shards[2], shards[3],
             "neighbours alternate shards: {shards:?}"
         );
+    }
+
+    /// One pool holding a whole 16-bidder auction packs as
+    /// CREATEs + REQUEST | 16 BIDs | ACCEPT_BID: the bids append to one
+    /// bid set and commute, the accept reads it. Its 16 settlement
+    /// children unlock bids of that set and pack as one wave.
+    #[test]
+    fn a_contended_auction_and_its_children_pack_three_waves_and_one() {
+        use scdb_core::{
+            determine_children, footprint, LedgerState, LedgerView, Operation, Transaction,
+            TxBuilder,
+        };
+        use scdb_crypto::KeyPair;
+        use scdb_json::{arr, obj};
+        use std::collections::HashMap;
+
+        let key = |seed: u8| KeyPair::from_seed([seed; 32]);
+        let (escrow, sally) = (key(0xE5), key(0x5A));
+        let request = TxBuilder::request(obj! { "capabilities" => arr!["cnc"] })
+            .output(sally.public_hex(), 1)
+            .sign(&[&sally]);
+        let mut pool = vec![request.clone()];
+        let mut bids = Vec::new();
+        for b in 0..16u8 {
+            let supplier = key(0x20 + b);
+            let asset = TxBuilder::create(obj! { "capabilities" => arr!["cnc"] })
+                .output(supplier.public_hex(), 1)
+                .sign(&[&supplier]);
+            bids.push(
+                TxBuilder::bid(asset.id.clone(), request.id.clone())
+                    .input(asset.id.clone(), 0, vec![supplier.public_hex()])
+                    .output_with_prev(escrow.public_hex(), 1, vec![supplier.public_hex()])
+                    .sign(&[&supplier]),
+            );
+            pool.push(asset);
+        }
+        let mut accept = TxBuilder::accept_bid(bids[0].id.clone(), request.id.clone())
+            .output_with_prev(sally.public_hex(), 1, vec![escrow.public_hex()]);
+        for (b, bid) in bids.iter().enumerate() {
+            accept = accept.input(bid.id.clone(), 0, vec![escrow.public_hex()]);
+            if b > 0 {
+                let supplier = key(0x20 + b as u8);
+                accept =
+                    accept.output_with_prev(supplier.public_hex(), 1, vec![escrow.public_hex()]);
+            }
+        }
+        pool.extend(bids);
+        pool.push(accept.sign(&[&sally]));
+
+        let by_id: HashMap<&str, &Transaction> =
+            pool.iter().map(|tx| (tx.id.as_str(), tx)).collect();
+        let footprints: Vec<Footprint> = (pool.iter())
+            .map(|tx| footprint(tx, |id| by_id.get(id).copied()).0)
+            .collect();
+        let packed = pack_batch(&footprints, usize::MAX, 16);
+        assert_eq!(packed.wave_sizes, vec![17, 16, 1]);
+        let ops = |wave: &[usize]| -> Vec<Operation> {
+            wave.iter()
+                .map(|&i| pool[packed.order[i]].operation)
+                .collect()
+        };
+        let waves = packed.waves();
+        let setup = |op: &Operation| matches!(op, Operation::Create | Operation::Request);
+        assert!(ops(&waves[0]).iter().all(setup));
+        assert!(ops(&waves[1]).iter().all(|op| *op == Operation::Bid));
+        assert_eq!(ops(&waves[2]), [Operation::AcceptBid]);
+
+        let mut ledger = LedgerState::new();
+        ledger.add_reserved_account(escrow.public_hex());
+        for tx in &pool {
+            ledger
+                .apply(tx)
+                .expect("the auction applies in arrival order");
+        }
+        let accept = pool.last().expect("the accept");
+        let children = determine_children(&ledger, accept, &escrow).expect("children");
+        assert_eq!(children.len(), 16);
+        let footprints: Vec<Footprint> = (children.iter())
+            .map(|tx| footprint(tx, |id| ledger.get(id)).0)
+            .collect();
+        assert_eq!(pack_batch(&footprints, usize::MAX, 16).wave_sizes, [16]);
     }
 
     #[test]

@@ -36,6 +36,7 @@ use smartchaindb::json::{arr, obj};
 use smartchaindb::store::StateDigest;
 use smartchaindb::workload::{scdb_plan, ScenarioConfig};
 use smartchaindb::{KeyPair, LedgerState, LedgerView, Operation, Transaction, TxBuilder};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// An auction stream in arrival order, and the accounts that can sign
@@ -306,9 +307,12 @@ impl Case<'_> {
                     ));
                 }
                 if live[i] || live[j] {
+                    let shared_commuting = (footprints[i].commuting_writes.iter())
+                        .any(|key| footprints[j].commuting_writes.contains(key));
                     tally.pairs += 1;
                     tally.conflicts += usize::from(conflict);
                     tally.real += usize::from(conflict && !commutes);
+                    tally.commuting += usize::from(!conflict && shared_commuting);
                 }
             }
         }
@@ -318,12 +322,14 @@ impl Case<'_> {
 
 /// Conflict edges among the live pairs checked — at least one member
 /// valid on the prefix; two invalid ones commute whatever their keys —
-/// and how many of them join a pair that does not commute.
+/// how many of them join a pair that does not commute, and how many
+/// pairs share a wave only because their writes to a key commute.
 #[derive(Debug, Default)]
 struct Tally {
     pairs: usize,
     conflicts: usize,
     real: usize,
+    commuting: usize,
 }
 
 /// Every output of the stream, plus one past a transaction's last and one
@@ -413,8 +419,9 @@ fn mutant(
 /// Every pair within windows of 16 consecutive arrivals, one starting at
 /// every 8th, of a 16-bidder `scdb_plan` auction (`auction_contended`'s
 /// shape), on the ledger the stream before the window built. Prints the
-/// footprint's precision there: the share of conflict edges between live
-/// pairs whose pair does not commute.
+/// footprint's precision there, the share of conflict edges between live
+/// pairs whose pair does not commute, and requires it to be 1: every
+/// conflict edge is real.
 #[test]
 fn contended_plan_pairs_commute_unless_they_conflict() {
     let stream = checked(plan_stream(1, 16));
@@ -435,36 +442,57 @@ fn contended_plan_pairs_commute_unless_they_conflict() {
         total.real,
         total.real as f64 / total.conflicts as f64
     );
-    assert!(total.real > 0 && total.real <= total.conflicts);
+    assert!(total.conflicts > 0, "{total:?}");
+    assert_eq!(
+        total.real, total.conflicts,
+        "false conflict edges: {total:?}"
+    );
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(160))]
+/// A window of the next arrivals after a cut of a stream, each with one
+/// mutant beside it on the stream whose keys the test holds. The cases
+/// must meet pairs whose only shared write commutes (two bids on one
+/// request, two settlement children), or the check would be vacuous for
+/// the commuting writes.
+#[test]
+fn disjoint_footprints_commute() {
+    static COMMUTING: AtomicUsize = AtomicUsize::new(0);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(160))]
 
-    /// A window of the next arrivals after a cut of a stream, each with
-    /// one mutant beside it on the stream whose keys the test holds.
-    #[test]
-    fn disjoint_footprints_commute(
-        source in 0usize..4,
-        cut in any::<prop::sample::Index>(),
-        window in 2usize..6,
-        mutations in prop::collection::vec(
-            prop::collection::vec((0usize..5, 0usize..3, 0usize..4, 0usize..64), 1..3),
-            6,
-        ),
-    ) {
-        let own = source != 0;
-        let stream = &streams()[usize::from(own)];
-        let prefix = cut.index(stream.txs.len());
-        let mut members: Vec<Transaction> = stream.txs[prefix..].iter().take(window).cloned().collect();
-        if own {
-            let mutants: Vec<Transaction> = (members.iter().zip(&mutations))
-                .map(|(tx, mutations)| mutant(stream, tx, mutations))
-                .collect();
-            members.extend(mutants);
-        }
-        if let Err(why) = Case::new(stream, prefix, members).check_pairs() {
-            prop_assert!(false, "{why}");
+        fn cases(
+            source in 0usize..4,
+            cut in any::<prop::sample::Index>(),
+            window in 2usize..6,
+            mutations in prop::collection::vec(
+                prop::collection::vec((0usize..5, 0usize..3, 0usize..4, 0usize..64), 1..3),
+                6,
+            ),
+        ) {
+            let own = source != 0;
+            let stream = &streams()[usize::from(own)];
+            let prefix = cut.index(stream.txs.len());
+            let mut members: Vec<Transaction> =
+                stream.txs[prefix..].iter().take(window).cloned().collect();
+            if own {
+                let mutants: Vec<Transaction> = (members.iter().zip(&mutations))
+                    .map(|(tx, mutations)| mutant(stream, tx, mutations))
+                    .collect();
+                members.extend(mutants);
+            }
+            match Case::new(stream, prefix, members).check_pairs() {
+                Ok(tally) => {
+                    COMMUTING.fetch_add(tally.commuting, Ordering::Relaxed);
+                }
+                Err(why) => prop_assert!(false, "{why}"),
+            }
         }
     }
+    cases();
+    let commuting = COMMUTING.load(Ordering::Relaxed);
+    println!("{commuting} live pairs share a wave only because their writes commute");
+    assert!(
+        commuting > 0,
+        "no case met a pair whose only shared write commutes"
+    );
 }

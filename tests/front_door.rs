@@ -9,11 +9,13 @@
 
 use proptest::prelude::*;
 use smartchaindb::consensus::App;
+use smartchaindb::core::{WireError, MAX_PAYLOAD_BYTES};
 use smartchaindb::evm::EthScApp;
+use smartchaindb::json::{arr, obj};
 use smartchaindb::mempool::AdmitError;
 use smartchaindb::server::SmartchainCluster;
 use smartchaindb::workload::{scdb_plan, ScenarioConfig};
-use smartchaindb::{KeyPair, Node, PipelineOptions, Transaction};
+use smartchaindb::{KeyPair, Node, PipelineOptions, Transaction, TxBuilder};
 use std::collections::HashSet;
 use std::sync::OnceLock;
 
@@ -291,4 +293,60 @@ fn an_upper_cased_fulfillment_is_refused_at_admission() {
     let committed = node.ledger().committed_ids();
     assert!(committed.contains(&original.id));
     assert!(!committed.contains(&twin.id));
+}
+
+/// A CREATE whose metadata pads its payload to `len` bytes exactly.
+fn payload_of_length(len: usize) -> String {
+    let alice = KeyPair::from_seed([0xA1; 32]);
+    let padded = |pad: usize| {
+        TxBuilder::create(obj! { "capabilities" => arr!["cnc"] })
+            .output(alice.public_hex(), 1)
+            .metadata(obj! { "pad" => "x".repeat(pad) })
+            .sign(&[&alice])
+            .to_payload()
+    };
+    let payload = padded(len - padded(0).len());
+    assert_eq!(payload.len(), len);
+    payload
+}
+
+/// A payload of exactly `MAX_PAYLOAD_BYTES` is parsed, admitted and
+/// committed like any other.
+#[test]
+fn a_payload_at_the_size_limit_is_admitted() {
+    let payload = payload_of_length(MAX_PAYLOAD_BYTES);
+    DECODERS.with(|(cluster, _)| assert!(cluster.decode(&payload).is_ok()));
+    let mut node = fresh_node();
+    let verdicts = node.ingest_payload_batch(std::slice::from_ref(&payload));
+    assert!(verdicts[0].is_ok(), "{verdicts:?}");
+    assert!(node.drain_block(usize::MAX).outcome.fully_committed());
+}
+
+/// One byte over `MAX_PAYLOAD_BYTES` is refused unparsed — a valid
+/// transaction and bytes that are not JSON alike — through the node's
+/// payload batch and the cluster's decoder, and the batch's other
+/// members are unaffected.
+#[test]
+fn a_payload_one_byte_over_the_size_limit_is_refused_unparsed() {
+    let over = payload_of_length(MAX_PAYLOAD_BYTES + 1);
+    let garbage = "[".repeat(MAX_PAYLOAD_BYTES + 1);
+    for payload in [&over, &garbage] {
+        let refused = Transaction::from_payload(payload).unwrap_err();
+        assert_eq!(
+            refused,
+            WireError::TooLarge {
+                bytes: MAX_PAYLOAD_BYTES + 1
+            }
+        );
+        DECODERS.with(|(cluster, _)| {
+            assert_eq!(cluster.decode(payload).err(), Some(refused.to_string()));
+        });
+    }
+    let inputs = [over, plan_payloads()[0].clone()];
+    let verdicts = fresh_node().ingest_payload_batch(&inputs);
+    assert!(
+        matches!(&verdicts[0], Err(AdmitError::Parse(why)) if why.contains("byte limit")),
+        "{verdicts:?}"
+    );
+    assert!(verdicts[1].is_ok(), "{verdicts:?}");
 }

@@ -93,7 +93,7 @@ fn full_auction_round_commits_as_one_batch() {
     assert_eq!(report.outcome.committed[2], round.request.id);
     assert_eq!(node.ledger().committed_ids().len(), 6);
     // The dependency chain forces layering, but the two independent
-    // CREATEs (and the two BIDs on... the same request, which conflict)
+    // CREATEs (and the two BIDs on the same request, which commute)
     // still compress six transactions into fewer waves.
     assert!(report.outcome.waves < 6, "waves: {}", report.outcome.waves);
 
@@ -200,6 +200,58 @@ fn batch_rejections_are_precise() {
     assert!(!node.ledger().is_committed(&rogue.id));
 }
 
+/// Whole reverse-auction rounds as one submission, each BID one
+/// TRANSFER hop from its CREATE: CREATEs and REQUESTs, then the hops,
+/// the BIDs and the ACCEPT_BIDs. Bids on one request commute, so the
+/// hop is what layers a round into four waves.
+fn hopped_rounds(requests: u8, bidders: u8, seed: u8, escrow_pk: &str) -> Vec<String> {
+    let key = |request: u8, actor: u8| {
+        let mut bytes = [seed; 32];
+        bytes[..2].copy_from_slice(&[request, actor]);
+        KeyPair::from_seed(bytes)
+    };
+    let escrow_pk = || escrow_pk.to_owned();
+    let mut phases: [Vec<String>; 5] = Default::default();
+    for r in 0..requests {
+        let requester = key(r, 0xFF);
+        let request = TxBuilder::request(obj! { "capabilities" => arr!["cnc"] })
+            .output(requester.public_hex(), 1)
+            .sign(&[&requester]);
+        let mut bids = Vec::new();
+        for b in 0..bidders {
+            let supplier = key(r, b);
+            let owner = || vec![supplier.public_hex()];
+            let create = TxBuilder::create(obj! { "capabilities" => arr!["cnc", "3d-print"] })
+                .output(supplier.public_hex(), 1)
+                .sign(&[&supplier]);
+            let hop = TxBuilder::transfer(create.id.clone())
+                .input(create.id.clone(), 0, owner())
+                .output_with_prev(supplier.public_hex(), 1, owner())
+                .sign(&[&supplier]);
+            let bid = TxBuilder::bid(create.id.clone(), request.id.clone())
+                .input(hop.id.clone(), 0, owner())
+                .output_with_prev(escrow_pk(), 1, owner())
+                .sign(&[&supplier]);
+            phases[0].push(create.to_payload());
+            phases[2].push(hop.to_payload());
+            phases[3].push(bid.to_payload());
+            bids.push((bid.id, supplier));
+        }
+        // Accept the first bid; the others return to their suppliers.
+        let mut accept = TxBuilder::accept_bid(bids[0].0.clone(), request.id.clone())
+            .output_with_prev(requester.public_hex(), 1, vec![escrow_pk()]);
+        for (bid, _) in &bids {
+            accept = accept.input(bid.clone(), 0, vec![escrow_pk()]);
+        }
+        for (_, supplier) in &bids[1..] {
+            accept = accept.output_with_prev(supplier.public_hex(), 1, vec![escrow_pk()]);
+        }
+        phases[1].push(request.to_payload());
+        phases[4].push(accept.sign(&[&requester]).to_payload());
+    }
+    phases.into_iter().flatten().collect()
+}
+
 /// Repeat count for the shard-interleaving stress below. CI sets
 /// `SCDB_STRESS_ITERS=50` (with `--test-threads=1`) to hammer the
 /// shard-lock ordering across many thread interleavings; local runs
@@ -213,26 +265,18 @@ fn stress_iters() -> usize {
 
 #[test]
 fn many_wave_stress_no_lost_outputs_and_value_conserved() {
-    // A many-wave batch (12 auctions × 2 bidders, whole rounds in one
-    // submission) applied with 8 wave workers over a 16-shard UTXO set.
+    // A many-wave batch (12 auctions × 2 bidders, whole rounds with a
+    // TRANSFER hop before each BID in one submission) applied with 8 wave workers over a 16-shard UTXO set.
     // Every iteration re-runs the parallel apply from scratch and must
     // land byte-identically on the sequential unsharded reference: any
     // shard-lock ordering bug shows up as a lost, duplicated or
     // misattributed output.
     let escrow = KeyPair::from_seed([0xE5; 32]);
-    let config = ScenarioConfig {
-        requests: 12,
-        bidders_per_request: 2,
-        capability_count: 2,
-        capability_bytes: 32,
-        seed: 0x57E5,
-    };
     let mut reference = Node::with_options(
         escrow.clone(),
         PipelineOptions::with_workers(1).utxo_shards(1),
     );
-    let plan = scdb_plan(&config, &reference.escrow_public_hex());
-    let payloads: Vec<String> = plan.phases().iter().flatten().cloned().collect();
+    let payloads = hopped_rounds(12, 2, 0x57, &reference.escrow_public_hex());
 
     let ref_report = reference.submit_batch(&payloads);
     assert!(ref_report.fully_committed(), "{ref_report:?}");
@@ -303,19 +347,11 @@ fn speculative_cross_wave_stress_value_conserved_and_replicas_agree() {
     // delivering with 8 wave workers must agree with a 1-worker cluster
     // on every replica's digest and commit order.
     let escrow = KeyPair::from_seed([0xE5; 32]);
-    let config = ScenarioConfig {
-        requests: 10,
-        bidders_per_request: 3,
-        capability_count: 2,
-        capability_bytes: 32,
-        seed: 0x5bec,
-    };
     let mut reference = Node::with_options(
         escrow.clone(),
         PipelineOptions::with_workers(1).utxo_shards(1),
     );
-    let plan = scdb_plan(&config, &reference.escrow_public_hex());
-    let payloads: Vec<String> = plan.phases().iter().flatten().cloned().collect();
+    let payloads = hopped_rounds(10, 3, 0x5B, &reference.escrow_public_hex());
 
     let ref_report = reference.submit_batch(&payloads);
     assert!(ref_report.fully_committed(), "{ref_report:?}");

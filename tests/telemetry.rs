@@ -88,6 +88,14 @@ fn telemetry_off_and_on_commit_byte_identically_across_modes() {
             "one commit per drained block: {mode}"
         );
         assert_eq!(snap.traces.len(), blocks as usize, "{mode}");
+        let (waves, width) = (
+            &snap.histograms["pipeline.waves"],
+            &snap.histograms["pipeline.wave_width"],
+        );
+        assert_eq!(waves.count, blocks, "one wave count per block: {mode}");
+        assert_eq!(width.count, waves.sum, "one width per wave: {mode}");
+        let txs: usize = snap.traces.iter().map(|trace| trace.txs).sum();
+        assert_eq!(width.sum, txs as u64, "waves partition blocks: {mode}");
         for trace in &snap.traces {
             assert_eq!(trace.executor, "pipeline", "{mode}");
             assert!(
@@ -120,6 +128,36 @@ fn telemetry_env_gate_matches_the_sibling_flags() {
     // through silently (from_env itself is exercised by every
     // default-built node under the CI matrix).
     assert_eq!(TELEMETRY_ENV, "SCDB_TELEMETRY");
+}
+
+/// The wave shape of every block lands in the registry: one
+/// `pipeline.waves` sample per block and one `pipeline.wave_width`
+/// sample per wave. A 16-bidder auction drained as one block is three
+/// waves: its CREATEs and REQUEST, its 16 BIDs (appends to one bid set
+/// commute), its ACCEPT_BID.
+#[test]
+fn wave_shape_is_recorded_per_block() {
+    let telemetry = Telemetry::enabled();
+    let options = PipelineOptions::with_workers(2)
+        .durable(false)
+        .with_telemetry(telemetry.clone());
+    let mut node = Node::with_options(escrow(), options);
+    let payloads = contended_payloads(1, 16, 0x3A7E);
+    for verdict in node.ingest_payload_batch(&payloads) {
+        verdict.expect("generated stream admits");
+    }
+    let report = node.drain_block(usize::MAX);
+    assert!(report.outcome.fully_committed(), "{:?}", report.outcome);
+
+    let snap = telemetry.snapshot().expect("enabled");
+    assert_eq!(snap.counters["pipeline.blocks"], 1);
+    let (waves, width) = (
+        &snap.histograms["pipeline.waves"],
+        &snap.histograms["pipeline.wave_width"],
+    );
+    assert_eq!((waves.count, waves.sum), (1, 3));
+    assert_eq!((width.count, width.sum), (3, 17 + 16 + 1));
+    assert_eq!(snap.traces[0].waves, 3);
 }
 
 /// Rejections are counted by reason: a block mixing four ways to be
