@@ -759,7 +759,7 @@ mod tests {
     use super::*;
     use crate::builder::TxBuilder;
     use crate::ledger::LedgerState;
-    use crate::pipeline::{footprint, ConflictKey};
+    use crate::pipeline::{footprint, Access, ConflictKey};
     use crate::view::LedgerView;
     use scdb_crypto::KeyPair;
     use scdb_json::{arr, obj};
@@ -896,14 +896,15 @@ mod tests {
         }
     }
 
-    /// The marketplace keys the derived footprints read, from the lookups
-    /// the rows' conditions declare: ACCEPT_BID reads the locked-bid set
-    /// (three conditions walk it — once) and not the accept slot it
-    /// writes; RETURN reads the accept slot; nothing else reads any. The
-    /// writes to a bid set commute: a BID's append, and the unlock of
-    /// every spend of a bid's output (ACCEPT_BID declares the unlocks its
-    /// children apply). A type that touches a marketplace key says whose
-    /// it is.
+    /// The marketplace keys the derived footprints touch, and how: the
+    /// reads come from the lookups the rows' conditions declare, the
+    /// changes from the rows' writes. ACCEPT_BID reads the locked-bid
+    /// set (three conditions walk it — once) and unlocks the bids its
+    /// children spend, and claims the accept slot it checks is empty:
+    /// both keys are touched two ways, so both are `Write`. A RETURN's
+    /// unlock and a BID's append commute; a RETURN reads the accept
+    /// slot; nothing else touches a marketplace key. A type that
+    /// touches one says whose it is.
     #[test]
     fn rows_declare_their_marketplace_reads() {
         let mut m = market();
@@ -923,38 +924,32 @@ mod tests {
             .output_with_prev(sally.public_hex(), 1, vec![m.alice.public_hex()])
             .sign(&[&m.alice]);
         let request = m.request.id.clone();
-        let market_keys = |keys: &[ConflictKey]| {
-            let market =
-                |k: &&ConflictKey| matches!(k, ConflictKey::Bids(_) | ConflictKey::Accept(_));
-            keys.iter().filter(market).cloned().collect::<Vec<_>>()
-        };
+        let bids = ConflictKey::Bids(request.clone());
+        let accepted = ConflictKey::Accept(request.clone());
         for tx in [&m.asset, &m.request, &transfer, &bid, &accept, &give_back] {
             let (fp, _) = footprint(tx, |id| m.ledger.get(id));
-            let reads = market_keys(&fp.reads);
-            let bids = [ConflictKey::Bids(request.clone())];
-            match tx.operation {
+            let market: Vec<(ConflictKey, Access)> = (fp.accesses().iter())
+                .filter(|(k, _)| matches!(k, ConflictKey::Bids(_) | ConflictKey::Accept(_)))
+                .cloned()
+                .collect();
+            let expected = match tx.operation {
                 Operation::AcceptBid => {
-                    assert_eq!(reads, bids);
-                    assert_eq!(fp.commuting_writes, bids);
-                    assert!(fp.writes.contains(&ConflictKey::Accept(request.clone())));
+                    vec![
+                        (bids.clone(), Access::Write),
+                        (accepted.clone(), Access::Write),
+                    ]
                 }
                 Operation::Return => {
-                    assert_eq!(reads, [ConflictKey::Accept(request.clone())]);
-                    assert_eq!(fp.commuting_writes, bids);
+                    vec![
+                        (bids.clone(), Access::Commute),
+                        (accepted.clone(), Access::Read),
+                    ]
                 }
-                Operation::Bid => {
-                    assert!(reads.is_empty());
-                    assert_eq!(fp.commuting_writes, bids);
-                }
-                op => {
-                    assert!(reads.is_empty(), "{op}");
-                    assert!(fp.commuting_writes.is_empty(), "{op}");
-                }
-            }
-            assert!(market_keys(&fp.writes).iter().all(|k| !bids.contains(k)));
-            let touches = !reads.is_empty()
-                || !market_keys(&fp.writes).is_empty()
-                || !fp.commuting_writes.is_empty();
+                Operation::Bid => vec![(bids.clone(), Access::Commute)],
+                _ => vec![],
+            };
+            assert_eq!(market, expected, "{}", tx.operation);
+            let touches = !market.is_empty();
             assert_eq!(
                 row(tx.operation).request.is_some(),
                 touches,

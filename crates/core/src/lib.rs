@@ -67,7 +67,7 @@ pub use nested::{
 pub use pipeline::{
     choose_schedule, commit_batch, commit_batch_planned, commit_batch_with_gossip,
     derive_footprints, footprint, footprints_conflict, plan_schedule, schedule_waves,
-    verify_schedule, BatchOutcome, ConflictKey, Footprint, PipelineOptions, ScheduleError,
+    verify_schedule, Access, BatchOutcome, ConflictKey, Footprint, PipelineOptions, ScheduleError,
     ScheduleSource, WaveSchedule,
 };
 pub use verified::{VerifiedSigners, VerifiedStats};

@@ -11,15 +11,18 @@
 //! (Bartoletti et al.; Dickerson et al., see PAPERS.md):
 //!
 //! 1. **Footprints** — [`footprint`] derives, per transaction and
-//!    without touching signatures, the [`ConflictKey`]s it reads and
-//!    writes. The reads are the keys of the ledger lookups its row's
-//!    conditions declare — the same list validation fetches — so a
-//!    condition cannot consult state the schedule does not order.
+//!    without touching signatures, each [`ConflictKey`] it touches, once,
+//!    with an [`Access`]: `Read`, `Commute` or `Write`. The reads are the
+//!    keys of the ledger lookups its row's conditions declare — the same
+//!    list validation fetches — so a condition cannot consult state the
+//!    schedule does not order.
 //! 2. **Waves** — [`schedule_waves`] layers the batch: a transaction
 //!    lands one wave after the last earlier transaction it conflicts
-//!    with (read–write or write–write on any key, except two commuting
-//!    writes: BIDs appending to one REQUEST's bid set and spends
-//!    unlocking bids in it). Non-conflicting transactions share a wave.
+//!    with. [`Access::conflicts`] is the one rule: two accesses to a key
+//!    conflict unless both read or both commute (BIDs appending to one
+//!    REQUEST's bid set, spends unlocking bids in it). One frontier walk
+//!    layers a batch and verifies a gossiped schedule
+//!    ([`verify_schedule`]). Non-conflicting transactions share a wave.
 //! 3. **Parallel validation and apply** — [`commit_batch`] validates
 //!    each wave's members concurrently on `std::thread::scope` workers
 //!    against the immutable [`LedgerView`] snapshot left by the
@@ -48,7 +51,9 @@ use crate::view::{LedgerView, Lookup};
 use scdb_json::Value;
 use scdb_store::FsyncLevel;
 use scdb_telemetry::{env_flag, CommitTrace, Stopwatch, Telemetry};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::borrow::Borrow;
+use std::collections::{BTreeSet, HashMap};
+use std::convert::Infallible;
 use std::fmt;
 use std::sync::Arc;
 
@@ -61,59 +66,102 @@ pub enum ConflictKey {
     /// Existence of a transaction id. Written by the transaction that
     /// carries the id, read by anything referencing or spending it.
     Id(String),
-    /// The locked-bid set of a REQUEST: written by BIDs (append) and by
-    /// anything spending a bid's escrow output (unlock) — writes that
-    /// commute with each other — and read by ACCEPT_BID (Algorithm 3
-    /// walks the whole set).
+    /// The locked-bid set of a REQUEST: a BID appends to it and any
+    /// spend of a bid's escrow output unlocks a member (commuting
+    /// changes), and ACCEPT_BID walks the whole set (Algorithm 3).
     Bids(String),
     /// The accepted-bid slot of a REQUEST: written by ACCEPT_BID, read
     /// by RETURNs (which are only valid once an acceptance committed).
     Accept(String),
 }
 
-/// A transaction's statically derived footprint.
+/// How a transaction touches one [`ConflictKey`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Access {
+    /// Reads the key.
+    Read,
+    /// Changes the key in a way that swaps with any other `Commute` of
+    /// it: a BID's append to a bid set and a spend's unlock of a member
+    /// ([`WriteKind::Append`], [`WriteKind::Unlock`]).
+    Commute,
+    /// Any other change, and a key touched two different ways.
+    Write,
+}
+
+impl Access {
+    /// Every access, in frontier-slot order.
+    const ALL: [Access; 3] = [Access::Read, Access::Commute, Access::Write];
+
+    /// The conflict rule, and the only place it is written: two accesses
+    /// to one key conflict unless both read or both commute.
+    pub fn conflicts(self, other: Access) -> bool {
+        !matches!(
+            (self, other),
+            (Access::Read, Access::Read) | (Access::Commute, Access::Commute)
+        )
+    }
+
+    /// The one access that conflicts with exactly what either of two
+    /// does: the access itself when they agree, `Write` otherwise.
+    fn join(self, other: Access) -> Access {
+        if self == other {
+            self
+        } else {
+            Access::Write
+        }
+    }
+}
+
+/// A transaction's statically derived footprint: every key it touches,
+/// once, with how.
 #[derive(Debug, Default, Clone)]
 pub struct Footprint {
-    pub reads: Vec<ConflictKey>,
-    /// Writes that conflict with any other access to their key.
-    pub writes: Vec<ConflictKey>,
-    /// Writes that commute with each other ([`WriteKind::Append`] and
-    /// [`WriteKind::Unlock`] on a `Bids` key) but conflict with a read
-    /// or a `writes` entry of the same key.
-    pub commuting_writes: Vec<ConflictKey>,
+    /// Each key once, in first-touch order: [`Footprint::touch`] joins a
+    /// second access to a key.
+    accesses: Vec<(ConflictKey, Access)>,
 }
 
-/// True when two footprints conflict: an overlap on any [`ConflictKey`]
-/// other than reader with reader, or commuting writer with commuting
-/// writer.
+impl Footprint {
+    /// Every key touched, once, with how, in first-touch order.
+    pub fn accesses(&self) -> &[(ConflictKey, Access)] {
+        &self.accesses
+    }
+
+    /// Records one access to `key`, joined with any earlier one.
+    pub fn touch(&mut self, key: ConflictKey, access: Access) {
+        match self.accesses.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, held)) => *held = held.join(access),
+            None => self.accesses.push((key, access)),
+        }
+    }
+
+    /// How this footprint touches `key`, if at all.
+    pub fn access(&self, key: &ConflictKey) -> Option<Access> {
+        (self.accesses.iter())
+            .find(|(k, _)| k == key)
+            .map(|&(_, access)| access)
+    }
+}
+
+/// True when two footprints conflict: some key both touch with
+/// conflicting accesses. The pairwise reference the frontier walk is
+/// tested against.
 pub fn footprints_conflict(a: &Footprint, b: &Footprint) -> bool {
-    let overlaps = |xs: &[ConflictKey], ys: &[ConflictKey]| {
-        let set: HashSet<&ConflictKey> = xs.iter().collect();
-        ys.iter().any(|k| set.contains(k))
-    };
-    // `x`'s writes against every access of `y`'s, its commuting writes
-    // against `y`'s reads.
-    let one_way = |x: &Footprint, y: &Footprint| {
-        overlaps(&x.writes, &y.writes)
-            || overlaps(&x.writes, &y.commuting_writes)
-            || overlaps(&x.writes, &y.reads)
-            || overlaps(&x.commuting_writes, &y.reads)
-    };
-    one_way(a, b) || one_way(b, a)
+    (a.accesses.iter()).any(|(key, x)| b.access(key).is_some_and(|y| x.conflicts(y)))
 }
 
-/// Derives the read/write footprint of one transaction, and the ids it
-/// could not resolve.
+/// Derives the footprint of one transaction, and the ids it could not
+/// resolve.
 ///
-/// Reads are the keys of the lookups the row's conditions declare (the
-/// list validation fetches), less the marketplace key the row writes.
-/// Writes are its own id, the outputs it spends (ACCEPT_BID's too: its
-/// children consume them) and the marketplace writes its row declares
-/// (`TxType::market_writes`: the unlock of each bid it spends from, then
-/// the row's own key). A `Set` is an ordinary write; an `Append` or an
-/// `Unlock` is a commuting one. `resolve` follows links: batch members
-/// first, then committed state. An id it cannot find may hide a `Bids`
-/// write; re-derive once it shows.
+/// It writes its own id and the outputs it spends (ACCEPT_BID's too:
+/// its children consume them), changes the marketplace keys its row
+/// declares (`TxType::market_writes`: a `Set` writes, an `Append` or an
+/// `Unlock` commutes), and reads the keys of the lookups its row's
+/// conditions declare (the list validation fetches). A key touched two
+/// ways is a `Write`: ACCEPT_BID's bid set is read whole and unlocked
+/// per spent bid. `resolve` follows links: batch members first, then
+/// committed state. An id it cannot find may hide a `Bids` unlock;
+/// re-derive once it shows.
 pub fn footprint<'a>(
     tx: &'a Transaction,
     resolve: impl Fn(&str) -> Option<&'a Transaction>,
@@ -128,47 +176,39 @@ pub fn footprint<'a>(
     };
     let row = row(tx.operation);
     let mut fp = Footprint::default();
-    fp.writes.push(ConflictKey::Id(tx.id.clone()));
+    fp.touch(ConflictKey::Id(tx.id.clone()), Access::Write);
     for f in tx.inputs.iter().filter_map(|i| i.fulfills.as_ref()) {
-        fp.writes
-            .push(ConflictKey::Output(f.tx_id.clone(), f.output_index));
+        let spent = ConflictKey::Output(f.tx_id.clone(), f.output_index);
+        fp.touch(spent, Access::Write);
     }
-    let mut written = None;
     for write in row.market_writes(tx, &mut follow) {
         let key = match write.key {
             MarketKey::Bids => ConflictKey::Bids(write.request.to_owned()),
             MarketKey::Accept => ConflictKey::Accept(write.request.to_owned()),
         };
-        if write.kind != WriteKind::Unlock {
-            written = Some(key.clone());
-        }
-        match write.kind {
-            WriteKind::Set => fp.writes.push(key),
-            WriteKind::Append | WriteKind::Unlock => {
-                if !fp.commuting_writes.contains(&key) {
-                    fp.commuting_writes.push(key);
-                }
-            }
-        }
+        let access = match write.kind {
+            WriteKind::Set => Access::Write,
+            WriteKind::Append | WriteKind::Unlock => Access::Commute,
+        };
+        fp.touch(key, access);
     }
     let request = row.request_of(tx, &mut follow);
     // A UTXO entry changes when its transaction commits (`Id`) and when
     // it is spent (`Output`); the locked bids with their outputs' entries
-    // change only under a `Bids` write.
-    let mut read = |key: ConflictKey| {
-        if written.as_ref() != Some(&key) && !fp.reads.contains(&key) {
-            fp.reads.push(key);
-        }
-    };
+    // change only under a `Bids` change.
     for lookup in row.lookups(tx, request) {
         match lookup {
-            Lookup::Tx(id) => read(ConflictKey::Id(id.to_owned())),
+            Lookup::Tx(id) => fp.touch(ConflictKey::Id(id.to_owned()), Access::Read),
             Lookup::Utxo(id, index) => {
-                read(ConflictKey::Id(id.to_owned()));
-                read(ConflictKey::Output(id.to_owned(), index));
+                fp.touch(ConflictKey::Id(id.to_owned()), Access::Read);
+                fp.touch(ConflictKey::Output(id.to_owned(), index), Access::Read);
             }
-            Lookup::LockedBids(request) => read(ConflictKey::Bids(request.to_owned())),
-            Lookup::Accept(request) => read(ConflictKey::Accept(request.to_owned())),
+            Lookup::LockedBids(request) => {
+                fp.touch(ConflictKey::Bids(request.to_owned()), Access::Read)
+            }
+            Lookup::Accept(request) => {
+                fp.touch(ConflictKey::Accept(request.to_owned()), Access::Read)
+            }
         }
     }
     unresolved.sort_unstable();
@@ -176,59 +216,62 @@ pub fn footprint<'a>(
     (fp, unresolved)
 }
 
+/// A member's place in a schedule: its wave, then its block position.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Seen {
+    wave: usize,
+    position: usize,
+}
+
+/// The frontier walk behind both [`schedule_waves`] and
+/// [`verify_schedule`]. Visits the members in block order and keeps, per
+/// key and access, the latest `(wave, position)` that touched it.
+/// `place(position, bound)` is handed the earlier member with the
+/// highest wave (then position) among those that conflict with this one
+/// (`None` if there is none) and returns the wave the member takes, or
+/// stops the walk. O(total footprint size).
+fn walk<F: Borrow<Footprint>, E>(
+    footprints: &[F],
+    mut place: impl FnMut(usize, Option<Seen>) -> Result<usize, E>,
+) -> Result<(), E> {
+    let mut frontier: HashMap<&ConflictKey, [Option<Seen>; 3]> = HashMap::new();
+    for (position, fp) in footprints.iter().enumerate() {
+        let fp = fp.borrow();
+        let mut bound = None;
+        for (key, access) in &fp.accesses {
+            if let Some(latest) = frontier.get(key) {
+                for (seen, other) in latest.iter().zip(Access::ALL) {
+                    if access.conflicts(other) {
+                        bound = bound.max(*seen);
+                    }
+                }
+            }
+        }
+        let this = Some(Seen {
+            wave: place(position, bound)?,
+            position,
+        });
+        for (key, access) in &fp.accesses {
+            let slot = &mut frontier.entry(key).or_default()[*access as usize];
+            *slot = (*slot).max(this);
+        }
+    }
+    Ok(())
+}
+
 /// Assigns every batch member to a wave: one past the latest earlier
 /// conflicting member, zero if unconflicted. Returns the wave index per
-/// transaction. Runs in O(total footprint size) via per-key frontier
-/// tracking (readers never conflict with readers, nor commuting writers
-/// with commuting writers). Generic over owned or borrowed footprints
-/// so the mempool can layer its standing pool without cloning every
-/// pending footprint per drain.
-pub fn schedule_waves<F: std::borrow::Borrow<Footprint>>(footprints: &[F]) -> Vec<usize> {
-    /// 1 + the latest wave of an earlier access of each kind to a key.
-    #[derive(Default, Clone, Copy)]
-    struct Frontier {
-        after_writers: usize,
-        after_commuters: usize,
-        after_readers: usize,
-    }
-
-    let mut frontier: HashMap<&ConflictKey, Frontier> = HashMap::new();
+/// transaction. Generic over owned or borrowed footprints so the
+/// mempool can layer its standing pool without cloning every pending
+/// footprint per drain.
+pub fn schedule_waves<F: Borrow<Footprint>>(footprints: &[F]) -> Vec<usize> {
     let mut waves = Vec::with_capacity(footprints.len());
-    for fp in footprints {
-        let fp = fp.borrow();
-        let mut wave = 0usize;
-        for key in &fp.writes {
-            if let Some(f) = frontier.get(key) {
-                wave = wave
-                    .max(f.after_writers)
-                    .max(f.after_commuters)
-                    .max(f.after_readers);
-            }
-        }
-        for key in &fp.commuting_writes {
-            if let Some(f) = frontier.get(key) {
-                wave = wave.max(f.after_writers).max(f.after_readers);
-            }
-        }
-        for key in &fp.reads {
-            if let Some(f) = frontier.get(key) {
-                wave = wave.max(f.after_writers).max(f.after_commuters);
-            }
-        }
-        for key in &fp.writes {
-            let f = frontier.entry(key).or_default();
-            f.after_writers = f.after_writers.max(wave + 1);
-        }
-        for key in &fp.commuting_writes {
-            let f = frontier.entry(key).or_default();
-            f.after_commuters = f.after_commuters.max(wave + 1);
-        }
-        for key in &fp.reads {
-            let f = frontier.entry(key).or_default();
-            f.after_readers = f.after_readers.max(wave + 1);
-        }
+    let walked = walk(footprints, |_, bound| {
+        let wave = bound.map_or(0, |seen| seen.wave + 1);
         waves.push(wave);
-    }
+        Ok::<usize, Infallible>(wave)
+    });
+    let Ok(()) = walked;
     waves
 }
 
@@ -521,8 +564,8 @@ impl std::error::Error for ScheduleError {}
 /// transactions, and every conflicting pair must land in strictly
 /// increasing waves in block order — the exact preconditions
 /// [`commit_batch_planned`] needs from an upstream scheduler. Runs in
-/// O(total footprint size) via the same per-key frontier trick as
-/// [`schedule_waves`]; a schedule that merely under-uses parallelism
+/// O(total footprint size) through the frontier walk
+/// [`schedule_waves`] layers with; a schedule that merely under-uses parallelism
 /// (more waves than minimal) still verifies, because conservative
 /// schedules are always safe.
 ///
@@ -559,69 +602,18 @@ pub fn verify_schedule(
         return Err(ScheduleError::Coverage { expected: n });
     }
 
-    // Conflict order: walk members in block order, tracking per key the
-    // latest earlier writer, commuting writer and reader (wave and
-    // position). A member's wave must strictly exceed every earlier
-    // conflicting member's.
-    #[derive(Clone, Copy)]
-    struct Seen {
-        wave: usize,
-        position: usize,
-    }
-    #[derive(Default, Clone, Copy)]
-    struct Frontier {
-        writer: Option<Seen>,
-        commuter: Option<Seen>,
-        reader: Option<Seen>,
-    }
-    let mut frontier: HashMap<&ConflictKey, Frontier> = HashMap::new();
-    for (position, fp) in footprints.iter().enumerate() {
+    // Conflict order: each member's wave must exceed that of the
+    // latest earlier member it conflicts with.
+    walk(footprints, |position, bound| {
         let wave = wave_of[position];
-        let beats = |earlier: Option<Seen>| -> Result<(), ScheduleError> {
-            match earlier {
-                Some(seen) if seen.wave >= wave => Err(ScheduleError::ConflictOrder {
-                    earlier: seen.position,
-                    later: position,
-                }),
-                _ => Ok(()),
-            }
-        };
-        for key in &fp.writes {
-            if let Some(f) = frontier.get(key) {
-                beats(f.writer)?;
-                beats(f.commuter)?;
-                beats(f.reader)?;
-            }
+        match bound {
+            Some(seen) if seen.wave >= wave => Err(ScheduleError::ConflictOrder {
+                earlier: seen.position,
+                later: position,
+            }),
+            _ => Ok(wave),
         }
-        for key in &fp.commuting_writes {
-            if let Some(f) = frontier.get(key) {
-                beats(f.writer)?;
-                beats(f.reader)?;
-            }
-        }
-        for key in &fp.reads {
-            if let Some(f) = frontier.get(key) {
-                beats(f.writer)?;
-                beats(f.commuter)?;
-            }
-        }
-        let this = Some(Seen { wave, position });
-        let latest = |slot: &mut Option<Seen>| {
-            if slot.is_none_or(|seen| seen.wave <= wave) {
-                *slot = this;
-            }
-        };
-        for key in &fp.writes {
-            latest(&mut frontier.entry(key).or_default().writer);
-        }
-        for key in &fp.commuting_writes {
-            latest(&mut frontier.entry(key).or_default().commuter);
-        }
-        for key in &fp.reads {
-            latest(&mut frontier.entry(key).or_default().reader);
-        }
-    }
-    Ok(())
+    })
 }
 
 /// Where the schedule a block committed with came from.
@@ -1413,5 +1405,110 @@ mod tests {
         let sequential = validate_transaction(&batch[1], &m.ledger).unwrap_err();
         assert_eq!(rejected[1], (1, sequential.to_string()));
         assert_eq!(m.ledger.utxos().snapshot(), before);
+    }
+}
+
+/// The conflict rule on its own: the access table and its join, and the
+/// frontier walk against the pairwise reference.
+#[cfg(test)]
+mod conflict_rule {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Every access table fact the rule has: symmetric, conflicting
+    /// unless both read or both commute, and a join that conflicts with
+    /// exactly what either joined access conflicts with.
+    #[test]
+    fn access_laws_hold_over_every_triple() {
+        for a in Access::ALL {
+            for b in Access::ALL {
+                let both_read = a == Access::Read && b == Access::Read;
+                let both_commute = a == Access::Commute && b == Access::Commute;
+                assert_eq!(a.conflicts(b), !(both_read || both_commute), "{a:?} {b:?}");
+                assert_eq!(a.conflicts(b), b.conflicts(a), "{a:?} {b:?}");
+                for c in Access::ALL {
+                    assert_eq!(
+                        a.join(b).conflicts(c),
+                        a.conflicts(c) || b.conflicts(c),
+                        "({a:?} ⊔ {b:?}) against {c:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A footprint from `(key, access)` picks over a four-key pool.
+    fn footprint_of(picks: &[(u8, u8)]) -> Footprint {
+        let mut fp = Footprint::default();
+        for &(key, access) in picks {
+            let key = match key {
+                0 => ConflictKey::Id("t".to_owned()),
+                1 => ConflictKey::Output("t".to_owned(), 0),
+                2 => ConflictKey::Bids("r".to_owned()),
+                _ => ConflictKey::Accept("r".to_owned()),
+            };
+            fp.touch(key, Access::ALL[usize::from(access)]);
+        }
+        fp
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Layering puts each member one past the highest wave of an
+        /// earlier member it conflicts with, pairwise; a covering
+        /// partition verifies exactly when every conflicting pair is in
+        /// increasing waves, and a refusal names such a pair.
+        #[test]
+        fn one_walk_equals_the_pairwise_reference(
+            members in prop::collection::vec(
+                (prop::collection::vec((0u8..4, 0u8..3), 1..4), 0usize..12),
+                1..13,
+            ),
+            jitter in any::<bool>(),
+        ) {
+            let fps: Vec<Footprint> = members.iter().map(|(picks, _)| footprint_of(picks)).collect();
+            let n = fps.len();
+            let conflict = |j: usize, i: usize| footprints_conflict(&fps[j], &fps[i]);
+
+            let layered = schedule_waves(&fps);
+            for i in 0..n {
+                let bound = (0..i)
+                    .filter(|&j| conflict(j, i))
+                    .map(|j| layered[j] + 1)
+                    .max()
+                    .unwrap_or(0);
+                prop_assert_eq!(layered[i], bound, "member {}", i);
+            }
+            prop_assert_eq!(verify_schedule(n, &build_schedule(fps.clone()).waves, &fps), Ok(()));
+
+            // A random covering partition with no empty wave, renumbered
+            // densely: the drawn waves, or (mostly in order) the layered
+            // waves spread out and jittered by them.
+            let drawn: Vec<usize> = (members.iter().zip(&layered))
+                .map(|((_, wave), layer)| if jitter { 2 * layer + wave % 3 } else { *wave })
+                .collect();
+            let mut used = drawn.clone();
+            used.sort_unstable();
+            used.dedup();
+            let wave_of: Vec<usize> = (drawn.iter())
+                .map(|wave| used.binary_search(wave).expect("drawn wave"))
+                .collect();
+            let mut waves = vec![Vec::new(); used.len()];
+            for (i, &wave) in wave_of.iter().enumerate() {
+                waves[wave].push(i);
+            }
+            let ordered = (0..n).all(|i| (0..i).all(|j| !conflict(j, i) || wave_of[j] < wave_of[i]));
+            let verdict = verify_schedule(n, &waves, &fps);
+            prop_assert_eq!(verdict.is_ok(), ordered, "{:?}", verdict);
+            if let Err(e) = verdict {
+                let ScheduleError::ConflictOrder { earlier, later } = e else {
+                    return Err(TestCaseError::fail(format!("not a conflict-order refusal: {e}")));
+                };
+                prop_assert!(earlier < later, "{} {}", earlier, later);
+                prop_assert!(conflict(earlier, later));
+                prop_assert!(wave_of[earlier] >= wave_of[later]);
+            }
+        }
     }
 }

@@ -1,81 +1,53 @@
-//! The footprint index behind admission's conflict scans.
+//! The pending-spender index behind admission's double-spend flag.
 //!
-//! Pending transactions are indexed by the [`ConflictKey`]s they read
-//! and write: key → the pending writers / commuting writers / readers,
-//! by pool seq. Every
-//! scan and insert runs in admission order on the pool's own thread,
-//! so conflict sets and double-spend flags are identical at any
+//! Pending transactions are indexed by the outputs they spend — the
+//! [`ConflictKey::Output`] keys their footprints `Write` — as output →
+//! the pending spenders, by pool seq. Conflicts between pending members
+//! are not indexed: the drain layers the pool through the pipeline's
+//! one frontier walk. Every insert and lookup runs in admission order
+//! on the pool's own thread, so double-spend flags are identical at any
 //! admission worker count.
 
-use scdb_core::pipeline::{ConflictKey, Footprint};
+use scdb_core::pipeline::{Access, ConflictKey, Footprint};
 use std::collections::{BTreeSet, HashMap};
 
-/// The pool-wide footprint index, with empty key sets pruned on
-/// removal.
+/// The pool-wide spender index, with empty key sets pruned on removal.
 #[derive(Default)]
-pub(crate) struct FootprintIndex {
-    writers: HashMap<ConflictKey, BTreeSet<u64>>,
-    commuters: HashMap<ConflictKey, BTreeSet<u64>>,
-    readers: HashMap<ConflictKey, BTreeSet<u64>>,
+pub(crate) struct SpendIndex {
+    spenders: HashMap<ConflictKey, BTreeSet<u64>>,
 }
 
-impl FootprintIndex {
-    /// Indexes one pending member's footprint.
+/// The outputs a footprint spends.
+fn spends(fp: &Footprint) -> impl Iterator<Item = &ConflictKey> {
+    (fp.accesses().iter())
+        .filter(|(key, access)| *access == Access::Write && matches!(key, ConflictKey::Output(..)))
+        .map(|(key, _)| key)
+}
+
+impl SpendIndex {
+    /// Indexes one pending member's spends.
     pub(crate) fn insert(&mut self, seq: u64, fp: &Footprint) {
-        for (keys, index) in [
-            (&fp.writes, &mut self.writers),
-            (&fp.commuting_writes, &mut self.commuters),
-            (&fp.reads, &mut self.readers),
-        ] {
-            for key in keys {
-                index.entry(key.clone()).or_default().insert(seq);
-            }
+        for key in spends(fp) {
+            self.spenders.entry(key.clone()).or_default().insert(seq);
         }
     }
 
     /// Unindexes one pending member, pruning emptied key sets.
     pub(crate) fn remove(&mut self, seq: u64, fp: &Footprint) {
-        for (keys, index) in [
-            (&fp.writes, &mut self.writers),
-            (&fp.commuting_writes, &mut self.commuters),
-            (&fp.reads, &mut self.readers),
-        ] {
-            for key in keys {
-                if let Some(set) = index.get_mut(key) {
-                    set.remove(&seq);
-                    if set.is_empty() {
-                        index.remove(key);
-                    }
+        for key in spends(fp) {
+            if let Some(set) = self.spenders.get_mut(key) {
+                set.remove(&seq);
+                if set.is_empty() {
+                    self.spenders.remove(key);
                 }
             }
         }
     }
 
-    /// The distinct pending members this footprint conflicts with:
-    /// its writes against every access, its commuting writes against
-    /// their writes and reads, its reads against both kinds of write —
-    /// exactly the wave-serialization relation.
-    pub(crate) fn conflicts_with(&self, fp: &Footprint) -> BTreeSet<u64> {
-        let (writers, commuters, readers) = (&self.writers, &self.commuters, &self.readers);
-        let mut found = BTreeSet::new();
-        for (keys, indexes) in [
-            (&fp.writes, &[writers, commuters, readers][..]),
-            (&fp.commuting_writes, &[writers, readers]),
-            (&fp.reads, &[writers, commuters]),
-        ] {
-            for key in keys {
-                for index in indexes {
-                    found.extend(index.get(key).into_iter().flatten().copied());
-                }
-            }
-        }
-        found
-    }
-
-    /// True when some pending member already writes this key (the
+    /// True when some pending member already spends this output (the
     /// pending half of the double-spend flag).
-    pub(crate) fn has_pending_writer(&self, key: &ConflictKey) -> bool {
-        self.writers.get(key).is_some_and(|ws| !ws.is_empty())
+    pub(crate) fn has_pending_spender(&self, key: &ConflictKey) -> bool {
+        self.spenders.get(key).is_some_and(|seqs| !seqs.is_empty())
     }
 }
 
@@ -84,11 +56,14 @@ mod tests {
     use super::*;
 
     fn fp(writes: &[ConflictKey], reads: &[ConflictKey]) -> Footprint {
-        Footprint {
-            writes: writes.to_vec(),
-            reads: reads.to_vec(),
-            ..Footprint::default()
+        let mut fp = Footprint::default();
+        for key in writes {
+            fp.touch(key.clone(), Access::Write);
         }
+        for key in reads {
+            fp.touch(key.clone(), Access::Read);
+        }
+        fp
     }
 
     fn out(id: &str, index: u32) -> ConflictKey {
@@ -97,39 +72,18 @@ mod tests {
 
     #[test]
     fn insert_scan_remove_round_trip() {
-        let mut index = FootprintIndex::default();
+        let mut index = SpendIndex::default();
         let a = fp(&[out("t1", 0)], &[ConflictKey::Id("t0".into())]);
         index.insert(7, &a);
-        assert!(index.has_pending_writer(&out("t1", 0)));
-        let rival = fp(&[out("t1", 0)], &[]);
-        assert_eq!(
-            index.conflicts_with(&rival).into_iter().collect::<Vec<_>>(),
-            vec![7]
-        );
-        // Reader-only keys conflict with writers, not other readers.
-        let reader = fp(&[], &[ConflictKey::Id("t0".into())]);
-        assert!(index.conflicts_with(&reader).is_empty());
-        let writer = fp(&[ConflictKey::Id("t0".into())], &[]);
-        assert_eq!(index.conflicts_with(&writer).len(), 1);
+        assert!(index.has_pending_spender(&out("t1", 0)));
+        // Only spends are indexed: a read output is no pending spend.
+        assert!(!index.has_pending_spender(&ConflictKey::Id("t0".into())));
+        let reader = fp(&[], &[out("t2", 0)]);
+        index.insert(8, &reader);
+        assert!(!index.has_pending_spender(&out("t2", 0)));
         index.remove(7, &a);
-        assert!(!index.has_pending_writer(&out("t1", 0)));
-        assert!(index.conflicts_with(&rival).is_empty());
-        assert!(index.writers.is_empty() && index.readers.is_empty());
-    }
-
-    #[test]
-    fn commuting_writes_conflict_with_reads_and_writes_only() {
-        let mut index = FootprintIndex::default();
-        let append = Footprint {
-            commuting_writes: vec![ConflictKey::Bids("r".into())],
-            ..Footprint::default()
-        };
-        index.insert(1, &append);
-        assert!(index.conflicts_with(&append).is_empty());
-        let bids = &append.commuting_writes;
-        assert_eq!(index.conflicts_with(&fp(&[], bids)).len(), 1);
-        assert_eq!(index.conflicts_with(&fp(bids, &[])).len(), 1);
-        index.remove(1, &append);
-        assert!(index.commuters.is_empty());
+        index.remove(8, &reader);
+        assert!(!index.has_pending_spender(&out("t1", 0)));
+        assert!(index.spenders.is_empty());
     }
 }

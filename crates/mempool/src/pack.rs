@@ -19,7 +19,7 @@
 //! wave whose neighbours hash to different shards contends less than
 //! one that happens to cluster on a single shard.
 
-use scdb_core::pipeline::{schedule_waves, ConflictKey, Footprint};
+use scdb_core::pipeline::{schedule_waves, Access, ConflictKey, Footprint};
 use scdb_store::OutputRef;
 use std::borrow::Borrow;
 
@@ -65,13 +65,18 @@ impl PackedBatch {
 /// the packer and the apply path agree on placement.
 pub fn primary_shard(footprint: &Footprint, shard_count: usize) -> usize {
     let shard_count = shard_count.max(1);
-    for key in &footprint.writes {
+    let writes = || {
+        (footprint.accesses().iter())
+            .filter(|(_, access)| *access == Access::Write)
+            .map(|(key, _)| key)
+    };
+    for key in writes() {
         if let ConflictKey::Output(tx_id, index) = key {
             let out = OutputRef::new(tx_id.clone(), *index);
             return (out.shard_hash() % shard_count as u64) as usize;
         }
     }
-    for key in &footprint.writes {
+    for key in writes() {
         if let ConflictKey::Id(id) = key {
             let out = OutputRef::new(id.clone(), 0);
             return (out.shard_hash() % shard_count as u64) as usize;
@@ -162,10 +167,11 @@ mod tests {
     use scdb_core::pipeline::footprints_conflict;
 
     fn writes(keys: &[ConflictKey]) -> Footprint {
-        Footprint {
-            writes: keys.to_vec(),
-            ..Footprint::default()
+        let mut fp = Footprint::default();
+        for key in keys {
+            fp.touch(key.clone(), Access::Write);
         }
+        fp
     }
 
     fn spend(tx: &str, idx: u32) -> ConflictKey {

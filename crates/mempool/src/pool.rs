@@ -1,9 +1,9 @@
 //! The standing pool: footprint-indexed admission and draining.
 
-use crate::index::FootprintIndex;
+use crate::index::SpendIndex;
 use crate::pack::pack_batch;
 use scdb_core::conditions::{row, Signers};
-use scdb_core::pipeline::{footprint, ConflictKey, Footprint, WaveSchedule};
+use scdb_core::pipeline::{footprint, Access, ConflictKey, Footprint, WaveSchedule};
 use scdb_core::validate::{
     batch_verify_signed_by, requester_keys, stateless_screen, verify_input_signatures_over,
 };
@@ -174,16 +174,13 @@ pub(crate) fn signature_error(e: ValidationError) -> AdmitError {
 pub struct AdmitReceipt {
     /// Pool sequence number (arrival order; stable across requeues).
     pub seq: u64,
-    /// True when the footprint index spotted an obvious double spend —
+    /// True when the spender index spotted an obvious double spend —
     /// another *pending* transaction already consumes one of this
     /// transaction's spent outputs, or a spent output is already marked
     /// spent on the ledger. A flag is a prediction, never a verdict:
     /// the flagged transaction stays admitted and the validator decides
     /// (flag ≠ reject — the winner of the race may well be this one).
     pub flagged: bool,
-    /// Distinct pending transactions whose footprints conflict with
-    /// this one (they will serialize into different waves).
-    pub conflicts: usize,
 }
 
 /// One admitted-but-uncommitted transaction.
@@ -283,8 +280,8 @@ pub struct Mempool {
     next_seq: u64,
     pending: BTreeMap<u64, PendingTx>,
     pub(crate) by_id: HashMap<String, u64>,
-    /// Footprint index: conflict key → pending writers / readers.
-    index: FootprintIndex,
+    /// Spender index: spent output → pending spenders.
+    index: SpendIndex,
     per_sender: HashMap<String, usize>,
     /// Unresolved id → pending members awaiting it.
     waiting_on: HashMap<String, BTreeSet<u64>>,
@@ -304,7 +301,7 @@ impl Mempool {
             next_seq: 0,
             pending: BTreeMap::new(),
             by_id: HashMap::new(),
-            index: FootprintIndex::default(),
+            index: SpendIndex::default(),
             per_sender: HashMap::new(),
             waiting_on: HashMap::new(),
             stats: MempoolStats::default(),
@@ -352,7 +349,7 @@ impl Mempool {
     }
 
     /// Admission: cheap stateless checks, then footprint derivation
-    /// and double-spend flagging against the footprint index.
+    /// and double-spend flagging against the spender index.
     ///
     /// `ledger` is read only for (a) the committed-duplicate check,
     /// (b) footprint link resolution and (c) spent-output flagging —
@@ -400,17 +397,13 @@ impl Mempool {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.record_admitted(&tx, ledger);
-        let (flagged, conflicts) = self.place(seq, tx, sender, false, ledger);
+        let flagged = self.place(seq, tx, sender, false, ledger);
         self.stats.admitted += 1;
         self.config.telemetry.incr("mempool.admitted");
         if flagged {
             self.stats.flagged += 1;
         }
-        Ok(AdmitReceipt {
-            seq,
-            flagged,
-            conflicts,
-        })
+        Ok(AdmitReceipt { seq, flagged })
     }
 
     /// [`Mempool::decide`]'s checks in cascade order; the admitted
@@ -444,7 +437,7 @@ impl Mempool {
     }
 
     /// Drains up to `max_n` pending transactions as a formed batch:
-    /// wave-packed over the footprint index, shard-interleaved, with
+    /// wave-packed over the pending footprints, shard-interleaved, with
     /// the precomputed schedule attached. Members leave the pool;
     /// whatever the commit rejects is gone (exactly as a block would
     /// decide them), and [`Mempool::requeue`] reinstates batches whose
@@ -599,10 +592,9 @@ impl Mempool {
     /// Places one member into the pool at `seq`, the step admission,
     /// [`Mempool::requeue`] and footprint refresh share: derives its
     /// footprint and unresolved links against pool + ledger, reads the
-    /// double-spend flag and the conflict set off the index *before*
-    /// inserting (a member never conflicts with itself), inserts, and
-    /// re-derives the footprints of members waiting on its id. Returns
-    /// (flagged, distinct pending members it conflicts with).
+    /// double-spend flag off the index *before* inserting (a member
+    /// never races itself), inserts, and re-derives the footprints of
+    /// members waiting on its id. Returns the flag.
     fn place(
         &mut self,
         seq: u64,
@@ -610,11 +602,10 @@ impl Mempool {
         sender: String,
         accept_sig_checked: bool,
         ledger: &impl LedgerView,
-    ) -> (bool, usize) {
+    ) -> bool {
         let pending = |id: &str| self.by_id.get(id).map(|seq| &*self.pending[seq].tx);
         let (footprint, unresolved) = footprint(&tx, |id| pending(id).or_else(|| ledger.get(id)));
         let flagged = self.suspected_double_spend(&footprint, ledger);
-        let conflicts = self.index.conflicts_with(&footprint).len();
 
         self.index.insert(seq, &footprint);
         self.by_id.insert(tx.id.clone(), seq);
@@ -635,18 +626,18 @@ impl Mempool {
             },
         );
         self.on_arrival(seq, ledger);
-        (flagged, conflicts)
+        flagged
     }
 
-    /// The double-spend flag, read off the footprint index and the
+    /// The double-spend flag, read off the spender index and the
     /// committed UTXO set: some spent output either has a pending
-    /// writer already, or is already marked spent on the ledger.
+    /// spender already, or is already marked spent on the ledger.
     fn suspected_double_spend(&self, fp: &Footprint, ledger: &impl LedgerView) -> bool {
-        fp.writes.iter().any(|key| {
-            let ConflictKey::Output(tx_id, index) = key else {
+        fp.accesses().iter().any(|(key, access)| {
+            let (ConflictKey::Output(tx_id, index), Access::Write) = (key, access) else {
                 return false;
             };
-            if self.index.has_pending_writer(key) {
+            if self.index.has_pending_spender(key) {
                 return true;
             }
             let out = scdb_store::OutputRef::new(tx_id.clone(), *index);

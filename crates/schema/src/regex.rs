@@ -725,4 +725,38 @@ mod tests {
         assert!(!mixed.anchored_start);
         assert!(mixed.is_match("xxcd"));
     }
+
+    /// Every `pattern` the shipped transaction schemas carry compiles
+    /// onto the byte-span path, so matching transaction text is one byte
+    /// loop and never reaches the backtracker.
+    #[test]
+    fn every_shipped_pattern_is_a_byte_span() {
+        fn patterns(value: &scdb_json::Value, found: &mut Vec<String>) {
+            use scdb_json::Value;
+            match value {
+                Value::Object(map) => {
+                    for (key, child) in map {
+                        match (key.as_str(), child) {
+                            ("pattern", Value::String(p)) => found.push(p.clone()),
+                            _ => patterns(child, found),
+                        }
+                    }
+                }
+                Value::Array(items) => items.iter().for_each(|item| patterns(item, found)),
+                _ => {}
+            }
+        }
+        let mut found = Vec::new();
+        for op in crate::OPERATIONS {
+            let yaml = crate::schema_yaml(op).expect("a shipped operation");
+            patterns(&crate::parse_yaml(&yaml).expect("shipped YAML"), &mut found);
+        }
+        assert!(!found.is_empty(), "the shipped schemas carry no pattern");
+        for pattern in &found {
+            assert!(
+                re(pattern).fast.is_some(),
+                "{pattern} needs the backtracker"
+            );
+        }
+    }
 }

@@ -245,4 +245,27 @@ mod tests {
         let rec = DurableStore::recover(scratch.path(), 4).expect("recover");
         assert_eq!(rec.height, 0);
     }
+
+    #[test]
+    fn a_failed_group_fsync_keeps_its_seals_pending_and_latches() {
+        let scratch = Scratch::new("group-failed-sync");
+        let (mut store, _) = DurableStore::open(scratch.path()).expect("open");
+        store.set_fsync(FsyncLevel::Group(4));
+        let live = UtxoSet::with_shards(4);
+        for tx in ["aaaa", "bbbb", "cccc"] {
+            block(&store, &live, tx);
+        }
+        store.inject_sync_failure();
+        // The fourth seal fills the group; its write lands and its
+        // fsync fails.
+        assert!(store.seal_block(&[], &live.state_digest()).is_err());
+        assert!(store.guard().is_err());
+        assert_eq!(store.pending_seals(), 4);
+        assert_eq!(store.next_height() - store.pending_seals() as u64, 0);
+        assert!(store.flush_group().is_err());
+        drop(store);
+        let (_, rec) = DurableStore::open(scratch.path()).expect("reopen");
+        assert_eq!(rec.height, 0);
+        assert!(rec.committed.is_empty());
+    }
 }

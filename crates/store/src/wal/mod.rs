@@ -26,7 +26,9 @@
 //!   Runtime write failures latch the store: after the first append or
 //!   fsync error every later seal is refused ([`DurableStore::guard`]
 //!   lets a commit path ask *before* it touches memory), and reopening
-//!   recovers the last durable seal.
+//!   recovers the last durable seal. A failed fsync first cuts the
+//!   unsynced lines back off the manifest, so a reopen never reads a
+//!   refused seal as sealed.
 //!
 //! Crash injection for the recovery tests is built in: after
 //! [`DurableStore::inject_crash_after`], the n-th following manifest
@@ -34,7 +36,8 @@
 //! modeling a process kill at an arbitrary point in the write stream.
 //! [`DurableStore::inject_io_failure`] instead makes the next write
 //! *fail* (an I/O error the caller sees), driving the fail-closed
-//! error path.
+//! error path, and [`DurableStore::inject_sync_failure`] fails the next
+//! fsync after its write landed.
 
 mod export;
 mod group;
@@ -103,11 +106,23 @@ pub(super) fn manifest_path(dir: &Path) -> PathBuf {
     dir.join(WAL_DIR).join("manifest.jsonl")
 }
 
+/// A manifest write step the one-shot fault switch can fail.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Fault {
+    /// The write itself errs before any byte lands.
+    Write,
+    /// The bytes land, then the fsync that should make them durable errs.
+    Sync,
+}
+
 /// Mutable half of the store: the append handle plus the height cursor,
 /// the group-commit seal buffer, and the crash/failure injection
 /// switches.
 pub(super) struct Inner {
     manifest: File,
+    /// The manifest's byte length: set at open, advanced by each write
+    /// that succeeded, and what a failed sync cuts the file back to.
+    len: u64,
     /// Height of the next block to seal.
     pub(super) height: u64,
     /// Seal lines accepted but not yet written + fsynced (levels
@@ -118,8 +133,8 @@ pub(super) struct Inner {
     writes_left: Option<u64>,
     /// Once true, every write silently vanishes (the process "died").
     tripped: bool,
-    /// One-shot injected I/O failure: the next write errors.
-    fail_next_write: bool,
+    /// One-shot injected I/O failure: the next write or sync errs.
+    fault: Option<Fault>,
     /// Fail-closed latch: the first write error freezes the store.
     /// Holds the original error text; cleared only by reopening.
     poisoned: Option<String>,
@@ -141,7 +156,9 @@ impl Inner {
     /// that trips it lands only half its bytes (whole leading lines
     /// plus one torn line, the tail shape recovery discards) and every
     /// write and sync after it is a no-op — and latches the store on a
-    /// real or injected failure.
+    /// real or injected failure. A failed sync first cuts the manifest
+    /// back to its length before this write, so no reopen reads the
+    /// unsynced lines as sealed.
     pub(super) fn append(&mut self, bytes: &[u8], sync: bool) -> Result<(), WalError> {
         let written = self.write(bytes, sync);
         if let Err(e) = &written {
@@ -151,7 +168,7 @@ impl Inner {
     }
 
     fn write(&mut self, bytes: &[u8], sync: bool) -> std::io::Result<()> {
-        if std::mem::take(&mut self.fail_next_write) {
+        if self.fault.take_if(|fault| *fault == Fault::Write).is_some() {
             return Err(std::io::Error::other("injected WAL writer failure"));
         }
         if self.tripped {
@@ -167,8 +184,20 @@ impl Inner {
         }
         self.manifest.write_all(bytes)?;
         if sync {
-            self.manifest.sync_data()?;
+            let synced = match self.fault.take_if(|fault| *fault == Fault::Sync) {
+                Some(_) => Err(std::io::Error::other("injected WAL fsync failure")),
+                None => self.manifest.sync_data(),
+            };
+            if let Err(e) = synced {
+                return Err(match self.manifest.set_len(self.len) {
+                    Ok(()) => e,
+                    Err(cut) => std::io::Error::other(format!(
+                        "{e}; cutting the unsynced seals back off the manifest failed too: {cut}"
+                    )),
+                });
+            }
         }
+        self.len += bytes.len() as u64;
         Ok(())
     }
 }
@@ -321,15 +350,17 @@ impl DurableStore {
             manifest.set_len(sealed_len as u64)?;
             recovered.tail_discards = 1;
         }
+        let len = manifest.metadata()?.len();
         let store = DurableStore {
             dir,
             inner: Mutex::new(Inner {
                 manifest,
+                len,
                 height: recovered.height,
                 pending_seals: Vec::new(),
                 writes_left: None,
                 tripped: false,
-                fail_next_write: false,
+                fault: None,
                 poisoned: None,
             }),
             fsync: FsyncLevel::None,
@@ -372,7 +403,14 @@ impl DurableStore {
     /// sees (unlike [`DurableStore::inject_crash_after`], which fails
     /// silently). The failure latches the store fail-closed.
     pub fn inject_io_failure(&self) {
-        self.inner.lock().fail_next_write = true;
+        self.inner.lock().fault = Some(Fault::Write);
+    }
+
+    /// Makes the next manifest fsync fail after its write landed: the
+    /// store cuts the unsynced lines back off and latches. Only levels
+    /// `block` and `group:N` sync; at `none` the switch stays armed.
+    pub fn inject_sync_failure(&self) {
+        self.inner.lock().fault = Some(Fault::Sync);
     }
 
     /// `Err` once a write error latched the store fail-closed. A seal is
@@ -770,6 +808,31 @@ pub(super) mod tests {
         block(&store, &live, "dddd");
         let rec = DurableStore::recover(scratch.path(), 4).expect("recover");
         assert_eq!(rec.height, 2);
+    }
+
+    #[test]
+    fn a_failed_fsync_leaves_no_seal_behind() {
+        let scratch = Scratch::new("sync-failure");
+        let (mut store, _) = DurableStore::open(scratch.path()).expect("open");
+        store.set_fsync(FsyncLevel::Block);
+        let live = UtxoSet::with_shards(4);
+        block(&store, &live, "aaaa");
+        let sealed = live.state_digest();
+        // Block 2's line lands, its fsync fails: the seal is refused and
+        // the store latches.
+        store.inject_sync_failure();
+        assert!(matches!(
+            store.seal_block(&[obj! { "id" => "bbbb" }], &StateDigest::EMPTY),
+            Err(WalError::Io(_))
+        ));
+        assert!(store.guard().is_err());
+        drop(store);
+
+        // The refused seal is not on the manifest for a reopen to read.
+        let (_, rec) = DurableStore::open(scratch.path()).expect("reopen");
+        assert_eq!(rec.height, 1);
+        assert_eq!(rec.digest, sealed);
+        assert_eq!(ids(&rec), ["aaaa"]);
     }
 
     /// Per seal, in height order: its documents and its digest.

@@ -307,8 +307,10 @@ impl Case<'_> {
                     ));
                 }
                 if live[i] || live[j] {
-                    let shared_commuting = (footprints[i].commuting_writes.iter())
-                        .any(|key| footprints[j].commuting_writes.contains(key));
+                    let commute = smartchaindb::core::Access::Commute;
+                    let shared_commuting = (footprints[i].accesses().iter()).any(|(key, a)| {
+                        *a == commute && footprints[j].access(key) == Some(commute)
+                    });
                     tally.pairs += 1;
                     tally.conflicts += usize::from(conflict);
                     tally.real += usize::from(conflict && !commutes);
