@@ -20,6 +20,7 @@
 //! No external JSON crate is used; see DESIGN.md §7.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod error;
 mod number;

@@ -177,7 +177,8 @@ impl<'a> Parser<'a> {
                 // The input is valid UTF-8 (it came from &str) and the run
                 // stops only at ASCII delimiters, so the slice is valid.
                 out.push_str(
-                    std::str::from_utf8(&self.bytes[start..self.i]).expect("valid utf8 run"),
+                    std::str::from_utf8(&self.bytes[start..self.i])
+                        .map_err(|_| JsonError::InvalidUtf8)?,
                 );
             }
             match self.bump() {
@@ -282,7 +283,8 @@ impl<'a> Parser<'a> {
                 self.bump();
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.i]).expect("ascii number");
+        let text =
+            std::str::from_utf8(&self.bytes[start..self.i]).map_err(|_| JsonError::InvalidUtf8)?;
         if !is_float {
             if let Ok(i) = text.parse::<i64>() {
                 return Ok(Value::Number(Number::Int(i)));

@@ -7,8 +7,10 @@
 //!
 //! * [`yaml`] — a YAML-subset parser producing [`scdb_json::Value`]
 //!   documents;
-//! * [`regex`] — a small backtracking regex engine for `pattern`
-//!   constraints (e.g. the `sha3_hexdigest` id format);
+//! * [`regex`] — `pattern` constraints of one shape, `^C{m,n}$` for a
+//!   positive ASCII class `C` (e.g. the `sha3_hexdigest` id format),
+//!   matched by one pass over the text's bytes; every other pattern is
+//!   refused when its schema compiles;
 //! * [`Schema`] — the compiled schema model and validator implementing
 //!   the paper's Algorithm 1 (`validateT_schema`);
 //! * [`txschemas`] — the embedded schema documents for the six native
@@ -17,6 +19,7 @@
 //!   phase.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod model;
 pub mod regex;
@@ -26,7 +29,7 @@ pub mod yaml;
 pub use model::{Schema, SchemaError, TypeKind, Violation};
 pub use regex::{Regex, RegexError};
 pub use txschemas::{schema_for, schema_yaml, validate_transaction_schema, OPERATIONS};
-pub use yaml::{parse_yaml, YamlError};
+pub use yaml::{parse_yaml, YamlError, MAX_YAML_BYTES};
 
 #[cfg(test)]
 mod proptests;

@@ -17,7 +17,8 @@ use std::sync::Arc;
 pub enum SchemaError {
     /// The YAML text failed to parse.
     Yaml(YamlError),
-    /// A `pattern` keyword holds an invalid expression.
+    /// A `pattern` keyword holds a malformed pattern or one outside the
+    /// supported shape `^C{m,n}$` (see [`crate::regex`]).
     Pattern(String, RegexError),
     /// A `$ref` points to a missing definition.
     UnknownRef(String),
@@ -199,6 +200,10 @@ impl Schema {
         self.validate(value).is_ok()
     }
 
+    #[allow(
+        clippy::expect_used,
+        reason = "compilation refuses a schema whose `$ref` names no definition (`check_refs`)"
+    )]
     fn resolve<'a>(&'a self, node: &'a Node) -> &'a Node {
         match &node.reference {
             Some(r) => self.definitions.get(r).expect("checked at compile time"),
@@ -646,8 +651,13 @@ properties:
     #[test]
     fn bad_pattern_fails_compile() {
         assert!(matches!(
-            Schema::from_yaml("type: string\npattern: '(['\n"),
-            Err(SchemaError::Pattern(_, _))
+            Schema::from_yaml("type: string\npattern: '^[a-'\n"),
+            Err(SchemaError::Pattern(_, RegexError::BadClass(1)))
+        ));
+        // Well-formed, but outside the one supported shape.
+        assert!(matches!(
+            Schema::from_yaml("type: string\npattern: '^(a+)+b$'\n"),
+            Err(SchemaError::Pattern(_, RegexError::Unsupported(1)))
         ));
     }
 

@@ -176,6 +176,10 @@ pub fn schema_yaml(op: &str) -> Option<String> {
     )
 }
 
+#[allow(
+    clippy::expect_used,
+    reason = "every name in `OPERATIONS` has a template, and a shipped schema that fails to compile is a build defect"
+)]
 fn registry() -> &'static BTreeMap<&'static str, Schema> {
     static REGISTRY: OnceLock<BTreeMap<&'static str, Schema>> = OnceLock::new();
     REGISTRY.get_or_init(|| {

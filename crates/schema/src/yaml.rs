@@ -27,14 +27,21 @@ pub enum YamlError {
     BadIndent(usize),
     /// Duplicate mapping key.
     DuplicateKey(usize, String),
-    /// Blocks nested deeper than 128 (the line that opens the first
-    /// block past the bound).
+    /// Blocks, or flow sequences within one line, nested deeper than
+    /// 128 (the line that opens the first level past the bound).
     TooDeep(usize),
+    /// The document is longer than [`MAX_YAML_BYTES`]; refused unparsed.
+    TooLarge { bytes: usize },
 }
 
 /// How deep blocks may nest: the bound `scdb_json::parse` puts on JSON
 /// nesting, so a hostile document is refused, not a stack overflow.
 const MAX_DEPTH: usize = 128;
+
+/// The longest document [`parse_yaml`] reads. A shipped transaction
+/// schema is under 3 KiB; the bound keeps a hostile document's parse
+/// time and memory small before any line is looked at.
+pub const MAX_YAML_BYTES: usize = 64 * 1024;
 
 impl fmt::Display for YamlError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -48,7 +55,13 @@ impl fmt::Display for YamlError {
             }
             YamlError::BadIndent(l) => write!(f, "line {l}: inconsistent indentation"),
             YamlError::DuplicateKey(l, k) => write!(f, "line {l}: duplicate key {k:?}"),
-            YamlError::TooDeep(l) => write!(f, "line {l}: nested deeper than {MAX_DEPTH} blocks"),
+            YamlError::TooDeep(l) => write!(f, "line {l}: nested deeper than {MAX_DEPTH} levels"),
+            YamlError::TooLarge { bytes } => {
+                write!(
+                    f,
+                    "document of {bytes} bytes exceeds the {MAX_YAML_BYTES}-byte bound"
+                )
+            }
         }
     }
 }
@@ -65,6 +78,9 @@ struct Line {
 
 /// Parses a YAML document into a JSON value.
 pub fn parse_yaml(input: &str) -> Result<Value, YamlError> {
+    if input.len() > MAX_YAML_BYTES {
+        return Err(YamlError::TooLarge { bytes: input.len() });
+    }
     let mut lines = Vec::new();
     for (idx, raw) in input.lines().enumerate() {
         let number = idx + 1;
@@ -86,12 +102,8 @@ pub fn parse_yaml(input: &str) -> Result<Value, YamlError> {
             text: trimmed_end.trim_start().to_owned(),
         });
     }
-    if lines.is_empty() {
-        return Ok(Value::Null);
-    }
     let mut parser = Parser { lines, pos: 0 };
-    let indent = parser.lines[0].indent;
-    let v = parser.block(indent, 0)?;
+    let v = parser.block(0)?;
     if parser.pos < parser.lines.len() {
         return Err(YamlError::BadIndent(parser.lines[parser.pos].number));
     }
@@ -133,15 +145,16 @@ impl Parser {
         self.lines.get(self.pos)
     }
 
-    /// The block at `indent`, `depth` blocks below the document's.
-    fn block(&mut self, indent: usize, depth: usize) -> Result<Value, YamlError> {
-        let first = self.peek().expect("block called with lines remaining");
+    /// The block opened by the next line, at that line's indent,
+    /// `depth` blocks below the document's; no line left is null.
+    fn block(&mut self, depth: usize) -> Result<Value, YamlError> {
+        let Some(first) = self.peek() else {
+            return Ok(Value::Null);
+        };
         if depth > MAX_DEPTH {
             return Err(YamlError::TooDeep(first.number));
         }
-        if first.indent != indent {
-            return Err(YamlError::BadIndent(first.number));
-        }
+        let indent = first.indent;
         if first.text.starts_with("- ") || first.text == "-" {
             self.sequence(indent, depth)
         } else {
@@ -167,10 +180,7 @@ impl Parser {
                 // Block item: content on following deeper-indented lines.
                 self.pos += 1;
                 match self.peek() {
-                    Some(next) if next.indent > indent => {
-                        let child_indent = next.indent;
-                        items.push(self.block(child_indent, depth + 1)?);
-                    }
+                    Some(next) if next.indent > indent => items.push(self.block(depth + 1)?),
                     _ => items.push(Value::Null),
                 }
             } else if is_mapping_entry(&rest) {
@@ -214,8 +224,7 @@ impl Parser {
                 self.pos += 1;
                 match self.peek() {
                     Some(next) if next.indent > indent => {
-                        let child_indent = next.indent;
-                        let v = self.block(child_indent, depth + 1)?;
+                        let v = self.block(depth + 1)?;
                         map.insert(key, v);
                     }
                     _ => {
@@ -289,14 +298,14 @@ fn parse_scalar(text: &str, line: usize) -> Result<Value, YamlError> {
     if t.starts_with('[') {
         return parse_flow_sequence(t, line);
     }
-    if t.starts_with('"') || t.starts_with('\'') {
-        return parse_quoted(t, line);
+    match t.chars().next() {
+        Some(q @ ('"' | '\'')) => parse_quoted(t, q, line),
+        _ => Ok(plain_scalar(t)),
     }
-    Ok(plain_scalar(t))
 }
 
-fn parse_quoted(t: &str, line: usize) -> Result<Value, YamlError> {
-    let q = t.chars().next().expect("non-empty");
+/// The scalar `t`, which opens with the quote `q`.
+fn parse_quoted(t: &str, q: char, line: usize) -> Result<Value, YamlError> {
     if t.len() < 2 || !t.ends_with(q) {
         return Err(YamlError::UnterminatedQuote(line));
     }
@@ -352,7 +361,11 @@ fn parse_flow_sequence(t: &str, line: usize) -> Result<Value, YamlError> {
                     cur.push(c);
                 }
                 '[' => {
+                    // Each nested sequence is parsed by a recursive call.
                     depth += 1;
+                    if depth > MAX_DEPTH {
+                        return Err(YamlError::TooDeep(line));
+                    }
                     cur.push(c);
                 }
                 ']' => {
@@ -562,26 +575,39 @@ items:
 
     /// Nesting is refused at the JSON parser's depth, not by a stack
     /// overflow that aborts the process. Level `i` is indented `i`
-    /// columns, so the document grows with the square of its depth;
-    /// 4,000 levels (8 MB) overflowed a 1 MiB stack before the bound.
+    /// columns, so the document grows with the square of its depth:
+    /// 300 levels fit the size bound and are refused at the depth
+    /// bound; 4,000 levels (8 MB, which overflowed a 1 MiB stack before
+    /// either bound) are refused unread. Nested flow sequences recurse
+    /// too and take the same depth bound.
     #[test]
     fn deep_nesting_is_an_error_not_a_stack_overflow() {
-        let depth = 4_000;
-        let doc: String = (0..depth)
-            .map(|i| format!("{}k:\n", " ".repeat(i)))
-            .collect();
-        let parsed = std::thread::Builder::new()
-            .stack_size(1 << 20)
-            .spawn(move || parse_yaml(&doc))
-            .expect("spawn")
-            .join()
-            .expect("no stack overflow");
-        assert_eq!(parsed, Err(YamlError::TooDeep(MAX_DEPTH + 2)));
+        let staircase = |depth: usize| -> String {
+            (0..depth)
+                .map(|i| format!("{}k:\n", " ".repeat(i)))
+                .collect()
+        };
+        let flow = |depth: usize| format!("k: {}{}\n", "[".repeat(depth), "]".repeat(depth));
+        let parse = |doc: String| {
+            std::thread::Builder::new()
+                .stack_size(1 << 20)
+                .spawn(move || parse_yaml(&doc))
+                .expect("spawn")
+                .join()
+                .expect("no stack overflow")
+        };
+        assert_eq!(
+            parse(staircase(300)),
+            Err(YamlError::TooDeep(MAX_DEPTH + 2))
+        );
+        assert_eq!(
+            parse(staircase(4_000)),
+            Err(YamlError::TooLarge { bytes: 8_010_000 })
+        );
+        assert_eq!(parse(flow(30_000)), Err(YamlError::TooDeep(1)));
         // At the bound itself the document still parses.
-        let doc: String = (0..=MAX_DEPTH)
-            .map(|i| format!("{}k:\n", " ".repeat(i)))
-            .collect();
-        assert!(parse_yaml(&doc).is_ok());
+        assert!(parse_yaml(&staircase(MAX_DEPTH + 1)).is_ok());
+        assert!(parse_yaml(&flow(MAX_DEPTH + 1)).is_ok());
     }
 
     #[test]

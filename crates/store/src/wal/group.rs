@@ -140,7 +140,9 @@ impl DurableStore {
         }
         inner.guard()?;
         let chunk = inner.pending_seals.concat();
-        inner.append(chunk.as_bytes(), true)?;
+        inner
+            .append(chunk.as_bytes(), true)
+            .inspect_err(|_| self.telemetry.incr("durable.write_failures"))?;
         let group = inner.pending_seals.len() as u64;
         inner.pending_seals.clear();
         self.telemetry.incr("durable.fsyncs");
@@ -244,6 +246,43 @@ mod tests {
         assert!(store.flush_group().is_err());
         let rec = DurableStore::recover(scratch.path(), 4).expect("recover");
         assert_eq!(rec.height, 0);
+    }
+
+    /// A short write of a group of seals leaves none of them behind:
+    /// the whole leading lines that landed are cut back off with the
+    /// torn one, so a reopen does not read a refused flush as sealed.
+    #[test]
+    fn a_short_group_write_leaves_no_seal_behind() {
+        let scratch = Scratch::new("group-short-write");
+        let (mut store, _) = DurableStore::open(scratch.path()).expect("open");
+        store.set_fsync(FsyncLevel::Group(4));
+        let live = UtxoSet::with_shards(4);
+        for tx in ["aaaa", "bbbb", "cccc"] {
+            block(&store, &live, tx);
+        }
+        // Half the coalesced write holds the first seal line whole.
+        let lines: Vec<usize> = store
+            .inner
+            .lock()
+            .pending_seals
+            .iter()
+            .map(String::len)
+            .collect();
+        assert!(2 * lines[0] <= lines.iter().sum::<usize>());
+        store.inject_io_failure();
+        // The fourth seal fills the group; half its coalesced write
+        // lands, then the write errs.
+        match store.seal_block(&[], &live.state_digest()) {
+            Err(WalError::Io(e)) => assert!(e.to_string().contains("short write"), "{e}"),
+            other => panic!("the short write is refused, got {other:?}"),
+        }
+        assert!(store.guard().is_err());
+        assert_eq!(store.pending_seals(), 4);
+        drop(store);
+        let (_, rec) = DurableStore::open(scratch.path()).expect("reopen");
+        assert_eq!(rec.height, 0);
+        assert!(rec.committed.is_empty());
+        assert_eq!(rec.tail_discards, 0, "nothing torn is left to trim");
     }
 
     #[test]

@@ -26,17 +26,17 @@
 //!   Runtime write failures latch the store: after the first append or
 //!   fsync error every later seal is refused ([`DurableStore::guard`]
 //!   lets a commit path ask *before* it touches memory), and reopening
-//!   recovers the last durable seal. A failed fsync first cuts the
-//!   unsynced lines back off the manifest, so a reopen never reads a
-//!   refused seal as sealed.
+//!   recovers the last durable seal. A failed write or fsync first cuts
+//!   the manifest back to its length before that write, so a reopen
+//!   never reads a refused seal as sealed.
 //!
 //! Crash injection for the recovery tests is built in: after
 //! [`DurableStore::inject_crash_after`], the n-th following manifest
 //! write is torn mid-line and every later write silently vanishes,
 //! modeling a process kill at an arbitrary point in the write stream.
 //! [`DurableStore::inject_io_failure`] instead makes the next write
-//! *fail* (an I/O error the caller sees), driving the fail-closed
-//! error path, and [`DurableStore::inject_sync_failure`] fails the next
+//! *fail* after half its bytes landed (a short write and an I/O error
+//! the caller sees), driving the fail-closed error path, and [`DurableStore::inject_sync_failure`] fails the next
 //! fsync after its write landed.
 
 mod export;
@@ -109,7 +109,7 @@ pub(super) fn manifest_path(dir: &Path) -> PathBuf {
 /// A manifest write step the one-shot fault switch can fail.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Fault {
-    /// The write itself errs before any byte lands.
+    /// Half the write's bytes land, then it errs: a short write.
     Write,
     /// The bytes land, then the fsync that should make them durable errs.
     Sync,
@@ -121,7 +121,8 @@ enum Fault {
 pub(super) struct Inner {
     manifest: File,
     /// The manifest's byte length: set at open, advanced by each write
-    /// that succeeded, and what a failed sync cuts the file back to.
+    /// that succeeded, and what a failed write or sync cuts the file
+    /// back to.
     len: u64,
     /// Height of the next block to seal.
     pub(super) height: u64,
@@ -156,9 +157,10 @@ impl Inner {
     /// that trips it lands only half its bytes (whole leading lines
     /// plus one torn line, the tail shape recovery discards) and every
     /// write and sync after it is a no-op — and latches the store on a
-    /// real or injected failure. A failed sync first cuts the manifest
-    /// back to its length before this write, so no reopen reads the
-    /// unsynced lines as sealed.
+    /// real or injected failure. A failed write or sync first cuts the
+    /// manifest back to its length before this write, so no reopen
+    /// reads a refused seal as sealed: not the whole leading lines of a
+    /// short write, not the lines of a write whose sync failed.
     pub(super) fn append(&mut self, bytes: &[u8], sync: bool) -> Result<(), WalError> {
         let written = self.write(bytes, sync);
         if let Err(e) = &written {
@@ -168,9 +170,6 @@ impl Inner {
     }
 
     fn write(&mut self, bytes: &[u8], sync: bool) -> std::io::Result<()> {
-        if self.fault.take_if(|fault| *fault == Fault::Write).is_some() {
-            return Err(std::io::Error::other("injected WAL writer failure"));
-        }
         if self.tripped {
             return Ok(());
         }
@@ -182,23 +181,39 @@ impl Inner {
             Some(n) => *n -= 1,
             None => {}
         }
-        self.manifest.write_all(bytes)?;
-        if sync {
-            let synced = match self.fault.take_if(|fault| *fault == Fault::Sync) {
-                Some(_) => Err(std::io::Error::other("injected WAL fsync failure")),
-                None => self.manifest.sync_data(),
-            };
-            if let Err(e) = synced {
-                return Err(match self.manifest.set_len(self.len) {
-                    Ok(()) => e,
-                    Err(cut) => std::io::Error::other(format!(
-                        "{e}; cutting the unsynced seals back off the manifest failed too: {cut}"
-                    )),
-                });
-            }
+        if let Err(e) = self.land(bytes, sync) {
+            return Err(match self.manifest.set_len(self.len) {
+                Ok(()) => e,
+                Err(cut) => std::io::Error::other(format!(
+                    "{e}; cutting the refused seals back off the manifest failed too: {cut}"
+                )),
+            });
         }
         self.len += bytes.len() as u64;
         Ok(())
+    }
+
+    /// Writes and, with `sync`, fsyncs `bytes`, failing where the
+    /// one-shot fault switch says: an injected write failure lands half
+    /// the bytes first (a short write, the shape `ENOSPC` mid-write
+    /// leaves), an injected sync failure errs after the write landed.
+    fn land(&mut self, bytes: &[u8], sync: bool) -> std::io::Result<()> {
+        if self.fault.take_if(|fault| *fault == Fault::Write).is_some() {
+            let half = bytes.len() / 2;
+            self.manifest.write_all(&bytes[..half])?;
+            return Err(std::io::Error::other(format!(
+                "injected WAL short write: {half} of {} bytes landed",
+                bytes.len()
+            )));
+        }
+        self.manifest.write_all(bytes)?;
+        if !sync {
+            return Ok(());
+        }
+        match self.fault.take_if(|fault| *fault == Fault::Sync) {
+            Some(_) => Err(std::io::Error::other("injected WAL fsync failure")),
+            None => self.manifest.sync_data(),
+        }
     }
 }
 
@@ -401,7 +416,9 @@ impl DurableStore {
 
     /// Makes the next manifest write fail with an I/O error the caller
     /// sees (unlike [`DurableStore::inject_crash_after`], which fails
-    /// silently). The failure latches the store fail-closed.
+    /// silently) after half its bytes landed, the short write a full
+    /// disk leaves. The store cuts the landed bytes back off and
+    /// latches fail-closed.
     pub fn inject_io_failure(&self) {
         self.inner.lock().fault = Some(Fault::Write);
     }
@@ -454,7 +471,9 @@ impl DurableStore {
         let sealed = inner.height;
         match self.fsync.group_size() {
             None => {
-                inner.append(line.as_bytes(), false)?;
+                inner
+                    .append(line.as_bytes(), false)
+                    .inspect_err(|_| self.telemetry.incr("durable.write_failures"))?;
                 inner.height += 1;
             }
             Some(group) => {

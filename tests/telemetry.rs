@@ -343,6 +343,54 @@ fn pending_seals_gauge_tracks_the_group_commit_buffer() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A latched store is visible: `durable.write_failures` counts the
+/// write failures that latched it, through the immediate seal at level
+/// `none` and through the group flush. A clean run reads 0, and a seal
+/// the latch refuses afterwards counts nothing more.
+#[test]
+fn write_failures_count_the_failure_that_latched_the_store() {
+    use smartchaindb::store::{DurableStore, FsyncLevel, StateDigest};
+
+    for (level, clean) in [
+        (FsyncLevel::None, false),
+        (FsyncLevel::None, true),
+        (FsyncLevel::Group(2), false),
+        (FsyncLevel::Group(2), true),
+    ] {
+        let dir = std::env::temp_dir().join(format!(
+            "scdb-telemetry-write-failures-{}-{}-{clean}",
+            std::process::id(),
+            level.label().replace(':', "-"),
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let telemetry = Telemetry::enabled();
+        let (mut store, _) = DurableStore::open(&dir).expect("open");
+        store.set_fsync(level);
+        store.set_telemetry(telemetry.clone());
+        let failures = || {
+            let snapshot = telemetry.snapshot().expect("enabled");
+            snapshot
+                .counters
+                .get("durable.write_failures")
+                .copied()
+                .unwrap_or(0)
+        };
+
+        store.seal_block(&[], &StateDigest::EMPTY).expect("seal");
+        if !clean {
+            store.inject_io_failure();
+        }
+        let second = store.seal_block(&[], &StateDigest::EMPTY);
+        let flushed = store.flush_group();
+        assert_eq!(second.is_ok() && flushed.is_ok(), clean, "{level:?}");
+        let third = store.seal_block(&[], &StateDigest::EMPTY);
+        assert_eq!(third.is_ok(), clean, "only a latched store refuses");
+        assert_eq!(failures(), u64::from(!clean), "{level:?}, clean: {clean}");
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// Both snapshot entry points carry the process-wide prepared-key
 /// cache's four gauges. After a node has verified a stream, its keys
 /// are resident and its lookups counted.
