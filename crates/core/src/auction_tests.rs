@@ -5,7 +5,7 @@
 use crate::validate::validate_transaction;
 use crate::{
     determine_children, determine_outstanding_children, nested, Child, LedgerState, LedgerView,
-    Operation, Transaction, TxBuilder,
+    Transaction, TxBuilder,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -160,16 +160,6 @@ fn full_reverse_auction_settles() {
             .balance(&a.alice.public_hex(), &alice_asset.id),
         0
     );
-
-    // The workflow sequence is one of the standard patterns.
-    let ops: Vec<Operation> = vec![
-        Operation::Create,
-        Operation::Request,
-        Operation::Bid,
-        Operation::AcceptBid,
-        Operation::Transfer,
-    ];
-    assert!(crate::workflow::is_valid_workflow(&ops));
 }
 
 /// The recovery view of an accept's children: the same ids in input

@@ -2,22 +2,25 @@
 //!
 //! The paper's thesis is that marketplace transactions are *declared* —
 //! a type is its condition set `C_α` (§3.2, Definitions 3–4). Here that
-//! is literal: [`row`] maps each [`Operation`] to a `static` [`TxType`]
-//! whose `conditions` slice *is* `C_α`, in the order the checks run —
-//! which is the order faults are named in, so the order is part of the
-//! declaration. The row also says who must sign, which REQUEST the type
-//! is about and which marketplace key it writes. Everything that needs
-//! to know a type reads its row: [`crate::validate::validate_transaction`]
-//! evaluates the conditions, the ledger applies the declared write, and
-//! admission asks the row who signs.
+//! is literal: each type is one document in the catalogue `scdb-schema`
+//! embeds (`types.yaml`), and [`row`] maps each [`Operation`] to the
+//! [`TxType`] built from its document once. The row's `conditions`
+//! *are* `C_α`, in the order the checks run — which is the order faults
+//! are named in, so the order is part of the declaration. The row also
+//! says which REQUEST the type is about and which marketplace key it
+//! writes; who must sign follows from its conditions. Everything that
+//! needs to know a type reads its row:
+//! [`crate::validate::validate_transaction`] evaluates the conditions,
+//! the ledger applies the declared write, and admission asks the row
+//! who signs.
 //!
 //! A [`Condition`] is a named primitive with one meaning
-//! (`Condition::check`); a slice of them is their conjunction. Its
+//! (`Condition::check`); a list of them is their conjunction. Its
 //! ledger reads are data too (`Condition::lookups`): `check` sees only
 //! what they resolve to, and the conflict footprint reads their keys
-//! (see `view.rs`). A new transaction family is a new slice —
-//! §8's "transaction conditions and compositions" — run by the same
-//! `evaluate`.
+//! (see `view.rs`). A new transaction family made of these primitives
+//! is a new catalogue document — §8's "transaction conditions and
+//! compositions" — run by the same `evaluate`.
 
 use crate::errors::ValidationError;
 use crate::model::{AssetRef, Operation, Transaction};
@@ -26,8 +29,11 @@ use crate::validate::{
 };
 use crate::verified::VerifiedSigners;
 use crate::view::{capabilities, Lookup, ReadSet};
+use scdb_json::{Map, Value};
 use scdb_store::{OutputRef, Utxo};
 use std::collections::HashSet;
+use std::fmt;
+use std::sync::OnceLock;
 use Condition::*;
 
 /// One primitive validation condition over a transaction and the ledger
@@ -155,12 +161,15 @@ pub enum RequestLink {
     BidAtFirstReference,
 }
 
-/// A transaction type, declared.
-#[derive(Debug)]
+/// A transaction type, declared: the row half of its catalogue
+/// document.
+#[derive(Debug, Clone)]
 pub struct TxType {
     /// `C_α`, in evaluation order: the first condition that fails names
     /// the error.
-    pub conditions: &'static [Condition],
+    pub conditions: Vec<Condition>,
+    /// [`Signers::Requester`] exactly when `conditions` include
+    /// [`Condition::SignedByRequester`].
     pub signers: Signers,
     /// The REQUEST the marketplace keys below belong to, for the types
     /// that touch any.
@@ -246,98 +255,126 @@ pub(crate) fn bid_request(tx: &Transaction) -> Option<&str> {
     tx.references.first().filter(|_| joins).map(String::as_str)
 }
 
-/// What the rows below start from: signed by its input owners, touching
-/// no marketplace key, not nested.
-const PLAIN: TxType = TxType {
-    conditions: &[],
-    signers: Signers::InputOwners,
-    request: None,
-    writes: None,
-    nested: false,
-};
-
-static CREATE: TxType = TxType {
-    conditions: &[NoSpends, InputSignatures],
-    ..PLAIN
-};
-
-static REQUEST: TxType = TxType {
-    conditions: &[NoSpends, DeclaresCapabilities, InputSignatures],
-    ..PLAIN
-};
-
-static TRANSFER: TxType = TxType {
-    conditions: &[
-        InputSignatures,
-        SpendsResolve,
-        Balanced,
-        SpendsDeclaredAsset,
-    ],
-    ..PLAIN
-};
-
-/// Algorithm 2 — `validateT_BID` with C_BID (Definition 3).
-static BID: TxType = TxType {
-    conditions: &[
-        HasInputs,
-        HasReferences,
-        OneRequestAmongReferences,
-        RequestIsFirstReference,
-        AssetCommitted,
-        InputSignatures,
-        OutputsToEscrow,
-        OffersRequestedCapabilities,
-        SpendsResolve,
-        PositiveInputAmount,
-        Balanced,
-    ],
-    request: Some(RequestLink::FirstReference),
-    writes: Some((MarketKey::Bids, WriteKind::Append)),
-    ..PLAIN
-};
-
-/// Algorithm 3, first part — `validateT_ACCEPT_BID` with C_ACCEPT_BID
-/// (Definition 4).
-static ACCEPT_BID: TxType = TxType {
-    conditions: &[
-        SoleReference(Operation::Request),
-        WinnerBidsOnRequest,
-        SignedByRequester,
-        NoAcceptYet,
-        WinnerLocked,
-        InputsCoverLockedBids,
-        OutputsSettle,
-    ],
-    signers: Signers::Requester,
-    request: Some(RequestLink::FirstReference),
-    writes: Some((MarketKey::Accept, WriteKind::Set)),
-    nested: true,
-};
-
-/// C_RETURN: one unaccepted bid goes from escrow back to its bidder,
-/// once an ACCEPT_BID for its REQUEST is committed.
-static RETURN: TxType = TxType {
-    conditions: &[
-        SoleReference(Operation::Bid),
-        ReturnTriggered,
-        InputSignatures,
-        SpendsResolve,
-        ReturnsBidFromEscrow,
-        Balanced,
-    ],
-    request: Some(RequestLink::BidAtFirstReference),
-    ..PLAIN
-};
+/// The rows of the embedded catalogue, in [`Operation::ALL`] order —
+/// which is discriminant order, so `row` indexes by the operation.
+#[allow(
+    clippy::expect_used,
+    reason = "the catalogue is embedded at build time: a document that does not build is a build defect, named with its type"
+)]
+fn table() -> &'static [TxType] {
+    static TABLE: OnceLock<Vec<TxType>> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        build_table(scdb_schema::type_documents()).expect("the embedded type catalogue builds")
+    })
+}
 
 /// The row of a native operation.
 pub fn row(operation: Operation) -> &'static TxType {
-    match operation {
-        Operation::Create => &CREATE,
-        Operation::Request => &REQUEST,
-        Operation::Transfer => &TRANSFER,
-        Operation::Bid => &BID,
-        Operation::AcceptBid => &ACCEPT_BID,
-        Operation::Return => &RETURN,
+    &table()[operation as usize]
+}
+
+/// Builds one row per [`Operation::ALL`] from the catalogue's
+/// documents, which must name exactly those operations.
+fn build_table(documents: &Map) -> Result<Vec<TxType>, String> {
+    if let Some(extra) = documents
+        .keys()
+        .find(|name| Operation::parse(name).is_none())
+    {
+        return Err(format!("{extra}: not a native operation"));
+    }
+    Operation::ALL
+        .iter()
+        .map(|op| {
+            let doc = (documents.get(op.as_str()))
+                .ok_or_else(|| format!("{op}: not in the catalogue"))?;
+            TxType::from_document(op.as_str(), doc).map_err(|e| format!("{op}: {e}"))
+        })
+        .collect()
+}
+
+/// The conditions a document names by their variant name alone: every
+/// variant but `SoleReference`, which also names an operation.
+const NAMED: [Condition; 22] = [
+    NoSpends,
+    DeclaresCapabilities,
+    InputSignatures,
+    SpendsResolve,
+    Balanced,
+    SpendsDeclaredAsset,
+    HasInputs,
+    HasReferences,
+    OneRequestAmongReferences,
+    RequestIsFirstReference,
+    AssetCommitted,
+    OutputsToEscrow,
+    OffersRequestedCapabilities,
+    PositiveInputAmount,
+    WinnerBidsOnRequest,
+    SignedByRequester,
+    NoAcceptYet,
+    WinnerLocked,
+    InputsCoverLockedBids,
+    OutputsSettle,
+    ReturnTriggered,
+    ReturnsBidFromEscrow,
+];
+
+/// The variant among `choices` whose name `value` spells: a document
+/// spells every value of a row as its Rust variant name.
+fn named<T: Copy + fmt::Debug>(value: Option<&Value>, choices: &[T]) -> Result<T, String> {
+    let name = value.and_then(Value::as_str).unwrap_or_default();
+    (choices.iter().copied().find(|c| format!("{c:?}") == name))
+        .ok_or_else(|| format!("{name:?} is not one of {choices:?}"))
+}
+
+impl TxType {
+    /// The row of the type `name` declares in `doc`. The document is
+    /// taken whole: its schema half must fill the skeleton too.
+    fn from_document(name: &str, doc: &Value) -> Result<TxType, String> {
+        let keys = [
+            "asset",
+            "references",
+            "nested",
+            "conditions",
+            "request",
+            "writes",
+        ];
+        let fields = doc.as_object().ok_or("expected a mapping")?;
+        if let Some(key) = fields.keys().find(|k| !keys.contains(&k.as_str())) {
+            return Err(format!("unknown key {key:?}"));
+        }
+        scdb_schema::fill_template(name, doc).map_err(|e| e.to_string())?;
+        let conditions: Vec<Condition> = (doc.get("conditions").and_then(Value::as_array))
+            .ok_or("expected a conditions list")?
+            .iter()
+            .map(Condition::from_document)
+            .collect::<Result<_, _>>()?;
+        let links = [
+            RequestLink::FirstReference,
+            RequestLink::BidAtFirstReference,
+        ];
+        let kinds = [WriteKind::Set, WriteKind::Append, WriteKind::Unlock];
+        let writes = match doc.get("writes") {
+            Some(w) if w.as_object().map(Map::len) != Some(2) => {
+                return Err("writes: expected a key and a kind".to_owned())
+            }
+            Some(w) => Some((
+                named(w.get("key"), &[MarketKey::Bids, MarketKey::Accept])?,
+                named(w.get("kind"), &kinds)?,
+            )),
+            None => None,
+        };
+        Ok(TxType {
+            signers: if conditions.contains(&SignedByRequester) {
+                Signers::Requester
+            } else {
+                Signers::InputOwners
+            },
+            request: (doc.get("request").map(|r| named(Some(r), &links))).transpose()?,
+            writes,
+            nested: doc.get("nested").and_then(Value::as_bool) == Some(true),
+            conditions,
+        })
     }
 }
 
@@ -462,6 +499,20 @@ impl<'a> Evaluation<'a> {
 }
 
 impl Condition {
+    /// The condition a catalogue entry names: a variant name, or
+    /// `SoleReference: <operation>`.
+    fn from_document(entry: &Value) -> Result<Condition, String> {
+        if entry.as_str().is_some() {
+            return named(Some(entry), &NAMED);
+        }
+        let target = (entry.get("SoleReference").and_then(Value::as_str))
+            .filter(|_| entry.as_object().map(Map::len) == Some(1))
+            .ok_or_else(|| format!("unknown condition {entry}"))?;
+        Operation::parse(target)
+            .map(SoleReference)
+            .ok_or_else(|| format!("SoleReference: unknown operation {target:?}"))
+    }
+
     /// The ledger reads `check` makes, as data: each keyed off `tx`'s
     /// content or the `request` its row links to. `check` holds only what
     /// they resolve to, so a read it does not declare is an `Err`.
@@ -798,13 +849,13 @@ mod tests {
     /// Evaluates `conditions` over the lookups they declare for `tx`,
     /// linked to a REQUEST as `tx`'s own row links.
     fn run(
-        conditions: &'static [Condition],
+        conditions: &[Condition],
         tx: &Transaction,
         ledger: &LedgerState,
     ) -> Result<(), ValidationError> {
         let declared = TxType {
-            conditions,
-            ..*row(tx.operation)
+            conditions: conditions.to_vec(),
+            ..row(tx.operation).clone()
         };
         evaluate(conditions, tx, &ReadSet::fetch(&declared, tx, ledger), None)
     }
@@ -820,7 +871,7 @@ mod tests {
     fn declarative_bid_conditions_accept_valid_bids() {
         let m = market();
         let bid = bid_into(&m, &m.escrow);
-        let c_bid = row(Operation::Bid).conditions;
+        let c_bid = &row(Operation::Bid).conditions;
         assert_eq!(run(c_bid, &bid, &m.ledger), Ok(()));
     }
 
@@ -956,6 +1007,112 @@ mod tests {
                 "{}",
                 tx.operation
             );
+        }
+    }
+
+    /// The catalogue every replica builds its rows from, pinned: replicas
+    /// that disagree on a type's rules disagree on verdicts, so an edit
+    /// to `types.yaml` — a condition, its order, a write — must be made
+    /// on purpose, here as well as there.
+    #[test]
+    fn the_catalogue_is_pinned() {
+        let canonical = Value::Object(scdb_schema::type_documents().clone()).to_canonical_string();
+        assert_eq!(
+            scdb_crypto::sha3_256_hex(canonical.as_bytes()),
+            "5337661d7019181afd7e89468c375de90f24c702f4fc15138b80642cc3a3b41f"
+        );
+    }
+
+    /// `row` indexes the table by discriminant, which holds because
+    /// `Operation::ALL` lists the operations in declaration order.
+    #[test]
+    fn rows_are_indexed_by_operation() {
+        for (i, op) in Operation::ALL.into_iter().enumerate() {
+            assert_eq!(op as usize, i);
+            assert_eq!(Operation::parse(op.as_str()), Some(op));
+        }
+        assert_eq!(table().len(), Operation::ALL.len());
+        let requester_signed: Vec<Operation> = (Operation::ALL.into_iter())
+            .filter(|&op| row(op).signers == Signers::Requester)
+            .collect();
+        assert_eq!(requester_signed, [Operation::AcceptBid]);
+    }
+
+    /// A malformed document is an `Err` naming its type, never a panic.
+    #[test]
+    fn malformed_documents_are_refused() {
+        let shipped = scdb_schema::type_documents();
+        let edited = |op: &str, key: &str, value: Option<Value>| {
+            let mut documents = shipped.clone();
+            let doc = documents
+                .get_mut(op)
+                .and_then(Value::as_object_mut)
+                .unwrap();
+            match value {
+                Some(value) => doc.insert(key.to_owned(), value),
+                None => doc.remove(key),
+            };
+            documents
+        };
+        let mut missing_type = shipped.clone();
+        missing_type.remove("RETURN");
+        let mut extra_type = shipped.clone();
+        extra_type.insert("DONATE".to_owned(), shipped["CREATE"].clone());
+        let cases = [
+            (
+                "CREATE",
+                edited("CREATE", "conditions", Some(arr!["NoSpends", "Teleports"])),
+            ),
+            (
+                "RETURN",
+                edited(
+                    "RETURN",
+                    "conditions",
+                    Some(arr![obj! { "SoleReference" => "MINT" }]),
+                ),
+            ),
+            (
+                "RETURN",
+                edited(
+                    "RETURN",
+                    "conditions",
+                    Some(arr![obj! { "SoleReference" => "BID", "x" => 1 }]),
+                ),
+            ),
+            ("BID", edited("BID", "asset", Some("blob".into()))),
+            (
+                "BID",
+                edited("BID", "request", Some("LastReference".into())),
+            ),
+            (
+                "BID",
+                edited(
+                    "BID",
+                    "writes",
+                    Some(obj! { "key" => "Asks", "kind" => "Append" }),
+                ),
+            ),
+            (
+                "BID",
+                edited(
+                    "BID",
+                    "writes",
+                    Some(obj! { "key" => "Bids", "kind" => "Merge" }),
+                ),
+            ),
+            (
+                "BID",
+                edited("BID", "writes", Some(obj! { "key" => "Bids" })),
+            ),
+            ("BID", edited("BID", "signers", Some("Requester".into()))),
+            ("TRANSFER", edited("TRANSFER", "conditions", None)),
+            ("RETURN", missing_type),
+            ("DONATE", extra_type),
+        ];
+        assert!(build_table(shipped).is_ok());
+        for (op, documents) in cases {
+            let err = build_table(&documents).expect_err(op);
+            assert!(err.starts_with(op), "{op}: {err}");
         }
     }
 }

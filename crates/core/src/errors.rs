@@ -124,6 +124,9 @@ pub enum WireError {
     /// Payload is longer than [`crate::MAX_PAYLOAD_BYTES`]; it was not
     /// parsed.
     TooLarge { bytes: usize },
+    /// The value has a field the wire form does not: it is not the wire
+    /// form of the transaction it would decode to.
+    NotCanonical,
 }
 
 impl fmt::Display for WireError {
@@ -137,6 +140,9 @@ impl fmt::Display for WireError {
                 "payload of {bytes} bytes exceeds the {} byte limit",
                 crate::MAX_PAYLOAD_BYTES
             ),
+            WireError::NotCanonical => {
+                f.write_str("payload is not the wire form of the transaction it decodes to")
+            }
         }
     }
 }

@@ -9,10 +9,11 @@
 //!   (Definition 1) with content-addressed SHA3 ids;
 //! * [`TxBuilder`] — declarative construction + signing (the driver's
 //!   Prepare-and-Sign templates);
-//! * [`conditions`] — the declaration: one `static` row per operation
+//! * [`conditions`] — the declaration: one row per operation, built
+//!   once from its document in the type catalogue `scdb-schema` embeds,
 //!   holding its condition set `C_α` (Definitions 3–4, Algorithms 2–3),
-//!   the ledger lookups those conditions declare, its signers and the
-//!   marketplace key it writes;
+//!   the ledger lookups those conditions declare, the marketplace key
+//!   it writes and its signers (derived from its conditions);
 //! * [`validate`] — the evaluator: stateless screen, signatures, then
 //!   the operation's row over a [`LedgerState`];
 //! * [`pipeline`] — footprint-scheduled batch-parallel commit, its
@@ -20,7 +21,8 @@
 //! * [`nested`] — nested transactions (Definition 2): non-locking
 //!   commit, `deterRtrnTxs` child determination, eventual-commit
 //!   tracking;
-//! * [`workflow`] — transaction workflows (Definition 5).
+//! * [`workflow`] — the structural check of transaction workflows
+//!   (Definition 5).
 //!
 //! ```
 //! use scdb_core::{TxBuilder, LedgerState, LedgerView, validate::validate_transaction};
@@ -39,6 +41,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod builder;
 pub mod conditions;

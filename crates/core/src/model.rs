@@ -7,7 +7,7 @@
 
 use crate::errors::WireError;
 use scdb_crypto::sha3_256_hex;
-use scdb_json::{Map, Value};
+use scdb_json::{Map, Number, Value};
 use std::fmt;
 
 /// The longest transaction payload [`Transaction::from_payload`]
@@ -50,18 +50,11 @@ impl Operation {
 
     /// Parses a wire name.
     pub fn parse(s: &str) -> Option<Operation> {
-        Some(match s {
-            "CREATE" => Operation::Create,
-            "TRANSFER" => Operation::Transfer,
-            "REQUEST" => Operation::Request,
-            "BID" => Operation::Bid,
-            "RETURN" => Operation::Return,
-            "ACCEPT_BID" => Operation::AcceptBid,
-            _ => return None,
-        })
+        Operation::ALL.into_iter().find(|op| op.as_str() == s)
     }
 
-    /// All native operations.
+    /// All native operations, in declaration order: the row table is
+    /// indexed by discriminant.
     pub const ALL: [Operation; 6] = [
         Operation::Create,
         Operation::Transfer,
@@ -70,12 +63,6 @@ impl Operation {
         Operation::Return,
         Operation::AcceptBid,
     ];
-
-    /// Nested transaction types (|Ch| may exceed 0), as their row
-    /// declares — only ACCEPT_BID in the paper's catalogue.
-    pub fn is_nested(self) -> bool {
-        crate::conditions::row(self).nested
-    }
 }
 
 impl fmt::Display for Operation {
@@ -117,16 +104,16 @@ impl AssetRef {
     }
 
     fn from_value(v: &Value) -> Result<AssetRef, WireError> {
-        if let Some(data) = v.get("data") {
-            return Ok(AssetRef::Data(data.clone()));
-        }
-        if let Some(id) = v.get("id").and_then(Value::as_str) {
-            return Ok(AssetRef::Id(id.to_owned()));
-        }
-        if let Some(id) = v.get("win_bid_id").and_then(Value::as_str) {
-            return Ok(AssetRef::WinBid(id.to_owned()));
-        }
-        Err(WireError::Field("asset"))
+        let asset = if let Some(data) = v.get("data") {
+            AssetRef::Data(data.clone())
+        } else if let Some(id) = v.get("id").and_then(Value::as_str) {
+            AssetRef::Id(id.to_owned())
+        } else if let Some(id) = v.get("win_bid_id").and_then(Value::as_str) {
+            AssetRef::WinBid(id.to_owned())
+        } else {
+            return Err(WireError::Field("asset"));
+        };
+        exactly(asset, v, 1)
     }
 }
 
@@ -183,10 +170,7 @@ impl Output {
     }
 
     fn from_value(v: &Value) -> Result<Output, WireError> {
-        let amount = v
-            .get("amount")
-            .and_then(Value::as_u64)
-            .ok_or(WireError::Field("outputs.amount"))?;
+        let amount = wire_u64(v.get("amount")).ok_or(WireError::Field("outputs.amount"))?;
         let public_keys =
             string_list(v.get("public_keys")).ok_or(WireError::Field("outputs.public_keys"))?;
         let previous_owners = match v.get("previous_owners") {
@@ -195,11 +179,14 @@ impl Output {
                 string_list(Some(list)).ok_or(WireError::Field("outputs.previous_owners"))?
             }
         };
-        Ok(Output {
+        // An empty `previous_owners` is written by leaving it out.
+        let fields = if previous_owners.is_empty() { 2 } else { 3 };
+        let output = Output {
             public_keys,
             amount,
             previous_owners,
-        })
+        };
+        exactly(output, v, fields)
     }
 }
 
@@ -260,27 +247,30 @@ impl Input {
             .ok_or(WireError::Field("inputs.fulfillment"))?
             .to_owned();
         let fulfills = match v.get("fulfills") {
-            None | Some(Value::Null) => None,
-            Some(f) => Some(InputRef {
-                tx_id: f
-                    .get("transaction_id")
-                    .and_then(Value::as_str)
-                    .ok_or(WireError::Field("inputs.fulfills.transaction_id"))?
-                    .to_owned(),
-                // An index past u32 is refused, never truncated: a cast
-                // would give one transaction a second accepted spelling.
-                output_index: f
-                    .get("output_index")
-                    .and_then(Value::as_u64)
-                    .and_then(|index| u32::try_from(index).ok())
-                    .ok_or(WireError::Field("inputs.fulfills.output_index"))?,
-            }),
+            None => return Err(WireError::Field("inputs.fulfills")),
+            Some(Value::Null) => None,
+            Some(f) => {
+                let spent = InputRef {
+                    tx_id: f
+                        .get("transaction_id")
+                        .and_then(Value::as_str)
+                        .ok_or(WireError::Field("inputs.fulfills.transaction_id"))?
+                        .to_owned(),
+                    // An index past u32 is refused, never truncated: a cast
+                    // would give one transaction a second accepted spelling.
+                    output_index: wire_u64(f.get("output_index"))
+                        .and_then(|index| u32::try_from(index).ok())
+                        .ok_or(WireError::Field("inputs.fulfills.output_index"))?,
+                };
+                Some(exactly(spent, f, 2)?)
+            }
         };
-        Ok(Input {
+        let input = Input {
             owners_before,
             fulfills,
             fulfillment,
-        })
+        };
+        exactly(input, v, 3)
     }
 }
 
@@ -352,7 +342,12 @@ impl Transaction {
         self.to_value().to_compact_string()
     }
 
-    /// Decodes the wire form.
+    /// Decodes the wire form, and only it: `to_value` of the result is
+    /// `v`. A field the wire form does not have, another `version`, a
+    /// missing `metadata` or `fulfills`, a second asset key, an empty
+    /// `previous_owners` or an integer spelled as a float is refused,
+    /// not dropped or filled in — Algorithm 1 judges the re-encoding, so
+    /// each would give one transaction a second accepted spelling.
     pub fn from_value(v: &Value) -> Result<Transaction, WireError> {
         let op_name = v
             .get("operation")
@@ -380,10 +375,16 @@ impl Transaction {
             .iter()
             .map(Output::from_value)
             .collect::<Result<Vec<_>, _>>()?;
-        let metadata = v.get("metadata").cloned().unwrap_or(Value::Null);
+        if v.get("version").and_then(Value::as_str) != Some(VERSION) {
+            return Err(WireError::Field("version"));
+        }
+        let metadata = v
+            .get("metadata")
+            .cloned()
+            .ok_or(WireError::Field("metadata"))?;
         let children = string_list(v.get("children")).ok_or(WireError::Field("children"))?;
         let references = string_list(v.get("references")).ok_or(WireError::Field("references"))?;
-        Ok(Transaction {
+        let tx = Transaction {
             id,
             operation,
             asset,
@@ -392,10 +393,12 @@ impl Transaction {
             metadata,
             children,
             references,
-        })
+        };
+        exactly(tx, v, 9)
     }
 
-    /// Parses a JSON payload into a transaction. A payload longer than
+    /// Parses a JSON payload into a transaction through
+    /// [`Transaction::from_value`]. A payload longer than
     /// [`MAX_PAYLOAD_BYTES`] is refused unparsed.
     pub fn from_payload(payload: &str) -> Result<Transaction, WireError> {
         if payload.len() > MAX_PAYLOAD_BYTES {
@@ -482,6 +485,22 @@ impl Transaction {
     }
 }
 
+/// `decoded`, if `v` is an object of exactly `fields` fields. Every
+/// decoder reads each field it counts by name and refuses its absence,
+/// so the count refuses any field the wire form does not have.
+fn exactly<T>(decoded: T, v: &Value, fields: usize) -> Result<T, WireError> {
+    match v.as_object() {
+        Some(m) if m.len() == fields => Ok(decoded),
+        _ => Err(WireError::NotCanonical),
+    }
+}
+
+/// A JSON integer that fits `u64`; a float spelling of it (`1.0`) is
+/// refused.
+fn wire_u64(v: Option<&Value>) -> Option<u64> {
+    v?.as_number().filter(Number::is_integer)?.as_u64()
+}
+
 fn string_list(v: Option<&Value>) -> Option<Vec<String>> {
     v?.as_array()?
         .iter()
@@ -519,8 +538,8 @@ mod tests {
             assert_eq!(Operation::parse(op.as_str()), Some(op));
         }
         assert_eq!(Operation::parse("MINT"), None);
-        assert!(Operation::AcceptBid.is_nested());
-        assert!(!Operation::Bid.is_nested());
+        assert!(crate::conditions::row(Operation::AcceptBid).nested);
+        assert!(!crate::conditions::row(Operation::Bid).nested);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! The one worker-pool primitive every parallel pipeline stage uses.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Maps `f` over `0..len` on `workers` scoped threads, returning the
 /// results in index order. `workers` is clamped to `[1, len]`; at 1
@@ -21,27 +20,27 @@ where
         return (0..len).map(f).collect();
     }
 
+    // Each worker keeps the results it computed, tagged with their
+    // index; a worker's panic resumes on the caller.
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<T>>> = (0..len).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let slot = next.fetch_add(1, Ordering::Relaxed);
-                if slot >= len {
-                    break;
-                }
-                *slots[slot].lock().expect("result slot") = Some(f(slot));
-            });
-        }
+    let mut tagged: Vec<(usize, T)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    std::iter::from_fn(|| Some(next.fetch_add(1, Ordering::Relaxed)))
+                        .take_while(|&slot| slot < len)
+                        .map(|slot| (slot, f(slot)))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
     });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot")
-                .expect("every slot visited")
-        })
-        .collect()
+    tagged.sort_unstable_by_key(|&(slot, _)| slot);
+    tagged.into_iter().map(|(_, result)| result).collect()
 }
 
 /// Splits `items` into at most `workers` contiguous chunks and maps

@@ -102,15 +102,6 @@ proptest! {
             prop_assert_eq!(op.as_str(), s);
         }
     }
-
-    /// Workflow matching never panics and CREATE-prefixed transfer
-    /// chains always validate.
-    #[test]
-    fn transfer_chains_are_valid_workflows(n in 1usize..10) {
-        let mut ops = vec![Operation::Create];
-        ops.extend(std::iter::repeat_n(Operation::Transfer, n));
-        prop_assert!(crate::workflow::is_valid_workflow(&ops));
-    }
 }
 
 /// Differential harness for the batch pipeline: committing a batch

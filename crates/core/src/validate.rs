@@ -47,7 +47,7 @@ pub fn validate_transaction(
 
     let row = row(tx.operation);
     let reads = ReadSet::fetch(row, tx, ledger);
-    evaluate(row.conditions, tx, &reads, verified)
+    evaluate(&row.conditions, tx, &reads, verified)
 }
 
 /// The stateless screen every entry point shares — this function, pooled
@@ -162,7 +162,7 @@ fn verify_chunk(
         .iter()
         .enumerate()
         .filter_map(|(slot, tx)| {
-            let payload = stateless_screen(tx, true).ok()?.expect("requested above");
+            let payload = stateless_screen(tx, true).ok().flatten()?;
             let signers = signers_to_vouch_for(tx, ledger)?;
             Some((slot, payload, signers))
         })
@@ -302,9 +302,9 @@ pub fn batch_verify_signed_by(
 /// ACCEPT_BID's inputs all carry the same fulfillment; each distinct
 /// (key, message, signature) triple is verified once.
 pub fn verify_signed_by(tx: &Transaction, signers: &[String]) -> Result<(), ValidationError> {
-    batch_verify_signed_by(&[(tx, signers)])
-        .pop()
-        .expect("one verdict per item")
+    // One verdict per item; were it missing, the check fails closed.
+    let verdict = batch_verify_signed_by(&[(tx, signers)]).pop();
+    verdict.unwrap_or_else(|| Err(ValidationError::InvalidSignature("no verdict".to_owned())))
 }
 
 /// One transaction of a pooled signature batch.

@@ -90,6 +90,9 @@ struct Generations {
 /// consult it.
 #[derive(Default)]
 pub(crate) struct VerifiedSet {
+    /// A poisoned lock is used as it is: a holder that panicked left
+    /// both maps well-formed, and an entry it did not finish writing is
+    /// a miss, which only costs a re-check.
     generations: RwLock<Generations>,
     hits: Arc<Counter>,
     rehashed: Arc<Counter>,
@@ -119,7 +122,7 @@ impl VerifiedSet {
     /// mismatch.
     pub(crate) fn lookup(&self, tx: &Transaction) -> Option<VerifiedSigners> {
         let entry = {
-            let generations = self.generations.read().expect("verified set lock");
+            let generations = self.generations.read().unwrap_or_else(|e| e.into_inner());
             generations
                 .young
                 .get(&tx.id)
@@ -146,7 +149,7 @@ impl VerifiedSet {
     /// candidates with this and leaves every present id to
     /// [`VerifiedSet::lookup`], which binds the object in hand.
     pub(crate) fn contains(&self, id: &str) -> bool {
-        let generations = self.generations.read().expect("verified set lock");
+        let generations = self.generations.read().unwrap_or_else(|e| e.into_inner());
         generations.young.contains_key(id) || generations.old.contains_key(id)
     }
 
@@ -158,7 +161,7 @@ impl VerifiedSet {
             signers,
             pin: Arc::downgrade(tx),
         };
-        let mut generations = self.generations.write().expect("verified set lock");
+        let mut generations = self.generations.write().unwrap_or_else(|e| e.into_inner());
         let was_old = generations.old.remove(&tx.id).is_some();
         let was_young = generations.young.insert(tx.id.clone(), entry).is_some();
         if !was_old && !was_young {
@@ -175,7 +178,7 @@ impl VerifiedSet {
     /// signature matters) or was rejected at commit (a resubmission is
     /// re-verified).
     pub(crate) fn forget(&self, id: &str) {
-        let mut generations = self.generations.write().expect("verified set lock");
+        let mut generations = self.generations.write().unwrap_or_else(|e| e.into_inner());
         generations.young.remove(id);
         generations.old.remove(id);
     }

@@ -15,7 +15,7 @@
 
 use crate::conditions::TxType;
 use crate::errors::ValidationError;
-use crate::model::{AssetRef, Operation, Transaction};
+use crate::model::{AssetRef, Transaction};
 use crate::verified::VerifiedSigners;
 use scdb_json::Value;
 use scdb_store::{OutputRef, Utxo};
@@ -63,17 +63,19 @@ pub trait LedgerView: Sync {
         self.get(id).is_some()
     }
 
-    /// The asset id a transaction's shares belong to: CREATE mints a
-    /// new asset identified by the CREATE's own id; spends inherit it.
+    /// The asset id a transaction's shares belong to, read off the
+    /// asset's shape: inline data mints a new asset identified by the
+    /// transaction's own id (the schema gives CREATE and REQUEST that
+    /// shape, and only them); an asset id is inherited; a winning bid's
+    /// asset is the bid's.
     fn asset_id_of(&self, tx: &Transaction) -> Option<String> {
-        match (&tx.operation, &tx.asset) {
-            (Operation::Create | Operation::Request, _) => Some(tx.id.clone()),
-            (_, AssetRef::Id(id)) => Some(id.clone()),
-            (_, AssetRef::WinBid(bid_id)) => {
+        match &tx.asset {
+            AssetRef::Data(_) => Some(tx.id.clone()),
+            AssetRef::Id(id) => Some(id.clone()),
+            AssetRef::WinBid(bid_id) => {
                 let bid = self.get(bid_id)?;
                 self.asset_id_of(bid)
             }
-            _ => None,
         }
     }
 

@@ -3,78 +3,15 @@
 //! "Transaction workflow is a sequence of transactions T1 … Tn where T1
 //! is head that initiates the workflow and Tn is tail": the head has a
 //! null input, and every later transaction's inputs must come from
-//! committed transactions. The reverse-auction marketplace admits the
-//! workflows `CREATE`, `CREATE → TRANSFER…`, and
-//! `CREATE → REQUEST → BID → ACCEPT_BID → TRANSFER`.
+//! committed transactions. [`validate_workflow_sequence`] checks those
+//! structural conditions over a concrete sequence. Which operation may
+//! follow which is not listed here: each type's row in the catalogue
+//! (`conditions`, `request`) already says what it needs committed.
 
 use crate::errors::ValidationError;
-#[cfg(test)]
-use crate::ledger::LedgerState;
-use crate::model::{Operation, Transaction};
+use crate::model::Transaction;
 use crate::view::LedgerView;
 use std::collections::HashSet;
-
-/// A named, ordered pattern of operations.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WorkflowSpec {
-    pub name: &'static str,
-    pub steps: Vec<Operation>,
-}
-
-impl WorkflowSpec {
-    /// True when `ops` follows this spec's step order. TRANSFER tails
-    /// may repeat (an asset can change hands repeatedly).
-    pub fn matches(&self, ops: &[Operation]) -> bool {
-        if ops.is_empty() {
-            return false;
-        }
-        let mut i = 0;
-        for op in ops {
-            if i < self.steps.len() && *op == self.steps[i] {
-                i += 1;
-            } else if i == self.steps.len()
-                && *op == Operation::Transfer
-                && self.steps.last() == Some(&Operation::Transfer)
-            {
-                // Repeated TRANSFER tail.
-            } else {
-                return false;
-            }
-        }
-        i == self.steps.len()
-    }
-}
-
-/// The valid workflows of the reverse-auction marketplace (§3.2):
-/// "the only valid workflows can be CREATE, CREATE−TRANSFER,
-/// CREATE−REQUEST−BID−ACCEPT_BID−TRANSFER".
-pub fn standard_workflows() -> Vec<WorkflowSpec> {
-    vec![
-        WorkflowSpec {
-            name: "mint",
-            steps: vec![Operation::Create],
-        },
-        WorkflowSpec {
-            name: "mint-and-transfer",
-            steps: vec![Operation::Create, Operation::Transfer],
-        },
-        WorkflowSpec {
-            name: "reverse-auction",
-            steps: vec![
-                Operation::Create,
-                Operation::Request,
-                Operation::Bid,
-                Operation::AcceptBid,
-                Operation::Transfer,
-            ],
-        },
-    ]
-}
-
-/// True when the operation sequence matches any standard workflow.
-pub fn is_valid_workflow(ops: &[Operation]) -> bool {
-    standard_workflows().iter().any(|w| w.matches(ops))
-}
 
 /// Definition 5's structural conditions over a concrete sequence:
 /// the head's inputs are null (no spends), and every other transaction's
@@ -115,7 +52,8 @@ pub fn validate_workflow_sequence(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{AssetRef, Input, InputRef, Output};
+    use crate::ledger::LedgerState;
+    use crate::model::{AssetRef, Input, InputRef, Operation, Output};
     use scdb_json::Value;
 
     fn tx(op: Operation, id: &str, spends: Option<(&str, u32)>) -> Transaction {
@@ -136,21 +74,6 @@ mod tests {
             children: vec![],
             references: vec![],
         }
-    }
-
-    #[test]
-    fn standard_workflow_patterns() {
-        use Operation::*;
-        assert!(is_valid_workflow(&[Create]));
-        assert!(is_valid_workflow(&[Create, Transfer]));
-        assert!(is_valid_workflow(&[Create, Transfer, Transfer, Transfer]));
-        assert!(is_valid_workflow(&[
-            Create, Request, Bid, AcceptBid, Transfer
-        ]));
-        assert!(!is_valid_workflow(&[Transfer]));
-        assert!(!is_valid_workflow(&[Create, Bid]));
-        assert!(!is_valid_workflow(&[Create, Request, AcceptBid]));
-        assert!(!is_valid_workflow(&[]));
     }
 
     #[test]
@@ -183,14 +106,5 @@ mod tests {
         let head = tx(Operation::Create, "h", None);
         let step = tx(Operation::Transfer, "t", Some((pre.id.as_str(), 0)));
         assert!(validate_workflow_sequence(&[&head, &step], &ledger).is_ok());
-    }
-
-    #[test]
-    fn spec_matching_rejects_interleaved_noise() {
-        use Operation::*;
-        let auction = &standard_workflows()[2];
-        assert!(auction.matches(&[Create, Request, Bid, AcceptBid, Transfer]));
-        assert!(!auction.matches(&[Create, Request, Bid, Bid, AcceptBid, Transfer]));
-        assert!(!auction.matches(&[Create, Request, Bid, AcceptBid]));
     }
 }

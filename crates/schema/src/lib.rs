@@ -13,9 +13,11 @@
 //!   refused when its schema compiles;
 //! * [`Schema`] — the compiled schema model and validator implementing
 //!   the paper's Algorithm 1 (`validateT_schema`);
-//! * [`txschemas`] — the embedded schema documents for the six native
-//!   transaction types, plus [`validate_transaction_schema`], the
-//!   operation-dispatched entry point used by the server's CheckTx
+//! * [`txschemas`] — the embedded type catalogue (`types.yaml`): one
+//!   document per native transaction type, holding its schema half,
+//!   which fills the shared skeleton, and its row, which `scdb-core`
+//!   builds from [`type_documents`]; plus [`validate_transaction_schema`],
+//!   the operation-dispatched entry point used by the server's CheckTx
 //!   phase.
 
 #![forbid(unsafe_code)]
@@ -28,7 +30,9 @@ pub mod yaml;
 
 pub use model::{Schema, SchemaError, TypeKind, Violation};
 pub use regex::{Regex, RegexError};
-pub use txschemas::{schema_for, schema_yaml, validate_transaction_schema, OPERATIONS};
+pub use txschemas::{
+    fill_template, schema_for, schema_yaml, type_documents, validate_transaction_schema,
+};
 pub use yaml::{parse_yaml, YamlError, MAX_YAML_BYTES};
 
 #[cfg(test)]

@@ -1,31 +1,28 @@
-//! The embedded transaction schemas — the YAML blueprints of paper Fig. 5.
+//! The embedded transaction types — the YAML blueprints of paper Fig. 5.
 //!
-//! Each SmartchainDB transaction type gets its own schema document. All
-//! share the structural skeleton (id, version, operation, asset, inputs,
-//! outputs, metadata, children, references) and differ in the asset
-//! shape, reference-vector cardinality and children allowance. "If an
-//! operation does not match this predetermined set, it is rejected during
-//! schema validation and is prevented from proceeding to the semantic
-//! validation phase" (§4.1).
+//! `types.yaml` is the catalogue: one document per SmartchainDB
+//! transaction type, and the only place a type is stated. All types
+//! share the structural skeleton below (id, version, operation, asset,
+//! inputs, outputs, metadata, children, references); a document's
+//! `asset`, `references` and `nested` fields fill in where they differ
+//! — the asset shape, the reference-vector cardinality and the
+//! children allowance. The rest of a document (`conditions`, `request`,
+//! `writes`) is the type's row, which `scdb-core` builds from
+//! [`type_documents`]. "If an operation does not match this
+//! predetermined set, it is rejected during schema validation and is
+//! prevented from proceeding to the semantic validation phase" (§4.1).
 
-use crate::model::{Schema, Violation};
-use scdb_json::Value;
+use crate::model::{Schema, SchemaError, Violation};
+use crate::yaml::parse_yaml;
+use scdb_json::{Map, Value};
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
-/// The native operations of SmartchainDB (§3.2): the BigchainDB legacy
-/// pair plus the marketplace primitives, with `ACCEPT_BID` the nested
-/// type.
-pub const OPERATIONS: [&str; 6] = [
-    "CREATE",
-    "TRANSFER",
-    "REQUEST",
-    "BID",
-    "RETURN",
-    "ACCEPT_BID",
-];
+/// The catalogue text, one document per native type.
+const TYPES: &str = include_str!("types.yaml");
 
-/// Shared skeleton; `@...@` placeholders are substituted per operation.
+/// Shared skeleton; `@...@` placeholders are filled from each type's
+/// document by [`fill_template`].
 const TEMPLATE: &str = r##"
 type: object
 additionalProperties: false
@@ -49,7 +46,12 @@ properties:
     type: string
     enum: [@OP@]
   asset:
-@ASSET@
+    type: object
+    additionalProperties: false
+    required: [@ASSET@]
+    properties:
+      @ASSET@:
+        @SHAPE@
   inputs:
     type: array
     minItems: 1
@@ -123,81 +125,85 @@ definitions:
                 minimum: 0
 "##;
 
-const ASSET_DATA: &str = "    type: object
-    additionalProperties: false
-    required: [data]
-    properties:
-      data:
-        type: object";
+fn bad(keyword: &str, why: &'static str) -> SchemaError {
+    SchemaError::BadKeyword(keyword.to_owned(), why)
+}
 
-const ASSET_ID: &str = "    type: object
-    additionalProperties: false
-    required: [id]
-    properties:
-      id:
-        \"$ref\": \"#/definitions/sha3_hexdigest\"";
+/// Fills the shared skeleton from one type's document: `asset` picks
+/// the asset shape, `references` bounds the reference vector, and
+/// `nested` lets `children` be non-empty.
+pub fn fill_template(op: &str, doc: &Value) -> Result<String, SchemaError> {
+    let asset = doc.get("asset").and_then(Value::as_str).unwrap_or("");
+    let shape = match asset {
+        "data" => "type: object",
+        "id" | "win_bid_id" => "\"$ref\": \"#/definitions/sha3_hexdigest\"",
+        _ => return Err(bad("asset", "expected data, id or win_bid_id")),
+    };
+    let mut refs = Vec::new();
+    if let Some(bounds) = doc.get("references") {
+        let bounds = (bounds.as_object()).ok_or_else(|| bad("references", "expected a mapping"))?;
+        for (bound, n) in bounds {
+            match (bound.as_str(), n.as_u64()) {
+                ("minItems" | "maxItems", Some(n)) => refs.push(format!("    {bound}: {n}")),
+                _ => return Err(bad("references", "expected minItems and maxItems counts")),
+            }
+        }
+    }
+    let children = match doc.get("nested").map(Value::as_bool) {
+        None | Some(Some(false)) => "    maxItems: 0",
+        Some(Some(true)) => "",
+        Some(None) => return Err(bad("nested", "expected a boolean")),
+    };
+    Ok(TEMPLATE
+        .replace("@OP@", op)
+        .replace("@ASSET@", asset)
+        .replace("@SHAPE@", shape)
+        .replace("@REFS@", &refs.join("\n"))
+        .replace("@CHILDREN@", children))
+}
 
-const ASSET_WIN_BID: &str = "    type: object
-    additionalProperties: false
-    required: [win_bid_id]
-    properties:
-      win_bid_id:
-        \"$ref\": \"#/definitions/sha3_hexdigest\"";
+/// The parsed catalogue, and each type's schema text and compiled
+/// schema.
+struct Catalogue {
+    documents: Map,
+    schemas: BTreeMap<String, (String, Schema)>,
+}
 
-/// Produces the YAML schema text for one operation.
-pub fn schema_yaml(op: &str) -> Option<String> {
-    let asset = match op {
-        "CREATE" | "REQUEST" => ASSET_DATA,
-        "TRANSFER" | "BID" | "RETURN" => ASSET_ID,
-        "ACCEPT_BID" => ASSET_WIN_BID,
-        _ => return None,
+fn compile(text: &str) -> Result<Catalogue, String> {
+    let Value::Object(documents) = parse_yaml(text).map_err(|e| e.to_string())? else {
+        return Err("expected a mapping from type name to document".to_owned());
     };
-    // Reference-vector cardinality (validation conditions over R, §3.2):
-    // BID needs >= 1 (the REQUEST), RETURN and ACCEPT_BID exactly 1,
-    // CREATE/TRANSFER none, REQUEST unconstrained.
-    let refs = match op {
-        "CREATE" | "TRANSFER" => "    maxItems: 0",
-        "BID" => "    minItems: 1",
-        "RETURN" | "ACCEPT_BID" => "    minItems: 1\n    maxItems: 1",
-        _ => "",
-    };
-    // Only the nested ACCEPT_BID type carries children.
-    let children = if op == "ACCEPT_BID" {
-        ""
-    } else {
-        "    maxItems: 0"
-    };
-    Some(
-        TEMPLATE
-            .replace("@OP@", op)
-            .replace("@ASSET@", asset)
-            .replace("@REFS@", refs)
-            .replace("@CHILDREN@", children),
-    )
+    let mut schemas = BTreeMap::new();
+    for (op, doc) in &documents {
+        let yaml = fill_template(op, doc).map_err(|e| format!("{op}: {e}"))?;
+        let schema = Schema::from_yaml(&yaml).map_err(|e| format!("{op}: {e}"))?;
+        schemas.insert(op.clone(), (yaml, schema));
+    }
+    Ok(Catalogue { documents, schemas })
 }
 
 #[allow(
     clippy::expect_used,
-    reason = "every name in `OPERATIONS` has a template, and a shipped schema that fails to compile is a build defect"
+    reason = "the catalogue is embedded at build time: a document that does not parse or compile is a build defect, named with its type"
 )]
-fn registry() -> &'static BTreeMap<&'static str, Schema> {
-    static REGISTRY: OnceLock<BTreeMap<&'static str, Schema>> = OnceLock::new();
-    REGISTRY.get_or_init(|| {
-        OPERATIONS
-            .iter()
-            .map(|&op| {
-                let yaml = schema_yaml(op).expect("known operation");
-                let schema = Schema::from_yaml(&yaml)
-                    .unwrap_or_else(|e| panic!("embedded schema for {op} must compile: {e}"));
-                (op, schema)
-            })
-            .collect()
-    })
+fn catalogue() -> &'static Catalogue {
+    static CATALOGUE: OnceLock<Catalogue> = OnceLock::new();
+    CATALOGUE.get_or_init(|| compile(TYPES).expect("the embedded type catalogue compiles"))
+}
+
+/// Every type's document, by operation name.
+pub fn type_documents() -> &'static Map {
+    &catalogue().documents
+}
+
+/// The YAML schema text of one operation.
+pub fn schema_yaml(op: &str) -> Option<String> {
+    catalogue().schemas.get(op).map(|(yaml, _)| yaml.clone())
 }
 
 /// Looks up the compiled schema for an operation name.
 pub fn schema_for(op: &str) -> Option<&'static Schema> {
-    registry().get(op)
+    catalogue().schemas.get(op).map(|(_, schema)| schema)
 }
 
 /// Algorithm 1 (`validateT_schema`): dispatches on the payload's
@@ -246,7 +252,8 @@ mod tests {
 
     #[test]
     fn all_schemas_compile() {
-        for op in OPERATIONS {
+        assert_eq!(type_documents().len(), 6);
+        for op in type_documents().keys() {
             assert!(schema_for(op).is_some(), "{op}");
         }
     }
@@ -349,6 +356,40 @@ mod tests {
         let errs = validate_transaction_schema(&tx).unwrap_err();
         // id, version, asset, inputs, outputs, metadata, children, references
         assert!(errs.len() >= 8);
+    }
+
+    /// A document whose schema half does not fill the skeleton is an
+    /// error, not a panic.
+    #[test]
+    fn malformed_schema_halves_are_refused() {
+        let doc = |asset: Value, references: Value, nested: Value| {
+            let mut doc = obj! { "asset" => asset };
+            if !references.is_null() {
+                doc.insert("references", references);
+            }
+            if !nested.is_null() {
+                doc.insert("nested", nested);
+            }
+            doc
+        };
+        let fine = doc("id".into(), obj! { "minItems" => 1 }, true.into());
+        assert!(fill_template("X", &fine).is_ok());
+        for malformed in [
+            doc("blob".into(), Value::Null, Value::Null),
+            doc(Value::Null, Value::Null, Value::Null),
+            doc("id".into(), arr![1], Value::Null),
+            doc("id".into(), obj! { "uniqueItems" => true }, Value::Null),
+            doc("id".into(), obj! { "maxItems" => -1 }, Value::Null),
+            doc("id".into(), Value::Null, "yes".into()),
+        ] {
+            assert!(
+                matches!(
+                    fill_template("X", &malformed),
+                    Err(SchemaError::BadKeyword(..))
+                ),
+                "{malformed}"
+            );
+        }
     }
 
     #[test]

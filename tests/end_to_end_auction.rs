@@ -3,8 +3,7 @@
 //! BFT consensus → document store → nested settlement.
 
 use smartchaindb::consensus::TxStatus;
-use smartchaindb::core::workflow::{is_valid_workflow, validate_workflow_sequence};
-use smartchaindb::core::Operation;
+use smartchaindb::core::workflow::validate_workflow_sequence;
 use smartchaindb::json::{arr, obj};
 use smartchaindb::sim::SimTime;
 use smartchaindb::store::{collections, Filter, OutputRef};
@@ -131,17 +130,6 @@ fn settlement_is_replicated_and_complete() {
 fn committed_history_forms_a_valid_workflow() {
     let a = run_auction(4);
     let ledger = a.cluster.consensus().app().ledger(0);
-    // Extract the asset A thread: CREATE → REQUEST → BID → ACCEPT_BID →
-    // TRANSFER matches the paper's reverse-auction workflow.
-    let ops = vec![
-        Operation::Create,
-        Operation::Request,
-        Operation::Bid,
-        Operation::AcceptBid,
-        Operation::Transfer,
-    ];
-    assert!(is_valid_workflow(&ops));
-
     // Definition 5 over the concrete committed transactions.
     let winner_transfer_id = settlement(ledger, &a.bid_a).expect("winner settled");
     let winner_transfer = ledger.get(&winner_transfer_id).unwrap().clone();

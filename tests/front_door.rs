@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use smartchaindb::consensus::App;
 use smartchaindb::core::{WireError, MAX_PAYLOAD_BYTES};
 use smartchaindb::evm::EthScApp;
-use smartchaindb::json::{arr, obj};
+use smartchaindb::json::{arr, obj, Value};
 use smartchaindb::mempool::AdmitError;
 use smartchaindb::server::SmartchainCluster;
 use smartchaindb::workload::{scdb_plan, ScenarioConfig};
@@ -67,7 +67,8 @@ fn mutate(payload: &str, at: usize, byte: u8, kind: usize) -> String {
     String::from_utf8_lossy(&bytes).into_owned()
 }
 
-/// Every front door on `inputs`. Both decoders return; the batch gets
+/// Every front door on `inputs`. Both decoders return; an input that
+/// decodes re-encodes to the value it was parsed from; the batch gets
 /// one verdict per input, equal position by position to a serial loop
 /// on a twin node; the pool grows by the admitted count; one drain
 /// decides every admitted member with no post-commit failure.
@@ -78,6 +79,12 @@ fn through_the_front_door(inputs: &[String]) -> Result<(), TestCaseError> {
             let _ = eth.decode(input);
         }
     });
+    for input in inputs {
+        if let Ok(tx) = Transaction::from_payload(input) {
+            let sent = smartchaindb::json::parse(input).expect("it decoded");
+            prop_assert_eq!(tx.to_value(), sent);
+        }
+    }
 
     let mut node = fresh_node();
     let mut serial = fresh_node();
@@ -250,6 +257,91 @@ fn an_output_index_past_u32_is_refused_not_truncated() {
         } else {
             assert!(verdict.is_ok(), "member {i}: {verdict:?}");
         }
+    }
+}
+
+/// A payload is the wire form of the transaction it decodes to, so
+/// Algorithm 1, which checks the re-encoding, judges what the client
+/// sent. An unknown key, another `version`, a missing `metadata` or
+/// `fulfills`, a second asset key, an empty `previous_owners` or an
+/// amount spelled as a float (`1.0`) would each decode to the clean
+/// transaction, id and all, and are refused at parse instead.
+#[test]
+fn a_payload_that_is_not_its_wire_form_is_refused() {
+    let clean = plan_payloads()[0].clone();
+    let value = smartchaindb::json::parse(&clean).expect("plan payloads are JSON");
+    assert!(value.get("asset").and_then(|a| a.get("data")).is_some());
+    let respell = |edit: &dyn Fn(&mut Value)| {
+        let mut value = value.clone();
+        edit(&mut value);
+        value.to_compact_string()
+    };
+    let not_canonical = WireError::NotCanonical;
+    let respelled = [
+        (
+            respell(&|v| _ = v.insert("gas_limit", 21000)),
+            &not_canonical,
+        ),
+        (
+            respell(&|v| _ = v.insert("version", "9.9")),
+            &WireError::Field("version"),
+        ),
+        (
+            respell(&|v| _ = v.as_object_mut().expect("an object").remove("metadata")),
+            &WireError::Field("metadata"),
+        ),
+        (
+            respell(&|v| {
+                _ = v
+                    .get_mut("asset")
+                    .expect("an asset")
+                    .insert("id", "ab".repeat(32))
+            }),
+            &not_canonical,
+        ),
+        (
+            respell(&|v| {
+                let amount = v.pointer_mut("outputs.0.amount").expect("an output");
+                *amount = Value::from(amount.as_f64().expect("a number"));
+            }),
+            &WireError::Field("outputs.amount"),
+        ),
+        (
+            respell(&|v| {
+                _ = v
+                    .pointer_mut("outputs.0")
+                    .expect("an output")
+                    .insert("previous_owners", arr![])
+            }),
+            &not_canonical,
+        ),
+        (
+            respell(&|v| {
+                _ = v
+                    .pointer_mut("inputs.0")
+                    .expect("an input")
+                    .insert("note", "x")
+            }),
+            &not_canonical,
+        ),
+        (
+            respell(&|v| {
+                let input = v.pointer_mut("inputs.0").and_then(Value::as_object_mut);
+                input.expect("an input").remove("fulfills");
+            }),
+            &WireError::Field("inputs.fulfills"),
+        ),
+    ];
+    let mut inputs = vec![clean];
+    for (payload, refused) in respelled {
+        assert_eq!(Transaction::from_payload(&payload).as_ref(), Err(refused));
+        DECODERS.with(|(cluster, _)| assert!(cluster.decode(&payload).is_err()));
+        inputs.push(payload);
+    }
+    let verdicts = fresh_node().ingest_payload_batch(&inputs);
+    assert!(verdicts[0].is_ok(), "{verdicts:?}");
+    for verdict in &verdicts[1..] {
+        assert!(matches!(verdict, Err(AdmitError::Parse(_))), "{verdict:?}");
     }
 }
 

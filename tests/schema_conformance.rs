@@ -4,7 +4,7 @@
 //! ever runs.
 
 use smartchaindb::json::{arr, obj, Value};
-use smartchaindb::schema::{validate_transaction_schema, OPERATIONS};
+use smartchaindb::schema::validate_transaction_schema;
 use smartchaindb::{KeyPair, TxBuilder};
 
 fn keys() -> (KeyPair, KeyPair, KeyPair) {
@@ -58,10 +58,6 @@ fn schema_catalogue_covers_all_native_operations() {
         "ACCEPT_BID",
     ];
     for op in expected {
-        assert!(
-            OPERATIONS.contains(&op),
-            "{op} missing from schema catalogue"
-        );
         assert!(
             smartchaindb::schema::schema_for(op).is_some(),
             "{op} has no schema"
