@@ -151,10 +151,9 @@ pub trait App {
     /// exactly that selection. The default is FIFO (the first `max` in
     /// arrival order, unannotated). Applications with a conflict-aware
     /// scheduler (the SmartchainDB cluster packs candidates into wide
-    /// conflict-free waves over their footprints and interleaves wave
-    /// members across UTXO shards) override it so proposed blocks
-    /// arrive at `deliver_block` already shaped for parallel
-    /// validation — and gossip the wave schedule itself with the block,
+    /// conflict-free waves over their footprints) override it so
+    /// proposed blocks arrive at `deliver_block` already shaped for
+    /// parallel validation — and gossip the wave schedule itself with the block,
     /// so replicas verify rather than re-derive it. The engine ignores
     /// out-of-range and duplicate indices, caps the selection at `max`,
     /// drops the annotations whenever the final block body is not
@@ -179,8 +178,7 @@ pub trait App {
     /// [`App::deliver_tx`] in block order and ignores the annotations.
     /// Applications with a batch execution path (the SmartchainDB
     /// cluster's conflict-aware validation pipeline) override it to
-    /// validate — and, over the hash-sharded UTXO set, apply —
-    /// non-conflicting transactions concurrently, while keeping
+    /// validate non-conflicting transactions concurrently, while keeping
     /// replica-identical results: the contract
     /// is that a block's verdicts and post-state depend only on the
     /// block's content and the pre-block state, never on the delivery

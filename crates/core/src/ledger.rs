@@ -28,14 +28,6 @@ use scdb_telemetry::Telemetry;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
-/// The spend/insert plan of one transaction against the UTXO set —
-/// what [`UtxoSet::apply_tx`] executes atomically.
-#[derive(Default)]
-pub(crate) struct UtxoEffects {
-    pub(crate) spends: Vec<OutputRef>,
-    pub(crate) adds: Vec<(OutputRef, Utxo)>,
-}
-
 /// Node-local committed state.
 #[derive(Default)]
 pub struct LedgerState {
@@ -67,21 +59,9 @@ pub struct LedgerState {
 }
 
 impl LedgerState {
-    /// An empty ledger with no reserved accounts and the default UTXO
-    /// shard count.
+    /// An empty ledger with no reserved accounts.
     pub fn new() -> LedgerState {
         LedgerState::default()
-    }
-
-    /// An empty ledger whose UTXO set is partitioned into `shards`
-    /// partitions. The shard count tunes apply-side parallelism only:
-    /// committed state, snapshots and validation verdicts are identical
-    /// across shard counts (pinned by the differential proptests).
-    pub fn with_utxo_shards(shards: usize) -> LedgerState {
-        LedgerState {
-            utxos: UtxoSet::with_shards(shards),
-            ..LedgerState::default()
-        }
     }
 
     /// Registers a reserved/system account (hex public key). The
@@ -139,10 +119,9 @@ impl LedgerState {
     pub fn restore(
         committed: &[Arc<Transaction>],
         seals: &[(usize, scdb_store::StateDigest)],
-        utxo_shards: usize,
         reserved: impl IntoIterator<Item = String>,
     ) -> Result<LedgerState, String> {
-        let mut ledger = LedgerState::with_utxo_shards(utxo_shards);
+        let mut ledger = LedgerState::new();
         for account in reserved {
             ledger.add_reserved_account(account);
         }
@@ -201,10 +180,10 @@ impl LedgerState {
         &self.utxos
     }
 
-    /// The O(shards) [`scdb_store::StateDigest`] of the UTXO set — the
+    /// The O(1) [`scdb_store::StateDigest`] of the UTXO set — the
     /// replica-equality comparator (two ledgers that applied the same
-    /// blocks hold equal digests, whatever their shard counts) and the
-    /// digest a proposer gossips with the block it formed on this state.
+    /// blocks hold equal digests) and the digest a proposer gossips with
+    /// the block it formed on this state.
     pub fn state_digest(&self) -> scdb_store::StateDigest {
         self.utxos.state_digest()
     }
@@ -226,85 +205,44 @@ impl LedgerState {
     /// [`LedgerState::apply`] without the deep clone: the ledger keeps a
     /// reference-counted handle to the caller's transaction.
     ///
-    /// Both the scalar path and the batch pipeline's parallel wave apply
-    /// funnel through the same two routines — `LedgerState::utxo_effects`
-    /// derives the spend/insert plan, [`UtxoSet::apply_tx`] executes it
-    /// atomically — so the sharded path cannot drift from this one.
+    /// The one apply routine: the batch pipeline (each wave's survivors
+    /// in wave order), recovery's re-execution and settlement all apply
+    /// through it. The UTXO-side plan — the `OutputRef`s the transaction
+    /// spends and the entries it registers — executes through
+    /// [`UtxoSet::apply_tx`] atomically, so a refused transaction leaves
+    /// the ledger untouched. A nested type moves no output: ACCEPT_BID's
+    /// inputs and outputs are the settlement plan its children realize
+    /// (non-locking commit).
     pub fn apply_shared(&mut self, tx: &Arc<Transaction>) -> Result<(), SpendError> {
-        let UtxoEffects { spends, adds } = self.utxo_effects(tx);
-        self.utxos.apply_tx(&spends, adds, &tx.id)?;
+        if !row(tx.operation).nested {
+            let spends: Vec<OutputRef> = tx
+                .inputs
+                .iter()
+                .filter_map(|i| i.fulfills.as_ref())
+                .map(|f| OutputRef::new(f.tx_id.clone(), f.output_index))
+                .collect();
+            let asset_id = self.asset_id_of(tx).unwrap_or_else(|| tx.id.clone());
+            let adds = tx
+                .outputs
+                .iter()
+                .enumerate()
+                .map(|(i, out)| {
+                    (
+                        OutputRef::new(tx.id.clone(), i as u32),
+                        Utxo {
+                            owners: out.public_keys.clone(),
+                            previous_owners: out.previous_owners.clone(),
+                            amount: out.amount,
+                            asset_id: asset_id.clone(),
+                            spent_by: None,
+                        },
+                    )
+                })
+                .collect();
+            self.utxos.apply_tx(&spends, adds, &tx.id)?;
+        }
         self.record_indexes(tx);
         Ok(())
-    }
-
-    /// Derives the UTXO-side plan of one transaction — the `OutputRef`s
-    /// it spends and the entries it registers — against committed state.
-    ///
-    /// This is the single effects computation shared by the scalar
-    /// apply (recovery's re-execution included) and the parallel wave
-    /// apply. Derived read-only, so wave workers can compute and
-    /// execute plans for non-conflicting transactions concurrently.
-    /// A nested type's plan is empty — ACCEPT_BID's inputs and outputs
-    /// are the settlement plan its children realize (non-locking commit).
-    pub(crate) fn utxo_effects(&self, tx: &Transaction) -> UtxoEffects {
-        if row(tx.operation).nested {
-            return UtxoEffects::default();
-        }
-        let spends: Vec<OutputRef> = tx
-            .inputs
-            .iter()
-            .filter_map(|i| i.fulfills.as_ref())
-            .map(|f| OutputRef::new(f.tx_id.clone(), f.output_index))
-            .collect();
-        let asset_id = self.asset_id_of(tx).unwrap_or_else(|| tx.id.clone());
-        let adds = tx
-            .outputs
-            .iter()
-            .enumerate()
-            .map(|(i, out)| {
-                (
-                    OutputRef::new(tx.id.clone(), i as u32),
-                    Utxo {
-                        owners: out.public_keys.clone(),
-                        previous_owners: out.previous_owners.clone(),
-                        amount: out.amount,
-                        asset_id: asset_id.clone(),
-                        spent_by: None,
-                    },
-                )
-            })
-            .collect();
-        UtxoEffects { spends, adds }
-    }
-
-    /// Applies one conflict-free wave of an already-validated batch: the
-    /// UTXO plans execute concurrently on `workers` scoped threads (each
-    /// [`UtxoSet::apply_tx`] takes only the shard locks its footprint
-    /// touches, in global shard order), then the serial index
-    /// bookkeeping runs in wave order. Returns one verdict per member,
-    /// aligned with `wave`. Wave members are pairwise conflict-free, so
-    /// the concurrent execution order is unobservable and the result is
-    /// byte-identical to applying the wave serially.
-    pub(crate) fn apply_wave(
-        &mut self,
-        wave: &[&Arc<Transaction>],
-        workers: usize,
-    ) -> Vec<Result<(), SpendError>> {
-        // Workers derive the plans themselves — utxo_effects reads only
-        // the committed-tx map, which nothing mutates until the serial
-        // phase — so the clone-heavy plan construction parallelizes
-        // along with the shard mutations.
-        let verdicts = crate::par::parallel_map(wave.len(), workers, |slot| {
-            let tx = wave[slot];
-            let UtxoEffects { spends, adds } = self.utxo_effects(tx);
-            self.utxos.apply_tx(&spends, adds, &tx.id).map(|_| ())
-        });
-        for (tx, verdict) in wave.iter().zip(&verdicts) {
-            if verdict.is_ok() {
-                self.record_indexes(tx);
-            }
-        }
-        verdicts
     }
 
     /// Everything a commit mutates besides the UTXO set: the marketplace
@@ -691,7 +629,7 @@ mod tests {
             live.apply_shared(tx).unwrap();
             seals.push((1, live.state_digest()));
         }
-        let restored = LedgerState::restore(&txs, &seals, 4, []).expect("a true chain restores");
+        let restored = LedgerState::restore(&txs, &seals, []).expect("a true chain restores");
         assert_eq!(restored.state_digest(), live.state_digest());
         assert_eq!(restored.committed_ids(), live.committed_ids());
 
@@ -699,11 +637,11 @@ mod tests {
         // seal's digest is right.
         let mut wrong = seals.clone();
         wrong[1].1 = seals[0].1;
-        let refused = LedgerState::restore(&txs, &wrong, 4, []).err().unwrap();
+        let refused = LedgerState::restore(&txs, &wrong, []).err().unwrap();
         assert!(refused.contains("at height 1"), "{refused}");
         // So is a chain whose seals do not cover its documents exactly.
-        assert!(LedgerState::restore(&txs, &seals[..2], 4, []).is_err());
-        assert!(LedgerState::restore(&txs[..2], &seals, 4, []).is_err());
+        assert!(LedgerState::restore(&txs, &seals[..2], []).is_err());
+        assert!(LedgerState::restore(&txs[..2], &seals, []).is_err());
     }
 
     #[test]

@@ -8,8 +8,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 ///
 /// Workers pull indices off a shared atomic counter, so uneven task
 /// costs self-balance. This is the single audited pool implementation
-/// behind wave validation, the sharded parallel apply, and mempool
-/// admission — keep it that way.
+/// behind wave validation, settlement's child derivation, recovery's
+/// parse and mempool admission — keep it that way.
 pub fn parallel_map<T, F>(len: usize, workers: usize, f: F) -> Vec<T>
 where
     T: Send,

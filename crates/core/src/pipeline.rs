@@ -23,19 +23,18 @@
 //!    REQUEST's bid set, spends unlocking bids in it). One frontier walk
 //!    layers a batch and verifies a gossiped schedule
 //!    ([`verify_schedule`]). Non-conflicting transactions share a wave.
-//! 3. **Parallel validation and apply** — [`commit_batch`] validates
-//!    each wave's members concurrently on `std::thread::scope` workers
-//!    against the immutable [`LedgerView`] snapshot left by the
-//!    previous waves, then applies the survivors' UTXO effects
-//!    concurrently over the hash-sharded `UtxoSet` (each worker takes
-//!    only the shard locks its footprint touches, in global shard
-//!    order — see DESIGN-sharding.md).
-//! 4. **Determinism** — transactions are applied in submission order
-//!    within each wave, and the batch's recorded commit order is
-//!    submission order overall, so every replica that feeds the same
-//!    block through the pipeline reaches the byte-identical state the
-//!    sequential path produces (see DESIGN-pipeline.md for the
-//!    argument).
+//! 3. **Parallel validation, serial apply** — [`commit_batch`]
+//!    validates each wave's members concurrently on `std::thread::scope`
+//!    workers against the immutable [`LedgerView`] snapshot left by the
+//!    previous waves, then applies the survivors one by one through
+//!    [`LedgerState::apply_shared`], the routine recovery and settlement
+//!    apply through too. Validation is nearly all of a commit's work;
+//!    apply is a few per cent of it.
+//! 4. **Determinism** — transactions are applied in wave order, and
+//!    the batch's recorded commit order is submission order overall, so
+//!    every replica that feeds the same block through the pipeline
+//!    reaches the byte-identical state the sequential path produces
+//!    (see DESIGN-pipeline.md for the argument).
 //!
 //! This wave-barrier loop is the only commit executor; the sequential
 //! `validate_transaction` + `LedgerState::apply` replay is the oracle
@@ -278,20 +277,18 @@ pub fn schedule_waves<F: Borrow<Footprint>>(footprints: &[F]) -> Vec<usize> {
 /// Pipeline tuning knobs.
 #[derive(Debug, Clone)]
 pub struct PipelineOptions {
-    /// Worker threads per wave, used both for validation and for the
-    /// sharded parallel apply. `1` runs inline (no threads spawned),
-    /// which is also the fallback for one-element waves.
+    /// Worker threads per wave, used for validation (and the other
+    /// pooled stages: settlement, recovery's parse, admission). `1` runs
+    /// inline (no threads spawned), which is also the fallback for
+    /// one-element waves.
     pub workers: usize,
-    /// UTXO shard count for ledgers *built from* these options
-    /// ([`crate::LedgerState::with_utxo_shards`], via `Node::with_options`
-    /// and `SmartchainCluster::with_options`). A ledger's shard count is
-    /// fixed at construction — [`commit_batch`] runs against whatever
-    /// the ledger was built with and does not consult this field. Tunes
-    /// apply-side lock granularity only; committed state is identical
-    /// across counts.
+    /// Inert: the UTXO set is one map since the shard count went, and
+    /// nothing in the program reads this field. It stays, at 1, only
+    /// because the `benchmark/` package reads it; it goes with that
+    /// package's next change.
     pub utxo_shards: usize,
     /// Failure-injection harness: ids whose UTXO apply is forced to
-    /// abort mid-batch (atomically, touching no shard) even though
+    /// abort mid-batch (atomically, touching nothing) even though
     /// validation passed — simulating a transaction failing mid-apply.
     /// The member is rejected exactly as a late spend conflict would
     /// be. Test-only; empty in production.
@@ -340,7 +337,7 @@ impl Default for PipelineOptions {
             .unwrap_or(1);
         PipelineOptions {
             workers: cores.min(8),
-            utxo_shards: scdb_store::DEFAULT_UTXO_SHARDS,
+            utxo_shards: 1,
             fail_apply: BTreeSet::new(),
             durable: env_flag("SCDB_DURABLE").unwrap_or(false),
             fsync: FsyncLevel::from_env(),
@@ -357,12 +354,6 @@ impl PipelineOptions {
         }
     }
 
-    /// Overrides the UTXO shard count (clamped to ≥ 1).
-    pub fn utxo_shards(mut self, shards: usize) -> PipelineOptions {
-        self.utxo_shards = shards.max(1);
-        self
-    }
-
     /// Registers a transaction id whose apply is forced to fail
     /// (failure-injection test harness; see
     /// [`PipelineOptions::fail_apply`]).
@@ -371,7 +362,7 @@ impl PipelineOptions {
         self
     }
 
-    /// Turns the durable sharded store on or off.
+    /// Turns the durable store on or off.
     pub fn durable(mut self, on: bool) -> PipelineOptions {
         self.durable = on;
         self
@@ -691,10 +682,7 @@ pub fn choose_schedule(
 /// Equivalent to validating and applying each transaction in order
 /// (same accepted set, same rejection reasons, same final state — the
 /// differential property tests in `proptests.rs` pin this), but wave
-/// members validate — and apply their UTXO effects — concurrently.
-/// `options.workers` drives every stage; `options.utxo_shards` has no
-/// effect here (the ledger's shard count was fixed when the ledger was
-/// constructed).
+/// members validate concurrently on `options.workers` threads.
 pub fn commit_batch(
     ledger: &mut LedgerState,
     batch: &[Arc<Transaction>],
@@ -917,8 +905,8 @@ fn forget_rejected(ledger: &LedgerState, batch: &[Arc<Transaction>], outcome: &B
     }
 }
 
-/// Applies one wave's surviving members, honouring the
-/// failure-injection set.
+/// Applies one wave's surviving members, one by one in wave order,
+/// honouring the failure-injection set.
 ///
 /// Validation passed against the pre-wave state and wave members are
 /// pairwise conflict-free, so apply cannot fail outside injection; the
@@ -932,33 +920,24 @@ fn apply_survivors(
     accepted: &mut Vec<usize>,
     clock: &mut StageClock,
 ) {
-    // Peel off injected failures: their apply aborts atomically,
-    // touching no shard, exactly like a late spend conflict.
-    let mut live: Vec<usize> = Vec::with_capacity(survivors.len());
-    for &index in survivors {
-        if options.fail_apply.contains(batch[index].id.as_str()) {
-            outcome.rejected.push((
-                index,
-                ValidationError::DoubleSpend(format!(
-                    "injected apply failure for {}",
-                    batch[index].id
-                )),
-            ));
-        } else {
-            live.push(index);
+    clock.time("apply", || {
+        for &index in survivors {
+            let tx = &batch[index];
+            // An injected failure aborts atomically, touching nothing,
+            // exactly like a late spend conflict.
+            let applied = if options.fail_apply.contains(tx.id.as_str()) {
+                Err(format!("injected apply failure for {}", tx.id))
+            } else {
+                ledger.apply_shared(tx).map_err(|spend| spend.to_string())
+            };
+            match applied {
+                Ok(()) => accepted.push(index),
+                Err(why) => outcome
+                    .rejected
+                    .push((index, ValidationError::DoubleSpend(why))),
+            }
         }
-    }
-
-    let wave_txs: Vec<&Arc<Transaction>> = live.iter().map(|&index| &batch[index]).collect();
-    let applied = clock.time("apply", || ledger.apply_wave(&wave_txs, options.workers));
-    for (&index, verdict) in live.iter().zip(applied) {
-        match verdict {
-            Ok(()) => accepted.push(index),
-            Err(spend) => outcome
-                .rejected
-                .push((index, ValidationError::DoubleSpend(spend.to_string()))),
-        }
-    }
+    });
 }
 
 #[cfg(test)]
@@ -1374,7 +1353,7 @@ mod tests {
         // A cross-wave spend chain: t1 spends a committed output, t2
         // spends t1's output. Forcing t1 to fail mid-apply must reject
         // t2 — wave 1 validates against a state without t1's outputs —
-        // and leave every shard as it was.
+        // and leave the UTXO set as it was.
         let mut m = market();
         let alice = keys(0xA1);
         let bob = keys(0xB0);

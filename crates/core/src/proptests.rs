@@ -378,57 +378,6 @@ proptest! {
         }
     }
 
-    /// The sharding equivalence property: committing the same batch —
-    /// double spends, scrambled submission order, escrow unlock races
-    /// between settlement children and competing spends included —
-    /// through a 1-shard ledger and a 16-shard ledger (with parallel
-    /// wave apply) produces identical committed ids, identical
-    /// rejection verdicts, byte-identical `snapshot()`s, and identical
-    /// marketplace indexes. The shard count is purely an apply-side
-    /// lock-granularity knob.
-    #[test]
-    fn sharded_commit_equals_unsharded_commit(
-        bidders in prop::collection::vec(1usize..4, 1..4),
-        with_conflict in any::<bool>(),
-        swaps in prop::collection::vec(
-            (any::<prop::sample::Index>(), any::<prop::sample::Index>()),
-            0..12,
-        ),
-        workers in 2usize..6,
-    ) {
-        let generated = pipeline_differential::generate(&bidders, with_conflict);
-        let mut batch: Vec<std::sync::Arc<Transaction>> =
-            generated.txs.iter().cloned().map(std::sync::Arc::new).collect();
-        for (i, j) in &swaps {
-            let (i, j) = (i.index(batch.len()), j.index(batch.len()));
-            batch.swap(i, j);
-        }
-
-        let commit = |shards: usize, workers: usize| {
-            let mut ledger = LedgerState::with_utxo_shards(shards);
-            ledger.add_reserved_account(generated.escrow.public_hex());
-            let outcome = crate::pipeline::commit_batch(
-                &mut ledger,
-                &batch,
-                &crate::pipeline::PipelineOptions::with_workers(workers).utxo_shards(shards),
-            );
-            (ledger, outcome)
-        };
-        // The unsharded reference applies serially (workers=1); the
-        // sharded run applies whole waves in parallel.
-        let (unsharded, ref_outcome) = commit(1, 1);
-        let (sharded, outcome) = commit(16, workers);
-
-        prop_assert_eq!(unsharded.utxos().shard_count(), 1);
-        prop_assert_eq!(sharded.utxos().shard_count(), 16);
-        prop_assert_eq!(&outcome.committed, &ref_outcome.committed, "committed ids diverged");
-        let verdicts = |o: &crate::pipeline::BatchOutcome| -> Vec<(usize, String)> {
-            o.rejected.iter().map(|(i, e)| (*i, e.to_string())).collect()
-        };
-        prop_assert_eq!(verdicts(&outcome), verdicts(&ref_outcome), "verdicts diverged");
-        pipeline_differential::assert_states_identical(&sharded, &unsharded, &generated);
-    }
-
     /// A clean phase-ordered batch commits completely, and with real
     /// parallelism: same-phase transactions of independent auctions
     /// share waves.

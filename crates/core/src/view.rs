@@ -32,8 +32,8 @@ use std::sync::Arc;
 ///
 /// The UTXO read surface is the *per-output* lookup [`LedgerView::utxo`]
 /// rather than a reference to a concrete `UtxoSet`: validation needs
-/// one output at a time, and the sharded set answers that under a
-/// single shard lock. [`LedgerState`](crate::LedgerState) is the only
+/// one output at a time, under the set's read lock.
+/// [`LedgerState`](crate::LedgerState) is the only
 /// implementor.
 pub trait LedgerView: Sync {
     /// `getTxFromDB`: a committed transaction by id.

@@ -99,27 +99,58 @@ fn itoa_u64(v: u64) -> String {
     v.to_string()
 }
 
-impl PartialEq for Number {
-    fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (Number::Int(a), Number::Int(b)) => a == b,
-            (Number::UInt(a), Number::UInt(b)) => a == b,
-            (Number::Int(a), Number::UInt(b)) | (Number::UInt(b), Number::Int(a)) => {
-                *a >= 0 && *a as u64 == *b
-            }
-            // Mixed int/float comparisons go through f64, matching the
-            // filter-engine semantics in scdb-store.
-            _ => self.as_f64() == other.as_f64(),
+impl Number {
+    /// The value exactly: an integer variant widened to `i128`, or the
+    /// float.
+    fn exact(&self) -> Result<i128, f64> {
+        match *self {
+            Number::Int(i) => Ok(i128::from(i)),
+            Number::UInt(u) => Ok(i128::from(u)),
+            Number::Float(f) => Err(f),
         }
     }
 }
 
+/// Orders an integer against a float without rounding either: the
+/// float's whole part is compared as an integer, then its fraction
+/// breaks a tie. Integers lie in `[-2^63, 2^64)`, so a float beyond
+/// ±2^64 is decided by its sign alone.
+fn cmp_int_float(n: i128, f: f64) -> Option<Ordering> {
+    const TWO_64: f64 = 18_446_744_073_709_551_616.0;
+    if f.is_nan() {
+        return None;
+    }
+    if f >= TWO_64 {
+        return Some(Ordering::Less);
+    }
+    if f <= -TWO_64 {
+        return Some(Ordering::Greater);
+    }
+    let whole = f.trunc();
+    // `whole` is integral and below 2^64 in magnitude, so the cast and
+    // the subtraction are both exact.
+    let by_whole = n.cmp(&(whole as i128));
+    Some(by_whole.then(0.0.partial_cmp(&(f - whole))?))
+}
+
+/// Exact numeric equality: an integral float equals the one integer it
+/// is (`1 == 1.0`, which the store's filters rely on), and no integer
+/// equals a float it merely rounds to.
+impl PartialEq for Number {
+    fn eq(&self, other: &Self) -> bool {
+        self.partial_cmp(other) == Some(Ordering::Equal)
+    }
+}
+
+/// Exact numeric order: integers compare as integers, and an integer
+/// compares with a float without either being rounded.
 impl PartialOrd for Number {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        match (self, other) {
-            (Number::Int(a), Number::Int(b)) => Some(a.cmp(b)),
-            (Number::UInt(a), Number::UInt(b)) => Some(a.cmp(b)),
-            _ => self.as_f64().partial_cmp(&other.as_f64()),
+        match (self.exact(), other.exact()) {
+            (Ok(a), Ok(b)) => Some(a.cmp(&b)),
+            (Ok(a), Err(b)) => cmp_int_float(a, b),
+            (Err(a), Ok(b)) => cmp_int_float(b, a).map(Ordering::reverse),
+            (Err(a), Err(b)) => a.partial_cmp(&b),
         }
     }
 }
@@ -201,6 +232,46 @@ mod tests {
         assert!(Number::Int(1) < Number::UInt(2));
         assert!(Number::Float(1.5) > Number::Int(1));
         assert!(Number::UInt(u64::MAX) > Number::Int(i64::MAX));
+    }
+
+    #[test]
+    fn integral_floats_equal_their_integer() {
+        assert_eq!(Number::Int(1), Number::Float(1.0));
+        assert_eq!(Number::Float(-3.0), Number::Int(-3));
+        assert_eq!(
+            Number::UInt(1 << 63),
+            Number::Float(9_223_372_036_854_775_808.0)
+        );
+        assert_ne!(Number::Int(1), Number::Float(1.5));
+    }
+
+    #[test]
+    fn equality_never_rounds_the_integer() {
+        let two_53 = 1i64 << 53;
+        assert_ne!(Number::Int(two_53 + 1), Number::Float(two_53 as f64));
+        assert_ne!(Number::Float(two_53 as f64), Number::Int(two_53 + 1));
+        assert_eq!(Number::Int(two_53), Number::Float(two_53 as f64));
+        // u64::MAX rounds to 2^64 as an f64, but is one less.
+        assert_ne!(Number::UInt(u64::MAX), Number::Float(u64::MAX as f64));
+        assert_ne!(Number::Float(u64::MAX as f64), Number::UInt(u64::MAX));
+    }
+
+    #[test]
+    fn ordering_at_the_rounding_edges() {
+        let two_53 = 1i64 << 53;
+        let f = Number::Float(two_53 as f64);
+        assert!(Number::Int(two_53 + 1) > f);
+        assert!(f < Number::Int(two_53 + 1));
+        assert!(Number::Int(two_53 - 1) < f);
+        assert_eq!(Number::Int(two_53).partial_cmp(&f), Some(Ordering::Equal));
+        let two_64 = Number::Float(u64::MAX as f64);
+        assert!(Number::UInt(u64::MAX) < two_64);
+        assert!(two_64 > Number::UInt(u64::MAX));
+        assert!(Number::Int(i64::MIN) > Number::Float(-1e30));
+        assert!(Number::Int(i64::MIN) == Number::Float(i64::MIN as f64));
+        assert!(Number::Int(0) > Number::Float(-0.5));
+        assert!(Number::Int(-1) < Number::Float(-0.5));
+        assert!(Number::Float(f64::INFINITY) > Number::UInt(u64::MAX));
     }
 
     #[test]

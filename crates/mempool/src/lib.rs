@@ -20,9 +20,8 @@
 //!   step `admit` itself ends in.
 //! * **Batch forming** ([`Mempool::drain_batch`]) — a scheduler that
 //!   packs pending transactions into wide, shallow wave schedules by
-//!   greedy conflict-graph coloring over the pending footprints, and
-//!   interleaves each wave's members across UTXO shards so the
-//!   parallel apply spreads its lock traffic. The drained
+//!   greedy conflict-graph coloring over the pending footprints; each
+//!   wave keeps its members in arrival order. The drained
 //!   [`FormedBatch`] carries its precomputed
 //!   [`scdb_core::WaveSchedule`]; the pipeline commits it through
 //!   `commit_batch_planned` without ever re-deriving a footprint.
@@ -47,7 +46,7 @@ mod pool;
 #[cfg(test)]
 mod proptests;
 
-pub use pack::{pack_batch, primary_shard, PackedBatch};
+pub use pack::{pack_batch, PackedBatch};
 pub use pool::{
     AdmitError, AdmitReceipt, ExpelledTx, FormedBatch, Mempool, MempoolConfig, MempoolStats,
 };

@@ -1,4 +1,4 @@
-//! Shard-aware wave packing: the batch-forming half of the mempool.
+//! Wave packing: the batch-forming half of the mempool.
 //!
 //! [`pack_batch`] turns a set of admitted footprints into a wide,
 //! shallow wave schedule. It differs from the pipeline's own
@@ -11,23 +11,16 @@
 //! independent work from elsewhere in the pool fills the current one.
 //! (Bids on one request commute: a whole auction packs as
 //! CREATEs + REQUEST | BIDs | ACCEPT_BID, and its settlement children
-//! as one wave.)
-//!
-//! Within each wave, members are interleaved round-robin across their
-//! primary UTXO shard (the ROADMAP's "shard-aware wave packing"
-//! follow-on to PR 2): the parallel apply takes per-shard locks, so a
-//! wave whose neighbours hash to different shards contends less than
-//! one that happens to cluster on a single shard.
+//! as one wave.) Within each wave, members keep their arrival order.
 
-use scdb_core::pipeline::{schedule_waves, Access, ConflictKey, Footprint};
-use scdb_store::OutputRef;
+use scdb_core::pipeline::{schedule_waves, Footprint};
 use std::borrow::Borrow;
 
 /// A formed batch as positions into the candidate list.
 #[derive(Debug, Clone, Default)]
 pub struct PackedBatch {
-    /// Selected candidate positions, wave-major; within a wave,
-    /// shard-interleaved. This is the batch (= commit) order.
+    /// Selected candidate positions, wave-major; within a wave, in
+    /// arrival order. This is the batch (= commit) order.
     pub order: Vec<usize>,
     /// Wave sizes; prefix sums partition [`PackedBatch::order`].
     pub wave_sizes: Vec<usize>,
@@ -58,66 +51,9 @@ impl PackedBatch {
     }
 }
 
-/// The UTXO shard a transaction's apply work lands on first: the shard
-/// of its first spent output, falling back to the shard its own first
-/// output will be inserted into (derived from the `Id` write every
-/// footprint carries). Mirrors `UtxoSet::shard_of` — same FNV hash, so
-/// the packer and the apply path agree on placement.
-pub fn primary_shard(footprint: &Footprint, shard_count: usize) -> usize {
-    let shard_count = shard_count.max(1);
-    let writes = || {
-        (footprint.accesses().iter())
-            .filter(|(_, access)| *access == Access::Write)
-            .map(|(key, _)| key)
-    };
-    for key in writes() {
-        if let ConflictKey::Output(tx_id, index) = key {
-            let out = OutputRef::new(tx_id.clone(), *index);
-            return (out.shard_hash() % shard_count as u64) as usize;
-        }
-    }
-    for key in writes() {
-        if let ConflictKey::Id(id) = key {
-            let out = OutputRef::new(id.clone(), 0);
-            return (out.shard_hash() % shard_count as u64) as usize;
-        }
-    }
-    0
-}
-
-/// Interleaves `members` (candidate positions, arrival order) round-
-/// robin across their primary shards: bucket by shard, then cycle the
-/// non-empty buckets in shard order. Deterministic, and a no-op when
-/// every member shares one shard.
-fn shard_balance<F: Borrow<Footprint>>(
-    members: &[usize],
-    footprints: &[F],
-    shard_count: usize,
-) -> Vec<usize> {
-    if members.len() <= 2 {
-        return members.to_vec();
-    }
-    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); shard_count.max(1)];
-    for &m in members {
-        buckets[primary_shard(footprints[m].borrow(), shard_count)].push(m);
-    }
-    let mut out = Vec::with_capacity(members.len());
-    let mut cursors: Vec<usize> = vec![0; buckets.len()];
-    while out.len() < members.len() {
-        for (bucket, cursor) in buckets.iter().zip(cursors.iter_mut()) {
-            if *cursor < bucket.len() {
-                out.push(bucket[*cursor]);
-                *cursor += 1;
-            }
-        }
-    }
-    out
-}
-
 /// Forms a batch of at most `max_n` candidates from `footprints`
 /// (candidates in arrival order): greedy conflict-graph coloring over
-/// the whole pool, then a wave-prefix drain, then per-wave shard
-/// interleaving.
+/// the whole pool, then a wave-prefix drain.
 ///
 /// Invariants the selection preserves, so the result can be committed
 /// through `commit_batch_planned` without re-planning:
@@ -128,11 +64,7 @@ fn shard_balance<F: Borrow<Footprint>>(
 /// * the selection is wave-prefix-closed — a member's intra-pool
 ///   dependencies (which are conflicts, hence earlier waves) are
 ///   always selected with it.
-pub fn pack_batch<F: Borrow<Footprint>>(
-    footprints: &[F],
-    max_n: usize,
-    shard_count: usize,
-) -> PackedBatch {
+pub fn pack_batch<F: Borrow<Footprint>>(footprints: &[F], max_n: usize) -> PackedBatch {
     if footprints.is_empty() || max_n == 0 {
         return PackedBatch::default();
     }
@@ -154,9 +86,8 @@ pub fn pack_batch<F: Borrow<Footprint>>(
         // of one wave never depend on each other, and every earlier
         // wave was taken whole.
         let members = &wave[..wave.len().min(room)];
-        let balanced = shard_balance(members, footprints, shard_count);
-        packed.wave_sizes.push(balanced.len());
-        packed.order.extend(balanced);
+        packed.wave_sizes.push(members.len());
+        packed.order.extend_from_slice(members);
     }
     packed
 }
@@ -164,7 +95,7 @@ pub fn pack_batch<F: Borrow<Footprint>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scdb_core::pipeline::footprints_conflict;
+    use scdb_core::pipeline::{footprints_conflict, Access, ConflictKey};
 
     fn writes(keys: &[ConflictKey]) -> Footprint {
         let mut fp = Footprint::default();
@@ -190,7 +121,7 @@ mod tests {
         let footprints: Vec<Footprint> = (0..6)
             .map(|i| writes(&[id(&format!("t{i}")), spend(&format!("src{}", i / 2), 0)]))
             .collect();
-        let packed = pack_batch(&footprints, usize::MAX, 16);
+        let packed = pack_batch(&footprints, usize::MAX);
         assert_eq!(packed.wave_sizes, vec![3, 3]);
         // No intra-wave conflicts.
         for wave in packed.waves() {
@@ -209,7 +140,7 @@ mod tests {
             writes(&[id("a"), spend("src", 0)]),
             writes(&[id("b"), spend("src", 0)]),
         ];
-        let packed = pack_batch(&footprints, usize::MAX, 16);
+        let packed = pack_batch(&footprints, usize::MAX);
         assert_eq!(packed.order, vec![0, 1], "earlier arrival stays first");
         assert_eq!(packed.wave_sizes, vec![1, 1]);
     }
@@ -232,50 +163,23 @@ mod tests {
                 spend(&format!("s{i}"), 0),
             ]));
         }
-        let packed = pack_batch(&footprints, 6, 1);
+        let packed = pack_batch(&footprints, 6);
         assert_eq!(packed.wave_sizes, vec![4, 2]);
         assert!(packed.order[..4].iter().all(|&p| p < 4));
         assert!(packed.order[4..].iter().all(|&p| p >= 4));
     }
 
     #[test]
-    fn wave_members_interleave_across_shards() {
-        // Find spends that land on two different shards, then check the
-        // packed order alternates between them rather than clustering.
-        let shard_count = 4;
-        let mut by_shard: Vec<Vec<Footprint>> = vec![Vec::new(); shard_count];
-        for i in 0..64 {
-            let fp = writes(&[id(&format!("t{i}")), spend(&format!("src{i}"), 0)]);
-            let shard = primary_shard(&fp, shard_count);
-            by_shard[shard].push(fp);
-        }
-        let (a, b) = {
-            let mut populated = by_shard.iter().enumerate().filter(|(_, v)| v.len() >= 3);
-            let a = populated.next().expect("64 spends cover >1 shard").0;
-            let b = populated.next().expect("64 spends cover >1 shard").0;
-            (a, b)
-        };
-        // Arrival order: all of shard a, then all of shard b.
-        let footprints: Vec<Footprint> = by_shard[a][..3]
-            .iter()
-            .chain(by_shard[b][..3].iter())
-            .cloned()
+    fn wave_members_keep_arrival_order() {
+        // t2 double-spends t0's source and t5 t3's: they pack one wave
+        // later, and each wave lists its members as they arrived.
+        let sources = ["a", "b", "a", "c", "d", "c", "e"];
+        let footprints: Vec<Footprint> = (sources.iter().enumerate())
+            .map(|(i, src)| writes(&[id(&format!("t{i}")), spend(src, 0)]))
             .collect();
-        let packed = pack_batch(&footprints, usize::MAX, shard_count);
-        assert_eq!(packed.wave_sizes, vec![6]);
-        let shards: Vec<usize> = packed
-            .order
-            .iter()
-            .map(|&p| primary_shard(&footprints[p], shard_count))
-            .collect();
-        assert_ne!(
-            shards[0], shards[1],
-            "neighbours alternate shards: {shards:?}"
-        );
-        assert_ne!(
-            shards[2], shards[3],
-            "neighbours alternate shards: {shards:?}"
-        );
+        let packed = pack_batch(&footprints, usize::MAX);
+        assert_eq!(packed.wave_sizes, vec![5, 2]);
+        assert_eq!(packed.order, vec![0, 1, 3, 4, 6, 2, 5]);
     }
 
     /// One pool holding a whole 16-bidder auction packs as
@@ -330,7 +234,7 @@ mod tests {
         let footprints: Vec<Footprint> = (pool.iter())
             .map(|tx| footprint(tx, |id| by_id.get(id).copied()).0)
             .collect();
-        let packed = pack_batch(&footprints, usize::MAX, 16);
+        let packed = pack_batch(&footprints, usize::MAX);
         assert_eq!(packed.wave_sizes, vec![17, 16, 1]);
         let ops = |wave: &[usize]| -> Vec<Operation> {
             wave.iter()
@@ -356,13 +260,13 @@ mod tests {
         let footprints: Vec<Footprint> = (children.iter())
             .map(|tx| footprint(tx, |id| ledger.get(id)).0)
             .collect();
-        assert_eq!(pack_batch(&footprints, usize::MAX, 16).wave_sizes, [16]);
+        assert_eq!(pack_batch(&footprints, usize::MAX).wave_sizes, [16]);
     }
 
     #[test]
     fn empty_and_zero_budget_are_empty() {
-        assert!(pack_batch::<Footprint>(&[], 10, 16).is_empty());
+        assert!(pack_batch::<Footprint>(&[], 10).is_empty());
         let footprints = vec![writes(&[id("a")])];
-        assert!(pack_batch(&footprints, 0, 16).is_empty());
+        assert!(pack_batch(&footprints, 0).is_empty());
     }
 }

@@ -22,10 +22,6 @@ pub struct MempoolConfig {
     /// Per-sender cap — one account cannot monopolize the pool
     /// ("millions of users, one tx each" is the intended shape).
     pub max_per_sender: usize,
-    /// Shard count used to interleave wave members at drain time.
-    /// Should match the committing ledger's UTXO shard count; any
-    /// value ≥ 1 is correct (it only tunes apply-lock spread).
-    pub shard_hint: usize,
     /// Worker threads for the two stateless stages of batch admission
     /// ([`Mempool::admit_batch`]: the screen and the pooled signature
     /// batches) and the drain-time ACCEPT_BID signature pool. At `1`
@@ -48,7 +44,6 @@ impl Default for MempoolConfig {
         MempoolConfig {
             max_pending: 65_536,
             max_per_sender: 1_024,
-            shard_hint: scdb_store::DEFAULT_UTXO_SHARDS,
             admission_workers: default_admission_workers(),
             telemetry: Telemetry::from_env(),
         }
@@ -208,7 +203,8 @@ struct PendingTx {
 /// re-derived downstream.
 #[derive(Default)]
 pub struct FormedBatch {
-    /// Members in batch (= commit) order: wave-major, shard-interleaved.
+    /// Members in batch (= commit) order: wave-major, arrival order
+    /// within a wave.
     pub txs: Vec<Arc<Transaction>>,
     /// The precomputed plan over `txs` (waves as index ranges).
     pub schedule: WaveSchedule,
@@ -437,11 +433,11 @@ impl Mempool {
     }
 
     /// Drains up to `max_n` pending transactions as a formed batch:
-    /// wave-packed over the pending footprints, shard-interleaved, with
-    /// the precomputed schedule attached. Members leave the pool;
-    /// whatever the commit rejects is gone (exactly as a block would
-    /// decide them), and [`Mempool::requeue`] reinstates batches whose
-    /// proposal was abandoned before any decision.
+    /// wave-packed over the pending footprints, in arrival order within
+    /// each wave, with the precomputed schedule attached. Members leave
+    /// the pool; whatever the commit rejects is gone (exactly as a block
+    /// would decide them), and [`Mempool::requeue`] reinstates batches
+    /// whose proposal was abandoned before any decision.
     pub fn drain_batch(&mut self, max_n: usize, ledger: &impl LedgerView) -> FormedBatch {
         self.refresh_unresolved(ledger);
         let expelled = self.reject_unsigned_accepts(ledger);
@@ -453,7 +449,7 @@ impl Mempool {
         let packed = {
             let footprints: Vec<&Footprint> =
                 seqs.iter().map(|s| &self.pending[s].footprint).collect();
-            pack_batch(&footprints, max_n, self.config.shard_hint)
+            pack_batch(&footprints, max_n)
         };
 
         let mut batch = FormedBatch::default();

@@ -22,12 +22,13 @@
 use crate::cost::CostModel;
 use crate::replica::{EphemeralDir, Plan, Replica, Settled};
 use scdb_consensus::{App, AppResult, BlockAnnotations, BlockView, FormedBlock, TxId, TxStatus};
+use scdb_core::conditions::row;
 use scdb_core::pipeline::{derive_footprints, PipelineOptions, ScheduleSource, WaveSchedule};
 use scdb_core::{
     validate::{
         record_validated, record_validated_batch, validate_transaction, PooledVerification,
     },
-    AssetRef, LedgerState, LedgerView, NestedTracker, Operation, Transaction,
+    AssetRef, Condition, LedgerState, LedgerView, NestedTracker, Transaction,
 };
 use scdb_crypto::KeyPair;
 use scdb_json::Value;
@@ -204,10 +205,8 @@ impl SmartchainCluster {
         SmartchainCluster::with_options(nodes, PipelineOptions::with_workers(workers))
     }
 
-    /// Full pipeline control for block delivery: wave worker count plus
-    /// the UTXO shard count every replica's ledger is built with. The
-    /// count does not affect replica equality — UTXO snapshots are
-    /// shard-blind (sorted dumps of the entry set).
+    /// Full pipeline control for block delivery: wave worker count,
+    /// durability and telemetry for every replica.
     pub fn with_options(nodes: usize, pipeline: PipelineOptions) -> SmartchainCluster {
         let escrow = KeyPair::from_seed([0xE5; 32]);
         // Durable mode: every replica gets its own durable store
@@ -247,7 +246,7 @@ impl SmartchainCluster {
     }
 
     /// The batch-pipeline configuration every replica delivers blocks
-    /// with (workers, UTXO shards, durability, telemetry).
+    /// with (workers, durability, telemetry).
     pub fn pipeline_options(&self) -> &PipelineOptions {
         &self.pipeline
     }
@@ -288,7 +287,7 @@ impl SmartchainCluster {
             .map(crate::telemetry::snapshot_with_key_cache)
     }
 
-    /// A node's post-block UTXO state digest — the O(shards) replica
+    /// A node's post-block UTXO state digest — the O(1) replica
     /// equality comparator.
     pub fn state_digest(&self, node: NodeId) -> StateDigest {
         self.replicas[node].ledger.state_digest()
@@ -389,7 +388,8 @@ impl SmartchainCluster {
     /// Capability-work estimate for the cost model: requested + offered
     /// strings touched by the subset check.
     fn capability_work(&self, node: NodeId, tx: &Transaction) -> usize {
-        if tx.operation != Operation::Bid {
+        let conditions = &row(tx.operation).conditions;
+        if !conditions.contains(&Condition::OffersRequestedCapabilities) {
             return 0;
         }
         let ledger = &self.replicas[node].ledger;
@@ -467,8 +467,8 @@ impl App for SmartchainCluster {
     /// Block forming: the proposer drains its mempool candidates
     /// through the conflict-aware packer — footprints over the
     /// replica's committed state (with candidate-local link
-    /// resolution), greedy wave coloring, shard interleaving — so the
-    /// proposed block order is already the wide, shallow schedule
+    /// resolution), greedy wave coloring, arrival order within a wave —
+    /// so the proposed block order is already the wide, shallow schedule
     /// `deliver_block`'s pipeline wants. The packed wave schedule and
     /// the proposer's committed state digest are gossiped *with* the
     /// block (the self-describing payload), so replicas verify the
@@ -488,7 +488,7 @@ impl App for SmartchainCluster {
         // content, cheap next to validation.
         self.gossip.footprints_derived.add(candidates.len() as u64);
         let footprints = derive_footprints(&batch(candidates), ledger);
-        let packed = pack_batch(&footprints, max, self.pipeline.utxo_shards);
+        let packed = pack_batch(&footprints, max);
         let annotations = BlockAnnotations {
             // Only the waves travel: replicas verify them against their
             // own footprints.
@@ -580,7 +580,7 @@ impl App for SmartchainCluster {
                     .collection(collections::TRANSACTIONS)
                     .insert(doc);
             }
-            if tx.operation != Operation::AcceptBid {
+            if !row(tx.operation).nested {
                 delivered.push(tx);
             }
         }
@@ -615,7 +615,7 @@ impl App for SmartchainCluster {
         let accepts: Vec<&Transaction> = committed
             .iter()
             .map(|(_, decoded)| decoded.tx.as_ref())
-            .filter(|t| t.operation == Operation::AcceptBid)
+            .filter(|t| row(t.operation).nested)
             .collect();
         let settled = self.replicas[node].settle_block(&accepts, &self.escrow, &self.pipeline);
         for (accept, settled) in accepts.iter().zip(settled) {
@@ -680,7 +680,7 @@ impl SmartchainHarness {
     }
 
     /// Custom consensus parameters plus explicit pipeline options
-    /// (wave workers, UTXO shard count) for every replica's block
+    /// (wave workers, durability, telemetry) for every replica's block
     /// delivery.
     pub fn with_pipeline(
         config: scdb_consensus::BftConfig,
@@ -865,7 +865,7 @@ mod tests {
         for node in 1..4 {
             // Same transaction set on every replica (order can differ
             // only across blocks, and blocks are totally ordered) —
-            // and the O(shards) digest agrees, which is the comparison
+            // and the O(1) digest agrees, which is the comparison
             // production paths use instead of sorting snapshots.
             assert_eq!(app.ledger(node).committed_ids(), &ids0[..], "node {node}");
             assert_eq!(app.state_digest(node), digest0, "node {node}");

@@ -97,14 +97,10 @@ impl Node {
         Node::with_options(escrow, PipelineOptions::with_workers(workers))
     }
 
-    /// Full pipeline control: worker count for wave validation/apply
-    /// and the UTXO shard count the node's ledger is built with.
+    /// Full pipeline control: worker count for wave validation,
+    /// durability and telemetry.
     pub fn with_options(escrow: KeyPair, pipeline: PipelineOptions) -> Node {
-        let mempool = MempoolConfig {
-            shard_hint: pipeline.utxo_shards,
-            ..MempoolConfig::default()
-        };
-        Node::with_mempool_config(escrow, pipeline, mempool)
+        Node::with_mempool_config(escrow, pipeline, MempoolConfig::default())
     }
 
     /// [`Node::with_options`] with explicit mempool tuning (capacity,
@@ -166,11 +162,7 @@ impl Node {
     ) -> Result<Node, String> {
         pipeline.durable = true;
         let (replica, replay) = Replica::recover(&pipeline, &escrow, &dir.into())?;
-        let mempool = MempoolConfig {
-            shard_hint: pipeline.utxo_shards,
-            ..MempoolConfig::default()
-        };
-        let mut node = Node::assemble(replica, escrow, pipeline, mempool, None);
+        let mut node = Node::assemble(replica, escrow, pipeline, MempoolConfig::default(), None);
         for (tx, settled) in replay {
             node.record_commit(&tx, settled)
                 .map_err(|e| format!("recovery: post-commit replay of {} failed: {e}", tx.id))?;
@@ -184,7 +176,7 @@ impl Node {
     }
 
     /// The batch-pipeline configuration this node validates with
-    /// (workers, UTXO shards, durability, telemetry).
+    /// (workers, durability, telemetry).
     pub fn pipeline_options(&self) -> &PipelineOptions {
         &self.pipeline
     }
@@ -208,7 +200,7 @@ impl Node {
         &self.replica.ledger
     }
 
-    /// The node's UTXO state digest — the O(shards) replica-equality
+    /// The node's UTXO state digest — the O(1) replica-equality
     /// comparator (see `scdb_store::StateDigest`).
     pub fn state_digest(&self) -> scdb_store::StateDigest {
         self.replica.ledger.state_digest()

@@ -10,6 +10,7 @@
 //! time and on replay alike), or flushes the store. The shells add
 //! their own stores and caches on top and never repeat these steps.
 
+use scdb_core::conditions::row;
 use scdb_core::pipeline::{
     choose_schedule, commit_batch_planned, BatchOutcome, Footprint, PipelineOptions,
     ScheduleSource, WaveSchedule,
@@ -104,7 +105,7 @@ impl Replica {
                 .expect("a fresh durable store opens")
                 .0;
         }
-        let mut ledger = LedgerState::with_utxo_shards(options.utxo_shards);
+        let mut ledger = LedgerState::new();
         ledger.add_reserved_account(escrow.public_hex());
         ledger.set_telemetry(&options.telemetry);
         Replica {
@@ -150,12 +151,7 @@ impl Replica {
             .into_iter()
             .flatten()
             .collect();
-        let mut ledger = LedgerState::restore(
-            &committed,
-            &recovered.seals,
-            options.utxo_shards,
-            [escrow.public_hex()],
-        )?;
+        let mut ledger = LedgerState::restore(&committed, &recovered.seals, [escrow.public_hex()])?;
         ledger.attach_durable(Arc::new(store));
         ledger.set_telemetry(telemetry);
         let mut replica = Replica {
@@ -225,7 +221,7 @@ impl Replica {
         let accepts: Vec<&Transaction> = members
             .iter()
             .copied()
-            .filter(|tx| tx.operation == Operation::AcceptBid)
+            .filter(|tx| row(tx.operation).nested)
             .collect();
         let derived = if accepts.is_empty() {
             Vec::new()
@@ -240,7 +236,7 @@ impl Replica {
         members
             .iter()
             .map(|tx| match tx.operation {
-                Operation::AcceptBid => {
+                op if row(op).nested => {
                     let children = derived.next().expect("one derivation per accept")?;
                     // Commit time (the node's post-commit, the
                     // cluster's commit hook) and replay each settle an

@@ -181,7 +181,9 @@ impl Collection {
         let mut inner = self.inner.write();
         let targets = inner.select_ids(filter);
         for id in &targets {
-            let old = inner.docs.get(id).expect("listed above").clone();
+            let Some(old) = inner.docs.get(id).cloned() else {
+                continue;
+            };
             index_doc(&mut inner, id, &old, false);
             let mut doc = (*old).clone();
             doc.set_path(path, value.clone());
@@ -197,8 +199,9 @@ impl Collection {
         let mut inner = self.inner.write();
         let targets = inner.select_ids(filter);
         for id in &targets {
-            let old = inner.docs.remove(id).expect("listed above");
-            index_doc(&mut inner, id, &old, false);
+            if let Some(old) = inner.docs.remove(id) {
+                index_doc(&mut inner, id, &old, false);
+            }
         }
         targets.len()
     }
@@ -214,21 +217,12 @@ fn index_key(v: &Value) -> String {
     format!("{}|{}", v.type_name(), v.to_canonical_string())
 }
 
-fn index_doc(inner: &mut Inner, id: &str, doc: &Arc<Value>, add: bool) {
-    // Collect updates first: we cannot borrow indexes mutably while
-    // reading doc pointers through the same borrow of `inner`.
-    let keys: Vec<(String, String)> = inner
-        .indexes
-        .keys()
-        .filter_map(|path| doc.pointer(path).map(|v| (path.clone(), index_key(v))))
-        .collect();
-    for (path, key) in keys {
-        let slot = inner
-            .indexes
-            .get_mut(&path)
-            .expect("path taken from indexes")
-            .entry(key)
-            .or_default();
+fn index_doc(inner: &mut Inner, id: &str, doc: &Value, add: bool) {
+    for (path, index) in inner.indexes.iter_mut() {
+        let Some(value) = doc.pointer(path) else {
+            continue;
+        };
+        let slot = index.entry(index_key(value)).or_default();
         if add {
             slot.push(id.to_owned());
         } else {

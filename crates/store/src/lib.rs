@@ -11,12 +11,13 @@
 //!   addressing (powering the paper's queryability claims);
 //! * [`Db`] — named collections, including the SmartchainDB layout with
 //!   the `accept_tx_recovery` collection of §4.2;
-//! * [`UtxoSet`] — hash-sharded spend tracking with native double-spend
-//!   rejection and deadlock-free multi-shard atomic apply;
+//! * [`UtxoSet`] — spend tracking with native double-spend rejection,
+//!   an atomic per-transaction apply and an incremental state digest;
 //! * [`DurableStore`] — the sealed block manifest a node's state is
 //!   re-executed from after a crash.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod collection;
 mod db;
@@ -27,9 +28,7 @@ mod wal;
 pub use collection::{Collection, StoreError, ID_FIELD};
 pub use db::{collections, Db};
 pub use filter::Filter;
-pub use utxo::{
-    entry_hash, OutputRef, SpendError, StateDigest, Utxo, UtxoSet, DEFAULT_UTXO_SHARDS,
-};
+pub use utxo::{entry_hash, OutputRef, SpendError, StateDigest, Utxo, UtxoSet};
 pub use wal::{DurableStore, ExportStats, FsyncLevel, RecoveredState, WalError};
 
 #[cfg(test)]

@@ -66,70 +66,16 @@ proptest! {
         prop_assert_eq!(remaining, total);
     }
 
-    /// Shard count is unobservable: an arbitrary interleaving of adds,
-    /// spends (including failing ones) and atomic multi-output applies
-    /// leaves 1-, 3- and 16-shard sets with byte-identical snapshots
-    /// and identical per-op results.
-    #[test]
-    fn shard_count_is_unobservable(ops in prop::collection::vec((0u8..3, 0u8..12, 0u8..12), 1..48)) {
-        let sets = [UtxoSet::with_shards(1), UtxoSet::with_shards(3), UtxoSet::with_shards(16)];
-        for (n, (op, a, b)) in ops.iter().enumerate() {
-            let mut results = Vec::new();
-            for set in &sets {
-                let result: Result<usize, crate::SpendError> = match op {
-                    0 => {
-                        set.add(OutputRef::new(format!("t{a}"), *b as u32 % 3), Utxo {
-                            owners: vec![format!("o{b}")],
-                            previous_owners: vec![],
-                            amount: *a as u64 + 1,
-                            asset_id: "a".into(),
-                            spent_by: None,
-                        });
-                        Ok(0)
-                    }
-                    1 => set
-                        .spend(&OutputRef::new(format!("t{a}"), *b as u32 % 3), &format!("s{n}"))
-                        .map(|_| 1),
-                    _ => {
-                        // Atomic two-spend + one-add, possibly failing.
-                        let spends = [
-                            OutputRef::new(format!("t{a}"), 0),
-                            OutputRef::new(format!("t{b}"), 1),
-                        ];
-                        let adds = vec![(OutputRef::new(format!("n{n}"), 0), Utxo {
-                            owners: vec!["x".into()],
-                            previous_owners: vec![],
-                            amount: 1,
-                            asset_id: "a".into(),
-                            spent_by: None,
-                        })];
-                        set.apply_tx(&spends, adds, &format!("s{n}")).map(|v| v.len())
-                    }
-                };
-                results.push(result);
-            }
-            prop_assert_eq!(&results[0], &results[1], "op {} diverged", n);
-            prop_assert_eq!(&results[1], &results[2], "op {} diverged", n);
-        }
-        prop_assert_eq!(sets[0].snapshot(), sets[1].snapshot());
-        prop_assert_eq!(sets[1].snapshot(), sets[2].snapshot());
-        // The incremental digests are as shard-blind as the snapshots.
-        prop_assert_eq!(sets[0].state_digest(), sets[1].state_digest());
-        prop_assert_eq!(sets[1].state_digest(), sets[2].state_digest());
-    }
-
-    /// `state_digest()` equality ⟺ `snapshot()` equality, across shard
-    /// counts: two sets driven by (usually different) op sequences have
-    /// equal digests exactly when their sorted snapshots are equal, and
-    /// the incrementally maintained digest always equals a from-scratch
-    /// fold over the snapshot.
+    /// `state_digest()` equality ⟺ `snapshot()` equality: two sets
+    /// driven by (usually different) op sequences have equal digests
+    /// exactly when their sorted snapshots are equal, and the
+    /// incrementally maintained digest always equals a from-scratch fold
+    /// over the snapshot.
     #[test]
     fn digest_equality_iff_snapshot_equality(
         ops_a in prop::collection::vec((0u8..2, 0u8..6, 0u8..4), 0..32),
         ops_b in prop::collection::vec((0u8..2, 0u8..6, 0u8..4), 0..32),
-        shard_pick in 0usize..3,
     ) {
-        let shards = [(1usize, 16usize), (4, 4), (16, 1)][shard_pick];
         let apply = |set: &UtxoSet, ops: &[(u8, u8, u8)]| {
             for (n, (op, a, b)) in ops.iter().enumerate() {
                 let out = OutputRef::new(format!("t{a}"), *b as u32);
@@ -149,8 +95,8 @@ proptest! {
                 }
             }
         };
-        let set_a = UtxoSet::with_shards(shards.0);
-        let set_b = UtxoSet::with_shards(shards.1);
+        let set_a = UtxoSet::new();
+        let set_b = UtxoSet::new();
         apply(&set_a, &ops_a);
         apply(&set_b, &ops_b);
 

@@ -6,39 +6,34 @@
 //! validation against errors like double-spending" (§2.1) — this module
 //! is where that guarantee lives.
 //!
-//! # Sharding
+//! # Atomicity
 //!
-//! The set is partitioned into N shards keyed by a deterministic hash
-//! of the [`OutputRef`], each behind its own reader–writer lock. Wave
-//! validation only reads, so readers of distinct outputs never contend;
-//! parallel *apply* workers mutate concurrently as long as their
-//! footprints land on different shards. Multi-output operations
-//! ([`UtxoSet::apply_tx`], [`UtxoSet::spend_all`]) acquire every shard
-//! lock they touch in ascending shard order — a single global lock
-//! order, so concurrent workers whose footprints overlap on shards
-//! cannot deadlock. [`UtxoSet::snapshot`] sorts by `OutputRef`, so two
-//! sets holding the same entries snapshot byte-identically regardless
-//! of their shard counts — replica-equality checks are shard-blind.
+//! The entries live in one map behind one reader–writer lock. Every
+//! mutation ([`UtxoSet::apply_tx`], [`UtxoSet::spend_all`],
+//! [`UtxoSet::spend`], [`UtxoSet::add`]) holds the write lock for its
+//! whole effect and validates its spends before the first change, so a
+//! failing transaction leaves the set untouched and no reader —
+//! [`UtxoSet::snapshot`], [`UtxoSet::state_digest`] — can observe half
+//! of a transaction. The methods take `&self`, so validation workers
+//! read the set concurrently while the committing thread owns writes.
+//! [`UtxoSet::snapshot`] sorts by `OutputRef`, so two sets holding the
+//! same entries snapshot byte-identically whatever order they were
+//! built in.
 //!
 //! # State digests
 //!
-//! Every shard additionally maintains an incremental [`StateDigest`] —
-//! an order- and partition-independent fold of a 64-bit hash of each
-//! entry, updated on every insert and spend. [`UtxoSet::state_digest`]
-//! merges the per-shard digests in O(shards), so two sets hold equal
-//! entry sets *iff* their digests are equal (up to hash collisions,
-//! made negligible by folding three independent accumulators), whatever
-//! their shard counts. Replica-equality checks that used to sort and
-//! compare whole [`UtxoSet::snapshot`]s — O(n log n) per comparison —
-//! compare digests instead.
+//! The set maintains an incremental [`StateDigest`] — an
+//! order-independent fold of a 64-bit hash of each entry, updated on
+//! every insert and spend. [`UtxoSet::state_digest`] reads it in O(1),
+//! so two sets hold equal entry sets *iff* their digests are equal (up
+//! to hash collisions, made negligible by folding three independent
+//! accumulators), however they were built. Replica-equality checks
+//! compare digests instead of sorting and comparing whole
+//! [`UtxoSet::snapshot`]s, which costs O(n log n) per comparison.
 
-use parking_lot::{RwLock, RwLockWriteGuard};
+use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fmt;
-
-/// Default shard count: enough that an 8-worker wave rarely collides,
-/// small enough that snapshot/scan overhead stays negligible.
-pub const DEFAULT_UTXO_SHARDS: usize = 16;
 
 /// Reference to a transaction output: `(transaction id, output index)`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -53,23 +48,6 @@ impl OutputRef {
             tx_id: tx_id.into(),
             index,
         }
-    }
-
-    /// Deterministic 64-bit FNV-1a over the ref's content — the shard
-    /// key. The std `HashMap` hasher is randomized per process; this
-    /// one is stable across runs and replicas, so every node shards a
-    /// given output identically.
-    pub fn shard_hash(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        for &b in self.tx_id.as_bytes() {
-            h = (h ^ b as u64).wrapping_mul(PRIME);
-        }
-        for b in self.index.to_le_bytes() {
-            h = (h ^ b as u64).wrapping_mul(PRIME);
-        }
-        h
     }
 }
 
@@ -117,16 +95,14 @@ impl fmt::Display for SpendError {
 
 impl std::error::Error for SpendError {}
 
-/// An order- and partition-independent digest of a set of UTXO entries.
+/// An order-independent digest of a set of UTXO entries.
 ///
 /// Entries fold in and out through [`StateDigest::fold_add`] /
 /// [`StateDigest::fold_remove`] using three commutative accumulators
 /// (XOR, wrapping sum, count) over each entry's [`entry_hash`], so the
-/// digest of a set is independent of insertion order *and* of how the
-/// entries are partitioned across shards: merging per-shard digests
-/// with [`StateDigest::merge`] yields the digest a single-shard set
-/// holding the same entries would carry. Unlike the sorted-snapshot
-/// comparison this replaces, equality costs O(shards), not O(n log n).
+/// digest of a set is independent of insertion order, and the folds
+/// can follow every insert and spend as it happens. Equality costs
+/// O(1), where comparing sorted snapshots costs O(n log n).
 ///
 /// **Threat model.** Two independent 64-bit accumulators plus the
 /// count make an *accidental* collision (honest replicas diverging yet
@@ -172,16 +148,6 @@ impl StateDigest {
         self.count = self.count.wrapping_sub(1);
     }
 
-    /// The digest of the union of two disjoint entry sets — how
-    /// per-shard digests combine into the set-wide one.
-    pub fn merge(&self, other: &StateDigest) -> StateDigest {
-        StateDigest {
-            xor: self.xor ^ other.xor,
-            sum: self.sum.wrapping_add(other.sum),
-            count: self.count.wrapping_add(other.count),
-        }
-    }
-
     /// Number of entries folded in.
     pub fn entries(&self) -> u64 {
         self.count
@@ -214,8 +180,7 @@ impl StateDigest {
 /// previous owners must never hash like `["x"]` with previous owner
 /// `["y"]`), finished with a strong bit mixer so the commutative
 /// [`StateDigest`] folds see well-spread values. Stable across
-/// processes and replicas (no randomized state), like
-/// [`OutputRef::shard_hash`].
+/// processes and replicas (no randomized state).
 pub fn entry_hash(output: &OutputRef, utxo: &Utxo) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -251,31 +216,45 @@ pub fn entry_hash(output: &OutputRef, utxo: &Utxo) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One lock-protected partition: the entries plus their incrementally
-/// maintained digest. All mutation goes through the methods below so
-/// the digest can never drift from the entry set.
+/// The entries plus their incrementally maintained digest. All
+/// mutation goes through the methods below so the digest can never
+/// drift from the entry set.
 #[derive(Default)]
-struct Shard {
-    entries: HashMap<OutputRef, Utxo>,
+struct Entries {
+    map: HashMap<OutputRef, Utxo>,
     digest: StateDigest,
 }
 
-impl Shard {
+impl Entries {
     /// Inserts (or replaces) an entry, keeping the digest in step.
     fn insert(&mut self, output: OutputRef, utxo: Utxo) {
         let hash = entry_hash(&output, &utxo);
-        if let Some(old) = self.entries.insert(output.clone(), utxo) {
+        if let Some(old) = self.map.insert(output.clone(), utxo) {
             self.digest.fold_remove(entry_hash(&output, &old));
         }
         self.digest.fold_add(hash);
     }
 
-    /// Marks an entry as spent — presence and unspentness checked
-    /// under this shard's write lock, digest kept in step, all in one
-    /// map lookup.
+    /// Refuses a spend of `output` when it is missing or already spent.
+    fn check_unspent(&self, output: &OutputRef) -> Result<(), SpendError> {
+        let utxo = self
+            .map
+            .get(output)
+            .ok_or_else(|| SpendError::UnknownOutput(output.clone()))?;
+        match &utxo.spent_by {
+            Some(spent_by) => Err(SpendError::DoubleSpend {
+                output: output.clone(),
+                spent_by: spent_by.clone(),
+            }),
+            None => Ok(()),
+        }
+    }
+
+    /// Marks an entry as spent — presence and unspentness checked, the
+    /// digest kept in step, all in one map lookup.
     fn mark_spent(&mut self, output: &OutputRef, spender_tx: &str) -> Result<Utxo, SpendError> {
         let utxo = self
-            .entries
+            .map
             .get_mut(output)
             .ok_or_else(|| SpendError::UnknownOutput(output.clone()))?;
         if let Some(spent_by) = &utxo.spent_by {
@@ -291,32 +270,10 @@ impl Shard {
     }
 }
 
-/// Concurrent, hash-sharded UTXO set.
+/// The UTXO set: one map and its digest behind one reader–writer lock.
+#[derive(Default)]
 pub struct UtxoSet {
-    shards: Box<[RwLock<Shard>]>,
-}
-
-impl Default for UtxoSet {
-    fn default() -> UtxoSet {
-        UtxoSet::with_shards(DEFAULT_UTXO_SHARDS)
-    }
-}
-
-/// Write guards over the distinct shards one operation touches,
-/// acquired in ascending shard order (the global lock order).
-struct TouchedShards<'a> {
-    indices: Vec<usize>,
-    guards: Vec<RwLockWriteGuard<'a, Shard>>,
-}
-
-impl<'a> TouchedShards<'a> {
-    fn shard_mut(&mut self, shard_index: usize) -> &mut Shard {
-        let slot = self
-            .indices
-            .binary_search(&shard_index)
-            .expect("every touched shard was locked");
-        &mut self.guards[slot]
-    }
+    entries: RwLock<Entries>,
 }
 
 impl UtxoSet {
@@ -324,72 +281,28 @@ impl UtxoSet {
         UtxoSet::default()
     }
 
-    /// A set partitioned into `shards` partitions (clamped to ≥ 1).
-    /// Entry placement is an internal detail: two sets holding the same
-    /// entries behave identically whatever their shard counts.
-    pub fn with_shards(shards: usize) -> UtxoSet {
-        let shards = shards.max(1);
-        UtxoSet {
-            shards: (0..shards).map(|_| RwLock::new(Shard::default())).collect(),
-        }
-    }
-
-    /// Number of partitions.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard an output lives in.
-    pub fn shard_of(&self, output: &OutputRef) -> usize {
-        (output.shard_hash() % self.shards.len() as u64) as usize
-    }
-
-    /// Locks the distinct shards `outputs` touch, in ascending shard
-    /// order — the single global order every multi-shard operation
-    /// follows, so concurrent operations cannot deadlock.
-    fn lock_touched<'a, 'o>(
-        &'a self,
-        outputs: impl Iterator<Item = &'o OutputRef>,
-    ) -> TouchedShards<'a> {
-        let mut indices: Vec<usize> = outputs.map(|o| self.shard_of(o)).collect();
-        indices.sort_unstable();
-        indices.dedup();
-        let guards = indices.iter().map(|&i| self.shards[i].write()).collect();
-        TouchedShards { indices, guards }
-    }
-
     /// Registers a new unspent output.
     pub fn add(&self, output: OutputRef, utxo: Utxo) {
-        self.shards[self.shard_of(&output)]
-            .write()
-            .insert(output, utxo);
+        self.entries.write().insert(output, utxo);
     }
 
     /// Looks up an output (spent or not).
     pub fn get(&self, output: &OutputRef) -> Option<Utxo> {
-        self.shards[self.shard_of(output)]
-            .read()
-            .entries
-            .get(output)
-            .cloned()
+        self.entries.read().map.get(output).cloned()
     }
 
     /// True when the output exists and is unspent.
     pub fn is_unspent(&self, output: &OutputRef) -> bool {
-        self.shards[self.shard_of(output)]
+        self.entries
             .read()
-            .entries
+            .map
             .get(output)
             .is_some_and(|u| u.spent_by.is_none())
     }
 
-    /// Atomically marks an output as spent by `spender_tx`. Single
-    /// output means single shard, so this skips the multi-shard lock
-    /// machinery and takes the one lock directly.
+    /// Atomically marks an output as spent by `spender_tx`.
     pub fn spend(&self, output: &OutputRef, spender_tx: &str) -> Result<Utxo, SpendError> {
-        self.shards[self.shard_of(output)]
-            .write()
-            .mark_spent(output, spender_tx)
+        self.entries.write().mark_spent(output, spender_tx)
     }
 
     /// Atomically spends *all* outputs or none of them — the all-or-
@@ -405,18 +318,17 @@ impl UtxoSet {
     /// The one mutation routine every commit path funnels through: the
     /// whole UTXO-side effect of one transaction — spend every entry in
     /// `spends`, register every entry in `adds` — applied atomically or
-    /// not at all. Every touched shard is write-locked up front (in
-    /// global shard order) and the spends validated before the first
-    /// mutation, so a transaction that fails mid-wave (missing input,
-    /// double spend) leaves every shard untouched. Returns the spent
-    /// entries, `spent_by` filled in.
+    /// not at all. The write lock is held throughout and every spend is
+    /// validated before the first mutation, so a transaction that fails
+    /// (missing input, double spend) leaves the set untouched. Returns
+    /// the spent entries, `spent_by` filled in.
     pub fn apply_tx(
         &self,
         spends: &[OutputRef],
         adds: Vec<(OutputRef, Utxo)>,
         spender_tx: &str,
     ) -> Result<Vec<Utxo>, SpendError> {
-        let mut touched = self.lock_touched(spends.iter().chain(adds.iter().map(|(o, _)| o)));
+        let mut entries = self.entries.write();
 
         // Validate first so a failure leaves no partial effects. A
         // duplicate ref within one batch is a double spend of itself.
@@ -428,57 +340,28 @@ impl UtxoSet {
                     spent_by: spender_tx.to_owned(),
                 });
             }
-            match touched.shard_mut(self.shard_of(output)).entries.get(output) {
-                None => return Err(SpendError::UnknownOutput(output.clone())),
-                Some(u) => {
-                    if let Some(spent_by) = &u.spent_by {
-                        return Err(SpendError::DoubleSpend {
-                            output: output.clone(),
-                            spent_by: spent_by.clone(),
-                        });
-                    }
-                }
-            }
+            entries.check_unspent(output)?;
         }
 
-        let mut spent = Vec::with_capacity(spends.len());
-        for output in spends {
-            let shard = touched.shard_mut(self.shard_of(output));
-            spent.push(
-                shard
-                    .mark_spent(output, spender_tx)
-                    .expect("validated above"),
-            );
-        }
+        let spent = spends
+            .iter()
+            .map(|output| entries.mark_spent(output, spender_tx))
+            .collect::<Result<Vec<Utxo>, SpendError>>()?;
         for (output, utxo) in adds {
-            let shard = self.shard_of(&output);
-            touched.shard_mut(shard).insert(output, utxo);
+            entries.insert(output, utxo);
         }
         Ok(spent)
-    }
-
-    /// Read guards over *all* shards, acquired in ascending shard
-    /// order. Writers ([`UtxoSet::apply_tx`]) take their locks in the
-    /// same order, so whole-set readers cannot deadlock with them —
-    /// and holding every shard at once yields a consistent point-in-
-    /// time view: no reader can observe half of a concurrent
-    /// transaction's atomic effect.
-    fn lock_all_read(&self) -> Vec<parking_lot::RwLockReadGuard<'_, Shard>> {
-        self.shards.iter().map(|shard| shard.read()).collect()
     }
 
     /// All unspent outputs currently owned by `owner` (hex public key).
     pub fn unspent_for_owner(&self, owner: &str) -> Vec<(OutputRef, Utxo)> {
         let mut hits: Vec<(OutputRef, Utxo)> = self
-            .lock_all_read()
+            .entries
+            .read()
+            .map
             .iter()
-            .flat_map(|shard| {
-                shard
-                    .entries
-                    .iter()
-                    .filter(|(_, u)| u.spent_by.is_none() && u.owners.iter().any(|o| o == owner))
-                    .map(|(k, v)| (k.clone(), v.clone()))
-            })
+            .filter(|(_, u)| u.spent_by.is_none() && u.owners.iter().any(|o| o == owner))
+            .map(|(k, v)| (k.clone(), v.clone()))
             .collect();
         hits.sort_by(|(a, _), (b, _)| a.cmp(b));
         hits
@@ -495,48 +378,30 @@ impl UtxoSet {
 
     /// A stable, sorted snapshot of every entry (spent and unspent).
     /// This is the read-only accessor batch tooling compares replica
-    /// states with: two sets with equal snapshots are byte-identical,
-    /// and the sort makes the snapshot independent of the shard count.
-    /// All shards are read-locked at once, so the snapshot is a
-    /// consistent cut even while concurrent [`UtxoSet::apply_tx`]
-    /// workers mutate other transactions' outputs.
+    /// states with: two sets with equal snapshots are byte-identical.
+    /// Taken under the read lock, so it is a consistent cut even while
+    /// other threads apply transactions.
     pub fn snapshot(&self) -> Vec<(OutputRef, Utxo)> {
         let mut entries: Vec<(OutputRef, Utxo)> = self
-            .lock_all_read()
+            .entries
+            .read()
+            .map
             .iter()
-            .flat_map(|shard| shard.entries.iter().map(|(k, v)| (k.clone(), v.clone())))
+            .map(|(k, v)| (k.clone(), v.clone()))
             .collect();
         entries.sort_by(|(a, _), (b, _)| a.cmp(b));
         entries
     }
 
-    /// The set-wide [`StateDigest`]: the per-shard digests merged in
-    /// ascending shard order, under the same all-shards read lock
-    /// [`UtxoSet::snapshot`] takes, so the digest is a consistent cut.
-    /// Independent of the shard count — two sets holding the same
-    /// entries digest identically at 1 and at 64 shards — so replica
-    /// equality compares in O(shards) where snapshot comparison cost
-    /// O(n log n).
+    /// The set's [`StateDigest`], maintained on every mutation and read
+    /// under the lock, so it is a consistent cut: replica equality
+    /// compares in O(1) where snapshot comparison costs O(n log n).
     pub fn state_digest(&self) -> StateDigest {
-        self.lock_all_read()
-            .iter()
-            .fold(StateDigest::EMPTY, |acc, shard| acc.merge(&shard.digest))
-    }
-
-    /// The per-shard digests, in shard order — the self-describing
-    /// block payload gossips these merged; diagnostics can compare
-    /// per-shard to localize a divergence.
-    pub fn shard_digests(&self) -> Vec<StateDigest> {
-        self.lock_all_read()
-            .iter()
-            .map(|shard| shard.digest)
-            .collect()
+        self.entries.read().digest
     }
 
     pub fn is_empty(&self) -> bool {
-        self.lock_all_read()
-            .iter()
-            .all(|shard| shard.entries.is_empty())
+        self.entries.read().map.is_empty()
     }
 }
 
@@ -611,15 +476,15 @@ mod tests {
     }
 
     #[test]
-    fn apply_tx_is_atomic_across_shards() {
-        // Many shards so the spends and adds are guaranteed to span
-        // several partitions; a failing spend must roll nothing in.
-        let set = UtxoSet::with_shards(64);
+    fn apply_tx_is_atomic() {
+        // A failing spend after several good ones must roll nothing in.
+        let set = UtxoSet::new();
         let outs: Vec<OutputRef> = (0..8).map(|i| OutputRef::new("genesis", i)).collect();
         for out in &outs {
             set.add(out.clone(), utxo("alice", 1));
         }
         let before = set.snapshot();
+        let digest = set.state_digest();
 
         let mut spends = outs.clone();
         spends.push(OutputRef::new("missing", 0));
@@ -628,7 +493,8 @@ mod tests {
             set.apply_tx(&spends, adds.clone(), "child"),
             Err(SpendError::UnknownOutput(_))
         ));
-        assert_eq!(set.snapshot(), before, "failed apply touched a shard");
+        assert_eq!(set.snapshot(), before, "failed apply touched the set");
+        assert_eq!(set.state_digest(), digest);
 
         // The same effect without the bad ref goes through whole.
         let spent = set.apply_tx(&outs, adds, "child").unwrap();
@@ -638,47 +504,10 @@ mod tests {
     }
 
     #[test]
-    fn shard_placement_is_deterministic() {
-        let set = UtxoSet::with_shards(16);
-        let other = UtxoSet::with_shards(16);
-        for i in 0..32 {
-            let out = OutputRef::new(format!("tx{i}"), i % 3);
-            assert_eq!(set.shard_of(&out), other.shard_of(&out));
-        }
-        let spread: std::collections::HashSet<usize> = (0..64)
-            .map(|i| set.shard_of(&OutputRef::new(format!("tx{i}"), 0)))
-            .collect();
-        assert!(spread.len() > 8, "hash must spread refs across shards");
-    }
-
-    #[test]
-    fn snapshot_identical_across_shard_counts() {
-        let sets = [
-            UtxoSet::with_shards(1),
-            UtxoSet::with_shards(4),
-            UtxoSet::with_shards(16),
-        ];
-        for set in &sets {
-            for i in 0..24u32 {
-                set.add(
-                    OutputRef::new(format!("tx{}", i / 3), i % 3),
-                    utxo("alice", 1),
-                );
-            }
-            set.spend(&OutputRef::new("tx0", 1), "spender").unwrap();
-        }
-        assert_eq!(sets[0].snapshot(), sets[1].snapshot());
-        assert_eq!(sets[1].snapshot(), sets[2].snapshot());
-        assert_eq!(sets[0].shard_count(), 1);
-        assert_eq!(sets[2].shard_count(), 16);
-    }
-
-    #[test]
-    fn concurrent_multi_shard_applies_do_not_deadlock_or_lose_outputs() {
-        // Workers whose footprints overlap on shards (every worker
-        // spends refs scattered over all shards) must serialize cleanly
-        // through the global shard-lock order.
-        let set = UtxoSet::with_shards(8);
+    fn concurrent_applies_lose_no_outputs() {
+        // `&self` applies from many threads serialize on the lock: every
+        // worker's spends and adds land, none twice.
+        let set = UtxoSet::new();
         let workers = 8usize;
         let per_worker = 16usize;
         for w in 0..workers {
@@ -750,7 +579,7 @@ mod tests {
 
     #[test]
     fn digest_tracks_adds_and_spends_incrementally() {
-        let set = UtxoSet::with_shards(4);
+        let set = UtxoSet::new();
         assert_eq!(set.state_digest(), StateDigest::EMPTY);
         for i in 0..12u32 {
             set.add(
@@ -779,37 +608,29 @@ mod tests {
     }
 
     #[test]
-    fn digest_identical_across_shard_counts() {
-        let sets = [
-            UtxoSet::with_shards(1),
-            UtxoSet::with_shards(4),
-            UtxoSet::with_shards(16),
-        ];
-        for set in &sets {
-            for i in 0..24u32 {
-                set.add(
-                    OutputRef::new(format!("tx{}", i / 3), i % 3),
-                    utxo("alice", 1),
-                );
-            }
+    fn digest_is_independent_of_insertion_order() {
+        let refs: Vec<OutputRef> = (0..24u32)
+            .map(|i| OutputRef::new(format!("tx{}", i / 3), i % 3))
+            .collect();
+        let forward = UtxoSet::new();
+        let backward = UtxoSet::new();
+        for out in &refs {
+            forward.add(out.clone(), utxo("alice", 1));
+        }
+        for out in refs.iter().rev() {
+            backward.add(out.clone(), utxo("alice", 1));
+        }
+        for set in [&forward, &backward] {
             set.spend(&OutputRef::new("tx0", 1), "spender").unwrap();
         }
-        assert_eq!(sets[0].state_digest(), sets[1].state_digest());
-        assert_eq!(sets[1].state_digest(), sets[2].state_digest());
-        // The per-shard breakdown merges back to the set-wide digest.
-        for set in &sets {
-            let merged = set
-                .shard_digests()
-                .iter()
-                .fold(StateDigest::EMPTY, |acc, d| acc.merge(d));
-            assert_eq!(merged, set.state_digest());
-        }
+        assert_eq!(forward.state_digest(), backward.state_digest());
+        assert_eq!(forward.snapshot(), backward.snapshot());
     }
 
     #[test]
     fn digest_distinguishes_spent_from_unspent() {
-        let spent = UtxoSet::with_shards(2);
-        let unspent = UtxoSet::with_shards(2);
+        let spent = UtxoSet::new();
+        let unspent = UtxoSet::new();
         for set in [&spent, &unspent] {
             set.add(OutputRef::new("tx1", 0), utxo("alice", 1));
         }
@@ -838,9 +659,9 @@ mod tests {
 
         // And through the digest comparator: two sets differing only in
         // that split must not compare equal.
-        let set_a = UtxoSet::with_shards(2);
+        let set_a = UtxoSet::new();
         set_a.add(out.clone(), a);
-        let set_b = UtxoSet::with_shards(2);
+        let set_b = UtxoSet::new();
         set_b.add(out, b);
         assert_ne!(set_a.state_digest(), set_b.state_digest());
     }

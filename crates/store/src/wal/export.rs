@@ -75,7 +75,7 @@ mod tests {
         let scratch = Scratch::new("inc-export-src");
         let target = Scratch::new("inc-export-dst");
         let (store, _) = DurableStore::open(scratch.path()).expect("open");
-        let live = UtxoSet::with_shards(4);
+        let live = UtxoSet::new();
         block(&store, &live, "aaaa");
         store.export_to(target.path()).expect("full export");
         let shipped = fs::read(manifest_path(target.path())).unwrap();
@@ -105,14 +105,14 @@ mod tests {
     fn a_diverged_or_longer_target_is_replaced_whole() {
         let scratch = Scratch::new("replace-src");
         let (store, _) = DurableStore::open(scratch.path()).expect("open");
-        let live = UtxoSet::with_shards(4);
+        let live = UtxoSet::new();
         block(&store, &live, "aaaa");
         let source = fs::read(manifest_path(scratch.path())).unwrap();
 
         // Diverged: the same height sealed different documents.
         let diverged = Scratch::new("replace-diverged");
         let (other, _) = DurableStore::open(diverged.path()).expect("open");
-        block(&other, &UtxoSet::with_shards(4), "zzzz");
+        block(&other, &UtxoSet::new(), "zzzz");
         drop(other);
         // Longer: the source's chain plus a block the source never saw.
         let longer = Scratch::new("replace-longer");
@@ -120,7 +120,7 @@ mod tests {
             .export_to(longer.path())
             .expect("seed the longer target");
         let (ahead, _) = DurableStore::open(longer.path()).expect("open");
-        block(&ahead, &UtxoSet::with_shards(4), "bbbb");
+        block(&ahead, &UtxoSet::new(), "bbbb");
         drop(ahead);
 
         for target in [&diverged, &longer] {
@@ -136,7 +136,7 @@ mod tests {
         let target = Scratch::new("group-export-dst");
         let (mut store, _) = DurableStore::open(scratch.path()).expect("open");
         store.set_fsync(FsyncLevel::Group(8));
-        let live = UtxoSet::with_shards(4);
+        let live = UtxoSet::new();
         block(&store, &live, "aaaa");
         assert_eq!(store.pending_seals(), 1);
         // The copy must hold every acknowledged block, buffered or not.

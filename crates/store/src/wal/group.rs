@@ -175,7 +175,7 @@ mod tests {
         let scratch = Scratch::new("group-buffer");
         let (mut store, _) = DurableStore::open(scratch.path()).expect("open");
         store.set_fsync(FsyncLevel::Group(2));
-        let live = UtxoSet::with_shards(4);
+        let live = UtxoSet::new();
 
         block(&store, &live, "aaaa");
         // One seal buffered: on-disk recovery still sees height 0.
@@ -196,7 +196,7 @@ mod tests {
         let scratch = Scratch::new("group-lost");
         let (mut store, _) = DurableStore::open(scratch.path()).expect("open");
         store.set_fsync(FsyncLevel::Group(3));
-        block(&store, &UtxoSet::with_shards(4), "aaaa");
+        block(&store, &UtxoSet::new(), "aaaa");
         assert_eq!(store.pending_seals(), 1);
         // The process dies with the seal still buffered: the block
         // never happened.
@@ -207,7 +207,7 @@ mod tests {
 
         // An explicit flush is the clean shutdown.
         store.set_fsync(FsyncLevel::Group(3));
-        let live = UtxoSet::with_shards(4);
+        let live = UtxoSet::new();
         block(&store, &live, "bbbb");
         store.flush_group().expect("flush");
         assert_eq!(store.pending_seals(), 0);
@@ -222,7 +222,7 @@ mod tests {
         let scratch = Scratch::new("block-level");
         let (mut store, _) = DurableStore::open(scratch.path()).expect("open");
         store.set_fsync(FsyncLevel::Block);
-        let live = UtxoSet::with_shards(4);
+        let live = UtxoSet::new();
         block(&store, &live, "aaaa");
         assert_eq!(store.pending_seals(), 0);
         let rec = DurableStore::recover(scratch.path(), 4).expect("recover");
@@ -235,7 +235,7 @@ mod tests {
         let scratch = Scratch::new("group-failed-flush");
         let (mut store, _) = DurableStore::open(scratch.path()).expect("open");
         store.set_fsync(FsyncLevel::Group(2));
-        let live = UtxoSet::with_shards(4);
+        let live = UtxoSet::new();
         block(&store, &live, "aaaa");
         store.inject_io_failure();
         // The second seal fills the group; the flush it triggers fails.
@@ -256,7 +256,7 @@ mod tests {
         let scratch = Scratch::new("group-short-write");
         let (mut store, _) = DurableStore::open(scratch.path()).expect("open");
         store.set_fsync(FsyncLevel::Group(4));
-        let live = UtxoSet::with_shards(4);
+        let live = UtxoSet::new();
         for tx in ["aaaa", "bbbb", "cccc"] {
             block(&store, &live, tx);
         }
@@ -290,7 +290,7 @@ mod tests {
         let scratch = Scratch::new("group-failed-sync");
         let (mut store, _) = DurableStore::open(scratch.path()).expect("open");
         store.set_fsync(FsyncLevel::Group(4));
-        let live = UtxoSet::with_shards(4);
+        let live = UtxoSet::new();
         for tx in ["aaaa", "bbbb", "cccc"] {
             block(&store, &live, tx);
         }

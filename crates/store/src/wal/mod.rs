@@ -571,7 +571,7 @@ pub(super) mod tests {
         let (store, rec) = DurableStore::open(scratch.path()).expect("open");
         assert_eq!(rec.height, 0);
         assert!(rec.committed.is_empty());
-        let live = UtxoSet::with_shards(4);
+        let live = UtxoSet::new();
 
         block(&store, &live, "aaaa");
         let first = live.state_digest();
@@ -619,7 +619,7 @@ pub(super) mod tests {
     fn unsealed_tail_is_discarded() {
         let scratch = Scratch::new("unsealed-tail");
         let (store, _) = DurableStore::open(scratch.path()).expect("open");
-        let live = UtxoSet::with_shards(4);
+        let live = UtxoSet::new();
         block(&store, &live, "aaaa");
         drop(store);
         // A whole final line that is no seal (here: a record of the
@@ -636,7 +636,7 @@ pub(super) mod tests {
     fn torn_final_lines_are_discarded() {
         let scratch = Scratch::new("torn-tail");
         let (store, _) = DurableStore::open(scratch.path()).expect("open");
-        let live = UtxoSet::with_shards(4);
+        let live = UtxoSet::new();
         block(&store, &live, "aaaa");
         drop(store);
         // Half a record, no newline — torn inside a multi-byte
@@ -667,7 +667,7 @@ pub(super) mod tests {
     fn mid_file_corruption_fails_closed() {
         let scratch = Scratch::new("mid-corrupt");
         let (store, _) = DurableStore::open(scratch.path()).expect("open");
-        let live = UtxoSet::with_shards(4);
+        let live = UtxoSet::new();
         block(&store, &live, "aaaa");
         block(&store, &live, "bbbb");
         drop(store);
@@ -692,7 +692,7 @@ pub(super) mod tests {
         for stale in ["ckpt-3/meta.json", "wal/shard-0.jsonl"] {
             let scratch = Scratch::new("retired-layout");
             let (store, _) = DurableStore::open(scratch.path()).expect("open");
-            block(&store, &UtxoSet::with_shards(4), "aaaa");
+            block(&store, &UtxoSet::new(), "aaaa");
             drop(store);
             let path = scratch.path().join(stale);
             fs::create_dir_all(path.parent().unwrap()).unwrap();
@@ -733,7 +733,7 @@ pub(super) mod tests {
     fn injected_crash_after_whole_blocks_preserves_them() {
         let scratch = Scratch::new("crash-later");
         let (store, _) = DurableStore::open(scratch.path()).expect("open");
-        let live = UtxoSet::with_shards(4);
+        let live = UtxoSet::new();
         // A block costs one write: its seal.
         store.inject_crash_after(1);
         block(&store, &live, "aaaa");
@@ -751,7 +751,7 @@ pub(super) mod tests {
     fn reopen_trims_unsealed_tail_and_appends_cleanly() {
         let scratch = Scratch::new("reopen");
         let (store, _) = DurableStore::open(scratch.path()).expect("open");
-        let live = UtxoSet::with_shards(4);
+        let live = UtxoSet::new();
         block(&store, &live, "aaaa");
         // Block 1's seal is torn by the dying process.
         store.inject_crash_after(0);
@@ -776,7 +776,7 @@ pub(super) mod tests {
         let scratch = Scratch::new("export-src");
         let target = Scratch::new("export-dst");
         let (store, _) = DurableStore::open(scratch.path()).expect("open");
-        let live = UtxoSet::with_shards(4);
+        let live = UtxoSet::new();
         block(&store, &live, "aaaa");
         block(&store, &live, "bbbb");
         let stats = store.export_to(target.path()).expect("export");
@@ -804,7 +804,7 @@ pub(super) mod tests {
     fn injected_write_failure_latches_the_store_fail_closed() {
         let scratch = Scratch::new("io-failure");
         let (store, _) = DurableStore::open(scratch.path()).expect("open");
-        let live = UtxoSet::with_shards(4);
+        let live = UtxoSet::new();
         block(&store, &live, "aaaa");
         // The failing writer surfaces as an error instead of a panic...
         store.inject_io_failure();
@@ -834,7 +834,7 @@ pub(super) mod tests {
         let scratch = Scratch::new("sync-failure");
         let (mut store, _) = DurableStore::open(scratch.path()).expect("open");
         store.set_fsync(FsyncLevel::Block);
-        let live = UtxoSet::with_shards(4);
+        let live = UtxoSet::new();
         block(&store, &live, "aaaa");
         let sealed = live.state_digest();
         // Block 2's line lands, its fsync fails: the seal is refused and
@@ -872,7 +872,7 @@ pub(super) mod tests {
         MANIFEST.get_or_init(|| {
             let scratch = Scratch::new("hostile-source");
             let (store, _) = DurableStore::open(scratch.path()).expect("open");
-            let live = UtxoSet::with_shards(4);
+            let live = UtxoSet::new();
             for tx in ["aaaa", "bbbb", "cccc"] {
                 block(&store, &live, tx);
             }

@@ -1,12 +1,12 @@
-//! Sharded lock-free counters and gauges.
+//! Striped lock-free counters and gauges.
 //!
 //! A [`Counter`] spreads its increments across a fixed set of
 //! cache-line-padded atomic stripes, one picked per thread, so
 //! concurrent writers on different cores never contend on one cache
-//! line — the classic striped-counter design (LongAdder, prometheus'
-//! sharded counters). Reads merge the stripes; they are monotone but
-//! not a linearizable point-in-time cut, which is exactly what a
-//! metrics snapshot needs and no more.
+//! line — the classic striped-counter design (Java's LongAdder).
+//! Reads merge the stripes; they are monotone but not a linearizable
+//! point-in-time cut, which is exactly what a metrics snapshot needs
+//! and no more.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 
@@ -74,7 +74,7 @@ impl std::fmt::Debug for Counter {
 }
 
 /// A last-writer-wins instantaneous value (pool depth, pending block
-/// count). Unsharded: gauges are set at bounded rate from bookkeeping
+/// count). Unstriped: gauges are set at bounded rate from bookkeeping
 /// code, not hot loops.
 #[derive(Default)]
 pub struct Gauge(AtomicI64);

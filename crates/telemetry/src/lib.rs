@@ -6,7 +6,7 @@
 //! — the default — it is a `None` and every operation is a single
 //! branch; enabled (`SCDB_TELEMETRY=1` or
 //! `PipelineOptions::with_telemetry`) it shares one [`Registry`] of
-//! sharded lock-free [`Counter`]s, [`Gauge`]s, and fixed-bucket
+//! striped lock-free [`Counter`]s, [`Gauge`]s, and fixed-bucket
 //! [`Histogram`]s, plus a ring of per-block [`CommitTrace`]s.
 //!
 //! The crate is std-only on purpose: it sits below every other crate

@@ -1,4 +1,4 @@
-//! Concurrency property test: N threads hammering the same sharded
+//! Concurrency property test: N threads hammering the same striped
 //! counters and histograms must merge to exactly the serial sums —
 //! the striped relaxed-ordering fast path loses nothing.
 

@@ -106,7 +106,7 @@ pub mod workload {
     pub use scdb_workload::*;
 }
 
-/// Conflict-aware ingest: footprint-indexed admission and shard-aware
+/// Conflict-aware ingest: footprint-indexed admission and wave-packed
 /// batch forming (`scdb-mempool`).
 pub mod mempool {
     pub use scdb_mempool::*;

@@ -104,9 +104,7 @@ fn crash_at_any_write_recovers_a_sealed_prefix_matching_the_reference() {
     // Sequential in-memory reference: state after every block.
     let mut reference = Node::with_options(
         escrow.clone(),
-        PipelineOptions::with_workers(1)
-            .utxo_shards(1)
-            .durable(false),
+        PipelineOptions::with_workers(1).durable(false),
     );
     let mut ref_states = vec![ref_state(&reference)];
     for block in &blocks {
@@ -121,7 +119,7 @@ fn crash_at_any_write_recovers_a_sealed_prefix_matching_the_reference() {
     // manifest-chunk boundary.
     let scratch = Scratch::new("batch-crash");
     for level in [FsyncLevel::None, FsyncLevel::Block, FsyncLevel::Group(3)] {
-        let opts = move || PipelineOptions::with_workers(4).utxo_shards(8).fsync(level);
+        let opts = move || PipelineOptions::with_workers(4).fsync(level);
         let mut k = 0u64;
         let mut survived = false;
         // Backstop far above any real write count for this stream.
@@ -283,9 +281,7 @@ fn scalar_auction_with_settlements_survives_crash_at_any_write() {
     // Lockstep reference: state after each sealed op.
     let mut reference = Node::with_options(
         escrow.clone(),
-        PipelineOptions::with_workers(1)
-            .utxo_shards(1)
-            .durable(false),
+        PipelineOptions::with_workers(1).durable(false),
     );
     let mut ref_states = vec![ref_state(&reference)];
     for op in &ops {
@@ -295,7 +291,7 @@ fn scalar_auction_with_settlements_survives_crash_at_any_write() {
 
     let scratch = Scratch::new("scalar-crash");
     for level in [FsyncLevel::None, FsyncLevel::Group(2)] {
-        let opts = move || PipelineOptions::with_workers(2).utxo_shards(4).fsync(level);
+        let opts = move || PipelineOptions::with_workers(2).fsync(level);
         let mut k = 0u64;
         let mut survived = false;
         while !survived && k < 10_000 {
@@ -359,7 +355,7 @@ fn scalar_auction_with_settlements_survives_crash_at_any_write() {
 /// ACCEPT_BID: both children sit on the return queue, nothing pumped.
 fn node_with_queued_children(dir: &std::path::Path, level: FsyncLevel) -> Node {
     let escrow = KeyPair::from_seed([0xE5; 32]);
-    let opts = PipelineOptions::with_workers(2).utxo_shards(4).fsync(level);
+    let opts = PipelineOptions::with_workers(2).fsync(level);
     let mut node = Node::with_durable_dir(escrow.clone(), opts, dir).expect("store opens");
     for op in &auction_ops(&escrow.public_hex()) {
         if let Op::Payload(_) = op {
@@ -414,7 +410,7 @@ fn crash_inside_a_multi_child_pump_recovers_to_the_pre_pump_state() {
             drop(node);
 
             let escrow = KeyPair::from_seed([0xE5; 32]);
-            let opts = PipelineOptions::with_workers(2).utxo_shards(4).fsync(level);
+            let opts = PipelineOptions::with_workers(2).fsync(level);
             let mut recovered = Node::with_durable_dir(escrow, opts, &scratch.0)
                 .expect("recovery after a torn pump is clean");
             if survived {
@@ -502,7 +498,7 @@ fn failed_child_stays_out_of_the_seal_and_its_siblings_commit() {
     // a double spend) and lands on the sealed digest.
     let recovered = Node::with_durable_dir(
         KeyPair::from_seed([0xE5; 32]),
-        PipelineOptions::with_workers(2).utxo_shards(4),
+        PipelineOptions::with_workers(2),
         &scratch.0,
     )
     .expect("the failed child is not in the sealed chain");
@@ -558,12 +554,8 @@ fn cluster_restart_and_catch_up_stay_digest_equal() {
         .map(|b| b.iter().map(|t| t.to_payload()).collect())
         .collect();
     let nodes = 3;
-    let mut cluster = SmartchainCluster::with_options(
-        nodes,
-        PipelineOptions::with_workers(4)
-            .utxo_shards(8)
-            .durable(true),
-    );
+    let mut cluster =
+        SmartchainCluster::with_options(nodes, PipelineOptions::with_workers(4).durable(true));
     let mut next_tx: TxId = 1;
     let mut deliver = |cluster: &mut SmartchainCluster, block: &[String]| {
         let decoded = decode_block(cluster, next_tx, block);
@@ -644,7 +636,7 @@ fn node_and_replica_recover_the_same_nested_state() {
     );
     let payloads = plan.contended_payloads();
     let accepts: Vec<String> = plan.auctions.iter().map(|a| a.accept.id.clone()).collect();
-    let opts = || PipelineOptions::with_workers(2).utxo_shards(4);
+    let opts = || PipelineOptions::with_workers(2);
 
     // The node: commit the stream, settle the first accept's children.
     let scratch = Scratch::new("recovery-parity");
@@ -755,7 +747,6 @@ fn catch_up_ships_only_the_missing_seals_and_replaces_a_diverged_or_longer_targe
     let mut cluster = SmartchainCluster::with_options(
         3,
         PipelineOptions::with_workers(4)
-            .utxo_shards(8)
             .durable(true)
             .fsync(FsyncLevel::None),
     );
@@ -889,7 +880,7 @@ fn wal_write_failure_fails_the_commit_closed() {
 
         // Reopen: the last durable seal, children back on the queue,
         // and the stream finishes cleanly.
-        let opts = PipelineOptions::with_workers(2).utxo_shards(4).fsync(level);
+        let opts = PipelineOptions::with_workers(2).fsync(level);
         let mut recovered = Node::with_durable_dir(escrow.clone(), opts, &scratch.0)
             .expect("reopen recovers the last durable seal");
         assert_eq!(recovered.state_digest(), before.digest, "{level:?}");
@@ -915,7 +906,7 @@ fn corrupted_document_is_refused_at_its_own_seal() {
     let escrow = KeyPair::from_seed([0xE5; 32]);
     let blocks = contended_blocks(0xC0DE, 4);
     let scratch = Scratch::new("mid-corrupt");
-    let opts = || PipelineOptions::with_workers(2).utxo_shards(4);
+    let opts = || PipelineOptions::with_workers(2);
     let mut node =
         Node::with_durable_dir(escrow.clone(), opts(), &scratch.0).expect("fresh store opens");
     for block in &blocks {
@@ -956,7 +947,7 @@ fn a_retired_layout_is_refused() {
     let escrow = KeyPair::from_seed([0xE5; 32]);
     for stale in ["ckpt-4/meta.json", "wal/shard-3.jsonl"] {
         let scratch = Scratch::new("retired-layout");
-        let opts = || PipelineOptions::with_workers(2).utxo_shards(4);
+        let opts = || PipelineOptions::with_workers(2);
         let mut node =
             Node::with_durable_dir(escrow.clone(), opts(), &scratch.0).expect("fresh store opens");
         node.submit_batch_parsed(&[filler(1)]);
@@ -988,7 +979,7 @@ fn exported_store_recovers_independently() {
     let blocks = contended_blocks(0xE49, 6);
     let scratch = Scratch::new("export-src");
     let target = Scratch::new("export-dst");
-    let opts = || PipelineOptions::with_workers(2).utxo_shards(4);
+    let opts = || PipelineOptions::with_workers(2);
     let mut node =
         Node::with_durable_dir(escrow.clone(), opts(), &scratch.0).expect("fresh store opens");
     for block in &blocks {

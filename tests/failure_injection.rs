@@ -336,15 +336,14 @@ fn single_node_recovery_log_resettles_lost_children() {
 }
 
 #[test]
-fn rejected_mid_wave_txs_leave_every_shard_untouched() {
+fn rejected_mid_wave_txs_leave_the_utxo_set_untouched() {
     // A batch made entirely of invalid transactions — bad signature,
-    // missing input, double spend — run through the sharded parallel
-    // pipeline. Every shard of the 16-shard UTXO set must come out
-    // byte-identical to how it went in.
+    // missing input, double spend — run through the parallel pipeline.
+    // The UTXO set must come out byte-identical to how it went in.
     let (_, alice, bob) = people();
     let mut node = Node::with_options(
         KeyPair::from_seed([0xE5; 32]),
-        PipelineOptions::with_workers(4).utxo_shards(16),
+        PipelineOptions::with_workers(4),
     );
     let asset_a = TxBuilder::create(obj! { "capabilities" => arr!["x"] })
         .output(alice.public_hex(), 3)
@@ -390,18 +389,18 @@ fn rejected_mid_wave_txs_leave_every_shard_untouched() {
     assert_eq!(
         node.ledger().utxos().snapshot(),
         before,
-        "a rejected transaction mutated a shard"
+        "a rejected transaction mutated the UTXO set"
     );
 }
 
 #[test]
-fn failed_apply_is_atomic_across_shards() {
+fn failed_apply_is_atomic() {
     // Bypass validation and drive apply directly: a transaction whose
-    // spends straddle several shards but include one unknown ref must
-    // leave the whole sharded set untouched — the all-or-nothing
-    // guarantee the parallel wave apply relies on for rejected members.
+    // spends include one unknown ref after two good ones must leave the
+    // whole set untouched — the all-or-nothing guarantee the wave apply
+    // relies on for rejected members.
     let (_, alice, bob) = people();
-    let mut ledger = LedgerState::with_utxo_shards(16);
+    let mut ledger = LedgerState::new();
     let create = TxBuilder::create(obj! {})
         .output(alice.public_hex(), 1)
         .output(alice.public_hex(), 1)

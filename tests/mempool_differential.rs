@@ -204,9 +204,7 @@ fn mempool_path_equals_direct_batch_path_barrier() {
 fn entry_points_agree(durable: bool) {
     let (_, plan) = contended_plan();
     let (stream, rogue_id) = contended_stream_with_conflict(&plan);
-    let options = PipelineOptions::with_workers(4)
-        .utxo_shards(16)
-        .durable(durable);
+    let options = PipelineOptions::with_workers(4).durable(durable);
 
     let (mempool_node, mempool_verdicts) = drive_through_mempool(options.clone(), &stream);
     let (direct_node, direct_verdicts) = drive_through_submit_batch(options.clone(), &stream);
@@ -358,7 +356,7 @@ fn contended_traffic_through_consensus_packs_and_converges() {
         plan.auctions.len() as u64,
         "every auction settled through consensus"
     );
-    // Replica equality by O(shards) digest, not O(n log n) snapshot.
+    // Replica equality by O(1) digest, not O(n log n) snapshot.
     let baseline = app.state_digest(0);
     for node in 1..4 {
         assert_eq!(app.state_digest(node), baseline, "replica {node} diverged");

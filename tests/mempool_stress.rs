@@ -7,7 +7,7 @@
 //! CI's `stress-single-thread` job runs this `SCDB_STRESS_ITERS=50`
 //! times with `--test-threads=1`, hammering the pool's index
 //! maintenance across drain/requeue cycles and the planned-schedule
-//! commit path at workers=8 / shards=16.
+//! commit path at workers=8.
 
 use smartchaindb::core::pipeline::PipelineOptions;
 use smartchaindb::workload::{scdb_plan, ScenarioConfig};
@@ -51,11 +51,8 @@ fn interleaved_ingest_drain_requeue_matches_direct_batch() {
     let payloads = plan.contended_payloads();
 
     // Reference: the whole contended stream through submit_batch on a
-    // sequential 1-shard node, children settled.
-    let mut reference = Node::with_options(
-        escrow.clone(),
-        PipelineOptions::with_workers(1).utxo_shards(1),
-    );
+    // sequential node, children settled.
+    let mut reference = Node::with_options(escrow.clone(), PipelineOptions::with_workers(1));
     let ref_report = reference.submit_batch(&payloads);
     assert!(ref_report.fully_committed(), "{ref_report:?}");
     while reference.pump_returns(usize::MAX) > 0 {}
@@ -69,10 +66,7 @@ fn interleaved_ingest_drain_requeue_matches_direct_batch() {
     assert!(minted > 0, "workload mints value");
 
     for iter in 0..stress_iters() {
-        let mut node = Node::with_options(
-            escrow.clone(),
-            PipelineOptions::with_workers(8).utxo_shards(16),
-        );
+        let mut node = Node::with_options(escrow.clone(), PipelineOptions::with_workers(8));
         let mut rng = Lcg(0x5EED ^ (iter as u64) << 1);
         let mut cursor = 0usize;
         let mut drains = 0usize;
@@ -118,7 +112,7 @@ fn interleaved_ingest_drain_requeue_matches_direct_batch() {
         assert!(drains > 0);
         while node.pump_returns(usize::MAX) > 0 {}
 
-        // Digest first (the O(shards) comparator production paths
+        // Digest first (the O(1) comparator production paths
         // use), then the exhaustive snapshot — their agreement is
         // the stress job's digest-consistency assert.
         assert_eq!(

@@ -252,9 +252,9 @@ fn hopped_rounds(requests: u8, bidders: u8, seed: u8, escrow_pk: &str) -> Vec<St
     phases.into_iter().flatten().collect()
 }
 
-/// Repeat count for the shard-interleaving stress below. CI sets
-/// `SCDB_STRESS_ITERS=50` (with `--test-threads=1`) to hammer the
-/// shard-lock ordering across many thread interleavings; local runs
+/// Repeat count for the many-wave stress below. CI sets
+/// `SCDB_STRESS_ITERS=50` (with `--test-threads=1`) to repeat the
+/// parallel validation across many thread interleavings; local runs
 /// default to a quick 3.
 fn stress_iters() -> usize {
     std::env::var("SCDB_STRESS_ITERS")
@@ -266,16 +266,13 @@ fn stress_iters() -> usize {
 #[test]
 fn many_wave_stress_no_lost_outputs_and_value_conserved() {
     // A many-wave batch (12 auctions × 2 bidders, whole rounds with a
-    // TRANSFER hop before each BID in one submission) applied with 8 wave workers over a 16-shard UTXO set.
-    // Every iteration re-runs the parallel apply from scratch and must
-    // land byte-identically on the sequential unsharded reference: any
-    // shard-lock ordering bug shows up as a lost, duplicated or
-    // misattributed output.
+    // TRANSFER hop before each BID in one submission) committed with 8
+    // wave workers. Every iteration re-runs the pipeline from scratch
+    // and must land byte-identically on the sequential reference: any
+    // wave-ordering bug shows up as a lost, duplicated or misattributed
+    // output.
     let escrow = KeyPair::from_seed([0xE5; 32]);
-    let mut reference = Node::with_options(
-        escrow.clone(),
-        PipelineOptions::with_workers(1).utxo_shards(1),
-    );
+    let mut reference = Node::with_options(escrow.clone(), PipelineOptions::with_workers(1));
     let payloads = hopped_rounds(12, 2, 0x57, &reference.escrow_public_hex());
 
     let ref_report = reference.submit_batch(&payloads);
@@ -298,15 +295,12 @@ fn many_wave_stress_no_lost_outputs_and_value_conserved() {
     assert!(minted > 0, "workload mints value");
 
     for iter in 0..stress_iters() {
-        let mut node = Node::with_options(
-            escrow.clone(),
-            PipelineOptions::with_workers(8).utxo_shards(16),
-        );
+        let mut node = Node::with_options(escrow.clone(), PipelineOptions::with_workers(8));
         let report = node.submit_batch(&payloads);
         assert!(report.fully_committed(), "iter {iter}: {report:?}");
         node.pump_returns(usize::MAX);
 
-        // Digest first — the O(shards) replica comparator — then the
+        // Digest first — the O(1) replica comparator — then the
         // exhaustive snapshot, whose agreement with the digest is the
         // stress job's digest-consistency assert.
         assert_eq!(
@@ -317,7 +311,7 @@ fn many_wave_stress_no_lost_outputs_and_value_conserved() {
         let snapshot = node.ledger().utxos().snapshot();
         // No lost or duplicated outputs: the sorted snapshot is a map
         // dump, so byte-equality covers membership and multiplicity.
-        assert_eq!(snapshot, ref_snapshot, "iter {iter}: shard apply diverged");
+        assert_eq!(snapshot, ref_snapshot, "iter {iter}: wave apply diverged");
         // Total value conservation, independently of the reference:
         // unspent shares still sum to everything ever minted.
         let unspent: u64 = snapshot
@@ -338,19 +332,15 @@ fn many_wave_stress_no_lost_outputs_and_value_conserved() {
 // stresses the one wave-barrier executor.
 #[test]
 fn speculative_cross_wave_stress_value_conserved_and_replicas_agree() {
-    // The dependent-wave analogue of the shard stress: whole
+    // The dependent-wave analogue of the stress above: whole
     // reverse-auction rounds (deep bid→accept→settlement chains, so
-    // many dependent waves) pushed through the pipeline at workers=8
-    // over a 16-shard UTXO set, repeated SCDB_STRESS_ITERS times. Every
-    // iteration must land byte-identically on the sequential unsharded
-    // reference, conserve minted value, and a 4-replica cluster
+    // many dependent waves) pushed through the pipeline at workers=8,
+    // repeated SCDB_STRESS_ITERS times. Every iteration must land
+    // byte-identically on the sequential reference, conserve minted value, and a 4-replica cluster
     // delivering with 8 wave workers must agree with a 1-worker cluster
     // on every replica's digest and commit order.
     let escrow = KeyPair::from_seed([0xE5; 32]);
-    let mut reference = Node::with_options(
-        escrow.clone(),
-        PipelineOptions::with_workers(1).utxo_shards(1),
-    );
+    let mut reference = Node::with_options(escrow.clone(), PipelineOptions::with_workers(1));
     let payloads = hopped_rounds(10, 3, 0x5B, &reference.escrow_public_hex());
 
     let ref_report = reference.submit_batch(&payloads);
@@ -370,10 +360,7 @@ fn speculative_cross_wave_stress_value_conserved_and_replicas_agree() {
     assert!(minted > 0, "workload mints value");
 
     for iter in 0..stress_iters() {
-        let mut node = Node::with_options(
-            escrow.clone(),
-            PipelineOptions::with_workers(8).utxo_shards(16),
-        );
+        let mut node = Node::with_options(escrow.clone(), PipelineOptions::with_workers(8));
         let report = node.submit_batch(&payloads);
         assert!(report.fully_committed(), "iter {iter}: {report:?}");
         node.pump_returns(usize::MAX);
@@ -400,9 +387,7 @@ fn speculative_cross_wave_stress_value_conserved_and_replicas_agree() {
 
     // Replica equality across a consensus cluster: all four parallel
     // replicas must match each other AND a sequential (1-worker)
-    // cluster fed the same submissions. Both use 16 shards: the
-    // proposer's packer interleaves by shard, so the shard count shapes
-    // block order.
+    // cluster fed the same submissions.
     let cluster_config = ScenarioConfig {
         requests: 4,
         bidders_per_request: 2,
@@ -413,7 +398,7 @@ fn speculative_cross_wave_stress_value_conserved_and_replicas_agree() {
     let run_cluster = |workers: usize| {
         let mut h = SmartchainHarness::with_pipeline(
             smartchaindb::consensus::BftConfig::tendermint(4),
-            PipelineOptions::with_workers(workers).utxo_shards(16),
+            PipelineOptions::with_workers(workers),
         );
         let plan = scdb_plan(&cluster_config, &h.escrow_public_hex());
         for phase in plan.phases() {
@@ -434,7 +419,7 @@ fn speculative_cross_wave_stress_value_conserved_and_replicas_agree() {
     let app = parallel.consensus().app();
     let seq_app = sequential.consensus().app();
     assert_eq!(app.nested_completed(), seq_app.nested_completed());
-    // Replica equality by O(shards) state digest — the comparison the
+    // Replica equality by O(1) state digest — the comparison the
     // sorted-snapshot dumps used to do in O(n log n).
     let baseline = seq_app.state_digest(0);
     assert!(baseline.entries() > 0);
@@ -473,10 +458,7 @@ fn multi_block_proposal_stream_matches_sequential_replay_every_round() {
     )
     .contended_payloads();
 
-    let mut node = Node::with_options(
-        escrow.clone(),
-        PipelineOptions::with_workers(8).utxo_shards(16),
-    );
+    let mut node = Node::with_options(escrow.clone(), PipelineOptions::with_workers(8));
     let mut replay = LedgerState::new();
     replay.add_reserved_account(escrow.public_hex());
 
@@ -523,8 +505,8 @@ fn multi_block_proposal_stream_matches_sequential_replay_every_round() {
     assert!(spends_across_blocks > 0, "blocks must chain through UTXOs");
 
     // Children settled, the end state equals the whole stream through
-    // one sequential 1-shard submit_batch.
-    let mut reference = Node::with_options(escrow, PipelineOptions::with_workers(1).utxo_shards(1));
+    // one sequential submit_batch.
+    let mut reference = Node::with_options(escrow, PipelineOptions::with_workers(1));
     let ref_report = reference.submit_batch(&payloads);
     assert!(ref_report.fully_committed(), "{ref_report:?}");
     for n in [&mut node, &mut reference] {

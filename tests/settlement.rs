@@ -305,7 +305,7 @@ fn forged_settlement_metadata_is_never_a_child() {
     let auction = &plan.auctions[0];
     let accepts = vec![auction.accept.id.clone()];
     let scratch = Scratch::new("forged");
-    let opts = || PipelineOptions::with_workers(2).utxo_shards(4);
+    let opts = || PipelineOptions::with_workers(2);
     let mut node = Node::with_durable_dir(escrow(), opts(), &scratch.0).expect("store opens");
     assert!(node
         .submit_batch(&plan.contended_payloads())
@@ -361,9 +361,7 @@ fn forged_settlement_metadata_is_never_a_child() {
 /// `nested.children_recovered`, samples of `nested.derive_ns`).
 fn reopen_counts(dir: &std::path::Path) -> (u64, u64, u64) {
     let telemetry = Telemetry::enabled();
-    let opts = PipelineOptions::with_workers(2)
-        .utxo_shards(4)
-        .with_telemetry(telemetry.clone());
+    let opts = PipelineOptions::with_workers(2).with_telemetry(telemetry.clone());
     let node = Node::with_durable_dir(escrow(), opts, dir).expect("recovers");
     drop(node);
     let snapshot = telemetry.snapshot().expect("telemetry is on");
@@ -387,9 +385,7 @@ fn recovery_derives_only_what_a_crash_left_outstanding() {
     let plan = plan(2, 3, 0x7E1E);
     let scratch = Scratch::new("derive-counts");
     let telemetry = Telemetry::enabled();
-    let opts = PipelineOptions::with_workers(2)
-        .utxo_shards(4)
-        .with_telemetry(telemetry.clone());
+    let opts = PipelineOptions::with_workers(2).with_telemetry(telemetry.clone());
     let mut node = Node::with_durable_dir(escrow(), opts, &scratch.0).expect("store opens");
     assert!(node
         .submit_batch(&plan.contended_payloads())
@@ -411,7 +407,7 @@ fn recovery_derives_only_what_a_crash_left_outstanding() {
     assert_eq!(reopen_counts(&scratch.0), (outstanding, 4, 1), "mid-pump");
 
     // Settle the rest, then reopen: nothing is derived.
-    let opts = PipelineOptions::with_workers(2).utxo_shards(4);
+    let opts = PipelineOptions::with_workers(2);
     let mut node = Node::with_durable_dir(escrow(), opts, &scratch.0).expect("recovers");
     assert_eq!(node.pump_returns(usize::MAX), 2);
     node.flush_durable().expect("flush");

@@ -168,7 +168,7 @@ fn assert_node_equals_fresh_and_sequential(
     max_n: usize,
 ) -> Result<(), TestCaseError> {
     let fresh_options = PipelineOptions::with_workers(2).durable(false);
-    let mut node = Node::with_options(escrow(), fresh_options.clone().utxo_shards(4));
+    let mut node = Node::with_options(escrow(), fresh_options.clone());
     let mut fresh = fresh_ledger();
     let mut sequential = fresh_ledger();
 
