@@ -107,18 +107,23 @@ impl Mempool {
             .map(|(tx, screened)| {
                 let checks = screened.map(|stateless| {
                     if stateless.map_err(screen_error)?.is_some() {
-                        signatures
-                            .next()
-                            .expect("one verdict per signing payload")
-                            .map_err(signature_error)?;
+                        #[allow(
+                            clippy::expect_used,
+                            reason = "`items` holds exactly the members with a signing \
+                                      payload, in this order, and every chunk yields one \
+                                      verdict per item"
+                        )]
+                        let verdict = signatures.next().expect("one verdict per signing payload");
+                        verdict.map_err(signature_error)?;
                     }
                     Ok(())
                 });
-                self.decide(Arc::clone(tx), ledger, |_| {
+                self.decide(Arc::clone(tx), ledger, |tx| {
                     // The pool only grows within a batch and the ledger
                     // stands still, so a member screened out as a
-                    // duplicate fails the live re-check first.
-                    checks.expect("a screened-out duplicate never reaches its checks")
+                    // duplicate fails the live re-check first; were it
+                    // to get here, it is still turned away as one.
+                    checks.unwrap_or_else(|| Err(AdmitError::DuplicatePending(tx.id.clone())))
                 })
             })
             .collect()
@@ -140,7 +145,15 @@ impl Mempool {
         parsed
             .into_iter()
             .map(|parsed| match parsed {
-                Ok(_) => admitted.next().expect("one verdict per parsed payload"),
+                Ok(_) => {
+                    #[allow(
+                        clippy::expect_used,
+                        reason = "`admit_batch` returns one verdict per member of `txs`, \
+                                  and `txs` is the parsed payloads, in this order"
+                    )]
+                    let verdict = admitted.next().expect("one verdict per parsed payload");
+                    verdict
+                }
                 Err(e) => Err(self.count_reject(AdmitError::Parse(e.to_string()))),
             })
             .collect()

@@ -38,6 +38,7 @@
 //! the equivalence argument.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod admission;
 mod index;

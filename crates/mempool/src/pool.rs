@@ -454,6 +454,12 @@ impl Mempool {
 
         let mut batch = FormedBatch::default();
         for &position in &packed.order {
+            #[allow(
+                clippy::expect_used,
+                reason = "`packed.order` names each position of `seqs` at most once, and \
+                          every seq in `seqs` is pending until its own removal here; \
+                          skipping one would misalign the schedule's waves"
+            )]
             let entry = self
                 .remove_pending(seqs[position])
                 .expect("packed position is pending");
@@ -546,15 +552,17 @@ impl Mempool {
         let mut expelled = Vec::new();
         for ((seq, requester), verdict) in unchecked.into_iter().zip(verdicts.into_iter().flatten())
         {
+            // Every `seq` was read from the pool above and nothing has
+            // left it since.
             if verdict.is_ok() {
-                let entry = self.pending.get_mut(&seq).expect("checked seq is pending");
-                entry.accept_sig_checked = true;
-                ledger.record_verified(&entry.tx, VerifiedSigners::Explicit(requester));
-                continue;
+                if let Some(entry) = self.pending.get_mut(&seq) {
+                    entry.accept_sig_checked = true;
+                    ledger.record_verified(&entry.tx, VerifiedSigners::Explicit(requester));
+                }
+            } else if let Some(entry) = self.remove_pending(seq) {
+                self.stats.rejected += 1;
+                expelled.push(ExpelledTx { tx: entry.tx, seq });
             }
-            let entry = self.remove_pending(seq).expect("failed seq is pending");
-            self.stats.rejected += 1;
-            expelled.push(ExpelledTx { tx: entry.tx, seq });
         }
         expelled
     }

@@ -76,15 +76,19 @@ impl Filter {
         }
     }
 
-    /// Extracts `(path, value)` when this filter (or one conjunct of an
-    /// `And`) is a plain equality — the case the collection can serve
-    /// from a secondary index.
-    pub fn index_candidate(&self) -> Option<(&str, &Value)> {
-        match self {
-            Filter::Eq(path, v) => Some((path, v)),
-            Filter::And(fs) => fs.iter().find_map(Filter::index_candidate),
-            _ => None,
+    /// The conjuncts the collection's planner weighs: the members of a
+    /// top-level `And` (nested `And`s flattened), or the filter itself.
+    /// Each `Eq` among them on an indexed path can serve the query.
+    pub(crate) fn conjuncts(&self) -> Vec<&Filter> {
+        fn push<'a>(filter: &'a Filter, out: &mut Vec<&'a Filter>) {
+            match filter {
+                Filter::And(fs) => fs.iter().for_each(|f| push(f, out)),
+                other => out.push(other),
+            }
         }
+        let mut out = Vec::new();
+        push(self, &mut out);
+        out
     }
 
     /// Convenience constructor: equality on a dotted path.
@@ -200,14 +204,12 @@ mod tests {
     }
 
     #[test]
-    fn index_candidate_extraction() {
-        let f = Filter::and([
-            Filter::Gt("n".into(), Value::from(1i64)),
-            Filter::eq("operation", "BID"),
-        ]);
-        let (path, v) = f.index_candidate().expect("finds the equality conjunct");
-        assert_eq!(path, "operation");
-        assert_eq!(v, &Value::from("BID"));
-        assert!(Filter::All.index_candidate().is_none());
+    fn conjuncts_flatten_nested_ands() {
+        let bid = Filter::eq("operation", "BID");
+        let gt = Filter::Gt("n".into(), Value::from(1i64));
+        let f = Filter::and([gt.clone(), Filter::and([bid.clone(), Filter::All])]);
+        assert_eq!(f.conjuncts(), vec![&gt, &bid, &Filter::All]);
+        let or = Filter::Or(vec![bid.clone()]);
+        assert_eq!(or.conjuncts(), vec![&or]);
     }
 }

@@ -2,7 +2,87 @@
 
 use crate::{Collection, Filter, OutputRef, Utxo, UtxoSet};
 use proptest::prelude::*;
-use scdb_json::{obj, Value};
+use scdb_json::{arr, obj, Number, Value};
+use std::sync::Arc;
+
+/// The field values the document-store proptest draws from: strings,
+/// integers, integral and non-integral floats (`1`, `1.0` and an
+/// unsigned `1` are equal; so are `0` and `-0.0`), arrays, and a
+/// missing field (`None`).
+fn pool_value(pick: u8) -> Option<Value> {
+    Some(match pick % 14 {
+        0 => return None,
+        1 => Value::from("a"),
+        2 => Value::from("b"),
+        3 => Value::from("1"),
+        4 => Value::from(1i64),
+        5 => Value::from(1.0),
+        6 => Value::Number(Number::UInt(1)),
+        7 => Value::from(2i64),
+        8 => Value::from(2.5),
+        9 => Value::from(0i64),
+        10 => Value::from(-0.0),
+        11 => arr![1i64, "a"],
+        12 => arr![1.0, "b"],
+        _ => Value::Null,
+    })
+}
+
+/// Indexed paths first; `u` is never indexed. `r.0` reaches into an
+/// array the way `references.0` does.
+const PATHS: [&str; 4] = ["p", "q", "r.0", "u"];
+const INDEXED: [&str; 3] = ["p", "q", "r.0"];
+
+/// A document: `p`, `q`, `r` and `u` from the pool (each maybe
+/// missing), plus its insertion number `seq`.
+fn pool_doc(seq: usize, picks: [u8; 4]) -> Value {
+    // 37 is coprime to 1000, so ids are unique and id order is not
+    // insertion order.
+    let mut doc = obj! { "_id" => format!("d{:03}", seq * 37 % 1000), "seq" => seq };
+    for (field, pick) in ["p", "q", "r", "u"].into_iter().zip(picks) {
+        if let Some(v) = pool_value(pick) {
+            doc.insert(field, v);
+        }
+    }
+    doc
+}
+
+/// One leaf: mostly an `Eq` on any path, sometimes a `Contains` on an
+/// array-holding field.
+fn pool_leaf(path: u8, value: u8) -> Filter {
+    let v = pool_value(value).unwrap_or(Value::from(1i64));
+    match path % 6 {
+        4 => Filter::Contains("r".into(), v),
+        5 => Filter::Contains("p".into(), v),
+        p => Filter::Eq(PATHS[p as usize].into(), v),
+    }
+}
+
+/// A filter: an `Eq`/`Contains` leaf, an `And` of 1–3 leaves (often
+/// two indexed equalities), an `Or` or a `Not`.
+fn pool_filter(shape: u8, picks: [u8; 6]) -> Filter {
+    let leaf = |i: usize| pool_leaf(picks[2 * i], picks[2 * i + 1]);
+    match shape % 6 {
+        0 => leaf(0),
+        1 => Filter::and([leaf(0)]),
+        2 => Filter::and([leaf(0), leaf(1)]),
+        3 => Filter::and([leaf(0), leaf(1), leaf(2)]),
+        4 => Filter::Or(vec![leaf(0), leaf(1)]),
+        _ => Filter::Not(Box::new(leaf(0))),
+    }
+}
+
+fn ids(docs: &[Arc<Value>]) -> Vec<String> {
+    docs.iter()
+        .map(|d| d.get("_id").and_then(Value::as_str).unwrap().to_owned())
+        .collect()
+}
+
+fn seqs(docs: &[Arc<Value>]) -> Vec<u64> {
+    docs.iter()
+        .map(|d| d.get("seq").and_then(Value::as_u64).unwrap())
+        .collect()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -140,6 +220,70 @@ proptest! {
             let via_index = c.find(&f).len();
             let via_scan = c.scan().iter().filter(|d| f.matches(d)).count();
             prop_assert_eq!(via_index, via_scan);
+        }
+    }
+
+    /// The document mirror against brute force: random interleavings of
+    /// insert, update and delete on a collection indexed on three paths
+    /// and on an unindexed twin, then random filters. `find` answers
+    /// what `filter(matches)` over `scan()` answers, as a set; an
+    /// index-served answer is in insertion order, any other in id
+    /// order; `count` is `find`'s length; and the twin holds the same
+    /// documents. A failure points at the planner (a conjunct not
+    /// re-checked, the wrong posting list) or at the key rule (two
+    /// equal values under different keys).
+    #[test]
+    fn indexed_queries_agree_with_brute_force(
+        steps in prop::collection::vec((0u8..4, prop::array::uniform4(0u8..=255), 0u8..=255), 1..60),
+        queries in prop::collection::vec((0u8..6, (prop::array::uniform4(0u8..=255), 0u8..=255, 0u8..=255)), 1..24),
+    ) {
+        let indexed = Collection::new("indexed");
+        for path in INDEXED {
+            indexed.create_index(path);
+        }
+        let plain = Collection::new("plain");
+        let mut seq = 0usize;
+        for (op, picks, extra) in steps {
+            let target = pool_filter(extra, [picks[0], picks[1], picks[2], picks[3], extra, picks[0]]);
+            match op {
+                // Inserts are the commonest step.
+                0 | 1 => {
+                    let doc = pool_doc(seq, picks);
+                    seq += 1;
+                    prop_assert_eq!(indexed.insert(doc.clone()), plain.insert(doc));
+                }
+                2 => {
+                    let path = ["p", "q", "r", "u"][extra as usize % 4];
+                    let value = pool_value(picks[3]).unwrap_or(Value::from("gone"));
+                    prop_assert_eq!(
+                        indexed.update(&target, path, value.clone()),
+                        plain.update(&target, path, value)
+                    );
+                }
+                _ => prop_assert_eq!(indexed.delete(&target), plain.delete(&target)),
+            }
+        }
+        let all = indexed.scan();
+        prop_assert_eq!(&all, &plain.scan());
+        for (shape, (picks, a, b)) in queries {
+            let f = pool_filter(shape, [picks[0], picks[1], picks[2], picks[3], a, b]);
+            let found = indexed.find(&f);
+            let mut got = ids(&found);
+            got.sort();
+            let brute: Vec<Arc<Value>> = all.iter().filter(|d| f.matches(d)).cloned().collect();
+            prop_assert_eq!(&got, &ids(&brute), "{:?}", f);
+            let served = f
+                .conjuncts()
+                .iter()
+                .any(|c| matches!(c, Filter::Eq(path, _) if INDEXED.contains(&path.as_str())));
+            if served {
+                let order = seqs(&found);
+                prop_assert!(order.windows(2).all(|w| w[0] < w[1]), "{:?}: {:?}", f, order);
+            } else {
+                prop_assert_eq!(ids(&found), ids(&brute), "{:?}", f);
+            }
+            prop_assert_eq!(indexed.count(&f), found.len());
+            prop_assert_eq!(plain.find(&f), brute);
         }
     }
 }
