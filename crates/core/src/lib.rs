@@ -65,7 +65,8 @@ pub use model::{
     AssetRef, Input, InputRef, Operation, Output, Transaction, MAX_PAYLOAD_BYTES, VERSION,
 };
 pub use nested::{
-    determine_children, determine_outstanding_children, Child, NestedStatus, NestedTracker,
+    determine_children, determine_outstanding_children, settlement_parent, Child, NestedStatus,
+    NestedTracker,
 };
 pub use pipeline::{
     choose_schedule, commit_batch, commit_batch_planned, commit_batch_with_gossip,

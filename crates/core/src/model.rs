@@ -477,12 +477,6 @@ impl Transaction {
             .iter()
             .try_fold(0u64, |sum, o| sum.checked_add(o.amount))
     }
-
-    /// Approximate payload size in bytes (the "transaction size" axis of
-    /// Experiment 1).
-    pub fn payload_size(&self) -> usize {
-        self.to_payload().len()
-    }
 }
 
 /// `decoded`, if `v` is an object of exactly `fields` fields. Every
@@ -658,15 +652,5 @@ mod tests {
         let mut tx = sample();
         tx.outputs.push(Output::new("cc".repeat(32), 7));
         assert_eq!(tx.output_amount(), Some(12));
-    }
-
-    #[test]
-    fn payload_size_tracks_metadata_growth() {
-        let mut small = sample();
-        small.seal();
-        let mut big = sample();
-        big.metadata = obj! { "blob" => "x".repeat(1024) };
-        big.seal();
-        assert!(big.payload_size() > small.payload_size() + 1000);
     }
 }

@@ -105,6 +105,18 @@ pub fn determine_outstanding_children(
         .collect()
 }
 
+/// The ACCEPT_BID a settlement child names: a RETURN or TRANSFER is
+/// one of its parent's children when its `metadata.parent` names that
+/// parent — the shape [`determine_children`] gives every child.
+pub fn settlement_parent(tx: &Transaction) -> Option<&str> {
+    match tx.operation {
+        Operation::Return | Operation::Transfer => {
+            tx.metadata.get("parent").and_then(Value::as_str)
+        }
+        _ => None,
+    }
+}
+
 /// The bid escrow output an ACCEPT_BID input names, with its UTXO entry.
 fn bid_output<'a>(
     ledger: &impl LedgerView,
@@ -154,10 +166,7 @@ impl<'a> SettlementPlan<'a> {
     fn settled_child(&self, ledger: &impl LedgerView, utxo: &Utxo) -> Option<String> {
         let spender = utxo.spent_by.as_ref()?;
         let child = ledger.get(spender)?;
-        let names_parent =
-            child.metadata.get("parent").and_then(Value::as_str) == Some(self.accept.id.as_str());
-        (matches!(child.operation, Operation::Return | Operation::Transfer) && names_parent)
-            .then(|| spender.clone())
+        (settlement_parent(child) == Some(self.accept.id.as_str())).then(|| spender.clone())
     }
 
     /// Determines and signs the child settling the bid whose escrow

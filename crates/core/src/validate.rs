@@ -21,11 +21,12 @@ use std::sync::Arc;
 /// Full validation pipeline for one transaction against a ledger.
 ///
 /// The stateless part — schema, id digest, signatures — runs once per
-/// ledger: when an earlier stage (mempool admission, the drain-time
-/// ACCEPT_BID check, CheckTx) already ran it and recorded the id in the
-/// ledger's verified set, and the object in hand is the recorded
-/// allocation or still hashes to that id, only the duplicate check and
-/// the stateful per-type rules remain.
+/// ledger: when an earlier stage (mempool admission, CheckTx, or the
+/// block pool a commit runs first — the one place an ACCEPT_BID is
+/// checked against its REQUEST's requester) already ran it and recorded
+/// the id in the ledger's verified set, and the object in hand is the
+/// recorded allocation or still hashes to that id, only the duplicate
+/// check and the stateful per-type rules remain.
 /// Ids are digests of the whole body, fulfillments included, so the
 /// skipped checks would pass again on the same bytes: a hit and a miss
 /// always return the same verdict. On a miss the order is the oracle's:
@@ -156,14 +157,16 @@ fn verify_chunk(
     chunk: &[&Arc<Transaction>],
     ledger: &impl LedgerView,
 ) -> Vec<Option<VerifiedSigners>> {
-    // Stage 1: shape, id digest and signing payload from one walk; the
-    // signer set the entry will vouch for.
+    // Stage 1: the signer set the entry will vouch for — first, so an
+    // ACCEPT_BID whose REQUEST does not resolve yet (it commits in this
+    // very block) costs no walk here — then shape, id digest and
+    // signing payload from one walk.
     let clean: Vec<(usize, String, VerifiedSigners)> = chunk
         .iter()
         .enumerate()
         .filter_map(|(slot, tx)| {
-            let payload = stateless_screen(tx, true).ok().flatten()?;
             let signers = signers_to_vouch_for(tx, ledger)?;
+            let payload = stateless_screen(tx, true).ok().flatten()?;
             Some((slot, payload, signers))
         })
         .collect();
@@ -191,7 +194,7 @@ fn verify_chunk(
 
 /// The account set that must sign an ACCEPT_BID for `request`: the
 /// REQUEST's own signers (Alg. 3 lines 6-7).
-pub fn requester_keys(request: &Transaction) -> Vec<String> {
+pub(crate) fn requester_keys(request: &Transaction) -> Vec<String> {
     request
         .inputs
         .iter()
@@ -280,7 +283,7 @@ pub fn batch_verify_input_signatures(
 /// Verdicts and error strings are the serial check's; the ed25519
 /// checks of the whole batch pool into one
 /// [`scdb_crypto::verify_batch`] call.
-pub fn batch_verify_signed_by(
+pub(crate) fn batch_verify_signed_by(
     items: &[(&Transaction, &[String])],
 ) -> Vec<Result<(), ValidationError>> {
     let payloads: Vec<String> = items.iter().map(|(tx, _)| tx.signing_payload()).collect();

@@ -7,8 +7,8 @@
 //! ids are content digests *including fulfillments*
 //! ([`Transaction::compute_id`]): an id-consistent transaction whose id
 //! was verified is byte-for-byte the verified one. So the stage that
-//! first runs those checks (mempool admission, the drain-time
-//! ACCEPT_BID check, a replica's CheckTx) records the id here, pinned
+//! first runs those checks (mempool admission, a replica's CheckTx, the
+//! block pool a commit runs first) records the id here, pinned
 //! to the `Arc` allocation it checked, and
 //! [`crate::validate::validate_transaction`] skips them on a hit,
 //! keeping every stateful rule. The object in hand is bound to the

@@ -95,11 +95,6 @@ impl<E: Endpoint> Driver<E> {
         &self.endpoint
     }
 
-    /// Mutable endpoint access (e.g. to query the node between calls).
-    pub fn endpoint_mut(&mut self) -> &mut E {
-        &mut self.endpoint
-    }
-
     /// Prepare-and-Sign: instantiate the template for `spec` and fulfill
     /// every input with `signers`.
     pub fn prepare_and_sign(

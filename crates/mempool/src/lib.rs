@@ -17,14 +17,18 @@
 //!   [`Mempool::admit_batch`] admits an arrival batch: the stateless
 //!   screen and the signature checks fan out over the admission
 //!   workers, then every member is decided, in arrival order, by the
-//!   step `admit` itself ends in.
+//!   step `admit` itself ends in. An ACCEPT_BID's signature is not
+//!   checked here: its signer set is the committed REQUEST's
+//!   requester, so the commit that decides the accept checks it.
 //! * **Batch forming** ([`Mempool::drain_batch`]) — a scheduler that
 //!   packs pending transactions into wide, shallow wave schedules by
 //!   greedy conflict-graph coloring over the pending footprints; each
 //!   wave keeps its members in arrival order. The drained
 //!   [`FormedBatch`] carries its precomputed
 //!   [`scdb_core::WaveSchedule`]; the pipeline commits it through
-//!   `commit_batch_planned` without ever re-deriving a footprint.
+//!   `commit_batch_planned` without ever re-deriving a footprint. The
+//!   drain decides nothing: every drained member is in the batch, and
+//!   admission and commit are the only two verdict points.
 //! * **Re-queue** ([`Mempool::requeue`]) — a formed batch whose block
 //!   proposal was abandoned returns to the pool at its original
 //!   arrival positions, so races are decided exactly as if the
@@ -56,7 +60,10 @@ pub use pool::{
 mod tests {
     use super::*;
     use scdb_core::pipeline::{footprints_conflict, Access};
-    use scdb_core::{commit_batch_planned, LedgerState, PipelineOptions, Transaction, TxBuilder};
+    use scdb_core::validate::validate_transaction;
+    use scdb_core::{
+        commit_batch_planned, LedgerState, PipelineOptions, Transaction, TxBuilder, ValidationError,
+    };
     use scdb_crypto::KeyPair;
     use scdb_json::{arr, obj};
     use std::sync::Arc;
@@ -236,10 +243,12 @@ mod tests {
     }
 
     #[test]
-    fn accept_bid_signatures_are_checked_at_drain_time() {
+    fn accept_bid_signatures_are_decided_by_the_commit() {
         // Admission exempts ACCEPT_BID from signature checks (the
-        // required signer set is the requester's — stateful), so the
-        // drain is where a forged accept must die.
+        // required signer set is the requester's — stateful), and the
+        // drain decides nothing: a forged accept drains into its batch
+        // like any admitted member, and the commit rejects it with the
+        // verdict the sequential check gives.
         let (mut ledger, escrow) = market();
         let sally = keys(0x5A);
         let mallory = keys(0x4D);
@@ -265,45 +274,32 @@ mod tests {
                     .sign(&[signer]),
             )
         };
+        let options = PipelineOptions::with_workers(1);
 
         // Forged accept against a committed REQUEST: admitted (the
-        // admission-time exemption), expelled at drain.
+        // admission-time exemption), drained, rejected at commit.
         let mut pool = Mempool::default();
         let forged = accept(&mallory, &request.id);
         pool.admit(Arc::clone(&forged), &ledger).unwrap();
         let batch = pool.drain_batch(usize::MAX, &ledger);
-        assert!(batch.txs.is_empty(), "forged accept never reaches a block");
-        assert_eq!(batch.expelled.len(), 1);
-        assert_eq!(batch.expelled[0].tx.id, forged.id);
-        assert_eq!(pool.stats().rejected, 1, "expulsion is a verdict");
+        assert_eq!(batch.txs.len(), 1, "the forged accept reaches its batch");
+        assert_eq!(batch.txs[0].id, forged.id);
+        assert!(batch.expelled.is_empty());
+        assert_eq!(pool.stats().rejected, 0, "the drain is not a verdict");
         assert!(pool.is_empty());
+        let expected = validate_transaction(&forged, &ledger).unwrap_err();
+        assert!(matches!(expected, ValidationError::InvalidSignature(_)));
+        let outcome = commit_batch_planned(&mut ledger, &batch.txs, &batch.schedule, &options);
+        assert!(outcome.committed.is_empty());
+        assert_eq!(outcome.rejected.len(), 1);
+        assert_eq!(outcome.rejected[0].1.to_string(), expected.to_string());
 
-        // Properly signed accept drains normally.
+        // Properly signed accept drains and commits.
         pool.admit(accept(&sally, &request.id), &ledger).unwrap();
         let batch = pool.drain_batch(usize::MAX, &ledger);
         assert_eq!(batch.txs.len(), 1);
-        assert!(batch.expelled.is_empty());
-
-        // The pool itself resolves a still-pending REQUEST.
-        let request2 = TxBuilder::request(obj! { "capabilities" => arr!["cnc"] })
-            .output(sally.public_hex(), 1)
-            .nonce(2)
-            .sign(&[&sally]);
-        let forged2 = accept(&mallory, &request2.id);
-        pool.admit(Arc::new(request2), &ledger).unwrap();
-        pool.admit(Arc::clone(&forged2), &ledger).unwrap();
-        let batch = pool.drain_batch(usize::MAX, &ledger);
-        assert_eq!(batch.txs.len(), 1, "the pending request still drains");
-        assert_eq!(batch.expelled.len(), 1);
-        assert_eq!(batch.expelled[0].tx.id, forged2.id);
-
-        // An unresolvable REQUEST stays in: semantic validation at
-        // commit remains the backstop.
-        pool.admit(accept(&mallory, &"9".repeat(64)), &ledger)
-            .unwrap();
-        let batch = pool.drain_batch(usize::MAX, &ledger);
-        assert_eq!(batch.txs.len(), 1);
-        assert!(batch.expelled.is_empty());
+        let outcome = commit_batch_planned(&mut ledger, &batch.txs, &batch.schedule, &options);
+        assert!(outcome.fully_committed(), "{:?}", outcome.rejected);
     }
 
     /// Builds one contended auction round (1 request, 3 bids, the

@@ -4,12 +4,8 @@ use crate::index::SpendIndex;
 use crate::pack::pack_batch;
 use scdb_core::conditions::{row, Signers};
 use scdb_core::pipeline::{footprint, Access, ConflictKey, Footprint, WaveSchedule};
-use scdb_core::validate::{
-    batch_verify_signed_by, requester_keys, stateless_screen, verify_input_signatures_over,
-};
-use scdb_core::{
-    map_chunks, LedgerView, Operation, Telemetry, Transaction, ValidationError, VerifiedSigners,
-};
+use scdb_core::validate::{stateless_screen, verify_input_signatures_over};
+use scdb_core::{LedgerView, Telemetry, Transaction, ValidationError, VerifiedSigners};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
@@ -24,18 +20,17 @@ pub struct MempoolConfig {
     pub max_per_sender: usize,
     /// Worker threads for the two stateless stages of batch admission
     /// ([`Mempool::admit_batch`]: the screen and the pooled signature
-    /// batches) and the drain-time ACCEPT_BID signature pool. At `1`
-    /// they run inline on the caller's thread. Results are
-    /// byte-identical at any count — the worker count never shows
+    /// batches). At `1` they run inline on the caller's thread. Results
+    /// are byte-identical at any count — the worker count never shows
     /// through; see `DESIGN-mempool.md`. Defaults to
     /// `SCDB_ADMISSION_WORKERS` when set, else available parallelism.
     pub admission_workers: usize,
     /// Runtime telemetry: admission stage latency, push-back /
-    /// rejection / expulsion counts, pool depth — recorded under
-    /// `mempool.*`. The owning node overrides this with the pipeline's
-    /// handle so every layer shares one registry; standalone pools
-    /// follow `SCDB_TELEMETRY` (default off, in which case every
-    /// record site is a single branch).
+    /// rejection counts, pool depth — recorded under `mempool.*`. The
+    /// owning node overrides this with the pipeline's handle so every
+    /// layer shares one registry; standalone pools follow
+    /// `SCDB_TELEMETRY` (default off, in which case every record site
+    /// is a single branch).
     pub telemetry: Telemetry,
 }
 
@@ -191,10 +186,6 @@ struct PendingTx {
     /// where "computed once at admission" must bend, because a missing
     /// link can under-approximate the footprint.
     unresolved: Vec<String>,
-    /// True once the drain-time ACCEPT_BID check verified this member's
-    /// fulfillment against its resolved requester, so later drains skip
-    /// it. Never set for other operations (admission checked those).
-    accept_sig_checked: bool,
 }
 
 /// A drained, ready-to-commit batch: the transactions in commit order
@@ -214,13 +205,9 @@ pub struct FormedBatch {
     /// [`Mempool::requeue`] uses to reinstate an abandoned proposal at
     /// its original arrival position.
     pub seqs: Vec<u64>,
-    /// ACCEPT_BID members expelled at drain time because their
-    /// fulfillment does not verify against the (pool- or
-    /// ledger-resolved) requester's key set. A validity verdict — ids
-    /// are content digests, so the resolved REQUEST (and with it the
-    /// required signer set) can never change under the same id, and
-    /// re-submission cannot succeed. Not part of `txs`; `requeue` of an
-    /// abandoned proposal never reinstates them.
+    /// Always empty: the drain decides nothing, so every drained member
+    /// is in `txs` for the commit to decide. Kept until `benchmark/`
+    /// stops reading it.
     pub expelled: Vec<ExpelledTx>,
 }
 
@@ -255,12 +242,12 @@ pub struct MempoolStats {
     pub requeued: u64,
 }
 
-/// An ACCEPT_BID the drain-time signature check expelled from the
-/// pool (see [`FormedBatch::expelled`]).
+/// A member the drain took out of the pool without a batch. None is:
+/// see [`FormedBatch::expelled`].
 #[derive(Debug, Clone)]
 pub struct ExpelledTx {
     pub tx: Arc<Transaction>,
-    /// The expelled member's pool seq (diagnostics).
+    /// The member's pool seq (diagnostics).
     pub seq: u64,
 }
 
@@ -362,7 +349,7 @@ impl Mempool {
         // Template shape (Algorithm 1), the id tamper check and the
         // signing payload, from one walk, then the input signatures.
         // ACCEPT_BID's signers are the requester's — stateful
-        // knowledge; the drain-time check verifies it.
+        // knowledge; the commit that decides it checks them.
         self.decide(tx, ledger, |tx| {
             match stateless_screen(tx, signed_by_input_owners(tx)).map_err(screen_error)? {
                 Some(payload) => {
@@ -393,7 +380,7 @@ impl Mempool {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.record_admitted(&tx, ledger);
-        let flagged = self.place(seq, tx, sender, false, ledger);
+        let flagged = self.place(seq, tx, sender, ledger);
         self.stats.admitted += 1;
         self.config.telemetry.incr("mempool.admitted");
         if flagged {
@@ -437,11 +424,11 @@ impl Mempool {
     /// each wave, with the precomputed schedule attached. Members leave
     /// the pool; whatever the commit rejects is gone (exactly as a block
     /// would decide them), and [`Mempool::requeue`] reinstates batches
-    /// whose proposal was abandoned before any decision.
+    /// whose proposal was abandoned before any decision. The drain
+    /// decides nothing itself: it refreshes footprints whose links have
+    /// since committed, packs and removes.
     pub fn drain_batch(&mut self, max_n: usize, ledger: &impl LedgerView) -> FormedBatch {
         self.refresh_unresolved(ledger);
-        let expelled = self.reject_unsigned_accepts(ledger);
-
         let seqs: Vec<u64> = self.pending.keys().copied().collect();
         // Pack over borrowed footprints: no per-drain clone of the
         // whole pool's key sets (the coloring itself is O(pool), which
@@ -469,12 +456,10 @@ impl Mempool {
             batch.seqs.push(entry.seq);
         }
         batch.schedule.waves = packed.waves();
-        batch.expelled = expelled;
         self.stats.drained += batch.txs.len() as u64;
         let telemetry = &self.config.telemetry;
         if telemetry.is_enabled() {
             telemetry.add("mempool.drained", batch.txs.len() as u64);
-            telemetry.add("mempool.expelled", batch.expelled.len() as u64);
             telemetry.gauge_set("mempool.pending", self.pending.len() as i64);
         }
         batch
@@ -484,87 +469,12 @@ impl Mempool {
     /// stateless checks — schema, id digest, input signatures — passed
     /// for `tx`, so commit-time validation does not repeat them — nor
     /// the id recompute, when it validates this same `Arc`.
-    /// Nothing is recorded for ACCEPT_BID, whose signatures only the
-    /// drain-time check verifies.
+    /// Nothing is recorded for ACCEPT_BID, whose signatures the commit
+    /// checks against the requester its REQUEST then resolves to.
     fn record_admitted(&self, tx: &Arc<Transaction>, ledger: &impl LedgerView) {
         if signed_by_input_owners(tx) {
             ledger.record_verified(tx, VerifiedSigners::InputOwners);
         }
-    }
-
-    /// The drain-time half of the ACCEPT_BID signature check. Admission
-    /// exempts ACCEPT_BID from signature verification because its
-    /// required signer set is the *requester's*, not the input owners'
-    /// — stateful knowledge the stateless front door does not have. By
-    /// drain time the referenced REQUEST is usually resolvable (pending
-    /// in this very pool, or already committed), so the check runs here
-    /// and failures are expelled before they waste a block slot.
-    /// Accepts whose REQUEST is still unresolvable stay in the batch:
-    /// semantic validation at commit remains the backstop, exactly as
-    /// before this check existed.
-    ///
-    /// Every not-yet-checked accept joins one pooled signature batch,
-    /// fanned over the admission workers. A member that passes is
-    /// checked once: it is marked so later drains skip it, and recorded
-    /// in the ledger's verified set against the requester it resolved
-    /// to, so commit skips it too.
-    fn reject_unsigned_accepts(&mut self, ledger: &impl LedgerView) -> Vec<ExpelledTx> {
-        let mut unchecked: Vec<(u64, Vec<String>)> = Vec::new();
-        for entry in self.pending.values() {
-            if signed_by_input_owners(&entry.tx) || entry.accept_sig_checked {
-                continue;
-            }
-            // Malformed shapes (no reference, non-REQUEST reference)
-            // are left for semantic validation — this check only
-            // closes the signature gap.
-            let Some(request_id) = entry.tx.references.first() else {
-                continue;
-            };
-            let request = match self.by_id.get(request_id) {
-                Some(seq) => &*self.pending[seq].tx,
-                None => match ledger.get(request_id) {
-                    Some(request) => request,
-                    None => continue,
-                },
-            };
-            if request.operation == Operation::Request {
-                unchecked.push((entry.seq, requester_keys(request)));
-            }
-        }
-        if unchecked.is_empty() {
-            return Vec::new();
-        }
-        let verdicts = {
-            let items: Vec<(&Transaction, &[String])> = unchecked
-                .iter()
-                .map(|(seq, requester)| (&*self.pending[seq].tx, requester.as_slice()))
-                .collect();
-            map_chunks(
-                &items,
-                self.config.admission_workers,
-                batch_verify_signed_by,
-            )
-        };
-        self.config
-            .telemetry
-            .add("mempool.accept_sig_checks", unchecked.len() as u64);
-
-        let mut expelled = Vec::new();
-        for ((seq, requester), verdict) in unchecked.into_iter().zip(verdicts.into_iter().flatten())
-        {
-            // Every `seq` was read from the pool above and nothing has
-            // left it since.
-            if verdict.is_ok() {
-                if let Some(entry) = self.pending.get_mut(&seq) {
-                    entry.accept_sig_checked = true;
-                    ledger.record_verified(&entry.tx, VerifiedSigners::Explicit(requester));
-                }
-            } else if let Some(entry) = self.remove_pending(seq) {
-                self.stats.rejected += 1;
-                expelled.push(ExpelledTx { tx: entry.tx, seq });
-            }
-        }
-        expelled
     }
 
     /// Reinstates a formed batch the proposer abandoned (its block
@@ -586,7 +496,7 @@ impl Mempool {
             // reusing the admission-time footprint would silently drop
             // that refresh signal and under-approximate conflicts).
             let sender = sender_key(&tx);
-            self.place(seq, tx, sender, false, ledger);
+            self.place(seq, tx, sender, ledger);
             restored += 1;
             self.stats.requeued += 1;
         }
@@ -604,7 +514,6 @@ impl Mempool {
         seq: u64,
         tx: Arc<Transaction>,
         sender: String,
-        accept_sig_checked: bool,
         ledger: &impl LedgerView,
     ) -> bool {
         let pending = |id: &str| self.by_id.get(id).map(|seq| &*self.pending[seq].tx);
@@ -626,7 +535,6 @@ impl Mempool {
                 flagged,
                 sender,
                 unresolved,
-                accept_sig_checked,
             },
         );
         self.on_arrival(seq, ledger);
@@ -723,20 +631,14 @@ impl Mempool {
     /// dissolve) a conflict the admission-time flag could not see.
     fn refresh_footprint(&mut self, seq: u64, ledger: &impl LedgerView) {
         if let Some(entry) = self.remove_pending(seq) {
-            self.place(
-                seq,
-                entry.tx,
-                entry.sender,
-                entry.accept_sig_checked,
-                ledger,
-            );
+            self.place(seq, entry.tx, entry.sender, ledger);
         }
     }
 }
 
 /// Whether the stateless front door can check `tx`'s signatures: its
 /// row says the inputs' own owners sign. A requester-signed type
-/// (ACCEPT_BID) needs the REQUEST, so its check waits for drain.
+/// (ACCEPT_BID) needs the committed REQUEST, so the commit checks it.
 pub(crate) fn signed_by_input_owners(tx: &Transaction) -> bool {
     row(tx.operation).signers == Signers::InputOwners
 }

@@ -303,17 +303,16 @@ proptest! {
             .collect();
         let oracle_stats = oracle.stats().clone();
         // Oracle drain schedules, recorded for comparison: (member ids,
-        // seqs, flags, waves, expelled ids) per drain round.
+        // seqs, flags, waves) per drain round.
         let mut oracle_drains = Vec::new();
         while !oracle.is_empty() {
             let batch = oracle.drain_batch(max_n, &ledger);
-            prop_assert!(!batch.is_empty() || !batch.expelled.is_empty());
+            prop_assert!(!batch.is_empty());
             oracle_drains.push((
                 batch.txs.iter().map(|t| t.id.clone()).collect::<Vec<_>>(),
                 batch.seqs,
                 batch.flagged,
                 batch.schedule.waves,
-                batch.expelled.iter().map(|e| e.tx.id.clone()).collect::<Vec<_>>(),
             ));
         }
 
@@ -336,7 +335,6 @@ proptest! {
                     batch.seqs,
                     batch.flagged,
                     batch.schedule.waves,
-                    batch.expelled.iter().map(|e| e.tx.id.clone()).collect::<Vec<_>>(),
                 );
                 prop_assert_eq!(
                     &got, expected,

@@ -459,6 +459,11 @@ impl App for SmartchainCluster {
 
     fn deliver_tx(&mut self, node: NodeId, id: TxId, decoded: &DecodedTx) -> AppResult {
         // Single-transaction delivery is block delivery of a singleton.
+        #[allow(
+            clippy::expect_used,
+            reason = "`deliver_block` returns one verdict per member of the block it is \
+                      given, and this block has exactly one"
+        )]
         self.deliver_block(node, BlockView::bare(&[(id, decoded)]))
             .pop()
             .expect("deliver_block returns one verdict per tx")

@@ -11,6 +11,7 @@
 //!   (calibrated to the paper's SCDB operating point).
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod cluster;
 mod cost;

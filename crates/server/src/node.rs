@@ -64,9 +64,9 @@ pub struct DrainReport {
     /// Post-commit (auxiliary-store) failures, as in
     /// [`BatchSubmitReport`].
     pub post_commit_failures: Vec<(String, ValidationError)>,
-    /// ACCEPT_BID members the mempool expelled at drain time (their
-    /// fulfillment does not verify against the resolved requester's
-    /// keys). Definitive rejections — not in `batch`, never requeued.
+    /// Always empty: the drain decides nothing, so every drained member
+    /// is in `batch` and decided in `outcome` — a forged ACCEPT_BID
+    /// among them. Kept until `benchmark/` stops reading it.
     pub expelled: Vec<scdb_mempool::ExpelledTx>,
 }
 

@@ -17,11 +17,10 @@ use scdb_core::pipeline::{
 };
 use scdb_core::validate::{record_validated_batch, PooledVerification};
 use scdb_core::{
-    determine_outstanding_children, map_chunks, parallel_map, Child, LedgerState, LedgerView,
-    NestedTracker, Operation, Transaction, ValidationError,
+    determine_outstanding_children, map_chunks, parallel_map, settlement_parent, Child,
+    LedgerState, LedgerView, NestedTracker, Transaction, ValidationError,
 };
 use scdb_crypto::KeyPair;
-use scdb_json::Value;
 use scdb_store::{DurableStore, WalError};
 use scdb_telemetry::Stopwatch;
 use std::path::{Path, PathBuf};
@@ -101,6 +100,14 @@ impl Replica {
     /// opening it fresh.
     pub(crate) fn open(options: &PipelineOptions, escrow: &KeyPair, dir: Option<&Path>) -> Replica {
         if let Some(dir) = dir {
+            #[allow(
+                clippy::expect_used,
+                reason = "`dir` is a fresh path under the system temp directory, named by \
+                          `EphemeralDir` for this owner alone, so there is no chain to \
+                          mismatch; an empty store fails to open there only when the temp \
+                          directory cannot be written, which the infallible constructors \
+                          that reach here have no way to report"
+            )]
             return Replica::recover(options, escrow, dir)
                 .expect("a fresh durable store opens")
                 .0;
@@ -218,26 +225,29 @@ impl Replica {
         options: &PipelineOptions,
     ) -> Vec<Result<Settled, ValidationError>> {
         let telemetry = &options.telemetry;
-        let accepts: Vec<&Transaction> = members
-            .iter()
-            .copied()
-            .filter(|tx| row(tx.operation).nested)
+        // Each accept's position among `members`; its derivation goes
+        // back to that slot, so the record below reads one per member.
+        let accepts: Vec<usize> = (0..members.len())
+            .filter(|&m| row(members[m].operation).nested)
             .collect();
-        let derived = if accepts.is_empty() {
-            Vec::new()
-        } else {
+        let mut derived: Vec<Option<Result<Vec<Child>, ValidationError>>> =
+            members.iter().map(|_| None).collect();
+        if !accepts.is_empty() {
             let _span = telemetry.span("nested.derive_ns");
             let ledger = &self.ledger;
-            parallel_map(accepts.len(), options.workers, |a| {
-                determine_outstanding_children(ledger, accepts[a], escrow)
-            })
-        };
-        let mut derived = derived.into_iter();
+            let children = parallel_map(accepts.len(), options.workers, |a| {
+                determine_outstanding_children(ledger, members[accepts[a]], escrow)
+            });
+            for (&m, children) in accepts.iter().zip(children) {
+                derived[m] = Some(children);
+            }
+        }
         members
             .iter()
-            .map(|tx| match tx.operation {
-                op if row(op).nested => {
-                    let children = derived.next().expect("one derivation per accept")?;
+            .zip(derived)
+            .map(|(tx, derived)| match derived {
+                Some(children) => {
+                    let children = children?;
                     // Commit time (the node's post-commit, the
                     // cluster's commit hook) and replay each settle an
                     // accept once; both firing would re-list children
@@ -267,14 +277,10 @@ impl Replica {
                         outstanding,
                     })
                 }
-                Operation::Return | Operation::Transfer
-                    if tx.metadata.get("parent").and_then(Value::as_str).is_some() =>
-                {
-                    Ok(Settled::Child {
-                        completed_parent: self.tracker.child_committed(&tx.id),
-                    })
-                }
-                _ => Ok(Settled::Plain),
+                None if settlement_parent(tx).is_some() => Ok(Settled::Child {
+                    completed_parent: self.tracker.child_committed(&tx.id),
+                }),
+                None => Ok(Settled::Plain),
             })
             .collect()
     }

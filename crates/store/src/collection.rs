@@ -15,8 +15,6 @@ pub enum StoreError {
     DuplicateId(String),
     /// Document is not a JSON object.
     NotAnObject,
-    /// Update/delete target not found.
-    NotFound,
     /// Every one of the collection's 2^32 slots has been used.
     Full,
 }
@@ -26,7 +24,6 @@ impl fmt::Display for StoreError {
         match self {
             StoreError::DuplicateId(id) => write!(f, "duplicate document id {id:?}"),
             StoreError::NotAnObject => write!(f, "documents must be JSON objects"),
-            StoreError::NotFound => write!(f, "no document matches the filter"),
             StoreError::Full => write!(f, "the collection has used all its slots"),
         }
     }
@@ -278,7 +275,14 @@ impl Collection {
     /// Sets `path = value` on every matching document; returns how many
     /// were updated. A document keeps its slot, and so its place in
     /// every query's order.
+    ///
+    /// A document's `_id` is its key and never changes: an update whose
+    /// path starts with the `_id` segment changes nothing and returns 0
+    /// (delete and re-insert to re-key a document).
     pub fn update(&self, filter: &Filter, path: &str, value: Value) -> usize {
+        if path.split('.').next() == Some(ID_FIELD) {
+            return 0;
+        }
         let mut inner = self.inner.write();
         let targets = inner.select_slots(filter);
         for &slot in &targets {
@@ -614,6 +618,20 @@ mod tests {
         assert_eq!(n, 1);
         assert_eq!(c.count(&Filter::eq("status", "closed")), 0);
         assert_eq!(c.count(&Filter::eq("status", "open")), 1);
+    }
+
+    #[test]
+    fn update_never_rewrites_the_id() {
+        let c = coll();
+        c.insert(obj! { "_id" => "a", "v" => 1 }).unwrap();
+        assert_eq!(c.update(&Filter::eq("v", 1), "_id", Value::from("b")), 0);
+        assert_eq!(c.update(&Filter::eq("v", 1), "_id.x", Value::from("b")), 0);
+        let doc = c.get("a").expect("still keyed by its id");
+        assert_eq!(doc.get("_id").and_then(Value::as_str), Some("a"));
+        assert!(c.get("b").is_none());
+        // The id stays taken: no second `_id: a` can be inserted.
+        assert!(c.insert(obj! { "_id" => "a", "v" => 2 }).is_err());
+        assert_eq!(c.len(), 1);
     }
 
     #[test]

@@ -91,8 +91,8 @@ fn find_supplier_key(public_hex: &str) -> Option<KeyPair> {
 /// Drives the stream through the path the benchmark measures: payloads
 /// admitted in windows of 10 by `Node::ingest_payload_batch`, each
 /// window's pool formed and committed until it is empty, children
-/// settled. An admission error, a commit rejection or a drain-time
-/// expulsion is an `Err` verdict; a commit is `Ok`.
+/// settled. An admission error or a commit rejection is an `Err`
+/// verdict; a commit is `Ok`.
 fn drive_through_mempool(
     options: PipelineOptions,
     stream: &[Arc<Transaction>],
@@ -114,9 +114,6 @@ fn drive_through_mempool(
             }
             for (member, error) in &report.outcome.rejected {
                 verdicts.insert(report.batch[*member].id.clone(), Err(error.to_string()));
-            }
-            for expelled in &report.expelled {
-                verdicts.insert(expelled.tx.id.clone(), Err("expelled at drain".to_owned()));
             }
         }
         while node.pump_returns(64) > 0 {}

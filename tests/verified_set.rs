@@ -470,45 +470,113 @@ fn rejected_at_commit_then_resubmitted_is_re_verified() {
     assert_eq!(ledger.verified_stats().recorded, before.recorded + 1);
 }
 
-/// (g) A standing ACCEPT_BID that survives three drains is
-/// signature-checked by the first one only, and commit hits.
+/// (g) A standing ACCEPT_BID is checked once, by the commit that
+/// decides it: the three drains it stands through check nothing (the
+/// set records nothing for it), and the block that carries it pools
+/// its signature against the committed REQUEST's requester, so its
+/// validation hits.
 #[test]
-fn standing_accept_bid_is_signature_checked_once_across_drains() {
+fn standing_accept_bid_is_checked_once_by_the_commit_that_decides_it() {
     let honest = auction(0, 3, None);
-    let mut ledger = fresh_ledger();
-    commit_up_to_accept(&mut ledger, &honest);
-    let telemetry = Telemetry::enabled();
-    let mut pool = Mempool::new(MempoolConfig {
-        telemetry: telemetry.clone(),
-        ..MempoolConfig::default()
-    });
-    let sig_checks =
-        || telemetry.snapshot().expect("telemetry is on").counters["mempool.accept_sig_checks"];
-    // Three earlier arrivals keep the accept standing for three drains.
-    for filler in 0..3u8 {
-        let tx = Arc::new(create(&seed_key(0xF1, filler), filler as u64));
-        pool.admit(tx, &ledger).unwrap();
+    let mut node = Node::with_options(escrow(), PipelineOptions::with_workers(1).durable(false));
+    let txs = honest.txs();
+    let (prefix, accept) = txs.split_at(txs.len() - 1);
+    let payloads: Vec<String> = prefix.iter().map(Transaction::to_payload).collect();
+    for verdict in node.ingest_payload_batch(&payloads) {
+        verdict.expect("auction prefix admits");
     }
-    pool.admit(Arc::new(honest.accept.clone()), &ledger)
-        .unwrap();
-    for _ in 0..3 {
-        let batch = pool.drain_batch(1, &ledger);
-        assert_ne!(batch.txs[0].id, honest.accept.id, "fillers arrived first");
-        assert_eq!(sig_checks(), 1);
+    while !node.mempool().is_empty() {
+        assert!(node.drain_block(usize::MAX).outcome.fully_committed());
     }
-    let batch = pool.drain_batch(1, &ledger);
-    assert_eq!(batch.txs[0].id, honest.accept.id);
-    assert_eq!(sig_checks(), 1, "one check per accept, not per drain");
 
-    let hits = ledger.verified_stats().hits;
-    let outcome = commit_batch_planned(
-        &mut ledger,
-        &batch.txs,
-        &batch.schedule,
-        &PipelineOptions::with_workers(1).durable(false),
+    // Three earlier arrivals keep the accept standing for three drains.
+    let mut arrivals: Vec<String> = (0..3u8)
+        .map(|filler| create(&seed_key(0xF1, filler), filler as u64).to_payload())
+        .collect();
+    arrivals.push(accept[0].to_payload());
+    for verdict in node.ingest_payload_batch(&arrivals) {
+        verdict.expect("fillers and the accept admit");
+    }
+    let before = node.ledger().verified_stats();
+    for _ in 0..3 {
+        let report = node.drain_block(1);
+        assert_ne!(
+            report.batch[0].id, honest.accept.id,
+            "fillers arrived first"
+        );
+        assert!(report.outcome.fully_committed());
+        let stats = node.ledger().verified_stats();
+        assert_eq!(
+            stats.recorded, before.recorded,
+            "no drain checks the accept"
+        );
+        assert_eq!(stats.misses, before.misses);
+    }
+
+    let report = node.drain_block(1);
+    assert_eq!(report.batch[0].id, honest.accept.id);
+    assert_eq!(report.outcome.committed, vec![honest.accept.id.clone()]);
+    let after = node.ledger().verified_stats();
+    assert_eq!(
+        after.recorded,
+        before.recorded + 1,
+        "pooled once, at commit"
     );
-    assert_eq!(outcome.committed.len(), 1);
-    assert_eq!(ledger.verified_stats().hits, hits + 1);
+    assert_eq!(
+        after.hits,
+        before.hits + 4,
+        "three fillers and the accept hit"
+    );
+    assert_eq!(after.misses, before.misses, "nothing took the serial check");
+}
+
+/// A re-sealed ACCEPT_BID signed by a non-requester goes the whole
+/// ingest path: admission takes it (its signer set is the REQUEST's
+/// requester, a commit-time rule), the drain forms it into the block
+/// like any member, and the commit rejects it with exactly the verdict
+/// the sequential oracle gives.
+#[test]
+fn forged_accept_reaches_its_block_and_the_commit_rejects_it() {
+    let mallory = seed_key(0x66, 0);
+    let forged = auction(0, 2, Some(&mallory));
+    assert!(forged.accept.id_is_consistent(), "sealed under its own id");
+    let mut node = Node::with_options(escrow(), PipelineOptions::with_workers(2).durable(false));
+    let txs = forged.txs();
+    let (prefix, accept) = txs.split_at(txs.len() - 1);
+    let payloads: Vec<String> = prefix.iter().map(Transaction::to_payload).collect();
+    for verdict in node.ingest_payload_batch(&payloads) {
+        verdict.expect("auction prefix admits");
+    }
+    while !node.mempool().is_empty() {
+        assert!(node.drain_block(usize::MAX).outcome.fully_committed());
+    }
+    let mut oracle = fresh_ledger();
+    commit_up_to_accept(&mut oracle, &forged);
+    assert_eq!(node.state_digest(), oracle.state_digest());
+    let expected = validate_transaction(&accept[0], &oracle).expect_err("forged accept");
+    assert!(
+        matches!(expected, ValidationError::InvalidSignature(_)),
+        "{expected}"
+    );
+
+    let admitted = node.ingest_payload_batch(&[accept[0].to_payload()]);
+    assert!(admitted[0].is_ok(), "admitted: {admitted:?}");
+    let formed = node.form_proposal(usize::MAX);
+    let ids: Vec<&str> = formed.txs.iter().map(|t| t.id.as_str()).collect();
+    assert_eq!(
+        ids,
+        vec![forged.accept.id.as_str()],
+        "the accept is in the block"
+    );
+    let report = node.commit_proposal(formed);
+    assert!(report.expelled.is_empty());
+    assert!(report.outcome.committed.is_empty());
+    assert_eq!(
+        rejected_strings(&report.outcome.rejected),
+        vec![(0, expected.to_string())]
+    );
+    assert!(node.mempool().is_empty());
+    assert_eq!(node.state_digest(), oracle.state_digest());
 }
 
 /// (h) Each replica owns its set: replica 0's CheckTx lets replica 0's
@@ -544,7 +612,8 @@ fn check_tx_on_one_replica_does_not_hit_on_another() {
 
 /// The acceptance count: on the ingest → form → commit path every
 /// signature is checked once — no misses at commit, one hit per
-/// committed client transaction, one drain-time check per ACCEPT_BID.
+/// committed client transaction, each ACCEPT_BID pooled by the commit
+/// that decides it.
 #[test]
 fn every_signature_is_checked_once_on_the_ingest_path() {
     let escrow = KeyPair::from_seed([0xE5; 32]);
@@ -580,7 +649,6 @@ fn every_signature_is_checked_once_on_the_ingest_path() {
     assert_eq!(counters.get("verified.misses").copied().unwrap_or(0), 0);
     assert_eq!(counters["verified.hits"], client_txs);
     assert_eq!(counters["verified.recorded"], client_txs);
-    assert_eq!(counters["mempool.accept_sig_checks"], 6);
 }
 
 /// Re-recording an id that already moved to the old generation moves
