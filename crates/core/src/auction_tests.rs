@@ -166,6 +166,24 @@ fn full_reverse_auction_settles() {
 /// order as `determine_children`, a committed child read from the
 /// bid output's `spent_by` instead of derived — and never from another
 /// transaction's metadata.
+/// Committing an ACCEPT_BID moves no UTXO, yet the state digest — the
+/// comparator replicas and durable seals use — changes.
+#[test]
+fn digest_commits_to_the_accept() {
+    let mut a = Auction::new();
+    let alice = a.alice.clone();
+    let asset = a.mint_asset(&alice, &["3d-print"], 1);
+    let request = a.post_request(&["3d-print"]);
+    let bid = a.place_bid(&alice, &asset, &request);
+    let accept = a.build_accept(&request, &bid);
+    let (before, utxos_before) = (a.ledger.state_digest(), a.ledger.utxos().state_digest());
+    a.commit(&accept);
+    assert_eq!(a.ledger.utxos().state_digest(), utxos_before);
+    assert_ne!(a.ledger.state_digest(), before);
+    let committed = a.ledger.accept_for_request(&request.id);
+    assert_eq!(committed.map(|t| &t.id), Some(&accept.id));
+}
+
 #[test]
 fn outstanding_children_follow_the_ledger_not_metadata() {
     let mut a = Auction::new();

@@ -22,6 +22,19 @@ pub struct TxBuilder {
 }
 
 impl TxBuilder {
+    /// A transaction of any catalogue type over `asset`, with no inputs,
+    /// outputs, metadata or references yet.
+    pub fn new(operation: Operation, asset: AssetRef) -> TxBuilder {
+        TxBuilder {
+            operation,
+            asset,
+            inputs: Vec::new(),
+            outputs: Vec::new(),
+            metadata: Value::Null,
+            references: Vec::new(),
+        }
+    }
+
     /// CREATE: mint a new asset described by `data`.
     pub fn create(data: Value) -> TxBuilder {
         TxBuilder::new(Operation::Create, AssetRef::Data(data))
@@ -40,35 +53,19 @@ impl TxBuilder {
 
     /// BID: offer the asset minted by `asset_id` against `request_id`.
     pub fn bid(asset_id: impl Into<String>, request_id: impl Into<String>) -> TxBuilder {
-        let mut b = TxBuilder::new(Operation::Bid, AssetRef::Id(asset_id.into()));
-        b.references.push(request_id.into());
-        b
+        TxBuilder::new(Operation::Bid, AssetRef::Id(asset_id.into())).reference(request_id)
     }
 
     /// RETURN: move an unaccepted bid back to its original owner.
     pub fn bid_return(asset_id: impl Into<String>, bid_id: impl Into<String>) -> TxBuilder {
-        let mut b = TxBuilder::new(Operation::Return, AssetRef::Id(asset_id.into()));
-        b.references.push(bid_id.into());
-        b
+        TxBuilder::new(Operation::Return, AssetRef::Id(asset_id.into())).reference(bid_id)
     }
 
     /// ACCEPT_BID: the nested acceptance of `win_bid_id` for
     /// `request_id`.
     pub fn accept_bid(win_bid_id: impl Into<String>, request_id: impl Into<String>) -> TxBuilder {
-        let mut b = TxBuilder::new(Operation::AcceptBid, AssetRef::WinBid(win_bid_id.into()));
-        b.references.push(request_id.into());
-        b
-    }
-
-    fn new(operation: Operation, asset: AssetRef) -> TxBuilder {
-        TxBuilder {
-            operation,
-            asset,
-            inputs: Vec::new(),
-            outputs: Vec::new(),
-            metadata: Value::Null,
-            references: Vec::new(),
-        }
+        TxBuilder::new(Operation::AcceptBid, AssetRef::WinBid(win_bid_id.into()))
+            .reference(request_id)
     }
 
     /// Adds an output granting `amount` shares to `owner` (hex key).

@@ -152,6 +152,17 @@ pub(crate) struct MarketWrite<'t> {
     pub(crate) member: &'t str,
 }
 
+/// The one key a type's asset holds: its document's `asset`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AssetKind {
+    /// `data`: inline asset data.
+    Data,
+    /// `id`: the id of the transaction that minted the asset.
+    Id,
+    /// `win_bid_id`: the winning bid.
+    WinBidId,
+}
+
 /// Where a type finds the REQUEST whose marketplace keys it touches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestLink {
@@ -162,9 +173,11 @@ pub enum RequestLink {
 }
 
 /// A transaction type, declared: the row half of its catalogue
-/// document.
-#[derive(Debug, Clone)]
+/// document, and the asset key of its schema half.
+#[derive(Debug, Clone, PartialEq)]
 pub struct TxType {
+    /// What the asset of the type's transactions holds.
+    pub asset: AssetKind,
     /// `C_α`, in evaluation order: the first condition that fails names
     /// the error.
     pub conditions: Vec<Condition>,
@@ -255,39 +268,33 @@ pub(crate) fn bid_request(tx: &Transaction) -> Option<&str> {
     tx.references.first().filter(|_| joins).map(String::as_str)
 }
 
-/// The rows of the embedded catalogue, in [`Operation::ALL`] order —
-/// which is discriminant order, so `row` indexes by the operation.
+/// The row of a type. The rows are built from the embedded catalogue
+/// once, each with its type's name, in name order; finding one is a
+/// scan of those few names.
 #[allow(
     clippy::expect_used,
-    reason = "the catalogue is embedded at build time: a document that does not build is a build defect, named with its type"
+    reason = "the catalogue is embedded at build time, so a document that does not build is a build defect, named with its type; an Operation is a catalogue key or a constant whose type the build requires"
 )]
-fn table() -> &'static [TxType] {
-    static TABLE: OnceLock<Vec<TxType>> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        build_table(scdb_schema::type_documents()).expect("the embedded type catalogue builds")
-    })
-}
-
-/// The row of a native operation.
 pub fn row(operation: Operation) -> &'static TxType {
-    &table()[operation as usize]
+    static TABLE: OnceLock<Vec<(&'static str, TxType)>> = OnceLock::new();
+    let table = TABLE.get_or_init(|| {
+        build_table(scdb_schema::type_documents()).expect("the embedded type catalogue builds")
+    });
+    let found = table.iter().find(|(name, _)| *name == operation.as_str());
+    &found.expect("every operation has a row").1
 }
 
-/// Builds one row per [`Operation::ALL`] from the catalogue's
-/// documents, which must name exactly those operations.
-fn build_table(documents: &Map) -> Result<Vec<TxType>, String> {
-    if let Some(extra) = documents
-        .keys()
-        .find(|name| Operation::parse(name).is_none())
-    {
-        return Err(format!("{extra}: not a native operation"));
+/// Builds one row per catalogue document. The catalogue must hold the
+/// types [`Operation`] names as constants.
+fn build_table(documents: &Map) -> Result<Vec<(&str, TxType)>, String> {
+    let mut shipped = Operation::SHIPPED.into_iter();
+    if let Some(op) = shipped.find(|op| !documents.contains_key(op.as_str())) {
+        return Err(format!("{op}: not in the catalogue"));
     }
-    Operation::ALL
-        .iter()
-        .map(|op| {
-            let doc = (documents.get(op.as_str()))
-                .ok_or_else(|| format!("{op}: not in the catalogue"))?;
-            TxType::from_document(op.as_str(), doc).map_err(|e| format!("{op}: {e}"))
+    (documents.iter())
+        .map(|(name, doc)| {
+            let row = TxType::from_document(name, doc).map_err(|e| format!("{name}: {e}"))?;
+            Ok((name.as_str(), row))
         })
         .collect()
 }
@@ -344,6 +351,11 @@ impl TxType {
             return Err(format!("unknown key {key:?}"));
         }
         scdb_schema::fill_template(name, doc).map_err(|e| e.to_string())?;
+        let asset = match doc.get("asset").and_then(Value::as_str) {
+            Some("data") => AssetKind::Data,
+            Some("id") => AssetKind::Id,
+            _ => AssetKind::WinBidId, // the only other kind the schema half takes
+        };
         let conditions: Vec<Condition> = (doc.get("conditions").and_then(Value::as_array))
             .ok_or("expected a conditions list")?
             .iter()
@@ -365,6 +377,7 @@ impl TxType {
             None => None,
         };
         Ok(TxType {
+            asset,
             signers: if conditions.contains(&SignedByRequester) {
                 Signers::Requester
             } else {
@@ -682,15 +695,12 @@ impl Condition {
                 let Some(bid) = reads.tx(winner)? else {
                     return Err(ValidationError::InputDoesNotExist(winner.clone()));
                 };
-                ensure(
-                    bid.operation == Operation::Bid && bid.references.first() == Some(&request.id),
-                    || {
-                        format!(
-                            "winning bid {winner} is not a BID for request {}",
-                            request.id
-                        )
-                    },
-                )
+                ensure(bid_request(bid) == Some(request.id.as_str()), || {
+                    format!(
+                        "winning bid {winner} is not a BID for request {}",
+                        request.id
+                    )
+                })
             }
             SignedByRequester => {
                 // A verified-set entry vouches only for the requester it
@@ -1023,19 +1033,37 @@ mod tests {
         );
     }
 
-    /// `row` indexes the table by discriminant, which holds because
-    /// `Operation::ALL` lists the operations in declaration order.
+    /// `row` finds each type's row by its name: every document is a row,
+    /// in name order, and a parsed name and a shipped constant are the
+    /// same type.
     #[test]
     fn rows_are_indexed_by_operation() {
-        for (i, op) in Operation::ALL.into_iter().enumerate() {
-            assert_eq!(op as usize, i);
+        let names: Vec<&str> = Operation::all().map(Operation::as_str).collect();
+        assert!(names.is_sorted());
+        let built = build_table(scdb_schema::type_documents()).unwrap();
+        assert_eq!(built.len(), names.len());
+        for ((name, declared), op) in built.iter().zip(Operation::all()) {
+            assert_eq!((*name, row(op)), (op.as_str(), declared));
+        }
+        for op in Operation::SHIPPED {
             assert_eq!(Operation::parse(op.as_str()), Some(op));
         }
-        assert_eq!(table().len(), Operation::ALL.len());
-        let requester_signed: Vec<Operation> = (Operation::ALL.into_iter())
+        let requester_signed: Vec<Operation> = Operation::all()
             .filter(|&op| row(op).signers == Signers::Requester)
             .collect();
         assert_eq!(requester_signed, [Operation::AcceptBid]);
+    }
+
+    /// A type made of existing primitives is one more document: a GIFT
+    /// shaped as a TRANSFER builds a seventh row, equal to TRANSFER's.
+    #[test]
+    fn a_seventh_document_builds() {
+        let mut documents = scdb_schema::type_documents().clone();
+        documents.insert("GIFT".to_owned(), documents["TRANSFER"].clone());
+        let table = build_table(&documents).unwrap();
+        assert_eq!(table.len(), 7);
+        let of = |type_name| &table.iter().find(|(name, _)| *name == type_name).unwrap().1;
+        assert_eq!(of("GIFT"), of("TRANSFER"));
     }
 
     /// A malformed document is an `Err` naming its type, never a panic.
@@ -1054,10 +1082,11 @@ mod tests {
             };
             documents
         };
-        let mut missing_type = shipped.clone();
-        missing_type.remove("RETURN");
-        let mut extra_type = shipped.clone();
-        extra_type.insert("DONATE".to_owned(), shipped["CREATE"].clone());
+        let missing = |op: Operation| {
+            let mut documents = shipped.clone();
+            documents.remove(op.as_str());
+            (op.as_str(), documents)
+        };
         let cases = [
             (
                 "CREATE",
@@ -1106,11 +1135,11 @@ mod tests {
             ),
             ("BID", edited("BID", "signers", Some("Requester".into()))),
             ("TRANSFER", edited("TRANSFER", "conditions", None)),
-            ("RETURN", missing_type),
-            ("DONATE", extra_type),
         ];
+        // A catalogue must hold every type `Operation` names.
+        let missing_shipped = Operation::SHIPPED.map(missing);
         assert!(build_table(shipped).is_ok());
-        for (op, documents) in cases {
+        for (op, documents) in cases.into_iter().chain(missing_shipped) {
             let err = build_table(&documents).expect_err(op);
             assert!(err.starts_with(op), "{op}: {err}");
         }

@@ -23,7 +23,9 @@ use crate::conditions::{row, WriteKind};
 use crate::model::Transaction;
 use crate::verified::{VerifiedSet, VerifiedSigners, VerifiedStats};
 use crate::view::LedgerView;
-use scdb_store::{DurableStore, OutputRef, SpendError, Utxo, UtxoSet};
+use scdb_store::{
+    typed_entry_hash, DurableStore, OutputRef, SpendError, StateDigest, Utxo, UtxoSet,
+};
 use scdb_telemetry::Telemetry;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
@@ -45,6 +47,10 @@ pub struct LedgerState {
     /// REQUEST id -> the committed ACCEPT_BID id, once one exists.
     accept_by_request: HashMap<String, String>,
     committed_in_order: Vec<String>,
+    /// The digest of the entries the UTXO set does not hold: each
+    /// committed id, each (REQUEST, bid) membership and each (REQUEST,
+    /// accept) pair, folded in as `record_indexes` records them.
+    typed: StateDigest,
     /// The block manifest backing this ledger, when the durable mode
     /// ([`crate::pipeline::PipelineOptions::durable`]) is on. The
     /// ledger itself never writes to it: the commit paths fetch it via
@@ -180,12 +186,14 @@ impl LedgerState {
         &self.utxos
     }
 
-    /// The O(1) [`scdb_store::StateDigest`] of the UTXO set — the
-    /// replica-equality comparator (two ledgers that applied the same
-    /// blocks hold equal digests) and the digest a proposer gossips with
-    /// the block it formed on this state.
-    pub fn state_digest(&self) -> scdb_store::StateDigest {
-        self.utxos.state_digest()
+    /// The O(1) [`StateDigest`] of the whole replicated ledger: the UTXO
+    /// set's entries, the committed ids, and each REQUEST's bids and
+    /// accept. It is the replica-equality comparator (two ledgers that
+    /// applied the same blocks hold equal digests), the digest a
+    /// proposer gossips with the block it formed on this state, and the
+    /// one a durable seal records.
+    pub fn state_digest(&self) -> StateDigest {
+        self.utxos.state_digest().combine(self.typed)
     }
 
     /// Applies a validated transaction to the state: records it, spends
@@ -247,7 +255,9 @@ impl LedgerState {
 
     /// Everything a commit mutates besides the UTXO set: the marketplace
     /// writes the type's row declares (`TxType::market_writes`), the
-    /// committed map and the commit order.
+    /// committed map and the commit order. Each new entry of the
+    /// committed map, a bid set or an accept slot is folded into the
+    /// state digest.
     fn record_indexes(&mut self, tx: &Arc<Transaction>) {
         let row = row(tx.operation);
         for write in row.market_writes(tx, |id| self.txs.get(id).map(Arc::as_ref)) {
@@ -268,19 +278,29 @@ impl LedgerState {
                         self.unspent_escrow
                             .insert(tx.id.clone(), tx.outputs.len() as u32);
                     }
-                    self.bids_by_request
-                        .entry(write.request.to_owned())
-                        .or_default()
-                        .insert(tx.id.clone());
+                    join_bids(
+                        &mut self.bids_by_request,
+                        &mut self.typed,
+                        write.request,
+                        &tx.id,
+                    );
                 }
                 WriteKind::Set => {
-                    self.accept_by_request
-                        .insert(write.request.to_owned(), tx.id.clone());
+                    let accept =
+                        |id: &str| typed_entry_hash(ACCEPT_OF_REQUEST, &[write.request, id]);
+                    let replaced =
+                        (self.accept_by_request).insert(write.request.to_owned(), tx.id.clone());
+                    if let Some(replaced) = replaced {
+                        self.typed.fold_remove(accept(&replaced));
+                    }
+                    self.typed.fold_add(accept(&tx.id));
                 }
             }
         }
 
-        self.txs.insert(tx.id.clone(), Arc::clone(tx));
+        if self.txs.insert(tx.id.clone(), Arc::clone(tx)).is_none() {
+            self.typed.fold_add(typed_entry_hash(COMMITTED, &[&tx.id]));
+        }
         self.committed_in_order.push(tx.id.clone());
         // Committed: any later sight of this id is a duplicate before
         // its signatures matter.
@@ -309,6 +329,26 @@ impl LedgerState {
         );
         self.committed_in_order.truncate(from);
         self.committed_in_order.extend_from_slice(order);
+    }
+}
+
+/// The kinds of entry [`LedgerState::state_digest`] folds in beside the
+/// UTXO entries, each hashed by [`typed_entry_hash`] after its kind.
+const COMMITTED: u8 = 1;
+const BID_OF_REQUEST: u8 = 2;
+const ACCEPT_OF_REQUEST: u8 = 3;
+
+/// Adds `bid` to `request`'s bid set in `bids_by_request`, folding the
+/// membership into `typed` if it is new.
+fn join_bids(
+    bids_by_request: &mut HashMap<String, BTreeSet<String>>,
+    typed: &mut StateDigest,
+    request: &str,
+    bid: &str,
+) {
+    let bids = bids_by_request.entry(request.to_owned()).or_default();
+    if bids.insert(bid.to_owned()) {
+        typed.fold_add(typed_entry_hash(BID_OF_REQUEST, &[request, bid]));
     }
 }
 
@@ -642,6 +682,43 @@ mod tests {
         // So is a chain whose seals do not cover its documents exactly.
         assert!(LedgerState::restore(&txs, &seals[..2], []).is_err());
         assert!(LedgerState::restore(&txs[..2], &seals, []).is_err());
+    }
+
+    /// Two ledgers that hold the same transactions and differ only in
+    /// which REQUEST's bid set holds one bid digest differently; joining
+    /// a bid set twice is joining it once.
+    #[test]
+    fn digest_commits_to_each_bid_set() {
+        let tx = create_tx(&"aa".repeat(32), &[], 1);
+        let (mut a, mut b) = (LedgerState::new(), LedgerState::new());
+        a.apply(&tx).unwrap();
+        b.apply(&tx).unwrap();
+        let bid = "ee".repeat(32);
+        join_bids(&mut a.bids_by_request, &mut a.typed, &"11".repeat(32), &bid);
+        join_bids(&mut b.bids_by_request, &mut b.typed, &"22".repeat(32), &bid);
+        assert_eq!(a.utxos().state_digest(), b.utxos().state_digest());
+        assert_ne!(a.state_digest(), b.state_digest());
+        let joined = a.state_digest();
+        join_bids(&mut a.bids_by_request, &mut a.typed, &"11".repeat(32), &bid);
+        assert_eq!(a.state_digest(), joined);
+    }
+
+    /// The digest a seal records commits to more than the UTXO set, so
+    /// a store whose seals hold the UTXO digest alone is refused at the
+    /// first height that holds a transaction.
+    #[test]
+    fn digest_commits_to_more_than_the_utxos_so_utxo_only_seals_are_refused() {
+        let txs: Vec<Arc<Transaction>> = (1..=2)
+            .map(|n| Arc::new(create_tx(&"aa".repeat(32), &[], n)))
+            .collect();
+        let mut live = LedgerState::new();
+        let mut utxo_only = vec![(0, live.utxos().state_digest())];
+        for tx in &txs {
+            live.apply_shared(tx).unwrap();
+            utxo_only.push((1, live.utxos().state_digest()));
+        }
+        let refused = LedgerState::restore(&txs, &utxo_only, []).err().unwrap();
+        assert!(refused.contains("at height 1"), "{refused}");
     }
 
     #[test]

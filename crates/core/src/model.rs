@@ -18,44 +18,34 @@ use std::fmt;
 /// bids); the limit is 26 times that.
 pub const MAX_PAYLOAD_BYTES: usize = 256 * 1024;
 
-/// The native transaction operations of SmartchainDB (§3.2).
+/// A transaction type: a handle into the type catalogue (`types.yaml`,
+/// [`scdb_schema::type_documents`]) that holds its document's key. Every
+/// document is a type, so a type added to the catalogue needs no Rust;
+/// [`crate::conditions::row`] finds the row built from its document.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Operation {
-    /// Mint a new asset with some number of shares.
-    Create,
-    /// Move shares between accounts (the blockchain-native primitive).
-    Transfer,
-    /// Post a request-for-quotes with required capabilities.
-    Request,
-    /// Offer an asset against a REQUEST; shares move into escrow.
-    Bid,
-    /// Move an unaccepted bid from escrow back to its original bidder.
-    Return,
-    /// The nested transaction accepting a winning bid (Definition 4).
-    AcceptBid,
-}
+pub struct Operation(&'static str);
 
+#[allow(
+    non_upper_case_globals,
+    reason = "the shipped types keep the names they had as enum variants, so the callers that name or match on one read as before"
+)]
 impl Operation {
-    /// Wire name of the operation.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Operation::Create => "CREATE",
-            Operation::Transfer => "TRANSFER",
-            Operation::Request => "REQUEST",
-            Operation::Bid => "BID",
-            Operation::Return => "RETURN",
-            Operation::AcceptBid => "ACCEPT_BID",
-        }
-    }
+    /// Mint a new asset with some number of shares.
+    pub const Create: Operation = Operation("CREATE");
+    /// Move shares between accounts (the blockchain-native primitive).
+    pub const Transfer: Operation = Operation("TRANSFER");
+    /// Post a request-for-quotes with required capabilities.
+    pub const Request: Operation = Operation("REQUEST");
+    /// Offer an asset against a REQUEST; shares move into escrow.
+    pub const Bid: Operation = Operation("BID");
+    /// Move an unaccepted bid from escrow back to its original bidder.
+    pub const Return: Operation = Operation("RETURN");
+    /// The nested transaction accepting a winning bid (Definition 4).
+    pub const AcceptBid: Operation = Operation("ACCEPT_BID");
 
-    /// Parses a wire name.
-    pub fn parse(s: &str) -> Option<Operation> {
-        Operation::ALL.into_iter().find(|op| op.as_str() == s)
-    }
-
-    /// All native operations, in declaration order: the row table is
-    /// indexed by discriminant.
-    pub const ALL: [Operation; 6] = [
+    /// The types named above: the table build refuses a catalogue that
+    /// lacks one.
+    pub(crate) const SHIPPED: [Operation; 6] = [
         Operation::Create,
         Operation::Transfer,
         Operation::Request,
@@ -63,6 +53,24 @@ impl Operation {
         Operation::Return,
         Operation::AcceptBid,
     ];
+
+    /// Wire name of the operation: its catalogue key.
+    pub fn as_str(self) -> &'static str {
+        self.0
+    }
+
+    /// Looks a wire name up in the catalogue.
+    pub fn parse(s: &str) -> Option<Operation> {
+        let (name, _) = scdb_schema::type_documents().get_key_value(s)?;
+        Some(Operation(name))
+    }
+
+    /// Every type in the catalogue, in name order.
+    pub fn all() -> impl ExactSizeIterator<Item = Operation> {
+        scdb_schema::type_documents()
+            .keys()
+            .map(|name| Operation(name))
+    }
 }
 
 impl fmt::Display for Operation {
@@ -528,7 +536,7 @@ mod tests {
 
     #[test]
     fn operations_round_trip() {
-        for op in Operation::ALL {
+        for op in Operation::all() {
             assert_eq!(Operation::parse(op.as_str()), Some(op));
         }
         assert_eq!(Operation::parse("MINT"), None);

@@ -22,7 +22,7 @@ use crate::scalar::Scalar;
 use crate::sha512::sha512;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 pub const SECRET_KEY_LEN: usize = 32;
 pub const PUBLIC_KEY_LEN: usize = 32;
@@ -285,8 +285,7 @@ impl PreparedKeyCache {
             return resident;
         }
         if self.entries.len() >= self.cap {
-            if let Some((&oldest, _)) = self.by_age.iter().next() {
-                let evicted = self.by_age.remove(&oldest).expect("indexed key");
+            if let Some((_, evicted)) = self.by_age.pop_first() {
                 self.entries.remove(&evicted);
                 self.evicted += 1;
             }
@@ -298,11 +297,16 @@ impl PreparedKeyCache {
     }
 }
 
-/// Process-wide prepared-key cache; see [`PreparedKeyCache`] for the
-/// bounding and retention policy.
-fn pubkey_cache() -> &'static Mutex<PreparedKeyCache> {
+/// Process-wide prepared-key cache, locked; see [`PreparedKeyCache`]
+/// for the bounding and retention policy.
+#[allow(
+    clippy::expect_used,
+    reason = "no PreparedKeyCache method panics while it holds the lock, so the lock is never poisoned"
+)]
+fn pubkey_cache() -> MutexGuard<'static, PreparedKeyCache> {
     static CACHE: std::sync::OnceLock<Mutex<PreparedKeyCache>> = std::sync::OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(PreparedKeyCache::with_capacity(PUBKEY_CACHE_CAP)))
+    let cache = CACHE.get_or_init(|| Mutex::new(PreparedKeyCache::with_capacity(PUBKEY_CACHE_CAP)));
+    cache.lock().expect("pubkey cache")
 }
 
 const PUBKEY_CACHE_CAP: usize = 8_192;
@@ -313,7 +317,7 @@ const PUBKEY_CACHE_CAP: usize = 8_192;
 /// cover every node and replica in it. A miss costs a decompression
 /// plus the split tables: 196 doublings and 28 additions.
 pub fn key_cache_stats() -> [(&'static str, u64); 4] {
-    pubkey_cache().lock().expect("pubkey cache").stats()
+    pubkey_cache().stats()
 }
 
 /// Decompresses `public` through the process-wide cache. A miss decodes
@@ -321,15 +325,12 @@ pub fn key_cache_stats() -> [(&'static str, u64); 4] {
 /// a single check, and admission workers must not queue behind each
 /// other's cold keys — then keeps whichever decoding landed first.
 pub fn prepare_public_key(public: &PublicKey) -> Option<Arc<PreparedPublicKey>> {
-    let hit = pubkey_cache().lock().expect("pubkey cache").get(public);
+    let hit = pubkey_cache().get(public);
     if let Some(hit) = hit {
         return hit;
     }
     let prepared = PreparedPublicKey::decode(public).map(Arc::new);
-    pubkey_cache()
-        .lock()
-        .expect("pubkey cache")
-        .get_or_insert(*public, prepared)
+    pubkey_cache().get_or_insert(*public, prepared)
 }
 
 /// k = SHA-512(R || A || M) mod L — the Fiat–Shamir challenge scalar.

@@ -53,6 +53,10 @@ impl EdwardsPoint {
     }
 
     /// The standard base point B.
+    #[allow(
+        clippy::expect_used,
+        reason = "BASE_POINT_BYTES is RFC 8032's encoding of B, a point on the curve; the RFC 8032 vectors pin it"
+    )]
     pub fn base() -> EdwardsPoint {
         static BASE: OnceLock<EdwardsPoint> = OnceLock::new();
         *BASE.get_or_init(|| {
@@ -425,8 +429,8 @@ fn wnaf_digits(bytes: &[u8; 32], w: usize) -> ([i8; 256], Option<usize>) {
     debug_assert!((2..=8).contains(&w), "digits must fit an i8");
     let width = 1u64 << w;
     let mut limbs = [0u64; 5]; // one spare limb so window reads never index out
-    for (i, chunk) in bytes.chunks_exact(8).enumerate() {
-        limbs[i] = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+    for (limb, chunk) in limbs.iter_mut().zip(bytes.as_chunks::<8>().0) {
+        *limb = u64::from_le_bytes(*chunk);
     }
     // One past the highest set bit: above it only a carry is left.
     let bit_len = limbs
@@ -466,6 +470,10 @@ fn wnaf_digits(bytes: &[u8; 32], w: usize) -> ([i8; 256], Option<usize>) {
 /// The static base-point window tables: table j holds the consecutive
 /// multiples [1..8]·(16^j·B) in cached form, so `s·B` is 64 cached
 /// additions with no doublings.
+#[allow(
+    clippy::expect_used,
+    reason = "the loop pushes exactly one table per window, 64 of them"
+)]
 fn base_window_tables() -> &'static [PointTable; 64] {
     static TABLES: OnceLock<Box<[PointTable; 64]>> = OnceLock::new();
     TABLES.get_or_init(|| {

@@ -22,6 +22,7 @@
 //! detection).
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod ed25519;
 mod edwards;

@@ -39,8 +39,8 @@ impl Scalar {
     /// Reduces a 512-bit little-endian value mod L.
     pub fn from_bytes_wide(bytes: &[u8; 64]) -> Scalar {
         let mut n = [0u64; 8];
-        for (i, chunk) in bytes.chunks_exact(8).enumerate() {
-            n[i] = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+        for (limb, chunk) in n.iter_mut().zip(bytes.as_chunks::<8>().0) {
+            *limb = u64::from_le_bytes(*chunk);
         }
         Scalar(reduce_wide(n))
     }
@@ -60,11 +60,7 @@ impl Scalar {
     /// True when `bytes` already encode a canonical scalar (< L). Ed25519
     /// verification must reject non-canonical S to prevent malleability.
     pub fn is_canonical(bytes: &[u8; 32]) -> bool {
-        let mut v = [0u64; 4];
-        for (i, chunk) in bytes.chunks_exact(8).enumerate() {
-            v[i] = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-        }
-        cmp_256(&v, &L) == std::cmp::Ordering::Less
+        cmp_256(&to_limbs(bytes), &L) == std::cmp::Ordering::Less
     }
 
     /// (a · b + c) mod L — the signing equation S = r + k·s.
@@ -146,8 +142,8 @@ impl Scalar {
 
 fn to_limbs(bytes: &[u8; 32]) -> [u64; 4] {
     let mut v = [0u64; 4];
-    for (i, chunk) in bytes.chunks_exact(8).enumerate() {
-        v[i] = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+    for (limb, chunk) in v.iter_mut().zip(bytes.as_chunks::<8>().0) {
+        *limb = u64::from_le_bytes(*chunk);
     }
     v
 }

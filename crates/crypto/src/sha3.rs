@@ -121,8 +121,8 @@ pub fn keccak_256(data: &[u8]) -> [u8; 32] {
 
 fn absorb(state: &mut [u64; 25], block: &[u8]) {
     debug_assert_eq!(block.len(), RATE);
-    for (lane, chunk) in state.iter_mut().zip(block.chunks_exact(8)) {
-        *lane ^= u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+    for (lane, chunk) in state.iter_mut().zip(block.as_chunks::<8>().0) {
+        *lane ^= u64::from_le_bytes(*chunk);
     }
 }
 

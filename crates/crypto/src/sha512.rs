@@ -105,11 +105,10 @@ pub fn sha512(data: &[u8]) -> [u8; 64] {
     // Message with padding: 0x80, zeros, 128-bit big-endian bit length.
     let bit_len = (data.len() as u128) * 8;
     let mut block = [0u8; 128];
-    let mut chunks = data.chunks_exact(128);
-    for chunk in &mut chunks {
-        compress(&mut h, chunk.try_into().expect("exact chunk"));
+    let (chunks, rem) = data.as_chunks::<128>();
+    for chunk in chunks {
+        compress(&mut h, chunk);
     }
-    let rem = chunks.remainder();
     block[..rem.len()].copy_from_slice(rem);
     block[rem.len()] = 0x80;
     if rem.len() + 1 > 112 {
@@ -128,8 +127,8 @@ pub fn sha512(data: &[u8]) -> [u8; 64] {
 
 fn compress(h: &mut [u64; 8], block: &[u8; 128]) {
     let mut w = [0u64; 80];
-    for (i, chunk) in block.chunks_exact(8).enumerate() {
-        w[i] = u64::from_be_bytes(chunk.try_into().expect("8-byte chunk"));
+    for (word, chunk) in w.iter_mut().zip(block.as_chunks::<8>().0) {
+        *word = u64::from_be_bytes(*chunk);
     }
     for t in 16..80 {
         let s0 = w[t - 15].rotate_right(1) ^ w[t - 15].rotate_right(8) ^ (w[t - 15] >> 7);

@@ -242,7 +242,7 @@ mod tests {
                 .collect()
         };
         let waves = packed.waves();
-        let setup = |op: &Operation| matches!(op, Operation::Create | Operation::Request);
+        let setup = |op: &Operation| matches!(*op, Operation::Create | Operation::Request);
         assert!(ops(&waves[0]).iter().all(setup));
         assert!(ops(&waves[1]).iter().all(|op| *op == Operation::Bid));
         assert_eq!(ops(&waves[2]), [Operation::AcceptBid]);

@@ -28,7 +28,7 @@ mod wal;
 pub use collection::{Collection, StoreError, ID_FIELD};
 pub use db::{collections, Db};
 pub use filter::Filter;
-pub use utxo::{entry_hash, OutputRef, SpendError, StateDigest, Utxo, UtxoSet};
+pub use utxo::{entry_hash, typed_entry_hash, OutputRef, SpendError, StateDigest, Utxo, UtxoSet};
 pub use wal::{DurableStore, ExportStats, FsyncLevel, RecoveredState, WalError};
 
 #[cfg(test)]

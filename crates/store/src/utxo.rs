@@ -153,6 +153,16 @@ impl StateDigest {
         self.count
     }
 
+    /// The digest of the union of two disjoint entry sets: each
+    /// accumulator folds the other's in.
+    pub fn combine(self, other: StateDigest) -> StateDigest {
+        StateDigest {
+            xor: self.xor ^ other.xor,
+            sum: self.sum.wrapping_add(other.sum),
+            count: self.count.wrapping_add(other.count),
+        }
+    }
+
     /// Compact hex wire form (`xor:sum:count`), for gossiping a digest
     /// with a block.
     pub fn to_hex(&self) -> String {
@@ -182,38 +192,65 @@ impl StateDigest {
 /// [`StateDigest`] folds see well-spread values. Stable across
 /// processes and replicas (no randomized state).
 pub fn entry_hash(output: &OutputRef, utxo: &Utxo) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        h = (h ^ bytes.len() as u64).wrapping_mul(PRIME);
-        for &b in bytes {
-            h = (h ^ b as u64).wrapping_mul(PRIME);
-        }
-    };
-    eat(output.tx_id.as_bytes());
-    eat(&output.index.to_le_bytes());
-    eat(&(utxo.owners.len() as u64).to_le_bytes());
+    let mut h = FieldHash::new();
+    h.eat(output.tx_id.as_bytes());
+    h.eat(&output.index.to_le_bytes());
+    h.eat(&(utxo.owners.len() as u64).to_le_bytes());
     for owner in &utxo.owners {
-        eat(owner.as_bytes());
+        h.eat(owner.as_bytes());
     }
-    eat(&(utxo.previous_owners.len() as u64).to_le_bytes());
+    h.eat(&(utxo.previous_owners.len() as u64).to_le_bytes());
     for prev in &utxo.previous_owners {
-        eat(prev.as_bytes());
+        h.eat(prev.as_bytes());
     }
-    eat(&utxo.amount.to_le_bytes());
-    eat(utxo.asset_id.as_bytes());
+    h.eat(&utxo.amount.to_le_bytes());
+    h.eat(utxo.asset_id.as_bytes());
     match &utxo.spent_by {
-        Some(spender) => eat(spender.as_bytes()),
-        None => eat(&[0xFF]),
+        Some(spender) => h.eat(spender.as_bytes()),
+        None => h.eat(&[0xFF]),
     }
-    // splitmix64 finisher: avalanche the FNV state so single-bit entry
-    // differences flip ~half the digest bits (XOR/sum folds have no
-    // mixing of their own).
-    let mut z = h;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    h.finish()
+}
+
+/// The 64-bit hash of a ledger entry that is not a UTXO — a committed
+/// id, or a REQUEST's bid or accept — hashed as [`entry_hash`] hashes,
+/// field by field after a one-byte `kind`. A UTXO entry's first field
+/// is a 64-character transaction id, so neither kind of entry can
+/// alias the other.
+pub fn typed_entry_hash(kind: u8, fields: &[&str]) -> u64 {
+    let mut h = FieldHash::new();
+    h.eat(&[kind]);
+    for field in fields {
+        h.eat(field.as_bytes());
+    }
+    h.finish()
+}
+
+/// FNV-1a over length-prefixed fields.
+struct FieldHash(u64);
+
+impl FieldHash {
+    fn new() -> FieldHash {
+        FieldHash(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn eat(&mut self, bytes: &[u8]) {
+        const PRIME: u64 = 0x0000_0100_0000_01b3;
+        self.0 = (self.0 ^ bytes.len() as u64).wrapping_mul(PRIME);
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(PRIME);
+        }
+    }
+
+    /// splitmix64 finisher: avalanche the FNV state so single-bit entry
+    /// differences flip ~half the digest bits (XOR/sum folds have no
+    /// mixing of their own).
+    fn finish(self) -> u64 {
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
 }
 
 /// The entries plus their incrementally maintained digest. All

@@ -145,7 +145,7 @@ fn usability_loc_gap() {
     );
     // The SmartchainDB marketplace needs no user code by construction:
     // all six transaction types ship natively.
-    assert_eq!(smartchaindb::core::Operation::ALL.len(), 6);
+    assert_eq!(smartchaindb::core::Operation::all().len(), 6);
 }
 
 /// The gas→time execution model is the paper's "variable execution

@@ -227,10 +227,10 @@ scdb\n\
 21:C4810075\n\
 22:C4810075\n\
 messages=243 height=5 committed=26\n\
-digest0=ac067882de03eb25:d90cfc76d57f9afb:17\n\
-digest1=ac067882de03eb25:d90cfc76d57f9afb:17\n\
-digest2=ac067882de03eb25:d90cfc76d57f9afb:17\n\
-digest3=ac067882de03eb25:d90cfc76d57f9afb:17\n\
+digest0=3500e6b63305161f:b6bc123cdec63483:3a\n\
+digest1=3500e6b63305161f:b6bc123cdec63483:3a\n\
+digest2=3500e6b63305161f:b6bc123cdec63483:3a\n\
+digest3=3500e6b63305161f:b6bc123cdec63483:3a\n\
 nested_completed=3\n\
 ethsc\n\
 0:C8394001\n\
